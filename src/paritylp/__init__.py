@@ -55,6 +55,7 @@ from .lp import (
     complementary_slackness,
     solve,
     solve_dual,
+    solve_pair,
     solve_primal,
 )
 from .povm import (

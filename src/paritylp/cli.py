@@ -97,28 +97,26 @@ def _profile_amplitudes(profile: AmplitudeProfile, args) -> AmplitudeProfile:
 def cmd_solve(args) -> int:
     profile = _load_profile(args.profile)
     cost = _cost_from_args(profile.n, args)
-    primal_model = lp.build_primal(profile, cost)
     if args.dump_model:
         with open(args.dump_model, "w") as fh:
-            fh.write(primal_model.to_text() + "\n")
+            fh.write(lp.build_primal(profile, cost).to_text() + "\n")
             fh.write(lp.build_dual(profile, cost).to_text() + "\n")
-    primal, p_report = lp.solve_primal(profile, cost, args.mode)
-    dual, d_report = lp.solve_dual(profile, cost, args.mode)
-    gap = abs(p_report.objective - d_report.objective)
-    audits = {"strong_duality_gap": float(gap) <= args.tol_feas}
+    primal, dual, p_report = lp.solve_pair(profile, cost, args.mode)
+    gap = abs(p_report.objective - dual.objective)
+    exact = args.mode == lp.EXACT and profile.rational
+    audits = {"strong_duality_gap": gap == 0 if exact else float(gap) <= args.tol_feas}
     report = {
         "config": _config_dict(args),
         "rho": _render(p_report.objective),
-        "sigma": _render(d_report.objective),
+        "sigma": _render(dual.objective),
         "gap": float(gap),
         "primal": p_report.to_json_dict(),
-        "dual": d_report.to_json_dict(),
         "dual_solution": dual.to_json_dict(),
         "primal_solution": primal.to_json_dict(),
         "audits": audits,
     }
     rows = [("rho", _render(p_report.objective)),
-            ("sigma", _render(d_report.objective)),
+            ("sigma", _render(dual.objective)),
             ("gap", gap)]
     _emit(args, report, _table(rows, ("quantity", "value")))
     return 0 if all(audits.values()) else 1
@@ -147,11 +145,12 @@ def cmd_verify(args) -> int:
     dual, cost = _family_dual(args, profile)
     dual.objective = dual.evaluate(profile)
     audit = lp.check_dual_feasible(dual, cost)
-    _, lp_report = lp.solve_dual(profile, cost, args.mode)
+    _, lp_report = lp.solve_primal(profile, cost, args.mode)
     gap = dual.objective - lp_report.objective
+    exact = args.mode == lp.EXACT and profile.rational
     audits = {
         "dual_feasible": audit.feasible,
-        "weak_duality": float(gap) >= -args.tol_feas,
+        "weak_duality": gap >= 0 if exact else float(gap) >= -args.tol_feas,
     }
     report = {
         "config": _config_dict(args),
@@ -315,9 +314,9 @@ def cmd_threshold(args) -> int:
     profile = _load_profile(args.profile)
     cert = bounds.threshold_zero_certificate(profile, args.tau)
     cost = CostFunction.threshold(profile.n, args.tau)
-    _, report_lp = lp.solve_dual(profile, cost, args.mode)
+    _, report_lp = lp.solve_primal(profile, cost, args.mode)
     lp_value = report_lp.objective
-    lp_zero = lp_value == 0 if args.mode == "exact" else abs(float(lp_value)) <= args.tol_feas
+    lp_zero = lp_value == 0 if args.mode == lp.EXACT else abs(float(lp_value)) <= args.tol_feas
     audits = {"certificate_matches_lp": cert.rho_is_zero == lp_zero}
     report = {
         "config": _config_dict(args),

@@ -6,16 +6,17 @@ the constancy of lambda * weight on each coset is thereby built into the
 model instead of written as equalities.  The dual has one nonnegative
 variable per index and one covering constraint per (code, syndrome).
 
-Solving is exact over rationals by default (binary64 on request).  Wide
-dual-shaped models are solved through their own LP dual, whose slack basis
-is immediately feasible; the optimal multipliers are read off the final
-reduced costs and re-verified against the original model.
+Solving is exact over rationals by default (binary64 on request).  Every
+solve of a profile goes through the primal, which has one row per
+supported index; the dual is read off the same optimal basis, as the row
+multipliers divided by the weights, with an explicit covering value on
+the zero-weight indices.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from numbers import Rational
 
@@ -65,13 +66,7 @@ class LpModel:
     def to_text(self) -> str:
         """One line per constraint, for eyeballing small models."""
         def varname(j):
-            lab = self.labels[j]
-            if lab[0] == "mu":
-                _, code, s = lab
-                return f"mu[{code.label()},s={s}]"
-            if lab[0] == "b":
-                return f"b[{vec_str(lab[1], _label_n(lab))}]"
-            return str(lab)
+            return _label_str(self.labels[j])
 
         lines = [f"# {self.name}: {self.sense} "
                  + " + ".join(f"{c}*{varname(j)}" for j, c in enumerate(self.objective) if c)]
@@ -83,10 +78,6 @@ class LpModel:
         return "\n".join(lines)
 
 
-def _label_n(label) -> int:
-    return label[2]
-
-
 @dataclass
 class SolveReport:
     status: str
@@ -96,6 +87,8 @@ class SolveReport:
     pivots: int
     wall_time: float
     strategy: str
+    # Multipliers of the model's constraints, in the model's own sense.
+    duals: list | None = None
 
     def to_json_dict(self) -> dict:
         def render(v):
@@ -192,129 +185,65 @@ def build_dual(profile: AmplitudeProfile, cost: CostFunction) -> LpModel:
     return LpModel("dual", "min", labels, objective, constraints)
 
 
-def _dual_shaped(model: LpModel) -> bool:
-    return (
-        model.sense == "min"
-        and len(model.constraints) > model.n_vars
-        and all(c.rel == ">=" for c in model.constraints)
-        and all(c.rhs >= 0 for c in model.constraints)
-        and all(v >= 0 for v in model.objective)
-    )
-
-
-def _solve_dualized(model: LpModel, exact: bool, tol) -> simplex.StandardResult | None:
-    """Solve a wide min/>= model through its own LP dual.
-
-    The companion program max r.mu s.t. Aᵀ mu <= w starts from a feasible
-    slack basis (w >= 0), and its optimal reduced costs on the slack columns
-    are the original variables.  Returns None when the extracted point fails
-    re-verification, in which case the caller falls back to two-phase.
-    """
-    m = len(model.constraints)
-    nv = model.n_vars
-    zero = _coerce(0, exact)
-    one = _coerce(1, exact)
-    rows = [[zero] * (m + nv) for _ in range(nv)]
-    for j, con in enumerate(model.constraints):
-        for i, coef in con.coeffs.items():
-            rows[i][j] = _coerce(coef, exact)
-    for i in range(nv):
-        rows[i][m + i] = one
-    rhs = [_coerce(v, exact) for v in model.objective]
-    c = [-_coerce(con.rhs, exact) for con in model.constraints] + [zero] * nv
-    result = simplex.simplex_min(
-        rows, rhs, c, basis_seed=[m + i for i in range(nv)], tol=tol
-    )
-    if result.status != simplex.OPTIMAL:
-        return None
-    b = [result.reduced_costs[m + i] for i in range(nv)]
-    objective = sum((w * bi for w, bi in zip(model.objective, b)), zero)
-    check_tol = 0 if exact else 1e-7
-    if abs(objective - (-result.objective)) > check_tol:
-        return None
-    for con in model.constraints:
-        total = sum((con.coeffs[i] * b[i] for i in con.coeffs), zero)
-        if total < con.rhs - check_tol:
-            return None
-    return simplex.StandardResult(
-        simplex.OPTIMAL, objective, b, result.pivots, None
-    )
-
-
 def solve(model: LpModel, mode: str = EXACT) -> SolveReport:
-    """Solve a model exactly (rational simplex) or in binary64.
+    """Solve a model exactly (certified rational optimum) or in binary64.
 
-    Bland's rule is used throughout, so runs are reproducible and exact-mode
-    optima are bit-identical across invocations.
+    The pricing rule is deterministic, so exact-mode optima are
+    bit-identical across invocations.  The report carries the multipliers
+    of the model's constraints: the objective equals the sum of
+    multiplier times right-hand side.
     """
     if mode not in (EXACT, FLOAT):
         raise SolveError(f"unknown mode {mode!r}")
     exact = mode == EXACT
-    tol = 0 if exact else FLOAT_FEAS_TOL
     start = time.perf_counter()
-
-    if _dual_shaped(model):
-        result = _solve_dualized(model, exact, tol)
-        if result is not None:
-            values = dict(zip(model.labels, result.x))
-            return SolveReport(
-                status="optimal",
-                objective=result.objective,
-                values=values,
-                mode=mode,
-                pivots=result.pivots,
-                wall_time=time.perf_counter() - start,
-                strategy="dualized",
-            )
 
     nv = model.n_vars
     zero = _coerce(0, exact)
+    one = _coerce(1, exact)
     slack_count = sum(1 for c in model.constraints if c.rel != "=")
     total = nv + slack_count
     rows = []
     rhs = []
     seeds: list[int | None] = []
+    flips = []
     slack_at = nv
     for con in model.constraints:
-        row = [zero] * total
+        row = [0] * total
         for j, coef in con.coeffs.items():
             row[j] = _coerce(coef, exact)
         r = _coerce(con.rhs, exact)
-        seed = None
-        if con.rel == ">=":
-            row[slack_at] = -(_coerce(1, exact))
+        slack_col = None
+        if con.rel in (">=", "<="):
             slack_col = slack_at
+            row[slack_col] = -one if con.rel == ">=" else one
             slack_at += 1
-        elif con.rel == "<=":
-            row[slack_at] = _coerce(1, exact)
-            slack_col = slack_at
-            slack_at += 1
-        elif con.rel == "=":
-            slack_col = None
-        else:
+        elif con.rel != "=":
             raise SolveError(f"unknown relation {con.rel!r}")
-        if r < 0:
+        flip = -1 if r < 0 else 1
+        if flip < 0:
             row = [-v for v in row]
             r = -r
-        if slack_col is not None and row[slack_col] == 1 and r >= 0:
-            seed = slack_col
+        seed = slack_col if slack_col is not None and row[slack_col] == 1 else None
         rows.append(row)
         rhs.append(r)
         seeds.append(seed)
+        flips.append(flip)
 
     sense_flip = -1 if model.sense == "max" else 1
     c = [sense_flip * _coerce(v, exact) for v in model.objective] + [zero] * slack_count
-    result = simplex.simplex_min(rows, rhs, c, basis_seed=seeds, tol=tol)
+    result = simplex.simplex_min(rows, rhs, c, basis_seed=seeds)
     elapsed = time.perf_counter() - start
     if result.status != simplex.OPTIMAL:
         return SolveReport(result.status, None, None, mode, result.pivots,
-                           elapsed, "two-phase")
+                           elapsed, result.strategy)
     values = dict(zip(model.labels, result.x[:nv]))
     objective = sum(
         (ci * xi for ci, xi in zip(model.objective, result.x[:nv])), zero
     )
+    duals = [sense_flip * f * y for f, y in zip(flips, result.y)]
     return SolveReport("optimal", objective, values, mode, result.pivots,
-                       elapsed, "two-phase")
+                       elapsed, result.strategy, duals)
 
 
 @dataclass
@@ -405,23 +334,43 @@ class DualSolution:
         return out
 
 
-def solve_primal(profile: AmplitudeProfile, cost: CostFunction,
-                 mode: str = EXACT) -> tuple[PrimalSolution, SolveReport]:
-    report = solve(build_primal(profile, cost), mode)
+def solve_pair(profile: AmplitudeProfile, cost: CostFunction, mode: str = EXACT
+               ) -> tuple[PrimalSolution, DualSolution, SolveReport]:
+    """Optimal primal and dual solutions from one solve of the primal.
+
+    Row i of the primal reads sum mu / w_i = 1, so its multiplier u_i gives
+    b_i = u_i / w_i, with 1 / w_i the row's coefficient as solved, and
+    sum b_i w_i = sum u_i is the primal optimum.  An index of weight zero
+    carries no row; it gets max_k cost(k) 2^k, which covers by itself every
+    coset it lies in.
+    """
+    model = build_primal(profile, cost)
+    report = solve(model, mode)
     if report.status != "optimal":
         raise SolveError(f"primal solve ended with status {report.status}")
-    sol = PrimalSolution.from_lp_values(profile, report.values, report.objective)
-    return sol, report
+    primal = PrimalSolution.from_lp_values(profile, report.values, report.objective)
+    exact = mode == EXACT
+    b = {con.tag[1]: u * _coerce(next(iter(con.coeffs.values())), exact)
+         for con, u in zip(model.constraints, report.duals)}
+    cover = _coerce(max(cost.value(k) * (1 << k) for k in range(profile.n + 1)), exact)
+    b.update(dict.fromkeys(profile.zero_set, cover))
+    dual = DualSolution(profile.n, b)
+    dual.objective = dual.evaluate(profile)
+    return primal, dual, report
+
+
+def solve_primal(profile: AmplitudeProfile, cost: CostFunction,
+                 mode: str = EXACT) -> tuple[PrimalSolution, SolveReport]:
+    primal, _, report = solve_pair(profile, cost, mode)
+    return primal, report
 
 
 def solve_dual(profile: AmplitudeProfile, cost: CostFunction,
                mode: str = EXACT) -> tuple[DualSolution, SolveReport]:
-    report = solve(build_dual(profile, cost), mode)
-    if report.status != "optimal":
-        raise SolveError(f"dual solve ended with status {report.status}")
-    b = {label[1]: v for label, v in report.values.items()}
-    sol = DualSolution(profile.n, b, objective=report.objective)
-    return sol, report
+    """The dual read off the primal's optimal basis, with a report on its values."""
+    _, dual, report = solve_pair(profile, cost, mode)
+    values = {("b", i, profile.n): dual.b_at(i) for i in all_vectors(profile.n)}
+    return dual, replace(report, values=values)
 
 
 @dataclass

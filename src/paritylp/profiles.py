@@ -175,13 +175,6 @@ class CostFunction:
     def value(self, k: int):
         return self.values[k]
 
-    def value_exact(self, k: int) -> Fraction:
-        return _as_exact(self.values[k])
-
-    @property
-    def c_max(self):
-        return max(self.values)
-
     @classmethod
     def from_json_dict(cls, n: int, data: dict) -> CostFunction:
         kind = data.get("kind", "average")

@@ -1,20 +1,48 @@
-"""Dense two-phase simplex with Bland's rule.
+"""Dense two-phase simplex: a float basis, an exact certificate, an exact fallback.
 
 Solves   min c.x   s.t.   A x = b,  x >= 0,  with b >= 0,
-over exact `fractions.Fraction` entries or binary64 floats; the entry type
-of the supplied data decides which.  Bland's anti-cycling rule is used for
-both the entering and the leaving choice, so the method terminates on every
-input.  The tableau is a plain list of lists, which is plenty for the
-desk-scale models built elsewhere in this package.
+over exact rationals or binary64 floats; the entry type of b and c decides
+which.  Every pivot loop prices the same way: the most negative reduced
+cost enters until STALL_LIMIT consecutive degenerate pivots, then the
+lowest eligible index (Bland's rule, which cannot cycle); the leaving row
+is the minimum ratio, ties going to the lowest basis index.
+
+Float data is solved on a binary64 numpy tableau alone.  On exact data that
+tableau only proposes a basis B: the solution x_B = B⁻¹b and the row
+multipliers y = B⁻ᵀc_B are recomputed over `Fraction`, and the basis is
+accepted when x_B >= 0 and c - Aᵀy >= 0 hold exactly (Applegate, Cook,
+Dash & Espinoza, Oper. Res. Lett. 2007).  Otherwise the same pivot loop
+runs again from scratch on a tableau of `Fraction` objects with no
+tolerance; it terminates on every input and gives exact infeasible and
+unbounded verdicts.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import chain
+from numbers import Rational
+
+import numpy as np
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+ITERATION_LIMIT = "iteration-limit"
+
+# How the returned point was obtained.
+FLOAT = "float"
+CERTIFIED = "certified"
+EXACT_PIVOTS = "exact-pivots"
+
+# Comparison tolerance of the float stage.
+FLOAT_TOL = 1e-9
+
+# Degenerate pivots allowed under the steepest-coefficient rule before the
+# iteration switches (permanently) to Bland's rule, which cannot cycle.
+STALL_LIMIT = 30
 
 
 @dataclass
@@ -23,88 +51,12 @@ class StandardResult:
     objective: object | None
     x: list | None
     pivots: int
-    # Phase-2 reduced costs per original column; the entries sitting on
-    # slack columns are the optimal multipliers of the corresponding rows.
-    reduced_costs: list | None = None
+    # Row multipliers at optimality: c - Aᵀy >= 0 and b.y equals the objective.
+    y: list | None = None
+    strategy: str = FLOAT
 
 
-def _pivot(rows, rhs, obj_rows, obj_rhs, basis, r, j) -> None:
-    prow = rows[r]
-    piv = prow[j]
-    if piv != 1:
-        rows[r] = prow = [v / piv for v in prow]
-        rhs[r] = rhs[r] / piv
-    for i in range(len(rows)):
-        if i == r:
-            continue
-        f = rows[i][j]
-        if f:
-            row = rows[i]
-            rows[i] = [a - f * b if b else a for a, b in zip(row, prow)]
-            rhs[i] = rhs[i] - f * rhs[r]
-    for t in range(len(obj_rows)):
-        f = obj_rows[t][j]
-        if f:
-            row = obj_rows[t]
-            obj_rows[t] = [a - f * b if b else a for a, b in zip(row, prow)]
-            obj_rhs[t] = obj_rhs[t] - f * rhs[r]
-    basis[r] = j
-
-
-# Degenerate pivots allowed under the steepest-coefficient rule before the
-# iteration switches (permanently) to Bland's rule, which cannot cycle.
-STALL_LIMIT = 30
-
-
-def _iterate(rows, rhs, obj_rows, obj_rhs, basis, allowed, tol, pivots) -> tuple[str, int]:
-    """Run simplex iterations on obj_rows[0] until optimal or unbounded.
-
-    Entering variable: most negative reduced cost (fast in practice) until
-    STALL_LIMIT consecutive degenerate steps, then lowest index (Bland) for
-    guaranteed termination.  Leaving variable: minimum ratio, ties broken by
-    lowest basis index.
-    """
-    obj = obj_rows[0]
-    stall = 0
-    bland = False
-    while True:
-        enter = -1
-        if bland:
-            for j in allowed:
-                if obj[j] < -tol:
-                    enter = j
-                    break
-        else:
-            best_cost = -tol
-            for j in allowed:
-                if obj[j] < best_cost:
-                    best_cost = obj[j]
-                    enter = j
-        if enter < 0:
-            return OPTIMAL, pivots
-        leave = -1
-        best = None
-        for i in range(len(rows)):
-            a = rows[i][enter]
-            if a > tol:
-                ratio = rhs[i] / a
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave]
-                ):
-                    best = ratio
-                    leave = i
-        if leave < 0:
-            return UNBOUNDED, pivots
-        if not bland:
-            stall = stall + 1 if best == 0 else 0
-            if stall > STALL_LIMIT:
-                bland = True
-        _pivot(rows, rhs, obj_rows, obj_rhs, basis, leave, enter)
-        obj = obj_rows[0]
-        pivots += 1
-
-
-def simplex_min(a_rows, b, c, *, basis_seed=None, tol=0) -> StandardResult:
+def simplex_min(a_rows, b, c, *, basis_seed=None) -> StandardResult:
     """Two-phase simplex for min c.x, A x = b (b >= 0), x >= 0.
 
     Args:
@@ -113,92 +65,201 @@ def simplex_min(a_rows, b, c, *, basis_seed=None, tol=0) -> StandardResult:
         c: objective coefficients.
         basis_seed: optional per-row column index whose column is the r-th
             identity vector; rows without a seed receive an artificial.
-        tol: comparison tolerance (0 for exact data, ~1e-9 for floats).
 
     Returns:
-        StandardResult; x has length len(c), and reduced_costs covers the
-        original columns at phase-2 optimality.
+        StandardResult; x has length len(c) and y length len(b).  Its
+        strategy is "float" on float data, and on exact data "certified"
+        when the float basis passed the exact check, else "exact-pivots".
+        A float run that reaches its pivot limit ends "iteration-limit".
     """
-    m = len(a_rows)
+    seeds = list(basis_seed) if basis_seed else [None] * len(a_rows)
+    unit_cols, art_rows = [], []
+    for i, col in enumerate(seeds):
+        if col is None:
+            col = len(c) + len(art_rows)
+            art_rows.append(i)
+        unit_cols.append(col)
+    exact = all(isinstance(v, Rational) for v in chain(b, c))
+
+    status, basis, t, pivots = _two_phase(a_rows, b, c, unit_cols, art_rows, False)
+    strategy, solution = FLOAT, None
+    if exact:
+        b = [Fraction(v) for v in b]
+        c = [Fraction(v) for v in c]
+        strategy = CERTIFIED
+        if status == OPTIMAL:
+            solution = _certify(a_rows, b, c, basis, art_rows)
+        if solution is None:
+            status, basis, t, more = _two_phase(a_rows, b, c, unit_cols, art_rows, True)
+            pivots += more
+            strategy = EXACT_PIVOTS
+    if status != OPTIMAL:
+        return StandardResult(status, None, None, pivots, strategy=strategy)
+
     nv = len(c)
-    zero = b[0] * 0 if m else 0
-    one = zero + 1
-    rows = [list(r) for r in a_rows]
-    rhs = list(b)
-    basis = [-1] * m
-    if basis_seed:
-        for i, col in enumerate(basis_seed):
-            if col is not None:
-                basis[i] = col
+    zero = c[0] * 0 if nv else 0
+    if solution is None:
+        # The cost row is c minus a combination yᵀA of the original rows, and
+        # row i owns the unit column unit_cols[i], so y_i is read off there.
+        cost = t[len(basis)].tolist()
+        solution = (t[:len(basis), -1].tolist(),
+                    [(c[j] if j < nv else zero) - cost[j] for j in unit_cols])
+    levels, y = solution
+    x = [zero] * nv
+    for col, v in zip(basis, levels):
+        if col < nv:
+            x[col] = v
+    objective = sum((ci * xi for ci, xi in zip(c, x) if xi), zero)
+    return StandardResult(OPTIMAL, objective, x, pivots, y, strategy)
 
-    artificial_cols: list[int] = []
-    for i in range(m):
-        if basis[i] < 0:
-            col = nv + len(artificial_cols)
-            artificial_cols.append(col)
-            for t in range(m):
-                rows[t].append(one if t == i else zero)
-            basis[i] = col
-    total_cols = nv + len(artificial_cols)
 
-    cost_row = list(c) + [zero] * len(artificial_cols)
-    cost_rhs = zero
-    # Price out the seeded basis so reduced costs start consistent.
-    for i in range(m):
-        cb = cost_row[basis[i]]
-        if cb:
-            row = rows[i]
-            cost_row = [a - cb * v if v else a for a, v in zip(cost_row, row)]
-            cost_rhs = cost_rhs - cb * rhs[i]
+def _two_phase(a_rows, b, c, unit_cols, art_rows, exact):
+    """Run both phases on a numpy tableau of floats, or of Fractions if exact.
+
+    Returns (status, basis, tableau, pivots).  The tableau holds the m
+    constraint rows, then the cost row and the phase-1 row; its last column
+    is the right-hand side.  Columns past len(c) are the artificials, one
+    per row in art_rows, which may stay in the basis at level zero on rows
+    that are redundant.
+    """
+    m, nv = len(a_rows), len(c)
+    total = nv + len(art_rows)
+    if exact:
+        num, tol, limit = Fraction, 0, math.inf
+        t = np.full((m + 2, total + 1), Fraction(0), dtype=object)
+    else:
+        num, tol, limit = float, FLOAT_TOL, 50 * (m + total)
+        t = np.zeros((m + 2, total + 1))
+    if m:
+        t[:m, :nv] = [[num(v) for v in row] for row in a_rows]
+        t[:m, -1] = [num(v) for v in b]
+    t[art_rows, range(nv, total)] = num(1)
+    t[m, :nv] = [num(v) for v in c]
+    basis = list(unit_cols)
+    # Price out the starting basis: its columns are unit vectors.
+    t[m] -= t[m, basis] @ t[:m]
+    t[m + 1, nv:total] = num(1)
+    t[m + 1] -= t[art_rows].sum(axis=0)
     pivots = 0
 
-    if artificial_cols:
-        phase1 = [zero] * total_cols
-        for col in artificial_cols:
-            phase1[col] = one
-        p1_rhs = zero
-        for i in range(m):
-            if basis[i] in artificial_cols:
-                row = rows[i]
-                phase1 = [a - v if v else a for a, v in zip(phase1, row)]
-                p1_rhs = p1_rhs - rhs[i]
-        obj_rows = [phase1, cost_row]
-        obj_rhs = [p1_rhs, cost_rhs]
-        allowed = range(total_cols)
-        status, pivots = _iterate(rows, rhs, obj_rows, obj_rhs, basis, allowed, tol, pivots)
+    if art_rows:
+        status, pivots = _iterate(t, basis, m + 1, total, tol, pivots, limit)
         if status != OPTIMAL:
-            return StandardResult(status, None, None, pivots)
-        infeas = -obj_rhs[0]
-        if infeas > tol:
-            return StandardResult(INFEASIBLE, None, None, pivots)
-        # Drive leftover artificials out of the (degenerate) basis; rows
-        # with no usable pivot are redundant and dropped.
-        drop_rows = []
+            return status, basis, t, pivots
+        if -t[m + 1, -1] > tol:
+            return INFEASIBLE, basis, t, pivots
+        # Drive artificials out of the (degenerate) basis where a real
+        # column can replace them; the rows left are redundant.
         for i in range(m):
-            if basis[i] in artificial_cols:
-                target = next(
-                    (j for j in range(nv) if abs(rows[i][j]) > tol), None
-                )
-                if target is None:
-                    drop_rows.append(i)
-                else:
-                    _pivot(rows, rhs, obj_rows, obj_rhs, basis, i, target)
+            if basis[i] >= nv:
+                usable = np.flatnonzero(abs(t[i, :nv]) > tol)
+                if usable.size:
+                    _pivot(t, basis, i, int(usable[0]))
                     pivots += 1
-        for i in reversed(drop_rows):
-            del rows[i], rhs[i], basis[i]
-        cost_row = obj_rows[1]
-        cost_rhs = obj_rhs[1]
 
-    obj_rows = [cost_row]
-    obj_rhs = [cost_rhs]
-    allowed = range(nv)
-    status, pivots = _iterate(rows, rhs, obj_rows, obj_rhs, basis, allowed, tol, pivots)
-    if status != OPTIMAL:
-        return StandardResult(status, None, None, pivots)
+    status, pivots = _iterate(t, basis, m, nv, tol, pivots, limit)
+    return status, basis, t, pivots
 
-    x = [zero] * nv
-    for i, col in enumerate(basis):
-        if col < nv:
-            x[col] = rhs[i]
-    objective = sum((ci * xi for ci, xi in zip(c, x)), zero)
-    return StandardResult(OPTIMAL, objective, x, pivots, obj_rows[0][:nv])
+
+def _pivot(t, basis, r, j) -> None:
+    # On the Fraction tableau only the pivot row's nonzeros take part.
+    cols = np.flatnonzero(t[r]) if t.dtype == object else slice(None)
+    t[r, cols] /= t[r, j]
+    prow = t[r, cols]
+    for i in np.flatnonzero(t[:, j]):
+        if i != r:
+            t[i, cols] -= t[i, j] * prow
+    basis[r] = j
+
+
+def _iterate(t, basis, obj, allowed, tol, pivots, limit) -> tuple[str, int]:
+    """Pivot on objective row `obj` over columns [0, allowed) until optimal.
+
+    The pivot limit guards the float tableau against cycling by rounding;
+    the exact tableau has none, since Bland's rule cannot cycle.
+    """
+    m = len(basis)
+    basis_arr = np.array(basis)
+    stall = 0
+    bland = False
+    while allowed:
+        costs = t[obj, :allowed]
+        if bland:
+            eligible = np.flatnonzero(costs < -tol)
+            if not eligible.size:
+                break
+            enter = int(eligible[0])
+        else:
+            enter = int(np.argmin(costs))
+            if costs[enter] >= -tol:
+                break
+        if pivots >= limit:
+            return ITERATION_LIMIT, pivots
+        column = t[:m, enter]
+        rows = np.flatnonzero(column > tol)
+        if not rows.size:
+            return UNBOUNDED, pivots
+        ratios = np.maximum(t[rows, -1], 0) / column[rows]
+        best = ratios.min()
+        ties = rows[ratios <= best + tol]
+        leave = int(ties[np.argmin(basis_arr[ties])])
+        if not bland:
+            stall = stall + 1 if best <= tol else 0
+            bland = stall > STALL_LIMIT
+        _pivot(t, basis, leave, enter)
+        basis_arr[leave] = enter
+        pivots += 1
+    return OPTIMAL, pivots
+
+
+# -- exact certificate -----------------------------------------------------
+
+def _certify(a_rows, b, c, basis, art_rows) -> tuple | None:
+    """Check a basis exactly; return its levels x_B and multipliers y, or None.
+
+    The basis may hold artificial columns (index >= len(c), the unit vector
+    of row art_rows[index - len(c)]) only at level exactly zero.
+    """
+    nv = len(c)
+    cols = [[Fraction(row[j]) if j < nv else Fraction(i == art_rows[j - nv])
+             for i, row in enumerate(a_rows)] for j in basis]
+    levels = _solve_exact([list(r) for r in zip(*cols)], b)
+    if levels is None or any(v < 0 or (v and j >= nv) for j, v in zip(basis, levels)):
+        return None
+    y = _solve_exact(cols, [c[j] if j < nv else 0 for j in basis])
+    reduced = list(c)
+    for row, yi in zip(a_rows, y):
+        if yi:
+            for j, v in enumerate(row):
+                if v:
+                    reduced[j] -= v * yi
+    return None if any(v < 0 for v in reduced) else (levels, y)
+
+
+def _solve_exact(rows, rhs) -> list | None:
+    """Solve the square system rows . z = rhs exactly; None if singular.
+
+    Each equation is scaled to integers and Gauss-Jordan elimination runs on
+    integers, each new row divided by its gcd, which is much cheaper than
+    arithmetic on Fractions.
+    """
+    m = len(rows)
+    aug = []
+    for row, v in zip(rows, rhs):
+        eq = [Fraction(q) for q in row] + [Fraction(v)]
+        den = math.lcm(*(q.denominator for q in eq))
+        aug.append([q.numerator * (den // q.denominator) for q in eq])
+    for k in range(m):
+        p = next((i for i in range(k, m) if aug[i][k]), None)
+        if p is None:
+            return None
+        aug[k], aug[p] = aug[p], aug[k]
+        prow = aug[k]
+        piv = prow[k]
+        for i in range(m):
+            f = aug[i][k]
+            if f and i != k:
+                new = [a * piv - f * q for a, q in zip(aug[i], prow)]
+                g = math.gcd(*new) or 1
+                aug[i] = [a // g for a in new]
+    return [Fraction(row[m], row[k]) for k, row in enumerate(aug)]

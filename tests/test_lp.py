@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from conftest import full_rank_matrices, literal_lp_model, rand_rational_profile
+from conftest import ball_profile, full_rank_matrices, literal_lp_model, rand_rational_profile
 from paritylp.errors import BudgetError
-from paritylp.f2lin import F2Matrix, all_vectors
+from paritylp.f2lin import F2Matrix, all_vectors, rank
 from paritylp.lp import (
     DualSolution,
     PrimalSolution,
@@ -20,6 +20,7 @@ from paritylp.lp import (
     complementary_slackness,
     solve,
     solve_dual,
+    solve_pair,
     solve_primal,
 )
 from paritylp.profiles import AmplitudeProfile, CostFunction, bernoulli_profile
@@ -225,21 +226,71 @@ class TestSolve:
             _, rd = solve_dual(p, cost)
             assert rp.objective == rd.objective
 
-    def test_dualized_strategy_matches_two_phase(self, monkeypatch):
-        import paritylp.lp as lpmod
+    @pytest.mark.parametrize("wrong", ["start", "suboptimal"])
+    def test_exact_fallback_matches_certified(self, monkeypatch, wrong):
+        """A float stage that hands back a bad basis cannot change the optimum.
+
+        "start" is the artificial starting basis, which does not solve
+        A x = b; "suboptimal" is the bottom code's singleton cosets, feasible
+        with objective 0.  Both fail the exact check, and the exact pivots
+        must land on the certified optimum.
+        """
+        import paritylp.simplex as simplex
+
+        real = simplex._two_phase
+
+        def bad_float_stage(a_rows, b, c, unit_cols, art_rows, exact):
+            status, basis, t, pivots = real(a_rows, b, c, unit_cols, art_rows, exact)
+            if exact:
+                return status, basis, t, pivots
+            bad = list(unit_cols) if wrong == "start" else list(range(len(a_rows)))
+            return simplex.OPTIMAL, bad, t, pivots
 
         rng = random.Random(55)
-        for n in (1, 2):
+        for n in (1, 2, 3):
             p = rand_rational_profile(n, rng)
             for cost in (CostFunction.average(n), CostFunction.threshold(n, 1)):
-                model = build_dual(p, cost)
+                model = build_primal(p, cost)
                 fast = solve(model)
-                assert fast.strategy == "dualized"
+                assert fast.strategy == "certified"
                 with monkeypatch.context() as m:
-                    m.setattr(lpmod, "_dual_shaped", lambda _: False)
-                    slow = lpmod.solve(model, "exact")
-                assert slow.strategy == "two-phase"
-                assert fast.objective == slow.objective
+                    m.setattr(simplex, "_two_phase", bad_float_stage)
+                    slow = solve(model)
+                assert slow.strategy == "exact-pivots"
+                assert slow.objective == fast.objective
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_dual_model_matches_read_off_dual(self, n):
+        rng = random.Random(200 + n)
+        for cost in (CostFunction.average(n), CostFunction.threshold(n, n)):
+            for p in (rand_rational_profile(n, rng), ball_profile(n, n - 1, rng)):
+                direct = solve(build_dual(p, cost))
+                dual, report = solve_dual(p, cost)
+                assert direct.objective == dual.objective == report.objective
+                assert check_dual_feasible(dual, cost).feasible
+
+    def test_optimum_invariant_under_affine_relabelling(self):
+        # i -> P i + v maps every coset of a subspace onto a coset of a
+        # subspace of the same dimension, so the program is only relabelled
+        rng = random.Random(62)
+        for n in (2, 3, 4):
+            p = rand_rational_profile(n, rng)
+            while True:
+                mat = F2Matrix(n, tuple(rng.randrange(1, 1 << n) for _ in range(n)))
+                if rank(mat) == n:
+                    break
+            v = rng.randrange(1 << n)
+            moved = profile(n, [p.weights[mat.mul_vec(i) ^ v] for i in all_vectors(n)])
+            for cost in (CostFunction.average(n), CostFunction.threshold(n, 2)):
+                assert solve_primal(moved, cost)[1].objective == solve_primal(p, cost)[1].objective
+
+    def test_optimum_scales_with_cost(self):
+        rng = random.Random(63)
+        for n in (2, 3, 4):
+            p = rand_rational_profile(n, rng)
+            base = CostFunction.average(n)
+            tripled = CostFunction.custom(n, [3 * v for v in base.values])
+            assert solve_primal(p, tripled)[1].objective == 3 * solve_primal(p, base)[1].objective
 
     def test_coset_reduction_matches_literal_program(self):
         rng = random.Random(3)
@@ -301,7 +352,56 @@ class TestSolve:
             assert float(rep.objective) == pytest.approx(2 * n * q, abs=1e-9)
 
 
+class TestAtCap:
+    """Exact solves at the cap LP_MAX_N = 5 and on a profile with a zero set."""
+
+    @pytest.mark.parametrize("cost", [CostFunction.average(5), CostFunction.threshold(5, 2)],
+                             ids=["average", "threshold2"])
+    def test_n5_exact_pair(self, cost):
+        p = rand_rational_profile(5, random.Random(505))
+        primal, dual, report = solve_pair(p, cost)
+        assert report.strategy == "certified"
+        assert float(report.objective) == pytest.approx(
+            scipy_optimum(build_primal(p, cost)), abs=1e-9)
+        slack = complementary_slackness(primal, dual, p, cost)
+        assert slack.certified
+        assert slack.primal_objective - slack.dual_objective == 0
+        assert dual.objective == report.objective
+
+    def test_n4_ball_dual_read_off(self):
+        p = ball_profile(4, 2, random.Random(404))
+        assert p.zero_set
+        for cost in (CostFunction.average(4), CostFunction.threshold(4, 2)):
+            primal, dual, report = solve_pair(p, cost)
+            assert check_dual_feasible(dual, cost).feasible
+            assert dual.objective == report.objective
+            assert complementary_slackness(primal, dual, p, cost).certified
+
+
 class TestSolverEdgeCases:
+    @pytest.mark.parametrize("a_rows, b, c, bad_basis, status, objective", [
+        # min x0 + x1, x0 - x1 = 1: basis {x1} prices out dual feasible
+        # (y = -1) but puts x1 at -1
+        ([[1, -1]], [1], [1, 1], [1], "optimal", 1),
+        # x0 = 1, x0 = 2: basis {x0, artificial of row 2} prices out dual
+        # feasible but leaves the artificial at 1
+        ([[1], [1]], [1, 2], [1], [0, 2], "infeasible", None),
+    ], ids=["negative-level", "artificial-left"])
+    def test_certificate_rejects_bad_levels(self, monkeypatch, a_rows, b, c,
+                                            bad_basis, status, objective):
+        import paritylp.simplex as simplex
+
+        real = simplex._two_phase
+
+        def bad_float_stage(a_rows, b, c, unit_cols, art_rows, exact):
+            result = real(a_rows, b, c, unit_cols, art_rows, exact)
+            return result if exact else (simplex.OPTIMAL, list(bad_basis), *result[2:])
+
+        monkeypatch.setattr(simplex, "_two_phase", bad_float_stage)
+        result = simplex.simplex_min(a_rows, b, c)
+        assert result.strategy == "exact-pivots"
+        assert (result.status, result.objective) == (status, objective)
+
     def test_infeasible_hand_model(self):
         from paritylp.lp import Constraint, LpModel
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 
 from .errors import FamilyError, ProfileError, RankDeficientError
 from .f2lin import (
@@ -23,7 +22,6 @@ from .f2lin import (
     ParityCode,
     all_vectors,
     ball,
-    enumerate_all_codes,
     enumerate_codes,
     enumerate_identity_rows,
     hamming_weight,
@@ -154,37 +152,23 @@ class PrimalCandidate:
         return self.lam.get((code, i), 0)
 
     def to_solution(self, profile: AmplitudeProfile) -> PrimalSolution:
-        exact = profile.rational and all(
-            isinstance(v, Rational) for v in self.lam.values()
-        )
-        mu: dict = {}
-        for (code, i), v in self.lam.items():
-            w = profile.weight_exact(i) if exact else profile.weights_float[i]
-            mu[(code, code.syndrome(i))] = v * w
-        return PrimalSolution(self.n, mu, dict(self.lam), self.objective,
-                              tuple(enumerate_all_codes(self.n)))
+        """The candidate as an LP point, mu = lambda * w on each coset."""
+        values = {("mu", code, code.syndrome(i)): v * profile.weights[i]
+                  for (code, i), v in self.lam.items()}
+        return PrimalSolution.from_lp_values(profile, values, self.objective)
 
     def to_json_dict(self) -> dict:
-        def render(v):
-            return str(v) if isinstance(v, Fraction) else v
-
         return {
             "family": self.family,
             "nonnegative": self.nonnegative,
-            "objective": render(self.objective),
+            "objective": self.objective,
             "lambda": {
-                f"{code.label()},{vec_str(i, self.n)}": render(v)
+                f"{code.label()},{vec_str(i, self.n)}": v
                 for (code, i), v in sorted(
                     self.lam.items(), key=lambda kv: (kv[0][0].k, kv[0][0].H.rows, kv[0][1])
                 )
             },
         }
-
-
-def _weight_getter(profile: AmplitudeProfile, exact: bool):
-    if exact:
-        return profile.weight_exact
-    return lambda i: profile.weights_float[i]
 
 
 def primal_candidate(family: str, profile: AmplitudeProfile) -> PrimalCandidate:
@@ -211,26 +195,24 @@ def primal_candidate(family: str, profile: AmplitudeProfile) -> PrimalCandidate:
             "to full support first"
         )
     n = profile.n
-    exact = profile.rational
-    weight = _weight_getter(profile, exact)
+    weight = profile.weights
     lam: dict = {}
-    zero = Fraction(0) if exact else 0.0
-    objective = zero
+    objective = 0
 
     def place(code: ParityCode, s_target: int, value) -> None:
         for i in code.cosets.members_of(s_target):
-            lam[(code, i)] = value / weight(i)
+            lam[(code, i)] = value / weight[i]
 
     if family in ("hamming", "cohamming"):
         for k in range(n + 1):
             for mat in enumerate_identity_rows(n, k):
                 code = ParityCode.from_matrix(mat)
                 cos = code.cosets
-                total = zero
+                total = 0
                 for s in range(cos.n_syndromes):
                     leader = (cos.leader_min(s) if family == "cohamming"
                               else cos.leader_max(s))
-                    term = weight(leader)
+                    term = weight[leader]
                     total = total - term if hamming_weight(s) & 1 else total + term
                 if family == "cohamming" and (n - k) & 1:
                     total = -total
@@ -239,16 +221,15 @@ def primal_candidate(family: str, profile: AmplitudeProfile) -> PrimalCandidate:
                 objective = objective + k * (1 << k) * total
     else:
         full = ParityCode.full(n)
-        w0 = weight(0)
+        w0 = weight[0]
         for i in all_vectors(n):
-            lam[(full, i)] = w0 / weight(i)
+            lam[(full, i)] = w0 / weight[i]
         objective = objective + n * (1 << n) * w0
-        half = Fraction(1, 1 << (n - 1)) if exact else 1.0 / (1 << (n - 1))
         for code in enumerate_codes(n, n - 1):
             cos = code.cosets
-            w1 = sum((weight(i) for i in cos.members_of(1)), zero)
-            w0s = sum((weight(i) for i in cos.members_of(0)), zero)
-            value = (w1 - w0s) * half
+            w1 = sum(weight[i] for i in cos.members_of(1))
+            w0s = sum(weight[i] for i in cos.members_of(0))
+            value = (w1 - w0s) / (1 << (n - 1))
             place(code, 1, value)
             objective = objective + (n - 1) * (1 << (n - 1)) * value
 
@@ -341,10 +322,8 @@ def n2_optimal(profile: AmplitudeProfile) -> tuple[str, object]:
         raise ValueError("this classification is specific to n = 2")
     if not profile.full_support:
         raise ProfileError("n = 2 classification requires full support")
-    exact = profile.rational
-    weight = _weight_getter(profile, exact)
-    order = sorted(all_vectors(2), key=lambda i: (weight(i), i))
-    w = [weight(order[j]) for j in range(4)]
+    order = sorted(all_vectors(2), key=lambda i: (profile.weights[i], i))
+    w = [profile.weights[j] for j in order]
     cohamming_value = 4 * w[0] + 2 * w[1] + 2 * w[2]
     spike_value = 5 * w[0] + w[1] + w[2] + w[3]
     lhs = w[0] + w[3]

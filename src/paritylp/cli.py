@@ -103,20 +103,20 @@ def cmd_solve(args) -> int:
             fh.write(lp.build_dual(profile, cost).to_text() + "\n")
     primal, dual, p_report = lp.solve_pair(profile, cost, args.mode)
     gap = abs(p_report.objective - dual.objective)
-    exact = args.mode == lp.EXACT and profile.rational
+    exact = p_report.mode == lp.EXACT
     audits = {"strong_duality_gap": gap == 0 if exact else float(gap) <= args.tol_feas}
     report = {
         "config": _config_dict(args),
-        "rho": _render(p_report.objective),
-        "sigma": _render(dual.objective),
+        "rho": p_report.objective,
+        "sigma": dual.objective,
         "gap": float(gap),
         "primal": p_report.to_json_dict(),
         "dual_solution": dual.to_json_dict(),
         "primal_solution": primal.to_json_dict(),
         "audits": audits,
     }
-    rows = [("rho", _render(p_report.objective)),
-            ("sigma", _render(dual.objective)),
+    rows = [("rho", p_report.objective),
+            ("sigma", dual.objective),
             ("gap", gap)]
     _emit(args, report, _table(rows, ("quantity", "value")))
     return 0 if all(audits.values()) else 1
@@ -147,7 +147,7 @@ def cmd_verify(args) -> int:
     audit = lp.check_dual_feasible(dual, cost)
     _, lp_report = lp.solve_primal(profile, cost, args.mode)
     gap = dual.objective - lp_report.objective
-    exact = args.mode == lp.EXACT and profile.rational
+    exact = lp_report.mode == lp.EXACT
     audits = {
         "dual_feasible": audit.feasible,
         "weak_duality": gap >= 0 if exact else float(gap) >= -args.tol_feas,
@@ -156,14 +156,14 @@ def cmd_verify(args) -> int:
         "config": _config_dict(args),
         "family": args.family,
         "certificate": dual.to_json_dict(),
-        "objective": _render(dual.objective),
-        "lp_optimum": _render(lp_report.objective),
+        "objective": dual.objective,
+        "lp_optimum": lp_report.objective,
         "gap": float(gap),
         "feasibility": audit.to_json_dict(),
         "audits": audits,
     }
-    rows = [("family objective", _render(dual.objective)),
-            ("lp optimum", _render(lp_report.objective)),
+    rows = [("family objective", dual.objective),
+            ("lp optimum", lp_report.objective),
             ("gap", float(gap)),
             ("feasible", audit.feasible)]
     _emit(args, report, _table(rows, ("quantity", "value")))
@@ -185,14 +185,14 @@ def cmd_primal_candidate(args) -> int:
     report = {
         "config": _config_dict(args),
         "candidate": candidate.to_json_dict(),
-        "paired_dual_objective": _render(paired.objective),
+        "paired_dual_objective": paired.objective,
         "slackness": slackness.to_json_dict() if slackness else None,
         "audits": audits,
     }
     rows = [("family", args.family),
             ("nonnegative", candidate.nonnegative),
-            ("objective", _render(candidate.objective)),
-            ("paired dual objective", _render(paired.objective))]
+            ("objective", candidate.objective),
+            ("paired dual objective", paired.objective)]
     _emit(args, report, _table(rows, ("quantity", "value")))
     return 0 if all(audits.values()) else 1
 
@@ -215,14 +215,14 @@ def cmd_povm(args) -> int:
     }
     report = {
         "config": _config_dict(args),
-        "rho_lp": _render(p_report.objective),
+        "rho_lp": p_report.objective,
         "rho_povm": rho,
         "verification": verification.to_json_dict(),
         "fourier_diag": fourier.to_json_dict(),
         "audits": audits,
         "povm": povm_set.to_json_dict(),
     }
-    rows = [("rho (lp)", _render(p_report.objective)),
+    rows = [("rho (lp)", p_report.objective),
             ("rho (povm)", rho),
             ("valid", verification.ok)]
     _emit(args, report, _table(rows, ("quantity", "value")))
@@ -253,7 +253,7 @@ def cmd_simulate(args) -> int:
         "config": _config_dict(args),
         "x": args.x,
         "exact_distribution": {
-            f"{code.label()},y={vec_str(y, code.k)}": _render(p)
+            f"{code.label()},y={vec_str(y, code.k)}": p
             for (code, y), p in sorted(
                 dist.items(), key=lambda kv: (kv[0][0].k, kv[0][0].H.rows)
             )
@@ -316,17 +316,17 @@ def cmd_threshold(args) -> int:
     cost = CostFunction.threshold(profile.n, args.tau)
     _, report_lp = lp.solve_primal(profile, cost, args.mode)
     lp_value = report_lp.objective
-    lp_zero = lp_value == 0 if args.mode == lp.EXACT else abs(float(lp_value)) <= args.tol_feas
+    lp_zero = lp_value == 0 if report_lp.mode == lp.EXACT else abs(float(lp_value)) <= args.tol_feas
     audits = {"certificate_matches_lp": cert.rho_is_zero == lp_zero}
     report = {
         "config": _config_dict(args),
         "certificate": cert.to_json_dict(),
-        "lp_value": _render(lp_value),
+        "lp_value": lp_value,
         "audits": audits,
     }
     rows = [("tau", args.tau),
             ("rho is zero", cert.rho_is_zero),
-            ("lp value", _render(lp_value))]
+            ("lp value", lp_value)]
     _emit(args, report, _table(rows, ("quantity", "value")))
     return 0 if all(audits.values()) else 1
 

@@ -6,11 +6,15 @@ the constancy of lambda * weight on each coset is thereby built into the
 model instead of written as equalities.  The dual has one nonnegative
 variable per index and one covering constraint per (code, syndrome).
 
-Solving is exact over rationals by default (binary64 on request).  Every
-solve of a profile goes through the primal, which has one row per
-supported index; the dual is read off the same optimal basis, as the row
-multipliers divided by the weights, with an explicit covering value on
-the zero-weight indices.
+The models carry the profile's own numbers (`Fraction` for a rational
+profile, binary64 otherwise; costs are always exact), and `solve` alone
+picks the arithmetic: a certified rational solve when the mode is exact and
+every entry of the model is rational, binary64 otherwise.  Its report
+records the mode that ran, and everything downstream is plain arithmetic
+on the values it returns.  Every solve of a profile goes through the
+primal, which has one row per supported index; the dual is read off the
+same optimal basis, as the row multipliers divided by the weights, with an
+explicit covering value on the zero-weight indices.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import chain
 from numbers import Rational
 
 from . import simplex
@@ -31,16 +36,6 @@ EXACT = "exact"
 FLOAT = "float"
 
 FLOAT_FEAS_TOL = 1e-9
-
-
-def _coerce(value, exact: bool):
-    if exact:
-        return value if isinstance(value, Fraction) else Fraction(value)
-    return float(value)
-
-
-def _is_exact(values) -> bool:
-    return all(isinstance(v, Rational) for v in values)
 
 
 @dataclass
@@ -83,6 +78,7 @@ class SolveReport:
     status: str
     objective: object | None
     values: dict | None
+    # The arithmetic that ran: "exact" only for exact mode on a rational model.
     mode: str
     pivots: int
     wall_time: float
@@ -91,15 +87,12 @@ class SolveReport:
     duals: list | None = None
 
     def to_json_dict(self) -> dict:
-        def render(v):
-            return str(v) if isinstance(v, Fraction) else v
-
         values = None
         if self.values is not None:
-            values = {_label_str(k): render(v) for k, v in self.values.items()}
+            values = {_label_str(k): v for k, v in self.values.items()}
         return {
             "status": self.status,
-            "objective": render(self.objective),
+            "objective": self.objective,
             "objective_float": None if self.objective is None else float(self.objective),
             "mode": self.mode,
             "pivots": self.pivots,
@@ -133,7 +126,6 @@ def build_primal(profile: AmplitudeProfile, cost: CostFunction) -> LpModel:
     equals 1.
     """
     _check_budget(profile.n)
-    exact = profile.rational
     codes = enumerate_all_codes(profile.n)
     support = set(profile.support)
 
@@ -142,45 +134,37 @@ def build_primal(profile: AmplitudeProfile, cost: CostFunction) -> LpModel:
     var_index: dict = {}
     for code in codes:
         cos = code.cosets
-        ck = _coerce(cost.value(code.k), exact)
-        scale = ck * (1 << code.k)
+        scale = cost.value(code.k) * (1 << code.k)
         for s in range(cos.n_syndromes):
             if all(i in support for i in cos.members_of(s)):
                 var_index[(code, s)] = len(labels)
                 labels.append(("mu", code, s))
                 objective.append(scale)
 
-    one = _coerce(1, exact)
     constraints = []
     for i in profile.support:
-        w = profile.weight_exact(i) if exact else profile.weights_float[i]
-        inv = one / w
+        inv = 1 / profile.weights[i]
         coeffs = {}
         for code in codes:
             idx = var_index.get((code, code.syndrome(i)))
             if idx is not None:
                 coeffs[idx] = inv
-        constraints.append(Constraint(coeffs, "=", one, tag=("index", i)))
+        constraints.append(Constraint(coeffs, "=", 1, tag=("index", i)))
     return LpModel("primal", "max", labels, objective, constraints)
 
 
 def build_dual(profile: AmplitudeProfile, cost: CostFunction) -> LpModel:
     """Covering program: minimize sum b_i w_i subject to per-coset lower bounds."""
     _check_budget(profile.n)
-    exact = profile.rational
     n = profile.n
     labels = [("b", i, n) for i in all_vectors(n)]
-    objective = [
-        profile.weight_exact(i) if exact else profile.weights_float[i]
-        for i in all_vectors(n)
-    ]
-    one = _coerce(1, exact)
+    objective = list(profile.weights)
     constraints = []
     for code in enumerate_all_codes(n):
         cos = code.cosets
-        rhs = _coerce(cost.value(code.k), exact) * (1 << code.k)
+        rhs = cost.value(code.k) * (1 << code.k)
         for s in range(cos.n_syndromes):
-            coeffs = {i: one for i in cos.members_of(s)}
+            coeffs = {i: 1 for i in cos.members_of(s)}
             constraints.append(Constraint(coeffs, ">=", rhs, tag=("coset", code, s)))
     return LpModel("dual", "min", labels, objective, constraints)
 
@@ -188,19 +172,23 @@ def build_dual(profile: AmplitudeProfile, cost: CostFunction) -> LpModel:
 def solve(model: LpModel, mode: str = EXACT) -> SolveReport:
     """Solve a model exactly (certified rational optimum) or in binary64.
 
-    The pricing rule is deterministic, so exact-mode optima are
+    The solve is exact when the mode is exact and every entry of the model
+    is rational; otherwise it runs in binary64, and the report's mode says
+    which ran.  The pricing rule is deterministic, so exact optima are
     bit-identical across invocations.  The report carries the multipliers
     of the model's constraints: the objective equals the sum of
     multiplier times right-hand side.
     """
     if mode not in (EXACT, FLOAT):
         raise SolveError(f"unknown mode {mode!r}")
-    exact = mode == EXACT
     start = time.perf_counter()
+    entries = chain(model.objective,
+                    *(chain(con.coeffs.values(), (con.rhs,)) for con in model.constraints))
+    exact = mode == EXACT and all(isinstance(v, Rational) for v in entries)
+    # The type of b and c selects the arithmetic of simplex_min.
+    num = Fraction if exact else float
 
     nv = model.n_vars
-    zero = _coerce(0, exact)
-    one = _coerce(1, exact)
     slack_count = sum(1 for c in model.constraints if c.rel != "=")
     total = nv + slack_count
     rows = []
@@ -211,12 +199,12 @@ def solve(model: LpModel, mode: str = EXACT) -> SolveReport:
     for con in model.constraints:
         row = [0] * total
         for j, coef in con.coeffs.items():
-            row[j] = _coerce(coef, exact)
-        r = _coerce(con.rhs, exact)
+            row[j] = coef
+        r = num(con.rhs)
         slack_col = None
         if con.rel in (">=", "<="):
             slack_col = slack_at
-            row[slack_col] = -one if con.rel == ">=" else one
+            row[slack_col] = -1 if con.rel == ">=" else 1
             slack_at += 1
         elif con.rel != "=":
             raise SolveError(f"unknown relation {con.rel!r}")
@@ -231,19 +219,17 @@ def solve(model: LpModel, mode: str = EXACT) -> SolveReport:
         flips.append(flip)
 
     sense_flip = -1 if model.sense == "max" else 1
-    c = [sense_flip * _coerce(v, exact) for v in model.objective] + [zero] * slack_count
+    c = [sense_flip * num(v) for v in model.objective] + [num(0)] * slack_count
     result = simplex.simplex_min(rows, rhs, c, basis_seed=seeds)
     elapsed = time.perf_counter() - start
+    mode = EXACT if exact else FLOAT
     if result.status != simplex.OPTIMAL:
         return SolveReport(result.status, None, None, mode, result.pivots,
                            elapsed, result.strategy)
     values = dict(zip(model.labels, result.x[:nv]))
-    objective = sum(
-        (ci * xi for ci, xi in zip(model.objective, result.x[:nv])), zero
-    )
     duals = [sense_flip * f * y for f, y in zip(flips, result.y)]
-    return SolveReport("optimal", objective, values, mode, result.pivots,
-                       elapsed, result.strategy, duals)
+    return SolveReport("optimal", sense_flip * result.objective, values, mode,
+                       result.pivots, elapsed, result.strategy, duals)
 
 
 @dataclass
@@ -265,7 +251,6 @@ class PrimalSolution:
     @classmethod
     def from_lp_values(cls, profile: AmplitudeProfile, values: dict,
                        objective) -> PrimalSolution:
-        exact = _is_exact(values.values()) and profile.rational
         codes = tuple(enumerate_all_codes(profile.n))
         mu: dict = {}
         lam: dict = {}
@@ -273,24 +258,20 @@ class PrimalSolution:
             _, code, s = label
             mu[(code, s)] = v
             for i in code.cosets.members_of(s):
-                w = profile.weight_exact(i) if exact else profile.weights_float[i]
-                lam[(code, i)] = v / w
+                lam[(code, i)] = v / profile.weights[i]
         bottom = codes[0]
-        one = _coerce(1, exact)
+        zero = objective * 0
         for i in profile.zero_set:
             # Absorb unconstrained indices into the no-information outcome.
-            lam[(bottom, i)] = one
-            mu[(bottom, i)] = _coerce(0, exact)
+            lam[(bottom, i)] = zero + 1
+            mu[(bottom, i)] = zero
         return cls(profile.n, mu, lam, objective, codes)
 
     def to_json_dict(self) -> dict:
-        def render(v):
-            return str(v) if isinstance(v, Fraction) else v
-
         return {
-            "objective": render(self.objective),
+            "objective": self.objective,
             "mu": {
-                f"{code.label()},s={s}": render(v)
+                f"{code.label()},s={s}": v
                 for (code, s), v in sorted(
                     self.mu.items(), key=lambda kv: (kv[0][0].k, kv[0][0].H.rows, kv[0][1])
                 )
@@ -312,25 +293,16 @@ class DualSolution:
         return self.b.get(i, 0)
 
     def evaluate(self, profile: AmplitudeProfile):
-        exact = profile.rational and _is_exact(self.b.values())
-        zero = _coerce(0, exact)
-        total = zero
-        for i in all_vectors(self.n):
-            w = profile.weight_exact(i) if exact else profile.weights_float[i]
-            total = total + _coerce(self.b_at(i), exact) * w
-        return total
+        return sum(self.b_at(i) * profile.weights[i] for i in all_vectors(self.n))
 
     def to_json_dict(self) -> dict:
-        def render(v):
-            return str(v) if isinstance(v, Fraction) else v
-
         out = {
-            "b": {vec_str(i, self.n): render(self.b_at(i)) for i in all_vectors(self.n)},
-            "objective": render(self.objective),
+            "b": {vec_str(i, self.n): self.b_at(i) for i in all_vectors(self.n)},
+            "objective": self.objective,
         }
         if self.family:
             out["family"] = self.family
-            out["params"] = {k: render(v) for k, v in self.params.items()}
+            out["params"] = self.params
         return out
 
 
@@ -349,10 +321,10 @@ def solve_pair(profile: AmplitudeProfile, cost: CostFunction, mode: str = EXACT
     if report.status != "optimal":
         raise SolveError(f"primal solve ended with status {report.status}")
     primal = PrimalSolution.from_lp_values(profile, report.values, report.objective)
-    exact = mode == EXACT
-    b = {con.tag[1]: u * _coerce(next(iter(con.coeffs.values())), exact)
+    b = {con.tag[1]: u * next(iter(con.coeffs.values()))
          for con, u in zip(model.constraints, report.duals)}
-    cover = _coerce(max(cost.value(k) * (1 << k) for k in range(profile.n + 1)), exact)
+    # objective * 0 puts the cover in the number type the solve ran in.
+    cover = report.objective * 0 + max(cost.value(k) * (1 << k) for k in range(profile.n + 1))
     b.update(dict.fromkeys(profile.zero_set, cover))
     dual = DualSolution(profile.n, b)
     dual.objective = dual.evaluate(profile)
@@ -390,17 +362,17 @@ class FeasibilityReport:
         }
 
 
-def _default_tol(exact: bool, tol):
+def _default_tol(tol, *operands):
+    """`tol` if given; else 0 when every operand is rational, FLOAT_FEAS_TOL if not."""
     if tol is not None:
         return tol
-    return 0 if exact else FLOAT_FEAS_TOL
+    return 0 if all(isinstance(v, Rational) for v in chain(*operands)) else FLOAT_FEAS_TOL
 
 
 def check_primal_feasible(sol: PrimalSolution, profile: AmplitudeProfile,
                           tol=None) -> FeasibilityReport:
     """Audit nonnegativity, the per-index normalization, and coset constancy."""
-    exact = profile.rational and _is_exact(sol.lam.values())
-    tol = _default_tol(exact, tol)
+    tol = _default_tol(tol, profile.weights, sol.lam.values())
     violations = []
     max_v = 0
     checked = 0
@@ -429,10 +401,8 @@ def check_primal_feasible(sol: PrimalSolution, profile: AmplitudeProfile,
     for code in codes:
         cos = code.cosets
         for s in range(cos.n_syndromes):
-            products = []
-            for i in cos.members_of(s):
-                w = profile.weight_exact(i) if exact else profile.weights_float[i]
-                products.append(sol.lam_at(code, i) * w)
+            products = [sol.lam_at(code, i) * profile.weights[i]
+                        for i in cos.members_of(s)]
             checked += 1
             spread = max(products) - min(products)
             if spread > tol:
@@ -448,8 +418,7 @@ def check_primal_feasible(sol: PrimalSolution, profile: AmplitudeProfile,
 def check_dual_feasible(sol: DualSolution, cost: CostFunction,
                         tol=None) -> FeasibilityReport:
     """Exhaustively audit every (code, syndrome) covering constraint."""
-    exact = _is_exact(sol.b.values()) and _is_exact(cost.values)
-    tol = _default_tol(exact, tol)
+    tol = _default_tol(tol, sol.b.values(), cost.values)
     violations = []
     slacks: dict = {}
     max_v = 0
@@ -494,17 +463,14 @@ class SlacknessReport:
     violations: list
 
     def to_json_dict(self) -> dict:
-        def render(v):
-            return str(v) if isinstance(v, Fraction) else v
-
         return {
             "certified_optimal": self.certified,
             "primal_feasible": self.primal_feasible,
             "dual_feasible": self.dual_feasible,
             "max_index_product": float(self.max_index_product),
             "max_coset_product": float(self.max_coset_product),
-            "primal_objective": render(self.primal_objective),
-            "dual_objective": render(self.dual_objective),
+            "primal_objective": self.primal_objective,
+            "dual_objective": self.dual_objective,
             "violations": self.violations[:50],
         }
 
@@ -518,9 +484,7 @@ def complementary_slackness(primal: PrimalSolution, dual: DualSolution,
     must all vanish; together with feasibility of both solutions this proves
     the pair optimal and the objectives equal.
     """
-    exact = (profile.rational and _is_exact(primal.lam.values())
-             and _is_exact(dual.b.values()))
-    tol = _default_tol(exact, tol)
+    tol = _default_tol(tol, profile.weights, primal.lam.values(), dual.b.values())
     p_report = check_primal_feasible(primal, profile, tol)
     d_report = check_dual_feasible(dual, cost, tol)
 
@@ -546,18 +510,10 @@ def complementary_slackness(primal: PrimalSolution, dual: DualSolution,
             )
         max_coset = max(max_coset, abs(product))
 
-    p_obj = _objective_of(primal, profile, cost, exact)
+    p_obj = sum(cost.value(code.k) * (1 << code.k) * v
+                for (code, _), v in primal.mu.items())
     d_obj = dual.evaluate(profile)
     certified = (p_report.feasible and d_report.feasible and not violations
                  and abs(p_obj - d_obj) <= tol)
     return SlacknessReport(certified, p_report.feasible, d_report.feasible,
                            max_index, max_coset, p_obj, d_obj, violations)
-
-
-def _objective_of(primal: PrimalSolution, profile: AmplitudeProfile,
-                  cost: CostFunction, exact: bool):
-    total = _coerce(0, exact)
-    for (code, s), v in primal.mu.items():
-        ck = _coerce(cost.value(code.k), exact)
-        total = total + ck * (1 << code.k) * _coerce(v, exact)
-    return total

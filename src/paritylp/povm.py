@@ -12,7 +12,7 @@ outcome relabeling y -> y + H.a.  All of that is re-checked numerically by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -32,13 +32,9 @@ TOL_SYMMETRY = 1e-9
 
 @lru_cache(maxsize=None)
 def walsh_hadamard(n: int) -> np.ndarray:
-    """The unitary with entries (-1)^(i.j) / 2^(n/2)."""
-    size = 1 << n
-    mat = np.empty((size, size))
-    for i in range(size):
-        for j in range(size):
-            mat[i, j] = -1.0 if dot(i, j) else 1.0
-    mat /= np.sqrt(size)
+    """The unitary with entries (-1)^(i.j) / 2^(n/2), as a Sylvester Kronecker power."""
+    mat = reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * n, np.ones((1, 1)))
+    mat /= np.sqrt(1 << n)
     mat.flags.writeable = False
     return mat
 
@@ -66,6 +62,12 @@ def shift_op(a: int, n: int) -> np.ndarray:
     idx = np.arange(size)
     mat[idx ^ a, idx] = 1.0
     return mat
+
+
+def _shifted(m: np.ndarray, a: int) -> np.ndarray:
+    """X_a m X_a with X_a = shift_op(a, n), by permuting rows and columns."""
+    p = np.arange(len(m)) ^ a
+    return m[np.ix_(p, p)]
 
 
 def phase_op(a: int, n: int) -> np.ndarray:
@@ -199,7 +201,6 @@ def symmetrize(povm: PovmSet, *, check_input: bool = True) -> PovmSet:
             raise ValueError("input fails the measurement-validity checks")
     n = povm.n
     size = 1 << n
-    shifts = [shift_op(a, n) for a in all_vectors(n)]
     elements = {}
     groups: dict[ParityCode, list[int]] = {}
     for code, y in povm.elements:
@@ -209,10 +210,10 @@ def symmetrize(povm: PovmSet, *, check_input: bool = True) -> PovmSet:
             acc = np.zeros((size, size), dtype=complex)
             for a in all_vectors(n):
                 partner = povm.elements[(code, y ^ code.parity(a))]
-                acc += shifts[a] @ partner @ shifts[a]
+                acc += _shifted(partner, a)
             elements[(code, y)] = acc / size
     perp = sum(
-        (shifts[a] @ povm.perp @ shifts[a] for a in all_vectors(n)),
+        (_shifted(povm.perp, a) for a in all_vectors(n)),
         np.zeros((size, size), dtype=complex),
     ) / size
     return PovmSet(n, elements, perp, povm.profile)
@@ -276,18 +277,17 @@ def verify_povm(povm: PovmSet, profile: AmplitudeProfile, *,
 
     sym_dev = None
     if check_symmetry:
-        shifts = [shift_op(a, n) for a in all_vectors(n)]
         sym_dev = 0.0
         for (code, y), mat in povm.items():
             for a in all_vectors(n):
                 partner = povm.elements.get((code, y ^ code.parity(a)))
-                moved = shifts[a] @ mat @ shifts[a]
+                moved = _shifted(mat, a)
                 if partner is None:
                     sym_dev = max(sym_dev, float(np.max(np.abs(moved))))
                 else:
                     sym_dev = max(sym_dev, float(np.max(np.abs(moved - partner))))
         for a in all_vectors(n):
-            moved = shifts[a] @ povm.perp @ shifts[a]
+            moved = _shifted(povm.perp, a)
             sym_dev = max(sym_dev, float(np.max(np.abs(moved - povm.perp))))
 
     gamma_ok = (

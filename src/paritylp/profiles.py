@@ -2,9 +2,12 @@
 
 A profile holds the Fourier-side data of the reference state: squared
 weights |a_i|^2 indexed by integer encoding, optionally with the complex
-amplitudes themselves.  Weights given as fractions (or fraction strings)
-put the profile in rational mode, where normalization is exact; everything
-else lives in binary64 with a 1e-12 validation tolerance.
+amplitudes themselves.  The number type is a property of the data: a
+profile whose weights are all rational (ints, fractions, fraction strings)
+stores them as `Fraction` and normalizes exactly; any other profile stores
+binary64 floats with a 1e-12 validation tolerance.  Arithmetic downstream
+follows the type, since Fraction with int stays Fraction and anything mixed
+with a float is a float.  Cost values are always stored exactly.
 """
 
 from __future__ import annotations
@@ -21,13 +24,6 @@ from .f2lin import all_vectors, hamming_weight
 FLOAT_TOL = 1e-12
 
 
-def _as_exact(value) -> Fraction:
-    """Exact Fraction view of a weight (floats convert losslessly)."""
-    if isinstance(value, Rational):
-        return Fraction(value)
-    return Fraction(float(value))
-
-
 @dataclass(frozen=True)
 class AmplitudeProfile:
     """Normalized weights (and optional amplitudes) over F_2^n."""
@@ -40,10 +36,12 @@ class AmplitudeProfile:
         size = 1 << self.n
         if len(self.weights) != size:
             raise ProfileError(f"expected {size} weights, got {len(self.weights)}")
+        num = Fraction if all(isinstance(w, Rational) for w in self.weights) else float
+        object.__setattr__(self, "weights", tuple(map(num, self.weights)))
         if any(w < 0 for w in self.weights):
             raise ProfileError("weights must be nonnegative")
         if self.rational:
-            if sum(self.weights, Fraction(0)) != 1:
+            if sum(self.weights) != 1:
                 raise ProfileError("rational weights must sum to exactly 1")
         else:
             if abs(math.fsum(self.weights) - 1.0) > FLOAT_TOL:
@@ -71,9 +69,6 @@ class AmplitudeProfile:
     def zero_set(self) -> tuple[int, ...]:
         return tuple(i for i in all_vectors(self.n) if self.weights[i] == 0)
 
-    def weight_exact(self, i: int) -> Fraction:
-        return _as_exact(self.weights[i])
-
     @cached_property
     def weights_float(self) -> tuple[float, ...]:
         return tuple(float(w) for w in self.weights)
@@ -96,19 +91,7 @@ class AmplitudeProfile:
     @classmethod
     def from_weights(cls, n: int, values) -> AmplitudeProfile:
         """Build from weights; str/int/Fraction entries select rational mode."""
-        parsed = []
-        exact = True
-        for v in values:
-            if isinstance(v, str):
-                parsed.append(Fraction(v))
-            elif isinstance(v, Rational):
-                parsed.append(Fraction(v))
-            else:
-                parsed.append(float(v))
-                exact = False
-        if not exact:
-            parsed = [float(v) for v in parsed]
-        return cls(n, tuple(parsed))
+        return cls(n, tuple(Fraction(v) if isinstance(v, str) else v for v in values))
 
     @classmethod
     def from_amplitudes(cls, n: int, amps) -> AmplitudeProfile:
@@ -132,7 +115,7 @@ class AmplitudeProfile:
     def to_json_dict(self) -> dict:
         out: dict = {"n": self.n}
         if self.rational:
-            out["weights"] = [str(Fraction(w)) for w in self.weights]
+            out["weights"] = [str(w) for w in self.weights]
         else:
             out["weights"] = list(self.weights_float)
         if self.amplitudes is not None:
@@ -154,8 +137,11 @@ class CostFunction:
     def __post_init__(self) -> None:
         if len(self.values) != self.n + 1:
             raise ValueError(f"need {self.n + 1} cost values")
-        if any(v < 0 for v in self.values):
-            raise ValueError("cost values must be nonnegative")
+        if not all(0 <= v < math.inf for v in self.values):
+            raise ValueError("cost values must be finite and nonnegative")
+        # Floats convert losslessly, so a cost never decides the number type.
+        object.__setattr__(self, "values", tuple(
+            v if isinstance(v, Rational) else Fraction(v) for v in self.values))
 
     @classmethod
     def average(cls, n: int) -> CostFunction:

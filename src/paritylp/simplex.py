@@ -71,6 +71,7 @@ def simplex_min(a_rows, b, c, *, basis_seed=None) -> StandardResult:
         strategy is "float" on float data, and on exact data "certified"
         when the float basis passed the exact check, else "exact-pivots".
         A float run that reaches its pivot limit ends "iteration-limit".
+        Float levels within FLOAT_TOL below zero are reported as 0, so x >= 0.
     """
     seeds = list(basis_seed) if basis_seed else [None] * len(a_rows)
     unit_cols, art_rows = [], []
@@ -102,8 +103,11 @@ def simplex_min(a_rows, b, c, *, basis_seed=None) -> StandardResult:
         # The cost row is c minus a combination yᵀA of the original rows, and
         # row i owns the unit column unit_cols[i], so y_i is read off there.
         cost = t[len(basis)].tolist()
-        solution = (t[:len(basis), -1].tolist(),
-                    [(c[j] if j < nv else zero) - cost[j] for j in unit_cols])
+        levels = t[:len(basis), -1].tolist()
+        if strategy == FLOAT:
+            # Rounding leaves degenerate levels a hair below zero; they are 0.
+            levels = [0.0 if -FLOAT_TOL <= v < 0 else v for v in levels]
+        solution = (levels, [(c[j] if j < nv else zero) - cost[j] for j in unit_cols])
     levels, y = solution
     x = [zero] * nv
     for col, v in zip(basis, levels):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from numbers import Rational
 
 import numpy as np
@@ -33,18 +32,13 @@ def exact_distribution(sol: PrimalSolution, profile: AmplitudeProfile,
 
     Each code H appears with probability sum_i lambda_i^H w_i, always paired
     with y = H.x; probabilities add to one through the normalization
-    constraint.  Exact fractions are kept when both inputs are rational.
+    constraint.  Probabilities are exact fractions for an exact solution.
     """
-    exact = profile.rational and all(
-        isinstance(v, Rational) for v in sol.mu.values()
-    )
-    zero = Fraction(0) if exact else 0.0
     acc: dict[ParityCode, object] = {}
     for (code, s), v in sol.mu.items():
-        value = v if exact else float(v)
-        acc[code] = acc.get(code, zero) + (1 << code.k) * value
+        acc[code] = acc.get(code, 0) + (1 << code.k) * v
     bottom = ParityCode.bottom(profile.n)
-    acc.setdefault(bottom, zero)
+    acc.setdefault(bottom, sol.objective * 0)
     dist = {}
     for code, p in acc.items():
         if p != 0 or code.k == 0:
@@ -156,13 +150,8 @@ def statevector_check(sol: PrimalSolution, profile: AmplitudeProfile,
         raise ValueError(f"state-vector oracle capped at n <= {STATEVECTOR_MAX_N}")
     if not profile.full_support:
         raise ProfileError("state-vector oracle requires full dual support")
-    exact = profile.rational and all(
-        isinstance(v, Rational) for v in sol.mu.values()
-    )
-
     amplitudes: dict = {}
     probs: dict = {}
-    zero = Fraction(0) if exact else 0.0
     for (code, s), v in sol.mu.items():
         if v == 0:
             continue
@@ -173,7 +162,7 @@ def statevector_check(sol: PrimalSolution, profile: AmplitudeProfile,
             amp = -amp
         amplitudes[(code, y, s)] = amp
         key = (code, y)
-        probs[key] = probs.get(key, zero) + (1 << code.k) * (v if exact else float(v))
+        probs[key] = probs.get(key, 0) + (1 << code.k) * v
 
     norm_dev = abs(math.fsum(a * a for a in amplitudes.values()) - 1.0)
 
@@ -181,7 +170,7 @@ def statevector_check(sol: PrimalSolution, profile: AmplitudeProfile,
     keys = set(dist) | set(probs)
     max_dev = 0.0
     exact_match: bool | None = None
-    if exact:
+    if all(isinstance(p, Rational) for p in dist.values()):
         exact_match = all(dist.get(k, 0) == probs.get(k, 0) for k in keys)
     for k in keys:
         max_dev = max(max_dev, abs(float(dist.get(k, 0)) - float(probs.get(k, 0))))

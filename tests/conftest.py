@@ -66,22 +66,19 @@ def literal_lp_model(profile: AmplitudeProfile, cost, matrices) -> LpModel:
     from paritylp.f2lin import kernel_generator
 
     n = profile.n
-    exact = profile.rational
     labels = []
     objective = []
     for mi, m in enumerate(matrices):
         ck = cost.value(m.n_rows)
         for i in all_vectors(n):
             labels.append(("lam", mi, i))
-            w = profile.weight_exact(i) if exact else profile.weights_float[i]
-            objective.append(ck * w)
+            objective.append(ck * profile.weights[i])
     index = {lab: j for j, lab in enumerate(labels)}
-    one = Fraction(1) if exact else 1.0
 
     constraints = []
     for i in profile.support:
-        coeffs = {index[("lam", mi, i)]: one for mi in range(len(matrices))}
-        constraints.append(Constraint(coeffs, "=", one, tag=("index", i)))
+        coeffs = {index[("lam", mi, i)]: 1 for mi in range(len(matrices))}
+        constraints.append(Constraint(coeffs, "=", 1, tag=("index", i)))
     for mi, m in enumerate(matrices):
         gen = kernel_generator(m)
         cosets: dict[int, list[int]] = {}
@@ -89,12 +86,9 @@ def literal_lp_model(profile: AmplitudeProfile, cost, matrices) -> LpModel:
             cosets.setdefault(gen.mul_vec(x), []).append(x)
         for members in cosets.values():
             for a, b in zip(members, members[1:]):
-                wa = profile.weight_exact(a) if exact else profile.weights_float[a]
-                wb = profile.weight_exact(b) if exact else profile.weights_float[b]
-                coeffs = {index[("lam", mi, a)]: wa, index[("lam", mi, b)]: -wb}
-                constraints.append(
-                    Constraint(coeffs, "=", Fraction(0) if exact else 0.0)
-                )
+                coeffs = {index[("lam", mi, a)]: profile.weights[a],
+                          index[("lam", mi, b)]: -profile.weights[b]}
+                constraints.append(Constraint(coeffs, "=", 0))
     return LpModel("literal", "max", labels, objective, constraints)
 
 

@@ -1,6 +1,7 @@
 """End-to-end command exercises through the argparse entry point."""
 
 import json
+import random
 
 import pytest
 
@@ -40,6 +41,22 @@ class TestSolve:
         assert report["sigma"] == "11/10"
         assert report["gap"] == 0
         assert report["audits"]["strong_duality_gap"]
+
+    @pytest.mark.parametrize("tol, expected", [("1e-9", 0), ("-1", 1)])
+    def test_float_profile_under_exact_mode(self, tmp_path, capsys, tol, expected):
+        # binary64 weights run a float solve, so the duality audit compares
+        # against --tol-feas (a negative tolerance fails it) instead of gap == 0
+        from paritylp.profiles import bernoulli_profile
+
+        path = tmp_path / "bern.json"
+        path.write_text(json.dumps(bernoulli_profile(3, 0.1).to_json_dict()))
+        code, report = run_json(capsys, [
+            "solve", "--profile", str(path), "--mode", "exact", "--tol-feas", tol,
+        ])
+        assert code == expected
+        assert (report["primal"]["mode"], report["primal"]["strategy"]) == ("float", "float")
+        assert isinstance(report["rho"], float)
+        assert report["audits"]["strong_duality_gap"] is (expected == 0)
 
     def test_threshold_point_mass(self, capsys, point_mass_file):
         code, report = run_json(capsys, [
@@ -156,6 +173,21 @@ class TestSimulate:
         assert report["audits"]["statevector_consistent"]
         total = sum(r["count"] for r in report["histogram"])
         assert total == 20000
+
+    def test_float_mode_degenerate_profile(self, tmp_path, capsys):
+        # weights of rand_rational_profile(4, random.Random(11)); its float
+        # solve has degenerate levels that rounding puts below zero
+        rng = random.Random(11)
+        nums = [rng.randint(1, 30) for _ in range(16)]
+        path = tmp_path / "seed11.json"
+        path.write_text(json.dumps(
+            {"n": 4, "weights": [f"{v}/{sum(nums)}" for v in nums]}))
+        code, report = run_json(capsys, [
+            "simulate", "--profile", str(path), "--x", "1111", "--shots", "1000",
+            "--seed", "3", "--mode", "float",
+        ])
+        assert code == 0
+        assert report["audits"]["statevector_consistent"]
 
     def test_seed_required(self, capsys, profile_file):
         with pytest.raises(SystemExit):

@@ -345,22 +345,30 @@ class TestSolve:
         assert first.values == second.values
 
     def test_bernoulli_tightness(self):
+        # binary64 weights make every solve a float solve, whatever the mode
         for n, t in ((1, 0.1), (2, 0.1), (3, 0.25)):
             p = bernoulli_profile(n, t)
-            _, rep = solve_primal(p, CostFunction.average(n), mode="float")
-            q = 0.5 - (t * (1 - t)) ** 0.5
-            assert float(rep.objective) == pytest.approx(2 * n * q, abs=1e-9)
+            for mode in ("float", "exact"):
+                _, rep = solve_primal(p, CostFunction.average(n), mode=mode)
+                assert (rep.mode, rep.strategy) == ("float", "float")
+                q = 0.5 - (t * (1 - t)) ** 0.5
+                assert float(rep.objective) == pytest.approx(2 * n * q, abs=1e-9)
 
 
 class TestAtCap:
     """Exact solves at the cap LP_MAX_N = 5 and on a profile with a zero set."""
 
-    @pytest.mark.parametrize("cost", [CostFunction.average(5), CostFunction.threshold(5, 2)],
-                             ids=["average", "threshold2"])
-    def test_n5_exact_pair(self, cost):
+    @pytest.mark.parametrize("cost, optimum", [
+        (CostFunction.average(5), Fraction(8131, 2236)),
+        (CostFunction.threshold(5, 2), Fraction(1)),
+        # float cost values are exact binary fractions and keep the solve exact
+        (CostFunction.custom(5, [0, 0.5, 1.25, 2.5, 3.75, 4.5]), Fraction(1813, 559)),
+    ], ids=["average", "threshold2", "custom"])
+    def test_n5_exact_pair(self, cost, optimum):
         p = rand_rational_profile(5, random.Random(505))
         primal, dual, report = solve_pair(p, cost)
-        assert report.strategy == "certified"
+        assert (report.mode, report.strategy) == ("exact", "certified")
+        assert type(report.objective) is Fraction and report.objective == optimum
         assert float(report.objective) == pytest.approx(
             scipy_optimum(build_primal(p, cost)), abs=1e-9)
         slack = complementary_slackness(primal, dual, p, cost)

@@ -12,6 +12,7 @@ from paritylp.errors import ProfileError
 from paritylp.f2lin import F2Matrix, ParityCode, all_vectors, dot
 from paritylp.lp import solve_primal
 from paritylp.povm import (
+    _shifted,
     build_from_primal,
     coset_basis,
     fourier_diag_check,
@@ -93,10 +94,18 @@ class TestShiftPhaseOps:
             assert z @ z == pytest.approx(np.eye(4))
 
     def test_intertwining(self):
-        n = 2
-        w = walsh_hadamard(n)
-        for a in all_vectors(n):
-            assert shift_op(a, n) @ w == pytest.approx(w @ phase_op(a, n))
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 3):
+            size = 1 << n
+            w = walsh_hadamard(n)
+            literal = np.array([[(-1.0) ** dot(i, j) for j in range(size)]
+                                for i in range(size)]) / np.sqrt(size)
+            assert np.array_equal(w, literal)
+            m = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+            for a in all_vectors(n):
+                xa = shift_op(a, n)
+                assert xa @ w == pytest.approx(w @ phase_op(a, n))
+                assert np.array_equal(_shifted(m, a), xa @ m @ xa)
 
 
 class TestCosetBasis:

@@ -26,6 +26,10 @@ class TestAmplitudeProfile:
         p = AmplitudeProfile.from_weights(2, ["1/4", "1/4", "1/4", "1/4"])
         assert p.rational and p.full_support
         assert p.weights == (Fraction(1, 4),) * 4
+        ints = AmplitudeProfile(1, (1, 0))
+        assert ints.rational and all(type(w) is Fraction for w in ints.weights)
+        mixed = AmplitudeProfile.from_weights(1, ["1/2", 0.5])
+        assert not mixed.rational and all(type(w) is float for w in mixed.weights)
 
     def test_rational_sum_must_be_one(self):
         with pytest.raises(ProfileError):
@@ -76,12 +80,17 @@ class TestCostFunction:
             CostFunction.threshold(3, 0)
 
     def test_nonnegative(self):
-        with pytest.raises(ValueError):
-            CostFunction.custom(1, [0, -1])
+        for bad in (-1, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                CostFunction.custom(1, [0, bad])
 
     def test_json(self):
         c = CostFunction.from_json_dict(2, {"kind": "threshold", "tau": 2})
         assert c.tau == 2 and c.values == (0, 0, 1)
+        c = CostFunction.from_json_dict(2, {"kind": "custom", "values": [0, 0.5, 0.1]})
+        assert c.values == (0, Fraction(1, 2), Fraction(0.1))
+        assert all(type(v) is Fraction for v in c.values)
+        assert c.to_json_dict()["values"] == [0.0, 0.5, 0.1]
 
 
 class TestBernoulli:

@@ -8,9 +8,12 @@ when all audits it ran passed within tolerance.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from fractions import Fraction
+
+import numpy as np
 
 from . import bounds, lp, povm, simulate
 from .errors import ToolkitError
@@ -48,10 +51,89 @@ def _cost_from_args(n: int, args) -> CostFunction:
     raise ToolkitError(f"unknown cost {args.cost!r}")
 
 
+class _ArrayFound(Exception):
+    """A subtree holds an ndarray, which dump_json renders itself."""
+
+
 def _render(value):
     if isinstance(value, Fraction):
         return str(value)
+    if isinstance(value, np.ndarray):
+        raise _ArrayFound
     return value
+
+
+_ENCODER = json.JSONEncoder(indent=2, default=_render)
+
+
+def _matrix_json(m, level: int) -> str:
+    """A 2-D array as json writes its rows of {"re": ., "im": .} dicts at `level`.
+
+    The float tokens come from one C-encoder call on the distinct bit
+    patterns among the interleaved (re, im) values, so they are the tokens
+    json writes for each float, -0.0, NaN and Infinity included; the
+    separators are fixed per level.
+    """
+    if m.ndim != 2:
+        raise TypeError(f"cannot encode a {m.ndim}-D array as a matrix")
+    m = np.ascontiguousarray(m, dtype=complex)
+    rows, cols = m.shape
+    if m.size == 0:
+        return _ENCODER.encode([[]] * rows).replace("\n", "\n" + "  " * level)
+    bits, inverse = np.unique(m.view(np.int64).ravel(), return_inverse=True)
+    distinct = json.dumps(bits.view(float).tolist())[1:-1].split(", ")
+    tokens = np.array(distinct, dtype=object)[inverse].tolist()
+    i0, i1, i2, i3 = ("\n" + "  " * (level + d) for d in range(4))
+    opening = "{" + i3 + '"re": '
+    closing = i2 + "}"
+    parts = ["," + i3 + '"im": '] * (2 * len(tokens))
+    parts[1::2] = tokens
+    parts[0::4] = [closing + "," + i2 + opening] * (rows * cols)
+    parts[0::4 * cols] = [closing + i1 + "]," + i1 + "[" + i2 + opening] * rows
+    parts[0] = "[" + i1 + "[" + i2 + opening
+    parts.append(closing + i1 + "]" + i0 + "]")
+    return "".join(parts)
+
+
+def _iter_json(obj, level: int):
+    """The text of `obj` at indent `level`, one piece per array-free subtree."""
+    try:
+        text = _ENCODER.encode(obj)
+    except _ArrayFound:
+        pass
+    else:
+        yield text.replace("\n", "\n" + "  " * level) if level else text
+        return
+    if isinstance(obj, np.ndarray):
+        yield _matrix_json(obj, level)
+        return
+    inner = "\n" + "  " * (level + 1)
+    if isinstance(obj, dict):
+        sep = "{" + inner
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                key = _ENCODER.encode(key)
+            yield sep + _ENCODER.encode(key) + ": "
+            yield from _iter_json(value, level + 1)
+            sep = "," + inner
+        yield "\n" + "  " * level + "}"
+    else:
+        sep = "[" + inner
+        for value in obj:
+            yield sep
+            yield from _iter_json(value, level + 1)
+            sep = "," + inner
+        yield "\n" + "  " * level + "]"
+
+
+def dump_json(obj, fh) -> None:
+    """Write `obj` to `fh` in pieces, as json.dump(obj, fh, indent=2) would.
+
+    Fractions are written as strings and each 2-D ndarray as its rows of
+    {"re": real, "im": imag} dicts; subtrees without an array go through
+    one json encoder call each.
+    """
+    fh.writelines(_iter_json(obj, 0))
 
 
 def _config_dict(args) -> dict:
@@ -71,16 +153,13 @@ def _table(rows: list[tuple], headers: tuple) -> str:
 
 
 def _emit(args, report: dict, table_text: str | None = None) -> None:
-    if args.format == "table" and table_text is not None:
-        text = table_text
-    else:
-        text = json.dumps(report, indent=2, default=_render)
     out_path = getattr(args, "out", None)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    with open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout) as fh:
+        if args.format == "table" and table_text is not None:
+            fh.write(table_text)
+        else:
+            dump_json(report, fh)
+        fh.write("\n")
 
 
 def _profile_amplitudes(profile: AmplitudeProfile, args) -> AmplitudeProfile:
@@ -290,6 +369,7 @@ def cmd_slpn(args) -> int:
     audits = {"hamming_bound_holds": rho_av <= hamming_bound + args.tol_feas}
     report = {
         "config": _config_dict(args),
+        "lp_mode": p_report.mode,
         "t_perp": params.t_perp,
         "rho_average": rho_av,
         "hamming_bound": hamming_bound,

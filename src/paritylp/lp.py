@@ -314,7 +314,8 @@ def solve_pair(profile: AmplitudeProfile, cost: CostFunction, mode: str = EXACT
     b_i = u_i / w_i, with 1 / w_i the row's coefficient as solved, and
     sum b_i w_i = sum u_i is the primal optimum.  An index of weight zero
     carries no row; it gets max_k cost(k) 2^k, which covers by itself every
-    coset it lies in.
+    coset it lies in.  In float mode a b_i within FLOAT_FEAS_TOL below zero
+    is reported as 0, so b >= 0.
     """
     model = build_primal(profile, cost)
     report = solve(model, mode)
@@ -323,6 +324,9 @@ def solve_pair(profile: AmplitudeProfile, cost: CostFunction, mode: str = EXACT
     primal = PrimalSolution.from_lp_values(profile, report.values, report.objective)
     b = {con.tag[1]: u * next(iter(con.coeffs.values()))
          for con, u in zip(model.constraints, report.duals)}
+    if report.mode != EXACT:
+        # As simplex_min does for levels: rounding residue below zero reads 0.
+        b = {i: 0.0 if -FLOAT_FEAS_TOL <= v < 0 else v for i, v in b.items()}
     # objective * 0 puts the cover in the number type the solve ran in.
     cover = report.objective * 0 + max(cost.value(k) * (1 << k) for k in range(profile.n + 1))
     b.update(dict.fromkeys(profile.zero_set, cover))

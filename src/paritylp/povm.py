@@ -122,20 +122,18 @@ class PovmSet:
         return self.elements.items()
 
     def to_json_dict(self) -> dict:
-        def mat_json(m):
-            return [[{"re": float(v.real), "im": float(v.imag)} for v in row]
-                    for row in np.asarray(m, dtype=complex)]
-
+        """The set with its operators as ndarrays; `cli.dump_json` writes each
+        matrix as rows of {"re": real, "im": imag} dicts."""
         return {
             "n": self.n,
             "elements": [
                 {"H": code.label(), "k": code.k, "y": vec_str(y, code.k),
-                 "matrix": mat_json(mat)}
+                 "matrix": mat}
                 for (code, y), mat in sorted(
                     self.items(), key=lambda kv: (kv[0][0].k, kv[0][0].H.rows, kv[0][1])
                 )
             ],
-            "perp": mat_json(self.perp),
+            "perp": self.perp,
         }
 
 

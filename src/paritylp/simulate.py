@@ -10,7 +10,6 @@ register amplitudes.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from numbers import Rational
 
@@ -69,8 +68,10 @@ def sample(sol: PrimalSolution, profile: AmplitudeProfile, x: int,
 
     Shots are processed in fixed-size chunks whose generators come from
     spawned seed children, so the result is identical no matter how the
-    chunks are scheduled.  Returns the aggregated histogram, deterministic
-    given (solution, x, shots, seed).
+    chunks are scheduled.  Within a chunk each shot's code is the first
+    one whose cumulative lambda reaches its uniform draw, found by binary
+    search on its index's row.  Returns the aggregated histogram,
+    deterministic given (solution, x, shots, seed).
     """
     if shots < 1:
         raise ValueError("need at least one shot")
@@ -82,6 +83,8 @@ def sample(sol: PrimalSolution, profile: AmplitudeProfile, x: int,
     for row, i in enumerate(support):
         for col, code in enumerate(codes):
             lam[row, col] = float(sol.lam_at(code, i))
+    if np.any(lam < 0):
+        raise ValueError("lambda entries must be nonnegative")
     row_sums = lam.sum(axis=1)
     if np.max(np.abs(row_sums - 1.0)) > 1e-9:
         raise ValueError("lambda rows must sum to 1 on the support")
@@ -89,24 +92,21 @@ def sample(sol: PrimalSolution, profile: AmplitudeProfile, x: int,
 
     n_chunks = (shots + chunk_size - 1) // chunk_size
     children = np.random.SeedSequence(seed).spawn(n_chunks)
-    counts: Counter = Counter()
+    counts = np.zeros(len(codes), dtype=np.int64)
     done = 0
     for child in children:
         take = min(chunk_size, shots - done)
         rng = np.random.default_rng(child)
         rows = rng.choice(len(support), size=take, p=weights)
         u = rng.random(take)
-        picked = (cum[rows] < u[:, None]).sum(axis=1)
-        picked = np.minimum(picked, len(codes) - 1)
-        for col, c in zip(*np.unique(picked, return_counts=True)):
-            counts[codes[int(col)]] += int(c)
+        for r in range(len(support)):
+            picked = np.searchsorted(cum[r], u[rows == r], side="left")
+            counts += np.bincount(np.minimum(picked, len(codes) - 1),
+                                  minlength=len(codes))
         done += take
 
-    records = []
-    for code in codes:
-        c = counts.get(code, 0)
-        if c:
-            records.append(OutcomeRecord(code, code.parity(x), c, c / shots))
+    records = [OutcomeRecord(code, code.parity(x), int(c), int(c) / shots)
+               for code, c in zip(codes, counts) if c]
     records.sort(key=lambda r: (r.code.k, r.code.H.rows, r.y))
     return records
 

@@ -1,11 +1,18 @@
 """End-to-end command exercises through the argparse entry point."""
 
+import io
 import json
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from paritylp.cli import main
+from paritylp import lp, povm
+from paritylp.cli import _render, dump_json, main
+from paritylp.profiles import AmplitudeProfile, CostFunction, bernoulli_profile
 
 
 @pytest.fixture
@@ -46,8 +53,6 @@ class TestSolve:
     def test_float_profile_under_exact_mode(self, tmp_path, capsys, tol, expected):
         # binary64 weights run a float solve, so the duality audit compares
         # against --tol-feas (a negative tolerance fails it) instead of gap == 0
-        from paritylp.profiles import bernoulli_profile
-
         path = tmp_path / "bern.json"
         path.write_text(json.dumps(bernoulli_profile(3, 0.1).to_json_dict()))
         code, report = run_json(capsys, [
@@ -87,11 +92,23 @@ class TestSolve:
         assert code == 0
         assert json.loads(out.read_text())["rho"] == "11/10"
 
+    @pytest.mark.parametrize("cost", [["--cost", "average"],
+                                      ["--cost", "threshold", "--tau", "2"]])
+    def test_float_dual_nonnegative(self, tmp_path, capsys, cost):
+        # the float row multipliers of this profile come out a few ulps
+        # below zero; the read-off certificate reports them as 0
+        path = tmp_path / "bern.json"
+        path.write_text(json.dumps(bernoulli_profile(4, 0.1).to_json_dict()))
+        code, report = run_json(capsys, [
+            "solve", "--profile", str(path), "--mode", "float", *cost,
+        ])
+        assert code == 0
+        assert all(report["audits"].values())
+        assert all(b >= 0 for b in report["dual_solution"]["b"].values())
+
 
 class TestVerify:
     def test_hamming_on_bernoulli(self, tmp_path, capsys):
-        from paritylp.profiles import bernoulli_profile
-
         path = tmp_path / "bern.json"
         path.write_text(json.dumps(bernoulli_profile(2, 0.1).to_json_dict()))
         code, report = run_json(capsys, [
@@ -162,6 +179,111 @@ class TestPovm:
         assert len(report["povm"]["elements"]) > 0
 
 
+def nested(obj):
+    """The report form before the streamed writer: each ndarray as its
+    rows of {"re", "im"} dicts."""
+    if isinstance(obj, np.ndarray):
+        return [[{"re": float(v.real), "im": float(v.imag)} for v in row]
+                for row in np.asarray(obj, dtype=complex)]
+    if isinstance(obj, dict):
+        return {k: nested(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [nested(v) for v in obj]
+    return obj
+
+
+def written(obj) -> str:
+    fh = io.StringIO()
+    dump_json(obj, fh)
+    return fh.getvalue()
+
+
+SPECIAL = np.array([[-0.0, 5e-324, 1e300], [np.nan, np.inf, -np.inf]])
+MATRIX = SPECIAL.astype(complex)
+MATRIX.imag = SPECIAL[::-1, ::-1]
+
+
+class TestWriter:
+    @pytest.mark.parametrize("obj", [
+        {"neg_zero": -0.0, "tiny": 5e-324, "huge": 1e300, "nan": float("nan"),
+         "inf": float("inf"), "ninf": -float("inf"), "frac": Fraction(-3, 7),
+         "empty_dict": {}, "empty_list": [], "none": None, "flag": True,
+         "text": 'a\nb"\u00e9'},
+        MATRIX,
+        [MATRIX, SPECIAL],
+        {"config": {"a": 1, "empty": {}}, "rho": Fraction(11, 10),
+         "povm": {"n": 2, "elements": [{"H": "10", "k": 1, "matrix": MATRIX},
+                                       {"k": [], "matrix": SPECIAL}],
+                  "perp": MATRIX.T},
+         "deep": [[[{"x": [MATRIX], "y": {}}]], [], ()],
+         "after": [Fraction(1, 3), {}, []]},
+        {"rows_only": np.zeros((0, 3)), "cols_only": [np.zeros((2, 0), dtype=complex)],
+         "one": np.ones((1, 1))},
+        {1: MATRIX, 2.5: [MATRIX], None: "x", False: 0},
+        [],
+        {},
+    ], ids=["scalars", "matrix", "matrices", "nested", "empty-arrays", "keys",
+            "list", "dict"])
+    def test_matches_json_dumps(self, obj):
+        assert written(obj) == json.dumps(nested(obj), indent=2, default=_render)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.recursive(
+        st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=4),
+                  st.floats(allow_nan=True, allow_infinity=True),
+                  st.fractions(max_denominator=50),
+                  st.builds(lambda v, c: np.array(v, dtype=complex).reshape(-1, c)
+                            if c else np.zeros((0, 0)),
+                            st.lists(st.complex_numbers(allow_nan=True), max_size=6)
+                            .map(lambda v: v[:len(v) - len(v) % 2]),
+                            st.sampled_from([0, 1, 2]))),
+        lambda kids: st.one_of(st.lists(kids, max_size=3),
+                               st.dictionaries(st.text(max_size=3), kids, max_size=3)),
+        max_leaves=12))
+    def test_random_trees(self, obj):
+        assert written(obj) == json.dumps(nested(obj), indent=2, default=_render)
+
+    @pytest.mark.parametrize("profile, extra", [
+        ({"n": 3, "weights": ["1/36", "2/36", "3/36", "4/36", "5/36", "6/36", "7/36", "8/36"]},
+         ["--assume-real-amplitudes"]),
+        ({"n": 2, "amplitudes": [{"re": 0.5, "im": 0.0}, {"re": 0.0, "im": -0.5},
+                                 {"re": -0.5, "im": 0.0}, {"re": 0.3, "im": 0.4}]}, []),
+    ], ids=["rational-n3", "complex-n2"])
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_povm_report(self, tmp_path, capsys, profile, extra, mode):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(profile))
+        argv = ["povm", "--profile", str(path), "--mode", mode, *extra]
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        out = tmp_path / "povm.json"
+        assert main([*argv, "--out", str(out)]) == 0
+        out_line = f'    "out": {json.dumps(str(out))},\n'
+        file_text = out.read_text()
+        assert file_text.count(out_line) == 1
+        assert file_text.replace(out_line, "") == text
+
+        prof = AmplitudeProfile.from_json_dict(profile)
+        if extra:
+            prof = prof.with_real_amplitudes()
+        sol, _ = lp.solve_primal(prof, CostFunction.average(prof.n), mode)
+        povm_set = povm.build_from_primal(sol, prof)
+        expected = povm_set.to_json_dict()
+        report = json.loads(text)["povm"]
+
+        def parsed(rows):
+            return np.array([[complex(e["re"], e["im"]) for e in row] for row in rows])
+
+        def same_bits(a, b):
+            return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+        assert len(report["elements"]) == len(expected["elements"]) > 0
+        for got, want in zip(report["elements"], expected["elements"]):
+            assert (got["H"], got["k"], got["y"]) == (want["H"], want["k"], want["y"])
+            assert same_bits(parsed(got["matrix"]), want["matrix"])
+        assert same_bits(parsed(report["perp"]), expected["perp"])
+
+
 class TestSimulate:
     def test_histogram_and_audits(self, capsys, profile_file):
         code, report = run_json(capsys, [
@@ -201,6 +323,13 @@ class TestSimulate:
 
 
 class TestSlpn:
+    def test_reports_lp_mode(self, capsys):
+        # the Bernoulli profile is binary64, so the default exact mode runs float
+        code, report = run_json(capsys, ["slpn", "--n", "4", "--t", "0.1"])
+        assert code == 0
+        assert report["config"]["mode"] == "exact"
+        assert report["lp_mode"] == "float"
+
     def test_summary(self, capsys):
         code, report = run_json(capsys, [
             "slpn", "--n", "2", "--t", "0.1", "--mode", "float",

@@ -6,11 +6,18 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rand_rational_profile
+import numpy as np
+
+from conftest import ball_profile, rand_rational_profile
 from paritylp.f2lin import ParityCode, all_vectors
-from paritylp.lp import solve_primal
+from paritylp.lp import PrimalSolution, solve_primal
 from paritylp.profiles import AmplitudeProfile, CostFunction, bernoulli_profile
-from paritylp.simulate import exact_distribution, sample, statevector_check
+from paritylp.simulate import (
+    SAMPLE_CHUNK,
+    exact_distribution,
+    sample,
+    statevector_check,
+)
 
 
 def uniform(n):
@@ -19,11 +26,33 @@ def uniform(n):
 
 def bottom_only_solution(p):
     """All mass on the no-information outcome (a feasible primal point)."""
-    from paritylp.lp import PrimalSolution
-
     bottom = ParityCode.bottom(p.n)
     values = {("mu", bottom, s): p.weights[s] for s in range(1 << p.n)}
     return PrimalSolution.from_lp_values(p, values, Fraction(0))
+
+
+def broadcast_compare_counts(sol, p, shots, seed, chunk_size=SAMPLE_CHUNK):
+    """Per-code counts by the sampler's earlier rule: a shot takes the
+    number of cumulative-lambda entries below its draw, from one
+    shots x codes comparison per chunk."""
+    support = list(p.support)
+    weights = np.array([p.weights_float[i] for i in support])
+    weights = weights / weights.sum()
+    codes = list(sol.codes)
+    lam = np.array([[float(sol.lam_at(c, i)) for c in codes] for i in support])
+    cum = np.cumsum(lam / lam.sum(axis=1)[:, None], axis=1)
+    counts = {}
+    done = 0
+    for child in np.random.SeedSequence(seed).spawn(-(-shots // chunk_size)):
+        take = min(chunk_size, shots - done)
+        rng = np.random.default_rng(child)
+        rows = rng.choice(len(support), size=take, p=weights)
+        u = rng.random(take)
+        picked = np.minimum((cum[rows] < u[:, None]).sum(axis=1), len(codes) - 1)
+        for col, c in zip(*np.unique(picked, return_counts=True)):
+            counts[codes[col]] = counts.get(codes[col], 0) + int(c)
+        done += take
+    return counts
 
 
 class TestExactDistribution:
@@ -111,6 +140,38 @@ class TestSample:
         for x in all_vectors(2):
             for rec in sample(sol, p, x, 5000, seed=x):
                 assert rec.y == rec.code.parity(x)
+
+    @pytest.mark.parametrize("n, seed, mode, cost", [
+        (3, 46, "exact", "average"),
+        (3, 47, "float", "threshold"),
+        (4, 48, "exact", "threshold"),
+        (4, 49, "float", "average"),
+        (4, 50, "ball", "average"),
+    ])
+    def test_matches_broadcast_compare(self, n, seed, mode, cost):
+        # two full chunks and a partial one of 17 shots
+        shots = 2 * SAMPLE_CHUNK + 17
+        rng = random.Random(seed)
+        if mode == "ball":
+            p, mode = ball_profile(n, 2, rng), "exact"
+        else:
+            p = rand_rational_profile(n, rng)
+        c = CostFunction.average(n) if cost == "average" else CostFunction.threshold(n, 2)
+        sol, _ = solve_primal(p, c, mode)
+        x = rng.randrange(1 << n)
+        got = {r.code: (r.y, r.count, r.frequency) for r in sample(sol, p, x, shots, seed)}
+        want = broadcast_compare_counts(sol, p, shots, seed)
+        assert got == {code: (code.parity(x), cnt, cnt / shots)
+                       for code, cnt in want.items()}
+
+    def test_negative_lambda_rejected(self):
+        # rows sum to 1, but binary search needs a nondecreasing CDF
+        p = uniform(1)
+        bottom, full = ParityCode.bottom(1), ParityCode.full(1)
+        lam = {(bottom, 0): -0.5, (full, 0): 1.5, (bottom, 1): 0.0, (full, 1): 1.0}
+        sol = PrimalSolution(1, {}, lam, 1.0, (bottom, full))
+        with pytest.raises(ValueError, match="nonnegative"):
+            sample(sol, p, 0, 100, seed=1)
 
     def test_shots_must_be_positive(self):
         p = uniform(1)

@@ -164,9 +164,7 @@ class PrimalCandidate:
             "objective": self.objective,
             "lambda": {
                 f"{code.label()},{vec_str(i, self.n)}": v
-                for (code, i), v in sorted(
-                    self.lam.items(), key=lambda kv: (kv[0][0].k, kv[0][0].H.rows, kv[0][1])
-                )
+                for (code, i), v in sorted(self.lam.items())
             },
         }
 

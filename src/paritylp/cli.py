@@ -221,6 +221,8 @@ def _family_dual(args, profile: AmplitudeProfile) -> tuple[lp.DualSolution, Cost
 
 def cmd_verify(args) -> int:
     profile = _load_profile(args.profile)
+    # Before the family: its audit alone walks every code of n.
+    lp.check_budget(profile.n)
     dual, cost = _family_dual(args, profile)
     dual.objective = dual.evaluate(profile)
     audit = lp.check_dual_feasible(dual, cost)
@@ -333,9 +335,7 @@ def cmd_simulate(args) -> int:
         "x": args.x,
         "exact_distribution": {
             f"{code.label()},y={vec_str(y, code.k)}": p
-            for (code, y), p in sorted(
-                dist.items(), key=lambda kv: (kv[0][0].k, kv[0][0].H.rows)
-            )
+            for (code, y), p in sorted(dist.items())
         },
         "histogram": [r.to_json_dict() for r in records],
         "statevector": sv.to_json_dict() if sv else None,

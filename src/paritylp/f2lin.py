@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .errors import BudgetError, RankDeficientError
 
@@ -60,7 +60,7 @@ def ball(n: int, d: int) -> tuple[int, ...]:
     return tuple(v for v in all_vectors(n) if hamming_weight(v) <= d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class F2Matrix:
     """Matrix over F_2 stored as one int per row (bit j-1 = column j)."""
 
@@ -223,13 +223,14 @@ class CosetPartition:
         return self.leaders_max[s]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class ParityCode:
     """A canonical full-rank k x n parity matrix with its dual-coset data.
 
     H is in reduced row-echelon form, so two codes with equal row space are
     the same record.  G generates Ker(H); the coset of syndrome s is
-    {x : G.x = s}, a shift of the row space of H.
+    {x : G.x = s}, a shift of the row space of H.  Codes of one n order by
+    rank k, then by the rows of H: the canonical order of every report.
     """
 
     n: int
@@ -319,9 +320,11 @@ def enumerate_codes(n: int, k: int) -> list[ParityCode]:
     return out
 
 
-def enumerate_all_codes(n: int) -> list[ParityCode]:
-    """All canonical codes of every rank, rank-0 first."""
-    return [code for k in range(n + 1) for code in enumerate_codes(n, k)]
+@cache
+def enumerate_all_codes(n: int) -> tuple[ParityCode, ...]:
+    """All canonical codes of every rank, rank-0 first: one table per n and
+    process, so each code computes its cosets once."""
+    return tuple(code for k in range(n + 1) for code in enumerate_codes(n, k))
 
 
 def enumerate_identity_rows(n: int, k: int) -> list[F2Matrix]:

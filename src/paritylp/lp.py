@@ -112,7 +112,8 @@ def _label_str(label) -> str:
     return str(label)
 
 
-def _check_budget(n: int) -> None:
+def check_budget(n: int) -> None:
+    """Raise BudgetError when a linear program over F_2^n is above the cap."""
     if n > LP_MAX_N:
         raise BudgetError(f"linear programs capped at n <= {LP_MAX_N}")
 
@@ -125,37 +126,27 @@ def build_primal(profile: AmplitudeProfile, cost: CostFunction) -> LpModel:
     equality per supported index i: sum over codes of mu[(code, s(i))] / w_i
     equals 1.
     """
-    _check_budget(profile.n)
-    codes = enumerate_all_codes(profile.n)
-    support = set(profile.support)
-
+    check_budget(profile.n)
+    inv = {i: 1 / profile.weights[i] for i in profile.support}
+    rows: dict = {i: {} for i in inv}
     labels: list = []
     objective: list = []
-    var_index: dict = {}
-    for code in codes:
-        cos = code.cosets
+    for code in enumerate_all_codes(profile.n):
         scale = cost.value(code.k) * (1 << code.k)
-        for s in range(cos.n_syndromes):
-            if all(i in support for i in cos.members_of(s)):
-                var_index[(code, s)] = len(labels)
+        for s, members in enumerate(code.cosets.members):
+            if all(i in inv for i in members):
+                for i in members:
+                    rows[i][len(labels)] = inv[i]
                 labels.append(("mu", code, s))
                 objective.append(scale)
-
-    constraints = []
-    for i in profile.support:
-        inv = 1 / profile.weights[i]
-        coeffs = {}
-        for code in codes:
-            idx = var_index.get((code, code.syndrome(i)))
-            if idx is not None:
-                coeffs[idx] = inv
-        constraints.append(Constraint(coeffs, "=", 1, tag=("index", i)))
+    constraints = [Constraint(coeffs, "=", 1, tag=("index", i))
+                   for i, coeffs in rows.items()]
     return LpModel("primal", "max", labels, objective, constraints)
 
 
 def build_dual(profile: AmplitudeProfile, cost: CostFunction) -> LpModel:
     """Covering program: minimize sum b_i w_i subject to per-coset lower bounds."""
-    _check_budget(profile.n)
+    check_budget(profile.n)
     n = profile.n
     labels = [("b", i, n) for i in all_vectors(n)]
     objective = list(profile.weights)
@@ -240,7 +231,6 @@ class PrimalSolution:
     mu: dict
     lam: dict
     objective: object
-    codes: tuple = ()
 
     def lam_at(self, code: ParityCode, i: int):
         return self.lam.get((code, i), 0)
@@ -251,7 +241,6 @@ class PrimalSolution:
     @classmethod
     def from_lp_values(cls, profile: AmplitudeProfile, values: dict,
                        objective) -> PrimalSolution:
-        codes = tuple(enumerate_all_codes(profile.n))
         mu: dict = {}
         lam: dict = {}
         for label, v in values.items():
@@ -259,22 +248,20 @@ class PrimalSolution:
             mu[(code, s)] = v
             for i in code.cosets.members_of(s):
                 lam[(code, i)] = v / profile.weights[i]
-        bottom = codes[0]
+        bottom = ParityCode.bottom(profile.n)
         zero = objective * 0
         for i in profile.zero_set:
             # Absorb unconstrained indices into the no-information outcome.
             lam[(bottom, i)] = zero + 1
             mu[(bottom, i)] = zero
-        return cls(profile.n, mu, lam, objective, codes)
+        return cls(profile.n, mu, lam, objective)
 
     def to_json_dict(self) -> dict:
         return {
             "objective": self.objective,
             "mu": {
                 f"{code.label()},s={s}": v
-                for (code, s), v in sorted(
-                    self.mu.items(), key=lambda kv: (kv[0][0].k, kv[0][0].H.rows, kv[0][1])
-                )
+                for (code, s), v in sorted(self.mu.items())
             },
         }
 
@@ -390,7 +377,7 @@ def check_primal_feasible(sol: PrimalSolution, profile: AmplitudeProfile,
             )
             max_v = max(max_v, -v)
 
-    codes = sol.codes or tuple(enumerate_all_codes(sol.n))
+    codes = enumerate_all_codes(sol.n)
     for i in profile.support:
         total = sum(sol.lam_at(code, i) for code in codes)
         gap = abs(total - 1)
@@ -493,7 +480,7 @@ def complementary_slackness(primal: PrimalSolution, dual: DualSolution,
     d_report = check_dual_feasible(dual, cost, tol)
 
     violations = []
-    codes = primal.codes or tuple(enumerate_all_codes(primal.n))
+    codes = enumerate_all_codes(primal.n)
     max_index = 0
     for i in all_vectors(primal.n):
         total = sum(primal.lam_at(code, i) for code in codes)

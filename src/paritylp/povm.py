@@ -17,7 +17,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .errors import ProfileError
-from .f2lin import ParityCode, all_vectors, dot, vec_str
+from .f2lin import ParityCode, all_vectors, dot, enumerate_all_codes, vec_str
 from .lp import PrimalSolution
 from .profiles import AmplitudeProfile, CostFunction
 
@@ -129,9 +129,7 @@ class PovmSet:
             "elements": [
                 {"H": code.label(), "k": code.k, "y": vec_str(y, code.k),
                  "matrix": mat}
-                for (code, y), mat in sorted(
-                    self.items(), key=lambda kv: (kv[0][0].k, kv[0][0].H.rows, kv[0][1])
-                )
+                for (code, y), mat in sorted(self.items(), key=lambda kv: kv[0])
             ],
             "perp": self.perp,
         }
@@ -147,7 +145,7 @@ def build_from_primal(sol: PrimalSolution, profile: AmplitudeProfile) -> PovmSet
     _check_n(profile.n)
     size = 1 << profile.n
     elements: dict = {}
-    for code in sol.codes:
+    for code in enumerate_all_codes(profile.n):
         if code.k == 0:
             continue
         cos = code.cosets

@@ -24,6 +24,11 @@ from .f2lin import all_vectors, hamming_weight
 FLOAT_TOL = 1e-12
 
 
+def _is_number(v) -> bool:
+    """A JSON number: int or float, but not a boolean."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class AmplitudeProfile:
     """Normalized weights (and optional amplitudes) over F_2^n."""
@@ -106,10 +111,19 @@ class AmplitudeProfile:
         except (KeyError, TypeError, ValueError) as exc:
             raise ProfileError("profile JSON needs an integer field 'n'") from exc
         if "amplitudes" in data:
-            amps = [complex(a["re"], a.get("im", 0.0)) for a in data["amplitudes"]]
-            return cls.from_amplitudes(n, amps)
+            amps = data["amplitudes"]
+            if not (isinstance(amps, list) and all(
+                    isinstance(a, dict) and _is_number(a.get("re"))
+                    and _is_number(a.get("im", 0.0)) for a in amps)):
+                raise ProfileError(
+                    "'amplitudes' must be a list of {\"re\": number, \"im\": number}")
+            return cls.from_amplitudes(n, [complex(a["re"], a.get("im", 0.0)) for a in amps])
         if "weights" in data:
-            return cls.from_weights(n, data["weights"])
+            weights = data["weights"]
+            if not (isinstance(weights, list)
+                    and all(isinstance(w, str) or _is_number(w) for w in weights)):
+                raise ProfileError("'weights' must be a list of numbers or fraction strings")
+            return cls.from_weights(n, weights)
         raise ProfileError("profile JSON needs 'weights' or 'amplitudes'")
 
     def to_json_dict(self) -> dict:

@@ -16,7 +16,7 @@ from numbers import Rational
 import numpy as np
 
 from .errors import ProfileError
-from .f2lin import ParityCode, dot, vec_str
+from .f2lin import ParityCode, dot, enumerate_all_codes, vec_str
 from .lp import PrimalSolution
 from .profiles import AmplitudeProfile
 
@@ -78,7 +78,7 @@ def sample(sol: PrimalSolution, profile: AmplitudeProfile, x: int,
     support = list(profile.support)
     weights = np.array([profile.weights_float[i] for i in support])
     weights = weights / weights.sum()
-    codes = [c for c in sol.codes]
+    codes = enumerate_all_codes(profile.n)
     lam = np.zeros((len(support), len(codes)))
     for row, i in enumerate(support):
         for col, code in enumerate(codes):
@@ -107,8 +107,7 @@ def sample(sol: PrimalSolution, profile: AmplitudeProfile, x: int,
 
     records = [OutcomeRecord(code, code.parity(x), int(c), int(c) / shots)
                for code, c in zip(codes, counts) if c]
-    records.sort(key=lambda r: (r.code.k, r.code.H.rows, r.y))
-    return records
+    return sorted(records, key=lambda r: r.code)
 
 
 @dataclass

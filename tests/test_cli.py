@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paritylp import lp, povm
+from conftest import rand_rational_profile
+from paritylp import bounds, lp, povm
 from paritylp.cli import _render, dump_json, main
+from paritylp.f2lin import enumerate_all_codes, vec_from_str
 from paritylp.profiles import AmplitudeProfile, CostFunction, bernoulli_profile
 
 
@@ -78,6 +80,19 @@ class TestSolve:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("data", [
+        {"n": 1, "weights": [None, 1]},
+        {"n": 1, "weights": 5},
+        {"n": 1, "weights": [True, False]},
+        {"n": 1, "amplitudes": [{"im": 1}, {"re": 0}]},
+        {"n": 1, "amplitudes": 3},
+    ])
+    def test_malformed_profile(self, tmp_path, capsys, data):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["solve", "--profile", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_dump_model(self, tmp_path, capsys, profile_file):
         dump = tmp_path / "model.txt"
         code, _ = run_json(capsys, [
@@ -141,6 +156,21 @@ class TestVerify:
         ])
         assert code == 0
         assert report["objective"] == "0"
+
+
+    @pytest.mark.parametrize("family", [
+        ["hamming"], ["threshold-ball", "--d", "1", "--gamma", "2.5"]])
+    def test_lp_cap_checked_before_family(self, tmp_path, capsys, monkeypatch, family):
+        # the family's audit walks every code of n, so above the cap it must not run
+        def audit(*args, **kwargs):
+            raise AssertionError("family audited above the LP cap")
+
+        monkeypatch.setattr(lp, "check_dual_feasible", audit)
+        monkeypatch.setattr(bounds, "check_dual_feasible", audit)
+        path = tmp_path / "uniform6.json"
+        path.write_text(json.dumps({"n": 6, "weights": ["1/64"] * 64}))
+        assert main(["verify", "--profile", str(path), "--family", *family]) == 2
+        assert "capped at n <= 5" in capsys.readouterr().err
 
 
 class TestPrimalCandidate:
@@ -365,6 +395,59 @@ class TestThreshold:
         ])
         assert code == 0
         assert not report["certificate"]["rho_is_zero"]
+
+
+def order_key(label: str, last: int) -> tuple:
+    """(k, H rows, s/y/i) of a report entry whose code label is "bottom" or "H[row;...]"."""
+    rows = () if label == "bottom" else tuple(vec_from_str(r) for r in label[2:-1].split(";"))
+    return len(rows), rows, last
+
+
+def in_order(keys: list) -> bool:
+    return all(a < b for a, b in zip(keys, keys[1:]))
+
+
+class TestReportOrder:
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "n4.json"
+        path.write_text(json.dumps(
+            rand_rational_profile(4, random.Random("order")).to_json_dict()))
+        return str(path)
+
+    def test_solve_mu(self, capsys, path):
+        _, report = run_json(capsys, ["solve", "--profile", path])
+        entries = [key.rsplit(",s=", 1) for key in report["primal_solution"]["mu"]]
+        assert len(entries) > 100
+        keys = [order_key(label, int(s)) for label, s in entries]
+        assert in_order(keys)
+
+    def test_povm_elements(self, capsys, path):
+        _, report = run_json(capsys, ["povm", "--profile", path, "--assume-real-amplitudes"])
+        elements = report["povm"]["elements"]
+        assert len({e["H"] for e in elements}) > 2
+        assert in_order([order_key(e["H"], vec_from_str(e["y"])) for e in elements])
+
+    def test_simulate_entries(self, capsys, path):
+        _, report = run_json(capsys, ["simulate", "--profile", path, "--x", "1011",
+                                      "--shots", "5000", "--seed", "5"])
+        dist = [key.rsplit(",y=", 1) for key in report["exact_distribution"]]
+        assert in_order([order_key(label, vec_from_str(y)) for label, y in dist])
+        hist = report["histogram"]
+        assert len(hist) > 2
+        assert in_order([order_key(r["H"], vec_from_str(r["y"])) for r in hist])
+
+    @pytest.mark.parametrize("family", ["hamming", "spike"])
+    def test_candidate_lambda(self, capsys, path, family):
+        _, report = run_json(capsys, ["primal-candidate", "--profile", path,
+                                      "--family", family])
+        entries = [key.rsplit(",", 1) for key in report["candidate"]["lambda"]]
+        assert in_order([order_key(label, vec_from_str(i)) for label, i in entries])
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_code_order(self, n):
+        table = enumerate_all_codes(n)
+        assert [(c.k, c.H.rows) for c in sorted(table)] == sorted((c.k, c.H.rows) for c in table)
 
 
 class TestEnumerate:

@@ -9,9 +9,11 @@ import scipy.optimize
 
 from conftest import ball_profile, full_rank_matrices, literal_lp_model, rand_rational_profile
 from paritylp.errors import BudgetError
-from paritylp.f2lin import F2Matrix, all_vectors, rank
+from paritylp.f2lin import F2Matrix, all_vectors, enumerate_all_codes, enumerate_codes, rank
 from paritylp.lp import (
+    Constraint,
     DualSolution,
+    LpModel,
     PrimalSolution,
     build_dual,
     build_primal,
@@ -67,7 +69,56 @@ def scipy_optimum(model):
     return -res.fun if model.sense == "max" else res.fun
 
 
+def two_loop_primal(profile, cost):
+    """build_primal by its earlier construction: index every coset variable,
+    then fill each support row with one syndrome lookup per code."""
+    codes = [code for k in range(profile.n + 1) for code in enumerate_codes(profile.n, k)]
+    support = set(profile.support)
+    labels, objective, var_index = [], [], {}
+    for code in codes:
+        cos = code.cosets
+        for s in range(cos.n_syndromes):
+            if all(i in support for i in cos.members_of(s)):
+                var_index[(code, s)] = len(labels)
+                labels.append(("mu", code, s))
+                objective.append(cost.value(code.k) * (1 << code.k))
+    constraints = []
+    for i in profile.support:
+        inv = 1 / profile.weights[i]
+        coeffs = {}
+        for code in codes:
+            idx = var_index.get((code, code.syndrome(i)))
+            if idx is not None:
+                coeffs[idx] = inv
+        constraints.append(Constraint(coeffs, "=", 1, tag=("index", i)))
+    return LpModel("primal", "max", labels, objective, constraints)
+
+
+def _reference_cases():
+    for n in range(1, 5):
+        rng = random.Random(f"build/{n}")
+        yield rand_rational_profile(n, rng), CostFunction.average(n)
+        yield ball_profile(n, n // 2, rng), CostFunction.threshold(n, 1)
+        yield bernoulli_profile(n, 0.1), CostFunction.custom(n, [0.5 * k for k in range(n + 1)])
+
+
 class TestBuildPrimal:
+    @pytest.mark.parametrize("p, cost", list(_reference_cases()))
+    def test_matches_two_loop_construction(self, p, cost):
+        got, want = build_primal(p, cost), two_loop_primal(p, cost)
+        assert (got.name, got.sense) == (want.name, want.sense)
+        assert got.labels == want.labels
+        assert got.objective == want.objective
+        assert [(list(c.coeffs.items()), c.rel, c.rhs, c.tag) for c in got.constraints] == \
+            [(list(c.coeffs.items()), c.rel, c.rhs, c.tag) for c in want.constraints]
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_code_table(self, n):
+        table = enumerate_all_codes(n)
+        assert table is enumerate_all_codes(n)
+        assert isinstance(table, tuple)
+        assert list(table) == [code for k in range(n + 1) for code in enumerate_codes(n, k)]
+
     def test_n1_uniform_shape(self):
         m = build_primal(profile(1, ["1/2", "1/2"]), CostFunction.average(1))
         assert m.n_vars == 3
@@ -468,7 +519,7 @@ class TestFeasibilityChecks:
         sol, _ = solve_primal(p, CostFunction.average(1))
         broken = PrimalSolution(sol.n, dict(sol.mu),
                                 {k: 2 * v for k, v in sol.lam.items()},
-                                sol.objective, sol.codes)
+                                sol.objective)
         report = check_primal_feasible(broken, p)
         assert not report.feasible
 

@@ -9,7 +9,7 @@ import pytest
 import numpy as np
 
 from conftest import ball_profile, rand_rational_profile
-from paritylp.f2lin import ParityCode, all_vectors
+from paritylp.f2lin import ParityCode, all_vectors, enumerate_all_codes
 from paritylp.lp import PrimalSolution, solve_primal
 from paritylp.profiles import AmplitudeProfile, CostFunction, bernoulli_profile
 from paritylp.simulate import (
@@ -38,7 +38,7 @@ def broadcast_compare_counts(sol, p, shots, seed, chunk_size=SAMPLE_CHUNK):
     support = list(p.support)
     weights = np.array([p.weights_float[i] for i in support])
     weights = weights / weights.sum()
-    codes = list(sol.codes)
+    codes = enumerate_all_codes(p.n)
     lam = np.array([[float(sol.lam_at(c, i)) for c in codes] for i in support])
     cum = np.cumsum(lam / lam.sum(axis=1)[:, None], axis=1)
     counts = {}
@@ -169,7 +169,7 @@ class TestSample:
         p = uniform(1)
         bottom, full = ParityCode.bottom(1), ParityCode.full(1)
         lam = {(bottom, 0): -0.5, (full, 0): 1.5, (bottom, 1): 0.0, (full, 1): 1.0}
-        sol = PrimalSolution(1, {}, lam, 1.0, (bottom, full))
+        sol = PrimalSolution(1, {}, lam, 1.0)
         with pytest.raises(ValueError, match="nonnegative"):
             sample(sol, p, 0, 100, seed=1)
 

@@ -63,9 +63,7 @@ from .povm import (
     build_from_primal,
     coset_basis,
     fourier_diag_check,
-    phase_op,
     rho_eval,
-    shift_op,
     state_psi,
     symmetrize,
     verify_povm,

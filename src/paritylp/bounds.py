@@ -22,7 +22,7 @@ from .f2lin import (
     ParityCode,
     all_vectors,
     ball,
-    enumerate_codes,
+    codes_of_rank,
     enumerate_identity_rows,
     hamming_weight,
     rank,
@@ -223,7 +223,7 @@ def primal_candidate(family: str, profile: AmplitudeProfile) -> PrimalCandidate:
         for i in all_vectors(n):
             lam[(full, i)] = w0 / weight[i]
         objective = objective + n * (1 << n) * w0
-        for code in enumerate_codes(n, n - 1):
+        for code in codes_of_rank(n, n - 1):
             cos = code.cosets
             w1 = sum(weight[i] for i in cos.members_of(1))
             w0s = sum(weight[i] for i in cos.members_of(0))
@@ -291,7 +291,7 @@ def threshold_zero_certificate(profile: AmplitudeProfile,
         return ThresholdZeroCertificate(tau, False, None, detail)
 
     subspaces = []
-    for code in enumerate_codes(n, tau):
+    for code in codes_of_rank(n, tau):
         cos = code.cosets
         subspaces.extend(frozenset(cos.members_of(s)) for s in range(cos.n_syndromes))
     witness = set(zero)

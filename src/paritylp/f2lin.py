@@ -327,6 +327,13 @@ def enumerate_all_codes(n: int) -> tuple[ParityCode, ...]:
     return tuple(code for k in range(n + 1) for code in enumerate_codes(n, k))
 
 
+def codes_of_rank(n: int, k: int) -> tuple[ParityCode, ...]:
+    """The rank-k slice of the code table: the codes of enumerate_codes(n, k),
+    in its order, with their cosets kept."""
+    start = sum(gaussian_binomial(n, j) for j in range(k))
+    return enumerate_all_codes(n)[start:start + gaussian_binomial(n, k)]
+
+
 def enumerate_identity_rows(n: int, k: int) -> list[F2Matrix]:
     """The C(n, k) ordered row-submatrices of the identity."""
     if not 0 <= k <= n:
@@ -364,7 +371,7 @@ def uncovered_affine_subspaces(
     _check_universal_budget(tau, n)
     missed: list[tuple[ParityCode, int]] = []
     n_syndromes = 1 << (n - tau)
-    for code in enumerate_codes(n, tau):
+    for code in codes_of_rank(n, tau):
         hit = {code.syndrome(x) for x in u}
         if len(hit) < n_syndromes:
             missed.extend((code, s) for s in range(n_syndromes) if s not in hit)
@@ -373,14 +380,4 @@ def uncovered_affine_subspaces(
 
 def is_universal(u: set[int] | frozenset[int], tau: int, n: int) -> bool:
     """True iff U meets every affine subspace of dimension tau."""
-    _check_universal_budget(tau, n)
-    n_syndromes = 1 << (n - tau)
-    for code in enumerate_codes(n, tau):
-        hit = set()
-        for x in u:
-            hit.add(code.syndrome(x))
-            if len(hit) == n_syndromes:
-                break
-        else:
-            return False
-    return True
+    return not uncovered_affine_subspaces(u, tau, n)

@@ -6,11 +6,14 @@ Fourier diagonal of such an element is lambda_i / 2^k, which makes the set
 complete once the leftover goes to the no-information element, keeps every
 wrong-outcome overlap exactly zero, and commutes with shifts up to the
 outcome relabeling y -> y + H.a.  All of that is re-checked numerically by
-``verify_povm`` instead of being trusted.
+``verify_povm`` instead of being trusted.  The audits walk the set once per
+code, on the stack of that code's elements, and check covariance under all
+2^n shifts.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -54,28 +57,6 @@ def state_psi(profile: AmplitudeProfile, x: int) -> np.ndarray:
     return walsh_hadamard(profile.n) @ four
 
 
-def shift_op(a: int, n: int) -> np.ndarray:
-    """Permutation matrix sending |x> to |x + a>."""
-    _check_n(n)
-    size = 1 << n
-    mat = np.zeros((size, size))
-    idx = np.arange(size)
-    mat[idx ^ a, idx] = 1.0
-    return mat
-
-
-def _shifted(m: np.ndarray, a: int) -> np.ndarray:
-    """X_a m X_a with X_a = shift_op(a, n), by permuting rows and columns."""
-    p = np.arange(len(m)) ^ a
-    return m[np.ix_(p, p)]
-
-
-def phase_op(a: int, n: int) -> np.ndarray:
-    """Diagonal matrix with entries (-1)^(a.x)."""
-    _check_n(n)
-    return np.diag([(-1.0 if dot(a, x) else 1.0) for x in all_vectors(n)])
-
-
 def coset_basis(profile: AmplitudeProfile, code: ParityCode, y: int) -> list[np.ndarray]:
     """The per-syndrome states orthogonal to every wrong-outcome family member.
 
@@ -115,12 +96,6 @@ class PovmSet:
     perp: np.ndarray
     profile: AmplitudeProfile
 
-    def bottom_code(self) -> ParityCode:
-        return ParityCode.bottom(self.n)
-
-    def items(self):
-        return self.elements.items()
-
     def to_json_dict(self) -> dict:
         """The set with its operators as ndarrays; `cli.dump_json` writes each
         matrix as rows of {"re": real, "im": imag} dicts."""
@@ -129,7 +104,7 @@ class PovmSet:
             "elements": [
                 {"H": code.label(), "k": code.k, "y": vec_str(y, code.k),
                  "matrix": mat}
-                for (code, y), mat in sorted(self.items(), key=lambda kv: kv[0])
+                for (code, y), mat in sorted(self.elements.items(), key=lambda kv: kv[0])
             ],
             "perp": self.perp,
         }
@@ -165,53 +140,97 @@ def build_from_primal(sol: PrimalSolution, profile: AmplitudeProfile) -> PovmSet
     return PovmSet(profile.n, elements, perp, profile)
 
 
+def _code_stacks(povm: PovmSet):
+    """Walk the set once per code, in the set's order.
+
+    Yields (code, ys, stack) with stack[j] the element of outcome
+    (code, ys[j]), as one (len(ys), 2^n, 2^n) array; the no-information
+    element comes last, as the one outcome of ParityCode.bottom(n).  Only
+    one code is stacked at a time, so the set is never copied whole.
+    """
+    groups: dict[ParityCode, list[int]] = {}
+    for code, y in povm.elements:
+        groups.setdefault(code, []).append(y)
+    for code, ys in groups.items():
+        yield code, ys, np.stack([povm.elements[(code, y)] for y in ys])
+    yield ParityCode.bottom(povm.n), [0], povm.perp[None]
+
+
+def _states(profile: AmplitudeProfile) -> np.ndarray:
+    """Row x is the x-shifted state of the family."""
+    return np.array([state_psi(profile, x) for x in all_vectors(profile.n)])
+
+
+def _overlaps(stack: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """<psi_x|M_j|psi_x> at [j, x] for every element M_j of a stack.
+
+    The two batched products keep the core shapes of conj(psi) @ (M @ psi)
+    (matrix-vector, then vector-vector), so each value has the bits of the
+    one-element, one-state product.
+    """
+    applied = np.matmul(stack[:, None], states[None, :, :, None])
+    return np.matmul(np.conj(states)[None, :, None, :], applied)[..., 0, 0]
+
+
+def _zero_filled(code: ParityCode, ys, stack: np.ndarray) -> np.ndarray:
+    """All 2^k outcomes of a code, with zeros where the set has no element."""
+    full = np.zeros((1 << code.k,) + stack.shape[1:], dtype=complex)
+    full[ys] = stack
+    return full
+
+
+def _covariance_dev(code: ParityCode, ys, stack: np.ndarray) -> float:
+    """max |X_a F[(code, y)] X_a - F[(code, y + H.a)]| over the elements of
+    a stack and all 2^n shifts a, with a missing partner read as zero."""
+    full = _zero_filled(code, ys, stack)
+    idx = np.arange(stack.shape[1])
+    dev = 0.0
+    for a in range(len(idx)):
+        p = idx ^ a
+        moved = stack[:, p[:, None], p]
+        moved -= full[np.bitwise_xor(ys, code.parity(a))]
+        dev = max(dev, float(np.max(np.abs(moved))))
+    return dev
+
+
 def rho_eval(povm: PovmSet, profile: AmplitudeProfile, cost: CostFunction) -> float:
     """Average score over a uniform hidden string (the expectation form)."""
-    states = [state_psi(profile, x) for x in all_vectors(povm.n)]
+    states = _states(profile)
     total = 0.0
-    for (code, y), mat in povm.items():
+    for code, _, stack in _code_stacks(povm):
         ck = float(cost.value(code.k))
-        if ck == 0.0:
-            continue
-        total += ck * sum(
-            float(np.real(np.conj(s) @ (mat @ s))) for s in states
-        )
-    c0 = float(cost.value(0))
-    if c0:
-        total += c0 * sum(
-            float(np.real(np.conj(s) @ (povm.perp @ s))) for s in states
-        )
+        if ck:
+            for row in _overlaps(stack, states).real.tolist():
+                total += ck * sum(row)
     return total / (1 << povm.n)
 
 
 def symmetrize(povm: PovmSet, *, check_input: bool = True) -> PovmSet:
     """Average over shifts, landing in the shift-covariant class.
 
-    F_bar[(code, y)] = 2^-n sum_a X_a F[(code, y + H.a)] X_a; validity of
-    the input (positivity, completeness, unambiguity) is required and the
-    output rescores identically under the expectation form.
+    F_bar[(code, y)] = 2^-n sum_a X_a F[(code, y + H.a)] X_a, with a missing
+    element read as zero; every outcome of a code present in the input is
+    present in the output.  Validity of the input (positivity,
+    completeness, unambiguity) is required and the output rescores
+    identically under the expectation form.
     """
     if check_input:
         report = verify_povm(povm, povm.profile, check_symmetry=False)
         if not report.gamma_ok:
             raise ValueError("input fails the measurement-validity checks")
     n = povm.n
-    size = 1 << n
+    idx = np.arange(1 << n)
     elements = {}
-    groups: dict[ParityCode, list[int]] = {}
-    for code, y in povm.elements:
-        groups.setdefault(code, []).append(y)
-    for code, ys in groups.items():
-        for y in ys:
-            acc = np.zeros((size, size), dtype=complex)
-            for a in all_vectors(n):
-                partner = povm.elements[(code, y ^ code.parity(a))]
-                acc += _shifted(partner, a)
-            elements[(code, y)] = acc / size
-    perp = sum(
-        (_shifted(povm.perp, a) for a in all_vectors(n)),
-        np.zeros((size, size), dtype=complex),
-    ) / size
+    for code, ys, stack in _code_stacks(povm):
+        full = _zero_filled(code, ys, stack)
+        outcomes = np.arange(len(full))
+        acc = np.zeros_like(full)
+        for a in all_vectors(n):
+            p = idx ^ a
+            acc += full[(outcomes ^ code.parity(a))[:, None, None], p[:, None], p]
+        acc /= len(idx)
+        elements.update(((code, y), mat) for y, mat in enumerate(acc))
+    perp = elements.pop((ParityCode.bottom(n), 0))
     return PovmSet(n, elements, perp, povm.profile)
 
 
@@ -249,42 +268,35 @@ def verify_povm(povm: PovmSet, profile: AmplitudeProfile, *,
                 tol_unambig: float = TOL_UNAMBIG,
                 tol_symmetry: float = TOL_SYMMETRY,
                 check_symmetry: bool = True) -> PovmVerification:
-    """Numerically audit every defining property of the measurement set."""
+    """Numerically audit every defining property of the measurement set.
+
+    A missing element counts as zero, and covariance is checked under all
+    2^n shifts.
+    """
     n = povm.n
     size = 1 << n
-    all_ops = list(povm.elements.values()) + [povm.perp]
+    states = _states(profile)
+    total = np.zeros((size, size), dtype=complex)
+    herm = unambig = 0.0
+    min_eig = math.inf
+    sym_dev = 0.0 if check_symmetry else None
+    for code, ys, stack in _code_stacks(povm):
+        adj = stack.conj().transpose(0, 2, 1)
+        herm = max(herm, float(np.max(np.abs(stack - adj))))
+        min_eig = min(min_eig, float(np.min(np.linalg.eigvalsh((stack + adj) / 2))))
+        del adj  # before the covariance audit, which holds several stack-sized arrays
+        # element by element, in the set's order, as a running sum adds them
+        total = np.concatenate((total[None], stack)).sum(axis=0)
 
-    herm = max(
-        float(np.max(np.abs(m - m.conj().T))) for m in all_ops
-    )
-    min_eig = min(
-        float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2))) for m in all_ops
-    )
-    total = sum(all_ops[:-1], np.zeros((size, size), dtype=complex)) + povm.perp
+        parity = np.array([code.parity(x) for x in all_vectors(n)])
+        wrong = parity != np.array(ys)[:, None]
+        if wrong.any():
+            overlaps = _overlaps(stack, states)[wrong].tolist()
+            unambig = max(unambig, max(map(abs, overlaps)))
+
+        if check_symmetry:
+            sym_dev = max(sym_dev, _covariance_dev(code, ys, stack))
     complete = float(np.linalg.norm(total - np.eye(size)))
-
-    states = [state_psi(profile, x) for x in all_vectors(n)]
-    unambig = 0.0
-    for (code, y), mat in povm.items():
-        for x in all_vectors(n):
-            if code.parity(x) != y:
-                s = states[x]
-                unambig = max(unambig, abs(complex(np.conj(s) @ (mat @ s))))
-
-    sym_dev = None
-    if check_symmetry:
-        sym_dev = 0.0
-        for (code, y), mat in povm.items():
-            for a in all_vectors(n):
-                partner = povm.elements.get((code, y ^ code.parity(a)))
-                moved = _shifted(mat, a)
-                if partner is None:
-                    sym_dev = max(sym_dev, float(np.max(np.abs(moved))))
-                else:
-                    sym_dev = max(sym_dev, float(np.max(np.abs(moved - partner))))
-        for a in all_vectors(n):
-            moved = _shifted(povm.perp, a)
-            sym_dev = max(sym_dev, float(np.max(np.abs(moved - povm.perp))))
 
     gamma_ok = (
         herm <= tol_hermitian
@@ -318,31 +330,17 @@ def fourier_diag_check(povm: PovmSet) -> FourierDiagReport:
     entries 2^k times any single element's diagonal (y-independence);
     (ii) weight * Fourier diagonal is constant on every dual coset.
     """
-    n = povm.n
-    w_mat = walsh_hadamard(n)
-    weights = povm.profile.weights_float
-    offdiag = 0.0
-    factor = 0.0
-    spread = 0.0
-
-    groups: dict[ParityCode, list[np.ndarray]] = {}
-    for (code, y), mat in povm.items():
-        groups.setdefault(code, []).append(mat)
-    groups.setdefault(povm.bottom_code(), []).append(povm.perp)
-
-    for code, mats in groups.items():
-        agg = sum(mats[1:], mats[0].copy())
-        agg_hat = w_mat @ agg @ w_mat
+    w_mat = walsh_hadamard(povm.n)
+    weights = np.array(povm.profile.weights_float)
+    offdiag = factor = spread = 0.0
+    for code, _, stack in _code_stacks(povm):
+        agg_hat = w_mat @ stack.sum(axis=0) @ w_mat
         off = agg_hat - np.diag(np.diag(agg_hat))
         offdiag = max(offdiag, float(np.max(np.abs(off))))
-        scale = 1 << code.k
-        for mat in mats:
-            mat_hat_diag = np.real(np.diag(w_mat @ mat @ w_mat))
-            factor = max(factor, float(np.max(np.abs(
-                np.real(np.diag(agg_hat)) - scale * mat_hat_diag
-            ))))
-            cos = code.cosets
-            for s in range(cos.n_syndromes):
-                vals = [weights[i] * mat_hat_diag[i] for i in cos.members_of(s)]
-                spread = max(spread, max(vals) - min(vals))
-    return FourierDiagReport(offdiag, factor, float(spread))
+        hat_diag = np.real(np.diagonal(w_mat @ stack @ w_mat, axis1=1, axis2=2))
+        factor = max(factor, float(np.max(np.abs(
+            np.real(np.diag(agg_hat)) - (1 << code.k) * hat_diag
+        ))))
+        by_coset = (weights * hat_diag)[:, np.array(code.cosets.members)]
+        spread = max(spread, float(np.max(by_coset.max(axis=2) - by_coset.min(axis=2))))
+    return FourierDiagReport(offdiag, factor, spread)

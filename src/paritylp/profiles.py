@@ -106,10 +106,9 @@ class AmplitudeProfile:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> AmplitudeProfile:
-        try:
-            n = int(data["n"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProfileError("profile JSON needs an integer field 'n'") from exc
+        n = data.get("n") if isinstance(data, dict) else None
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ProfileError("profile JSON needs an integer field 'n'")
         if "amplitudes" in data:
             amps = data["amplitudes"]
             if not (isinstance(amps, list) and all(

@@ -398,6 +398,22 @@ class TestThresholdZeroCertificate:
                 cert = threshold_zero_certificate(p, tau)
                 assert cert.rho_is_zero == (tau > d), (d, tau)
 
+    @pytest.mark.parametrize("tau", [2, 3])
+    def test_second_call_builds_no_cosets(self, monkeypatch, tau):
+        # the rank-tau codes come from the code table, whose cosets are kept
+        import paritylp.f2lin as f2lin
+
+        p = ball_profile(4, 2, random.Random(36))
+        first = threshold_zero_certificate(p, tau)
+        calls = []
+        original = f2lin.dual_cosets
+        monkeypatch.setattr(f2lin, "dual_cosets",
+                            lambda code: calls.append(code) or original(code))
+        second = threshold_zero_certificate(p, tau)
+        assert calls == []
+        assert second == first
+        assert first.rho_is_zero == (tau > 2)
+
     def test_witness_is_minimal(self):
         from paritylp.f2lin import is_universal
 

@@ -86,6 +86,8 @@ class TestSolve:
         {"n": 1, "weights": [True, False]},
         {"n": 1, "amplitudes": [{"im": 1}, {"re": 0}]},
         {"n": 1, "amplitudes": 3},
+        {"n": 1.9, "weights": ["1/2", "1/2"]},
+        {"n": True, "weights": ["1/2", "1/2"]},
     ])
     def test_malformed_profile(self, tmp_path, capsys, data):
         path = tmp_path / "bad.json"

@@ -11,8 +11,10 @@ from paritylp.f2lin import (
     ParityCode,
     all_vectors,
     char_sum,
+    codes_of_rank,
     dot,
     dual_cosets,
+    enumerate_all_codes,
     enumerate_codes,
     enumerate_identity_rows,
     gaussian_binomial,
@@ -106,6 +108,14 @@ class TestEnumerateCodes:
     def test_counts_match_gaussian_binomial(self, n):
         for k in range(n + 1):
             assert len(enumerate_codes(n, k)) == gaussian_binomial(n, k)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_codes_of_rank_slice_the_table(self, n):
+        table = enumerate_all_codes(n)
+        for k in range(n + 1):
+            codes = codes_of_rank(n, k)
+            assert list(codes) == enumerate_codes(n, k)
+            assert all(any(c is t for t in table) for c in codes)
 
     def test_canonical_rref(self):
         for code in enumerate_codes(4, 2):

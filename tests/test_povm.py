@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,19 +13,177 @@ from paritylp.errors import ProfileError
 from paritylp.f2lin import F2Matrix, ParityCode, all_vectors, dot
 from paritylp.lp import solve_primal
 from paritylp.povm import (
-    _shifted,
+    PovmSet,
+    PovmVerification,
     build_from_primal,
     coset_basis,
     fourier_diag_check,
-    phase_op,
     rho_eval,
-    shift_op,
     state_psi,
     symmetrize,
     verify_povm,
     walsh_hadamard,
 )
 from paritylp.profiles import AmplitudeProfile, CostFunction
+
+
+# -- oracles: the operators and the element-by-element audits --------------
+
+def shift_op(a, n):
+    """Permutation matrix sending |x> to |x + a>."""
+    size = 1 << n
+    mat = np.zeros((size, size))
+    idx = np.arange(size)
+    mat[idx ^ a, idx] = 1.0
+    return mat
+
+
+def phase_op(a, n):
+    """Diagonal matrix with entries (-1)^(a.x)."""
+    return np.diag([(-1.0 if dot(a, x) else 1.0) for x in all_vectors(n)])
+
+
+def shifted(m, a):
+    """X_a m X_a with X_a = shift_op(a, n), by permuting rows and columns."""
+    p = np.arange(len(m)) ^ a
+    return m[np.ix_(p, p)]
+
+
+def rho_eval_loops(povm, profile, cost):
+    states = [state_psi(profile, x) for x in all_vectors(povm.n)]
+    total = 0.0
+    for (code, y), mat in povm.elements.items():
+        ck = float(cost.value(code.k))
+        if ck == 0.0:
+            continue
+        total += ck * sum(
+            float(np.real(np.conj(s) @ (mat @ s))) for s in states
+        )
+    c0 = float(cost.value(0))
+    if c0:
+        total += c0 * sum(
+            float(np.real(np.conj(s) @ (povm.perp @ s))) for s in states
+        )
+    return total / (1 << povm.n)
+
+
+def symmetrize_loops(povm):
+    """Without the input check; a missing element raises KeyError."""
+    n = povm.n
+    size = 1 << n
+    elements = {}
+    groups = {}
+    for code, y in povm.elements:
+        groups.setdefault(code, []).append(y)
+    for code, ys in groups.items():
+        for y in ys:
+            acc = np.zeros((size, size), dtype=complex)
+            for a in all_vectors(n):
+                partner = povm.elements[(code, y ^ code.parity(a))]
+                acc += shifted(partner, a)
+            elements[(code, y)] = acc / size
+    perp = sum(
+        (shifted(povm.perp, a) for a in all_vectors(n)),
+        np.zeros((size, size), dtype=complex),
+    ) / size
+    return PovmSet(n, elements, perp, povm.profile)
+
+
+def verify_povm_loops(povm, profile, *, tol_hermitian=1e-12, tol_psd=1e-9,
+                      tol_complete=1e-8, tol_unambig=1e-10, tol_symmetry=1e-9,
+                      check_symmetry=True):
+    n = povm.n
+    size = 1 << n
+    all_ops = list(povm.elements.values()) + [povm.perp]
+
+    herm = max(
+        float(np.max(np.abs(m - m.conj().T))) for m in all_ops
+    )
+    min_eig = min(
+        float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2))) for m in all_ops
+    )
+    total = sum(all_ops[:-1], np.zeros((size, size), dtype=complex)) + povm.perp
+    complete = float(np.linalg.norm(total - np.eye(size)))
+
+    states = [state_psi(profile, x) for x in all_vectors(n)]
+    unambig = 0.0
+    for (code, y), mat in povm.elements.items():
+        for x in all_vectors(n):
+            if code.parity(x) != y:
+                s = states[x]
+                unambig = max(unambig, abs(complex(np.conj(s) @ (mat @ s))))
+
+    sym_dev = None
+    if check_symmetry:
+        sym_dev = 0.0
+        for (code, y), mat in povm.elements.items():
+            for a in all_vectors(n):
+                partner = povm.elements.get((code, y ^ code.parity(a)))
+                moved = shifted(mat, a)
+                if partner is None:
+                    sym_dev = max(sym_dev, float(np.max(np.abs(moved))))
+                else:
+                    sym_dev = max(sym_dev, float(np.max(np.abs(moved - partner))))
+        for a in all_vectors(n):
+            moved = shifted(povm.perp, a)
+            sym_dev = max(sym_dev, float(np.max(np.abs(moved - povm.perp))))
+
+    gamma_ok = (
+        herm <= tol_hermitian
+        and min_eig >= -tol_psd
+        and complete <= tol_complete
+        and unambig <= tol_unambig
+    )
+    symmetric_ok = None if sym_dev is None else sym_dev <= tol_symmetry
+    return PovmVerification(herm, min_eig, complete, unambig, sym_dev,
+                            gamma_ok, symmetric_ok)
+
+
+def fourier_diag_check_loops(povm):
+    n = povm.n
+    w_mat = walsh_hadamard(n)
+    weights = povm.profile.weights_float
+    offdiag = 0.0
+    factor = 0.0
+    spread = 0.0
+
+    groups = {}
+    for (code, y), mat in povm.elements.items():
+        groups.setdefault(code, []).append(mat)
+    groups.setdefault(ParityCode.bottom(n), []).append(povm.perp)
+
+    for code, mats in groups.items():
+        agg = sum(mats[1:], mats[0].copy())
+        agg_hat = w_mat @ agg @ w_mat
+        off = agg_hat - np.diag(np.diag(agg_hat))
+        offdiag = max(offdiag, float(np.max(np.abs(off))))
+        scale = 1 << code.k
+        for mat in mats:
+            mat_hat_diag = np.real(np.diag(w_mat @ mat @ w_mat))
+            factor = max(factor, float(np.max(np.abs(
+                np.real(np.diag(agg_hat)) - scale * mat_hat_diag
+            ))))
+            cos = code.cosets
+            for s in range(cos.n_syndromes):
+                vals = [weights[i] * mat_hat_diag[i] for i in cos.members_of(s)]
+                spread = max(spread, max(vals) - min(vals))
+    return (offdiag, factor, float(spread))
+
+
+def all_shifts_deviation(povm):
+    """max |X_a F[(code, y)] X_a - F[(code, y + H.a)]| over every element,
+    the leftover and every shift a, with X_a as a matrix; a missing partner
+    counts as zero."""
+    n = povm.n
+    dev = 0.0
+    keyed = list(povm.elements.items()) + [((ParityCode.bottom(n), 0), povm.perp)]
+    lookup = dict(keyed)
+    for (code, y), mat in keyed:
+        for a in all_vectors(n):
+            xa = shift_op(a, n)
+            partner = lookup.get((code, y ^ code.parity(a)), 0)
+            dev = max(dev, float(np.max(np.abs(xa @ mat @ xa - partner))))
+    return dev
 
 
 def uniform_amps(n):
@@ -105,7 +264,7 @@ class TestShiftPhaseOps:
             for a in all_vectors(n):
                 xa = shift_op(a, n)
                 assert xa @ w == pytest.approx(w @ phase_op(a, n))
-                assert np.array_equal(_shifted(m, a), xa @ m @ xa)
+                assert np.array_equal(shifted(m, a), xa @ m @ xa)
 
 
 class TestCosetBasis:
@@ -205,7 +364,7 @@ class TestBuildFromPrimal:
         sol, _ = solve_primal(p, CostFunction.average(2), mode="float")
         povm = build_from_primal(sol, p)
         w = walsh_hadamard(2)
-        for (code, y), mat in povm.items():
+        for (code, y), mat in povm.elements.items():
             hat = w @ mat @ w
             for i in all_vectors(2):
                 expected = float(sol.lam_at(code, i)) / (1 << code.k)
@@ -244,7 +403,7 @@ class TestBuildFromPrimal:
         povm = build_from_primal(sol, p)
         for x in all_vectors(2):
             dist = exact_distribution(sol, p, x)
-            for (code, y), mat in povm.items():
+            for (code, y), mat in povm.elements.items():
                 s = state_psi(p, x)
                 got = float(np.real(np.vdot(s, mat @ s)))
                 expected = float(dist.get((code, y), 0.0))
@@ -286,7 +445,7 @@ class TestSymmetrize:
         sol, _ = solve_primal(p, CostFunction.average(2), mode="float")
         povm = build_from_primal(sol, p)
         sym = symmetrize(povm)
-        for key, mat in povm.items():
+        for key, mat in povm.elements.items():
             assert sym.elements[key] == pytest.approx(mat, abs=1e-12)
         assert sym.perp == pytest.approx(povm.perp, abs=1e-12)
 
@@ -308,6 +467,24 @@ class TestSymmetrize:
         after = verify_povm(sym, p)
         assert after.gamma_ok and after.symmetric_ok
         assert rho_eval(sym, p, cost) == pytest.approx(rho_before, abs=1e-10)
+
+    def test_missing_element_read_as_zero(self):
+        rng = random.Random(11)
+        p = random_phase_profile(2, rng)
+        cost = CostFunction.average(2)
+        sol, _ = solve_primal(p, cost, mode="float")
+        povm = build_from_primal(sol, p)
+        # drop one informative element, moving its mass to the leftover
+        key = next(k for k in povm.elements if k[0].k == 1)
+        povm.perp = povm.perp + povm.elements.pop(key)
+        before = verify_povm(povm, p)
+        assert before.gamma_ok and before.symmetric_ok is False
+        sym = symmetrize(povm)
+        assert key in sym.elements
+        after = verify_povm(sym, p)
+        assert after.gamma_ok and after.symmetric_ok
+        assert rho_eval(sym, p, cost) == pytest.approx(rho_eval(povm, p, cost),
+                                                       abs=1e-10)
 
     def test_rejects_invalid_input(self):
         p = uniform_amps(1)
@@ -348,3 +525,98 @@ class TestStateFamilyRank:
             for x in all_vectors(n)
         ])
         assert np.linalg.matrix_rank(gram, tol=1e-10) == 1 << n
+
+
+def seeded_sets(n):
+    """Four sets from one seeded n-bit optimum: the covariant optimum, one
+    element zeroed or removed with its mass moved to the leftover, and one
+    element perturbed off Hermitian."""
+    rng = random.Random(40 + n)
+    p = random_phase_profile(n, rng)
+    sol, _ = solve_primal(p, CostFunction.average(n), mode="float")
+    base = build_from_primal(sol, p)
+    key = next(iter(base.elements))
+
+    def copy():
+        return PovmSet(n, dict(base.elements), base.perp.copy(), p)
+
+    zeroed, missing, skewed = copy(), copy(), copy()
+    zeroed.elements[key] = np.zeros_like(base.elements[key])
+    zeroed.perp = zeroed.perp + base.elements[key]
+    missing.perp = missing.perp + missing.elements.pop(key)
+    noise = np.random.default_rng(n).normal(size=(2, 1 << n, 1 << n))
+    skewed.elements[key] = base.elements[key] + 1e-3 * (noise[0] + 1j * noise[1])
+    return {"optimum": base, "zeroed": zeroed, "missing": missing,
+            "non-hermitian": skewed}
+
+
+def float_bits(values):
+    return [(type(v), v.hex() if isinstance(v, float) else v) for v in values]
+
+
+def assert_same_sets(got, want):
+    assert list(got.elements) == list(want.elements)
+    for mat, ref in zip([*got.elements.values(), got.perp],
+                        [*want.elements.values(), want.perp]):
+        assert (mat.dtype, mat.shape) == (ref.dtype, ref.shape)
+        assert mat.tobytes() == ref.tobytes()
+
+
+SEEDED = [(n, label) for n in (1, 2, 3, 4)
+          for label in ("optimum", "zeroed", "missing", "non-hermitian")]
+
+
+class TestAuditsMatchLoops:
+    """The per-code batched audits reproduce the element-by-element loops
+    bit for bit."""
+
+    @pytest.mark.parametrize("n,label", SEEDED)
+    def test_verify_povm(self, n, label):
+        povm = seeded_sets(n)[label]
+        for check_symmetry in (True, False):
+            got = verify_povm(povm, povm.profile, check_symmetry=check_symmetry)
+            want = verify_povm_loops(povm, povm.profile,
+                                     check_symmetry=check_symmetry)
+            assert float_bits(got.to_json_dict().values()) == \
+                float_bits(want.to_json_dict().values())
+        assert verify_povm(povm, povm.profile).ok == (label == "optimum")
+
+    @pytest.mark.parametrize("n,label", SEEDED)
+    def test_rho_eval(self, n, label):
+        povm = seeded_sets(n)[label]
+        costs = [CostFunction.average(n), CostFunction.threshold(n, 1),
+                 CostFunction.custom(n, [Fraction(1, 2)] + [1] * n)]
+        for cost in costs:
+            assert float_bits([rho_eval(povm, povm.profile, cost)]) == \
+                float_bits([rho_eval_loops(povm, povm.profile, cost)])
+
+    @pytest.mark.parametrize("n,label", SEEDED)
+    def test_fourier_diag_check(self, n, label):
+        povm = seeded_sets(n)[label]
+        got = fourier_diag_check(povm)
+        assert float_bits(got.to_json_dict().values()) == \
+            float_bits(fourier_diag_check_loops(povm))
+
+    @pytest.mark.parametrize("n,label", SEEDED)
+    def test_symmetrize(self, n, label):
+        sets = seeded_sets(n)
+        povm = sets[label]
+        if label == "missing":
+            with pytest.raises(KeyError):
+                symmetrize_loops(povm)
+            # the loops agree once the missing element is an explicit zero
+            want = symmetrize_loops(sets["zeroed"])
+        else:
+            want = symmetrize_loops(povm)
+        assert_same_sets(symmetrize(povm, check_input=False), want)
+        if label == "non-hermitian":
+            with pytest.raises(ValueError):
+                symmetrize(povm)
+        else:
+            assert_same_sets(symmetrize(povm), want)
+
+    @pytest.mark.parametrize("n,label", SEEDED)
+    def test_covariance_against_shift_matrices(self, n, label):
+        povm = seeded_sets(n)[label]
+        assert verify_povm(povm, povm.profile).max_symmetry_dev == \
+            all_shifts_deviation(povm)

@@ -66,12 +66,12 @@ def _render(value):
 _ENCODER = json.JSONEncoder(indent=2, default=_render)
 
 
-def _matrix_json(m, level: int) -> str:
+def _matrix_json(m, level: int, table: dict) -> str:
     """A 2-D array as json writes its rows of {"re": ., "im": .} dicts at `level`.
 
-    The float tokens come from one C-encoder call on the distinct bit
-    patterns among the interleaved (re, im) values, so they are the tokens
-    json writes for each float, -0.0, NaN and Infinity included; the
+    `table` maps an int64 bit pattern to the token json writes for that
+    float, -0.0, NaN and Infinity included; the patterns it lacks among the
+    interleaved (re, im) values are added by one C-encoder call.  The
     separators are fixed per level.
     """
     if m.ndim != 2:
@@ -81,8 +81,11 @@ def _matrix_json(m, level: int) -> str:
     if m.size == 0:
         return _ENCODER.encode([[]] * rows).replace("\n", "\n" + "  " * level)
     bits, inverse = np.unique(m.view(np.int64).ravel(), return_inverse=True)
-    distinct = json.dumps(bits.view(float).tolist())[1:-1].split(", ")
-    tokens = np.array(distinct, dtype=object)[inverse].tolist()
+    bits = bits.tolist()
+    new = [b for b in bits if b not in table]
+    text = json.dumps(np.array(new, dtype=np.int64).view(float).tolist())
+    table.update(zip(new, text[1:-1].split(", ")))
+    tokens = np.array([table[b] for b in bits], dtype=object)[inverse].tolist()
     i0, i1, i2, i3 = ("\n" + "  " * (level + d) for d in range(4))
     opening = "{" + i3 + '"re": '
     closing = i2 + "}"
@@ -95,7 +98,7 @@ def _matrix_json(m, level: int) -> str:
     return "".join(parts)
 
 
-def _iter_json(obj, level: int):
+def _iter_json(obj, level: int, table: dict):
     """The text of `obj` at indent `level`, one piece per array-free subtree."""
     try:
         text = _ENCODER.encode(obj)
@@ -105,7 +108,7 @@ def _iter_json(obj, level: int):
         yield text.replace("\n", "\n" + "  " * level) if level else text
         return
     if isinstance(obj, np.ndarray):
-        yield _matrix_json(obj, level)
+        yield _matrix_json(obj, level, table)
         return
     inner = "\n" + "  " * (level + 1)
     if isinstance(obj, dict):
@@ -114,14 +117,14 @@ def _iter_json(obj, level: int):
             if not isinstance(key, str):
                 key = _ENCODER.encode(key)
             yield sep + _ENCODER.encode(key) + ": "
-            yield from _iter_json(value, level + 1)
+            yield from _iter_json(value, level + 1, table)
             sep = "," + inner
         yield "\n" + "  " * level + "}"
     else:
         sep = "[" + inner
         for value in obj:
             yield sep
-            yield from _iter_json(value, level + 1)
+            yield from _iter_json(value, level + 1, table)
             sep = "," + inner
         yield "\n" + "  " * level + "]"
 
@@ -131,9 +134,10 @@ def dump_json(obj, fh) -> None:
 
     Fractions are written as strings and each 2-D ndarray as its rows of
     {"re": real, "im": imag} dicts; subtrees without an array go through
-    one json encoder call each.
+    one json encoder call each; the arrays share one table of float tokens
+    keyed by bit pattern, so each distinct value is encoded once per call.
     """
-    fh.writelines(_iter_json(obj, 0))
+    fh.writelines(_iter_json(obj, 0, {}))
 
 
 def _config_dict(args) -> dict:
@@ -530,6 +534,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "n", 0) < 0:  # the --n of slpn and enumerate
+            raise ToolkitError("need n >= 0")
         return args.func(args)
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)

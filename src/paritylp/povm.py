@@ -7,8 +7,8 @@ complete once the leftover goes to the no-information element, keeps every
 wrong-outcome overlap exactly zero, and commutes with shifts up to the
 outcome relabeling y -> y + H.a.  All of that is re-checked numerically by
 ``verify_povm`` instead of being trusted.  The audits walk the set once per
-code, on the stack of that code's elements, and check covariance under all
-2^n shifts.
+code, on the stack of that code's elements, and check covariance on the n
+generators e_1..e_n of the shift group.
 """
 
 from __future__ import annotations
@@ -123,9 +123,9 @@ def build_from_primal(sol: PrimalSolution, profile: AmplitudeProfile) -> PovmSet
     for code in enumerate_all_codes(profile.n):
         if code.k == 0:
             continue
-        cos = code.cosets
+        # 2^(n-k) syndromes, without building the cosets of a code with no mass
         coeffs = [float(sol.mu_at(code, s)) / (1 << code.k)
-                  for s in range(cos.n_syndromes)]
+                  for s in range(1 << (profile.n - code.k))]
         if not any(coeffs):
             continue
         for y in range(1 << code.k):
@@ -181,11 +181,11 @@ def _zero_filled(code: ParityCode, ys, stack: np.ndarray) -> np.ndarray:
 
 def _covariance_dev(code: ParityCode, ys, stack: np.ndarray) -> float:
     """max |X_a F[(code, y)] X_a - F[(code, y + H.a)]| over the elements of
-    a stack and all 2^n shifts a, with a missing partner read as zero."""
+    a stack and the generators a = e_1..e_n, a missing partner read as zero."""
     full = _zero_filled(code, ys, stack)
     idx = np.arange(stack.shape[1])
     dev = 0.0
-    for a in range(len(idx)):
+    for a in (1 << j for j in range(code.n)):
         p = idx ^ a
         moved = stack[:, p[:, None], p]
         moved -= full[np.bitwise_xor(ys, code.parity(a))]
@@ -270,8 +270,9 @@ def verify_povm(povm: PovmSet, profile: AmplitudeProfile, *,
                 check_symmetry: bool = True) -> PovmVerification:
     """Numerically audit every defining property of the measurement set.
 
-    A missing element counts as zero, and covariance is checked under all
-    2^n shifts.
+    A missing element counts as zero.  Covariance is checked on the shift
+    generators e_1..e_n; max_symmetry_dev is n times their largest deviation,
+    which bounds the deviation under every one of the 2^n shifts.
     """
     n = povm.n
     size = 1 << n
@@ -295,7 +296,7 @@ def verify_povm(povm: PovmSet, profile: AmplitudeProfile, *,
             unambig = max(unambig, max(map(abs, overlaps)))
 
         if check_symmetry:
-            sym_dev = max(sym_dev, _covariance_dev(code, ys, stack))
+            sym_dev = max(sym_dev, n * _covariance_dev(code, ys, stack))
     complete = float(np.linalg.norm(total - np.eye(size)))
 
     gamma_ok = (

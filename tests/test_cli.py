@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -230,9 +231,31 @@ def written(obj) -> str:
     return fh.getvalue()
 
 
+def complex_of(re, im):
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
 SPECIAL = np.array([[-0.0, 5e-324, 1e300], [np.nan, np.inf, -np.inf]])
-MATRIX = SPECIAL.astype(complex)
-MATRIX.imag = SPECIAL[::-1, ::-1]
+MATRIX = complex_of(SPECIAL, SPECIAL[::-1, ::-1])
+# quiet, payload-carrying, negative and signalling NaNs: four bit patterns,
+# one token
+NANS = np.array([0x7FF8000000000000, 0x7FF8000000000001, -0x8000000000000,
+                 0x7FF0000000000001], dtype=np.int64).view(float).reshape(2, 2)
+PAYLOADS = complex_of(NANS, NANS[::-1])
+SIGNED = complex_of([[0.0, -0.0], [np.inf, -np.inf]], [[-0.0, 0.0], [-np.inf, np.inf]])
+
+
+def phased_profile(n: int, rng: random.Random) -> dict:
+    """Full-support amplitudes with random complex phases, as JSON."""
+    raw = [rng.uniform(0.05, 1.0) for _ in range(1 << n)]
+    total = math.fsum(raw)
+    amps = []
+    for w in raw:
+        r, phase = math.sqrt(w / total), rng.uniform(0.0, 2.0 * math.pi)
+        amps.append({"re": r * math.cos(phase), "im": r * math.sin(phase)})
+    return {"n": n, "amplitudes": amps}
 
 
 class TestWriter:
@@ -254,10 +277,42 @@ class TestWriter:
         {1: MATRIX, 2.5: [MATRIX], None: "x", False: 0},
         [],
         {},
+        # matrices at different nesting levels that share bit patterns, so
+        # later ones read their tokens from the table the earlier ones filled
+        [MATRIX, {"again": MATRIX, "deeper": [[MATRIX]]}],
+        {"m": MATRIX, "neg": [-MATRIX], "t": {"x": [MATRIX.T, -MATRIX.T]}},
+        [SIGNED, {"neg": -SIGNED, "real": SIGNED.real}, [[SIGNED.imag, -SIGNED]]],
+        {"a": PAYLOADS, "b": [PAYLOADS.T, NANS, {"c": -PAYLOADS, "d": MATRIX}]},
     ], ids=["scalars", "matrix", "matrices", "nested", "empty-arrays", "keys",
-            "list", "dict"])
+            "list", "dict", "same-twice", "negated-transposed", "signed-zeros-infs",
+            "nan-payloads"])
     def test_matches_json_dumps(self, obj):
         assert written(obj) == json.dumps(nested(obj), indent=2, default=_render)
+
+    def test_each_pattern_encoded_once(self, monkeypatch):
+        prof = AmplitudeProfile.from_json_dict(phased_profile(3, random.Random(3)))
+        sol, _ = lp.solve_primal(prof, CostFunction.average(3), "float")
+        report = povm.build_from_primal(sol, prof).to_json_dict()
+        report["extra"] = [MATRIX, {"t": -MATRIX.T}, SIGNED, PAYLOADS]
+        arrays = [e["matrix"] for e in report["elements"]] + \
+            [report["perp"], MATRIX, -MATRIX.T, SIGNED, PAYLOADS]
+        distinct = np.unique(np.concatenate(
+            [np.ascontiguousarray(a).view(np.int64).ravel() for a in arrays]))
+
+        encoded = []
+        dumps = json.dumps
+
+        def counting(obj, *args, **kwargs):
+            encoded.extend(obj)
+            return dumps(obj, *args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", counting)
+        text = written(report)
+        monkeypatch.undo()
+        assert text == json.dumps(nested(report), indent=2, default=_render)
+        # every distinct pattern of the report goes to the encoder, once
+        assert len(encoded) == len(distinct) < sum(a.size for a in arrays)
+        assert np.array_equal(np.sort(np.array(encoded).view(np.int64)), distinct)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.recursive(
@@ -280,7 +335,10 @@ class TestWriter:
          ["--assume-real-amplitudes"]),
         ({"n": 2, "amplitudes": [{"re": 0.5, "im": 0.0}, {"re": 0.0, "im": -0.5},
                                  {"re": -0.5, "im": 0.0}, {"re": 0.3, "im": 0.4}]}, []),
-    ], ids=["rational-n3", "complex-n2"])
+        # about a hundred 16 x 16 matrices whose values repeat across codes;
+        # a binary64 profile solves in float under either mode
+        (phased_profile(4, random.Random(1)), []),
+    ], ids=["rational-n3", "complex-n2", "phased-n4"])
     @pytest.mark.parametrize("mode", ["exact", "float"])
     def test_povm_report(self, tmp_path, capsys, profile, extra, mode):
         path = tmp_path / "p.json"
@@ -380,6 +438,10 @@ class TestSlpn:
         assert report["threshold"]["tau"] == 3
         assert report["threshold"]["rho_threshold"] <= report["threshold"]["ball_bound"] + 1e-9
 
+    def test_negative_n(self, capsys):
+        assert main(["slpn", "--n", "-1", "--t", "0.1"]) == 2
+        assert capsys.readouterr().err == "error: need n >= 0\n"
+
 
 class TestThreshold:
     def test_point_mass_zero(self, capsys, point_mass_file):
@@ -468,3 +530,9 @@ class TestEnumerate:
         code = main(["enumerate", "--n", "2", "--format", "table"])
         assert code == 0
         assert "H" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [[], ["--k", "0"]], ids=["all-ranks", "one-rank"])
+    def test_negative_n(self, capsys, argv):
+        assert main(["enumerate", "--n", "-1", *argv]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: need n >= 0\n")

@@ -11,8 +11,9 @@ import pytest
 from conftest import rand_rational_profile
 from paritylp.errors import ProfileError
 from paritylp.f2lin import F2Matrix, ParityCode, all_vectors, dot
-from paritylp.lp import solve_primal
+from paritylp.lp import PrimalSolution, solve_primal
 from paritylp.povm import (
+    POVM_MAX_N,
     PovmSet,
     PovmVerification,
     build_from_primal,
@@ -113,20 +114,24 @@ def verify_povm_loops(povm, profile, *, tol_hermitian=1e-12, tol_psd=1e-9,
                 s = states[x]
                 unambig = max(unambig, abs(complex(np.conj(s) @ (mat @ s))))
 
+    # covariance on the generators e_1..e_n, reported as n times the largest
+    # deviation: a bound on the deviation under every shift
     sym_dev = None
     if check_symmetry:
         sym_dev = 0.0
+        generators = [1 << j for j in range(n)]
         for (code, y), mat in povm.elements.items():
-            for a in all_vectors(n):
+            for a in generators:
                 partner = povm.elements.get((code, y ^ code.parity(a)))
                 moved = shifted(mat, a)
                 if partner is None:
                     sym_dev = max(sym_dev, float(np.max(np.abs(moved))))
                 else:
                     sym_dev = max(sym_dev, float(np.max(np.abs(moved - partner))))
-        for a in all_vectors(n):
+        for a in generators:
             moved = shifted(povm.perp, a)
             sym_dev = max(sym_dev, float(np.max(np.abs(moved - povm.perp))))
+        sym_dev = n * sym_dev
 
     gamma_ok = (
         herm <= tol_hermitian
@@ -173,16 +178,21 @@ def fourier_diag_check_loops(povm):
 def all_shifts_deviation(povm):
     """max |X_a F[(code, y)] X_a - F[(code, y + H.a)]| over every element,
     the leftover and every shift a, with X_a as a matrix; a missing partner
-    counts as zero."""
+    counts as zero.  X_a is real, so it acts on the real and imaginary parts
+    in turn, which halves the cost of the products."""
     n = povm.n
+    keyed = list(povm.elements) + [(ParityCode.bottom(n), 0)]
+    mats = np.stack([*povm.elements.values(), povm.perp])
+    lookup = dict(zip(keyed, mats))
+    re, im = mats.real.copy(), mats.imag.copy()
+    zero = np.zeros_like(povm.perp)
     dev = 0.0
-    keyed = list(povm.elements.items()) + [((ParityCode.bottom(n), 0), povm.perp)]
-    lookup = dict(keyed)
-    for (code, y), mat in keyed:
-        for a in all_vectors(n):
-            xa = shift_op(a, n)
-            partner = lookup.get((code, y ^ code.parity(a)), 0)
-            dev = max(dev, float(np.max(np.abs(xa @ mat @ xa - partner))))
+    for a in all_vectors(n):
+        xa = shift_op(a, n)
+        moved = xa @ re @ xa + 1j * (xa @ im @ xa)
+        partners = np.stack([lookup.get((code, y ^ code.parity(a)), zero)
+                             for code, y in keyed])
+        dev = max(dev, float(np.max(np.abs(moved - partners))))
     return dev
 
 
@@ -515,6 +525,33 @@ class TestFourierDiagCheck:
         assert report.max_coset_spread < 1e-10
 
 
+class TestOperatorCap:
+    def test_hand_built_set_at_cap(self):
+        # mu = min w on the full-rank code, the rest of each weight on the
+        # no-information outcome: a feasible point at n = POVM_MAX_N
+        n = POVM_MAX_N
+        p = random_phase_profile(n, random.Random(60))
+        w = p.weights_float
+        assert 0 < min(w) < max(w)
+        values = {("mu", ParityCode.full(n), 0): min(w)}
+        values.update({("mu", ParityCode.bottom(n), s): w[s] - min(w)
+                       for s in all_vectors(n)})
+        cost = CostFunction.average(n)
+        objective = float(cost.value(n)) * (1 << n) * min(w)
+        povm = build_from_primal(PrimalSolution.from_lp_values(p, values, objective), p)
+        assert len(povm.elements) == 1 << n
+
+        ver = verify_povm(povm, p)
+        assert ver.ok, ver.to_json_dict()
+        assert abs(rho_eval(povm, p, cost) - objective) <= 1e-9
+        assert max(fourier_diag_check(povm).to_json_dict().values()) <= 1e-9
+        assert all_shifts_deviation(povm) <= ver.max_symmetry_dev * (1 + 1e-12)
+
+    def test_above_cap_refused(self):
+        with pytest.raises(ValueError, match="capped"):
+            state_psi(uniform_amps(POVM_MAX_N + 1), 0)
+
+
 class TestStateFamilyRank:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_full_support_states_span_everything(self, n):
@@ -617,6 +654,7 @@ class TestAuditsMatchLoops:
 
     @pytest.mark.parametrize("n,label", SEEDED)
     def test_covariance_against_shift_matrices(self, n, label):
+        # the generator figure bounds the deviation under every shift
         povm = seeded_sets(n)[label]
-        assert verify_povm(povm, povm.profile).max_symmetry_dev == \
-            all_shifts_deviation(povm)
+        reported = verify_povm(povm, povm.profile).max_symmetry_dev
+        assert all_shifts_deviation(povm) <= reported * (1 + 1e-12)

@@ -57,6 +57,37 @@ def state_psi(profile: AmplitudeProfile, x: int) -> np.ndarray:
     return walsh_hadamard(profile.n) @ four
 
 
+def _coset_fourier(profile: AmplitudeProfile, code: ParityCode) -> tuple[np.ndarray, np.ndarray]:
+    """Fourier support and unsigned coefficients of a code's coset states.
+
+    Row s holds the coset of syndrome s as H^T.u ^ v_s over u = 0..2^k-1,
+    anchored at the coset leader v_s, and the matching 1/conj(amplitude);
+    every outcome y of the code shares both.
+    """
+    _check_n(profile.n)
+    amps = np.array(profile.require_amplitudes(), dtype=complex)
+    if not amps.all():
+        raise ProfileError(
+            "coset states need full dual support; apply perturb_full_support"
+        )
+    span = np.array([code.H.transpose_mul(u) for u in range(1 << code.k)])
+    idx = np.array(code.cosets.leaders_min)[:, None] ^ span
+    return idx, 1.0 / np.conj(amps[idx])
+
+
+def _coset_states(code: ParityCode, y: int, fourier, syndromes) -> list[np.ndarray]:
+    """A_s for each listed syndrome s: its coefficients signed by (-1)^(y.u)."""
+    idx, inv = fourier
+    signed = np.where(walsh_hadamard(code.k)[y] < 0, -inv, inv)
+    w = walsh_hadamard(code.n)
+    out = []
+    for s in syndromes:
+        four = np.zeros(len(w), dtype=complex)
+        four[idx[s]] = signed[s]
+        out.append(w @ four)
+    return out
+
+
 def coset_basis(profile: AmplitudeProfile, code: ParityCode, y: int) -> list[np.ndarray]:
     """The per-syndrome states orthogonal to every wrong-outcome family member.
 
@@ -64,27 +95,8 @@ def coset_basis(profile: AmplitudeProfile, code: ParityCode, y: int) -> list[np.
     on the coset of syndrome s, anchored at the coset leader.  Distinct
     syndromes have disjoint Fourier support, so the list is orthogonal.
     """
-    _check_n(profile.n)
-    amps = profile.require_amplitudes()
-    if any(a == 0 for a in amps):
-        raise ProfileError(
-            "coset states need full dual support; apply perturb_full_support"
-        )
-    size = 1 << profile.n
-    w = walsh_hadamard(profile.n)
-    cos = code.cosets
-    out = []
-    for s in range(cos.n_syndromes):
-        v_s = cos.leader_min(s)
-        four = np.zeros(size, dtype=complex)
-        for u in range(1 << code.k):
-            idx = code.H.transpose_mul(u) ^ v_s
-            coeff = 1.0 / np.conj(amps[idx])
-            if dot(y, u):
-                coeff = -coeff
-            four[idx] = coeff
-        out.append(w @ four)
-    return out
+    fourier = _coset_fourier(profile, code)
+    return _coset_states(code, y, fourier, range(len(fourier[0])))
 
 
 @dataclass
@@ -128,12 +140,12 @@ def build_from_primal(sol: PrimalSolution, profile: AmplitudeProfile) -> PovmSet
                   for s in range(1 << (profile.n - code.k))]
         if not any(coeffs):
             continue
+        fourier = _coset_fourier(profile, code)
+        carried = [s for s, c in enumerate(coeffs) if c]
         for y in range(1 << code.k):
-            basis = coset_basis(profile, code, y)
             mat = np.zeros((size, size), dtype=complex)
-            for c, vec in zip(coeffs, basis):
-                if c:
-                    mat += c * np.outer(vec, np.conj(vec))
+            for s, vec in zip(carried, _coset_states(code, y, fourier, carried)):
+                mat += coeffs[s] * np.outer(vec, np.conj(vec))
             elements[(code, y)] = mat
     total = sum(elements.values(), np.zeros((size, size), dtype=complex))
     perp = np.eye(size, dtype=complex) - total

@@ -4,7 +4,8 @@ Three mutually checking routes: the exact outcome law (the measured code
 comes up with probability sum_i lambda_i w_i and always reports y = H.x),
 a seeded ancestral sampler, and a state-vector oracle that materializes the
 closed-form post-processing state and reads the distribution off its
-register amplitudes.
+register amplitudes.  The sampler draws its histogram as per-index
+multinomials, so its cost does not grow with the number of shots.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .profiles import AmplitudeProfile
 
 STATEVECTOR_MAX_N = 8
 DISTRIBUTION_TOL = 1e-10
-SAMPLE_CHUNK = 1 << 15
+SHOTS_LIMIT = 1 << 63
 
 
 def exact_distribution(sol: PrimalSolution, profile: AmplitudeProfile,
@@ -63,47 +64,43 @@ class OutcomeRecord:
 
 
 def sample(sol: PrimalSolution, profile: AmplitudeProfile, x: int,
-           shots: int, seed: int, chunk_size: int = SAMPLE_CHUNK) -> list[OutcomeRecord]:
-    """Ancestral sampling: draw i from the weights, then a code from lambda_i.
+           shots: int, seed: int) -> list[OutcomeRecord]:
+    """Ancestral sampling in bulk: i from the weights, then a code from lambda_i.
 
-    Shots are processed in fixed-size chunks whose generators come from
-    spawned seed children, so the result is identical no matter how the
-    chunks are scheduled.  Within a chunk each shot's code is the first
-    one whose cumulative lambda reaches its uniform draw, found by binary
-    search on its index's row.  Returns the aggregated histogram,
-    deterministic given (solution, x, shots, seed).
+    The aggregated histogram of `shots` such draws is drawn straight from
+    its law with one generator: first the per-index counts m as one
+    multinomial over the support (in support order), then for each index
+    with m_i > 0 a multinomial of m_i shots over the codes its lambda row
+    gives mass to.  The cost is O(|support| * |codes|) whatever `shots`
+    is, a code with zero probability always gets count 0, and the
+    result is deterministic given (solution, x, shots, seed).
     """
-    if shots < 1:
-        raise ValueError("need at least one shot")
+    if not 1 <= shots < SHOTS_LIMIT:
+        raise ValueError("need 1 <= shots < 2**63")
     support = list(profile.support)
     weights = np.array([profile.weights_float[i] for i in support])
     weights = weights / weights.sum()
     codes = enumerate_all_codes(profile.n)
+    rows = {i: row for row, i in enumerate(support)}
+    cols = {code: col for col, code in enumerate(codes)}
     lam = np.zeros((len(support), len(codes)))
-    for row, i in enumerate(support):
-        for col, code in enumerate(codes):
-            lam[row, col] = float(sol.lam_at(code, i))
+    for (code, i), v in sol.lam.items():
+        if i in rows:
+            lam[rows[i], cols[code]] = float(v)
     if np.any(lam < 0):
         raise ValueError("lambda entries must be nonnegative")
     row_sums = lam.sum(axis=1)
     if np.max(np.abs(row_sums - 1.0)) > 1e-9:
         raise ValueError("lambda rows must sum to 1 on the support")
-    cum = np.cumsum(lam / row_sums[:, None], axis=1)
 
-    n_chunks = (shots + chunk_size - 1) // chunk_size
-    children = np.random.SeedSequence(seed).spawn(n_chunks)
+    rng = np.random.default_rng(seed)
     counts = np.zeros(len(codes), dtype=np.int64)
-    done = 0
-    for child in children:
-        take = min(chunk_size, shots - done)
-        rng = np.random.default_rng(child)
-        rows = rng.choice(len(support), size=take, p=weights)
-        u = rng.random(take)
-        for r in range(len(support)):
-            picked = np.searchsorted(cum[r], u[rows == r], side="left")
-            counts += np.bincount(np.minimum(picked, len(codes) - 1),
-                                  minlength=len(codes))
-        done += take
+    for row, m in enumerate(rng.multinomial(shots, weights)):
+        if m:
+            # only the row's nonzero cells: numpy hands the last cell the
+            # leftover shots, which must not land on a zero-probability code
+            cells = np.flatnonzero(lam[row])
+            counts[cells] += rng.multinomial(m, lam[row, cells] / row_sums[row])
 
     records = [OutcomeRecord(code, code.parity(x), int(c), int(c) / shots)
                for code, c in zip(codes, counts) if c]

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -400,6 +401,23 @@ class TestSimulate:
         ])
         assert code == 0
         assert report["audits"]["statevector_consistent"]
+
+    @pytest.mark.parametrize("shots", ["0", "-1", str(1 << 63)])
+    def test_shots_out_of_range(self, capsys, profile_file, shots):
+        code = main(["simulate", "--profile", profile_file, "--x", "01",
+                     "--shots", shots, "--seed", "1"])
+        assert code == 2
+        assert "need 1 <= shots < 2**63" in capsys.readouterr().err
+
+    def test_cost_independent_of_shots(self, capsys, profile_file):
+        start = time.perf_counter()
+        code, report = run_json(capsys, [
+            "simulate", "--profile", profile_file, "--x", "01",
+            "--shots", str(10**12), "--seed", "1",
+        ])
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert sum(r["count"] for r in report["histogram"]) == 10**12
 
     def test_seed_required(self, capsys, profile_file):
         with pytest.raises(SystemExit):

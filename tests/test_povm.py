@@ -10,7 +10,7 @@ import pytest
 
 from conftest import rand_rational_profile
 from paritylp.errors import ProfileError
-from paritylp.f2lin import F2Matrix, ParityCode, all_vectors, dot
+from paritylp.f2lin import F2Matrix, ParityCode, all_vectors, dot, enumerate_all_codes
 from paritylp.lp import PrimalSolution, solve_primal
 from paritylp.povm import (
     POVM_MAX_N,
@@ -48,6 +48,40 @@ def shifted(m, a):
     """X_a m X_a with X_a = shift_op(a, n), by permuting rows and columns."""
     p = np.arange(len(m)) ^ a
     return m[np.ix_(p, p)]
+
+
+def coset_basis_loops(profile, code, y):
+    """A_s for every syndrome, coefficient by coefficient over the coset."""
+    amps = profile.require_amplitudes()
+    w = walsh_hadamard(profile.n)
+    out = []
+    for s in range(code.cosets.n_syndromes):
+        four = np.zeros(1 << profile.n, dtype=complex)
+        for u in range(1 << code.k):
+            idx = code.H.transpose_mul(u) ^ code.cosets.leader_min(s)
+            coeff = 1.0 / np.conj(amps[idx])
+            four[idx] = -coeff if dot(y, u) else coeff
+        out.append(w @ four)
+    return out
+
+
+def build_from_primal_loops(sol, profile):
+    """One coset basis per outcome, summed syndrome by syndrome."""
+    size = 1 << profile.n
+    elements = {}
+    for code in enumerate_all_codes(profile.n):
+        coeffs = [float(sol.mu_at(code, s)) / (1 << code.k)
+                  for s in range(1 << (profile.n - code.k))]
+        if code.k == 0 or not any(coeffs):
+            continue
+        for y in range(1 << code.k):
+            mat = np.zeros((size, size), dtype=complex)
+            for c, vec in zip(coeffs, coset_basis_loops(profile, code, y)):
+                if c:
+                    mat += c * np.outer(vec, np.conj(vec))
+            elements[(code, y)] = mat
+    total = sum(elements.values(), np.zeros((size, size), dtype=complex))
+    return PovmSet(profile.n, elements, np.eye(size, dtype=complex) - total, profile)
 
 
 def rho_eval_loops(povm, profile, cost):
@@ -333,6 +367,19 @@ class TestCosetBasis:
         with pytest.raises(ProfileError):
             coset_basis(p, ParityCode.full(1), 0)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("phases", ["phased", "real"])
+    def test_matches_loops(self, n, phases):
+        # bit for bit, signed zeros of real-amplitude profiles included
+        rng = random.Random(60 + n)
+        p = random_phase_profile(n, rng)
+        if phases == "real":
+            p = rand_rational_profile(n, rng).with_real_amplitudes()
+        for code in enumerate_all_codes(n):
+            for y in range(1 << code.k):
+                got, want = coset_basis(p, code, y), coset_basis_loops(p, code, y)
+                assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+
 
 class TestBuildFromPrimal:
     def test_n1_uniform_full_recovery(self):
@@ -418,6 +465,17 @@ class TestBuildFromPrimal:
                 got = float(np.real(np.vdot(s, mat @ s)))
                 expected = float(dist.get((code, y), 0.0))
                 assert got == pytest.approx(expected, abs=1e-10)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("phases", ["phased", "real"])
+    def test_matches_loops(self, n, phases):
+        rng = random.Random(70 + n)
+        p = random_phase_profile(n, rng)
+        if phases == "real":
+            p = rand_rational_profile(n, rng).with_real_amplitudes()
+        for cost in (CostFunction.average(n), CostFunction.threshold(n, 1)):
+            sol, _ = solve_primal(p, cost, mode="float")
+            assert_same_sets(build_from_primal(sol, p), build_from_primal_loops(sol, p))
 
     def test_threshold_cost_solution(self):
         rng = random.Random(9)

@@ -12,12 +12,7 @@ from conftest import ball_profile, rand_rational_profile
 from paritylp.f2lin import ParityCode, all_vectors, enumerate_all_codes
 from paritylp.lp import PrimalSolution, solve_primal
 from paritylp.profiles import AmplitudeProfile, CostFunction, bernoulli_profile
-from paritylp.simulate import (
-    SAMPLE_CHUNK,
-    exact_distribution,
-    sample,
-    statevector_check,
-)
+from paritylp.simulate import exact_distribution, sample, statevector_check
 
 
 def uniform(n):
@@ -31,27 +26,27 @@ def bottom_only_solution(p):
     return PrimalSolution.from_lp_values(p, values, Fraction(0))
 
 
-def broadcast_compare_counts(sol, p, shots, seed, chunk_size=SAMPLE_CHUNK):
-    """Per-code counts by the sampler's earlier rule: a shot takes the
-    number of cumulative-lambda entries below its draw, from one
-    shots x codes comparison per chunk."""
+def broadcast_compare_counts(sol, p, shots, seed):
+    """Per-code counts from `shots` separate ancestral draws: a shot draws
+    its index from the weights and takes the number of cumulative-lambda
+    entries of that index below a uniform draw, from one shots x codes
+    comparison per chunk."""
     support = list(p.support)
     weights = np.array([p.weights_float[i] for i in support])
     weights = weights / weights.sum()
     codes = enumerate_all_codes(p.n)
     lam = np.array([[float(sol.lam_at(c, i)) for c in codes] for i in support])
     cum = np.cumsum(lam / lam.sum(axis=1)[:, None], axis=1)
+    rng = np.random.default_rng(seed)
+    chunk = 1 << 15
     counts = {}
-    done = 0
-    for child in np.random.SeedSequence(seed).spawn(-(-shots // chunk_size)):
-        take = min(chunk_size, shots - done)
-        rng = np.random.default_rng(child)
+    for done in range(0, shots, chunk):
+        take = min(chunk, shots - done)
         rows = rng.choice(len(support), size=take, p=weights)
         u = rng.random(take)
         picked = np.minimum((cum[rows] < u[:, None]).sum(axis=1), len(codes) - 1)
         for col, c in zip(*np.unique(picked, return_counts=True)):
             counts[codes[col]] = counts.get(codes[col], 0) + int(c)
-        done += take
     return counts
 
 
@@ -149,8 +144,9 @@ class TestSample:
         (4, 50, "ball", "average"),
     ])
     def test_matches_broadcast_compare(self, n, seed, mode, cost):
-        # two full chunks and a partial one of 17 shots
-        shots = 2 * SAMPLE_CHUNK + 17
+        # the bulk histogram and the per-shot oracle each sit within
+        # 6 sigma + 1 of shots * p in every cell of the exact law
+        shots = 200000
         rng = random.Random(seed)
         if mode == "ball":
             p, mode = ball_profile(n, 2, rng), "exact"
@@ -159,13 +155,38 @@ class TestSample:
         c = CostFunction.average(n) if cost == "average" else CostFunction.threshold(n, 2)
         sol, _ = solve_primal(p, c, mode)
         x = rng.randrange(1 << n)
-        got = {r.code: (r.y, r.count, r.frequency) for r in sample(sol, p, x, shots, seed)}
-        want = broadcast_compare_counts(sol, p, shots, seed)
-        assert got == {code: (code.parity(x), cnt, cnt / shots)
-                       for code, cnt in want.items()}
+        probs = {code: float(v) for (code, _), v in exact_distribution(sol, p, x).items()}
+        assert sum(v > 0 for v in probs.values()) > 1
+        records = sample(sol, p, x, shots, seed)
+        assert all(r.y == r.code.parity(x) and r.frequency == r.count / shots
+                   for r in records)
+        got = {r.code: r.count for r in records}
+        assert all(probs.get(code, 0.0) > 0 for code in got)
+        for counts in (got, broadcast_compare_counts(sol, p, shots, seed)):
+            assert sum(counts.values()) == shots
+            for code in enumerate_all_codes(n):
+                prob = probs.get(code, 0.0)
+                sigma = math.sqrt(shots * prob * (1 - prob))
+                assert abs(counts.get(code, 0) - shots * prob) <= 6 * sigma + 1
+        assert sample(sol, p, x, shots, seed) == records
+        assert sample(sol, p, x, shots, seed + 1) != records
+
+    def test_zero_probability_code_never_drawn(self):
+        # a row's float probabilities need not add to exactly 1; at 2^62
+        # shots the rounding leftover must still not reach the full-rank
+        # code, whose lambda is 0 on every index
+        p = uniform(2)
+        codes = enumerate_all_codes(2)
+        row = [Fraction(19, 79), Fraction(27, 79), Fraction(15, 79), Fraction(18, 79), 0]
+        lam = {(code, i): v for i in range(4) for code, v in zip(codes, row)}
+        sol = PrimalSolution(2, {}, lam, Fraction(0))
+        for seed in range(4):
+            records = sample(sol, p, 0, 1 << 62, seed)
+            assert sum(r.count for r in records) == 1 << 62
+            assert ParityCode.full(2) not in {r.code for r in records}
 
     def test_negative_lambda_rejected(self):
-        # rows sum to 1, but binary search needs a nondecreasing CDF
+        # rows sum to 1, but a multinomial needs nonnegative probabilities
         p = uniform(1)
         bottom, full = ParityCode.bottom(1), ParityCode.full(1)
         lam = {(bottom, 0): -0.5, (full, 0): 1.5, (bottom, 1): 0.0, (full, 1): 1.0}

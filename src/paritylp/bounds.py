@@ -122,8 +122,8 @@ def dual_threshold_ball(n: int, d: int, gamma: float,
         n, b, family="threshold_ball",
         params={"d": d, "gamma": gamma, "tau": tau, "constant": constant},
     )
-    audit = check_dual_feasible(sol, CostFunction.threshold(n, tau))
-    if not audit.feasible:
+    sol.audit = check_dual_feasible(sol, CostFunction.threshold(n, tau))
+    if not sol.audit.feasible:
         raise FamilyError("ball dual solution failed its feasibility audit")
     return sol
 

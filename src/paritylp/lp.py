@@ -14,7 +14,10 @@ records the mode that ran, and everything downstream is plain arithmetic
 on the values it returns.  Every solve of a profile goes through the
 primal, which has one row per supported index; the dual is read off the
 same optimal basis, as the row multipliers divided by the weights, with an
-explicit covering value on the zero-weight indices.
+explicit covering value on the zero-weight indices.  The primal carries
+its columns (each variable's member rows, row i scaled by 1 / w_i), which
+`solve` hands to the simplex as they are; any other model is brought to
+columns from its rows.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import chain
 from numbers import Rational
+
+import numpy as np
 
 from . import simplex
 from .errors import BudgetError, SolveError
@@ -53,6 +58,9 @@ class LpModel:
     labels: list
     objective: list
     constraints: list[Constraint]
+    # The matrix by columns, from a builder whose rows are all equalities with
+    # nonnegative right-hand sides; when None, solve derives it from the rows.
+    columns: simplex.Columns | None = None
 
     @property
     def n_vars(self) -> int:
@@ -124,24 +132,29 @@ def build_primal(profile: AmplitudeProfile, cost: CostFunction) -> LpModel:
     Variables mu[(code, s)] >= 0 exist only for cosets inside the support;
     a coset touching a zero-weight index is pinned to zero by omission.  One
     equality per supported index i: sum over codes of mu[(code, s(i))] / w_i
-    equals 1.
+    equals 1.  The model carries its columns: row i is (1 / w_i) times the
+    0/1 incidence of the cosets that hold i.
     """
     check_budget(profile.n)
-    inv = {i: 1 / profile.weights[i] for i in profile.support}
-    rows: dict = {i: {} for i in inv}
-    labels: list = []
-    objective: list = []
+    row_of = {i: r for r, i in enumerate(profile.support)}
+    inv = [1 / profile.weights[i] for i in row_of]
+    coeffs: list = [{} for _ in inv]
+    labels, objective, flat, lens = [], [], [], []
     for code in enumerate_all_codes(profile.n):
         scale = cost.value(code.k) * (1 << code.k)
         for s, members in enumerate(code.cosets.members):
-            if all(i in inv for i in members):
-                for i in members:
-                    rows[i][len(labels)] = inv[i]
+            rows = [row_of.get(i) for i in members]
+            if None not in rows:
+                for r in rows:
+                    coeffs[r][len(labels)] = inv[r]
+                flat += rows
+                lens.append(len(rows))
                 labels.append(("mu", code, s))
                 objective.append(scale)
-    constraints = [Constraint(coeffs, "=", 1, tag=("index", i))
-                   for i, coeffs in rows.items()]
-    return LpModel("primal", "max", labels, objective, constraints)
+    constraints = [Constraint(co, "=", 1, tag=("index", i)) for co, i in zip(coeffs, row_of)]
+    columns = simplex.Columns(np.array(flat, dtype=np.intp), np.repeat(np.arange(len(lens)), lens),
+                              np.ones(len(flat), dtype=np.int64), inv)
+    return LpModel("primal", "max", labels, objective, constraints, columns)
 
 
 def build_dual(profile: AmplitudeProfile, cost: CostFunction) -> LpModel:
@@ -173,54 +186,47 @@ def solve(model: LpModel, mode: str = EXACT) -> SolveReport:
     if mode not in (EXACT, FLOAT):
         raise SolveError(f"unknown mode {mode!r}")
     start = time.perf_counter()
-    entries = chain(model.objective,
-                    *(chain(con.coeffs.values(), (con.rhs,)) for con in model.constraints))
+    a = model.columns
+    coefs = a.scale if a else chain.from_iterable(c.coeffs.values() for c in model.constraints)
+    entries = chain(model.objective, coefs, (con.rhs for con in model.constraints))
     exact = mode == EXACT and all(isinstance(v, Rational) for v in entries)
     # The type of b and c selects the arithmetic of simplex_min.
     num = Fraction if exact else float
-
-    nv = model.n_vars
-    slack_count = sum(1 for c in model.constraints if c.rel != "=")
-    total = nv + slack_count
-    rows = []
-    rhs = []
-    seeds: list[int | None] = []
-    flips = []
-    slack_at = nv
-    for con in model.constraints:
-        row = [0] * total
-        for j, coef in con.coeffs.items():
-            row[j] = coef
-        r = num(con.rhs)
-        slack_col = None
-        if con.rel in (">=", "<="):
-            slack_col = slack_at
-            row[slack_col] = -1 if con.rel == ">=" else 1
-            slack_at += 1
-        elif con.rel != "=":
-            raise SolveError(f"unknown relation {con.rel!r}")
-        flip = -1 if r < 0 else 1
-        if flip < 0:
-            row = [-v for v in row]
-            r = -r
-        seed = slack_col if slack_col is not None and row[slack_col] == 1 else None
-        rows.append(row)
-        rhs.append(r)
-        seeds.append(seed)
-        flips.append(flip)
+    rhs = [num(con.rhs) for con in model.constraints]
+    flips = [-1 if r < 0 else 1 for r in rhs]
+    a, seeds = (a, None) if a else _columns(model, flips)
 
     sense_flip = -1 if model.sense == "max" else 1
-    c = [sense_flip * num(v) for v in model.objective] + [num(0)] * slack_count
-    result = simplex.simplex_min(rows, rhs, c, basis_seed=seeds)
+    slack_count = sum(1 for c in model.constraints if c.rel != "=")
+    c = [-num(v) if sense_flip < 0 else num(v) for v in model.objective] + [num(0)] * slack_count
+    result = simplex.simplex_min(a, [f * r for f, r in zip(flips, rhs)], c, basis_seed=seeds)
     elapsed = time.perf_counter() - start
     mode = EXACT if exact else FLOAT
     if result.status != simplex.OPTIMAL:
         return SolveReport(result.status, None, None, mode, result.pivots,
                            elapsed, result.strategy)
-    values = dict(zip(model.labels, result.x[:nv]))
+    values = dict(zip(model.labels, result.x[:model.n_vars]))
     duals = [sense_flip * f * y for f, y in zip(flips, result.y)]
     return SolveReport("optimal", sense_flip * result.objective, values, mode,
                        result.pivots, elapsed, result.strategy, duals)
+
+
+def _columns(model: LpModel, flips: list) -> tuple[simplex.Columns, list]:
+    """The rows of a model by columns, each times its flip, with a slack column
+    per inequality; and the basis seeds: the slacks that enter with +1."""
+    entries, seeds = [], []
+    slack_at = model.n_vars
+    for i, (con, flip) in enumerate(zip(model.constraints, flips)):
+        sign = {"=": 0, ">=": -1, "<=": 1}.get(con.rel)
+        if sign is None:
+            raise SolveError(f"unknown relation {con.rel!r}")
+        row = list(con.coeffs.items()) + [(slack_at, sign)] * abs(sign)
+        seeds.append(slack_at if sign == flip else None)
+        slack_at += abs(sign)
+        entries += [(j, i, flip * v) for j, v in row]
+    cols, rows, coef = zip(*sorted(entries, key=lambda e: e[0])) if entries else ((),) * 3
+    return simplex.Columns(np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
+                           np.array(coef, dtype=object), [1] * len(flips)), seeds
 
 
 @dataclass
@@ -243,11 +249,13 @@ class PrimalSolution:
                        objective) -> PrimalSolution:
         mu: dict = {}
         lam: dict = {}
-        for label, v in values.items():
-            _, code, s = label
+        for (_, code, s), v in values.items():
             mu[(code, s)] = v
-            for i in code.cosets.members_of(s):
-                lam[(code, i)] = v / profile.weights[i]
+            members = code.cosets.members_of(s)
+            # 0 / w is one value for every w > 0: a zero level divides once.
+            q = v or v / profile.weights[members[0]]
+            for i in members:
+                lam[(code, i)] = v / profile.weights[i] if v else q
         bottom = ParityCode.bottom(profile.n)
         zero = objective * 0
         for i in profile.zero_set:
@@ -275,6 +283,8 @@ class DualSolution:
     objective: object | None = None
     family: str | None = None
     params: dict = field(default_factory=dict)
+    # The report of a family that audits itself, against the cost it is for.
+    audit: FeasibilityReport | None = None
 
     def b_at(self, i: int):
         return self.b.get(i, 0)
@@ -298,7 +308,7 @@ def solve_pair(profile: AmplitudeProfile, cost: CostFunction, mode: str = EXACT
     """Optimal primal and dual solutions from one solve of the primal.
 
     Row i of the primal reads sum mu / w_i = 1, so its multiplier u_i gives
-    b_i = u_i / w_i, with 1 / w_i the row's coefficient as solved, and
+    b_i = u_i / w_i, with 1 / w_i the row's scale in the model's columns, and
     sum b_i w_i = sum u_i is the primal optimum.  An index of weight zero
     carries no row; it gets max_k cost(k) 2^k, which covers by itself every
     coset it lies in.  In float mode a b_i within FLOAT_FEAS_TOL below zero
@@ -309,8 +319,7 @@ def solve_pair(profile: AmplitudeProfile, cost: CostFunction, mode: str = EXACT
     if report.status != "optimal":
         raise SolveError(f"primal solve ended with status {report.status}")
     primal = PrimalSolution.from_lp_values(profile, report.values, report.objective)
-    b = {con.tag[1]: u * next(iter(con.coeffs.values()))
-         for con, u in zip(model.constraints, report.duals)}
+    b = {i: u * g for i, u, g in zip(profile.support, report.duals, model.columns.scale)}
     if report.mode != EXACT:
         # As simplex_min does for levels: rounding residue below zero reads 0.
         b = {i: 0.0 if -FLOAT_FEAS_TOL <= v < 0 else v for i, v in b.items()}
@@ -415,20 +424,19 @@ def check_dual_feasible(sol: DualSolution, cost: CostFunction,
     max_v = 0
     checked = 0
 
-    for i in all_vectors(sol.n):
+    b = [sol.b_at(i) for i in all_vectors(sol.n)]
+    for i, v in enumerate(b):
         checked += 1
-        if sol.b_at(i) < -tol:
+        if v < -tol:
             violations.append(
-                {"constraint": f"b[{vec_str(i, sol.n)}] >= 0",
-                 "violation": float(-sol.b_at(i))}
+                {"constraint": f"b[{vec_str(i, sol.n)}] >= 0", "violation": float(-v)}
             )
-            max_v = max(max_v, -sol.b_at(i))
+            max_v = max(max_v, -v)
 
     for code in enumerate_all_codes(sol.n):
-        cos = code.cosets
         rhs = cost.value(code.k) * (1 << code.k)
-        for s in range(cos.n_syndromes):
-            total = sum(sol.b_at(i) for i in cos.members_of(s))
+        for s, members in enumerate(code.cosets.members):
+            total = sum(map(b.__getitem__, members))
             slack = total - rhs
             slacks[(code, s)] = slack
             checked += 1

@@ -1,20 +1,24 @@
-"""Dense two-phase simplex: a float basis, an exact certificate, an exact fallback.
+"""Two-phase simplex on columns: a float basis, an integer certificate, an exact fallback.
 
 Solves   min c.x   s.t.   A x = b,  x >= 0,  with b >= 0,
-over exact rationals or binary64 floats; the entry type of b and c decides
-which.  Every pivot loop prices the same way: the most negative reduced
-cost enters until STALL_LIMIT consecutive degenerate pivots, then the
-lowest eligible index (Bland's rule, which cannot cycle); the leaving row
-is the minimum ratio, ties going to the lowest basis index.
+over `Fraction`s or binary64 floats; the entry type of b and c decides
+which.  A comes by columns, as A = diag(scale) M (`Columns`; for a
+profile's primal, M is the 0/1 coset incidence).  Every pivot loop prices
+the same way: the most negative reduced cost enters until STALL_LIMIT
+consecutive degenerate pivots, then the lowest eligible index (Bland's
+rule, which cannot cycle); the leaving row is the minimum ratio, ties
+going to the lowest basis index.
 
-Float data is solved on a binary64 numpy tableau alone.  On exact data that
-tableau only proposes a basis B: the solution x_B = B⁻¹b and the row
-multipliers y = B⁻ᵀc_B are recomputed over `Fraction`, and the basis is
-accepted when x_B >= 0 and c - Aᵀy >= 0 hold exactly (Applegate, Cook,
-Dash & Espinoza, Oper. Res. Lett. 2007).  Otherwise the same pivot loop
-runs again from scratch on a tableau of `Fraction` objects with no
-tolerance; it terminates on every input and gives exact infeasible and
-unbounded verdicts.
+Float data is solved on a binary64 numpy tableau alone, filled by one
+scatter.  On exact data that tableau only proposes a basis B: M_B x_B =
+b / scale and M_Bᵀ y' = c_B are solved by integer elimination, and B is
+accepted when x_B >= 0 and each reduced cost c_j - (Mᵀy')_j, read over
+the common denominator of y' (an integer sum when M is integer), is >= 0
+(Applegate, Cook, Dash & Espinoza, Oper. Res. Lett. 2007); then the
+multipliers are y = y' / scale.  Otherwise the same pivot loop runs again
+from scratch on a tableau of `Fraction` objects with no tolerance; it
+terminates on every input and gives exact infeasible and unbounded
+verdicts.
 """
 
 from __future__ import annotations
@@ -45,6 +49,16 @@ FLOAT_TOL = 1e-9
 STALL_LIMIT = 30
 
 
+@dataclass(frozen=True)
+class Columns:
+    """A = diag(scale) M by the nonzeros of M: M[rows[e], cols[e]] = coef[e]."""
+
+    rows: np.ndarray
+    cols: np.ndarray  # nondecreasing
+    coef: np.ndarray
+    scale: list
+
+
 @dataclass
 class StandardResult:
     status: str
@@ -56,11 +70,11 @@ class StandardResult:
     strategy: str = FLOAT
 
 
-def simplex_min(a_rows, b, c, *, basis_seed=None) -> StandardResult:
+def simplex_min(a: Columns, b, c, *, basis_seed=None) -> StandardResult:
     """Two-phase simplex for min c.x, A x = b (b >= 0), x >= 0.
 
     Args:
-        a_rows: list of dense rows, each of length len(c).
+        a: the len(b) x len(c) matrix A in column form.
         b: nonnegative right-hand sides.
         c: objective coefficients.
         basis_seed: optional per-row column index whose column is the r-th
@@ -73,7 +87,7 @@ def simplex_min(a_rows, b, c, *, basis_seed=None) -> StandardResult:
         A float run that reaches its pivot limit ends "iteration-limit".
         Float levels within FLOAT_TOL below zero are reported as 0, so x >= 0.
     """
-    seeds = list(basis_seed) if basis_seed else [None] * len(a_rows)
+    seeds = list(basis_seed) if basis_seed else [None] * len(b)
     unit_cols, art_rows = [], []
     for i, col in enumerate(seeds):
         if col is None:
@@ -82,16 +96,14 @@ def simplex_min(a_rows, b, c, *, basis_seed=None) -> StandardResult:
         unit_cols.append(col)
     exact = all(isinstance(v, Rational) for v in chain(b, c))
 
-    status, basis, t, pivots = _two_phase(a_rows, b, c, unit_cols, art_rows, False)
+    status, basis, t, pivots = _two_phase(a, b, c, unit_cols, art_rows, False)
     strategy, solution = FLOAT, None
     if exact:
-        b = [Fraction(v) for v in b]
-        c = [Fraction(v) for v in c]
         strategy = CERTIFIED
         if status == OPTIMAL:
-            solution = _certify(a_rows, b, c, basis, art_rows)
+            solution = _certify(a, b, c, basis, art_rows)
         if solution is None:
-            status, basis, t, more = _two_phase(a_rows, b, c, unit_cols, art_rows, True)
+            status, basis, t, more = _two_phase(a, b, c, unit_cols, art_rows, True)
             pivots += more
             strategy = EXACT_PIVOTS
     if status != OPTIMAL:
@@ -117,7 +129,7 @@ def simplex_min(a_rows, b, c, *, basis_seed=None) -> StandardResult:
     return StandardResult(OPTIMAL, objective, x, pivots, y, strategy)
 
 
-def _two_phase(a_rows, b, c, unit_cols, art_rows, exact):
+def _two_phase(a, b, c, unit_cols, art_rows, exact):
     """Run both phases on a numpy tableau of floats, or of Fractions if exact.
 
     Returns (status, basis, tableau, pivots).  The tableau holds the m
@@ -126,7 +138,7 @@ def _two_phase(a_rows, b, c, unit_cols, art_rows, exact):
     per row in art_rows, which may stay in the basis at level zero on rows
     that are redundant.
     """
-    m, nv = len(a_rows), len(c)
+    m, nv = len(b), len(c)
     total = nv + len(art_rows)
     if exact:
         num, tol, limit = Fraction, 0, math.inf
@@ -134,9 +146,9 @@ def _two_phase(a_rows, b, c, unit_cols, art_rows, exact):
     else:
         num, tol, limit = float, FLOAT_TOL, 50 * (m + total)
         t = np.zeros((m + 2, total + 1))
-    if m:
-        t[:m, :nv] = [[num(v) for v in row] for row in a_rows]
-        t[:m, -1] = [num(v) for v in b]
+    # num(scale_i) coef: float(1 / w_i) on the primal, not 1 / float(w_i).
+    t[a.rows, a.cols] = np.array([num(v) for v in a.scale])[a.rows] * a.coef
+    t[:m, -1] = [num(v) for v in b]
     t[art_rows, range(nv, total)] = num(1)
     t[m, :nv] = [num(v) for v in c]
     basis = list(unit_cols)
@@ -218,30 +230,36 @@ def _iterate(t, basis, obj, allowed, tol, pivots, limit) -> tuple[str, int]:
 
 # -- exact certificate -----------------------------------------------------
 
-def _certify(a_rows, b, c, basis, art_rows) -> tuple | None:
+def _certify(a, b, c, basis, art_rows) -> tuple | None:
     """Check a basis exactly; return its levels x_B and multipliers y, or None.
 
-    The basis may hold artificial columns (index >= len(c), the unit vector
-    of row art_rows[index - len(c)]) only at level exactly zero.
+    The basis may hold artificial columns (index >= len(c), here the unit
+    vector of row art_rows[index - len(c)] of M) only at level exactly zero.
     """
-    nv = len(c)
-    cols = [[Fraction(row[j]) if j < nv else Fraction(i == art_rows[j - nv])
-             for i, row in enumerate(a_rows)] for j in basis]
-    levels = _solve_exact([list(r) for r in zip(*cols)], b)
+    m, nv = len(b), len(c)
+    starts = np.searchsorted(a.cols, np.arange(nv + 1)).tolist()
+    rows, coef = a.rows.tolist(), a.coef.tolist()
+    cols = [dict(zip(rows[starts[j]:starts[j + 1]], coef[starts[j]:starts[j + 1]]))
+            if j < nv else {art_rows[j - nv]: 1} for j in basis]
+    m_b = [[col.get(i, 0) for col in cols] for i in range(m)]
+    levels = _solve_exact(m_b, [v / s for v, s in zip(b, a.scale)])
     if levels is None or any(v < 0 or (v and j >= nv) for j, v in zip(basis, levels)):
         return None
-    y = _solve_exact(cols, [c[j] if j < nv else 0 for j in basis])
-    reduced = list(c)
-    for row, yi in zip(a_rows, y):
-        if yi:
-            for j, v in enumerate(row):
-                if v:
-                    reduced[j] -= v * yi
-    return None if any(v < 0 for v in reduced) else (levels, y)
+    # y solves M_Bᵀ y = c_B here; den (Mᵀy)_j, over the common denominator
+    # den of y, is an integer sum along column j, read off one running sum.
+    y = _solve_exact([list(col) for col in zip(*m_b)], [c[j] if j < nv else 0 for j in basis])
+    den = math.lcm(*(v.denominator for v in y))
+    y_num = np.array([v.numerator * (den // v.denominator) for v in y], dtype=object)
+    sums = np.concatenate(([0], np.cumsum(y_num[a.rows] * a.coef)))[starts].tolist()
+    # den (c_j - (Mᵀy)_j) times the denominator of c_j: the reduced cost's sign.
+    if any(v.numerator * den - v.denominator * (hi - lo) < 0
+           for v, lo, hi in zip(c, sums, sums[1:])):
+        return None
+    return levels, [v / s for v, s in zip(y, a.scale)]
 
 
 def _solve_exact(rows, rhs) -> list | None:
-    """Solve the square system rows . z = rhs exactly; None if singular.
+    """Solve the square rational system rows . z = rhs exactly; None if singular.
 
     Each equation is scaled to integers and Gauss-Jordan elimination runs on
     integers, each new row divided by its gcd, which is much cheaper than
@@ -250,9 +268,8 @@ def _solve_exact(rows, rhs) -> list | None:
     m = len(rows)
     aug = []
     for row, v in zip(rows, rhs):
-        eq = [Fraction(q) for q in row] + [Fraction(v)]
-        den = math.lcm(*(q.denominator for q in eq))
-        aug.append([q.numerator * (den // q.denominator) for q in eq])
+        den = math.lcm(v.denominator, *(q.denominator for q in row))
+        aug.append([q.numerator * (den // q.denominator) for q in (*row, v)])
     for k in range(m):
         p = next((i for i in range(k, m) if aug[i][k]), None)
         if p is None:

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import rand_rational_profile
 from paritylp import bounds, lp, povm
-from paritylp.cli import _render, dump_json, main
+from paritylp.cli import _render, build_parser, dump_json, main
 from paritylp.f2lin import enumerate_all_codes, vec_from_str
 from paritylp.profiles import AmplitudeProfile, CostFunction, bernoulli_profile
 
@@ -39,6 +40,49 @@ def run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+class TestParserReuse:
+    """One parser serves every in-process call, as a fresh one per call would."""
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_back_to_back_calls_match_fresh_parsers(self, capsys, profile_file,
+                                                    point_mass_file):
+        calls = [
+            ["solve", "--profile", profile_file, "--mode", "float",
+             "--cost", "threshold", "--tau", "1"],
+            ["solve", "--profile", profile_file, "--mode", "bogus"],
+            # the defaults come back: exact mode, average cost, no tau
+            ["solve", "--profile", profile_file],
+            ["verify", "--family", "hamming"],
+            ["verify", "--profile", point_mass_file, "--family", "threshold-set",
+             "--tau", "1", "--set", "10,01,11", "--format", "table"],
+            ["enumerate", "--n", "2", "--k", "1"],
+            ["enumerate", "--n", "2"],
+        ]
+
+        def run(fresh):
+            results = []
+            for argv in calls:
+                if fresh:
+                    build_parser.cache_clear()
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = ("exit", exc.code)
+                out, err = capsys.readouterr()
+                out = re.sub(r'"wall_time_s": [0-9.e+-]+', '"wall_time_s": null', out)
+                results.append((code, out, err))
+            return results
+
+        reused = run(fresh=False)
+        assert [code for code, _, _ in reused] == [0, ("exit", 2), 0, ("exit", 2), 0, 0, 0]
+        assert json.loads(reused[2][1])["config"]["mode"] == "exact"
+        assert "tau" not in json.loads(reused[2][1])["config"]
+        assert reused == run(fresh=True)
+        assert reused == run(fresh=False)
 
 
 class TestSolve:
@@ -161,6 +205,27 @@ class TestVerify:
         assert code == 0
         assert report["objective"] == "0"
 
+
+    @pytest.mark.parametrize("family, audits", [
+        (["hamming"], 1), (["threshold-ball", "--d", "1", "--gamma", "2.5"], 1),
+        (["threshold-ball", "--d", "0", "--gamma", "3", "--tau", "2"], 1)])
+    def test_certificate_audited_once(self, tmp_path, capsys, monkeypatch, family, audits):
+        # threshold-ball audits itself when built; verify reports that audit
+        calls = []
+        real = lp.check_dual_feasible
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(lp, "check_dual_feasible", counted)
+        monkeypatch.setattr(bounds, "check_dual_feasible", counted)
+        path = tmp_path / "p3.json"
+        path.write_text(json.dumps(rand_rational_profile(3, random.Random(9)).to_json_dict()))
+        code, report = run_json(capsys, ["verify", "--profile", str(path), "--family", *family])
+        assert code == 0 and report["audits"]["dual_feasible"]
+        assert len(calls) == audits
+        assert report["feasibility"] == real(*calls[0]).to_json_dict()
 
     @pytest.mark.parametrize("family", [
         ["hamming"], ["threshold-ball", "--d", "1", "--gamma", "2.5"]])

@@ -1,20 +1,32 @@
 """Model building, exact and float solving, feasibility and slackness audits."""
 
+import math
 import random
 from fractions import Fraction
+from itertools import chain
+from numbers import Rational
 
 import numpy as np
 import pytest
 import scipy.optimize
 
 from conftest import ball_profile, full_rank_matrices, literal_lp_model, rand_rational_profile
+from paritylp import simplex
 from paritylp.errors import BudgetError
-from paritylp.f2lin import F2Matrix, all_vectors, enumerate_all_codes, enumerate_codes, rank
+from paritylp.f2lin import (
+    F2Matrix,
+    ParityCode,
+    all_vectors,
+    enumerate_all_codes,
+    enumerate_codes,
+    rank,
+)
 from paritylp.lp import (
     Constraint,
     DualSolution,
     LpModel,
     PrimalSolution,
+    SolveReport,
     build_dual,
     build_primal,
     check_dual_feasible,
@@ -60,6 +72,13 @@ def _scipy_raw(model):
         bounds=(0, None),
         method="highs",
     )
+
+
+def equality_model(a_rows, b, c):
+    """min c.x subject to the rows of A x = b, as an LpModel."""
+    constraints = [Constraint({j: v for j, v in enumerate(row) if v}, "=", r)
+                   for row, r in zip(a_rows, b)]
+    return LpModel("rows", "min", [("x", j) for j in range(len(c))], c, constraints)
 
 
 def scipy_optimum(model):
@@ -286,15 +305,13 @@ class TestSolve:
         with objective 0.  Both fail the exact check, and the exact pivots
         must land on the certified optimum.
         """
-        import paritylp.simplex as simplex
-
         real = simplex._two_phase
 
-        def bad_float_stage(a_rows, b, c, unit_cols, art_rows, exact):
-            status, basis, t, pivots = real(a_rows, b, c, unit_cols, art_rows, exact)
+        def bad_float_stage(a, b, c, unit_cols, art_rows, exact):
+            status, basis, t, pivots = real(a, b, c, unit_cols, art_rows, exact)
             if exact:
                 return status, basis, t, pivots
-            bad = list(unit_cols) if wrong == "start" else list(range(len(a_rows)))
+            bad = list(unit_cols) if wrong == "start" else list(range(len(b)))
             return simplex.OPTIMAL, bad, t, pivots
 
         rng = random.Random(55)
@@ -445,19 +462,27 @@ class TestSolverEdgeCases:
         # x0 = 1, x0 = 2: basis {x0, artificial of row 2} prices out dual
         # feasible but leaves the artificial at 1
         ([[1], [1]], [1, 2], [1], [0, 2], "infeasible", None),
-    ], ids=["negative-level", "artificial-left"])
+        # min x0, 7 x0 + x1 = 7: basis {x0} is feasible, y = 1/7, and x1's
+        # reduced cost is exactly -1/7, one unit over the common denominator
+        ([[7, 1]], [7], [1, 0], [0], "optimal", 0),
+        # min x0 + x1, x0 - 7 x1 = 1: basis {x1} prices out dual feasible but
+        # puts x1 at exactly -1/7
+        ([[1, -7]], [1], [1, 1], [1], "optimal", 1),
+    ], ids=["negative-level", "artificial-left", "reduced-cost-minus-1/D",
+            "level-minus-1/D"])
     def test_certificate_rejects_bad_levels(self, monkeypatch, a_rows, b, c,
                                             bad_basis, status, objective):
-        import paritylp.simplex as simplex
-
+        # the certificate has no slack: whatever the float stage proposes,
+        # a rejected basis falls back to exact pivots and the same optimum
+        assert solve(equality_model(a_rows, b, c)).objective == objective
         real = simplex._two_phase
 
-        def bad_float_stage(a_rows, b, c, unit_cols, art_rows, exact):
-            result = real(a_rows, b, c, unit_cols, art_rows, exact)
+        def bad_float_stage(a, b, c, unit_cols, art_rows, exact):
+            result = real(a, b, c, unit_cols, art_rows, exact)
             return result if exact else (simplex.OPTIMAL, list(bad_basis), *result[2:])
 
         monkeypatch.setattr(simplex, "_two_phase", bad_float_stage)
-        result = simplex.simplex_min(a_rows, b, c)
+        result = solve(equality_model(a_rows, b, c))
         assert result.strategy == "exact-pivots"
         assert (result.status, result.objective) == (status, objective)
 
@@ -501,6 +526,17 @@ class TestFeasibilityChecks:
             s for (code, _), s in report.slacks.items() if code.k == 2
         ]
         assert full_slacks == [0]
+
+    def test_float_slacks_sum_members_in_order(self):
+        # the coset sums run over the members in ascending order, as b_at did
+        dual, _ = solve_dual(bernoulli_profile(4, 0.15), CostFunction.average(4), "float")
+        cost = CostFunction.average(4)
+        report = check_dual_feasible(dual, cost)
+        want = {(code, s): sum(dual.b_at(i) for i in members) - cost.value(code.k) * (1 << code.k)
+                for code in enumerate_all_codes(4)
+                for s, members in enumerate(code.cosets.members)}
+        assert [repr(v) for v in report.slacks.values()] == [repr(v) for v in want.values()]
+        assert list(report.slacks) == list(want)
 
     def test_zero_dual_infeasible(self):
         b = {i: 0 for i in all_vectors(2)}
@@ -546,3 +582,287 @@ class TestSlackness:
         report = complementary_slackness(primal, loose, p, cost)
         assert not report.certified
         assert report.violations
+
+
+# -- the dense-row solver the column form replaced, kept as an oracle -------
+
+def dense_solve(model, mode="exact"):
+    """lp.solve as it was on dense Python rows, with the `Fraction` certificate.
+
+    Each row is a list of len(c) entries, converted entry by entry to the
+    solve's number type; the certificate checks c - Aᵀy with a Fraction loop
+    over every row and column.  Pivoting reuses simplex._iterate/_pivot.
+    """
+    entries = chain(model.objective,
+                    *(chain(con.coeffs.values(), (con.rhs,)) for con in model.constraints))
+    exact = mode == "exact" and all(isinstance(v, Rational) for v in entries)
+    num = Fraction if exact else float
+    nv = model.n_vars
+    slack_count = sum(1 for c in model.constraints if c.rel != "=")
+    total = nv + slack_count
+    rows, rhs, seeds, flips = [], [], [], []
+    slack_at = nv
+    for con in model.constraints:
+        row = [0] * total
+        for j, coef in con.coeffs.items():
+            row[j] = coef
+        r = num(con.rhs)
+        slack_col = None
+        if con.rel in (">=", "<="):
+            slack_col = slack_at
+            row[slack_col] = -1 if con.rel == ">=" else 1
+            slack_at += 1
+        flip = -1 if r < 0 else 1
+        if flip < 0:
+            row = [-v for v in row]
+            r = -r
+        seeds.append(slack_col if slack_col is not None and row[slack_col] == 1 else None)
+        rows.append(row)
+        rhs.append(r)
+        flips.append(flip)
+    sense_flip = -1 if model.sense == "max" else 1
+    c = [sense_flip * num(v) for v in model.objective] + [num(0)] * slack_count
+    result = _dense_simplex_min(rows, rhs, c, seeds)
+    mode = "exact" if exact else "float"
+    if result.status != "optimal":
+        return SolveReport(result.status, None, None, mode, result.pivots, 0.0, result.strategy)
+    values = dict(zip(model.labels, result.x[:nv]))
+    duals = [sense_flip * f * y for f, y in zip(flips, result.y)]
+    return SolveReport("optimal", sense_flip * result.objective, values, mode,
+                       result.pivots, 0.0, result.strategy, duals)
+
+
+def _dense_simplex_min(a_rows, b, c, seeds):
+    unit_cols, art_rows = [], []
+    for i, col in enumerate(seeds):
+        if col is None:
+            col = len(c) + len(art_rows)
+            art_rows.append(i)
+        unit_cols.append(col)
+    exact = all(isinstance(v, Rational) for v in chain(b, c))
+    status, basis, t, pivots = _dense_two_phase(a_rows, b, c, unit_cols, art_rows, False)
+    strategy, solution = "float", None
+    if exact:
+        b = [Fraction(v) for v in b]
+        c = [Fraction(v) for v in c]
+        strategy = "certified"
+        if status == "optimal":
+            solution = _dense_certify(a_rows, b, c, basis, art_rows)
+        if solution is None:
+            status, basis, t, more = _dense_two_phase(a_rows, b, c, unit_cols, art_rows, True)
+            pivots += more
+            strategy = "exact-pivots"
+    if status != "optimal":
+        return simplex.StandardResult(status, None, None, pivots, strategy=strategy)
+    nv = len(c)
+    zero = c[0] * 0 if nv else 0
+    if solution is None:
+        cost = t[len(basis)].tolist()
+        levels = t[:len(basis), -1].tolist()
+        if strategy == "float":
+            levels = [0.0 if -simplex.FLOAT_TOL <= v < 0 else v for v in levels]
+        solution = (levels, [(c[j] if j < nv else zero) - cost[j] for j in unit_cols])
+    levels, y = solution
+    x = [zero] * nv
+    for col, v in zip(basis, levels):
+        if col < nv:
+            x[col] = v
+    objective = sum((ci * xi for ci, xi in zip(c, x) if xi), zero)
+    return simplex.StandardResult("optimal", objective, x, pivots, y, strategy)
+
+
+def _dense_two_phase(a_rows, b, c, unit_cols, art_rows, exact):
+    m, nv = len(a_rows), len(c)
+    total = nv + len(art_rows)
+    if exact:
+        num, tol, limit = Fraction, 0, math.inf
+        t = np.full((m + 2, total + 1), Fraction(0), dtype=object)
+    else:
+        num, tol, limit = float, simplex.FLOAT_TOL, 50 * (m + total)
+        t = np.zeros((m + 2, total + 1))
+    if m:
+        t[:m, :nv] = [[num(v) for v in row] for row in a_rows]
+        t[:m, -1] = [num(v) for v in b]
+    t[art_rows, range(nv, total)] = num(1)
+    t[m, :nv] = [num(v) for v in c]
+    basis = list(unit_cols)
+    t[m] -= t[m, basis] @ t[:m]
+    t[m + 1, nv:total] = num(1)
+    t[m + 1] -= t[art_rows].sum(axis=0)
+    pivots = 0
+    if art_rows:
+        status, pivots = simplex._iterate(t, basis, m + 1, total, tol, pivots, limit)
+        if status != "optimal":
+            return status, basis, t, pivots
+        if -t[m + 1, -1] > tol:
+            return "infeasible", basis, t, pivots
+        for i in range(m):
+            if basis[i] >= nv:
+                usable = np.flatnonzero(abs(t[i, :nv]) > tol)
+                if usable.size:
+                    simplex._pivot(t, basis, i, int(usable[0]))
+                    pivots += 1
+    status, pivots = simplex._iterate(t, basis, m, nv, tol, pivots, limit)
+    return status, basis, t, pivots
+
+
+def _dense_certify(a_rows, b, c, basis, art_rows):
+    nv = len(c)
+    cols = [[Fraction(row[j]) if j < nv else Fraction(i == art_rows[j - nv])
+             for i, row in enumerate(a_rows)] for j in basis]
+    levels = _dense_solve_exact([list(r) for r in zip(*cols)], b)
+    if levels is None or any(v < 0 or (v and j >= nv) for j, v in zip(basis, levels)):
+        return None
+    y = _dense_solve_exact(cols, [c[j] if j < nv else 0 for j in basis])
+    reduced = list(c)
+    for row, yi in zip(a_rows, y):
+        if yi:
+            for j, v in enumerate(row):
+                if v:
+                    reduced[j] -= v * yi
+    return None if any(v < 0 for v in reduced) else (levels, y)
+
+
+def _dense_solve_exact(rows, rhs):
+    m = len(rows)
+    aug = []
+    for row, v in zip(rows, rhs):
+        eq = [Fraction(q) for q in row] + [Fraction(v)]
+        den = math.lcm(*(q.denominator for q in eq))
+        aug.append([q.numerator * (den // q.denominator) for q in eq])
+    for k in range(m):
+        p = next((i for i in range(k, m) if aug[i][k]), None)
+        if p is None:
+            return None
+        aug[k], aug[p] = aug[p], aug[k]
+        prow = aug[k]
+        piv = prow[k]
+        for i in range(m):
+            f = aug[i][k]
+            if f and i != k:
+                new = [a * piv - f * q for a, q in zip(aug[i], prow)]
+                g = math.gcd(*new) or 1
+                aug[i] = [a // g for a in new]
+    return [Fraction(row[m], row[k]) for k, row in enumerate(aug)]
+
+
+def dense_pair(profile, cost, mode):
+    """solve_pair as it was on dense_solve: lambda by one division per member."""
+    model = build_primal(profile, cost)
+    report = dense_solve(model, mode)
+    mu, lam = {}, {}
+    for (_, code, s), v in report.values.items():
+        mu[(code, s)] = v
+        for i in code.cosets.members_of(s):
+            lam[(code, i)] = v / profile.weights[i]
+    bottom = ParityCode.bottom(profile.n)
+    for i in profile.zero_set:
+        lam[(bottom, i)] = report.objective * 0 + 1
+        mu[(bottom, i)] = report.objective * 0
+    b = {con.tag[1]: u * next(iter(con.coeffs.values()))
+         for con, u in zip(model.constraints, report.duals)}
+    if report.mode != "exact":
+        b = {i: 0.0 if -1e-9 <= v < 0 else v for i, v in b.items()}
+    cover = report.objective * 0 + max(cost.value(k) * (1 << k) for k in range(profile.n + 1))
+    b.update(dict.fromkeys(profile.zero_set, cover))
+    return report, mu, lam, b
+
+
+def same(x, y):
+    """Equal in type and bits: repr tells -0.0 from 0.0 and every binary64 apart."""
+    if isinstance(x, dict):
+        return (isinstance(y, dict) and list(x) == list(y)
+                and all(same(v, y[k]) for k, v in x.items()))
+    if isinstance(x, (list, tuple)):
+        return (type(x) is type(y) and len(x) == len(y)
+                and all(same(u, v) for u, v in zip(x, y)))
+    return type(x) is type(y) and repr(x) == repr(y)
+
+
+def assert_same_report(got, want):
+    for name in ("status", "objective", "values", "duals", "pivots", "strategy", "mode"):
+        assert same(getattr(got, name), getattr(want, name)), name
+
+
+def _oracle_profiles():
+    for n in range(1, 6):
+        rng = random.Random(f"oracle/{n}")
+        yield f"full{n}", rand_rational_profile(n, rng)
+        yield f"ball{n}", ball_profile(n, max(1, n // 2), rng)
+        yield f"bernoulli{n}", bernoulli_profile(n, 0.15)
+    # float(1 / w) != 1 / float(w) for w = 1/49 and 2/49
+    yield "odd2", profile(2, ["1/49", "2/49", "3/49", "43/49"])
+
+
+def _oracle_cases():
+    for name, p in _oracle_profiles():
+        n = p.n
+        costs = {"average": CostFunction.average(n), "tau1": CostFunction.threshold(n, 1)}
+        if n >= 2:
+            costs["tau2"] = CostFunction.threshold(n, 2)
+        costs["custom"] = CostFunction.custom(n, [0.5 * k * k for k in range(n + 1)])
+        if n == 5:
+            costs = {k: costs[k] for k in ("average", "tau2")}
+        for cname, cost in costs.items():
+            for mode in ("exact", "float"):
+                yield pytest.param(p, cost, mode, id=f"{name}-{cname}-{mode}")
+
+
+def _fuzz_models():
+    """The random models of test_random_small_models_against_scipy."""
+    rng = random.Random(60)
+    for trial in range(100):
+        nv = rng.randint(1, 4)
+        nc = rng.randint(1, 5)
+        sense = rng.choice(["min", "max"])
+        objective = [Fraction(rng.randint(-4, 4)) for _ in range(nv)]
+        constraints = []
+        for _ in range(nc):
+            coeffs = {j: Fraction(rng.randint(-3, 3)) for j in range(nv) if rng.random() < 0.8}
+            if not coeffs:
+                coeffs = {0: Fraction(1)}
+            constraints.append(Constraint(coeffs, rng.choice(["=", ">=", "<="]),
+                                          Fraction(rng.randint(-4, 4))))
+        yield LpModel(f"fuzz{trial}", sense, [("x", j) for j in range(nv)],
+                      objective, constraints)
+
+
+class TestColumnFormMatchesDenseRows:
+    """The column-form solve reproduces the dense-row solver bit for bit."""
+
+    @pytest.mark.parametrize("p, cost, mode", list(_oracle_cases()))
+    def test_solve_pair(self, p, cost, mode):
+        primal, dual, report = solve_pair(p, cost, mode)
+        want, mu, lam, b = dense_pair(p, cost, mode)
+        assert_same_report(report, want)
+        assert same(primal.mu, mu) and same(primal.lam, lam)
+        assert same(dual.b, b)
+        if mode == "exact" and p.rational:
+            assert report.strategy == "certified"
+
+    def test_odd_profile_has_inexact_inverses(self):
+        # odd2 pins the tableau's float(1 / w_i): 1 / float(w_i) differs there
+        p = dict(_oracle_profiles())["odd2"]
+        assert any(float(1 / w) != 1 / float(w) for w in p.weights)
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_fuzz_models(self, mode):
+        statuses = set()
+        for model in _fuzz_models():
+            got, want = solve(model, mode), dense_solve(model, mode)
+            assert_same_report(got, want)
+            statuses.add(got.status)
+        assert statuses == {"optimal", "infeasible", "unbounded"}
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_dual_and_literal_models(self, mode):
+        rng = random.Random(70)
+        for n in (1, 2, 3):
+            p = rand_rational_profile(n, rng)
+            for cost in (CostFunction.average(n), CostFunction.threshold(n, 1)):
+                for model in (build_dual(p, cost), build_dual(ball_profile(n, 1, rng), cost)):
+                    assert_same_report(solve(model, mode), dense_solve(model, mode))
+            matrices = [F2Matrix(n, ())] + [m for k in range(1, n + 1)
+                                            for m in full_rank_matrices(n, k)][:6]
+            literal = literal_lp_model(p, CostFunction.average(n), matrices)
+            assert_same_report(solve(literal, mode), dense_solve(literal, mode))

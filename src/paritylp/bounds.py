@@ -22,6 +22,7 @@ from .f2lin import (
     ParityCode,
     all_vectors,
     ball,
+    by_code,
     codes_of_rank,
     enumerate_identity_rows,
     hamming_weight,
@@ -103,8 +104,8 @@ def dual_threshold_ball(n: int, d: int, gamma: float,
     than trusted.  For d = 0 the derived tau degenerates, so it defaults to
     1 there (any explicit tau in [1, n] works).
     """
-    if gamma <= 2:
-        raise ValueError("need gamma > 2")
+    if not (math.isfinite(gamma) and gamma > 2):
+        raise ValueError("need finite gamma > 2")
     if not 0 <= d <= n:
         raise ValueError("need 0 <= d <= n")
     if tau is None:
@@ -164,7 +165,7 @@ class PrimalCandidate:
             "objective": self.objective,
             "lambda": {
                 f"{code.label()},{vec_str(i, self.n)}": v
-                for (code, i), v in sorted(self.lam.items())
+                for (code, i), v in sorted(self.lam.items(), key=by_code)
             },
         }
 

@@ -11,14 +11,17 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from . import bounds, lp, povm, simulate
 from .errors import ToolkitError
 from .f2lin import (
+    by_code,
     enumerate_codes,
     gaussian_binomial,
     vec_from_str,
@@ -52,19 +55,56 @@ def _cost_from_args(n: int, args) -> CostFunction:
     raise ToolkitError(f"unknown cost {args.cost!r}")
 
 
-class _ArrayFound(Exception):
-    """A subtree holds an ndarray, which dump_json renders itself."""
-
-
 def _render(value):
+    """The JSON value written for a non-JSON scalar: a `Fraction` as its string."""
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, np.ndarray):
-        raise _ArrayFound
-    return value
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-_ENCODER = json.JSONEncoder(indent=2, default=_render)
+def _float_token(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+# The token json writes for a scalar of each type.
+_TOKENS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_token,
+    bool: lambda v: "true" if v else "false",
+    type(None): lambda v: "null",
+    Fraction: lambda v: encode_basestring_ascii(str(v)),
+}
+
+
+def _token(value) -> str:
+    """The token of a scalar: by its type, or for a subclass (numpy's
+    float64, say) by the first of str, int and float it is an instance of,
+    as json checks them."""
+    token = _TOKENS.get(type(value))
+    if token is not None:
+        return token(value)
+    for kind in (str, int, float):
+        if isinstance(value, kind):
+            return _TOKENS[kind](value)
+    return encode_basestring_ascii(_render(value))
+
+
+def _key(key) -> str:
+    """A dict key as json writes it: a string, or the token of a bool,
+    None, int or float key as a string."""
+    if not isinstance(key, str):
+        if key is not None and not isinstance(key, (int, float)):
+            raise TypeError(f"keys must be str, int, float, bool or None, "
+                            f"not {type(key).__name__}")
+        key = _token(key)
+    return encode_basestring_ascii(key)
 
 
 def _matrix_json(m, level: int, table: dict) -> str:
@@ -79,15 +119,15 @@ def _matrix_json(m, level: int, table: dict) -> str:
         raise TypeError(f"cannot encode a {m.ndim}-D array as a matrix")
     m = np.ascontiguousarray(m, dtype=complex)
     rows, cols = m.shape
+    i0, i1, i2, i3 = ("\n" + "  " * (level + d) for d in range(4))
     if m.size == 0:
-        return _ENCODER.encode([[]] * rows).replace("\n", "\n" + "  " * level)
+        return "[" + ",".join([i1 + "[]"] * rows) + i0 + "]" if rows else "[]"
     bits, inverse = np.unique(m.view(np.int64).ravel(), return_inverse=True)
     bits = bits.tolist()
     new = [b for b in bits if b not in table]
     text = json.dumps(np.array(new, dtype=np.int64).view(float).tolist())
     table.update(zip(new, text[1:-1].split(", ")))
     tokens = np.array([table[b] for b in bits], dtype=object)[inverse].tolist()
-    i0, i1, i2, i3 = ("\n" + "  " * (level + d) for d in range(4))
     opening = "{" + i3 + '"re": '
     closing = i2 + "}"
     parts = ["," + i3 + '"im": '] * (2 * len(tokens))
@@ -99,46 +139,52 @@ def _matrix_json(m, level: int, table: dict) -> str:
     return "".join(parts)
 
 
-def _iter_json(obj, level: int, table: dict):
-    """The text of `obj` at indent `level`, one piece per array-free subtree."""
-    try:
-        text = _ENCODER.encode(obj)
-    except _ArrayFound:
-        pass
-    else:
-        yield text.replace("\n", "\n" + "  " * level) if level else text
-        return
-    if isinstance(obj, np.ndarray):
-        yield _matrix_json(obj, level, table)
-        return
-    inner = "\n" + "  " * (level + 1)
-    if isinstance(obj, dict):
-        sep = "{" + inner
-        for key, value in obj.items():
-            if not isinstance(key, str):
-                key = _ENCODER.encode(key)
-            yield sep + _ENCODER.encode(key) + ": "
-            yield from _iter_json(value, level + 1, table)
-            sep = "," + inner
-        yield "\n" + "  " * level + "}"
-    else:
-        sep = "[" + inner
-        for value in obj:
-            yield sep
-            yield from _iter_json(value, level + 1, table)
-            sep = "," + inner
-        yield "\n" + "  " * level + "]"
-
-
 def dump_json(obj, fh) -> None:
-    """Write `obj` to `fh` in pieces, as json.dump(obj, fh, indent=2) would.
+    """Write `obj` to `fh` as json.dump(obj, fh, indent=2) would.
 
-    Fractions are written as strings and each 2-D ndarray as its rows of
-    {"re": real, "im": imag} dicts; subtrees without an array go through
-    one json encoder call each; the arrays share one table of float tokens
-    keyed by bit pattern, so each distinct value is encoded once per call.
+    Scalars are written by the token table above (each `Fraction` as a
+    string), containers by the writer's own recursion, and each 2-D ndarray
+    as its rows of {"re": real, "im": imag} dicts.  The text before a
+    matrix is written out before the matrix is rendered, and each matrix as
+    soon as it is, so no more than one matrix is held as text.  The
+    matrices share one table of float tokens keyed by bit pattern, so each
+    distinct value is encoded once per call.
     """
-    fh.writelines(_iter_json(obj, 0, {}))
+    out: list[str] = []
+    floats: dict = {}
+    tokens = _TOKENS
+
+    def put(value, level: int) -> None:
+        if isinstance(value, dict):
+            items, opening, closing = value.items(), "{", "}"
+        elif isinstance(value, (list, tuple)):
+            items, opening, closing = enumerate(value), "[", "]"
+        elif isinstance(value, np.ndarray):
+            fh.write("".join(out))
+            out.clear()
+            fh.write(_matrix_json(value, level, floats))
+            return
+        else:
+            out.append(_token(value))
+            return
+        if not value:
+            out.append(opening + closing)
+            return
+        sep = opening + "\n" + "  " * (level + 1)
+        keyed = opening == "{"
+        for key, item in items:
+            head = sep + _key(key) + ": " if keyed else sep
+            token = tokens.get(type(item))
+            if token is None:
+                out.append(head)
+                put(item, level + 1)
+            else:
+                out.append(head + token(item))
+            sep = ",\n" + "  " * (level + 1)
+        out.append("\n" + "  " * level + closing)
+
+    put(obj, 0)
+    fh.write("".join(out))
 
 
 def _config_dict(args) -> dict:
@@ -340,7 +386,7 @@ def cmd_simulate(args) -> int:
         "x": args.x,
         "exact_distribution": {
             f"{code.label()},y={vec_str(y, code.k)}": p
-            for (code, y), p in sorted(dist.items())
+            for (code, y), p in sorted(dist.items(), key=by_code)
         },
         "histogram": [r.to_json_dict() for r in records],
         "statevector": sv.to_json_dict() if sv else None,

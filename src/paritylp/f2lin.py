@@ -231,6 +231,9 @@ class ParityCode:
     the same record.  G generates Ker(H); the coset of syndrome s is
     {x : G.x = s}, a shift of the row space of H.  Codes of one n order by
     rank k, then by the rows of H: the canonical order of every report.
+    The hash, the label and the plain-tuple `sort_key` (which orders as the
+    dataclass order does) are computed once per code, as codes key most
+    dictionaries of the package.
     """
 
     n: int
@@ -253,6 +256,17 @@ class ParityCode:
     def full(cls, n: int) -> ParityCode:
         return cls(n, n, identity(n))
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.n, self.k, self.H))
+
+    @cached_property
+    def sort_key(self) -> tuple:
+        return (self.n, self.k, self.H.n_cols, self.H.rows)
+
     @cached_property
     def G(self) -> F2Matrix:
         return kernel_generator(self.H)
@@ -270,9 +284,19 @@ class ParityCode:
         return self.H.mul_vec(x)
 
     def label(self) -> str:
+        return self._label
+
+    @cached_property
+    def _label(self) -> str:
         if self.k == 0:
             return "bottom"
         return "H[" + ";".join(self.H.to_strings()) + "]"
+
+
+def by_code(item) -> tuple:
+    """Sort key of a ((code, j), value) item: the code's order, then j."""
+    (code, j), _ = item
+    return code.sort_key, j
 
 
 def dual_cosets(code: ParityCode) -> CosetPartition:

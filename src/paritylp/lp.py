@@ -16,12 +16,14 @@ primal, which has one row per supported index; the dual is read off the
 same optimal basis, as the row multipliers divided by the weights, with an
 explicit covering value on the zero-weight indices.  The primal carries
 its columns (each variable's member rows, row i scaled by 1 / w_i), which
-`solve` hands to the simplex as they are; any other model is brought to
-columns from its rows.
+`solve` hands to the simplex as they are; its rows are derived from them
+only when read.  Any other model is brought to columns from its rows.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -32,7 +34,7 @@ import numpy as np
 
 from . import simplex
 from .errors import BudgetError, SolveError
-from .f2lin import ParityCode, all_vectors, enumerate_all_codes, vec_str
+from .f2lin import ParityCode, all_vectors, by_code, enumerate_all_codes, vec_str
 from .profiles import AmplitudeProfile, CostFunction
 
 LP_MAX_N = 5
@@ -53,18 +55,37 @@ class Constraint:
 
 @dataclass
 class LpModel:
+    """A linear program over nonnegative variables.
+
+    A builder whose rows are all equalities with nonnegative right-hand
+    sides may give the matrix by `columns` instead, with each row's `rhs`
+    and `tags`; `constraints` is then derived from them on first read, and
+    `solve` never reads it.  Otherwise `solve` brings `rows` to columns.
+    """
+
     name: str
     sense: str
     labels: list
     objective: list
-    constraints: list[Constraint]
-    # The matrix by columns, from a builder whose rows are all equalities with
-    # nonnegative right-hand sides; when None, solve derives it from the rows.
+    rows: list[Constraint] | None = None
     columns: simplex.Columns | None = None
+    rhs: list | None = None
+    tags: list | None = None
 
     @property
     def n_vars(self) -> int:
         return len(self.labels)
+
+    @property
+    def constraints(self) -> list[Constraint]:
+        if self.rows is None:
+            a = self.columns
+            coeffs: list = [{} for _ in self.rhs]
+            for r, j, v in zip(a.rows.tolist(), a.cols.tolist(), a.coef.tolist()):
+                coeffs[r][j] = a.scale[r] * v
+            self.rows = [Constraint(co, "=", r, tag)
+                         for co, r, tag in zip(coeffs, self.rhs, self.tags)]
+        return self.rows
 
     def to_text(self) -> str:
         """One line per constraint, for eyeballing small models."""
@@ -120,6 +141,12 @@ def _label_str(label) -> str:
     return str(label)
 
 
+def _rank_value(cost: CostFunction, k: int):
+    """cost(k) 2^k: the primal objective coefficient of a rank-k coset, and
+    the right-hand side of its covering constraint in the dual."""
+    return cost.value(k) * (1 << k)
+
+
 def check_budget(n: int) -> None:
     """Raise BudgetError when a linear program over F_2^n is above the cap."""
     if n > LP_MAX_N:
@@ -138,23 +165,20 @@ def build_primal(profile: AmplitudeProfile, cost: CostFunction) -> LpModel:
     check_budget(profile.n)
     row_of = {i: r for r, i in enumerate(profile.support)}
     inv = [1 / profile.weights[i] for i in row_of]
-    coeffs: list = [{} for _ in inv]
     labels, objective, flat, lens = [], [], [], []
     for code in enumerate_all_codes(profile.n):
-        scale = cost.value(code.k) * (1 << code.k)
+        scale = _rank_value(cost, code.k)
         for s, members in enumerate(code.cosets.members):
             rows = [row_of.get(i) for i in members]
             if None not in rows:
-                for r in rows:
-                    coeffs[r][len(labels)] = inv[r]
                 flat += rows
                 lens.append(len(rows))
                 labels.append(("mu", code, s))
                 objective.append(scale)
-    constraints = [Constraint(co, "=", 1, tag=("index", i)) for co, i in zip(coeffs, row_of)]
     columns = simplex.Columns(np.array(flat, dtype=np.intp), np.repeat(np.arange(len(lens)), lens),
                               np.ones(len(flat), dtype=np.int64), inv)
-    return LpModel("primal", "max", labels, objective, constraints, columns)
+    return LpModel("primal", "max", labels, objective, columns=columns,
+                   rhs=[1] * len(inv), tags=[("index", i) for i in row_of])
 
 
 def build_dual(profile: AmplitudeProfile, cost: CostFunction) -> LpModel:
@@ -166,7 +190,7 @@ def build_dual(profile: AmplitudeProfile, cost: CostFunction) -> LpModel:
     constraints = []
     for code in enumerate_all_codes(n):
         cos = code.cosets
-        rhs = cost.value(code.k) * (1 << code.k)
+        rhs = _rank_value(cost, code.k)
         for s in range(cos.n_syndromes):
             coeffs = {i: 1 for i in cos.members_of(s)}
             constraints.append(Constraint(coeffs, ">=", rhs, tag=("coset", code, s)))
@@ -186,18 +210,22 @@ def solve(model: LpModel, mode: str = EXACT) -> SolveReport:
     if mode not in (EXACT, FLOAT):
         raise SolveError(f"unknown mode {mode!r}")
     start = time.perf_counter()
-    a = model.columns
-    coefs = a.scale if a else chain.from_iterable(c.coeffs.values() for c in model.constraints)
-    entries = chain(model.objective, coefs, (con.rhs for con in model.constraints))
-    exact = mode == EXACT and all(isinstance(v, Rational) for v in entries)
+    rows = None if model.columns else model.constraints
+    if rows is None:
+        coefs, rhs = model.columns.scale, model.rhs
+    else:
+        coefs = chain.from_iterable(c.coeffs.values() for c in rows)
+        rhs = [con.rhs for con in rows]
+    exact = mode == EXACT and all(isinstance(v, Rational)
+                                  for v in chain(model.objective, coefs, rhs))
     # The type of b and c selects the arithmetic of simplex_min.
     num = Fraction if exact else float
-    rhs = [num(con.rhs) for con in model.constraints]
+    rhs = [num(r) for r in rhs]
     flips = [-1 if r < 0 else 1 for r in rhs]
-    a, seeds = (a, None) if a else _columns(model, flips)
+    a, seeds = (model.columns, None) if rows is None else _columns(model, flips)
 
     sense_flip = -1 if model.sense == "max" else 1
-    slack_count = sum(1 for c in model.constraints if c.rel != "=")
+    slack_count = 0 if rows is None else sum(1 for c in rows if c.rel != "=")
     c = [-num(v) if sense_flip < 0 else num(v) for v in model.objective] + [num(0)] * slack_count
     result = simplex.simplex_min(a, [f * r for f, r in zip(flips, rhs)], c, basis_seed=seeds)
     elapsed = time.perf_counter() - start
@@ -231,12 +259,38 @@ def _columns(model: LpModel, flips: list) -> tuple[simplex.Columns, list]:
 
 @dataclass
 class PrimalSolution:
-    """Coset-reduced mu values with their expansion lambda = mu / weight."""
+    """Coset-reduced mu values with their expansion lambda = mu / weight.
+
+    Given the profile's weights in place of lambda, `lam` is derived from
+    mu on first read.
+    """
 
     n: int
     mu: dict
-    lam: dict
+    _lam: dict | None
     objective: object
+    _weights: tuple | None = None
+
+    @property
+    def lam(self) -> dict:
+        """lambda[(code, i)] = mu[(code, s)] / w_i for each member i of the
+        coset s, in mu's order; a zero-weight index has mu = 0 on the
+        bottom code and lambda = 1 there."""
+        if self._lam is None:
+            w = self._weights
+            lam: dict = {}
+            for (code, s), v in self.mu.items():
+                members = code.cosets.members_of(s)
+                w0 = w[members[0]]
+                if not w0:
+                    lam[(code, s)] = v + 1
+                    continue
+                # 0 / w is one value for every w > 0: a zero level divides once.
+                q = v or v / w0
+                for i in members:
+                    lam[(code, i)] = v / w[i] if v else q
+            self._lam = lam
+        return self._lam
 
     def lam_at(self, code: ParityCode, i: int):
         return self.lam.get((code, i), 0)
@@ -247,29 +301,19 @@ class PrimalSolution:
     @classmethod
     def from_lp_values(cls, profile: AmplitudeProfile, values: dict,
                        objective) -> PrimalSolution:
-        mu: dict = {}
-        lam: dict = {}
-        for (_, code, s), v in values.items():
-            mu[(code, s)] = v
-            members = code.cosets.members_of(s)
-            # 0 / w is one value for every w > 0: a zero level divides once.
-            q = v or v / profile.weights[members[0]]
-            for i in members:
-                lam[(code, i)] = v / profile.weights[i] if v else q
+        mu = {(code, s): v for (_, code, s), v in values.items()}
+        # Absorb unconstrained indices into the no-information outcome: the
+        # bottom code's cosets are single indices.
         bottom = ParityCode.bottom(profile.n)
-        zero = objective * 0
-        for i in profile.zero_set:
-            # Absorb unconstrained indices into the no-information outcome.
-            lam[(bottom, i)] = zero + 1
-            mu[(bottom, i)] = zero
-        return cls(profile.n, mu, lam, objective)
+        mu.update(dict.fromkeys([(bottom, i) for i in profile.zero_set], objective * 0))
+        return cls(profile.n, mu, None, objective, profile.weights)
 
     def to_json_dict(self) -> dict:
         return {
             "objective": self.objective,
             "mu": {
                 f"{code.label()},s={s}": v
-                for (code, s), v in sorted(self.mu.items())
+                for (code, s), v in sorted(self.mu.items(), key=by_code)
             },
         }
 
@@ -324,7 +368,7 @@ def solve_pair(profile: AmplitudeProfile, cost: CostFunction, mode: str = EXACT
         # As simplex_min does for levels: rounding residue below zero reads 0.
         b = {i: 0.0 if -FLOAT_FEAS_TOL <= v < 0 else v for i, v in b.items()}
     # objective * 0 puts the cover in the number type the solve ran in.
-    cover = report.objective * 0 + max(cost.value(k) * (1 << k) for k in range(profile.n + 1))
+    cover = report.objective * 0 + max(_rank_value(cost, k) for k in range(profile.n + 1))
     b.update(dict.fromkeys(profile.zero_set, cover))
     dual = DualSolution(profile.n, b)
     dual.objective = dual.evaluate(profile)
@@ -351,7 +395,15 @@ class FeasibilityReport:
     violations: list
     max_violation: object
     n_checked: int
-    slacks: dict | None = None
+    # The slack of each covering constraint of a dual audit, by (code, s); a
+    # callable stands for the dict until `slacks` is first read.
+    _slacks: dict | functools.partial | None = None
+
+    @property
+    def slacks(self) -> dict | None:
+        if callable(self._slacks):
+            self._slacks = self._slacks()
+        return self._slacks
 
     def to_json_dict(self) -> dict:
         return {
@@ -417,37 +469,67 @@ def check_primal_feasible(sol: PrimalSolution, profile: AmplitudeProfile,
 
 def check_dual_feasible(sol: DualSolution, cost: CostFunction,
                         tol=None) -> FeasibilityReport:
-    """Exhaustively audit every (code, syndrome) covering constraint."""
+    """Exhaustively audit every (code, syndrome) covering constraint.
+
+    When b, the costs and the tolerance are all rational, the coset sums are
+    tested on integers (`_short_cosets`) and the report's slacks are
+    computed on first read; otherwise every slack is computed here.
+    """
     tol = _default_tol(tol, sol.b.values(), cost.values)
     violations = []
-    slacks: dict = {}
     max_v = 0
-    checked = 0
 
     b = [sol.b_at(i) for i in all_vectors(sol.n)]
     for i, v in enumerate(b):
-        checked += 1
         if v < -tol:
             violations.append(
                 {"constraint": f"b[{vec_str(i, sol.n)}] >= 0", "violation": float(-v)}
             )
             max_v = max(max_v, -v)
 
-    for code in enumerate_all_codes(sol.n):
-        rhs = cost.value(code.k) * (1 << code.k)
-        for s, members in enumerate(code.cosets.members):
-            total = sum(map(b.__getitem__, members))
-            slack = total - rhs
-            slacks[(code, s)] = slack
-            checked += 1
-            if slack < -tol:
-                violations.append(
-                    {"constraint": f"coset sum {code.label()},s={s} >= {rhs}",
-                     "violation": float(-slack)}
-                )
-                max_v = max(max_v, -slack)
+    codes = enumerate_all_codes(sol.n)
+    if (all(type(v) in (int, Fraction) for v in chain(b, cost.values))
+            and (isinstance(tol, Rational) or math.isfinite(tol))):
+        slacks = functools.partial(_coset_slacks, b, cost, codes)
+        short = _short_cosets(b, cost, codes, tol)
+    else:
+        slacks = _coset_slacks(b, cost, codes)
+        short = ((key, v) for key, v in slacks.items() if v < -tol)
+    for (code, s), slack in short:
+        violations.append(
+            {"constraint": f"coset sum {code.label()},s={s} >= {_rank_value(cost, code.k)}",
+             "violation": float(-slack)}
+        )
+        max_v = max(max_v, -slack)
 
+    checked = len(b) + sum(len(code.cosets.members) for code in codes)
     return FeasibilityReport(not violations, violations, max_v, checked, slacks)
+
+
+def _coset_slacks(b: list, cost: CostFunction, codes) -> dict:
+    """(code, s) -> the sum of b over the coset, in ascending order, minus
+    the right-hand side."""
+    return {(code, s): sum(map(b.__getitem__, members)) - _rank_value(cost, code.k)
+            for code in codes for s, members in enumerate(code.cosets.members)}
+
+
+def _short_cosets(b: list, cost: CostFunction, codes, tol):
+    """Each ((code, s), slack) with slack < -tol, for int and Fraction b.
+
+    With every b_i written as N_i / D over one common denominator D, the
+    slack is below -tol exactly when the integer sum of N_i over the coset
+    is below ceil((rhs - tol) D); the slack itself is summed as in
+    `_coset_slacks` for those cosets alone.
+    """
+    den = math.lcm(*(v.denominator for v in b))
+    nums = [v.numerator * (den // v.denominator) for v in b]
+    tol = Fraction(tol)
+    limits = [math.ceil((_rank_value(cost, k) - tol) * den) for k in range(len(cost.values))]
+    for code in codes:
+        limit = limits[code.k]
+        for s, members in enumerate(code.cosets.members):
+            if sum(map(nums.__getitem__, members)) < limit:
+                yield (code, s), sum(map(b.__getitem__, members)) - _rank_value(cost, code.k)
 
 
 @dataclass
@@ -509,7 +591,7 @@ def complementary_slackness(primal: PrimalSolution, dual: DualSolution,
             )
         max_coset = max(max_coset, abs(product))
 
-    p_obj = sum(cost.value(code.k) * (1 << code.k) * v
+    p_obj = sum(_rank_value(cost, code.k) * v
                 for (code, _), v in primal.mu.items())
     d_obj = dual.evaluate(profile)
     certified = (p_report.feasible and d_report.feasible and not violations

@@ -20,7 +20,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .errors import ProfileError
-from .f2lin import ParityCode, all_vectors, dot, enumerate_all_codes, vec_str
+from .f2lin import ParityCode, all_vectors, by_code, dot, enumerate_all_codes, vec_str
 from .lp import PrimalSolution
 from .profiles import AmplitudeProfile, CostFunction
 
@@ -116,7 +116,7 @@ class PovmSet:
             "elements": [
                 {"H": code.label(), "k": code.k, "y": vec_str(y, code.k),
                  "matrix": mat}
-                for (code, y), mat in sorted(self.elements.items(), key=lambda kv: kv[0])
+                for (code, y), mat in sorted(self.elements.items(), key=by_code)
             ],
             "perp": self.perp,
         }

@@ -104,7 +104,7 @@ def sample(sol: PrimalSolution, profile: AmplitudeProfile, x: int,
 
     records = [OutcomeRecord(code, code.parity(x), int(c), int(c) / shots)
                for code, c in zip(codes, counts) if c]
-    return sorted(records, key=lambda r: r.code)
+    return sorted(records, key=lambda r: r.code.sort_key)
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """End-to-end command exercises through the argparse entry point."""
 
+import hashlib
 import io
 import json
 import math
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_rational_profile
+from conftest import ball_profile, rand_rational_profile
 from paritylp import bounds, lp, povm
 from paritylp.cli import _render, build_parser, dump_json, main
 from paritylp.f2lin import enumerate_all_codes, vec_from_str
@@ -149,6 +150,26 @@ class TestSolve:
         assert code == 0
         assert "mu[" in dump.read_text()
 
+    @pytest.mark.parametrize("weights, cost, size, digest", [
+        (["1/36", "2/36", "3/36", "4/36", "5/36", "6/36", "7/36", "8/36"], [], 5487,
+         "78164b6e6246982131d9eb1bf6f21142fba0d84f06439b229d38c1ba520b22d9"),
+        (["1/4", "1/4", "1/4", "0", "1/4", "0", "0", "0"], ["--cost", "threshold", "--tau", "2"],
+         1950, "4bc116e62ea5fa8628eb890903dacefc5d012d33076d33b29493e7569761c01b"),
+        ([0.05, 0.1, 0.15, 0.2, 0.1, 0.1, 0.2, 0.1], [], 5868,
+         "7e5f6fa9ac014f85154cca8403b8d1981d0a80ea367c4c0bfa9c8a850a64955e"),
+    ], ids=["rational", "ball-threshold", "binary64"])
+    def test_dump_model_text_unchanged(self, tmp_path, capsys, weights, cost, size, digest):
+        # the n=3 dumps written when build_primal still filled one
+        # coefficient dict per row, pinned by size and SHA-256
+        path = tmp_path / "p3.json"
+        path.write_text(json.dumps({"n": 3, "weights": weights}))
+        dump = tmp_path / "model.txt"
+        code, _ = run_json(capsys, ["solve", "--profile", str(path), "--dump-model",
+                                    str(dump), *cost])
+        assert code == 0
+        text = dump.read_bytes()
+        assert (len(text), hashlib.sha256(text).hexdigest()) == (size, digest)
+
     def test_out_file(self, tmp_path, capsys, profile_file):
         out = tmp_path / "report.json"
         code = main(["solve", "--profile", profile_file, "--out", str(out)])
@@ -196,6 +217,13 @@ class TestVerify:
             "--d", "1", "--gamma", "3.0",
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("gamma", ["inf", "-inf", "nan"])
+    def test_ball_rejects_non_finite_gamma(self, capsys, profile_file, gamma):
+        code = main(["verify", "--profile", profile_file, "--family", "threshold-ball",
+                     "--d", "1", f"--gamma={gamma}"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: need finite gamma > 2\n"
 
     def test_threshold_set(self, capsys, point_mass_file):
         code, report = run_json(capsys, [
@@ -521,6 +549,12 @@ class TestSlpn:
         assert report["threshold"]["tau"] == 3
         assert report["threshold"]["rho_threshold"] <= report["threshold"]["ball_bound"] + 1e-9
 
+    @pytest.mark.parametrize("gamma", ["inf", "-inf", "nan"])
+    def test_ball_rejects_non_finite_gamma(self, capsys, gamma):
+        code = main(["slpn", "--n", "3", "--t", "0.1", "--d", "1", f"--gamma={gamma}"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: need finite gamma > 2\n"
+
     def test_negative_n(self, capsys):
         assert main(["slpn", "--n", "-1", "--t", "0.1"]) == 2
         assert capsys.readouterr().err == "error: need n >= 0\n"
@@ -619,3 +653,112 @@ class TestEnumerate:
         assert main(["enumerate", "--n", "-1", *argv]) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "error: need n >= 0\n")
+
+
+def _corpus_profiles() -> dict:
+    """Seeded profiles of n = 0..5: rational full support, rational on a
+    Hamming ball, binary64 and complex-phased."""
+    profiles = {"r0": {"n": 0, "weights": ["1"]}}
+    for n in range(1, 6):
+        rng = random.Random(f"corpus/{n}")
+        profiles[f"r{n}"] = rand_rational_profile(n, rng).to_json_dict()
+        if 2 <= n <= 4:
+            profiles[f"b{n}"] = ball_profile(n, n // 2, rng).to_json_dict()
+    profiles["f3"] = bernoulli_profile(3, 0.1).to_json_dict()
+    profiles["ph3"] = phased_profile(3, random.Random("corpus/ph3"))
+    return profiles
+
+
+REAL = "--assume-real-amplitudes"
+CORPUS = {
+    "solve-r0": "solve --profile {r0}",
+    "solve-r1": "solve --profile {r1}",
+    "solve-r2-float-custom":
+        "solve --profile {r2} --mode float --cost custom --cost-values 0,0.5,3",
+    "solve-r3-tau1": "solve --profile {r3} --cost threshold --tau 1",
+    "solve-r3-dump": "solve --profile {r3} --dump-model {dump}",
+    "solve-r3-table": "solve --profile {r3} --format table",
+    "solve-b3-tau2": "solve --profile {b3} --cost threshold --tau 2",
+    "solve-r4": "solve --profile {r4}",
+    "solve-r4-float": "solve --profile {r4} --mode float",
+    "solve-b4-tau2": "solve --profile {b4} --cost threshold --tau 2",
+    "solve-f3": "solve --profile {f3}",
+    "solve-r5": "solve --profile {r5}",
+    "verify-r0-hamming": "verify --profile {r0} --family hamming",
+    "verify-r3-hamming": "verify --profile {r3} --family hamming",
+    "verify-b3-cohamming-float": "verify --profile {b3} --family cohamming --mode float",
+    "verify-r4-spike": "verify --profile {r4} --family spike",
+    "verify-r4-ball": "verify --profile {r4} --family threshold-ball --d 1 --gamma 2.5",
+    "verify-b4-ball-d0": "verify --profile {b4} --family threshold-ball --d 0 --gamma 3 --tau 1",
+    "verify-b2-set": "verify --profile {b2} --family threshold-set --tau 1 --set 00,01,10",
+    "verify-r3-table": "verify --profile {r3} --family spike --format table",
+    "threshold-b3-tau1": "threshold --profile {b3} --tau 1",
+    "threshold-r4-tau2": "threshold --profile {r4} --tau 2",
+    "threshold-b4-tau2-float": "threshold --profile {b4} --tau 2 --mode float",
+    "threshold-r2-table": "threshold --profile {r2} --tau 1 --format table",
+    "candidate-r3-hamming": "primal-candidate --profile {r3} --family hamming",
+    "candidate-r4-cohamming": "primal-candidate --profile {r4} --family cohamming",
+    "candidate-r4-spike": "primal-candidate --profile {r4} --family spike",
+    "candidate-r2-table": "primal-candidate --profile {r2} --family spike --format table",
+    "povm-r1": "povm --profile {r1} " + REAL,
+    "povm-r3-tau1": "povm --profile {r3} --cost threshold --tau 1 " + REAL,
+    "povm-ph3-float": "povm --profile {ph3} --mode float",
+    "povm-r2-table": "povm --profile {r2} --format table " + REAL,
+    "simulate-r0": "simulate --profile {r0} --x= --seed 1 --shots 10",
+    "simulate-r3": "simulate --profile {r3} --x 101 --seed 2 --shots 1000",
+    "simulate-b4-float": "simulate --profile {b4} --x 0110 --seed 3 --shots 500 --mode float",
+    "simulate-r5": "simulate --profile {r5} --x 10011 --seed 4 --shots 100",
+    "simulate-r2-table": "simulate --profile {r2} --x 01 --seed 5 --shots 100 --format table",
+    "slpn-n0": "slpn --n 0 --t 0.1",
+    "slpn-n3": "slpn --n 3 --t 0.1 --mode float",
+    "slpn-n4-ball": "slpn --n 4 --t 0.05 --d 1 --gamma 3.0",
+    "slpn-n5": "slpn --n 5 --t 0.1",
+    "enumerate-n0": "enumerate --n 0",
+    "enumerate-n3": "enumerate --n 3",
+    "enumerate-n4-k2": "enumerate --n 4 --k 2",
+    "enumerate-n2-table": "enumerate --n 2 --format table",
+}
+
+
+class TestReportCorpus:
+    """Every subcommand's report is what json.dumps(indent=2) writes for it,
+    and every exact solve is certified."""
+
+    @pytest.fixture(scope="class")
+    def paths(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("corpus")
+        paths = {"dump": str(root / "model.txt")}
+        for name, data in _corpus_profiles().items():
+            paths[name] = str(root / f"{name}.json")
+            (root / f"{name}.json").write_text(json.dumps(data))
+        return paths
+
+    @pytest.mark.parametrize("command", list(CORPUS.values()), ids=list(CORPUS))
+    def test_report(self, capsys, monkeypatch, paths, command):
+        from paritylp import cli
+
+        reports, solves = [], []
+        real_dump, real_solve = cli.dump_json, lp.solve
+
+        def dump(obj, fh):
+            reports.append(obj)
+            real_dump(obj, fh)
+
+        def solve(*args, **kwargs):
+            result = real_solve(*args, **kwargs)
+            solves.append((result.mode, result.strategy))
+            return result
+
+        monkeypatch.setattr(cli, "dump_json", dump)
+        monkeypatch.setattr(lp, "solve", solve)
+        assert main(command.format(**paths).split()) == 0
+        text = capsys.readouterr().out
+        if "--format table" in command:
+            assert not reports and text.split()[0] in ("quantity", "H", "k")
+        else:
+            assert len(reports) == 1
+            assert text == json.dumps(nested(reports[0]), indent=2, default=_render) + "\n"
+        assert all(strategy == "certified" for mode, strategy in solves if mode == "exact")
+        if command.startswith("solve") and reports:
+            primal = reports[0]["primal"]
+            assert primal["mode"] == "float" or primal["strategy"] == "certified"

@@ -272,3 +272,25 @@ class TestVecStrings:
         assert vec_from_str("10") == 1
         assert vec_from_str("01") == 2
         assert hamming_weight(vec_from_str("0111")) == 3
+
+
+class TestCachedKeys:
+    """The cached hash, label and sort key of a code agree with the dataclass."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_code_table(self, n):
+        table = enumerate_all_codes(n)
+        assert sorted(table, key=lambda code: code.sort_key) == sorted(table)
+        for code in table:
+            rows = code.H.rows
+            # row 0 added to every other row, then reversed: no longer reduced
+            # once k >= 2, with the same row space
+            m = F2Matrix(n, tuple(reversed(rows[:1] + tuple(r ^ rows[0] for r in rows[1:]))))
+            assert code.k < 2 or rref(m)[0] != m
+            fresh = ParityCode.from_matrix(m)
+            assert fresh is not code and fresh == code
+            assert hash(fresh) == hash(code) == hash((code.n, code.k, code.H))
+            assert {code: 1}[fresh] == 1
+            want = "bottom" if code.k == 0 else \
+                "H[" + ";".join(vec_str(r, n) for r in rows) + "]"
+            assert fresh.label() == code.label() == want

@@ -1,5 +1,6 @@
 """Model building, exact and float solving, feasibility and slackness audits."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -20,6 +21,7 @@ from paritylp.f2lin import (
     enumerate_all_codes,
     enumerate_codes,
     rank,
+    vec_str,
 )
 from paritylp.lp import (
     Constraint,
@@ -866,3 +868,209 @@ class TestColumnFormMatchesDenseRows:
                                             for m in full_rank_matrices(n, k)][:6]
             literal = literal_lp_model(p, CostFunction.average(n), matrices)
             assert_same_report(solve(literal, mode), dense_solve(literal, mode))
+
+
+def eager_lam(profile, values, objective):
+    """PrimalSolution.from_lp_values's lambda as it was built eagerly, in
+    the order of the LP values: one division per member of a nonzero level,
+    one per coset for a zero level; then 1 on the bottom code at each
+    zero-weight index."""
+    lam = {}
+    for (_, code, s), v in values.items():
+        members = code.cosets.members_of(s)
+        q = v or v / profile.weights[members[0]]
+        for i in members:
+            lam[(code, i)] = v / profile.weights[i] if v else q
+    bottom = ParityCode.bottom(profile.n)
+    for i in profile.zero_set:
+        lam[(bottom, i)] = objective * 0 + 1
+    return lam
+
+
+def _lambda_profiles():
+    for n in range(1, 5):
+        rng = random.Random(f"lambda/{n}")
+        yield f"full{n}", rand_rational_profile(n, rng)
+        ball = ball_profile(n, n // 2, rng)
+        yield f"ball{n}", ball
+        yield f"bernoulli{n}", bernoulli_profile(n, 0.15)
+        yield f"binary-ball{n}", AmplitudeProfile.from_weights(n, [float(w) for w in ball.weights])
+    yield "ball5", ball_profile(5, 2, random.Random("lambda/5"))
+
+
+class TestLazyLambda:
+    """lambda is derived from mu on first read, as the eager loop built it."""
+
+    def test_cases_hold_zero_levels_and_zero_sets(self):
+        zero_levels = zero_sets = 0
+        for _, p in _lambda_profiles():
+            report = solve(build_primal(p, CostFunction.threshold(p.n, 1)), "exact")
+            zero_levels += any(v == 0 for v in report.values.values())
+            zero_sets += bool(p.zero_set)
+        assert zero_levels >= 10 and zero_sets >= 6
+
+    @pytest.mark.parametrize("p", [p for _, p in _lambda_profiles()],
+                             ids=[name for name, _ in _lambda_profiles()])
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_matches_eager_loop(self, p, mode):
+        for cost in (CostFunction.average(p.n), CostFunction.threshold(p.n, 1)):
+            report = solve(build_primal(p, cost), mode)
+            sol = PrimalSolution.from_lp_values(p, report.values, report.objective)
+            want = eager_lam(p, report.values, report.objective)
+            assert same(sol.lam, want)
+            assert sol.lam is sol.lam
+            if p.zero_set:
+                assert sol.mu_at(ParityCode.bottom(p.n), p.zero_set[0]) == 0
+
+    @pytest.mark.parametrize("family", ["hamming", "cohamming", "spike"])
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_candidate_points(self, family, n):
+        from paritylp.bounds import primal_candidate
+
+        p = rand_rational_profile(n, random.Random(f"lambda/candidate/{n}"))
+        cand = primal_candidate(family, p)
+        values = {("mu", code, code.syndrome(i)): v * p.weights[i]
+                  for (code, i), v in cand.lam.items()}
+        assert same(cand.to_solution(p).lam, eager_lam(p, values, cand.objective))
+
+    def test_given_lambda_kept(self):
+        lam = {(ParityCode.bottom(1), 0): Fraction(1), (ParityCode.bottom(1), 1): Fraction(1)}
+        sol = PrimalSolution(1, {}, lam, Fraction(0))
+        assert sol.lam is lam
+        assert sol.lam_at(ParityCode.full(1), 0) == 0
+
+    @pytest.mark.parametrize("support", ["full", "ball"])
+    @pytest.mark.parametrize("argv, reads", [
+        (["solve"], False),
+        (["solve", "--cost", "threshold", "--tau", "2"], False),
+        (["verify", "--family", "hamming"], False),
+        (["verify", "--family", "threshold-ball", "--d", "1", "--gamma", "2.5"], False),
+        (["threshold", "--tau", "2"], False),
+        (["simulate", "--x", "101", "--seed", "1", "--shots", "100"], True),
+    ])
+    def test_cli_jobs_build_lambda_only_when_read(self, tmp_path, capsys, monkeypatch,
+                                                  argv, reads, support):
+        rng = random.Random("lambda/cli")
+        p = rand_rational_profile(3, rng) if support == "full" else ball_profile(3, 1, rng)
+        self._run_counting_builds(tmp_path, capsys, monkeypatch, p, argv, reads)
+
+    def test_candidate_slackness_builds_lambda(self, tmp_path, capsys, monkeypatch):
+        # a nonnegative candidate goes through complementary_slackness
+        p = profile(3, ["1/8"] * 8)
+        self._run_counting_builds(tmp_path, capsys, monkeypatch, p,
+                                  ["primal-candidate", "--family", "hamming"], True)
+
+    @staticmethod
+    def _run_counting_builds(tmp_path, capsys, monkeypatch, p, argv, reads):
+        from paritylp.cli import main
+
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(p.to_json_dict()))
+        builds = []
+        real = PrimalSolution.lam
+
+        def counted(self):
+            if self._lam is None:
+                builds.append(self)
+            return real.fget(self)
+
+        monkeypatch.setattr(PrimalSolution, "lam", property(counted))
+        assert main([argv[0], "--profile", str(path), *argv[1:]]) == 0
+        capsys.readouterr()
+        assert bool(builds) is reads
+
+
+def generic_dual_audit(sol, cost, tol=None):
+    """check_dual_feasible as it was: every coset sum and slack in the
+    arithmetic of b, all slacks kept."""
+    if tol is None:
+        rational = all(isinstance(v, Rational) for v in chain(sol.b.values(), cost.values))
+        tol = 0 if rational else 1e-9
+    violations, slacks, max_v, checked = [], {}, 0, 0
+    b = [sol.b_at(i) for i in all_vectors(sol.n)]
+    for i, v in enumerate(b):
+        checked += 1
+        if v < -tol:
+            violations.append({"constraint": f"b[{vec_str(i, sol.n)}] >= 0",
+                               "violation": float(-v)})
+            max_v = max(max_v, -v)
+    for code in enumerate_all_codes(sol.n):
+        rhs = cost.value(code.k) * (1 << code.k)
+        for s, members in enumerate(code.cosets.members):
+            slack = sum(map(b.__getitem__, members)) - rhs
+            slacks[(code, s)] = slack
+            checked += 1
+            if slack < -tol:
+                violations.append({"constraint": f"coset sum {code.label()},s={s} >= {rhs}",
+                                   "violation": float(-slack)})
+                max_v = max(max_v, -slack)
+    return not violations, violations, max_v, checked, slacks
+
+
+def _audit_duals():
+    from paritylp import bounds
+
+    for n in range(1, 5):
+        yield f"hamming{n}", bounds.dual_hamming(n)
+        yield f"cohamming{n}", bounds.dual_cohamming(n)
+        yield f"spike{n}", bounds.dual_spike(n)
+        yield f"indicator{n}", bounds.dual_threshold_indicator(all_vectors(n), 1, n)
+        yield f"affine{n}", bounds.dual_affine_image(
+            bounds.dual_hamming(n), F2Matrix(n, tuple(reversed([1 << j for j in range(n)]))),
+            (1 << n) - 1)
+    yield "ball4", bounds.dual_threshold_ball(4, 1, 2.5)
+    yield "ball5", bounds.dual_threshold_ball(5, 1, 3.0)
+    yield "ball3-d0", bounds.dual_threshold_ball(3, 0, 3.0, tau=2)
+    # every slack is minus a right-hand side: equal to -tol at tol = 2 or 8
+    for n in (1, 2):
+        yield f"zeros{n}", DualSolution(n, {})
+    for trial in range(12):
+        rng = random.Random(f"audit/{trial}")
+        n = rng.randint(1, 4)
+        # mostly covering values, a few short: some cosets violate
+        b = {i: rng.choice([0, rng.randint(0, 9),
+                            Fraction(rng.randint(-5, 40), rng.randint(1, 12))])
+             for i in all_vectors(n)}
+        yield f"random{trial}", DualSolution(n, b)
+    yield "binary64", solve_dual(bernoulli_profile(3, 0.15), CostFunction.average(3), "float")[0]
+
+
+def _audit_costs(n):
+    yield CostFunction.average(n)
+    for tau in range(1, n + 1) if n < 5 else (3,):
+        yield CostFunction.threshold(n, tau)
+    yield CostFunction.custom(n, [Fraction(k * k, 3) for k in range(n + 1)])
+
+
+class TestIntegerDualAudit:
+    """check_dual_feasible's integer coset sums decide as the generic sums do."""
+
+    @pytest.mark.parametrize("sol", [s for _, s in _audit_duals()],
+                             ids=[name for name, _ in _audit_duals()])
+    @pytest.mark.parametrize("tol", [None, Fraction(1, 7), 0.05, 2], ids=str)
+    def test_matches_generic_path(self, sol, tol):
+        for cost in _audit_costs(sol.n):
+            report = check_dual_feasible(sol, cost, tol)
+            feasible, violations, max_v, checked, slacks = generic_dual_audit(sol, cost, tol)
+            assert (report.feasible, report.violations, report.n_checked) == \
+                (feasible, violations, checked)
+            assert same(report.max_violation, max_v)
+            assert same(report.slacks, slacks)
+
+    def test_some_cases_violate(self):
+        reports = [check_dual_feasible(sol, cost)
+                   for _, sol in _audit_duals() for cost in _audit_costs(sol.n)]
+        assert any(r.feasible for r in reports)
+        assert sum(not r.feasible for r in reports) > 20
+
+    def test_rational_slacks_summed_on_first_read(self, monkeypatch):
+        from paritylp import lp
+
+        calls = []
+        real = lp._coset_slacks
+        monkeypatch.setattr(lp, "_coset_slacks", lambda *a: calls.append(a) or real(*a))
+        report = check_dual_feasible(dict(_audit_duals())["ball4"], CostFunction.threshold(4, 3))
+        assert report.feasible and not calls
+        assert report.slacks is report.slacks and len(calls) == 1
+        check_dual_feasible(dict(_audit_duals())["binary64"], CostFunction.average(3))
+        assert len(calls) == 2

@@ -50,8 +50,7 @@ def _cost_from_args(n: int, args) -> CostFunction:
     if args.cost == "custom":
         if not args.cost_values:
             raise ToolkitError("custom cost needs --cost-values c0,c1,...")
-        values = [float(v) for v in args.cost_values.split(",")]
-        return CostFunction.custom(n, values)
+        return CostFunction.custom(n, [Fraction(v) for v in args.cost_values.split(",")])
     raise ToolkitError(f"unknown cost {args.cost!r}")
 
 

@@ -114,6 +114,8 @@ class SolveReport:
     strategy: str
     # Multipliers of the model's constraints, in the model's own sense.
     duals: list | None = None
+    # What the pivot loops did; no CLI report carries it.
+    stats: simplex.SolveStats | None = None
 
     def to_json_dict(self) -> dict:
         values = None
@@ -218,25 +220,27 @@ def solve(model: LpModel, mode: str = EXACT) -> SolveReport:
         rhs = [con.rhs for con in rows]
     exact = mode == EXACT and all(isinstance(v, Rational)
                                   for v in chain(model.objective, coefs, rhs))
-    # The type of b and c selects the arithmetic of simplex_min.
-    num = Fraction if exact else float
+    # The dtype of b and c selects the arithmetic of simplex_min.
+    num, dtype = (Fraction, object) if exact else (float, float)
     rhs = [num(r) for r in rhs]
     flips = [-1 if r < 0 else 1 for r in rhs]
     a, seeds = (model.columns, None) if rows is None else _columns(model, flips)
 
     sense_flip = -1 if model.sense == "max" else 1
     slack_count = 0 if rows is None else sum(1 for c in rows if c.rel != "=")
-    c = [-num(v) if sense_flip < 0 else num(v) for v in model.objective] + [num(0)] * slack_count
-    result = simplex.simplex_min(a, [f * r for f, r in zip(flips, rhs)], c, basis_seed=seeds)
+    c = np.array(model.objective, dtype=dtype)
+    c = np.concatenate((-c if sense_flip < 0 else c, np.zeros(slack_count, dtype=dtype)))
+    b = np.array([f * r for f, r in zip(flips, rhs)], dtype=dtype)
+    result = simplex.simplex_min(a, b, c, basis_seed=seeds)
     elapsed = time.perf_counter() - start
     mode = EXACT if exact else FLOAT
     if result.status != simplex.OPTIMAL:
         return SolveReport(result.status, None, None, mode, result.pivots,
-                           elapsed, result.strategy)
+                           elapsed, result.strategy, stats=result.stats)
     values = dict(zip(model.labels, result.x[:model.n_vars]))
     duals = [sense_flip * f * y for f, y in zip(flips, result.y)]
     return SolveReport("optimal", sense_flip * result.objective, values, mode,
-                       result.pivots, elapsed, result.strategy, duals)
+                       result.pivots, elapsed, result.strategy, duals, result.stats)
 
 
 def _columns(model: LpModel, flips: list) -> tuple[simplex.Columns, list]:

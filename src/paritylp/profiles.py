@@ -182,7 +182,7 @@ class CostFunction:
         if kind == "threshold":
             return cls.threshold(n, int(data["tau"]))
         if kind == "custom":
-            return cls.custom(n, [float(v) for v in data["values"]])
+            return cls.custom(n, [Fraction(str(v)) for v in data["values"]])
         raise ValueError(f"unknown cost kind {kind!r}")
 
     def to_json_dict(self) -> dict:

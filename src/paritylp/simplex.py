@@ -1,33 +1,30 @@
-"""Two-phase simplex on columns: a float basis, an integer certificate, an exact fallback.
+"""Two-phase revised simplex on columns: a float basis, an integer certificate, an exact fallback.
 
-Solves   min c.x   s.t.   A x = b,  x >= 0,  with b >= 0,
-over `Fraction`s or binary64 floats; the entry type of b and c decides
-which.  A comes by columns, as A = diag(scale) M (`Columns`; for a
-profile's primal, M is the 0/1 coset incidence).  Every pivot loop prices
-the same way: the most negative reduced cost enters until STALL_LIMIT
-consecutive degenerate pivots, then the lowest eligible index (Bland's
-rule, which cannot cycle); the leaving row is the minimum ratio, ties
-going to the lowest basis index.
+Solves   min c.x   s.t.   A x = b,  x >= 0,  with b >= 0,  over `Fraction`s
+(b and c numpy arrays of dtype object) or binary64 floats (float64).  A
+comes by columns, as A = diag(scale) M (`Columns`; for a profile's primal,
+M is the 0/1 coset incidence).  The loop keeps no tableau, only B⁻¹, updated
+rank-1 on each pivot, and x_B = B⁻¹ b (Maros, Computational Techniques of
+the Simplex Method, 2003).  It prices d = c - (c_B B⁻¹) A: the most negative
+reduced cost enters until STALL_LIMIT consecutive degenerate pivots, then
+the lowest eligible index (Bland's rule, which cannot cycle); the leaving
+row is the minimum ratio, ties going to the lowest basis index.
 
-Float data is solved on a binary64 numpy tableau alone, filled by one
-scatter.  On exact data that tableau only proposes a basis B: M_B x_B =
-b / scale and M_Bᵀ y' = c_B are solved by integer elimination, and B is
-accepted when x_B >= 0 and each reduced cost c_j - (Mᵀy')_j, read over
-the common denominator of y' (an integer sum when M is integer), is >= 0
-(Applegate, Cook, Dash & Espinoza, Oper. Res. Lett. 2007); then the
-multipliers are y = y' / scale.  Otherwise the same pivot loop runs again
-from scratch on a tableau of `Fraction` objects with no tolerance; it
-terminates on every input and gives exact infeasible and unbounded
-verdicts.
+Float data is solved by that loop alone.  On exact data it runs in binary64
+and only proposes a basis B: M_B x_B = b / scale and M_Bᵀ y' = c_B are
+solved by integer elimination, and B is accepted when x_B >= 0 and each
+reduced cost c_j - (Mᵀy')_j, read over the common denominator of y' (an
+integer sum when M is integer), is >= 0 (Applegate, Cook, Dash & Espinoza,
+Oper. Res. Lett. 2007); then y = y' / scale.  Otherwise the same loop runs
+again from the phase-1 start on `Fraction`s, with no tolerance; it
+terminates on every input and gives exact infeasible and unbounded verdicts.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
-from numbers import Rational
 
 import numpy as np
 
@@ -48,6 +45,9 @@ FLOAT_TOL = 1e-9
 # iteration switches (permanently) to Bland's rule, which cannot cycle.
 STALL_LIMIT = 30
 
+# Float pivots between fresh inversions of B⁻¹, which clear its rank-1 updates' rounding.
+REINVERT_EVERY = 50
+
 
 @dataclass(frozen=True)
 class Columns:
@@ -60,6 +60,18 @@ class Columns:
 
 
 @dataclass
+class SolveStats:
+    """What the pivot loops of a solve did, float stage and exact fallback
+    together: pivots in phases 1 and 2 (phase 1 counts those that drive
+    artificials out), and the solve's pivot count when Bland's rule took over."""
+
+    phase_pivots: list = field(default_factory=lambda: [0, 0])
+    degenerate: int = 0
+    bland_at: int | None = None
+    reinversions: int = 0
+
+
+@dataclass
 class StandardResult:
     status: str
     objective: object | None
@@ -68,6 +80,7 @@ class StandardResult:
     # Row multipliers at optimality: c - Aᵀy >= 0 and b.y equals the objective.
     y: list | None = None
     strategy: str = FLOAT
+    stats: SolveStats = field(default_factory=SolveStats)
 
 
 def simplex_min(a: Columns, b, c, *, basis_seed=None) -> StandardResult:
@@ -75,8 +88,8 @@ def simplex_min(a: Columns, b, c, *, basis_seed=None) -> StandardResult:
 
     Args:
         a: the len(b) x len(c) matrix A in column form.
-        b: nonnegative right-hand sides.
-        c: objective coefficients.
+        b, c: nonnegative right-hand sides and objective coefficients, numpy
+            arrays of dtype object (rationals) for an exact solve, else float64.
         basis_seed: optional per-row column index whose column is the r-th
             identity vector; rows without a seed receive an artificial.
 
@@ -87,145 +100,132 @@ def simplex_min(a: Columns, b, c, *, basis_seed=None) -> StandardResult:
         A float run that reaches its pivot limit ends "iteration-limit".
         Float levels within FLOAT_TOL below zero are reported as 0, so x >= 0.
     """
-    seeds = list(basis_seed) if basis_seed else [None] * len(b)
-    unit_cols, art_rows = [], []
-    for i, col in enumerate(seeds):
-        if col is None:
-            col = len(c) + len(art_rows)
-            art_rows.append(i)
-        unit_cols.append(col)
-    exact = all(isinstance(v, Rational) for v in chain(b, c))
-
-    status, basis, t, pivots = _two_phase(a, b, c, unit_cols, art_rows, False)
-    strategy, solution = FLOAT, None
-    if exact:
-        strategy = CERTIFIED
-        if status == OPTIMAL:
-            solution = _certify(a, b, c, basis, art_rows)
-        if solution is None:
-            status, basis, t, more = _two_phase(a, b, c, unit_cols, art_rows, True)
-            pivots += more
-            strategy = EXACT_PIVOTS
-    if status != OPTIMAL:
-        return StandardResult(status, None, None, pivots, strategy=strategy)
-
     nv = len(c)
-    zero = c[0] * 0 if nv else 0
-    if solution is None:
-        # The cost row is c minus a combination yᵀA of the original rows, and
-        # row i owns the unit column unit_cols[i], so y_i is read off there.
-        cost = t[len(basis)].tolist()
-        levels = t[:len(basis), -1].tolist()
-        if strategy == FLOAT:
-            # Rounding leaves degenerate levels a hair below zero; they are 0.
-            levels = [0.0 if -FLOAT_TOL <= v < 0 else v for v in levels]
-        solution = (levels, [(c[j] if j < nv else zero) - cost[j] for j in unit_cols])
-    levels, y = solution
+    seeds = list(basis_seed) if basis_seed else [None] * len(b)
+    art_rows = [i for i, col in enumerate(seeds) if col is None]
+    arts = iter(range(nv, nv + len(art_rows)))
+    unit_cols = [next(arts) if col is None else col for col in seeds]
+    exact = c.dtype == object
+    stats = SolveStats()
+    status, basis, levels, y = _revised(a, b.astype(float), c.astype(float),
+                                        unit_cols, art_rows, stats)
+    strategy = FLOAT
+    if exact:
+        solution = _certify(a, b, c, basis, art_rows) if status == OPTIMAL else None
+        strategy = CERTIFIED if solution else EXACT_PIVOTS
+        if solution:
+            levels, y = solution
+        else:
+            status, basis, levels, y = _revised(a, b, c, unit_cols, art_rows, stats)
+    pivots = sum(stats.phase_pivots)
+    if status != OPTIMAL:
+        return StandardResult(status, None, None, pivots, strategy=strategy, stats=stats)
+
+    zero = (Fraction(0) if exact else float(c[0]) * 0) if nv else 0
     x = [zero] * nv
     for col, v in zip(basis, levels):
         if col < nv:
             x[col] = v
-    objective = sum((ci * xi for ci, xi in zip(c, x) if xi), zero)
-    return StandardResult(OPTIMAL, objective, x, pivots, y, strategy)
+    cols = sorted(j for j in basis if j < nv)
+    objective = sum((cj * x[j] for j, cj in zip(cols, c[cols].tolist()) if x[j]), zero)
+    return StandardResult(OPTIMAL, objective, x, pivots, y, strategy, stats)
 
 
-def _two_phase(a, b, c, unit_cols, art_rows, exact):
-    """Run both phases on a numpy tableau of floats, or of Fractions if exact.
+def _revised(a, b, c, unit_cols, art_rows, stats) -> tuple:
+    """Both phases in the arithmetic of c: on Fractions if its dtype is object.
 
-    Returns (status, basis, tableau, pivots).  The tableau holds the m
-    constraint rows, then the cost row and the phase-1 row; its last column
-    is the right-hand side.  Columns past len(c) are the artificials, one
-    per row in art_rows, which may stay in the basis at level zero on rows
-    that are redundant.
+    Returns (status, basis, levels x_B, multipliers y), the last two None
+    unless optimal.  Columns past len(c) are the artificials, one per row in
+    art_rows; they may stay in the basis at level zero on redundant rows.
     """
     m, nv = len(b), len(c)
     total = nv + len(art_rows)
-    if exact:
-        num, tol, limit = Fraction, 0, math.inf
-        t = np.full((m + 2, total + 1), Fraction(0), dtype=object)
-    else:
-        num, tol, limit = float, FLOAT_TOL, 50 * (m + total)
-        t = np.zeros((m + 2, total + 1))
+    exact = c.dtype == object
+    num, tol, dot = (Fraction, 0, _sparse_dot) if exact else (float, FLOAT_TOL, np.dot)
+    big = np.full((m, total), num(0), dtype=c.dtype)
     # num(scale_i) coef: float(1 / w_i) on the primal, not 1 / float(w_i).
-    t[a.rows, a.cols] = np.array([num(v) for v in a.scale])[a.rows] * a.coef
-    t[:m, -1] = [num(v) for v in b]
-    t[art_rows, range(nv, total)] = num(1)
-    t[m, :nv] = [num(v) for v in c]
-    basis = list(unit_cols)
-    # Price out the starting basis: its columns are unit vectors.
-    t[m] -= t[m, basis] @ t[:m]
-    t[m + 1, nv:total] = num(1)
-    t[m + 1] -= t[art_rows].sum(axis=0)
-    pivots = 0
+    big[a.rows, a.cols] = np.array([num(v) for v in a.scale])[a.rows] * a.coef
+    big[art_rows, range(nv, total)] = num(1)
+    phase1 = np.array([num(0)] * nv + [num(1)] * len(art_rows), dtype=c.dtype)
+    cost = np.concatenate((c, phase1[nv:] * 0))
+    # The starting basis is the unit columns, so B⁻¹ = I and x_B = b.
+    basis = np.array(unit_cols, dtype=np.intp)
+    binv = np.where(np.eye(m, dtype=bool), num(1), num(0))
+    x = b.copy()
+    # A pivot limit guards binary64 against cycling by rounding (the float run
+    # comes first, so the solve's count is its own); Bland's rule cannot cycle.
+    limit = math.inf if exact else 50 * (m + total)
 
-    if art_rows:
-        status, pivots = _iterate(t, basis, m + 1, total, tol, pivots, limit)
-        if status != OPTIMAL:
-            return status, basis, t, pivots
-        if -t[m + 1, -1] > tol:
-            return INFEASIBLE, basis, t, pivots
+    def pivot(r, j, alpha, phase):
+        """Bring column j into the basis at row r; alpha is B⁻¹ A_j."""
+        prow, xr = binv[r] / alpha[r], x[r] / alpha[r]
+        if exact:
+            # Only the rows alpha touches and the columns prow touches change.
+            rows, cols = np.flatnonzero(alpha), np.flatnonzero(prow)
+            binv[np.ix_(rows, cols)] -= np.outer(alpha[rows], prow[cols])
+            x[rows] -= alpha[rows] * xr
+        else:
+            binv[:] -= np.outer(alpha, prow)
+            x[:] -= alpha * xr
+        binv[r], x[r], basis[r] = prow, xr, j
+        stats.phase_pivots[phase] += 1
+        if not exact and sum(stats.phase_pivots) % REINVERT_EVERY == 0:
+            binv[:] = np.linalg.inv(big[:, basis])
+            x[:] = binv @ b
+            stats.reinversions += 1
+
+    def iterate(obj, allowed, phase):
+        """Pivot on the reduced costs of objective `obj` over columns [0, allowed)."""
+        stall, bland = 0, False
+        while allowed:
+            d = obj[:allowed] - dot(dot(obj[basis], binv), big[:, :allowed])
+            # Bland's rule takes the first eligible column.
+            enter = int(np.argmax(d < -tol) if bland else np.argmin(d))
+            if d[enter] >= -tol:
+                break
+            if sum(stats.phase_pivots) >= limit:
+                return ITERATION_LIMIT
+            alpha = dot(big[:, enter], binv.T)
+            rows = np.flatnonzero(alpha > tol)
+            if not rows.size:
+                return UNBOUNDED
+            ratios = np.maximum(x[rows], 0) / alpha[rows]
+            best = ratios.min()
+            ties = rows[ratios <= best + tol]
+            stall = stall + 1 if best <= tol else 0
+            stats.degenerate += stall > 0
+            pivot(int(ties[np.argmin(basis[ties])]), enter, alpha, phase)
+            if stall > STALL_LIMIT and not bland:
+                bland = True
+                stats.bland_at = stats.bland_at or sum(stats.phase_pivots)
+        return OPTIMAL
+
+    status = iterate(phase1, total, 0)
+    if status == OPTIMAL and phase1[basis] @ x > tol:
+        status = INFEASIBLE
+    if status == OPTIMAL:
         # Drive artificials out of the (degenerate) basis where a real
         # column can replace them; the rows left are redundant.
-        for i in range(m):
-            if basis[i] >= nv:
-                usable = np.flatnonzero(abs(t[i, :nv]) > tol)
-                if usable.size:
-                    _pivot(t, basis, i, int(usable[0]))
-                    pivots += 1
-
-    status, pivots = _iterate(t, basis, m, nv, tol, pivots, limit)
-    return status, basis, t, pivots
-
-
-def _pivot(t, basis, r, j) -> None:
-    # On the Fraction tableau only the pivot row's nonzeros take part.
-    cols = np.flatnonzero(t[r]) if t.dtype == object else slice(None)
-    t[r, cols] /= t[r, j]
-    prow = t[r, cols]
-    for i in np.flatnonzero(t[:, j]):
-        if i != r:
-            t[i, cols] -= t[i, j] * prow
-    basis[r] = j
+        for i in np.flatnonzero(basis >= nv):
+            usable = np.flatnonzero(abs(dot(binv[i], big[:, :nv])) > tol)
+            if usable.size:
+                pivot(i, usable[0], dot(big[:, usable[0]], binv.T), 0)
+        status = iterate(cost, nv, 1)
+    if status != OPTIMAL:
+        return status, basis.tolist(), None, None
+    if not exact:
+        # Rounding leaves degenerate levels a hair below zero; they are 0.
+        x[(x < 0) & (x >= -FLOAT_TOL)] = 0.0
+    return OPTIMAL, basis.tolist(), x.tolist(), (cost[basis] @ binv).tolist()
 
 
-def _iterate(t, basis, obj, allowed, tol, pivots, limit) -> tuple[str, int]:
-    """Pivot on objective row `obj` over columns [0, allowed) until optimal.
-
-    The pivot limit guards the float tableau against cycling by rounding;
-    the exact tableau has none, since Bland's rule cannot cycle.
-    """
-    m = len(basis)
-    basis_arr = np.array(basis)
-    stall = 0
-    bland = False
-    while allowed:
-        costs = t[obj, :allowed]
-        if bland:
-            eligible = np.flatnonzero(costs < -tol)
-            if not eligible.size:
-                break
-            enter = int(eligible[0])
-        else:
-            enter = int(np.argmin(costs))
-            if costs[enter] >= -tol:
-                break
-        if pivots >= limit:
-            return ITERATION_LIMIT, pivots
-        column = t[:m, enter]
-        rows = np.flatnonzero(column > tol)
-        if not rows.size:
-            return UNBOUNDED, pivots
-        ratios = np.maximum(t[rows, -1], 0) / column[rows]
-        best = ratios.min()
-        ties = rows[ratios <= best + tol]
-        leave = int(ties[np.argmin(basis_arr[ties])])
-        if not bland:
-            stall = stall + 1 if best <= tol else 0
-            bland = stall > STALL_LIMIT
-        _pivot(t, basis, leave, enter)
-        basis_arr[leave] = enter
-        pivots += 1
-    return OPTIMAL, pivots
+def _sparse_dot(u, mat):
+    """u @ mat over the nonzeros of u and of mat's rows, for Fractions."""
+    out = np.full(mat.shape[1], Fraction(0), dtype=object)
+    for i in np.flatnonzero(u):
+        nz = np.flatnonzero(mat[i])
+        out[nz] += u[i] * mat[i, nz]
+    return out
 
 
 # -- exact certificate -----------------------------------------------------

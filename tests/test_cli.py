@@ -112,6 +112,24 @@ class TestSolve:
         assert isinstance(report["rho"], float)
         assert report["audits"]["strong_duality_gap"] is (expected == 0)
 
+    @pytest.mark.parametrize("values, rho", [("0,0.1,0.3", "9/50"), ("0,1/2,1", "7/10")])
+    def test_custom_cost_values_are_exact(self, tmp_path, capsys, values, rho):
+        # each value is read as a decimal or fraction, so 0.1 is 1/10, not
+        # the binary64 nearest to it
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"n": 2, "weights": ["1/10", "2/10", "3/10", "4/10"]}))
+        code, report = run_json(capsys, ["solve", "--profile", str(path), "--cost", "custom",
+                                         "--cost-values", values])
+        assert code == 0
+        assert (report["rho"], report["sigma"], report["gap"]) == (rho, rho, 0)
+
+    @pytest.mark.parametrize("values", ["0,nan,1", "0,inf,1", "0,-1,1", "0,abc,1", "0,1"])
+    def test_bad_custom_cost_values(self, capsys, profile_file, values):
+        code = main(["solve", "--profile", profile_file, "--cost", "custom",
+                     "--cost-values", values])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_threshold_point_mass(self, capsys, point_mass_file):
         code, report = run_json(capsys, [
             "solve", "--profile", point_mass_file,

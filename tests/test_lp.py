@@ -307,14 +307,13 @@ class TestSolve:
         with objective 0.  Both fail the exact check, and the exact pivots
         must land on the certified optimum.
         """
-        real = simplex._two_phase
+        real = simplex._revised
 
-        def bad_float_stage(a, b, c, unit_cols, art_rows, exact):
-            status, basis, t, pivots = real(a, b, c, unit_cols, art_rows, exact)
-            if exact:
-                return status, basis, t, pivots
+        def bad_float_stage(a, b, c, unit_cols, art_rows, stats):
+            if c.dtype == object:
+                return real(a, b, c, unit_cols, art_rows, stats)
             bad = list(unit_cols) if wrong == "start" else list(range(len(b)))
-            return simplex.OPTIMAL, bad, t, pivots
+            return simplex.OPTIMAL, bad, None, None
 
         rng = random.Random(55)
         for n in (1, 2, 3):
@@ -324,7 +323,7 @@ class TestSolve:
                 fast = solve(model)
                 assert fast.strategy == "certified"
                 with monkeypatch.context() as m:
-                    m.setattr(simplex, "_two_phase", bad_float_stage)
+                    m.setattr(simplex, "_revised", bad_float_stage)
                     slow = solve(model)
                 assert slow.strategy == "exact-pivots"
                 assert slow.objective == fast.objective
@@ -477,13 +476,14 @@ class TestSolverEdgeCases:
         # the certificate has no slack: whatever the float stage proposes,
         # a rejected basis falls back to exact pivots and the same optimum
         assert solve(equality_model(a_rows, b, c)).objective == objective
-        real = simplex._two_phase
+        real = simplex._revised
 
-        def bad_float_stage(a, b, c, unit_cols, art_rows, exact):
-            result = real(a, b, c, unit_cols, art_rows, exact)
-            return result if exact else (simplex.OPTIMAL, list(bad_basis), *result[2:])
+        def bad_float_stage(a, b, c, unit_cols, art_rows, stats):
+            if c.dtype == object:
+                return real(a, b, c, unit_cols, art_rows, stats)
+            return simplex.OPTIMAL, list(bad_basis), None, None
 
-        monkeypatch.setattr(simplex, "_two_phase", bad_float_stage)
+        monkeypatch.setattr(simplex, "_revised", bad_float_stage)
         result = solve(equality_model(a_rows, b, c))
         assert result.strategy == "exact-pivots"
         assert (result.status, result.objective) == (status, objective)
@@ -586,14 +586,16 @@ class TestSlackness:
         assert report.violations
 
 
-# -- the dense-row solver the column form replaced, kept as an oracle -------
+# -- the dense tableau the revised loop replaced, kept as an oracle ---------
 
-def dense_solve(model, mode="exact"):
-    """lp.solve as it was on dense Python rows, with the `Fraction` certificate.
+def dense_solve(model, mode="exact", float_stage=True):
+    """lp.solve as it was on a dense tableau of Python rows.
 
     Each row is a list of len(c) entries, converted entry by entry to the
     solve's number type; the certificate checks c - Aᵀy with a Fraction loop
-    over every row and column.  Pivoting reuses simplex._iterate/_pivot.
+    over every row and column.  Every pivot rewrites the whole tableau.
+    Without the float stage an exact solve pivots on Fractions from the
+    phase-1 start, as the exact fallback does.
     """
     entries = chain(model.objective,
                     *(chain(con.coeffs.values(), (con.rhs,)) for con in model.constraints))
@@ -624,7 +626,7 @@ def dense_solve(model, mode="exact"):
         flips.append(flip)
     sense_flip = -1 if model.sense == "max" else 1
     c = [sense_flip * num(v) for v in model.objective] + [num(0)] * slack_count
-    result = _dense_simplex_min(rows, rhs, c, seeds)
+    result = _dense_simplex_min(rows, rhs, c, seeds, float_stage)
     mode = "exact" if exact else "float"
     if result.status != "optimal":
         return SolveReport(result.status, None, None, mode, result.pivots, 0.0, result.strategy)
@@ -634,7 +636,7 @@ def dense_solve(model, mode="exact"):
                        result.pivots, 0.0, result.strategy, duals)
 
 
-def _dense_simplex_min(a_rows, b, c, seeds):
+def _dense_simplex_min(a_rows, b, c, seeds, float_stage):
     unit_cols, art_rows = [], []
     for i, col in enumerate(seeds):
         if col is None:
@@ -642,7 +644,8 @@ def _dense_simplex_min(a_rows, b, c, seeds):
             art_rows.append(i)
         unit_cols.append(col)
     exact = all(isinstance(v, Rational) for v in chain(b, c))
-    status, basis, t, pivots = _dense_two_phase(a_rows, b, c, unit_cols, art_rows, False)
+    status, basis, t, pivots = (_dense_two_phase(a_rows, b, c, unit_cols, art_rows, False)
+                                if float_stage else ("skipped", None, None, 0))
     strategy, solution = "float", None
     if exact:
         b = [Fraction(v) for v in b]
@@ -693,7 +696,7 @@ def _dense_two_phase(a_rows, b, c, unit_cols, art_rows, exact):
     t[m + 1] -= t[art_rows].sum(axis=0)
     pivots = 0
     if art_rows:
-        status, pivots = simplex._iterate(t, basis, m + 1, total, tol, pivots, limit)
+        status, pivots = _tableau_iterate(t, basis, m + 1, total, tol, pivots, limit)
         if status != "optimal":
             return status, basis, t, pivots
         if -t[m + 1, -1] > tol:
@@ -702,10 +705,61 @@ def _dense_two_phase(a_rows, b, c, unit_cols, art_rows, exact):
             if basis[i] >= nv:
                 usable = np.flatnonzero(abs(t[i, :nv]) > tol)
                 if usable.size:
-                    simplex._pivot(t, basis, i, int(usable[0]))
+                    _tableau_pivot(t, basis, i, int(usable[0]))
                     pivots += 1
-    status, pivots = simplex._iterate(t, basis, m, nv, tol, pivots, limit)
+    status, pivots = _tableau_iterate(t, basis, m, nv, tol, pivots, limit)
     return status, basis, t, pivots
+
+
+def _tableau_pivot(t, basis, r, j) -> None:
+    # On the Fraction tableau only the pivot row's nonzeros take part.
+    cols = np.flatnonzero(t[r]) if t.dtype == object else slice(None)
+    t[r, cols] /= t[r, j]
+    prow = t[r, cols]
+    for i in np.flatnonzero(t[:, j]):
+        if i != r:
+            t[i, cols] -= t[i, j] * prow
+    basis[r] = j
+
+
+def _tableau_iterate(t, basis, obj, allowed, tol, pivots, limit) -> tuple[str, int]:
+    """Pivot on objective row `obj` over columns [0, allowed) until optimal.
+
+    The pivot limit guards the float tableau against cycling by rounding;
+    the exact tableau has none, since Bland's rule cannot cycle.
+    """
+    m = len(basis)
+    basis_arr = np.array(basis)
+    stall = 0
+    bland = False
+    while allowed:
+        costs = t[obj, :allowed]
+        if bland:
+            eligible = np.flatnonzero(costs < -tol)
+            if not eligible.size:
+                break
+            enter = int(eligible[0])
+        else:
+            enter = int(np.argmin(costs))
+            if costs[enter] >= -tol:
+                break
+        if pivots >= limit:
+            return "iteration-limit", pivots
+        column = t[:m, enter]
+        rows = np.flatnonzero(column > tol)
+        if not rows.size:
+            return "unbounded", pivots
+        ratios = np.maximum(t[rows, -1], 0) / column[rows]
+        best = ratios.min()
+        ties = rows[ratios <= best + tol]
+        leave = int(ties[np.argmin(basis_arr[ties])])
+        if not bland:
+            stall = stall + 1 if best <= tol else 0
+            bland = stall > simplex.STALL_LIMIT
+        _tableau_pivot(t, basis, leave, enter)
+        basis_arr[leave] = enter
+        pivots += 1
+    return "optimal", pivots
 
 
 def _dense_certify(a_rows, b, c, basis, art_rows):
@@ -748,10 +802,10 @@ def _dense_solve_exact(rows, rhs):
     return [Fraction(row[m], row[k]) for k, row in enumerate(aug)]
 
 
-def dense_pair(profile, cost, mode):
+def dense_pair(profile, cost, mode, float_stage=True):
     """solve_pair as it was on dense_solve: lambda by one division per member."""
     model = build_primal(profile, cost)
-    report = dense_solve(model, mode)
+    report = dense_solve(model, mode, float_stage)
     mu, lam = {}, {}
     for (_, code, s), v in report.values.items():
         mu[(code, s)] = v
@@ -796,9 +850,11 @@ def _oracle_profiles():
     yield "odd2", profile(2, ["1/49", "2/49", "3/49", "43/49"])
 
 
-def _oracle_cases():
+def _oracle_cases(modes=("exact", "float"), max_n=5):
     for name, p in _oracle_profiles():
         n = p.n
+        if n > max_n:
+            continue
         costs = {"average": CostFunction.average(n), "tau1": CostFunction.threshold(n, 1)}
         if n >= 2:
             costs["tau2"] = CostFunction.threshold(n, 2)
@@ -806,7 +862,7 @@ def _oracle_cases():
         if n == 5:
             costs = {k: costs[k] for k in ("average", "tau2")}
         for cname, cost in costs.items():
-            for mode in ("exact", "float"):
+            for mode in modes:
                 yield pytest.param(p, cost, mode, id=f"{name}-{cname}-{mode}")
 
 
@@ -829,21 +885,77 @@ def _fuzz_models():
                       objective, constraints)
 
 
+def _dual_and_literal_models():
+    rng = random.Random(70)
+    for n in (1, 2, 3):
+        p = rand_rational_profile(n, rng)
+        for cost in (CostFunction.average(n), CostFunction.threshold(n, 1)):
+            yield build_dual(p, cost)
+            yield build_dual(ball_profile(n, 1, rng), cost)
+        matrices = [F2Matrix(n, ())] + [m for k in range(1, n + 1)
+                                        for m in full_rank_matrices(n, k)][:6]
+        yield literal_lp_model(p, CostFunction.average(n), matrices)
+
+
+def without_float_stage(monkeypatch):
+    """Exact solves skip the float stage, so the revised loop runs on
+    Fractions from the phase-1 start, as the exact fallback does."""
+    real = simplex._revised
+
+    def exact_only(a, b, c, *rest):
+        if c.dtype == object:
+            return real(a, b, c, *rest)
+        return simplex.ITERATION_LIMIT, None, None, None
+
+    monkeypatch.setattr(simplex, "_revised", exact_only)
+
+
+def assert_same_optimum(got, want, model):
+    """The gate between the revised loop and the tableau where rounding may
+    pick another optimal vertex: the same status; an exact optimum equal as
+    a Fraction and certified, its multipliers giving the same value; a
+    float optimum within 1e-9 of HiGHS."""
+    assert got.status == want.status
+    if got.status != "optimal":
+        return
+    if got.mode == "exact":
+        assert same(got.objective, want.objective)
+        assert got.strategy == "certified"
+        assert sum(y * con.rhs for y, con in zip(got.duals, model.constraints)) == got.objective
+    else:
+        assert abs(got.objective - scipy_optimum(model)) <= 1e-9
+
+
 class TestColumnFormMatchesDenseRows:
-    """The column-form solve reproduces the dense-row solver bit for bit."""
+    """The revised loop on columns against the dense-row tableau it replaced.
+
+    In exact arithmetic the two follow the same pivot path, so the loop the
+    exact fallback runs matches the Fraction tableau bit for bit.  In
+    binary64 they round differently, and on a degenerate program a solve
+    may end on another optimal vertex; there `assert_same_optimum` holds.
+    """
 
     @pytest.mark.parametrize("p, cost, mode", list(_oracle_cases()))
     def test_solve_pair(self, p, cost, mode):
         primal, dual, report = solve_pair(p, cost, mode)
-        want, mu, lam, b = dense_pair(p, cost, mode)
+        model = build_primal(p, cost)
+        assert_same_optimum(report, dense_solve(model, mode), model)
+        assert complementary_slackness(primal, dual, p, cost).certified
+        assert sum(report.stats.phase_pivots) == report.pivots
+
+    @pytest.mark.parametrize("p, cost, mode", [
+        case for case in _oracle_cases(("exact",), max_n=3) if case.values[0].rational])
+    def test_exact_loop_solve_pair(self, monkeypatch, p, cost, mode):
+        without_float_stage(monkeypatch)
+        primal, dual, report = solve_pair(p, cost, mode)
+        want, mu, lam, b = dense_pair(p, cost, mode, float_stage=False)
         assert_same_report(report, want)
         assert same(primal.mu, mu) and same(primal.lam, lam)
         assert same(dual.b, b)
-        if mode == "exact" and p.rational:
-            assert report.strategy == "certified"
+        assert report.strategy == "exact-pivots"
 
     def test_odd_profile_has_inexact_inverses(self):
-        # odd2 pins the tableau's float(1 / w_i): 1 / float(w_i) differs there
+        # odd2 pins the float stage's float(1 / w_i): 1 / float(w_i) differs there
         p = dict(_oracle_profiles())["odd2"]
         assert any(float(1 / w) != 1 / float(w) for w in p.weights)
 
@@ -851,23 +963,95 @@ class TestColumnFormMatchesDenseRows:
     def test_fuzz_models(self, mode):
         statuses = set()
         for model in _fuzz_models():
-            got, want = solve(model, mode), dense_solve(model, mode)
-            assert_same_report(got, want)
+            got = solve(model, mode)
+            assert_same_optimum(got, dense_solve(model, mode), model)
             statuses.add(got.status)
         assert statuses == {"optimal", "infeasible", "unbounded"}
 
+    def test_exact_loop_fuzz_models(self, monkeypatch):
+        without_float_stage(monkeypatch)
+        for model in _fuzz_models():
+            assert_same_report(solve(model), dense_solve(model, float_stage=False))
+
     @pytest.mark.parametrize("mode", ["exact", "float"])
     def test_dual_and_literal_models(self, mode):
-        rng = random.Random(70)
-        for n in (1, 2, 3):
-            p = rand_rational_profile(n, rng)
-            for cost in (CostFunction.average(n), CostFunction.threshold(n, 1)):
-                for model in (build_dual(p, cost), build_dual(ball_profile(n, 1, rng), cost)):
-                    assert_same_report(solve(model, mode), dense_solve(model, mode))
-            matrices = [F2Matrix(n, ())] + [m for k in range(1, n + 1)
-                                            for m in full_rank_matrices(n, k)][:6]
-            literal = literal_lp_model(p, CostFunction.average(n), matrices)
-            assert_same_report(solve(literal, mode), dense_solve(literal, mode))
+        for model in _dual_and_literal_models():
+            assert_same_optimum(solve(model, mode), dense_solve(model, mode), model)
+
+    def test_exact_loop_dual_and_literal_models(self, monkeypatch):
+        without_float_stage(monkeypatch)
+        for model in _dual_and_literal_models():
+            assert_same_report(solve(model), dense_solve(model, float_stage=False))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_phased_n5_float(self, seed):
+        rng = random.Random(f"phased5/{seed}")
+        amps = [math.sqrt(rng.uniform(0.05, 1.0)) * complex(math.cos(t), math.sin(t))
+                for t in (rng.uniform(0.0, 2.0 * math.pi) for _ in range(32))]
+        norm = math.sqrt(sum(abs(a) ** 2 for a in amps))
+        p = AmplitudeProfile.from_amplitudes(5, [a / norm for a in amps])
+        for cost in (CostFunction.average(5), CostFunction.threshold(5, 2)):
+            primal, dual, report = solve_pair(p, cost, "float")
+            assert abs(report.objective - scipy_optimum(build_primal(p, cost))) <= 1e-9
+            assert complementary_slackness(primal, dual, p, cost).certified
+
+
+def beale_model():
+    """Beale's example, which cycles under the steepest-coefficient rule."""
+    return LpModel("beale", "min", [("x", j) for j in range(4)],
+                   [Fraction(-3, 4), Fraction(150), Fraction(-1, 50), Fraction(6)], [
+        Constraint({0: Fraction(1, 4), 1: Fraction(-60), 2: Fraction(-1, 25), 3: Fraction(9)},
+                   "<=", Fraction(0)),
+        Constraint({0: Fraction(1, 2), 1: Fraction(-90), 2: Fraction(-1, 50), 3: Fraction(3)},
+                   "<=", Fraction(0)),
+        Constraint({2: Fraction(1)}, "<=", Fraction(1)),
+    ])
+
+
+class TestSolveStats:
+    @pytest.mark.parametrize("mode", ["exact", "float", "exact-loop"])
+    def test_beale_counts_pinned(self, monkeypatch, mode):
+        # the slacks start feasible, so phase 1 makes no pivot; STALL_LIMIT + 1
+        # degenerate pivots in a row hand over to Bland's rule, which ends the cycle
+        if mode == "exact-loop":
+            without_float_stage(monkeypatch)
+        report = solve(beale_model(), mode.removesuffix("-loop"))
+        assert report.stats == simplex.SolveStats([0, 36], degenerate=34, bland_at=31)
+        assert report.pivots == 36 == dense_solve(beale_model(), float_stage=False).pivots
+        assert float(report.objective) == pytest.approx(-1 / 20)
+
+    @pytest.mark.parametrize("mode", ["exact", "float", "exact-loop"])
+    def test_drive_out_counts_in_phase_1(self, monkeypatch, mode):
+        # min 3 x0 - x1, -x1 = 0: phase 1 ends at once with the artificial
+        # basic at level 0, and x1 replaces it in phase 1's count
+        if mode == "exact-loop":
+            without_float_stage(monkeypatch)
+        report = solve(equality_model([[0, -1]], [Fraction(0)], [Fraction(3), Fraction(-1)]),
+                       mode.removesuffix("-loop"))
+        assert report.stats == simplex.SolveStats([1, 0])
+        assert report.objective == 0
+
+    @pytest.mark.parametrize("name", ["full5", "bernoulli5"])
+    def test_float_reinversions(self, name):
+        p = dict(_oracle_profiles())[name]
+        _, _, report = solve_pair(p, CostFunction.average(5), "float")
+        assert report.stats.reinversions == report.pivots // simplex.REINVERT_EVERY > 0
+        assert sum(report.stats.phase_pivots) == report.pivots
+
+    def test_fallback_adds_its_pivots(self, monkeypatch):
+        # a rejected float basis: the exact loop's pivots add to the float stage's
+        model = build_primal(rand_rational_profile(2, random.Random(5)), CostFunction.average(2))
+        fast = solve(model)
+        real = simplex._revised
+
+        def bad_float_stage(a, b, c, unit_cols, art_rows, stats):
+            result = real(a, b, c, unit_cols, art_rows, stats)
+            return result if c.dtype == object else (simplex.OPTIMAL, list(unit_cols), None, None)
+
+        monkeypatch.setattr(simplex, "_revised", bad_float_stage)
+        slow = solve(model)
+        assert slow.strategy == "exact-pivots" and slow.objective == fast.objective
+        assert slow.stats.phase_pivots == [2 * v for v in fast.stats.phase_pivots]
 
 
 def eager_lam(profile, values, objective):

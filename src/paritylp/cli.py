@@ -229,7 +229,7 @@ def cmd_solve(args) -> int:
     if args.dump_model:
         with open(args.dump_model, "w") as fh:
             fh.write(lp.build_primal(profile, cost).to_text() + "\n")
-            fh.write(lp.build_dual(profile, cost).to_text() + "\n")
+            fh.write(lp.build_dual(profile, cost) + "\n")
     primal, dual, p_report = lp.solve_pair(profile, cost, args.mode)
     gap = abs(p_report.objective - dual.objective)
     exact = p_report.mode == lp.EXACT
@@ -585,10 +585,7 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "n", 0) < 0:  # the --n of slpn and enumerate
             raise ToolkitError("need n >= 0")
         return args.func(args)
-    except ToolkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (ToolkitError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

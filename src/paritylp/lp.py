@@ -6,7 +6,7 @@ the constancy of lambda * weight on each coset is thereby built into the
 model instead of written as equalities.  The dual has one nonnegative
 variable per index and one covering constraint per (code, syndrome).
 
-The models carry the profile's own numbers (`Fraction` for a rational
+The primal carries the profile's own numbers (`Fraction` for a rational
 profile, binary64 otherwise; costs are always exact), and `solve` alone
 picks the arithmetic: a certified rational solve when the mode is exact and
 every entry of the model is rational, binary64 otherwise.  Its report
@@ -17,7 +17,7 @@ same optimal basis, as the row multipliers divided by the weights, with an
 explicit covering value on the zero-weight indices.  The primal carries
 its columns (each variable's member rows, row i scaled by 1 / w_i), which
 `solve` hands to the simplex as they are; its rows are derived from them
-only when read.  Any other model is brought to columns from its rows.
+only when read.  The dual program itself is only ever written out as text.
 """
 
 from __future__ import annotations
@@ -44,6 +44,10 @@ FLOAT = "float"
 
 FLOAT_FEAS_TOL = 1e-9
 
+# Supports whose primal incidence is kept; a full-support entry holds about
+# 30 kB at n=4 and 340 kB at n=5.
+INCIDENCE_CACHE_SIZE = 64
+
 
 @dataclass
 class Constraint:
@@ -55,51 +59,45 @@ class Constraint:
 
 @dataclass
 class LpModel:
-    """A linear program over nonnegative variables.
+    """A linear program over nonnegative variables by its columns: every row
+    an equality with a nonnegative right-hand side in `rhs`, named by `tags`.
 
-    A builder whose rows are all equalities with nonnegative right-hand
-    sides may give the matrix by `columns` instead, with each row's `rhs`
-    and `tags`; `constraints` is then derived from them on first read, and
-    `solve` never reads it.  Otherwise `solve` brings `rows` to columns.
+    `constraints`, the same rows as `Constraint`s, is derived from the
+    columns on first read; `solve` never reads it.
     """
 
     name: str
     sense: str
     labels: list
     objective: list
-    rows: list[Constraint] | None = None
-    columns: simplex.Columns | None = None
-    rhs: list | None = None
-    tags: list | None = None
+    columns: simplex.Columns
+    rhs: list
+    tags: list
 
     @property
     def n_vars(self) -> int:
         return len(self.labels)
 
-    @property
+    @functools.cached_property
     def constraints(self) -> list[Constraint]:
-        if self.rows is None:
-            a = self.columns
-            coeffs: list = [{} for _ in self.rhs]
-            for r, j, v in zip(a.rows.tolist(), a.cols.tolist(), a.coef.tolist()):
-                coeffs[r][j] = a.scale[r] * v
-            self.rows = [Constraint(co, "=", r, tag)
-                         for co, r, tag in zip(coeffs, self.rhs, self.tags)]
-        return self.rows
+        a = self.columns
+        coeffs: list = [{} for _ in self.rhs]
+        for r, j, v in zip(a.rows.tolist(), a.cols.tolist(), a.coef.tolist()):
+            coeffs[r][j] = a.scale[r] * v
+        return [Constraint(co, "=", r, tag) for co, r, tag in zip(coeffs, self.rhs, self.tags)]
 
     def to_text(self) -> str:
-        """One line per constraint, for eyeballing small models."""
-        def varname(j):
-            return _label_str(self.labels[j])
+        return model_text(self.name, self.sense, self.labels, self.objective, self.constraints)
 
-        lines = [f"# {self.name}: {self.sense} "
-                 + " + ".join(f"{c}*{varname(j)}" for j, c in enumerate(self.objective) if c)]
-        for con in self.constraints:
-            terms = " + ".join(
-                f"{c}*{varname(j)}" for j, c in sorted(con.coeffs.items()) if c
-            )
-            lines.append(f"{terms} {con.rel} {con.rhs}")
-        return "\n".join(lines)
+
+def model_text(name: str, sense: str, labels: list, objective: list, constraints) -> str:
+    """One line for the objective and one per constraint, for eyeballing small models."""
+    def terms(coeffs):
+        return " + ".join(f"{c}*{_label_str(labels[j])}" for j, c in coeffs if c)
+
+    lines = [f"# {name}: {sense} " + terms(enumerate(objective))]
+    lines += [f"{terms(sorted(con.coeffs.items()))} {con.rel} {con.rhs}" for con in constraints]
+    return "\n".join(lines)
 
 
 @dataclass
@@ -165,38 +163,41 @@ def build_primal(profile: AmplitudeProfile, cost: CostFunction) -> LpModel:
     0/1 incidence of the cosets that hold i.
     """
     check_budget(profile.n)
-    row_of = {i: r for r, i in enumerate(profile.support)}
-    inv = [1 / profile.weights[i] for i in row_of]
-    labels, objective, flat, lens = [], [], [], []
-    for code in enumerate_all_codes(profile.n):
-        scale = _rank_value(cost, code.k)
+    labels, rows, cols, ones = _incidence(profile.n, profile.support)
+    values = [_rank_value(cost, k) for k in range(profile.n + 1)]
+    columns = simplex.Columns(rows, cols, ones, [1 / profile.weights[i] for i in profile.support])
+    return LpModel("primal", "max", list(labels), [values[code.k] for _, code, _ in labels],
+                   columns, [1] * len(profile.support), [("index", i) for i in profile.support])
+
+
+@functools.lru_cache(maxsize=INCIDENCE_CACHE_SIZE)
+def _incidence(n: int, support: tuple) -> tuple:
+    """The primal's variable labels over a support, and the 0/1 incidence of
+    their cosets by columns (rows, cols, ones: read-only arrays)."""
+    row_of = {i: r for r, i in enumerate(support)}
+    labels, flat, lens = [], [], []
+    for code in enumerate_all_codes(n):
         for s, members in enumerate(code.cosets.members):
             rows = [row_of.get(i) for i in members]
             if None not in rows:
                 flat += rows
                 lens.append(len(rows))
                 labels.append(("mu", code, s))
-                objective.append(scale)
-    columns = simplex.Columns(np.array(flat, dtype=np.intp), np.repeat(np.arange(len(lens)), lens),
-                              np.ones(len(flat), dtype=np.int64), inv)
-    return LpModel("primal", "max", labels, objective, columns=columns,
-                   rhs=[1] * len(inv), tags=[("index", i) for i in row_of])
+    arrays = (np.array(flat, dtype=np.intp), np.repeat(np.arange(len(lens)), lens),
+              np.ones(len(flat), dtype=np.int64))
+    for a in arrays:
+        a.flags.writeable = False
+    return (tuple(labels), *arrays)
 
 
-def build_dual(profile: AmplitudeProfile, cost: CostFunction) -> LpModel:
-    """Covering program: minimize sum b_i w_i subject to per-coset lower bounds."""
+def build_dual(profile: AmplitudeProfile, cost: CostFunction) -> str:
+    """The covering program's text: minimize sum b_i w_i subject to sum b_i
+    >= cost(k) 2^k over each coset of each rank-k code."""
     check_budget(profile.n)
     n = profile.n
-    labels = [("b", i, n) for i in all_vectors(n)]
-    objective = list(profile.weights)
-    constraints = []
-    for code in enumerate_all_codes(n):
-        cos = code.cosets
-        rhs = _rank_value(cost, code.k)
-        for s in range(cos.n_syndromes):
-            coeffs = {i: 1 for i in cos.members_of(s)}
-            constraints.append(Constraint(coeffs, ">=", rhs, tag=("coset", code, s)))
-    return LpModel("dual", "min", labels, objective, constraints)
+    rows = [Constraint(dict.fromkeys(members, 1), ">=", _rank_value(cost, code.k))
+            for code in enumerate_all_codes(n) for members in code.cosets.members]
+    return model_text("dual", "min", [("b", i, n) for i in all_vectors(n)], profile.weights, rows)
 
 
 def solve(model: LpModel, mode: str = EXACT) -> SolveReport:
@@ -212,53 +213,22 @@ def solve(model: LpModel, mode: str = EXACT) -> SolveReport:
     if mode not in (EXACT, FLOAT):
         raise SolveError(f"unknown mode {mode!r}")
     start = time.perf_counter()
-    rows = None if model.columns else model.constraints
-    if rows is None:
-        coefs, rhs = model.columns.scale, model.rhs
-    else:
-        coefs = chain.from_iterable(c.coeffs.values() for c in rows)
-        rhs = [con.rhs for con in rows]
-    exact = mode == EXACT and all(isinstance(v, Rational)
-                                  for v in chain(model.objective, coefs, rhs))
+    exact = mode == EXACT and all(isinstance(v, Rational) for v in chain(
+        model.objective, model.columns.scale, model.rhs))
     # The dtype of b and c selects the arithmetic of simplex_min.
     num, dtype = (Fraction, object) if exact else (float, float)
-    rhs = [num(r) for r in rhs]
-    flips = [-1 if r < 0 else 1 for r in rhs]
-    a, seeds = (model.columns, None) if rows is None else _columns(model, flips)
-
-    sense_flip = -1 if model.sense == "max" else 1
-    slack_count = 0 if rows is None else sum(1 for c in rows if c.rel != "=")
-    c = np.array(model.objective, dtype=dtype)
-    c = np.concatenate((-c if sense_flip < 0 else c, np.zeros(slack_count, dtype=dtype)))
-    b = np.array([f * r for f, r in zip(flips, rhs)], dtype=dtype)
-    result = simplex.simplex_min(a, b, c, basis_seed=seeds)
+    sense = -1 if model.sense == "max" else 1
+    c = sense * np.array(model.objective, dtype=dtype)
+    b = np.array([num(r) for r in model.rhs], dtype=dtype)
+    result = simplex.simplex_min(model.columns, b, c)
     elapsed = time.perf_counter() - start
     mode = EXACT if exact else FLOAT
     if result.status != simplex.OPTIMAL:
         return SolveReport(result.status, None, None, mode, result.pivots,
                            elapsed, result.strategy, stats=result.stats)
-    values = dict(zip(model.labels, result.x[:model.n_vars]))
-    duals = [sense_flip * f * y for f, y in zip(flips, result.y)]
-    return SolveReport("optimal", sense_flip * result.objective, values, mode,
-                       result.pivots, elapsed, result.strategy, duals, result.stats)
-
-
-def _columns(model: LpModel, flips: list) -> tuple[simplex.Columns, list]:
-    """The rows of a model by columns, each times its flip, with a slack column
-    per inequality; and the basis seeds: the slacks that enter with +1."""
-    entries, seeds = [], []
-    slack_at = model.n_vars
-    for i, (con, flip) in enumerate(zip(model.constraints, flips)):
-        sign = {"=": 0, ">=": -1, "<=": 1}.get(con.rel)
-        if sign is None:
-            raise SolveError(f"unknown relation {con.rel!r}")
-        row = list(con.coeffs.items()) + [(slack_at, sign)] * abs(sign)
-        seeds.append(slack_at if sign == flip else None)
-        slack_at += abs(sign)
-        entries += [(j, i, flip * v) for j, v in row]
-    cols, rows, coef = zip(*sorted(entries, key=lambda e: e[0])) if entries else ((),) * 3
-    return simplex.Columns(np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
-                           np.array(coef, dtype=object), [1] * len(flips)), seeds
+    values = dict(zip(model.labels, result.x))
+    return SolveReport("optimal", sense * result.objective, values, mode, result.pivots,
+                       elapsed, result.strategy, [sense * y for y in result.y], result.stats)
 
 
 @dataclass

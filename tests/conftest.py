@@ -4,11 +4,31 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 from paritylp.f2lin import F2Matrix, all_vectors, hamming_weight
-from paritylp.lp import Constraint, LpModel
+from paritylp.lp import Constraint, model_text
 from paritylp.profiles import AmplitudeProfile
+
+
+@dataclass
+class RowModel:
+    """A linear program over nonnegative variables given by its rows, for the
+    oracles: `lp.solve` takes only the primal's columns."""
+
+    name: str
+    sense: str
+    labels: list
+    objective: list
+    constraints: list[Constraint]
+
+    @property
+    def n_vars(self) -> int:
+        return len(self.labels)
+
+    def to_text(self) -> str:
+        return model_text(self.name, self.sense, self.labels, self.objective, self.constraints)
 
 
 def rand_rational_profile(n: int, rng: random.Random, *, max_num: int = 30,
@@ -56,7 +76,7 @@ def full_rank_matrices(n: int, k: int) -> list[F2Matrix]:
     return out
 
 
-def literal_lp_model(profile: AmplitudeProfile, cost, matrices) -> LpModel:
+def literal_lp_model(profile: AmplitudeProfile, cost, matrices) -> RowModel:
     """The per-index formulation with explicit coset-constancy equalities.
 
     One variable per (matrix, index).  Used as an oracle against the
@@ -89,7 +109,7 @@ def literal_lp_model(profile: AmplitudeProfile, cost, matrices) -> LpModel:
                 coeffs = {index[("lam", mi, a)]: profile.weights[a],
                           index[("lam", mi, b)]: -profile.weights[b]}
                 constraints.append(Constraint(coeffs, "=", 0))
-    return LpModel("literal", "max", labels, objective, constraints)
+    return RowModel("literal", "max", labels, objective, constraints)
 
 
 def ball_profile(n: int, d: int, rng: random.Random) -> AmplitudeProfile:

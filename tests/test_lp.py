@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from conftest import ball_profile, full_rank_matrices, literal_lp_model, rand_rational_profile
+from conftest import (
+    RowModel,
+    ball_profile,
+    full_rank_matrices,
+    literal_lp_model,
+    rand_rational_profile,
+)
 from paritylp import simplex
 from paritylp.errors import BudgetError
 from paritylp.f2lin import (
@@ -26,7 +32,6 @@ from paritylp.f2lin import (
 from paritylp.lp import (
     Constraint,
     DualSolution,
-    LpModel,
     PrimalSolution,
     SolveReport,
     build_dual,
@@ -77,10 +82,10 @@ def _scipy_raw(model):
 
 
 def equality_model(a_rows, b, c):
-    """min c.x subject to the rows of A x = b, as an LpModel."""
+    """min c.x subject to the rows of A x = b, as a row model."""
     constraints = [Constraint({j: v for j, v in enumerate(row) if v}, "=", r)
                    for row, r in zip(a_rows, b)]
-    return LpModel("rows", "min", [("x", j) for j in range(len(c))], c, constraints)
+    return RowModel("rows", "min", [("x", j) for j in range(len(c))], c, constraints)
 
 
 def scipy_optimum(model):
@@ -112,7 +117,28 @@ def two_loop_primal(profile, cost):
             if idx is not None:
                 coeffs[idx] = inv
         constraints.append(Constraint(coeffs, "=", 1, tag=("index", i)))
-    return LpModel("primal", "max", labels, objective, constraints)
+    return RowModel("primal", "max", labels, objective, constraints)
+
+
+def dual_rows(profile, cost):
+    """The covering program build_dual writes, as a row model: one variable
+    b_i per index, one lower bound per (code, syndrome)."""
+    n = profile.n
+    labels = [("b", i, n) for i in all_vectors(n)]
+    constraints = []
+    for code in enumerate_all_codes(n):
+        cos = code.cosets
+        rhs = cost.value(code.k) * (1 << code.k)
+        for s in range(cos.n_syndromes):
+            coeffs = {i: 1 for i in cos.members_of(s)}
+            constraints.append(Constraint(coeffs, ">=", rhs, tag=("coset", code, s)))
+    return RowModel("dual", "min", labels, list(profile.weights), constraints)
+
+
+def covering_lines(text):
+    """(terms, right-hand side) of each covering constraint in build_dual's text."""
+    lines = [line.split(" >= ") for line in text.splitlines()[1:]]
+    return [(terms.split(" + "), Fraction(rhs)) for terms, rhs in lines]
 
 
 def _reference_cases():
@@ -156,6 +182,16 @@ class TestBuildPrimal:
         assert m.n_vars == 1
         assert len(m.constraints) == 1
 
+    def test_incidence_shared_per_support_and_read_only(self):
+        rng = random.Random(12)
+        cost = CostFunction.average(3)
+        full = [build_primal(rand_rational_profile(3, rng), cost).columns for _ in range(2)]
+        ball = build_primal(ball_profile(3, 1, rng), cost).columns
+        assert full[0].rows is full[1].rows and full[0].cols is full[1].cols
+        assert full[0].scale != full[1].scale and ball.rows is not full[0].rows
+        with pytest.raises(ValueError):
+            full[0].rows[0] = 1
+
     def test_budget(self):
         with pytest.raises(BudgetError):
             build_primal(profile(6, ["1/64"] * 64), CostFunction.average(6))
@@ -166,22 +202,40 @@ class TestBuildPrimal:
         assert "mu[" in text and "= 1" in text
 
 
+def _dual_text_cases():
+    for n in (1, 2, 3):
+        rng = random.Random(f"dual-text/{n}")
+        costs = [("average", CostFunction.average(n))]
+        if n >= 2:
+            costs.append(("tau2", CostFunction.threshold(n, 2)))
+        for pname, p in (("full", rand_rational_profile(n, rng)),
+                         ("ball", ball_profile(n, 1, rng)),
+                         ("binary64", bernoulli_profile(n, 0.15))):
+            for cname, cost in costs:
+                yield pytest.param(p, cost, id=f"{pname}{n}-{cname}")
+
+
 class TestBuildDual:
     def test_n2_constraint_census(self):
-        m = build_dual(profile(2, ["1/4"] * 4), CostFunction.average(2))
-        rhs = sorted(float(c.rhs) for c in m.constraints)
+        text = build_dual(profile(2, ["1/4"] * 4), CostFunction.average(2))
+        rhs = sorted(float(r) for _, r in covering_lines(text))
         assert rhs == [0.0] * 4 + [2.0] * 6 + [8.0]
 
     def test_n1_constraints(self):
-        m = build_dual(profile(1, ["1/2", "1/2"]), CostFunction.average(1))
-        assert [float(c.rhs) for c in m.constraints] == [0.0, 0.0, 2.0]
+        text = build_dual(profile(1, ["1/2", "1/2"]), CostFunction.average(1))
+        assert [float(r) for _, r in covering_lines(text)] == [0.0, 0.0, 2.0]
 
     def test_threshold_tau_n_single_active(self):
-        m = build_dual(profile(2, ["1/4"] * 4), CostFunction.threshold(2, 2))
-        active = [c for c in m.constraints if c.rhs != 0]
+        text = build_dual(profile(2, ["1/4"] * 4), CostFunction.threshold(2, 2))
+        active = [(terms, r) for terms, r in covering_lines(text) if r != 0]
         assert len(active) == 1
-        assert float(active[0].rhs) == 4.0
-        assert set(active[0].coeffs) == set(all_vectors(2))
+        assert float(active[0][1]) == 4.0
+        assert set(active[0][0]) == {f"1*b[{vec_str(i, 2)}]" for i in all_vectors(2)}
+
+    @pytest.mark.parametrize("p, cost", list(_dual_text_cases()))
+    def test_row_model_writes_build_dual_text(self, p, cost):
+        # the oracles below solve dual_rows; it must be the program --dump-model writes
+        assert dual_rows(p, cost).to_text() == build_dual(p, cost)
 
 
 class TestSolve:
@@ -247,15 +301,13 @@ class TestSolve:
                 assert float(rep.objective) == pytest.approx(
                     scipy_optimum(m), abs=1e-8
                 )
-                d = build_dual(p, cost)
-                drep = solve(d, mode="float")
+                d = dual_rows(p, cost)
+                drep = solve_rows(d, mode="float")
                 assert float(drep.objective) == pytest.approx(
                     scipy_optimum(d), abs=1e-8
                 )
 
     def test_random_small_models_against_scipy(self):
-        from paritylp.lp import Constraint, LpModel
-
         rng = random.Random(60)
         agree = 0
         for trial in range(100):
@@ -275,9 +327,9 @@ class TestSolve:
                 constraints.append(
                     Constraint(coeffs, rel, Fraction(rng.randint(-4, 4)))
                 )
-            model = LpModel(f"fuzz{trial}", sense, [("x", j) for j in range(nv)],
-                            objective, constraints)
-            report = solve(model, mode="exact")
+            model = RowModel(f"fuzz{trial}", sense, [("x", j) for j in range(nv)],
+                             objective, constraints)
+            report = solve_rows(model, mode="exact")
             res = _scipy_raw(model)
             if report.status == "optimal":
                 assert res.status == 0, (trial, res.message)
@@ -333,7 +385,7 @@ class TestSolve:
         rng = random.Random(200 + n)
         for cost in (CostFunction.average(n), CostFunction.threshold(n, n)):
             for p in (rand_rational_profile(n, rng), ball_profile(n, n - 1, rng)):
-                direct = solve(build_dual(p, cost))
+                direct = solve_rows(dual_rows(p, cost))
                 dual, report = solve_dual(p, cost)
                 assert direct.objective == dual.objective == report.objective
                 assert check_dual_feasible(dual, cost).feasible
@@ -379,7 +431,7 @@ class TestSolve:
                 p = rand_rational_profile(n, rng)
                 _, rep = solve_primal(p, cost)
                 literal = literal_lp_model(p, cost, canonical)
-                lit_rep = solve(literal)
+                lit_rep = solve_rows(literal)
                 assert lit_rep.objective == rep.objective
 
     def test_duplicates_do_not_change_optimum(self):
@@ -393,7 +445,7 @@ class TestSolve:
                 p = rand_rational_profile(n, rng)
                 _, rep = solve_primal(p, cost)
                 literal = literal_lp_model(p, cost, with_duplicates)
-                lit_rep = solve(literal)
+                lit_rep = solve_rows(literal)
                 assert lit_rep.objective == rep.objective
 
     def test_monotone_in_cost(self):
@@ -475,7 +527,7 @@ class TestSolverEdgeCases:
                                             bad_basis, status, objective):
         # the certificate has no slack: whatever the float stage proposes,
         # a rejected basis falls back to exact pivots and the same optimum
-        assert solve(equality_model(a_rows, b, c)).objective == objective
+        assert solve_rows(equality_model(a_rows, b, c)).objective == objective
         real = simplex._revised
 
         def bad_float_stage(a, b, c, unit_cols, art_rows, stats):
@@ -484,36 +536,30 @@ class TestSolverEdgeCases:
             return simplex.OPTIMAL, list(bad_basis), None, None
 
         monkeypatch.setattr(simplex, "_revised", bad_float_stage)
-        result = solve(equality_model(a_rows, b, c))
+        result = solve_rows(equality_model(a_rows, b, c))
         assert result.strategy == "exact-pivots"
         assert (result.status, result.objective) == (status, objective)
 
     def test_infeasible_hand_model(self):
-        from paritylp.lp import Constraint, LpModel
-
-        model = LpModel("clash", "min", [("x",)], [Fraction(1)], [
+        model = RowModel("clash", "min", [("x",)], [Fraction(1)], [
             Constraint({0: Fraction(1)}, "=", Fraction(1)),
             Constraint({0: Fraction(1)}, "=", Fraction(2)),
         ])
-        assert solve(model).status == "infeasible"
+        assert solve_rows(model).status == "infeasible"
 
     def test_unbounded_hand_model(self):
-        from paritylp.lp import Constraint, LpModel
-
-        model = LpModel("free", "max", [("x",)], [Fraction(1)], [
+        model = RowModel("free", "max", [("x",)], [Fraction(1)], [
             Constraint({0: Fraction(1)}, ">=", Fraction(0)),
         ])
-        assert solve(model).status == "unbounded"
+        assert solve_rows(model).status == "unbounded"
 
     def test_negative_rhs_row_flipped(self):
-        from paritylp.lp import Constraint, LpModel
-
         # x >= -1 is vacuous for x >= 0; optimum sits at the other bound
-        model = LpModel("flip", "min", [("x",)], [Fraction(1)], [
+        model = RowModel("flip", "min", [("x",)], [Fraction(1)], [
             Constraint({0: Fraction(1)}, ">=", Fraction(-1)),
             Constraint({0: Fraction(1)}, ">=", Fraction(3)),
         ])
-        report = solve(model)
+        report = solve_rows(model)
         assert report.status == "optimal" and report.objective == 3
 
 
@@ -586,16 +632,18 @@ class TestSlackness:
         assert report.violations
 
 
-# -- the dense tableau the revised loop replaced, kept as an oracle ---------
+# -- programs by rows: one standard form, on the simplex and on a dense tableau
 
-def dense_solve(model, mode="exact", float_stage=True):
-    """lp.solve as it was on a dense tableau of Python rows.
+def standard_form(model, mode):
+    """A model by rows as min c.x, A x = b, b >= 0, x >= 0.
 
-    Each row is a list of len(c) entries, converted entry by entry to the
-    solve's number type; the certificate checks c - Aᵀy with a Fraction loop
-    over every row and column.  Every pivot rewrites the whole tableau.
-    Without the float stage an exact solve pivots on Fractions from the
-    phase-1 start, as the exact fallback does.
+    Each inequality gains a slack column, each row with a negative
+    right-hand side is negated, and every entry of b and c is converted to
+    the solve's number type (`Fraction` when the mode is exact and the model
+    rational, else float).  Returns (exact, rows, b, c, seeds, flips, sense):
+    dense rows of len(c) entries; per row, the slack column that enters
+    with +1 (else None) and the sign it was multiplied by; and the sign of
+    the objective.
     """
     entries = chain(model.objective,
                     *(chain(con.coeffs.values(), (con.rhs,)) for con in model.constraints))
@@ -624,16 +672,49 @@ def dense_solve(model, mode="exact", float_stage=True):
         rows.append(row)
         rhs.append(r)
         flips.append(flip)
-    sense_flip = -1 if model.sense == "max" else 1
-    c = [sense_flip * num(v) for v in model.objective] + [num(0)] * slack_count
-    result = _dense_simplex_min(rows, rhs, c, seeds, float_stage)
+    sense = -1 if model.sense == "max" else 1
+    c = [sense * num(v) for v in model.objective] + [num(0)] * slack_count
+    return exact, rows, rhs, c, seeds, flips, sense
+
+
+def row_report(model, result, exact, flips, sense):
+    """A standard-form result as the model's SolveReport, in the model's own sense."""
     mode = "exact" if exact else "float"
     if result.status != "optimal":
-        return SolveReport(result.status, None, None, mode, result.pivots, 0.0, result.strategy)
-    values = dict(zip(model.labels, result.x[:nv]))
-    duals = [sense_flip * f * y for f, y in zip(flips, result.y)]
-    return SolveReport("optimal", sense_flip * result.objective, values, mode,
-                       result.pivots, 0.0, result.strategy, duals)
+        return SolveReport(result.status, None, None, mode, result.pivots, 0.0,
+                           result.strategy, stats=result.stats)
+    values = dict(zip(model.labels, result.x[:model.n_vars]))
+    duals = [sense * f * y for f, y in zip(flips, result.y)]
+    return SolveReport("optimal", sense * result.objective, values, mode,
+                       result.pivots, 0.0, result.strategy, duals, result.stats)
+
+
+def solve_rows(model, mode="exact", seeded=True):
+    """Solve a model by rows on simplex.simplex_min: its standard form goes
+    over by the nonzeros of each column, the slack seeds (unless `seeded`
+    is false) as the starting basis."""
+    exact, rows, b, c, seeds, flips, sense = standard_form(model, mode)
+    dtype = object if exact else float
+    a = np.array(rows, dtype=object).reshape(len(rows), len(c))
+    cols, nz = np.nonzero(a.T)
+    columns = simplex.Columns(nz, cols, a[nz, cols], [1] * len(b))
+    result = simplex.simplex_min(columns, np.array(b, dtype=dtype), np.array(c, dtype=dtype),
+                                 basis_seed=seeds if seeded else None)
+    return row_report(model, result, exact, flips, sense)
+
+
+def dense_solve(model, mode="exact", float_stage=True):
+    """The standard form solved as lp.solve did on a dense tableau of Python rows.
+
+    Each row is a list of len(c) entries, converted entry by entry to the
+    solve's number type; the certificate checks c - Aᵀy with a Fraction loop
+    over every row and column.  Every pivot rewrites the whole tableau.
+    Without the float stage an exact solve pivots on Fractions from the
+    phase-1 start, as the exact fallback does.
+    """
+    exact, rows, b, c, seeds, flips, sense = standard_form(model, mode)
+    return row_report(model, _dense_simplex_min(rows, b, c, seeds, float_stage),
+                      exact, flips, sense)
 
 
 def _dense_simplex_min(a_rows, b, c, seeds, float_stage):
@@ -881,8 +962,8 @@ def _fuzz_models():
                 coeffs = {0: Fraction(1)}
             constraints.append(Constraint(coeffs, rng.choice(["=", ">=", "<="]),
                                           Fraction(rng.randint(-4, 4))))
-        yield LpModel(f"fuzz{trial}", sense, [("x", j) for j in range(nv)],
-                      objective, constraints)
+        yield RowModel(f"fuzz{trial}", sense, [("x", j) for j in range(nv)],
+                       objective, constraints)
 
 
 def _dual_and_literal_models():
@@ -890,8 +971,8 @@ def _dual_and_literal_models():
     for n in (1, 2, 3):
         p = rand_rational_profile(n, rng)
         for cost in (CostFunction.average(n), CostFunction.threshold(n, 1)):
-            yield build_dual(p, cost)
-            yield build_dual(ball_profile(n, 1, rng), cost)
+            yield dual_rows(p, cost)
+            yield dual_rows(ball_profile(n, 1, rng), cost)
         matrices = [F2Matrix(n, ())] + [m for k in range(1, n + 1)
                                         for m in full_rank_matrices(n, k)][:6]
         yield literal_lp_model(p, CostFunction.average(n), matrices)
@@ -963,7 +1044,7 @@ class TestColumnFormMatchesDenseRows:
     def test_fuzz_models(self, mode):
         statuses = set()
         for model in _fuzz_models():
-            got = solve(model, mode)
+            got = solve_rows(model, mode)
             assert_same_optimum(got, dense_solve(model, mode), model)
             statuses.add(got.status)
         assert statuses == {"optimal", "infeasible", "unbounded"}
@@ -971,17 +1052,17 @@ class TestColumnFormMatchesDenseRows:
     def test_exact_loop_fuzz_models(self, monkeypatch):
         without_float_stage(monkeypatch)
         for model in _fuzz_models():
-            assert_same_report(solve(model), dense_solve(model, float_stage=False))
+            assert_same_report(solve_rows(model), dense_solve(model, float_stage=False))
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
     def test_dual_and_literal_models(self, mode):
         for model in _dual_and_literal_models():
-            assert_same_optimum(solve(model, mode), dense_solve(model, mode), model)
+            assert_same_optimum(solve_rows(model, mode), dense_solve(model, mode), model)
 
     def test_exact_loop_dual_and_literal_models(self, monkeypatch):
         without_float_stage(monkeypatch)
         for model in _dual_and_literal_models():
-            assert_same_report(solve(model), dense_solve(model, float_stage=False))
+            assert_same_report(solve_rows(model), dense_solve(model, float_stage=False))
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_phased_n5_float(self, seed):
@@ -998,7 +1079,7 @@ class TestColumnFormMatchesDenseRows:
 
 def beale_model():
     """Beale's example, which cycles under the steepest-coefficient rule."""
-    return LpModel("beale", "min", [("x", j) for j in range(4)],
+    return RowModel("beale", "min", [("x", j) for j in range(4)],
                    [Fraction(-3, 4), Fraction(150), Fraction(-1, 50), Fraction(6)], [
         Constraint({0: Fraction(1, 4), 1: Fraction(-60), 2: Fraction(-1, 25), 3: Fraction(9)},
                    "<=", Fraction(0)),
@@ -1015,9 +1096,20 @@ class TestSolveStats:
         # degenerate pivots in a row hand over to Bland's rule, which ends the cycle
         if mode == "exact-loop":
             without_float_stage(monkeypatch)
-        report = solve(beale_model(), mode.removesuffix("-loop"))
+        report = solve_rows(beale_model(), mode.removesuffix("-loop"))
         assert report.stats == simplex.SolveStats([0, 36], degenerate=34, bland_at=31)
         assert report.pivots == 36 == dense_solve(beale_model(), float_stage=False).pivots
+        assert float(report.objective) == pytest.approx(-1 / 20)
+
+    @pytest.mark.parametrize("mode", ["exact", "float", "exact-loop"])
+    def test_beale_from_artificials_never_stalls(self, monkeypatch, mode):
+        # without basis_seed every row starts on an artificial, and the
+        # steepest rule reaches the optimum before a run of degenerate pivots
+        # can hand over: the slack basis is what brings Bland's rule into reach
+        if mode == "exact-loop":
+            without_float_stage(monkeypatch)
+        report = solve_rows(beale_model(), mode.removesuffix("-loop"), seeded=False)
+        assert report.stats == simplex.SolveStats([3, 2], degenerate=2)
         assert float(report.objective) == pytest.approx(-1 / 20)
 
     @pytest.mark.parametrize("mode", ["exact", "float", "exact-loop"])
@@ -1026,8 +1118,8 @@ class TestSolveStats:
         # basic at level 0, and x1 replaces it in phase 1's count
         if mode == "exact-loop":
             without_float_stage(monkeypatch)
-        report = solve(equality_model([[0, -1]], [Fraction(0)], [Fraction(3), Fraction(-1)]),
-                       mode.removesuffix("-loop"))
+        report = solve_rows(equality_model([[0, -1]], [Fraction(0)], [Fraction(3), Fraction(-1)]),
+                            mode.removesuffix("-loop"))
         assert report.stats == simplex.SolveStats([1, 0])
         assert report.objective == 0
 

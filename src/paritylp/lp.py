@@ -29,6 +29,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import chain
 from numbers import Rational
+from typing import ClassVar
 
 import numpy as np
 
@@ -44,10 +45,6 @@ FLOAT = "float"
 
 FLOAT_FEAS_TOL = 1e-9
 
-# Supports whose primal incidence is kept; a full-support entry holds about
-# 30 kB at n=4 and 340 kB at n=5.
-INCIDENCE_CACHE_SIZE = 64
-
 
 @dataclass
 class Constraint:
@@ -59,20 +56,19 @@ class Constraint:
 
 @dataclass
 class LpModel:
-    """A linear program over nonnegative variables by its columns: every row
-    an equality with a nonnegative right-hand side in `rhs`, named by `tags`.
+    """The primal by its columns: maximize objective·x subject to A x = 1
+    and x >= 0, with one row per index of `support`.
 
-    `constraints`, the same rows as `Constraint`s, is derived from the
-    columns on first read; `solve` never reads it.
+    `constraints`, the same rows as `Constraint`s tagged ("index", i), is
+    derived from the columns on first read; `solve` never reads it.
     """
 
-    name: str
-    sense: str
+    name: ClassVar[str] = "primal"
+    sense: ClassVar[str] = "max"
     labels: list
     objective: list
     columns: simplex.Columns
-    rhs: list
-    tags: list
+    support: tuple
 
     @property
     def n_vars(self) -> int:
@@ -81,10 +77,10 @@ class LpModel:
     @functools.cached_property
     def constraints(self) -> list[Constraint]:
         a = self.columns
-        coeffs: list = [{} for _ in self.rhs]
+        coeffs: list = [{} for _ in self.support]
         for r, j, v in zip(a.rows.tolist(), a.cols.tolist(), a.coef.tolist()):
             coeffs[r][j] = a.scale[r] * v
-        return [Constraint(co, "=", r, tag) for co, r, tag in zip(coeffs, self.rhs, self.tags)]
+        return [Constraint(co, "=", 1, ("index", i)) for co, i in zip(coeffs, self.support)]
 
     def to_text(self) -> str:
         return model_text(self.name, self.sense, self.labels, self.objective, self.constraints)
@@ -163,31 +159,21 @@ def build_primal(profile: AmplitudeProfile, cost: CostFunction) -> LpModel:
     0/1 incidence of the cosets that hold i.
     """
     check_budget(profile.n)
-    labels, rows, cols, ones = _incidence(profile.n, profile.support)
-    values = [_rank_value(cost, k) for k in range(profile.n + 1)]
-    columns = simplex.Columns(rows, cols, ones, [1 / profile.weights[i] for i in profile.support])
-    return LpModel("primal", "max", list(labels), [values[code.k] for _, code, _ in labels],
-                   columns, [1] * len(profile.support), [("index", i) for i in profile.support])
-
-
-@functools.lru_cache(maxsize=INCIDENCE_CACHE_SIZE)
-def _incidence(n: int, support: tuple) -> tuple:
-    """The primal's variable labels over a support, and the 0/1 incidence of
-    their cosets by columns (rows, cols, ones: read-only arrays)."""
-    row_of = {i: r for r, i in enumerate(support)}
-    labels, flat, lens = [], [], []
-    for code in enumerate_all_codes(n):
+    row_of = {i: r for r, i in enumerate(profile.support)}
+    labels, objective, flat, lens = [], [], [], []
+    for code in enumerate_all_codes(profile.n):
+        value = _rank_value(cost, code.k)
         for s, members in enumerate(code.cosets.members):
             rows = [row_of.get(i) for i in members]
             if None not in rows:
                 flat += rows
                 lens.append(len(rows))
                 labels.append(("mu", code, s))
-    arrays = (np.array(flat, dtype=np.intp), np.repeat(np.arange(len(lens)), lens),
-              np.ones(len(flat), dtype=np.int64))
-    for a in arrays:
-        a.flags.writeable = False
-    return (tuple(labels), *arrays)
+                objective.append(value)
+    columns = simplex.Columns(np.array(flat, dtype=np.intp), np.repeat(np.arange(len(lens)), lens),
+                              np.ones(len(flat), dtype=np.int64),
+                              [1 / profile.weights[i] for i in profile.support])
+    return LpModel(labels, objective, columns, profile.support)
 
 
 def build_dual(profile: AmplitudeProfile, cost: CostFunction) -> str:
@@ -214,12 +200,12 @@ def solve(model: LpModel, mode: str = EXACT) -> SolveReport:
         raise SolveError(f"unknown mode {mode!r}")
     start = time.perf_counter()
     exact = mode == EXACT and all(isinstance(v, Rational) for v in chain(
-        model.objective, model.columns.scale, model.rhs))
-    # The dtype of b and c selects the arithmetic of simplex_min.
+        model.objective, model.columns.scale))
+    # The dtype of b and c selects the arithmetic of simplex_min; the
+    # maximization is solved as min -objective·x.
     num, dtype = (Fraction, object) if exact else (float, float)
-    sense = -1 if model.sense == "max" else 1
-    c = sense * np.array(model.objective, dtype=dtype)
-    b = np.array([num(r) for r in model.rhs], dtype=dtype)
+    c = -np.array(model.objective, dtype=dtype)
+    b = np.full(len(model.support), num(1), dtype=dtype)
     result = simplex.simplex_min(model.columns, b, c)
     elapsed = time.perf_counter() - start
     mode = EXACT if exact else FLOAT
@@ -227,8 +213,8 @@ def solve(model: LpModel, mode: str = EXACT) -> SolveReport:
         return SolveReport(result.status, None, None, mode, result.pivots,
                            elapsed, result.strategy, stats=result.stats)
     values = dict(zip(model.labels, result.x))
-    return SolveReport("optimal", sense * result.objective, values, mode, result.pivots,
-                       elapsed, result.strategy, [sense * y for y in result.y], result.stats)
+    return SolveReport("optimal", -result.objective, values, mode, result.pivots,
+                       elapsed, result.strategy, [-y for y in result.y], result.stats)
 
 
 @dataclass

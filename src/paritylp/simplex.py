@@ -90,8 +90,10 @@ def simplex_min(a: Columns, b, c, *, basis_seed=None) -> StandardResult:
         a: the len(b) x len(c) matrix A in column form.
         b, c: nonnegative right-hand sides and objective coefficients, numpy
             arrays of dtype object (rationals) for an exact solve, else float64.
-        basis_seed: optional per-row column index whose column is the r-th
-            identity vector; rows without a seed receive an artificial.
+        basis_seed: a test hook, not a tuning option: per row, the index
+            of a column that is that row's identity vector, or None for an
+            artificial.  It lets the anti-cycling test start Beale's
+            example from its slack basis.
 
     Returns:
         StandardResult; x has length len(c) and y length len(b).  Its

@@ -182,16 +182,6 @@ class TestBuildPrimal:
         assert m.n_vars == 1
         assert len(m.constraints) == 1
 
-    def test_incidence_shared_per_support_and_read_only(self):
-        rng = random.Random(12)
-        cost = CostFunction.average(3)
-        full = [build_primal(rand_rational_profile(3, rng), cost).columns for _ in range(2)]
-        ball = build_primal(ball_profile(3, 1, rng), cost).columns
-        assert full[0].rows is full[1].rows and full[0].cols is full[1].cols
-        assert full[0].scale != full[1].scale and ball.rows is not full[0].rows
-        with pytest.raises(ValueError):
-            full[0].rows[0] = 1
-
     def test_budget(self):
         with pytest.raises(BudgetError):
             build_primal(profile(6, ["1/64"] * 64), CostFunction.average(6))

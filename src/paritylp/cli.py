@@ -1,8 +1,9 @@
 """Command-line front door: profile ingestion, dispatch, report emission.
 
-Every command emits a single JSON report (or an aligned table with
---format table) that embeds the resolved configuration, and exits 0 only
-when all audits it ran passed within tolerance.
+Each command returns its report body and its table; `main` writes one JSON
+report (or the aligned table with --format table) that embeds the resolved
+configuration, and exits 0 only when all audits the command ran passed
+within tolerance.  Each subcommand takes only the options its command reads.
 """
 
 from __future__ import annotations
@@ -202,10 +203,9 @@ def _table(rows: list[tuple], headers: tuple) -> str:
     return "\n".join(lines)
 
 
-def _emit(args, report: dict, table_text: str | None = None) -> None:
-    out_path = getattr(args, "out", None)
-    with open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout) as fh:
-        if args.format == "table" and table_text is not None:
+def _emit(args, report: dict, table_text: str) -> None:
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        if args.format == "table":
             fh.write(table_text)
         else:
             dump_json(report, fh)
@@ -215,7 +215,7 @@ def _emit(args, report: dict, table_text: str | None = None) -> None:
 def _profile_amplitudes(profile: AmplitudeProfile, args) -> AmplitudeProfile:
     if profile.amplitudes is not None:
         return profile
-    if getattr(args, "assume_real_amplitudes", False):
+    if args.assume_real_amplitudes:
         return profile.with_real_amplitudes()
     raise ToolkitError(
         "this command needs complex amplitudes; add an 'amplitudes' field to "
@@ -223,7 +223,7 @@ def _profile_amplitudes(profile: AmplitudeProfile, args) -> AmplitudeProfile:
     )
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> tuple[dict, str]:
     profile = _load_profile(args.profile)
     cost = _cost_from_args(profile.n, args)
     if args.dump_model:
@@ -235,7 +235,6 @@ def cmd_solve(args) -> int:
     exact = p_report.mode == lp.EXACT
     audits = {"strong_duality_gap": gap == 0 if exact else float(gap) <= args.tol_feas}
     report = {
-        "config": _config_dict(args),
         "rho": p_report.objective,
         "sigma": dual.objective,
         "gap": float(gap),
@@ -247,8 +246,7 @@ def cmd_solve(args) -> int:
     rows = [("rho", p_report.objective),
             ("sigma", dual.objective),
             ("gap", gap)]
-    _emit(args, report, _table(rows, ("quantity", "value")))
-    return 0 if all(audits.values()) else 1
+    return report, _table(rows, ("quantity", "value"))
 
 
 def _family_dual(args, profile: AmplitudeProfile) -> tuple[lp.DualSolution, CostFunction]:
@@ -269,7 +267,7 @@ def _family_dual(args, profile: AmplitudeProfile) -> tuple[lp.DualSolution, Cost
     raise ToolkitError(f"unknown family {args.family!r}")
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[dict, str]:
     profile = _load_profile(args.profile)
     # Before the family: its audit alone walks every code of n.
     lp.check_budget(profile.n)
@@ -284,7 +282,6 @@ def cmd_verify(args) -> int:
         "weak_duality": gap >= 0 if exact else float(gap) >= -args.tol_feas,
     }
     report = {
-        "config": _config_dict(args),
         "family": args.family,
         "certificate": dual.to_json_dict(),
         "objective": dual.objective,
@@ -297,11 +294,10 @@ def cmd_verify(args) -> int:
             ("lp optimum", lp_report.objective),
             ("gap", float(gap)),
             ("feasible", audit.feasible)]
-    _emit(args, report, _table(rows, ("quantity", "value")))
-    return 0 if all(audits.values()) else 1
+    return report, _table(rows, ("quantity", "value"))
 
 
-def cmd_primal_candidate(args) -> int:
+def cmd_primal_candidate(args) -> tuple[dict, str]:
     profile = _load_profile(args.profile)
     cost = CostFunction.average(profile.n)
     candidate = bounds.primal_candidate(args.family, profile)
@@ -314,7 +310,6 @@ def cmd_primal_candidate(args) -> int:
         slackness = lp.complementary_slackness(sol, paired, profile, cost)
         audits["certified_when_nonnegative"] = slackness.certified
     report = {
-        "config": _config_dict(args),
         "candidate": candidate.to_json_dict(),
         "paired_dual_objective": paired.objective,
         "slackness": slackness.to_json_dict() if slackness else None,
@@ -324,11 +319,10 @@ def cmd_primal_candidate(args) -> int:
             ("nonnegative", candidate.nonnegative),
             ("objective", candidate.objective),
             ("paired dual objective", paired.objective)]
-    _emit(args, report, _table(rows, ("quantity", "value")))
-    return 0 if all(audits.values()) else 1
+    return report, _table(rows, ("quantity", "value"))
 
 
-def cmd_povm(args) -> int:
+def cmd_povm(args) -> tuple[dict, str]:
     profile = _profile_amplitudes(_load_profile(args.profile), args)
     cost = _cost_from_args(profile.n, args)
     primal, p_report = lp.solve_primal(profile, cost, args.mode)
@@ -345,7 +339,6 @@ def cmd_povm(args) -> int:
         "rho_matches_lp": abs(rho - float(p_report.objective)) <= 1e-8,
     }
     report = {
-        "config": _config_dict(args),
         "rho_lp": p_report.objective,
         "rho_povm": rho,
         "verification": verification.to_json_dict(),
@@ -356,8 +349,7 @@ def cmd_povm(args) -> int:
     rows = [("rho (lp)", p_report.objective),
             ("rho (povm)", rho),
             ("valid", verification.ok)]
-    _emit(args, report, _table(rows, ("quantity", "value")))
-    return 0 if all(audits.values()) else 1
+    return report, _table(rows, ("quantity", "value"))
 
 
 def _parse_vec(text: str, n: int) -> int:
@@ -368,7 +360,7 @@ def _parse_vec(text: str, n: int) -> int:
     return vec_from_str(text)
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple[dict, str]:
     profile = _load_profile(args.profile)
     cost = _cost_from_args(profile.n, args)
     x = _parse_vec(args.x, profile.n)
@@ -381,7 +373,6 @@ def cmd_simulate(args) -> int:
     if sv is not None:
         audits["statevector_consistent"] = sv.ok
     report = {
-        "config": _config_dict(args),
         "x": args.x,
         "exact_distribution": {
             f"{code.label()},y={vec_str(y, code.k)}": p
@@ -393,11 +384,12 @@ def cmd_simulate(args) -> int:
     }
     rows = [(r.code.label(), vec_str(r.y, r.code.k), r.count, r.frequency)
             for r in records]
-    _emit(args, report, _table(rows, ("H", "y", "count", "frequency")))
-    return 0 if all(audits.values()) else 1
+    return report, _table(rows, ("H", "y", "count", "frequency"))
 
 
-def cmd_slpn(args) -> int:
+def cmd_slpn(args) -> tuple[dict, str]:
+    # Before the profile: it holds 2^n weights.
+    lp.check_budget(args.n)
     profile = bernoulli_profile(args.n, args.t)
     params = BernoulliParams(args.t)
     cost = CostFunction.average(args.n)
@@ -418,7 +410,6 @@ def cmd_slpn(args) -> int:
         }
     audits = {"hamming_bound_holds": rho_av <= hamming_bound + args.tol_feas}
     report = {
-        "config": _config_dict(args),
         "lp_mode": p_report.mode,
         "t_perp": params.t_perp,
         "rho_average": rho_av,
@@ -436,11 +427,10 @@ def cmd_slpn(args) -> int:
     rows = [("t_perp", params.t_perp),
             ("rho (average)", rho_av),
             ("hamming bound 2*n*t_perp", hamming_bound)]
-    _emit(args, report, _table(rows, ("quantity", "value")))
-    return 0 if all(audits.values()) else 1
+    return report, _table(rows, ("quantity", "value"))
 
 
-def cmd_threshold(args) -> int:
+def cmd_threshold(args) -> tuple[dict, str]:
     profile = _load_profile(args.profile)
     cert = bounds.threshold_zero_certificate(profile, args.tau)
     cost = CostFunction.threshold(profile.n, args.tau)
@@ -449,7 +439,6 @@ def cmd_threshold(args) -> int:
     lp_zero = lp_value == 0 if report_lp.mode == lp.EXACT else abs(float(lp_value)) <= args.tol_feas
     audits = {"certificate_matches_lp": cert.rho_is_zero == lp_zero}
     report = {
-        "config": _config_dict(args),
         "certificate": cert.to_json_dict(),
         "lp_value": lp_value,
         "audits": audits,
@@ -457,11 +446,10 @@ def cmd_threshold(args) -> int:
     rows = [("tau", args.tau),
             ("rho is zero", cert.rho_is_zero),
             ("lp value", lp_value)]
-    _emit(args, report, _table(rows, ("quantity", "value")))
-    return 0 if all(audits.values()) else 1
+    return report, _table(rows, ("quantity", "value"))
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args) -> tuple[dict, str]:
     ks = [args.k] if args.k is not None else list(range(args.n + 1))
     codes_out = []
     audits = {}
@@ -483,21 +471,23 @@ def cmd_enumerate(args) -> int:
                     for s in range(cos.n_syndromes)
                 ],
             })
-    report = {"config": _config_dict(args), "codes": codes_out, "audits": audits}
+    report = {"codes": codes_out, "audits": audits}
     rows = [(c["k"], ";".join(c["H"]), ";".join(c["G"]) or "-") for c in codes_out]
-    _emit(args, report, _table(rows, ("k", "H", "G")))
-    return 0 if all(audits.values()) else 1
+    return report, _table(rows, ("k", "H", "G"))
 
 
-def _add_common(p: argparse.ArgumentParser, profile: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser, *, profile: bool = True,
+                mode: bool = False, tol_feas: bool = False) -> None:
+    """--format and --out, and whichever of --profile, --mode and --tol-feas
+    the command reads, in the order its report's config lists them."""
     if profile:
         p.add_argument("--profile", required=True, help="profile JSON path")
-    p.add_argument("--mode", choices=["exact", "float"], default="exact")
+    if mode:
+        p.add_argument("--mode", choices=["exact", "float"], default="exact")
     p.add_argument("--format", choices=["json", "table"], default="json")
     p.add_argument("--out", help="write the report here instead of stdout")
-    p.add_argument("--tol-feas", type=float, default=1e-9, dest="tol_feas")
-    p.add_argument("--tol-complete", type=float, default=1e-8, dest="tol_complete")
-    p.add_argument("--tol-unambig", type=float, default=1e-10, dest="tol_unambig")
+    if tol_feas:
+        p.add_argument("--tol-feas", type=float, default=lp.FLOAT_FEAS_TOL, dest="tol_feas")
 
 
 def _add_cost(p: argparse.ArgumentParser) -> None:
@@ -518,14 +508,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="solve the primal and dual programs")
-    _add_common(p)
+    _add_common(p, mode=True, tol_feas=True)
     _add_cost(p)
     p.add_argument("--dump-model", dest="dump_model",
                    help="write the plain-text model dump here")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="emit and audit a dual certificate family")
-    _add_common(p)
+    _add_common(p, mode=True, tol_feas=True)
     p.add_argument("--family", required=True,
                    choices=["hamming", "cohamming", "spike",
                             "threshold-ball", "threshold-set"])
@@ -542,14 +532,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_primal_candidate)
 
     p = sub.add_parser("povm", help="synthesize and verify the measurement operators")
-    _add_common(p)
+    _add_common(p, mode=True, tol_feas=True)
+    p.add_argument("--tol-complete", type=float, default=povm.TOL_COMPLETE,
+                   dest="tol_complete")
+    p.add_argument("--tol-unambig", type=float, default=povm.TOL_UNAMBIG,
+                   dest="tol_unambig")
     _add_cost(p)
     p.add_argument("--assume-real-amplitudes", action="store_true",
                    dest="assume_real_amplitudes")
     p.set_defaults(func=cmd_povm)
 
     p = sub.add_parser("simulate", help="run the measurement on a hidden string")
-    _add_common(p)
+    _add_common(p, mode=True)
     _add_cost(p)
     p.add_argument("--x", required=True, help="hidden string, coordinate order x1..xn")
     p.add_argument("--shots", type=int, default=100000)
@@ -557,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("slpn", help="Bernoulli-noise summary against the k/2 barrier")
-    _add_common(p, profile=False)
+    _add_common(p, profile=False, mode=True, tol_feas=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--d", type=int)
@@ -565,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_slpn)
 
     p = sub.add_parser("threshold", help="zero-quality certificate for a threshold")
-    _add_common(p)
+    _add_common(p, mode=True, tol_feas=True)
     p.add_argument("--tau", type=int, required=True)
     p.set_defaults(func=cmd_threshold)
 
@@ -584,10 +578,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "n", 0) < 0:  # the --n of slpn and enumerate
             raise ToolkitError("need n >= 0")
-        return args.func(args)
+        body, table_text = args.func(args)
+        _emit(args, {"config": _config_dict(args), **body}, table_text)
     except (ToolkitError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0 if all(body["audits"].values()) else 1
 
 
 if __name__ == "__main__":

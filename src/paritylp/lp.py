@@ -517,15 +517,16 @@ class SlacknessReport:
 
 
 def complementary_slackness(primal: PrimalSolution, dual: DualSolution,
-                            profile: AmplitudeProfile, cost: CostFunction,
-                            tol=None) -> SlacknessReport:
+                            profile: AmplitudeProfile,
+                            cost: CostFunction) -> SlacknessReport:
     """Check the two product families and certify joint optimality.
 
     Products (sum_H lambda_i - 1) * b_i and mu[(code, s)] * constraint slack
     must all vanish; together with feasibility of both solutions this proves
-    the pair optimal and the objectives equal.
+    the pair optimal and the objectives equal.  The tolerance is 0 when every
+    operand is rational, FLOAT_FEAS_TOL if not.
     """
-    tol = _default_tol(tol, profile.weights, primal.lam.values(), dual.b.values())
+    tol = _default_tol(None, profile.weights, primal.lam.values(), dual.b.values())
     p_report = check_primal_feasible(primal, profile, tol)
     d_report = check_dual_feasible(dual, cost, tol)
 

@@ -274,17 +274,16 @@ class PovmVerification:
 
 
 def verify_povm(povm: PovmSet, profile: AmplitudeProfile, *,
-                tol_hermitian: float = TOL_HERMITIAN,
                 tol_psd: float = TOL_PSD,
                 tol_complete: float = TOL_COMPLETE,
                 tol_unambig: float = TOL_UNAMBIG,
-                tol_symmetry: float = TOL_SYMMETRY,
                 check_symmetry: bool = True) -> PovmVerification:
     """Numerically audit every defining property of the measurement set.
 
     A missing element counts as zero.  Covariance is checked on the shift
     generators e_1..e_n; max_symmetry_dev is n times their largest deviation,
-    which bounds the deviation under every one of the 2^n shifts.
+    which bounds the deviation under every one of the 2^n shifts.  Hermiticity
+    and covariance are held to TOL_HERMITIAN and TOL_SYMMETRY.
     """
     n = povm.n
     size = 1 << n
@@ -312,12 +311,12 @@ def verify_povm(povm: PovmSet, profile: AmplitudeProfile, *,
     complete = float(np.linalg.norm(total - np.eye(size)))
 
     gamma_ok = (
-        herm <= tol_hermitian
+        herm <= TOL_HERMITIAN
         and min_eig >= -tol_psd
         and complete <= tol_complete
         and unambig <= tol_unambig
     )
-    symmetric_ok = None if sym_dev is None else sym_dev <= tol_symmetry
+    symmetric_ok = None if sym_dev is None else sym_dev <= TOL_SYMMETRY
     return PovmVerification(herm, min_eig, complete, unambig, sym_dev,
                             gamma_ok, symmetric_ok)
 

@@ -38,9 +38,12 @@ class AmplitudeProfile:
     amplitudes: tuple | None = None
 
     def __post_init__(self) -> None:
-        size = 1 << self.n
-        if len(self.weights) != size:
-            raise ProfileError(f"expected {size} weights, got {len(self.weights)}")
+        if self.n < 0:
+            raise ProfileError("profile needs n >= 0")
+        size = len(self.weights)
+        # bit lengths first, so a huge n never builds 2^n
+        if size.bit_length() != self.n + 1 or size != 1 << self.n:
+            raise ProfileError(f"expected 2^{self.n} weights, got {size}")
         num = Fraction if all(isinstance(w, Rational) for w in self.weights) else float
         object.__setattr__(self, "weights", tuple(map(num, self.weights)))
         if any(w < 0 for w in self.weights):

@@ -1,5 +1,6 @@
 """End-to-end command exercises through the argparse entry point."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ball_profile, rand_rational_profile
-from paritylp import bounds, lp, povm
+from paritylp import bounds, cli, lp, povm
 from paritylp.cli import _render, build_parser, dump_json, main
 from paritylp.f2lin import enumerate_all_codes, vec_from_str
 from paritylp.profiles import AmplitudeProfile, CostFunction, bernoulli_profile
@@ -84,6 +85,53 @@ class TestParserReuse:
         assert "tau" not in json.loads(reused[2][1])["config"]
         assert reused == run(fresh=True)
         assert reused == run(fresh=False)
+
+
+# Each subcommand's option dests, in the order its report's config lists them:
+# only the options its command reads.
+OPTIONS = {
+    "solve": ("profile", "mode", "format", "out", "tol_feas",
+              "cost", "tau", "cost_values", "dump_model"),
+    "verify": ("profile", "mode", "format", "out", "tol_feas",
+               "family", "d", "gamma", "tau", "set"),
+    "primal-candidate": ("profile", "format", "out", "family"),
+    "povm": ("profile", "mode", "format", "out", "tol_feas", "tol_complete", "tol_unambig",
+             "cost", "tau", "cost_values", "assume_real_amplitudes"),
+    "simulate": ("profile", "mode", "format", "out",
+                 "cost", "tau", "cost_values", "x", "shots", "seed"),
+    "slpn": ("mode", "format", "out", "tol_feas", "n", "t", "d", "gamma"),
+    "threshold": ("profile", "mode", "format", "out", "tol_feas", "tau"),
+    "enumerate": ("format", "out", "n", "k"),
+}
+
+
+class TestOptionSurface:
+    def test_each_subcommand_declares_what_it_reads(self):
+        action = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+        declared = {name: tuple(a.dest for a in sub._actions if a.dest != "help")
+                    for name, sub in action.choices.items()}
+        assert declared == OPTIONS
+        assert sum(map(len, declared.values())) == 62
+
+    def test_tolerance_defaults_are_the_library_constants(self):
+        args = build_parser().parse_args(["povm", "--profile", "p.json"])
+        assert (args.tol_feas, args.tol_complete, args.tol_unambig) == (
+            lp.FLOAT_FEAS_TOL, povm.TOL_COMPLETE, povm.TOL_UNAMBIG)
+
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "--n", "2", "--mode", "float"],
+        ["primal-candidate", "--profile", "p.json", "--family", "hamming", "--tol-feas", "1"],
+        ["simulate", "--profile", "p.json", "--x", "01", "--seed", "1", "--tol-feas", "1"],
+        ["solve", "--profile", "p.json", "--tol-complete", "1"],
+        ["slpn", "--n", "2", "--t", "0.1", "--tol-unambig", "1"],
+    ], ids=["enumerate-mode", "candidate-tol-feas", "simulate-tol-feas",
+            "solve-tol-complete", "slpn-tol-unambig"])
+    def test_unread_option_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestSolve:
@@ -193,6 +241,22 @@ class TestSolve:
         code = main(["solve", "--profile", profile_file, "--out", str(out)])
         assert code == 0
         assert json.loads(out.read_text())["rho"] == "11/10"
+
+    def test_unwritable_out(self, tmp_path, capsys, profile_file):
+        out = tmp_path / "missing" / "report.json"
+        assert main(["solve", "--profile", profile_file, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("n, message", [
+        (-1, "profile needs n >= 0"),
+        (4611686018427387904, "expected 2^4611686018427387904 weights, got 1"),
+    ], ids=["negative", "huge"])
+    def test_profile_n_checked_before_two_to_the_n(self, tmp_path, capsys, n, message):
+        path = tmp_path / "bad_n.json"
+        path.write_text(json.dumps({"n": n, "weights": ["1"]}))
+        assert main(["solve", "--profile", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("cost", [["--cost", "average"],
                                       ["--cost", "threshold", "--tau", "2"]])
@@ -577,6 +641,15 @@ class TestSlpn:
         assert main(["slpn", "--n", "-1", "--t", "0.1"]) == 2
         assert capsys.readouterr().err == "error: need n >= 0\n"
 
+    def test_lp_cap_checked_before_profile(self, capsys, monkeypatch):
+        # the profile holds 2^n weights, so above the cap it must not be built
+        def build(*args):
+            raise AssertionError("profile built above the LP cap")
+
+        monkeypatch.setattr(cli, "bernoulli_profile", build)
+        assert main(["slpn", "--n", "40", "--t", "0.1"]) == 2
+        assert capsys.readouterr().err == "error: linear programs capped at n <= 5\n"
+
 
 class TestThreshold:
     def test_point_mass_zero(self, capsys, point_mass_file):
@@ -753,8 +826,6 @@ class TestReportCorpus:
 
     @pytest.mark.parametrize("command", list(CORPUS.values()), ids=list(CORPUS))
     def test_report(self, capsys, monkeypatch, paths, command):
-        from paritylp import cli
-
         reports, solves = [], []
         real_dump, real_solve = cli.dump_json, lp.solve
 

@@ -16,15 +16,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import FamilyError, ProfileError, RankDeficientError
+from .errors import BudgetError, FamilyError, ProfileError, RankDeficientError
 from .f2lin import (
     F2Matrix,
-    ParityCode,
     all_vectors,
     ball,
     by_code,
     codes_of_rank,
-    enumerate_identity_rows,
     hamming_weight,
     rank,
     uncovered_affine_subspaces,
@@ -140,23 +138,17 @@ def paired_dual(family: str, n: int) -> DualSolution:
 
 
 @dataclass
-class PrimalCandidate:
-    """Closed-form primal point paired with an average-setting dual family."""
+class PrimalCandidate(PrimalSolution):
+    """Closed-form primal point paired with an average-setting dual family:
+    mu on the code table's codes, as a solve gives it, with the verdict on
+    its sign."""
 
     family: str
-    n: int
-    lam: dict
     nonnegative: bool
-    objective: object
 
-    def lam_at(self, code: ParityCode, i: int):
-        return self.lam.get((code, i), 0)
-
-    def to_solution(self, profile: AmplitudeProfile) -> PrimalSolution:
-        """The candidate as an LP point, mu = lambda * w on each coset."""
-        values = {("mu", code, code.syndrome(i)): v * profile.weights[i]
-                  for (code, i), v in self.lam.items()}
-        return PrimalSolution.from_lp_values(profile, values, self.objective)
+    def to_solution(self, profile: AmplitudeProfile) -> PrimalCandidate:
+        """The candidate as an LP point: it already is one, on `profile`."""
+        return self
 
     def to_json_dict(self) -> dict:
         return {
@@ -180,14 +172,15 @@ def primal_candidate(family: str, profile: AmplitudeProfile) -> PrimalCandidate:
     spike:     full mass w_0/w_i on the identity plus the rank-(n-1)
                coset-difference terms.
 
-    The candidate always satisfies the normalization and coset-constancy
-    constraints; only nonnegativity is regime-dependent, and the verdict is
-    returned instead of assumed.
+    Each formula gives mu on one coset of a code of the code table, so the
+    normalization holds and lambda = mu / w is constant on each coset; only
+    nonnegativity is regime-dependent, and the verdict is returned instead
+    of assumed.
     """
     if family not in AVERAGE_FAMILIES:
         raise FamilyError(f"unknown candidate family {family!r}")
     if profile.n > CANDIDATE_MAX_N:
-        raise ValueError(f"candidates capped at n <= {CANDIDATE_MAX_N}")
+        raise BudgetError(f"candidates capped at n <= {CANDIDATE_MAX_N}")
     if not profile.full_support:
         raise ProfileError(
             "candidate formulas divide by every weight; perturb the profile "
@@ -195,17 +188,14 @@ def primal_candidate(family: str, profile: AmplitudeProfile) -> PrimalCandidate:
         )
     n = profile.n
     weight = profile.weights
-    lam: dict = {}
+    mu: dict = {}
     objective = 0
-
-    def place(code: ParityCode, s_target: int, value) -> None:
-        for i in code.cosets.members_of(s_target):
-            lam[(code, i)] = value / weight[i]
 
     if family in ("hamming", "cohamming"):
         for k in range(n + 1):
-            for mat in enumerate_identity_rows(n, k):
-                code = ParityCode.from_matrix(mat)
+            for code in codes_of_rank(n, k):
+                if not all(hamming_weight(row) == 1 for row in code.H.rows):
+                    continue  # not an identity-row matrix
                 cos = code.cosets
                 total = 0
                 for s in range(cos.n_syndromes):
@@ -216,24 +206,22 @@ def primal_candidate(family: str, profile: AmplitudeProfile) -> PrimalCandidate:
                 if family == "cohamming" and (n - k) & 1:
                     total = -total
                 s_target = (1 << (n - k)) - 1 if family == "cohamming" else 0
-                place(code, s_target, total)
+                mu[(code, s_target)] = total
                 objective = objective + k * (1 << k) * total
     else:
-        full = ParityCode.full(n)
-        w0 = weight[0]
-        for i in all_vectors(n):
-            lam[(full, i)] = w0 / weight[i]
-        objective = objective + n * (1 << n) * w0
+        # the full-rank code has a single coset, all of F_2^n
+        mu[(codes_of_rank(n, n)[0], 0)] = weight[0]
+        objective = objective + n * (1 << n) * weight[0]
         for code in codes_of_rank(n, n - 1):
             cos = code.cosets
             w1 = sum(weight[i] for i in cos.members_of(1))
             w0s = sum(weight[i] for i in cos.members_of(0))
             value = (w1 - w0s) / (1 << (n - 1))
-            place(code, 1, value)
+            mu[(code, 1)] = value
             objective = objective + (n - 1) * (1 << (n - 1)) * value
 
-    nonneg = all(v >= 0 for v in lam.values())
-    return PrimalCandidate(family, n, lam, nonneg, objective)
+    nonneg = all(v >= 0 for v in mu.values())
+    return PrimalCandidate(n, mu, objective, weight, family, nonneg)
 
 
 def count_N(k: int, i: int, x: int, n: int) -> int:
@@ -282,7 +270,7 @@ def threshold_zero_certificate(profile: AmplitudeProfile,
     """
     n = profile.n
     if n > THRESHOLD_CERT_MAX_N:
-        raise ValueError(f"certificate search capped at n <= {THRESHOLD_CERT_MAX_N}")
+        raise BudgetError(f"certificate search capped at n <= {THRESHOLD_CERT_MAX_N}")
     zero = set(profile.zero_set)
     missed = uncovered_affine_subspaces(zero, tau, n)
     if missed:

@@ -14,12 +14,12 @@ generators e_1..e_n of the shift group.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
 
-from .errors import ProfileError
+from .errors import BudgetError, ProfileError
 from .f2lin import ParityCode, all_vectors, by_code, dot, enumerate_all_codes, vec_str
 from .lp import PrimalSolution
 from .profiles import AmplitudeProfile, CostFunction
@@ -44,7 +44,7 @@ def walsh_hadamard(n: int) -> np.ndarray:
 
 def _check_n(n: int) -> None:
     if n > POVM_MAX_N:
-        raise ValueError(f"dense operator work capped at n <= {POVM_MAX_N}")
+        raise BudgetError(f"dense operator work capped at n <= {POVM_MAX_N}")
 
 
 def state_psi(profile: AmplitudeProfile, x: int) -> np.ndarray:
@@ -261,16 +261,7 @@ class PovmVerification:
         return self.gamma_ok and (self.symmetric_ok is not False)
 
     def to_json_dict(self) -> dict:
-        return {
-            "max_hermitian_dev": self.max_hermitian_dev,
-            "min_eigenvalue": self.min_eigenvalue,
-            "completeness_frobenius": self.completeness_frobenius,
-            "max_unambiguity_trace": self.max_unambiguity_trace,
-            "max_symmetry_dev": self.max_symmetry_dev,
-            "gamma_ok": self.gamma_ok,
-            "symmetric_ok": self.symmetric_ok,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def verify_povm(povm: PovmSet, profile: AmplitudeProfile, *,
@@ -328,11 +319,7 @@ class FourierDiagReport:
     max_coset_spread: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "max_offdiagonal": self.max_offdiagonal,
-            "max_factor_dev": self.max_factor_dev,
-            "max_coset_spread": self.max_coset_spread,
-        }
+        return asdict(self)
 
 
 def fourier_diag_check(povm: PovmSet) -> FourierDiagReport:

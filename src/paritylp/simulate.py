@@ -11,12 +11,12 @@ multinomials, so its cost does not grow with the number of shots.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from numbers import Rational
 
 import numpy as np
 
-from .errors import ProfileError
+from .errors import BudgetError, ProfileError
 from .f2lin import ParityCode, dot, enumerate_all_codes, vec_str
 from .lp import PrimalSolution
 from .profiles import AmplitudeProfile
@@ -122,14 +122,7 @@ class StatevectorReport:
                 and self.wrong_outcome_mass == 0.0)
 
     def to_json_dict(self) -> dict:
-        return {
-            "norm_deviation": self.norm_deviation,
-            "max_distribution_deviation": self.max_distribution_deviation,
-            "wrong_outcome_mass": self.wrong_outcome_mass,
-            "n_amplitudes": self.n_amplitudes,
-            "exact_match": self.exact_match,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def statevector_check(sol: PrimalSolution, profile: AmplitudeProfile,
@@ -143,7 +136,7 @@ def statevector_check(sol: PrimalSolution, profile: AmplitudeProfile,
     and that the first register never disagrees with H.x.
     """
     if profile.n > STATEVECTOR_MAX_N:
-        raise ValueError(f"state-vector oracle capped at n <= {STATEVECTOR_MAX_N}")
+        raise BudgetError(f"state-vector oracle capped at n <= {STATEVECTOR_MAX_N}")
     if not profile.full_support:
         raise ProfileError("state-vector oracle requires full dual support")
     amplitudes: dict = {}

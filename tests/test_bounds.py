@@ -11,6 +11,9 @@ from hypothesis import strategies as st
 
 from conftest import ball_profile, point_mass_profile, rand_rational_profile
 from paritylp.bounds import (
+    AVERAGE_FAMILIES,
+    CANDIDATE_MAX_N,
+    THRESHOLD_CERT_MAX_N,
     count_N,
     dual_affine_image,
     dual_cohamming,
@@ -23,11 +26,12 @@ from paritylp.bounds import (
     primal_candidate,
     threshold_zero_certificate,
 )
-from paritylp.errors import FamilyError, ProfileError, RankDeficientError
+from paritylp.errors import BudgetError, FamilyError, ProfileError, RankDeficientError
 from paritylp.f2lin import (
     F2Matrix,
     ParityCode,
     all_vectors,
+    codes_of_rank,
     enumerate_all_codes,
     enumerate_codes,
     enumerate_identity_rows,
@@ -258,6 +262,52 @@ class TestAffineBallGeometry:
                 assert total >= code.k * (1 << code.k)
 
 
+def place_lambda(family, p):
+    """The candidate's lambda and objective as they were built before mu:
+    each formula value divided by the weight of every member of its coset,
+    on codes made afresh from the identity-row matrices."""
+    n, weight = p.n, p.weights
+    lam, objective = {}, 0
+
+    def place(code, s_target, value):
+        for i in code.cosets.members_of(s_target):
+            lam[(code, i)] = value / weight[i]
+
+    if family in ("hamming", "cohamming"):
+        for k in range(n + 1):
+            for mat in enumerate_identity_rows(n, k):
+                code = ParityCode.from_matrix(mat)
+                cos = code.cosets
+                total = 0
+                for s in range(cos.n_syndromes):
+                    leader = (cos.leader_min(s) if family == "cohamming"
+                              else cos.leader_max(s))
+                    term = weight[leader]
+                    total = total - term if hamming_weight(s) & 1 else total + term
+                if family == "cohamming" and (n - k) & 1:
+                    total = -total
+                place(code, (1 << (n - k)) - 1 if family == "cohamming" else 0, total)
+                objective = objective + k * (1 << k) * total
+    else:
+        full = ParityCode.full(n)
+        for i in all_vectors(n):
+            lam[(full, i)] = weight[0] / weight[i]
+        objective = objective + n * (1 << n) * weight[0]
+        for code in codes_of_rank(n, n - 1):
+            cos = code.cosets
+            w1 = sum(weight[i] for i in cos.members_of(1))
+            w0s = sum(weight[i] for i in cos.members_of(0))
+            value = (w1 - w0s) / (1 << (n - 1))
+            place(code, 1, value)
+            objective = objective + (n - 1) * (1 << (n - 1)) * value
+    return lam, objective
+
+
+def bits(values):
+    """Each value's type and repr: repr tells every binary64 apart."""
+    return [(type(v), repr(v)) for v in values]
+
+
 class TestPrimalCandidates:
     def test_cohamming_worked_example(self):
         p = profile(2, ["1/20", "3/20", "3/10", "1/2"])
@@ -325,6 +375,53 @@ class TestPrimalCandidates:
         p = profile(2, ["1/2", "1/2", "0", "0"])
         with pytest.raises(ProfileError):
             primal_candidate("cohamming", p)
+
+    @pytest.mark.parametrize("kind", ["rational", "binary64"])
+    @pytest.mark.parametrize("n", range(1, CANDIDATE_MAX_N + 1))
+    @pytest.mark.parametrize("family", AVERAGE_FAMILIES)
+    def test_lambda_matches_place_oracle(self, family, n, kind):
+        # lambda derived from mu, in order, value, type and bits
+        p = rand_rational_profile(n, random.Random(f"place/{n}"))
+        if kind == "binary64":
+            p = profile(n, [float(w) for w in p.weights])
+        cand = primal_candidate(family, p)
+        lam, objective = place_lambda(family, p)
+        assert list(cand.lam) == list(lam)
+        assert bits(cand.lam.values()) == bits(lam.values())
+        assert bits([cand.objective]) == bits([objective])
+        assert cand.nonnegative == all(v >= 0 for v in lam.values())
+
+    @pytest.mark.parametrize("family", AVERAGE_FAMILIES)
+    def test_warm_table_call_builds_no_cosets(self, monkeypatch, family):
+        import paritylp.f2lin as f2lin
+
+        p = rand_rational_profile(4, random.Random(f"warm/{family}"))
+        primal_candidate(family, p)
+        calls = []
+        original = f2lin.dual_cosets
+        monkeypatch.setattr(f2lin, "dual_cosets",
+                            lambda code: calls.append(code) or original(code))
+        cand = primal_candidate(family, p)
+        assert calls == []
+        table = {id(code) for code in enumerate_all_codes(4)}
+        assert all(id(code) in table for code, _ in cand.lam)
+        assert cand.to_solution(p) is cand
+
+    def test_runs_at_cap_and_refuses_above(self):
+        n = CANDIDATE_MAX_N
+        rng = random.Random("candidate/cap")
+        flat = [1] + [20] * ((1 << n) - 1)  # the spike regime without noise
+        for family in AVERAGE_FAMILIES:
+            p = (regime_profile(family, n, rng) if family != "spike"
+                 else profile(n, [Fraction(v, sum(flat)) for v in flat]))
+            cand = primal_candidate(family, p)
+            assert cand.nonnegative
+            report = complementary_slackness(cand, paired_dual(family, n), p,
+                                             CostFunction.average(n))
+            assert report.certified and report.primal_objective == cand.objective
+        above = profile(n + 1, [Fraction(1, 1 << (n + 1))] * (1 << (n + 1)))
+        with pytest.raises(BudgetError, match=f"candidates capped at n <= {n}"):
+            primal_candidate("hamming", above)
 
 
 class TestCountN:
@@ -413,6 +510,15 @@ class TestThresholdZeroCertificate:
         assert calls == []
         assert second == first
         assert first.rho_is_zero == (tau > 2)
+
+    def test_runs_at_cap_and_refuses_above(self):
+        n = THRESHOLD_CERT_MAX_N
+        p = ball_profile(n, 1, random.Random("threshold/cap"))
+        cert = threshold_zero_certificate(p, 2)
+        assert cert.rho_is_zero and not cert.missed_subspaces
+        assert set(cert.witness) <= set(p.zero_set)
+        with pytest.raises(BudgetError, match=f"certificate search capped at n <= {n}"):
+            threshold_zero_certificate(point_mass_profile(n + 1, 0), 1)
 
     def test_witness_is_minimal(self):
         from paritylp.f2lin import is_universal

@@ -371,6 +371,12 @@ class TestPrimalCandidate:
         assert not report["candidate"]["nonnegative"]
         assert report["slackness"] is None
 
+    def test_above_cap_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "uniform6.json"
+        path.write_text(json.dumps({"n": 6, "weights": ["1/64"] * 64}))
+        assert main(["primal-candidate", "--profile", str(path), "--family", "hamming"]) == 2
+        assert capsys.readouterr().err == "error: candidates capped at n <= 5\n"
+
 
 class TestPovm:
     def test_weights_only_needs_flag(self, capsys, profile_file):

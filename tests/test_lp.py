@@ -591,9 +591,8 @@ class TestFeasibilityChecks:
     def test_catches_broken_normalization(self):
         p = profile(1, ["1/2", "1/2"])
         sol, _ = solve_primal(p, CostFunction.average(1))
-        broken = PrimalSolution(sol.n, dict(sol.mu),
-                                {k: 2 * v for k, v in sol.lam.items()},
-                                sol.objective)
+        broken = PrimalSolution(sol.n, {k: 2 * v for k, v in sol.mu.items()},
+                                sol.objective, p.weights)
         report = check_primal_feasible(broken, p)
         assert not report.feasible
 
@@ -1198,12 +1197,6 @@ class TestLazyLambda:
         values = {("mu", code, code.syndrome(i)): v * p.weights[i]
                   for (code, i), v in cand.lam.items()}
         assert same(cand.to_solution(p).lam, eager_lam(p, values, cand.objective))
-
-    def test_given_lambda_kept(self):
-        lam = {(ParityCode.bottom(1), 0): Fraction(1), (ParityCode.bottom(1), 1): Fraction(1)}
-        sol = PrimalSolution(1, {}, lam, Fraction(0))
-        assert sol.lam is lam
-        assert sol.lam_at(ParityCode.full(1), 0) == 0
 
     @pytest.mark.parametrize("support", ["full", "ball"])
     @pytest.mark.parametrize("argv, reads", [

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import rand_rational_profile
-from paritylp.errors import ProfileError
+from paritylp.errors import BudgetError, ProfileError
 from paritylp.f2lin import F2Matrix, ParityCode, all_vectors, dot, enumerate_all_codes
 from paritylp.lp import PrimalSolution, solve_primal
 from paritylp.povm import (
@@ -606,7 +606,7 @@ class TestOperatorCap:
         assert all_shifts_deviation(povm) <= ver.max_symmetry_dev * (1 + 1e-12)
 
     def test_above_cap_refused(self):
-        with pytest.raises(ValueError, match="capped"):
+        with pytest.raises(BudgetError, match="capped"):
             state_psi(uniform_amps(POVM_MAX_N + 1), 0)
 
 

@@ -9,10 +9,16 @@ import pytest
 import numpy as np
 
 from conftest import ball_profile, rand_rational_profile
+from paritylp.errors import BudgetError
 from paritylp.f2lin import ParityCode, all_vectors, enumerate_all_codes
 from paritylp.lp import PrimalSolution, solve_primal
 from paritylp.profiles import AmplitudeProfile, CostFunction, bernoulli_profile
-from paritylp.simulate import exact_distribution, sample, statevector_check
+from paritylp.simulate import (
+    STATEVECTOR_MAX_N,
+    exact_distribution,
+    sample,
+    statevector_check,
+)
 
 
 def uniform(n):
@@ -178,8 +184,11 @@ class TestSample:
         p = uniform(2)
         codes = enumerate_all_codes(2)
         row = [Fraction(19, 79), Fraction(27, 79), Fraction(15, 79), Fraction(18, 79), 0]
-        lam = {(code, i): v for i in range(4) for code, v in zip(codes, row)}
-        sol = PrimalSolution(2, {}, lam, Fraction(0))
+        # lambda = row on every index: mu = row / 4 on every coset of each code
+        mu = {(code, s): v / 4 for code, v in zip(codes, row)
+              for s in range(code.cosets.n_syndromes)}
+        sol = PrimalSolution(2, mu, Fraction(0), p.weights)
+        assert sol.lam == {(code, i): v for code, v in zip(codes, row) for i in range(4)}
         for seed in range(4):
             records = sample(sol, p, 0, 1 << 62, seed)
             assert sum(r.count for r in records) == 1 << 62
@@ -189,8 +198,9 @@ class TestSample:
         # rows sum to 1, but a multinomial needs nonnegative probabilities
         p = uniform(1)
         bottom, full = ParityCode.bottom(1), ParityCode.full(1)
-        lam = {(bottom, 0): -0.5, (full, 0): 1.5, (bottom, 1): 0.0, (full, 1): 1.0}
-        sol = PrimalSolution(1, {}, lam, 1.0)
+        # lambda is -0.5 on the bottom code and 1.5 on the full one, at both indices
+        mu = {(bottom, 0): -0.25, (bottom, 1): -0.25, (full, 0): 0.75}
+        sol = PrimalSolution(1, mu, 1.0, p.weights)
         with pytest.raises(ValueError, match="nonnegative"):
             sample(sol, p, 0, 100, seed=1)
 
@@ -238,6 +248,16 @@ class TestStatevector:
         sol, _ = solve_primal(p, CostFunction.average(2))
         with pytest.raises(ProfileError):
             statevector_check(sol, p, 0)
+
+    def test_runs_at_cap_and_refuses_above(self):
+        # the bottom code alone: no code table is built, even at the cap
+        p = uniform(STATEVECTOR_MAX_N)
+        report = statevector_check(bottom_only_solution(p), p, 0b10110101)
+        assert report.ok and report.exact_match
+        assert report.n_amplitudes == 1 << STATEVECTOR_MAX_N
+        above = uniform(STATEVECTOR_MAX_N + 1)
+        with pytest.raises(BudgetError, match=f"capped at n <= {STATEVECTOR_MAX_N}"):
+            statevector_check(bottom_only_solution(above), above, 0)
 
 
 class TestConsistencyTriangle:

@@ -39,24 +39,23 @@ AVERAGE_FAMILIES = ("hamming", "cohamming", "spike")
 
 def dual_hamming(n: int) -> DualSolution:
     """b_i = 2 |i|; feasible for the average cost by the minimum-average-weight bound."""
-    b = {i: 2 * hamming_weight(i) for i in all_vectors(n)}
+    b = tuple(2 * hamming_weight(i) for i in all_vectors(n))
     return DualSolution(n, b, family="hamming", params={"n": n})
 
 
 def dual_cohamming(n: int) -> DualSolution:
     """b_i = 2 |i + 1...1|, the all-ones affine image of the hamming family."""
-    b = {i: 2 * (n - hamming_weight(i)) for i in all_vectors(n)}
+    b = tuple(2 * (n - hamming_weight(i)) for i in all_vectors(n))
     return DualSolution(n, b, family="cohamming", params={"n": n})
 
 
 def dual_spike(n: int) -> DualSolution:
     """All mass concentrated at zero: b_0 = 2^n + n - 1, b_i = n - 1 elsewhere."""
-    b = {i: (1 << n) + n - 1 if i == 0 else n - 1 for i in all_vectors(n)}
+    b = ((1 << n) + n - 1,) + (n - 1,) * ((1 << n) - 1)
     return DualSolution(n, b, family="spike", params={"n": n})
 
 
-def dual_affine_image(sol: DualSolution, p: F2Matrix, v: int,
-                      profile: AmplitudeProfile | None = None) -> DualSolution:
+def dual_affine_image(sol: DualSolution, p: F2Matrix, v: int) -> DualSolution:
     """Relabel a dual solution by the affine bijection i -> P.i + v.
 
     Feasibility is preserved because affine bijections permute the dual
@@ -65,12 +64,9 @@ def dual_affine_image(sol: DualSolution, p: F2Matrix, v: int,
     n = sol.n
     if p.n_cols != n or p.n_rows != n or rank(p) != n:
         raise RankDeficientError("affine relabeling needs an invertible n x n matrix")
-    b = {i: sol.b_at(p.mul_vec(i) ^ v) for i in all_vectors(n)}
-    out = DualSolution(n, b, family=sol.family and f"{sol.family}+affine",
-                       params={"P": p.to_strings(), "v": vec_str(v, n)})
-    if profile is not None:
-        out.objective = out.evaluate(profile)
-    return out
+    b = tuple(sol.b[p.mul_vec(i) ^ v] for i in all_vectors(n))
+    return DualSolution(n, b, family=sol.family and f"{sol.family}+affine",
+                        params={"P": p.to_strings(), "v": vec_str(v, n)})
 
 
 def dual_threshold_indicator(v_set, tau: int, n: int) -> DualSolution:
@@ -84,7 +80,7 @@ def dual_threshold_indicator(v_set, tau: int, n: int) -> DualSolution:
     v_set = frozenset(v_set)
     if not is_universal(v_set, tau, n):
         raise FamilyError("the provided set is not tau-universal")
-    b = {i: (1 << tau) if i in v_set else 0 for i in all_vectors(n)}
+    b = tuple((1 << tau) if i in v_set else 0 for i in all_vectors(n))
     return DualSolution(
         n, b, family="threshold_indicator",
         params={"tau": tau, "set_size": len(v_set)},
@@ -116,7 +112,7 @@ def dual_threshold_ball(n: int, d: int, gamma: float,
         raise ValueError("ball too large for this threshold")
     constant = Fraction(1 << tau, denom)
     in_ball = set(ball(n, d))
-    b = {i: 0 if i in in_ball else constant for i in all_vectors(n)}
+    b = tuple(0 if i in in_ball else constant for i in all_vectors(n))
     sol = DualSolution(
         n, b, family="threshold_ball",
         params={"d": d, "gamma": gamma, "tau": tau, "constant": constant},

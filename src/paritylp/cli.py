@@ -232,8 +232,11 @@ def cmd_solve(args) -> tuple[dict, str]:
             fh.write(lp.build_dual(profile, cost) + "\n")
     primal, dual, p_report = lp.solve_pair(profile, cost, args.mode)
     gap = abs(p_report.objective - dual.objective)
-    exact = p_report.mode == lp.EXACT
-    audits = {"strong_duality_gap": gap == 0 if exact else float(gap) <= args.tol_feas}
+    tol = 0 if p_report.mode == lp.EXACT else args.tol_feas
+    audits = {"strong_duality_gap": gap <= tol}
+    if p_report.mode == lp.FLOAT:
+        # A certified solve is feasible; a binary64 one is audited row by row.
+        audits["primal_feasible"] = lp.check_primal_feasible(primal, profile, tol=tol).feasible
     report = {
         "rho": p_report.objective,
         "sigma": dual.objective,
@@ -276,11 +279,8 @@ def cmd_verify(args) -> tuple[dict, str]:
     audit = dual.audit or lp.check_dual_feasible(dual, cost)
     _, lp_report = lp.solve_primal(profile, cost, args.mode)
     gap = dual.objective - lp_report.objective
-    exact = lp_report.mode == lp.EXACT
-    audits = {
-        "dual_feasible": audit.feasible,
-        "weak_duality": gap >= 0 if exact else float(gap) >= -args.tol_feas,
-    }
+    tol = 0 if lp_report.mode == lp.EXACT else args.tol_feas
+    audits = {"dual_feasible": audit.feasible, "weak_duality": gap >= -tol}
     report = {
         "family": args.family,
         "certificate": dual.to_json_dict(),
@@ -436,8 +436,8 @@ def cmd_threshold(args) -> tuple[dict, str]:
     cost = CostFunction.threshold(profile.n, args.tau)
     _, report_lp = lp.solve_primal(profile, cost, args.mode)
     lp_value = report_lp.objective
-    lp_zero = lp_value == 0 if report_lp.mode == lp.EXACT else abs(float(lp_value)) <= args.tol_feas
-    audits = {"certificate_matches_lp": cert.rho_is_zero == lp_zero}
+    tol = 0 if report_lp.mode == lp.EXACT else args.tol_feas
+    audits = {"certificate_matches_lp": cert.rho_is_zero == (abs(lp_value) <= tol)}
     report = {
         "certificate": cert.to_json_dict(),
         "lp_value": lp_value,

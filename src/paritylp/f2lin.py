@@ -79,10 +79,6 @@ class F2Matrix:
     def n_rows(self) -> int:
         return len(self.rows)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.rows
-
     def mul_vec(self, x: int) -> int:
         """Matrix-vector product M.x; bit j of the result is row_j . x."""
         y = 0
@@ -97,18 +93,6 @@ class F2Matrix:
             if (u >> j) & 1:
                 out ^= row
         return out
-
-    def mul_transpose(self, other: F2Matrix) -> F2Matrix:
-        """M . Nᵀ with entries row_i(M) . row_j(N)."""
-        if other.n_cols != self.n_cols:
-            raise ValueError("column counts differ")
-        rows = []
-        for r in self.rows:
-            val = 0
-            for j, s in enumerate(other.rows):
-                val |= dot(r, s) << j
-            rows.append(val)
-        return F2Matrix(other.n_rows, tuple(rows))
 
     def row_space(self) -> list[int]:
         """All vectors in the span of the rows (deduplicated)."""
@@ -203,8 +187,6 @@ class CosetPartition:
     ties by smallest integer encoding.
     """
 
-    n: int
-    k: int
     members: tuple[tuple[int, ...], ...]
     leaders_min: tuple[int, ...]
     leaders_max: tuple[int, ...]
@@ -251,10 +233,6 @@ class ParityCode:
     def bottom(cls, n: int) -> ParityCode:
         """The rank-0 code backing the no-information outcome."""
         return cls(n, 0, F2Matrix(n, ()))
-
-    @classmethod
-    def full(cls, n: int) -> ParityCode:
-        return cls(n, n, identity(n))
 
     def __hash__(self) -> int:
         return self._hash
@@ -308,7 +286,7 @@ def dual_cosets(code: ParityCode) -> CosetPartition:
     members = tuple(tuple(b) for b in buckets)
     lead_min = tuple(min(b, key=lambda v: (hamming_weight(v), v)) for b in buckets)
     lead_max = tuple(min(b, key=lambda v: (-hamming_weight(v), v)) for b in buckets)
-    return CosetPartition(n, k, members, lead_min, lead_max)
+    return CosetPartition(members, lead_min, lead_max)
 
 
 def enumerate_codes(n: int, k: int) -> list[ParityCode]:

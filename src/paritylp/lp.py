@@ -249,12 +249,6 @@ class PrimalSolution:
             self._lam = lam
         return self._lam
 
-    def lam_at(self, code: ParityCode, i: int):
-        return self.lam.get((code, i), 0)
-
-    def mu_at(self, code: ParityCode, s: int):
-        return self.mu.get((code, s), 0)
-
     @classmethod
     def from_lp_values(cls, profile: AmplitudeProfile, values: dict,
                        objective) -> PrimalSolution:
@@ -277,25 +271,23 @@ class PrimalSolution:
 
 @dataclass
 class DualSolution:
-    """Per-index dual values b_i with an optional cached objective."""
+    """The dual vector b, with b[i] the value of index i for i = 0 ... 2^n - 1,
+    and an optional cached objective."""
 
     n: int
-    b: dict
+    b: tuple
     objective: object | None = None
     family: str | None = None
     params: dict = field(default_factory=dict)
     # The report of a family that audits itself, against the cost it is for.
     audit: FeasibilityReport | None = None
 
-    def b_at(self, i: int):
-        return self.b.get(i, 0)
-
     def evaluate(self, profile: AmplitudeProfile):
-        return sum(self.b_at(i) * profile.weights[i] for i in all_vectors(self.n))
+        return sum(v * w for v, w in zip(self.b, profile.weights))
 
     def to_json_dict(self) -> dict:
         out = {
-            "b": {vec_str(i, self.n): self.b_at(i) for i in all_vectors(self.n)},
+            "b": {vec_str(i, self.n): v for i, v in enumerate(self.b)},
             "objective": self.objective,
         }
         if self.family:
@@ -320,14 +312,15 @@ def solve_pair(profile: AmplitudeProfile, cost: CostFunction, mode: str = EXACT
     if report.status != "optimal":
         raise SolveError(f"primal solve ended with status {report.status}")
     primal = PrimalSolution.from_lp_values(profile, report.values, report.objective)
-    b = {i: u * g for i, u, g in zip(profile.support, report.duals, model.columns.scale)}
-    if report.mode != EXACT:
-        # As simplex_min does for levels: rounding residue below zero reads 0.
-        b = {i: 0.0 if -FLOAT_FEAS_TOL <= v < 0 else v for i, v in b.items()}
     # objective * 0 puts the cover in the number type the solve ran in.
     cover = report.objective * 0 + max(_rank_value(cost, k) for k in range(profile.n + 1))
-    b.update(dict.fromkeys(profile.zero_set, cover))
-    dual = DualSolution(profile.n, b)
+    b = [cover] * (1 << profile.n)
+    for i, u, g in zip(profile.support, report.duals, model.columns.scale):
+        b[i] = u * g
+        if report.mode != EXACT and -FLOAT_FEAS_TOL <= b[i] < 0:
+            # As simplex_min does for levels: rounding residue below zero reads 0.
+            b[i] = 0.0
+    dual = DualSolution(profile.n, tuple(b))
     dual.objective = dual.evaluate(profile)
     return primal, dual, report
 
@@ -342,7 +335,7 @@ def solve_dual(profile: AmplitudeProfile, cost: CostFunction,
                mode: str = EXACT) -> tuple[DualSolution, SolveReport]:
     """The dual read off the primal's optimal basis, with a report on its values."""
     _, dual, report = solve_pair(profile, cost, mode)
-    values = {("b", i, profile.n): dual.b_at(i) for i in all_vectors(profile.n)}
+    values = {("b", i, profile.n): v for i, v in enumerate(dual.b)}
     return dual, replace(report, values=values)
 
 
@@ -352,15 +345,6 @@ class FeasibilityReport:
     violations: list
     max_violation: object
     n_checked: int
-    # The slack of each covering constraint of a dual audit, by (code, s); a
-    # callable stands for the dict until `slacks` is first read.
-    _slacks: dict | functools.partial | None = None
-
-    @property
-    def slacks(self) -> dict | None:
-        if callable(self._slacks):
-            self._slacks = self._slacks()
-        return self._slacks
 
     def to_json_dict(self) -> dict:
         return {
@@ -423,16 +407,15 @@ def check_dual_feasible(sol: DualSolution, cost: CostFunction,
                         tol=None) -> FeasibilityReport:
     """Exhaustively audit every (code, syndrome) covering constraint.
 
-    When b, the costs and the tolerance are all rational, the coset sums are
-    tested on integers (`_short_cosets`) and the report's slacks are
-    computed on first read; otherwise every slack is computed here.
+    An int, a `Fraction` and a finite binary64 float are all exact
+    rationals, so every coset is decided on integers (`_short_cosets`); a
+    NaN or infinite b_i or tolerance raises ValueError.
     """
-    tol = _default_tol(tol, sol.b.values(), cost.values)
+    tol = _default_tol(tol, sol.b, cost.values)
     violations = []
     max_v = 0
 
-    b = [sol.b_at(i) for i in all_vectors(sol.n)]
-    for i, v in enumerate(b):
+    for i, v in enumerate(sol.b):
         if v < -tol:
             violations.append(
                 {"constraint": f"b[{vec_str(i, sol.n)}] >= 0", "violation": float(-v)}
@@ -440,42 +423,46 @@ def check_dual_feasible(sol: DualSolution, cost: CostFunction,
             max_v = max(max_v, -v)
 
     codes = enumerate_all_codes(sol.n)
-    if (all(type(v) in (int, Fraction) for v in chain(b, cost.values))
-            and (isinstance(tol, Rational) or math.isfinite(tol))):
-        slacks = functools.partial(_coset_slacks, b, cost, codes)
-        short = _short_cosets(b, cost, codes, tol)
-    else:
-        slacks = _coset_slacks(b, cost, codes)
-        short = ((key, v) for key, v in slacks.items() if v < -tol)
-    for (code, s), slack in short:
+    for (code, s), slack in _short_cosets(sol.b, cost, codes, tol):
         violations.append(
             {"constraint": f"coset sum {code.label()},s={s} >= {_rank_value(cost, code.k)}",
              "violation": float(-slack)}
         )
         max_v = max(max_v, -slack)
 
-    checked = len(b) + sum(len(code.cosets.members) for code in codes)
-    return FeasibilityReport(not violations, violations, max_v, checked, slacks)
+    checked = len(sol.b) + sum(len(code.cosets.members) for code in codes)
+    return FeasibilityReport(not violations, violations, max_v, checked)
 
 
-def _coset_slacks(b: list, cost: CostFunction, codes) -> dict:
+def coset_slacks(sol: DualSolution, cost: CostFunction) -> dict:
     """(code, s) -> the sum of b over the coset, in ascending order, minus
-    the right-hand side."""
+    the right-hand side, for every code of the table."""
+    b = sol.b
     return {(code, s): sum(map(b.__getitem__, members)) - _rank_value(cost, code.k)
-            for code in codes for s, members in enumerate(code.cosets.members)}
+            for code in enumerate_all_codes(sol.n)
+            for s, members in enumerate(code.cosets.members)}
 
 
-def _short_cosets(b: list, cost: CostFunction, codes, tol):
-    """Each ((code, s), slack) with slack < -tol, for int and Fraction b.
+def _exact(v) -> Fraction:
+    """v as an exact rational; a NaN or an infinity is refused."""
+    try:
+        return Fraction(v)
+    except (OverflowError, ValueError):
+        raise ValueError(f"the dual audit needs finite numbers, not {v!r}") from None
 
-    With every b_i written as N_i / D over one common denominator D, the
-    slack is below -tol exactly when the integer sum of N_i over the coset
-    is below ceil((rhs - tol) D); the slack itself is summed as in
-    `_coset_slacks` for those cosets alone.
+
+def _short_cosets(b: tuple, cost: CostFunction, codes, tol):
+    """Each ((code, s), slack) with slack < -tol.
+
+    With every b_i written exactly as N_i / D over one common denominator D,
+    the slack is below -tol exactly when the integer sum of N_i over the
+    coset is below ceil((rhs - tol) D); the slack itself is summed in the
+    arithmetic of b, as `coset_slacks` sums it, for those cosets alone.
     """
-    den = math.lcm(*(v.denominator for v in b))
-    nums = [v.numerator * (den // v.denominator) for v in b]
-    tol = Fraction(tol)
+    exact = [_exact(v) for v in b]
+    tol = _exact(tol)
+    den = math.lcm(*(v.denominator for v in exact))
+    nums = [v.numerator * (den // v.denominator) for v in exact]
     limits = [math.ceil((_rank_value(cost, k) - tol) * den) for k in range(len(cost.values))]
     for code in codes:
         limit = limits[code.k]
@@ -518,12 +505,12 @@ def complementary_slackness(primal: PrimalSolution, dual: DualSolution,
     the pair optimal and the objectives equal.  The tolerance is 0 when every
     operand is rational, FLOAT_FEAS_TOL if not.
     """
-    tol = _default_tol(None, profile.weights, primal.lam.values(), dual.b.values())
+    tol = _default_tol(None, profile.weights, primal.lam.values(), dual.b)
     p_report, totals = _primal_audit(primal, profile, tol)
     d_report = check_dual_feasible(dual, cost, tol)
 
     violations = []
-    b = [dual.b_at(i) for i in all_vectors(primal.n)]
+    b = dual.b
     max_index = 0
     for i, (total, b_i) in enumerate(zip(totals, b)):
         product = (total - 1) * b_i
@@ -535,7 +522,7 @@ def complementary_slackness(primal: PrimalSolution, dual: DualSolution,
         max_index = max(max_index, abs(product))
 
     # A coset with mu = 0 has product 0 whatever its slack, so only the cosets
-    # mu uses are summed (as `_coset_slacks` sums them), in mu's order: the
+    # mu uses are summed (as `coset_slacks` sums them), in mu's order: the
     # code table's for a solve or a candidate.
     max_coset = 0
     for (code, s), v in primal.mu.items():

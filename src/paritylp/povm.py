@@ -136,7 +136,7 @@ def build_from_primal(sol: PrimalSolution, profile: AmplitudeProfile) -> PovmSet
         if code.k == 0:
             continue
         # 2^(n-k) syndromes, without building the cosets of a code with no mass
-        coeffs = [float(sol.mu_at(code, s)) / (1 << code.k)
+        coeffs = [float(sol.mu.get((code, s), 0)) / (1 << code.k)
                   for s in range(1 << (profile.n - code.k))]
         if not any(coeffs):
             continue

@@ -147,8 +147,6 @@ class CostFunction:
 
     n: int
     values: tuple
-    kind: str = "custom"
-    tau: int | None = None
 
     def __post_init__(self) -> None:
         if len(self.values) != self.n + 1:
@@ -161,18 +159,17 @@ class CostFunction:
 
     @classmethod
     def average(cls, n: int) -> CostFunction:
-        return cls(n, tuple(range(n + 1)), kind="average")
+        return cls(n, tuple(range(n + 1)))
 
     @classmethod
     def threshold(cls, n: int, tau: int) -> CostFunction:
         if not 1 <= tau <= n:
             raise ValueError("threshold requires 1 <= tau <= n")
-        return cls(n, tuple(1 if k >= tau else 0 for k in range(n + 1)),
-                   kind="threshold", tau=tau)
+        return cls(n, tuple(1 if k >= tau else 0 for k in range(n + 1)))
 
     @classmethod
     def custom(cls, n: int, values) -> CostFunction:
-        return cls(n, tuple(values), kind="custom")
+        return cls(n, tuple(values))
 
     def value(self, k: int):
         return self.values[k]
@@ -187,14 +184,6 @@ class CostFunction:
         if kind == "custom":
             return cls.custom(n, [Fraction(str(v)) for v in data["values"]])
         raise ValueError(f"unknown cost kind {kind!r}")
-
-    def to_json_dict(self) -> dict:
-        out = {"kind": self.kind}
-        if self.kind == "threshold":
-            out["tau"] = self.tau
-        if self.kind == "custom":
-            out["values"] = [float(v) for v in self.values]
-        return out
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ from paritylp.lp import (
     check_dual_feasible,
     check_primal_feasible,
     complementary_slackness,
+    coset_slacks,
     solve_dual,
     solve_primal,
 )
@@ -157,7 +158,8 @@ def test_criterion_4_threshold_theory():
     ball_sol = dual_threshold_ball(4, 1, 3.0)
     report = check_dual_feasible(ball_sol, CostFunction.threshold(4, 3))
     assert report.feasible
-    rank3 = [s for (code, _), s in report.slacks.items() if code.k == 3]
+    rank3 = [s for (code, _), s in coset_slacks(ball_sol, CostFunction.threshold(4, 3)).items()
+             if code.k == 3]
     assert min(rank3) == 0, "rank-3 constraints must reach tightness"
     _finish(4, "zero-quality certificates match the exact LP on the designed "
                "suite (n<=4); ball dual (n=4,d=1,gamma=3) feasible and tight "

@@ -42,6 +42,7 @@ from paritylp.lp import (
     check_dual_feasible,
     check_primal_feasible,
     complementary_slackness,
+    coset_slacks,
     solve_dual,
     solve_primal,
 )
@@ -83,8 +84,8 @@ class TestAverageDualFamilies:
             assert report.feasible, family.__name__
 
     def test_hamming_full_rank_constraint_tight(self):
-        report = check_dual_feasible(dual_hamming(2), CostFunction.average(2))
-        tight = [key for key, s in report.slacks.items() if s == 0]
+        slacks = coset_slacks(dual_hamming(2), CostFunction.average(2))
+        tight = [key for key, s in slacks.items() if s == 0]
         assert any(code.k == 2 for code, _ in tight)
 
     def test_hamming_objective_is_twice_average_weight(self):
@@ -111,8 +112,8 @@ class TestAverageDualFamilies:
 
     def test_spike_saturation_cases(self):
         # rank-1 coset containing 0 has value 6 >= 2; one avoiding 0 sits at 2
-        report = check_dual_feasible(dual_spike(2), CostFunction.average(2))
-        for (code, s), slack in report.slacks.items():
+        slacks = coset_slacks(dual_spike(2), CostFunction.average(2))
+        for (code, s), slack in slacks.items():
             if code.k != 1:
                 continue
             members = code.cosets.members_of(s)
@@ -197,21 +198,22 @@ class TestThresholdFamilies:
         sol = dual_threshold_ball(4, 1, 3.0)
         assert sol.params["tau"] == 3
         assert sol.params["constant"] == 2
-        assert sol.b_at(0) == 0
-        assert sol.b_at(0b1100) == 2
+        assert sol.b[0] == 0
+        assert sol.b[0b1100] == 2
 
     def test_ball_rank_tau_constraints_reach_tightness(self):
         sol = dual_threshold_ball(4, 1, 3.0)
         report = check_dual_feasible(sol, CostFunction.threshold(4, 3))
         assert report.feasible
-        rank3 = [s for (code, _), s in report.slacks.items() if code.k == 3]
+        rank3 = [s for (code, _), s in coset_slacks(sol, CostFunction.threshold(4, 3)).items()
+                 if code.k == 3]
         assert min(rank3) == 0
 
     def test_ball_d0(self):
         sol = dual_threshold_ball(3, 0, 3.0)
         assert sol.params["tau"] == 1
-        assert sol.b_at(0) == 0
-        assert sol.b_at(1) == 2
+        assert sol.b[0] == 0
+        assert sol.b[1] == 2
         assert check_dual_feasible(sol, CostFunction.threshold(3, 1)).feasible
 
     def test_ball_objective_is_constant_times_tail(self):
@@ -289,7 +291,7 @@ def place_lambda(family, p):
                 place(code, (1 << (n - k)) - 1 if family == "cohamming" else 0, total)
                 objective = objective + k * (1 << k) * total
     else:
-        full = ParityCode.full(n)
+        full = codes_of_rank(n, n)[0]
         for i in all_vectors(n):
             lam[(full, i)] = weight[0] / weight[i]
         objective = objective + n * (1 << n) * weight[0]
@@ -329,7 +331,7 @@ class TestPrimalCandidates:
         cand = primal_candidate("spike", p)
         assert not cand.nonnegative
         xor_code = ParityCode.from_matrix(F2Matrix(2, (3,)))
-        lam = cand.lam_at(xor_code, 1)
+        lam = cand.lam.get((xor_code, 1), 0)
         assert lam == (Fraction(9, 20) - Fraction(11, 20)) / (2 * Fraction(3, 20))
 
     def test_hamming_nonnegative_for_decreasing_weights(self):
@@ -351,7 +353,7 @@ class TestPrimalCandidates:
             sol = cand.to_solution(p)
             codes = tuple(enumerate_all_codes(n))
             for i in all_vectors(n):
-                total = sum(sol.lam_at(code, i) for code in codes)
+                total = sum(sol.lam.get((code, i), 0) for code in codes)
                 assert total == 1, (family, n, i)
 
     @pytest.mark.parametrize("family", ["hamming", "cohamming", "spike"])

@@ -272,6 +272,30 @@ class TestSolve:
         assert all(report["audits"].values())
         assert all(b >= 0 for b in report["dual_solution"]["b"].values())
 
+    @pytest.mark.parametrize("n, t", [(5, 0.45), (4, 0.49)])
+    def test_float_solve_audits_primal_rows(self, tmp_path, capsys, n, t):
+        # the float optimum leaves a tiny-weight row uncovered while the
+        # duality gap stays within --tol-feas (weights only: amplitudes
+        # would give |a|^2, a slightly different profile)
+        path = tmp_path / "bern.json"
+        path.write_text(json.dumps({"n": n, "weights": list(bernoulli_profile(n, t).weights)}))
+        code, report = run_json(capsys, [
+            "solve", "--profile", str(path), "--mode", "float", "--cost", "average",
+        ])
+        assert code == 1
+        assert report["audits"] == {"strong_duality_gap": True, "primal_feasible": False}
+
+    def test_well_conditioned_float_solve_passes_primal_audit(self, tmp_path, capsys):
+        path = tmp_path / "bern.json"
+        path.write_text(json.dumps(bernoulli_profile(3, 0.2).to_json_dict()))
+        code, report = run_json(capsys, ["solve", "--profile", str(path), "--mode", "float"])
+        assert code == 0
+        assert report["audits"] == {"strong_duality_gap": True, "primal_feasible": True}
+
+    def test_exact_solve_has_no_primal_audit(self, capsys, profile_file):
+        code, report = run_json(capsys, ["solve", "--profile", profile_file])
+        assert code == 0 and list(report["audits"]) == ["strong_duality_gap"]
+
 
 class TestVerify:
     def test_hamming_on_bernoulli(self, tmp_path, capsys):

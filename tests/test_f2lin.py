@@ -73,7 +73,7 @@ class TestKernel:
 
     def test_full_parity_gives_empty(self):
         g = kernel_generator(identity(3))
-        assert g.is_empty
+        assert not g.rows
 
     def test_rejects_rank_deficient(self):
         with pytest.raises(RankDeficientError):
@@ -85,7 +85,7 @@ class TestKernel:
         k = data.draw(st.integers(0, n))
         codes = enumerate_codes(n, k)
         code = codes[data.draw(st.integers(0, len(codes) - 1))]
-        assert all(r == 0 for r in code.H.mul_transpose(code.G).rows)
+        assert all(dot(h, g) == 0 for h in code.H.rows for g in code.G.rows)
         assert rank(code.H) + rank(code.G) == n
 
 

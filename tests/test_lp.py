@@ -1,5 +1,6 @@
 """Model building, exact and float solving, feasibility and slackness audits."""
 
+import functools
 import json
 import math
 import random
@@ -39,6 +40,7 @@ from paritylp.lp import (
     check_dual_feasible,
     check_primal_feasible,
     complementary_slackness,
+    coset_slacks,
     solve,
     solve_dual,
     solve_pair,
@@ -557,27 +559,27 @@ class TestFeasibilityChecks:
     def test_hamming_style_dual_feasible(self):
         from paritylp.f2lin import hamming_weight
 
-        b = {i: 2 * hamming_weight(i) for i in all_vectors(2)}
-        report = check_dual_feasible(DualSolution(2, b), CostFunction.average(2))
+        dual = DualSolution(2, tuple(2 * hamming_weight(i) for i in all_vectors(2)))
+        report = check_dual_feasible(dual, CostFunction.average(2))
         assert report.feasible
         full_slacks = [
-            s for (code, _), s in report.slacks.items() if code.k == 2
+            s for (code, _), s in coset_slacks(dual, CostFunction.average(2)).items() if code.k == 2
         ]
         assert full_slacks == [0]
 
     def test_float_slacks_sum_members_in_order(self):
-        # the coset sums run over the members in ascending order, as b_at did
+        # the coset sums run over the members in ascending order
         dual, _ = solve_dual(bernoulli_profile(4, 0.15), CostFunction.average(4), "float")
         cost = CostFunction.average(4)
-        report = check_dual_feasible(dual, cost)
-        want = {(code, s): sum(dual.b_at(i) for i in members) - cost.value(code.k) * (1 << code.k)
+        slacks = coset_slacks(dual, cost)
+        want = {(code, s): sum(dual.b[i] for i in members) - cost.value(code.k) * (1 << code.k)
                 for code in enumerate_all_codes(4)
                 for s, members in enumerate(code.cosets.members)}
-        assert [repr(v) for v in report.slacks.values()] == [repr(v) for v in want.values()]
-        assert list(report.slacks) == list(want)
+        assert [repr(v) for v in slacks.values()] == [repr(v) for v in want.values()]
+        assert list(slacks) == list(want)
 
     def test_zero_dual_infeasible(self):
-        b = {i: 0 for i in all_vectors(2)}
+        b = (0,) * 4
         report = check_dual_feasible(DualSolution(2, b), CostFunction.average(2))
         assert not report.feasible
         assert report.max_violation == 8
@@ -614,7 +616,7 @@ class TestSlackness:
         cost = CostFunction.average(2)
         primal, _ = solve_primal(p, cost)
         # feasible but loose dual: constant 2^n * max C
-        loose = DualSolution(2, {i: 8 for i in all_vectors(2)})
+        loose = DualSolution(2, (8,) * 4)
         assert check_dual_feasible(loose, cost).feasible
         report = complementary_slackness(primal, loose, p, cost)
         assert not report.certified
@@ -891,7 +893,7 @@ def dense_pair(profile, cost, mode, float_stage=True):
         b = {i: 0.0 if -1e-9 <= v < 0 else v for i, v in b.items()}
     cover = report.objective * 0 + max(cost.value(k) * (1 << k) for k in range(profile.n + 1))
     b.update(dict.fromkeys(profile.zero_set, cover))
-    return report, mu, lam, b
+    return report, mu, lam, tuple(b[i] for i in all_vectors(profile.n))
 
 
 def same(x, y):
@@ -1185,7 +1187,7 @@ class TestLazyLambda:
             assert same(sol.lam, want)
             assert sol.lam is sol.lam
             if p.zero_set:
-                assert sol.mu_at(ParityCode.bottom(p.n), p.zero_set[0]) == 0
+                assert sol.mu.get((ParityCode.bottom(p.n), p.zero_set[0]), 0) == 0
 
     @pytest.mark.parametrize("family", ["hamming", "cohamming", "spike"])
     @pytest.mark.parametrize("n", range(1, 5))
@@ -1243,10 +1245,10 @@ def generic_dual_audit(sol, cost, tol=None):
     """check_dual_feasible as it was: every coset sum and slack in the
     arithmetic of b, all slacks kept."""
     if tol is None:
-        rational = all(isinstance(v, Rational) for v in chain(sol.b.values(), cost.values))
+        rational = all(isinstance(v, Rational) for v in chain(sol.b, cost.values))
         tol = 0 if rational else 1e-9
     violations, slacks, max_v, checked = [], {}, 0, 0
-    b = [sol.b_at(i) for i in all_vectors(sol.n)]
+    b = list(sol.b)
     for i, v in enumerate(b):
         checked += 1
         if v < -tol:
@@ -1282,14 +1284,14 @@ def _audit_duals():
     yield "ball3-d0", bounds.dual_threshold_ball(3, 0, 3.0, tau=2)
     # every slack is minus a right-hand side: equal to -tol at tol = 2 or 8
     for n in (1, 2):
-        yield f"zeros{n}", DualSolution(n, {})
+        yield f"zeros{n}", DualSolution(n, (0,) * (1 << n))
     for trial in range(12):
         rng = random.Random(f"audit/{trial}")
         n = rng.randint(1, 4)
         # mostly covering values, a few short: some cosets violate
-        b = {i: rng.choice([0, rng.randint(0, 9),
-                            Fraction(rng.randint(-5, 40), rng.randint(1, 12))])
-             for i in all_vectors(n)}
+        b = tuple(rng.choice([0, rng.randint(0, 9),
+                              Fraction(rng.randint(-5, 40), rng.randint(1, 12))])
+                  for i in all_vectors(n))
         yield f"random{trial}", DualSolution(n, b)
     yield "binary64", solve_dual(bernoulli_profile(3, 0.15), CostFunction.average(3), "float")[0]
 
@@ -1314,7 +1316,7 @@ class TestIntegerDualAudit:
             assert (report.feasible, report.violations, report.n_checked) == \
                 (feasible, violations, checked)
             assert same(report.max_violation, max_v)
-            assert same(report.slacks, slacks)
+            assert same(coset_slacks(sol, cost), slacks)
 
     def test_some_cases_violate(self):
         reports = [check_dual_feasible(sol, cost)
@@ -1322,14 +1324,93 @@ class TestIntegerDualAudit:
         assert any(r.feasible for r in reports)
         assert sum(not r.feasible for r in reports) > 20
 
-    def test_rational_slacks_summed_on_first_read(self, monkeypatch):
-        from paritylp import lp
 
-        calls = []
-        real = lp._coset_slacks
-        monkeypatch.setattr(lp, "_coset_slacks", lambda *a: calls.append(a) or real(*a))
-        report = check_dual_feasible(dict(_audit_duals())["ball4"], CostFunction.threshold(4, 3))
-        assert report.feasible and not calls
-        assert report.slacks is report.slacks and len(calls) == 1
-        check_dual_feasible(dict(_audit_duals())["binary64"], CostFunction.average(3))
-        assert len(calls) == 2
+def _tiny_weight_profile(n, rng):
+    """Binary64 weights mixing scales near 1e-9, 1e-6 and 1."""
+    raw = [rng.choice([1e-9, 1e-6, 1.0]) * rng.uniform(0.5, 2) for _ in all_vectors(n)]
+    total = math.fsum(raw)
+    return AmplitudeProfile(n, tuple(w / total for w in raw))
+
+
+@functools.cache
+def _float_duals():
+    """Seeded binary64 duals: solve_pair duals at n = 2..5, half on tiny
+    weights, each also scaled by 1 - 1e-10 so that its tight cosets fall
+    short by about 1e-10; then random b, some of it negative or short of
+    covering."""
+    rng = random.Random("float-dual-audit")
+    cases = []
+    for trial in range(16):
+        n = 2 + trial % 4
+        if trial % 2:
+            p = _tiny_weight_profile(n, rng)
+        else:
+            p = bernoulli_profile(n, rng.choice([0.001, 0.05, 0.2, 0.45]))
+        cost = rng.choice([CostFunction.average(n), CostFunction.threshold(n, rng.randint(1, n))])
+        dual = solve_pair(p, cost, "float")[1]
+        cases.append((dual, cost))
+        cases.append((DualSolution(n, tuple(v * (1 - 1e-10) for v in dual.b)), cost))
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        b = tuple(rng.choice([0.0, rng.uniform(-0.5, 10), rng.uniform(0, 2 ** n),
+                              1e-12 * rng.random()]) for _ in all_vectors(n))
+        cases.append((DualSolution(n, b), CostFunction.average(n)))
+    return cases
+
+
+class TestFloatDualAudit:
+    """Binary64 b goes through the integer coset sums and reports what the
+    generic float sums report."""
+
+    @pytest.mark.parametrize("tol", [None, 1e-12, 1e-9, 0.05], ids=str)
+    def test_matches_generic_path(self, tol):
+        verdicts = []
+        for sol, cost in _float_duals():
+            report = check_dual_feasible(sol, cost, tol)
+            feasible, violations, max_v, checked, _ = generic_dual_audit(sol, cost, tol)
+            assert (report.feasible, report.violations, report.n_checked) == \
+                (feasible, violations, checked)
+            assert repr(report.max_violation) == repr(max_v)
+            verdicts.append(feasible)
+        assert any(verdicts) and verdicts.count(False) >= 10
+
+    def test_solved_duals_straddle_the_tolerances(self):
+        solved, scaled = _float_duals()[:32:2], _float_duals()[1:32:2]
+        assert all(type(v) is float for sol, _ in solved + scaled for v in sol.b)
+        assert all(check_dual_feasible(sol, cost, 1e-12).feasible for sol, cost in solved)
+        assert all(not check_dual_feasible(sol, cost, 1e-12).feasible for sol, cost in scaled)
+        assert all(check_dual_feasible(sol, cost, 0.05).feasible for sol, cost in scaled)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_b_refused(self, bad):
+        b = (bad,) + (8.0,) * 3
+        with pytest.raises(ValueError):
+            check_dual_feasible(DualSolution(2, b), CostFunction.average(2))
+
+    def test_infinite_tolerance_refused(self):
+        with pytest.raises(ValueError):
+            check_dual_feasible(DualSolution(2, (8,) * 4), CostFunction.average(2), math.inf)
+
+
+class TestDualVector:
+    """Every producer gives b as a tuple over F_2^n."""
+
+    def _producers(self):
+        from paritylp import bounds
+
+        for n in range(1, 5):
+            yield n, bounds.dual_hamming(n)
+            yield n, bounds.dual_cohamming(n)
+            yield n, bounds.dual_spike(n)
+            yield n, bounds.dual_threshold_indicator(all_vectors(n), 1, n)
+            yield n, bounds.dual_affine_image(bounds.dual_spike(n), F2Matrix(
+                n, tuple(reversed([1 << j for j in range(n)]))), 1)
+            yield n, bounds.dual_threshold_ball(n, 0, 3.0)
+            p = ball_profile(n, n // 2, random.Random(f"vector/{n}"))
+            for mode in ("exact", "float"):
+                yield n, solve_pair(p, CostFunction.average(n), mode)[1]
+                yield n, solve_dual(p, CostFunction.average(n), mode)[0]
+
+    def test_tuple_of_length_two_to_the_n(self):
+        for n, sol in self._producers():
+            assert type(sol.b) is tuple and len(sol.b) == 1 << n

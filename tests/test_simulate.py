@@ -10,7 +10,7 @@ import numpy as np
 
 from conftest import ball_profile, rand_rational_profile
 from paritylp.errors import BudgetError
-from paritylp.f2lin import ParityCode, all_vectors, enumerate_all_codes
+from paritylp.f2lin import ParityCode, all_vectors, codes_of_rank, enumerate_all_codes
 from paritylp.lp import PrimalSolution, solve_primal
 from paritylp.profiles import AmplitudeProfile, CostFunction, bernoulli_profile
 from paritylp.simulate import (
@@ -41,7 +41,7 @@ def broadcast_compare_counts(sol, p, shots, seed):
     weights = np.array([p.weights_float[i] for i in support])
     weights = weights / weights.sum()
     codes = enumerate_all_codes(p.n)
-    lam = np.array([[float(sol.lam_at(c, i)) for c in codes] for i in support])
+    lam = np.array([[float(sol.lam.get((c, i), 0)) for c in codes] for i in support])
     cum = np.cumsum(lam / lam.sum(axis=1)[:, None], axis=1)
     rng = np.random.default_rng(seed)
     chunk = 1 << 15
@@ -62,7 +62,7 @@ class TestExactDistribution:
         sol, _ = solve_primal(p, CostFunction.average(1))
         for x in (0, 1):
             dist = exact_distribution(sol, p, x)
-            assert dist[(ParityCode.full(1), x)] == 1
+            assert dist[(codes_of_rank(1, 1)[0], x)] == 1
 
     def test_bottom_only(self):
         p = uniform(2)
@@ -103,7 +103,7 @@ class TestSample:
         records = sample(sol, p, 1, 2000, seed=1)
         assert len(records) == 1
         rec = records[0]
-        assert rec.code == ParityCode.full(1) and rec.y == 1
+        assert rec.code == codes_of_rank(1, 1)[0] and rec.y == 1
         assert rec.count == 2000
 
     def test_bottom_only(self):
@@ -192,12 +192,12 @@ class TestSample:
         for seed in range(4):
             records = sample(sol, p, 0, 1 << 62, seed)
             assert sum(r.count for r in records) == 1 << 62
-            assert ParityCode.full(2) not in {r.code for r in records}
+            assert codes_of_rank(2, 2)[0] not in {r.code for r in records}
 
     def test_negative_lambda_rejected(self):
         # rows sum to 1, but a multinomial needs nonnegative probabilities
         p = uniform(1)
-        bottom, full = ParityCode.bottom(1), ParityCode.full(1)
+        bottom, full = ParityCode.bottom(1), codes_of_rank(1, 1)[0]
         # lambda is -0.5 on the bottom code and 1.5 on the full one, at both indices
         mu = {(bottom, 0): -0.25, (bottom, 1): -0.25, (full, 0): 0.75}
         sol = PrimalSolution(1, mu, 1.0, p.weights)

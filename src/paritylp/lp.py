@@ -206,7 +206,9 @@ def solve(model: LpModel, mode: str = EXACT) -> SolveReport:
     num, dtype = (Fraction, object) if exact else (float, float)
     c = -np.array(model.objective, dtype=dtype)
     b = np.full(len(model.support), num(1), dtype=dtype)
-    result = simplex.simplex_min(model.columns, b, c)
+    # Column r is the rank-0 code's coset {support[r]}: the no-information
+    # measurement, feasible for every profile, is the starting basis.
+    result = simplex.simplex_min(model.columns, b, c, basis_seed=range(len(model.support)))
     elapsed = time.perf_counter() - start
     mode = EXACT if exact else FLOAT
     if result.status != simplex.OPTIMAL:

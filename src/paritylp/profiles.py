@@ -13,7 +13,7 @@ with a float is a float.  Cost values are always stored exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from numbers import Rational
@@ -109,9 +109,13 @@ class AmplitudeProfile:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> AmplitudeProfile:
+        """The profile `to_json_dict` writes: its weights when given, with the
+        amplitudes attached when given too (`__post_init__` checks that they
+        agree), else the amplitudes' |a|^2."""
         n = data.get("n") if isinstance(data, dict) else None
         if isinstance(n, bool) or not isinstance(n, int):
             raise ProfileError("profile JSON needs an integer field 'n'")
+        amps = None
         if "amplitudes" in data:
             amps = data["amplitudes"]
             if not (isinstance(amps, list) and all(
@@ -119,13 +123,15 @@ class AmplitudeProfile:
                     and _is_number(a.get("im", 0.0)) for a in amps)):
                 raise ProfileError(
                     "'amplitudes' must be a list of {\"re\": number, \"im\": number}")
-            return cls.from_amplitudes(n, [complex(a["re"], a.get("im", 0.0)) for a in amps])
+            amps = tuple(complex(a["re"], a.get("im", 0.0)) for a in amps)
         if "weights" in data:
             weights = data["weights"]
             if not (isinstance(weights, list)
                     and all(isinstance(w, str) or _is_number(w) for w in weights)):
                 raise ProfileError("'weights' must be a list of numbers or fraction strings")
-            return cls.from_weights(n, weights)
+            return replace(cls.from_weights(n, weights), amplitudes=amps)
+        if amps is not None:
+            return cls.from_amplitudes(n, amps)
         raise ProfileError("profile JSON needs 'weights' or 'amplitudes'")
 
     def to_json_dict(self) -> dict:

@@ -5,19 +5,19 @@ Solves   min c.x   s.t.   A x = b,  x >= 0,  with b >= 0,  over `Fraction`s
 comes by columns, as A = diag(scale) M (`Columns`; for a profile's primal,
 M is the 0/1 coset incidence).  The loop keeps no tableau, only B⁻¹, updated
 rank-1 on each pivot, and x_B = B⁻¹ b (Maros, Computational Techniques of
-the Simplex Method, 2003).  It prices d = c - (c_B B⁻¹) A: the most negative
-reduced cost enters until STALL_LIMIT consecutive degenerate pivots, then
-the lowest eligible index (Bland's rule, which cannot cycle); the leaving
-row is the minimum ratio, ties going to the lowest basis index.
+the Simplex Method, 2003), from a diagonal start of seeded columns and
+artificials.  It prices d = c - (c_B B⁻¹) A: the most negative reduced cost
+enters until STALL_LIMIT consecutive degenerate pivots, then the lowest
+eligible index (Bland's rule, which cannot cycle); the leaving row is the
+minimum ratio, ties going to the lowest basis index.
 
 Float data is solved by that loop alone.  On exact data it runs in binary64
-and only proposes a basis B: M_B x_B = b / scale and M_Bᵀ y' = c_B are
-solved by integer elimination, and B is accepted when x_B >= 0 and each
-reduced cost c_j - (Mᵀy')_j, read over the common denominator of y' (an
-integer sum when M is integer), is >= 0 (Applegate, Cook, Dash & Espinoza,
-Oper. Res. Lett. 2007); then y = y' / scale.  Otherwise the same loop runs
-again from the phase-1 start on `Fraction`s, with no tolerance; it
-terminates on every input and gives exact infeasible and unbounded verdicts.
+and only proposes a basis B, and an inverse M_B⁻¹ = adj / d that counts only
+if M_B adj = d I holds on integers.  B is accepted when x_B >= 0 and every
+reduced cost is >= 0, both read on integers (Applegate, Cook, Dash &
+Espinoza, Oper. Res. Lett. 2007).  Otherwise the same loop runs again from
+the same start on `Fraction`s, with no tolerance; it terminates on every
+input and gives exact infeasible and unbounded verdicts.
 """
 
 from __future__ import annotations
@@ -90,10 +90,9 @@ def simplex_min(a: Columns, b, c, *, basis_seed=None) -> StandardResult:
         a: the len(b) x len(c) matrix A in column form.
         b, c: nonnegative right-hand sides and objective coefficients, numpy
             arrays of dtype object (rationals) for an exact solve, else float64.
-        basis_seed: a test hook, not a tuning option: per row, the index
-            of a column that is that row's identity vector, or None for an
-            artificial.  It lets the anti-cycling test start Beale's
-            example from its slack basis.
+        basis_seed: the start: per row r, a column whose one nonzero is a
+            positive entry on row r (else ValueError), or None for an
+            artificial.  `lp.solve` seeds the no-information measurement.
 
     Returns:
         StandardResult; x has length len(c) and y length len(b).  Its
@@ -115,10 +114,8 @@ def simplex_min(a: Columns, b, c, *, basis_seed=None) -> StandardResult:
     if exact:
         solution = _certify(a, b, c, basis, art_rows) if status == OPTIMAL else None
         strategy = CERTIFIED if solution else EXACT_PIVOTS
-        if solution:
-            levels, y = solution
-        else:
-            status, basis, levels, y = _revised(a, b, c, unit_cols, art_rows, stats)
+        status, basis, levels, y = ((status, basis, *solution) if solution
+                                    else _revised(a, b, c, unit_cols, art_rows, stats))
     pivots = sum(stats.phase_pivots)
     if status != OPTIMAL:
         return StandardResult(status, None, None, pivots, strategy=strategy, stats=stats)
@@ -150,10 +147,13 @@ def _revised(a, b, c, unit_cols, art_rows, stats) -> tuple:
     big[art_rows, range(nv, total)] = num(1)
     phase1 = np.array([num(0)] * nv + [num(1)] * len(art_rows), dtype=c.dtype)
     cost = np.concatenate((c, phase1[nv:] * 0))
-    # The starting basis is the unit columns, so B⁻¹ = I and x_B = b.
+    # The starting basis is diagonal, so B⁻¹ = diag(1 / B_rr) and x_B = b / B_rr.
     basis = np.array(unit_cols, dtype=np.intp)
-    binv = np.where(np.eye(m, dtype=bool), num(1), num(0))
-    x = b.copy()
+    diag = big[range(m), basis]
+    if not (diag > 0).all() or np.count_nonzero(big[:, basis]) != m:
+        raise ValueError("a seeded column is not a positive multiple of its row's unit vector")
+    binv = np.where(np.eye(m, dtype=bool), 1 / diag, num(0))
+    x = b / diag
     # A pivot limit guards binary64 against cycling by rounding (the float run
     # comes first, so the solve's count is its own); Bland's rule cannot cycle.
     limit = math.inf if exact else 50 * (m + total)
@@ -237,52 +237,73 @@ def _certify(a, b, c, basis, art_rows) -> tuple | None:
 
     The basis may hold artificial columns (index >= len(c), here the unit
     vector of row art_rows[index - len(c)] of M) only at level exactly zero.
+    With M_B adj = d I, x_B = adj (b / scale) / d solves M_B x_B = b / scale,
+    y' = adjᵀ c_B / d solves M_Bᵀ y' = c_B, and y = y' / scale.
     """
     m, nv = len(b), len(c)
-    starts = np.searchsorted(a.cols, np.arange(nv + 1)).tolist()
-    rows, coef = a.rows.tolist(), a.coef.tolist()
-    cols = [dict(zip(rows[starts[j]:starts[j + 1]], coef[starts[j]:starts[j + 1]]))
-            if j < nv else {art_rows[j - nv]: 1} for j in basis]
-    m_b = [[col.get(i, 0) for col in cols] for i in range(m)]
-    levels = _solve_exact(m_b, [v / s for v, s in zip(b, a.scale)])
-    if levels is None or any(v < 0 or (v and j >= nv) for j, v in zip(basis, levels)):
+    m_b = np.zeros((m, nv + len(art_rows)), dtype=a.coef.dtype)
+    m_b[a.rows, a.cols] = a.coef
+    m_b[art_rows, range(nv, nv + len(art_rows))] = 1
+    adj, d = _adjugate(m_b[:, basis])
+    if adj is None:
         return None
-    # y solves M_Bᵀ y = c_B here; den (Mᵀy)_j, over the common denominator
-    # den of y, is an integer sum along column j, read off one running sum.
-    y = _solve_exact([list(col) for col in zip(*m_b)], [c[j] if j < nv else 0 for j in basis])
-    den = math.lcm(*(v.denominator for v in y))
-    y_num = np.array([v.numerator * (den // v.denominator) for v in y], dtype=object)
+    x_num, den_x = _times(adj, [v / s for v, s in zip(b, a.scale)])
+    if any(v < 0 or (v and j >= nv) for j, v in zip(basis, x_num)):
+        return None
+    # y' = Y / den, so den (Mᵀy')_j is an integer sum along column j.
+    y_num, den = _times(adj.T, [c[j] if j < nv else 0 for j in basis])
+    den *= d
+    starts = np.searchsorted(a.cols, np.arange(nv + 1))
     sums = np.concatenate(([0], np.cumsum(y_num[a.rows] * a.coef)))[starts].tolist()
-    # den (c_j - (Mᵀy)_j) times the denominator of c_j: the reduced cost's sign.
+    # den (c_j - (Mᵀy')_j) times the denominator of c_j: the reduced cost's sign.
     if any(v.numerator * den - v.denominator * (hi - lo) < 0
            for v, lo, hi in zip(c, sums, sums[1:])):
         return None
-    return levels, [v / s for v, s in zip(y, a.scale)]
+    return ([Fraction(v, d * den_x) for v in x_num],
+            [Fraction(v, den) / s for v, s in zip(y_num, a.scale)])
 
 
-def _solve_exact(rows, rhs) -> list | None:
-    """Solve the square rational system rows . z = rhs exactly; None if singular.
+def _times(adj, v) -> tuple:
+    """adj v for rationals v, as integer numerators over the common denominator of v."""
+    den = math.lcm(*(q.denominator for q in v))
+    return adj @ np.array([q.numerator * (den // q.denominator) for q in v], dtype=object), den
 
-    Each equation is scaled to integers and Gauss-Jordan elimination runs on
-    integers, each new row divided by its gcd, which is much cheaper than
-    arithmetic on Fractions.
+
+def _adjugate(m_b) -> tuple:
+    """(adj, d) with m_b adj = d I, adj integer and d > 0, or (None, 0).
+
+    A non-integer m_b (only row models built in the tests have one) is scaled
+    to integers by columns first.  Binary64 proposes d, |det| or, if that is
+    not below 2^53, a common denominator continued fractions read off the
+    inverse, and adj, d times the inverse, rounded.  They count only if the
+    identity holds on integers, checked in int64 under a bound that rules
+    out overflow; past the bound they do not count.
     """
-    m = len(rows)
-    aug = []
-    for row, v in zip(rows, rhs):
-        den = math.lcm(v.denominator, *(q.denominator for q in row))
-        aug.append([q.numerator * (den // q.denominator) for q in (*row, v)])
-    for k in range(m):
-        p = next((i for i in range(k, m) if aug[i][k]), None)
-        if p is None:
-            return None
-        aug[k], aug[p] = aug[p], aug[k]
-        prow = aug[k]
-        piv = prow[k]
-        for i in range(m):
-            f = aug[i][k]
-            if f and i != k:
-                new = [a * piv - f * q for a, q in zip(aug[i], prow)]
-                g = math.gcd(*new) or 1
-                aug[i] = [a // g for a in new]
-    return [Fraction(row[m], row[k]) for k, row in enumerate(aug)]
+    ell = None
+    if m_b.dtype == object:
+        ell = np.array([math.lcm(*(v.denominator for v in col)) for col in m_b.T], dtype=object)
+        m_b = np.frompyfunc(int, 1, 1)(m_b * ell)
+    f = m_b.astype(float)
+    try:
+        inv = np.linalg.inv(f)
+    except np.linalg.LinAlgError:
+        return None, 0
+    d = np.rint(abs(np.linalg.det(f)))
+    if not d < 2**53 and np.isfinite(inv).all():
+        d = 1
+        for z in inv.flat:
+            if abs(d * z - np.rint(d * z)) > 1e-6 and d < 2**53:
+                d *= Fraction(d * z).limit_denominator(2**24).denominator
+    with np.errstate(all="ignore"):
+        adj = np.rint(d * inv)
+    m = len(f)
+    bound = m * np.abs(f).max(initial=1) * np.abs(adj).max(initial=1)
+    if not (0 < d < 2**62 and bound < 2**62):
+        return None, 0
+    adj, d = adj.astype(np.int64), int(d)
+    check = m_b.astype(np.int64) @ adj
+    check[range(m), range(m)] -= d
+    if check.any():
+        return None, 0
+    adj = adj.astype(object)
+    return (adj if ell is None else adj * ell[:, None]), d

@@ -342,21 +342,23 @@ class TestSolve:
             _, rd = solve_dual(p, cost)
             assert rp.objective == rd.objective
 
-    @pytest.mark.parametrize("wrong", ["start", "suboptimal"])
+    @pytest.mark.parametrize("wrong", ["start", "suboptimal", "singular"])
     def test_exact_fallback_matches_certified(self, monkeypatch, wrong):
         """A float stage that hands back a bad basis cannot change the optimum.
 
-        "start" is the artificial starting basis, which does not solve
-        A x = b; "suboptimal" is the bottom code's singleton cosets, feasible
-        with objective 0.  Both fail the exact check, and the exact pivots
-        must land on the certified optimum.
+        "start" is the loop's starting basis and "suboptimal" the bottom
+        code's singleton cosets: the same basis, since the solve starts at
+        the no-information measurement, feasible with objective 0.
+        "singular" repeats column 0 on every row.  All fail the exact check,
+        and the exact pivots must land on the certified optimum.
         """
         real = simplex._revised
 
         def bad_float_stage(a, b, c, unit_cols, art_rows, stats):
             if c.dtype == object:
                 return real(a, b, c, unit_cols, art_rows, stats)
-            bad = list(unit_cols) if wrong == "start" else list(range(len(b)))
+            bad = {"start": list(unit_cols), "suboptimal": list(range(len(b))),
+                   "singular": [0] * len(b)}[wrong]
             return simplex.OPTIMAL, bad, None, None
 
         rng = random.Random(55)
@@ -694,17 +696,18 @@ def solve_rows(model, mode="exact", seeded=True):
     return row_report(model, result, exact, flips, sense)
 
 
-def dense_solve(model, mode="exact", float_stage=True):
+def dense_solve(model, mode="exact", float_stage=True, seeds=None):
     """The standard form solved as lp.solve did on a dense tableau of Python rows.
 
     Each row is a list of len(c) entries, converted entry by entry to the
     solve's number type; the certificate checks c - Aᵀy with a Fraction loop
     over every row and column.  Every pivot rewrites the whole tableau.
-    Without the float stage an exact solve pivots on Fractions from the
-    phase-1 start, as the exact fallback does.
+    `seeds`, if given, replaces the slack seeds as the starting basis.
+    Without the float stage an exact solve pivots on Fractions from that
+    start, as the exact fallback does.
     """
-    exact, rows, b, c, seeds, flips, sense = standard_form(model, mode)
-    return row_report(model, _dense_simplex_min(rows, b, c, seeds, float_stage),
+    exact, rows, b, c, slack_seeds, flips, sense = standard_form(model, mode)
+    return row_report(model, _dense_simplex_min(rows, b, c, seeds or slack_seeds, float_stage),
                       exact, flips, sense)
 
 
@@ -738,7 +741,9 @@ def _dense_simplex_min(a_rows, b, c, seeds, float_stage):
         levels = t[:len(basis), -1].tolist()
         if strategy == "float":
             levels = [0.0 if -simplex.FLOAT_TOL <= v < 0 else v for v in levels]
-        solution = (levels, [(c[j] if j < nv else zero) - cost[j] for j in unit_cols])
+        # Seeded column j holds a_ij on row i alone: its reduced cost is c_j - a_ij y_i.
+        solution = (levels, [(c[j] - cost[j]) / a_rows[i][j] if j < nv else zero - cost[j]
+                             for i, j in enumerate(unit_cols)])
     levels, y = solution
     x = [zero] * nv
     for col, v in zip(basis, levels):
@@ -761,6 +766,10 @@ def _dense_two_phase(a_rows, b, c, unit_cols, art_rows, exact):
         t[:m, :nv] = [[num(v) for v in row] for row in a_rows]
         t[:m, -1] = [num(v) for v in b]
     t[art_rows, range(nv, total)] = num(1)
+    for i, j in enumerate(unit_cols):
+        if j < nv and t[i, j] != 1:
+            # A seeded row starts on its column's multiple of e_i: divide it out.
+            t[i] /= t[i, j]
     t[m, :nv] = [num(v) for v in c]
     basis = list(unit_cols)
     t[m] -= t[m, basis] @ t[:m]
@@ -877,7 +886,7 @@ def _dense_solve_exact(rows, rhs):
 def dense_pair(profile, cost, mode, float_stage=True):
     """solve_pair as it was on dense_solve: lambda by one division per member."""
     model = build_primal(profile, cost)
-    report = dense_solve(model, mode, float_stage)
+    report = dense_solve(model, mode, float_stage, seeds=list(range(len(profile.support))))
     mu, lam = {}, {}
     for (_, code, s), v in report.values.items():
         mu[(code, s)] = v
@@ -971,7 +980,7 @@ def _dual_and_literal_models():
 
 def without_float_stage(monkeypatch):
     """Exact solves skip the float stage, so the revised loop runs on
-    Fractions from the phase-1 start, as the exact fallback does."""
+    Fractions from the solve's start, as the exact fallback does."""
     real = simplex._revised
 
     def exact_only(a, b, c, *rest):
@@ -1135,6 +1144,90 @@ class TestSolveStats:
         slow = solve(model)
         assert slow.strategy == "exact-pivots" and slow.objective == fast.objective
         assert slow.stats.phase_pivots == [2 * v for v in fast.stats.phase_pivots]
+
+
+def _start_profiles():
+    """Rational, ball-supported and binary64 profiles at n = 0..5."""
+    yield "r0", profile(0, ["1"])
+    for n in range(1, 6):
+        rng = random.Random(f"start/{n}")
+        yield f"full{n}", rand_rational_profile(n, rng)
+        yield f"ball{n}", ball_profile(n, max(1, n // 2), rng)
+        yield f"bernoulli{n}", bernoulli_profile(n, 0.15)
+
+
+def _start_cases():
+    for name, p in _start_profiles():
+        # the Fraction loop runs on rational data, and costs seconds at n >= 4
+        loop = ["exact-loop"] if p.rational and p.n <= 3 else []
+        for mode in ["exact", "float"] + loop:
+            yield pytest.param(p, mode, id=f"{name}-{mode}")
+
+
+def powered_profile(index):
+    """Profile `index` of a seeded n=4 set with tiny weights (ROADMAP item 2):
+    integer weights 1..1000, and in every other profile each weight raised
+    to a power of 1 to 4 of its own."""
+    rng = random.Random(2)
+    for k in range(index + 1):
+        nums = [rng.randint(1, 1000) for _ in range(16)]
+        if k % 2:
+            nums = [v ** rng.randint(1, 4) for v in nums]
+    return profile(4, [Fraction(v, sum(nums)) for v in nums])
+
+
+class TestNoInformationStart:
+    """`lp.solve` starts at the rank-0 code's singleton cosets, mu_i = w_i,
+    which is feasible for every profile: phase 1 has nothing to do, and the
+    exact fallback starts there too."""
+
+    @pytest.mark.parametrize("p, mode", list(_start_cases()))
+    def test_phase_1_makes_no_pivot(self, monkeypatch, p, mode):
+        if mode == "exact-loop":
+            without_float_stage(monkeypatch)
+        model = build_primal(p, CostFunction.average(p.n))
+        bottom = ParityCode.bottom(p.n)
+        assert model.labels[:len(p.support)] == [("mu", bottom, i) for i in p.support]
+        report = solve(model, mode.removesuffix("-loop"))
+        assert report.status == "optimal" and report.stats.phase_pivots[0] == 0
+        if report.mode == "exact":
+            assert report.strategy == ("exact-pivots" if mode == "exact-loop" else "certified")
+
+    @pytest.mark.parametrize("seeds", [[2, 1], [1, 0]], ids=["two-rows", "other-row"])
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_seed_off_its_row_refused(self, seeds, mode):
+        # column 2 is the coset {0, 1} of the rank-1 code; column 1 is {1}
+        model = build_primal(profile(1, ["1/3", "2/3"]), CostFunction.average(1))
+        num, dtype = (Fraction, object) if mode == "exact" else (float, float)
+        b = np.array([num(1)] * 2, dtype=dtype)
+        c = -np.array(model.objective, dtype=dtype)
+        with pytest.raises(ValueError, match="seeded column"):
+            simplex.simplex_min(model.columns, b, c, basis_seed=seeds)
+
+    def test_determinant_beyond_binary64_fails_the_integer_check(self):
+        # the optimal basis [[3^40, 1], [1, 3^40]] has determinant 3^80 - 1:
+        # binary64 cannot propose its inverse, and the exact loop takes over
+        big = 3 ** 40
+        model = RowModel("huge", "max", [("x", 0), ("x", 1)], [Fraction(1), Fraction(1)], [
+            Constraint({0: Fraction(big), 1: Fraction(1)}, "<=", Fraction(big + 2)),
+            Constraint({0: Fraction(1), 1: Fraction(big)}, "<=", Fraction(2 * big + 1)),
+        ])
+        assert simplex._adjugate(np.array([[big, 1], [1, big]], dtype=object))[0] is None
+        got, want = solve_rows(model), dense_solve(model)
+        assert (got.strategy, want.strategy) == ("exact-pivots", "certified")
+        assert same(got.objective, want.objective) and same(got.values, want.values)
+        assert got.objective == 3
+
+    def test_tiny_weight_profile_takes_the_exact_loop(self):
+        p = powered_profile(19)
+        assert min(p.weights) < 1e-9
+        model = build_primal(p, CostFunction.average(4))
+        fast, report = solve(model, "float"), solve(model)
+        # the float basis is rejected; the exact loop starts from the seed
+        assert report.strategy == "exact-pivots"
+        assert (fast.pivots, report.pivots - fast.pivots) == (35, 33)
+        assert report.stats.phase_pivots == [0, report.pivots]
+        assert abs(report.objective - scipy_optimum(model)) <= 1e-9
 
 
 def eager_lam(profile, values, objective):

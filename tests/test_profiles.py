@@ -59,6 +59,23 @@ class TestAmplitudeProfile:
         q = AmplitudeProfile.from_json_dict(p.to_json_dict())
         assert q.weights == p.weights
 
+    @pytest.mark.parametrize("p", [
+        AmplitudeProfile.from_weights(2, ["1/20", "3/20", "3/10", "1/2"]).with_real_amplitudes(),
+        bernoulli_profile(5, 0.45),
+    ], ids=["rational", "bernoulli5"])
+    def test_json_roundtrip_keeps_weights_beside_amplitudes(self, p):
+        # with both fields written, the weights are read and the amplitudes
+        # attached: |a|^2 would give binary64 weights, off in the last bits
+        q = AmplitudeProfile.from_json_dict(p.to_json_dict())
+        assert q.rational == p.rational
+        assert [repr(w) for w in q.weights] == [repr(w) for w in p.weights]
+        assert q.amplitudes == p.amplitudes
+
+    def test_json_weights_and_amplitudes_must_agree(self):
+        data = {"n": 1, "weights": ["1/2", "1/2"], "amplitudes": [{"re": 1.0}, {"re": 0.0}]}
+        with pytest.raises(ProfileError, match="inconsistent"):
+            AmplitudeProfile.from_json_dict(data)
+
     def test_zero_set(self):
         p = AmplitudeProfile.from_weights(2, ["1/2", "0", "1/2", "0"])
         assert p.zero_set == (1, 3)

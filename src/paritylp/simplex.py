@@ -273,11 +273,9 @@ def _adjugate(m_b) -> tuple:
     """(adj, d) with m_b adj = d I, adj integer and d > 0, or (None, 0).
 
     A non-integer m_b (only row models built in the tests have one) is scaled
-    to integers by columns first.  Binary64 proposes d, |det| or, if that is
-    not below 2^53, a common denominator continued fractions read off the
-    inverse, and adj, d times the inverse, rounded.  They count only if the
-    identity holds on integers, checked in int64 under a bound that rules
-    out overflow; past the bound they do not count.
+    to integers by columns first.  Binary64 proposes d and adj, d times the
+    inverse, rounded; they count only if the identity holds on integers,
+    checked in int64 under a bound that rules out overflow.
     """
     ell = None
     if m_b.dtype == object:
@@ -288,22 +286,28 @@ def _adjugate(m_b) -> tuple:
         inv = np.linalg.inv(f)
     except np.linalg.LinAlgError:
         return None, 0
-    d = np.rint(abs(np.linalg.det(f)))
-    if not d < 2**53 and np.isfinite(inv).all():
-        d = 1
-        for z in inv.flat:
-            if abs(d * z - np.rint(d * z)) > 1e-6 and d < 2**53:
-                d *= Fraction(d * z).limit_denominator(2**24).denominator
-    with np.errstate(all="ignore"):
-        adj = np.rint(d * inv)
     m = len(f)
-    bound = m * np.abs(f).max(initial=1) * np.abs(adj).max(initial=1)
-    if not (0 < d < 2**62 and bound < 2**62):
-        return None, 0
-    adj, d = adj.astype(np.int64), int(d)
-    check = m_b.astype(np.int64) @ adj
-    check[range(m), range(m)] -= d
-    if check.any():
-        return None, 0
-    adj = adj.astype(object)
-    return (adj if ell is None else adj * ell[:, None]), d
+    for d in _denominators(f, inv):
+        with np.errstate(all="ignore"):
+            adj = np.rint(d * inv)
+        if 0 < d < 2**62 and m * np.abs(f).max(initial=1) * np.abs(adj).max(initial=1) < 2**62:
+            adj, d = adj.astype(np.int64), int(d)
+            check = m_b.astype(np.int64) @ adj
+            check[range(m), range(m)] -= d
+            if not check.any():
+                adj = adj.astype(object)
+                return (adj if ell is None else adj * ell[:, None]), d
+    return None, 0
+
+
+def _denominators(f, inv):
+    """Candidates for d: |det f| rounded, then a common denominator of inv
+    that continued fractions read off its entries, one entry at a time."""
+    yield np.rint(abs(np.linalg.det(f)))
+    d = 1
+    while d < 2**53 and np.isfinite(inv).all():
+        off = np.flatnonzero(np.abs(d * inv - np.rint(d * inv)) > 1e-6)
+        if not off.size:
+            yield d
+            return
+        d *= Fraction(d * inv.flat[off[0]]).limit_denominator(2**24).denominator

@@ -1146,18 +1146,9 @@ class TestSolveStats:
         assert slow.stats.phase_pivots == [2 * v for v in fast.stats.phase_pivots]
 
 
-def _start_profiles():
-    """Rational, ball-supported and binary64 profiles at n = 0..5."""
-    yield "r0", profile(0, ["1"])
-    for n in range(1, 6):
-        rng = random.Random(f"start/{n}")
-        yield f"full{n}", rand_rational_profile(n, rng)
-        yield f"ball{n}", ball_profile(n, max(1, n // 2), rng)
-        yield f"bernoulli{n}", bernoulli_profile(n, 0.15)
-
-
 def _start_cases():
-    for name, p in _start_profiles():
+    """The oracle's rational, ball-supported and binary64 profiles, and n = 0."""
+    for name, p in [("r0", profile(0, ["1"])), *_oracle_profiles()]:
         # the Fraction loop runs on rational data, and costs seconds at n >= 4
         loop = ["exact-loop"] if p.rational and p.n <= 3 else []
         for mode in ["exact", "float"] + loop:

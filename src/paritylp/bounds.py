@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import BudgetError, FamilyError, ProfileError, RankDeficientError
 from .f2lin import (
     F2Matrix,
@@ -23,9 +25,10 @@ from .f2lin import (
     ball,
     by_code,
     codes_of_rank,
+    coset_counts,
+    coset_table,
     hamming_weight,
     rank,
-    uncovered_affine_subspaces,
     vec_str,
 )
 from .lp import DualSolution, PrimalSolution, check_dual_feasible
@@ -267,30 +270,28 @@ def threshold_zero_certificate(profile: AmplitudeProfile,
     n = profile.n
     if n > THRESHOLD_CERT_MAX_N:
         raise BudgetError(f"certificate search capped at n <= {THRESHOLD_CERT_MAX_N}")
-    zero = set(profile.zero_set)
-    missed = uncovered_affine_subspaces(zero, tau, n)
+    zero = profile.zero_set
+    counts = coset_counts(zero, tau, n)
+    table = coset_table(n)
+    codes = table.codes[tau]
+    missed = np.argwhere(counts == 0).tolist()
     if missed:
-        detail = [
-            (code, s, code.cosets.members_of(s)) for code, s in missed
-        ]
+        members = table.members[tau]
+        detail = [(codes[c], s, tuple(members[c, s].tolist())) for c, s in missed]
         return ThresholdZeroCertificate(tau, False, None, detail)
 
-    subspaces = []
-    for code in codes_of_rank(n, tau):
-        cos = code.cosets
-        subspaces.extend(frozenset(cos.members_of(s)) for s in range(cos.n_syndromes))
-    witness = set(zero)
-    counts = [len(sub & witness) for sub in subspaces]
-    membership: dict[int, list[int]] = {v: [] for v in witness}
-    for idx, sub in enumerate(subspaces):
-        for v in sub & witness:
-            membership[v].append(idx)
-    for v in sorted(witness):
-        if all(counts[idx] >= 2 for idx in membership[v]):
-            witness.discard(v)
-            for idx in membership[v]:
-                counts[idx] -= 1
-    return ThresholdZeroCertificate(tau, True, tuple(sorted(witness)), [])
+    # Each v lies in one subspace per code, the coset of its syndrome; v
+    # leaves the witness, in ascending order, when each of those keeps
+    # another point of the witness.
+    syndromes, rows = table.syndromes[tau], np.arange(len(codes))
+    witness = []
+    for v in zero:
+        holding = (rows, syndromes[:, v])
+        if (counts[holding] >= 2).all():
+            counts[holding] -= 1
+        else:
+            witness.append(v)
+    return ThresholdZeroCertificate(tau, True, tuple(witness), [])
 
 
 def n2_optimal(profile: AmplitudeProfile) -> tuple[str, object]:

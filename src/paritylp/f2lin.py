@@ -4,7 +4,8 @@ A vector of F_2^n is a plain int: coordinate x_j lives in bit (j - 1), so
 coordinate 1 is the least-significant bit.  ``vec_str`` renders coordinates
 left to right (x_1 x_2 ... x_n).  Matrices are immutable tuples of row ints
 with an explicit column count.  Everything here is pure and hashable, so
-values double as dictionary keys throughout the package.
+values double as dictionary keys throughout the package; the one exception
+is the coset table of each n, which holds read-only integer arrays.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cache, cached_property
+
+import numpy as np
 
 from .errors import BudgetError, RankDeficientError
 
@@ -253,10 +256,6 @@ class ParityCode:
     def cosets(self) -> CosetPartition:
         return dual_cosets(self)
 
-    def syndrome(self, x: int) -> int:
-        """Coset label G.x of a vector."""
-        return self.G.mul_vec(x)
-
     def parity(self, x: int) -> int:
         """The measured information y = H.x."""
         return self.H.mul_vec(x)
@@ -278,15 +277,86 @@ def by_code(item) -> tuple:
 
 
 def dual_cosets(code: ParityCode) -> CosetPartition:
-    """Partition F_2^n into the fibers of x -> G.x and pick both leaders."""
-    n, k = code.n, code.k
-    buckets: list[list[int]] = [[] for _ in range(1 << (n - k))]
-    for x in all_vectors(n):
-        buckets[code.syndrome(x)].append(x)
-    members = tuple(tuple(b) for b in buckets)
-    lead_min = tuple(min(b, key=lambda v: (hamming_weight(v), v)) for b in buckets)
-    lead_max = tuple(min(b, key=lambda v: (-hamming_weight(v), v)) for b in buckets)
-    return CosetPartition(members, lead_min, lead_max)
+    """Partition F_2^n into the fibers of x -> G.x and pick both leaders.
+
+    Runs the coset table's routine on this code alone, so a single code at
+    n = 7 or 8 never builds the table of its n.
+    """
+    members = _coset_members(_syndromes(code.n, code.k, [code]), code.k)[0]
+    weight = _bit_counts(code.n)[members]
+    # The first argmin (argmax) over ascending members breaks weight ties
+    # by the smallest integer encoding.
+    lead_min = np.take_along_axis(members, weight.argmin(-1)[:, None], -1)[:, 0]
+    lead_max = np.take_along_axis(members, weight.argmax(-1)[:, None], -1)[:, 0]
+    return CosetPartition(tuple(map(tuple, members.tolist())),
+                          tuple(lead_min.tolist()), tuple(lead_max.tolist()))
+
+
+@cache
+def _bit_counts(n: int) -> np.ndarray:
+    """The Hamming weight of each vector of F_2^n, indexed by its encoding."""
+    x = np.arange(1 << n)
+    weight = sum(((x >> j) & 1 for j in range(n)), np.zeros_like(x))
+    weight.flags.writeable = False
+    return weight
+
+
+def _syndromes(n: int, k: int, codes) -> np.ndarray:
+    """Row c, column x: the syndrome G.x of the rank-k code codes[c].
+
+    Bit j of G.x is the parity of row_j & x, read from the bit counts."""
+    g = np.array([code.G.rows for code in codes], dtype=np.intp).reshape(len(codes), n - k)
+    parity = _bit_counts(n) & 1
+    bits = parity[g[:, :, None] & np.arange(1 << n)]
+    return (bits << np.arange(n - k)[:, None]).sum(1)
+
+
+def _coset_members(syndromes: np.ndarray, k: int) -> np.ndarray:
+    """(codes, 2^(n-k), 2^k): coset s of each rank-k code, ascending.  A
+    full-rank G maps 2^k vectors to each syndrome, so the stable argsort of a
+    row lists the cosets one after the other, each in ascending order."""
+    order = np.argsort(syndromes, axis=1, kind="stable")
+    return order.reshape(len(syndromes), -1, 1 << k)
+
+
+@dataclass(frozen=True)
+class CosetTable:
+    """The dual cosets of every code of one n, as integer arrays.
+
+    By rank k: `codes[k]` is the rank-k slice of the code table, in its
+    order; for its code c, `syndromes[k][c, x]` is the syndrome of x, shape
+    (codes, 2^n), and `members[k][c, s]` is coset s in ascending order,
+    shape (codes, 2^(n-k), 2^k).  End to end, in the same order: coset j is
+    `keys[j]` = (code, s), of rank `ranks[j]`, and its members are
+    `entries[starts[j]:starts[j] + 2^ranks[j]]`.
+    """
+
+    codes: tuple
+    syndromes: tuple
+    members: tuple
+    keys: tuple
+    ranks: np.ndarray
+    entries: np.ndarray
+    starts: np.ndarray
+
+
+@cache
+def coset_table(n: int) -> CosetTable:
+    """The cosets of the code table of n from one syndrome computation per
+    rank: one table per n and process, as the code table is."""
+    codes = tuple(codes_of_rank(n, k) for k in range(n + 1))
+    syndromes = tuple(_syndromes(n, k, codes[k]) for k in range(n + 1))
+    by_rank = [_coset_members(syn, k) for k, syn in enumerate(syndromes)]
+    entries = np.concatenate([m.ravel() for m in by_rank])
+    # Each rank's array is a view of `entries`, so the table holds every coset once.
+    parts = np.split(entries, np.cumsum([m.size for m in by_rank])[:-1])
+    members = tuple(part.reshape(m.shape) for part, m in zip(parts, by_rank))
+    keys = tuple((code, s) for rank in codes for code in rank for s in range(1 << (n - code.k)))
+    ranks = np.repeat(np.arange(n + 1), [m.shape[0] * m.shape[1] for m in members])
+    starts = np.concatenate(([0], np.cumsum(1 << ranks)[:-1]))
+    for array in syndromes + members + (ranks, entries, starts):
+        array.flags.writeable = False
+    return CosetTable(codes, syndromes, members, keys, ranks, entries, starts)
 
 
 def enumerate_codes(n: int, k: int) -> list[ParityCode]:
@@ -362,6 +432,15 @@ def _check_universal_budget(tau: int, n: int) -> None:
         raise BudgetError(f"affine-subspace enumeration capped at n <= {UNIVERSAL_MAX_N}")
 
 
+def coset_counts(u, tau: int, n: int) -> np.ndarray:
+    """|U ∩ coset| for coset s of each rank-tau code c of the code table, at
+    [c, s]: how many points of U each affine tau-subspace holds."""
+    _check_universal_budget(tau, n)
+    in_u = np.zeros(1 << n, dtype=np.intp)
+    in_u[list(u)] = 1
+    return in_u[coset_table(n).members[tau]].sum(-1)
+
+
 def uncovered_affine_subspaces(
     u: set[int] | frozenset[int], tau: int, n: int
 ) -> list[tuple[ParityCode, int]]:
@@ -370,14 +449,9 @@ def uncovered_affine_subspaces(
     The cosets of a rank-tau code's row space run over every affine
     tau-subspace exactly once as the code ranges over canonical forms.
     """
-    _check_universal_budget(tau, n)
-    missed: list[tuple[ParityCode, int]] = []
-    n_syndromes = 1 << (n - tau)
-    for code in codes_of_rank(n, tau):
-        hit = {code.syndrome(x) for x in u}
-        if len(hit) < n_syndromes:
-            missed.extend((code, s) for s in range(n_syndromes) if s not in hit)
-    return missed
+    missed = np.argwhere(coset_counts(u, tau, n) == 0).tolist()
+    codes = coset_table(n).codes[tau]
+    return [(codes[c], s) for c, s in missed]
 
 
 def is_universal(u: set[int] | frozenset[int], tau: int, n: int) -> bool:

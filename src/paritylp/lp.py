@@ -27,7 +27,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
 from numbers import Rational
 from typing import ClassVar
 
@@ -35,7 +35,7 @@ import numpy as np
 
 from . import simplex
 from .errors import BudgetError, SolveError
-from .f2lin import ParityCode, all_vectors, by_code, enumerate_all_codes, vec_str
+from .f2lin import ParityCode, all_vectors, by_code, coset_table, vec_str
 from .profiles import AmplitudeProfile, CostFunction
 
 LP_MAX_N = 5
@@ -156,21 +156,24 @@ def build_primal(profile: AmplitudeProfile, cost: CostFunction) -> LpModel:
     a coset touching a zero-weight index is pinned to zero by omission.  One
     equality per supported index i: sum over codes of mu[(code, s(i))] / w_i
     equals 1.  The model carries its columns: row i is (1 / w_i) times the
-    0/1 incidence of the cosets that hold i.
+    0/1 incidence of the cosets that hold i, gathered from the coset table.
     """
     check_budget(profile.n)
-    row_of = {i: r for r, i in enumerate(profile.support)}
-    labels, objective, flat, lens = [], [], [], []
-    for code in enumerate_all_codes(profile.n):
-        value = _rank_value(cost, code.k)
-        for s, members in enumerate(code.cosets.members):
-            rows = [row_of.get(i) for i in members]
-            if None not in rows:
-                flat += rows
-                lens.append(len(rows))
-                labels.append(("mu", code, s))
-                objective.append(value)
-    columns = simplex.Columns(np.array(flat, dtype=np.intp), np.repeat(np.arange(len(lens)), lens),
+    n = profile.n
+    row_of = np.full(1 << n, -1, dtype=np.intp)
+    row_of[list(profile.support)] = np.arange(len(profile.support))
+    table = coset_table(n)
+    # Row -1 marks a zero-weight index: a coset is kept when none of its
+    # members has it.
+    rows = row_of[table.entries]
+    inside = np.minimum.reduceat(rows, table.starts) >= 0
+    labels = [("mu", code, s) for code, s in compress(table.keys, inside.tolist())]
+    values = [_rank_value(cost, k) for k in range(n + 1)]
+    ranks = table.ranks[inside]
+    objective = [values[k] for k in ranks.tolist()]
+    flat = rows[np.repeat(inside, 1 << table.ranks)]
+    lens = 1 << ranks
+    columns = simplex.Columns(flat, np.repeat(np.arange(len(lens)), lens),
                               np.ones(len(flat), dtype=np.int64),
                               [1 / profile.weights[i] for i in profile.support])
     return LpModel(labels, objective, columns, profile.support)
@@ -181,8 +184,9 @@ def build_dual(profile: AmplitudeProfile, cost: CostFunction) -> str:
     >= cost(k) 2^k over each coset of each rank-k code."""
     check_budget(profile.n)
     n = profile.n
-    rows = [Constraint(dict.fromkeys(members, 1), ">=", _rank_value(cost, code.k))
-            for code in enumerate_all_codes(n) for members in code.cosets.members]
+    rows = [Constraint(dict.fromkeys(coset, 1), ">=", _rank_value(cost, k))
+            for k, members in enumerate(coset_table(n).members)
+            for coset in members.reshape(-1, 1 << k).tolist()]
     return model_text("dual", "min", [("b", i, n) for i in all_vectors(n)], profile.weights, rows)
 
 
@@ -199,8 +203,9 @@ def solve(model: LpModel, mode: str = EXACT) -> SolveReport:
     if mode not in (EXACT, FLOAT):
         raise SolveError(f"unknown mode {mode!r}")
     start = time.perf_counter()
-    exact = mode == EXACT and all(isinstance(v, Rational) for v in chain(
-        model.objective, model.columns.scale))
+    # One subclass test per number type, not one isinstance per entry.
+    exact = mode == EXACT and all(issubclass(t, Rational) for t in set(map(type, chain(
+        model.objective, model.columns.scale))))
     # The dtype of b and c selects the arithmetic of simplex_min; the
     # maximization is solved as min -objective·x.
     num, dtype = (Fraction, object) if exact else (float, float)
@@ -424,25 +429,25 @@ def check_dual_feasible(sol: DualSolution, cost: CostFunction,
             )
             max_v = max(max_v, -v)
 
-    codes = enumerate_all_codes(sol.n)
-    for (code, s), slack in _short_cosets(sol.b, cost, codes, tol):
+    for (code, s), slack in _short_cosets(sol.b, cost, tol):
         violations.append(
             {"constraint": f"coset sum {code.label()},s={s} >= {_rank_value(cost, code.k)}",
              "violation": float(-slack)}
         )
         max_v = max(max_v, -slack)
 
-    checked = len(sol.b) + sum(len(code.cosets.members) for code in codes)
+    checked = len(sol.b) + len(coset_table(sol.n).keys)
     return FeasibilityReport(not violations, violations, max_v, checked)
 
 
 def coset_slacks(sol: DualSolution, cost: CostFunction) -> dict:
     """(code, s) -> the sum of b over the coset, in ascending order, minus
     the right-hand side, for every code of the table."""
-    b = sol.b
-    return {(code, s): sum(map(b.__getitem__, members)) - _rank_value(cost, code.k)
-            for code in enumerate_all_codes(sol.n)
-            for s, members in enumerate(code.cosets.members)}
+    b, table = sol.b, coset_table(sol.n)
+    return {(code, s): sum(map(b.__getitem__, coset)) - _rank_value(cost, k)
+            for k, (codes, members) in enumerate(zip(table.codes, table.members))
+            for code, cosets in zip(codes, members.tolist())
+            for s, coset in enumerate(cosets)}
 
 
 def _exact(v) -> Fraction:
@@ -453,24 +458,31 @@ def _exact(v) -> Fraction:
         raise ValueError(f"the dual audit needs finite numbers, not {v!r}") from None
 
 
-def _short_cosets(b: tuple, cost: CostFunction, codes, tol):
-    """Each ((code, s), slack) with slack < -tol.
+def _short_cosets(b: tuple, cost: CostFunction, tol):
+    """Each ((code, s), slack) with slack < -tol, over the code table.
 
     With every b_i written exactly as N_i / D over one common denominator D,
     the slack is below -tol exactly when the integer sum of N_i over the
-    coset is below ceil((rhs - tol) D); the slack itself is summed in the
-    arithmetic of b, as `coset_slacks` sums it, for those cosets alone.
+    coset is below ceil((rhs - tol) D).  Those sums are gathered from the
+    coset table, in int64 when no sum or limit can reach 2^62 and on Python
+    ints otherwise; the slack itself is summed in the arithmetic of b, as
+    `coset_slacks` sums it, for the short cosets alone.
     """
     exact = [_exact(v) for v in b]
     tol = _exact(tol)
     den = math.lcm(*(v.denominator for v in exact))
     nums = [v.numerator * (den // v.denominator) for v in exact]
     limits = [math.ceil((_rank_value(cost, k) - tol) * den) for k in range(len(cost.values))]
-    for code in codes:
-        limit = limits[code.k]
-        for s, members in enumerate(code.cosets.members):
-            if sum(map(nums.__getitem__, members)) < limit:
-                yield (code, s), sum(map(b.__getitem__, members)) - _rank_value(cost, code.k)
+    n = len(b).bit_length() - 1
+    small = max(map(abs, nums)) << n < 2**62 and max(map(abs, limits)) < 2**62
+    nums = np.array(nums, dtype=np.int64 if small else object)
+    limits = np.array(limits, dtype=nums.dtype)
+    table = coset_table(n)
+    sums = np.add.reduceat(nums[table.entries], table.starts)
+    for j in np.flatnonzero(sums < limits[table.ranks]).tolist():
+        (code, s), start = table.keys[j], table.starts[j]
+        members = table.entries[start:start + (1 << code.k)].tolist()
+        yield (code, s), sum(map(b.__getitem__, members)) - _rank_value(cost, code.k)
 
 
 @dataclass

@@ -13,7 +13,7 @@ with a float is a float.  Cost values are always stored exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from numbers import Rational
@@ -97,9 +97,11 @@ class AmplitudeProfile:
         return AmplitudeProfile(self.n, self.weights, amps)
 
     @classmethod
-    def from_weights(cls, n: int, values) -> AmplitudeProfile:
-        """Build from weights; str/int/Fraction entries select rational mode."""
-        return cls(n, tuple(Fraction(v) if isinstance(v, str) else v for v in values))
+    def from_weights(cls, n: int, values, amplitudes=None) -> AmplitudeProfile:
+        """Build from weights, and amplitudes if given; str/int/Fraction
+        entries select rational mode."""
+        return cls(n, tuple(Fraction(v) if isinstance(v, str) else v for v in values),
+                   amplitudes)
 
     @classmethod
     def from_amplitudes(cls, n: int, amps) -> AmplitudeProfile:
@@ -129,7 +131,7 @@ class AmplitudeProfile:
             if not (isinstance(weights, list)
                     and all(isinstance(w, str) or _is_number(w) for w in weights)):
                 raise ProfileError("'weights' must be a list of numbers or fraction strings")
-            return replace(cls.from_weights(n, weights), amplitudes=amps)
+            return cls.from_weights(n, weights, amps)
         if amps is not None:
             return cls.from_amplitudes(n, amps)
         raise ProfileError("profile JSON needs 'weights' or 'amplitudes'")

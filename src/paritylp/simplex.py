@@ -167,7 +167,7 @@ def _revised(a, b, c, unit_cols, art_rows, stats) -> tuple:
             binv[np.ix_(rows, cols)] -= np.outer(alpha[rows], prow[cols])
             x[rows] -= alpha[rows] * xr
         else:
-            binv[:] -= np.outer(alpha, prow)
+            binv[:] -= alpha[:, None] * prow
             x[:] -= alpha * xr
         binv[r], x[r], basis[r] = prow, xr, j
         stats.phase_pivots[phase] += 1
@@ -182,13 +182,13 @@ def _revised(a, b, c, unit_cols, art_rows, stats) -> tuple:
         while allowed:
             d = obj[:allowed] - dot(dot(obj[basis], binv), big[:, :allowed])
             # Bland's rule takes the first eligible column.
-            enter = int(np.argmax(d < -tol) if bland else np.argmin(d))
+            enter = int((d < -tol).argmax() if bland else d.argmin())
             if d[enter] >= -tol:
                 break
             if sum(stats.phase_pivots) >= limit:
                 return ITERATION_LIMIT
             alpha = dot(big[:, enter], binv.T)
-            rows = np.flatnonzero(alpha > tol)
+            rows = (alpha > tol).nonzero()[0]
             if not rows.size:
                 return UNBOUNDED
             ratios = np.maximum(x[rows], 0) / alpha[rows]
@@ -196,7 +196,7 @@ def _revised(a, b, c, unit_cols, art_rows, stats) -> tuple:
             ties = rows[ratios <= best + tol]
             stall = stall + 1 if best <= tol else 0
             stats.degenerate += stall > 0
-            pivot(int(ties[np.argmin(basis[ties])]), enter, alpha, phase)
+            pivot(int(ties[basis[ties].argmin()]), enter, alpha, phase)
             if stall > STALL_LIMIT and not bland:
                 bland = True
                 stats.bland_at = stats.bland_at or sum(stats.phase_pivots)
@@ -253,24 +253,48 @@ def _certify(a, b, c, basis, art_rows) -> tuple | None:
     # y' = Y / den, so den (Mᵀy')_j is an integer sum along column j.
     y_num, den = _times(adj.T, [c[j] if j < nv else 0 for j in basis])
     den *= d
-    starts = np.searchsorted(a.cols, np.arange(nv + 1))
-    sums = np.concatenate(([0], np.cumsum(y_num[a.rows] * a.coef)))[starts].tolist()
-    # den (c_j - (Mᵀy')_j) times the denominator of c_j: the reduced cost's sign.
-    if any(v.numerator * den - v.denominator * (hi - lo) < 0
-           for v, lo, hi in zip(c, sums, sums[1:])):
+    if not _prices_out(a, c, y_num, den):
         return None
     return ([Fraction(v, d * den_x) for v in x_num],
-            [Fraction(v, den) / s for v, s in zip(y_num, a.scale)])
+            [Fraction(v * s.denominator, den * s.numerator) for v, s in zip(y_num, a.scale)])
 
 
 def _times(adj, v) -> tuple:
-    """adj v for rationals v, as integer numerators over the common denominator of v."""
+    """adj v for rationals v, as a list of integer numerators over the common
+    denominator of v, computed in int64 when that cannot overflow."""
     den = math.lcm(*(q.denominator for q in v))
-    return adj @ np.array([q.numerator * (den // q.denominator) for q in v], dtype=object), den
+    nums = [q.numerator * (den // q.denominator) for q in v]
+    dtype = np.int64 if _int64_safe(adj, nums) else object
+    return (adj.astype(dtype) @ np.array(nums, dtype=dtype)).tolist(), den
+
+
+def _int64_safe(matrix, v) -> bool:
+    """Whether a sum of len(v) products of an entry of the integer `matrix`
+    and an entry of v stays below 2^62, so that int64 cannot overflow."""
+    return matrix.dtype.kind in "iu" and len(v) * max(map(abs, v), default=0) * int(
+        np.abs(matrix).max(initial=0)) < 2**62
+
+
+def _prices_out(a, c, y, den) -> bool:
+    """Whether every reduced cost c_j - (Mᵀy)_j / den is >= 0, for integers y.
+
+    The column sums (Mᵀy)_j come from one reduceat over the nonzeros, in
+    int64 when M is integer and no sum can reach 2^62, on Python objects
+    otherwise; den c_j >= (Mᵀy)_j is then tested in the exact arithmetic of c.
+    """
+    nv, dtype = len(c), np.int64 if _int64_safe(a.coef, y) else object
+    products = np.array(y, dtype=dtype)[a.rows] * a.coef
+    sums = np.zeros(nv, dtype=dtype)
+    if len(a.cols):
+        # The nonzeros of a column are one run of equal indices in a.cols.
+        starts = np.concatenate(([0], (a.cols[1:] != a.cols[:-1]).nonzero()[0] + 1))
+        sums[a.cols[starts]] = np.add.reduceat(products, starts)
+    return not (c * den < sums).any()
 
 
 def _adjugate(m_b) -> tuple:
-    """(adj, d) with m_b adj = d I, adj integer and d > 0, or (None, 0).
+    """(adj, d) with m_b adj = d I, adj integer (int64, or Python ints for a
+    scaled m_b) and d > 0, or (None, 0).
 
     A non-integer m_b (only row models built in the tests have one) is scaled
     to integers by columns first.  Binary64 proposes d and adj, d times the
@@ -295,8 +319,7 @@ def _adjugate(m_b) -> tuple:
             check = m_b.astype(np.int64) @ adj
             check[range(m), range(m)] -= d
             if not check.any():
-                adj = adj.astype(object)
-                return (adj if ell is None else adj * ell[:, None]), d
+                return (adj if ell is None else adj.astype(object) * ell[:, None]), d
     return None, 0
 
 

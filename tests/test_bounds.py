@@ -499,7 +499,7 @@ class TestThresholdZeroCertificate:
 
     @pytest.mark.parametrize("tau", [2, 3])
     def test_second_call_builds_no_cosets(self, monkeypatch, tau):
-        # the rank-tau codes come from the code table, whose cosets are kept
+        # the certificate reads the coset table, not the codes' cosets
         import paritylp.f2lin as f2lin
 
         p = ball_profile(4, 2, random.Random(36))
@@ -522,6 +522,25 @@ class TestThresholdZeroCertificate:
         with pytest.raises(BudgetError, match=f"certificate search capped at n <= {n}"):
             threshold_zero_certificate(point_mass_profile(n + 1, 0), 1)
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_matches_coset_walk(self, n):
+        # every support at n <= 3, seeded ones at n = 4 and 5
+        if n <= 3:
+            supports = [s for s in itertools.product((0, 1), repeat=1 << n) if any(s)]
+        else:
+            rng = random.Random(f"threshold-walk/{n}")
+            supports = [[int(rng.random() < q) for _ in all_vectors(n)]
+                        for q in (0.2, 0.5, 0.8, 0.9) for _ in range(3)]
+            supports = [s for s in supports if any(s)]
+        outcomes = set()
+        for support in supports:
+            p = AmplitudeProfile(n, tuple(Fraction(v, sum(support)) for v in support))
+            for tau in range(1, n + 1):
+                cert = threshold_zero_certificate(p, tau)
+                assert cert == walk_threshold_certificate(p, tau)
+                outcomes.add(cert.rho_is_zero)
+        assert outcomes == {True, False}
+
     def test_witness_is_minimal(self):
         from paritylp.f2lin import is_universal
 
@@ -530,6 +549,29 @@ class TestThresholdZeroCertificate:
         assert is_universal(w, 1, 3)
         for v in cert.witness:
             assert not is_universal(w - {v}, 1, 3)
+
+
+def walk_threshold_certificate(profile, tau):
+    """threshold_zero_certificate by a walk over each code's cosets as sets:
+    the disjoint ones first, else the greedy prune of the zero set."""
+    from paritylp.bounds import ThresholdZeroCertificate
+
+    n, zero = profile.n, set(profile.zero_set)
+    cosets = [(code, s, code.cosets.members_of(s))
+              for code in codes_of_rank(n, tau) for s in range(1 << (n - tau))]
+    missed = [c for c in cosets if not zero & set(c[2])]
+    if missed:
+        return ThresholdZeroCertificate(tau, False, None, missed)
+    subspaces = [frozenset(members) for _, _, members in cosets]
+    witness = set(zero)
+    counts = [len(sub & witness) for sub in subspaces]
+    for v in sorted(witness):
+        holding = [idx for idx, sub in enumerate(subspaces) if v in sub]
+        if all(counts[idx] >= 2 for idx in holding):
+            witness.discard(v)
+            for idx in holding:
+                counts[idx] -= 1
+    return ThresholdZeroCertificate(tau, True, tuple(sorted(witness)), [])
 
 
 class TestN2Optimal:

@@ -1,5 +1,8 @@
 """GF(2) substrate: rank, kernels, code enumeration, cosets, universality."""
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +15,7 @@ from paritylp.f2lin import (
     all_vectors,
     char_sum,
     codes_of_rank,
+    coset_table,
     dot,
     dual_cosets,
     enumerate_all_codes,
@@ -199,6 +203,71 @@ class TestDualCosets:
                     assert cos.leader_min(s) == expected
 
 
+def bucket_cosets(code):
+    """dual_cosets as a walk: each vector to the bucket of its syndrome, and
+    the leaders by the smallest (weight, encoding) and (-weight, encoding)."""
+    buckets = [[] for _ in range(1 << (code.n - code.k))]
+    for x in all_vectors(code.n):
+        buckets[code.G.mul_vec(x)].append(x)
+    return (tuple(map(tuple, buckets)),
+            tuple(min(b, key=lambda v: (hamming_weight(v), v)) for b in buckets),
+            tuple(min(b, key=lambda v: (-hamming_weight(v), v)) for b in buckets))
+
+
+class TestCosetTable:
+    """The per-n table and dual_cosets against the bucket walk."""
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_matches_bucket_walk(self, n):
+        table = coset_table(n)
+        assert len(table.members) == len(table.syndromes) == n + 1
+        assert len(table.keys) == sum(gaussian_binomial(n, k) << (n - k) for k in range(n + 1))
+        # end to end, coset j is keys[j] and its members follow one another
+        walk = [(code, s, members) for code in enumerate_all_codes(n)
+                for s, members in enumerate(bucket_cosets(code)[0])]
+        assert list(table.keys) == [(code, s) for code, s, _ in walk]
+        assert table.ranks.tolist() == [code.k for code, _, _ in walk]
+        assert [tuple(table.entries[start:start + (1 << k)].tolist()) for start, k
+                in zip(table.starts.tolist(), table.ranks.tolist())] == [m for _, _, m in walk]
+        assert len(table.entries) == table.starts[-1] + (1 << n)
+        for k in range(n + 1):
+            codes = codes_of_rank(n, k)
+            members, syndromes = table.members[k], table.syndromes[k]
+            assert members.shape == (len(codes), 1 << (n - k), 1 << k)
+            assert syndromes.shape == (len(codes), 1 << n)
+            # each member of coset s has syndrome s
+            at_members = np.take_along_axis(syndromes, members.reshape(len(codes), -1), 1)
+            assert (at_members.reshape(members.shape)
+                    == np.arange(1 << (n - k))[:, None]).all()
+            for code, row in zip(codes, members.tolist()):
+                walk = bucket_cosets(code)
+                assert tuple(map(tuple, row)) == walk[0]
+                cos = dual_cosets(code)
+                assert (cos.members, cos.leaders_min, cos.leaders_max) == walk
+
+    def test_single_code_at_n8(self):
+        rng = random.Random("cosets/8")
+        while rank(m := F2Matrix(8, tuple(rng.randrange(1, 256) for _ in range(3)))) < 3:
+            pass
+        code = ParityCode.from_matrix(m)
+        cos = dual_cosets(code)
+        assert (cos.members, cos.leaders_min, cos.leaders_max) == bucket_cosets(code)
+        assert all(type(v) is int for v in cos.members[1] + cos.leaders_max)
+
+    def test_budget_refusal_builds_no_table(self, monkeypatch):
+        import paritylp.f2lin as f2lin
+
+        monkeypatch.setattr(f2lin, "coset_table", None)
+        with pytest.raises(BudgetError):
+            uncovered_affine_subspaces({0}, 1, 7)
+
+    def test_dual_cosets_builds_no_table(self, monkeypatch):
+        import paritylp.f2lin as f2lin
+
+        monkeypatch.setattr(f2lin, "coset_table", None)
+        assert dual_cosets(ParityCode.from_matrix(mat("1100110", "0101011"))).n_syndromes == 32
+
+
 class TestCharSum:
     def test_dual_member(self):
         assert char_sum(mat("11"), vec_from_str("11")) == 2
@@ -252,6 +321,24 @@ class TestUniversal:
             for s in range(1 << (n - tau))
         )
         assert is_universal(u, tau, n) == (not contains)
+
+    @pytest.mark.parametrize("tau", range(1, 7))
+    def test_at_the_cap_against_brute_force(self, tau):
+        # n = UNIVERSAL_MAX_N: a disjoint tau-subspace lies in the complement,
+        # so it is t + rowspace(H) for some t there
+        n = 6
+        rng = random.Random(f"universal/{tau}")
+        for size in (rng.randint(30, 44), 64 - (1 << (tau - 1)) - rng.randint(0, 2)):
+            u = set(rng.sample(range(1 << n), size))
+            complement = set(all_vectors(n)) - u
+            want = []
+            for code in codes_of_rank(n, tau):
+                span = code.H.row_space()
+                want += [(code, s) for s in sorted({
+                    code.G.mul_vec(t) for t in complement
+                    if all(t ^ v in complement for v in span)})]
+            assert uncovered_affine_subspaces(u, tau, n) == want
+            assert is_universal(u, tau, n) == (not want)
 
     def test_uncovered_listing(self):
         missed = uncovered_affine_subspaces({0, 1}, 1, 2)

@@ -115,7 +115,7 @@ def two_loop_primal(profile, cost):
         inv = 1 / profile.weights[i]
         coeffs = {}
         for code in codes:
-            idx = var_index.get((code, code.syndrome(i)))
+            idx = var_index.get((code, code.G.mul_vec(i)))
             if idx is not None:
                 coeffs[idx] = inv
         constraints.append(Constraint(coeffs, "=", 1, tag=("index", i)))
@@ -192,6 +192,65 @@ class TestBuildPrimal:
         m = build_primal(profile(1, ["1/2", "1/2"]), CostFunction.average(1))
         text = m.to_text()
         assert "mu[" in text and "= 1" in text
+
+
+def loop_primal(profile, cost):
+    """build_primal as a walk over each code's cosets: one list of rows per
+    coset, kept when every member has a row."""
+    row_of = {i: r for r, i in enumerate(profile.support)}
+    labels, objective, flat, lens = [], [], [], []
+    for code in enumerate_all_codes(profile.n):
+        value = cost.value(code.k) * (1 << code.k)
+        for s, members in enumerate(code.cosets.members):
+            rows = [row_of.get(i) for i in members]
+            if None not in rows:
+                flat += rows
+                lens.append(len(rows))
+                labels.append(("mu", code, s))
+                objective.append(value)
+    return (labels, objective, np.array(flat, dtype=np.intp),
+            np.repeat(np.arange(len(lens)), lens), np.ones(len(flat), dtype=np.int64),
+            [1 / profile.weights[i] for i in profile.support])
+
+
+def _primal_cases():
+    for n in range(6):
+        rng = random.Random(f"primal-arrays/{n}")
+        yield f"full{n}", rand_rational_profile(n, rng)
+        yield f"zero-set{n}", rand_rational_profile(n, rng, max_num=3, full_support=False)
+        if n:
+            yield f"ball{n}", ball_profile(n, (n + 1) // 2, rng)
+        yield f"binary64-{n}", bernoulli_profile(n, 0.2)
+
+
+class TestPrimalFromCosetTable:
+    @pytest.mark.parametrize("p", [p for _, p in _primal_cases()],
+                             ids=[name for name, _ in _primal_cases()])
+    def test_arrays_match_coset_walk(self, p):
+        for cost in (CostFunction.average(p.n), CostFunction.custom(p.n, range(p.n, -1, -1))):
+            got = build_primal(p, cost)
+            labels, objective, rows, cols, coef, scale = loop_primal(p, cost)
+            assert got.labels == labels and same(got.objective, objective)
+            for name, want in (("rows", rows), ("cols", cols), ("coef", coef)):
+                array = getattr(got.columns, name)
+                assert array.dtype == want.dtype and np.array_equal(array, want), name
+            assert same(got.columns.scale, scale)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_cold_solve_builds_no_coset_partition(self, monkeypatch, n):
+        import paritylp.f2lin as f2lin
+
+        p, cost = rand_rational_profile(n, random.Random(f"cold/{n}")), CostFunction.average(n)
+        warm = solve_pair(p, cost)
+        f2lin.enumerate_all_codes.cache_clear()
+        f2lin.coset_table.cache_clear()
+        calls = []
+        original = f2lin.dual_cosets
+        monkeypatch.setattr(f2lin, "dual_cosets", lambda code: calls.append(code) or original(code))
+        primal, dual, report = solve_pair(p, cost)
+        assert calls == []
+        assert report.strategy == "certified"
+        assert same(primal.mu, warm[0].mu) and same(dual.b, warm[1].b)
 
 
 def _dual_text_cases():
@@ -1221,6 +1280,75 @@ class TestNoInformationStart:
         assert abs(report.objective - scipy_optimum(model)) <= 1e-9
 
 
+def loop_prices_out(a, c, y, den):
+    """simplex._prices_out as a walk: den c_j against the column sum
+    sum_r y_r M[r, j], on Python numbers, column by column."""
+    sums = [0] * len(c)
+    for r, j, v in zip(a.rows.tolist(), a.cols.tolist(), a.coef.tolist()):
+        sums[j] += y[r] * v
+    return all(cj * den >= total for cj, total in zip(c, sums))
+
+
+class TestCertificateColumnSums:
+    """The certificate's column sums and sign test, int64 and object paths."""
+
+    @staticmethod
+    def huge_model():
+        # the row model of test_determinant_beyond_binary64_fails_the_integer_check
+        big = 3 ** 40
+        return RowModel("huge", "max", [("x", 0), ("x", 1)], [Fraction(1), Fraction(1)], [
+            Constraint({0: Fraction(big), 1: Fraction(1)}, "<=", Fraction(big + 2)),
+            Constraint({0: Fraction(1), 1: Fraction(big)}, "<=", Fraction(2 * big + 1)),
+        ])
+
+    def test_row_model_takes_the_object_path(self, monkeypatch):
+        # the float stage proposes the slack basis: its adjugate is the
+        # identity, and the reduced costs are read on 3^40-sized Fractions
+        seen = []
+        real_prices, real_revised = simplex._prices_out, simplex._revised
+
+        def prices(a, c, y, den):
+            seen.append(a.coef.dtype)
+            return real_prices(a, c, y, den)
+
+        def slack_basis(a, b, c, unit_cols, art_rows, stats):
+            if c.dtype == object:
+                return real_revised(a, b, c, unit_cols, art_rows, stats)
+            return simplex.OPTIMAL, [2, 3], None, None
+
+        monkeypatch.setattr(simplex, "_prices_out", prices)
+        monkeypatch.setattr(simplex, "_revised", slack_basis)
+        report = solve_rows(self.huge_model())
+        assert seen == [np.dtype(object)]
+        assert (report.strategy, report.objective) == ("exact-pivots", 3)
+
+    @pytest.mark.parametrize("scale", [1, 2 ** 40, 3 ** 40, 2 ** 70])
+    def test_matches_column_walk(self, scale):
+        # the primal's int64 incidence, and the 3^40 rows, under multipliers
+        # up to 2^70: sums past int64 go to Python ints
+        rng = random.Random(f"prices/{scale}")
+        primal = build_primal(rand_rational_profile(3, rng), CostFunction.average(3))
+        exact, rows, b, c, *_ = standard_form(self.huge_model(), "exact")
+        a = np.array(rows, dtype=object)
+        cols, nz = np.nonzero(a.T)
+        huge = simplex.Columns(nz, cols, a[nz, cols], [1] * len(b))
+        # columns 1 and 3 have no nonzero
+        gaps = simplex.Columns(np.array([0, 1, 0]), np.array([0, 0, 2]), np.array([1, 2, 3]),
+                               [1, 1])
+        for columns, c in ((primal.columns, [-v for v in primal.objective]), (huge, c),
+                           (gaps, [Fraction(-1, 2), 0, 5, 1])):
+            m, results = len(columns.scale), set()
+            for trial in range(12):
+                # every third y is uniformly very negative, which prices out
+                y = [-64 * scale] * m if trial % 3 == 0 else \
+                    [rng.randint(-scale, scale) for _ in range(m)]
+                den = rng.choice([1, 3, scale])
+                got = simplex._prices_out(columns, np.array(c, dtype=object), y, den)
+                assert got == loop_prices_out(columns, c, y, den)
+                results.add(got)
+            assert results == {True, False}
+
+
 def eager_lam(profile, values, objective):
     """PrimalSolution.from_lp_values's lambda as it was built eagerly, in
     the order of the LP values: one division per member of a nonzero level,
@@ -1280,7 +1408,7 @@ class TestLazyLambda:
 
         p = rand_rational_profile(n, random.Random(f"lambda/candidate/{n}"))
         cand = primal_candidate(family, p)
-        values = {("mu", code, code.syndrome(i)): v * p.weights[i]
+        values = {("mu", code, code.G.mul_vec(i)): v * p.weights[i]
                   for (code, i), v in cand.lam.items()}
         assert same(cand.to_solution(p).lam, eager_lam(p, values, cand.objective))
 
@@ -1474,6 +1602,80 @@ class TestFloatDualAudit:
     def test_infinite_tolerance_refused(self):
         with pytest.raises(ValueError):
             check_dual_feasible(DualSolution(2, (8,) * 4), CostFunction.average(2), math.inf)
+
+
+def loop_short_cosets(b, cost, tol):
+    """lp._short_cosets as a walk over each code's cosets, on Python ints."""
+    exact = [Fraction(v) for v in b]
+    tol = Fraction(tol)
+    den = math.lcm(*(v.denominator for v in exact))
+    nums = [v.numerator * (den // v.denominator) for v in exact]
+    n = len(b).bit_length() - 1
+    for code in enumerate_all_codes(n):
+        rhs = cost.value(code.k) * (1 << code.k)
+        limit = math.ceil((rhs - tol) * den)
+        for s, members in enumerate(code.cosets.members):
+            if sum(map(nums.__getitem__, members)) < limit:
+                yield (code, s), sum(map(b.__getitem__, members)) - rhs
+
+
+def _short_coset_cases():
+    rng = random.Random("short-cosets")
+    for n in range(4):
+        yield f"zeros{n}", (0,) * (1 << n), CostFunction.average(n), 0
+    for trial in range(10):
+        n = rng.randint(1, 5)
+        cost = rng.choice([CostFunction.average(n), CostFunction.threshold(n, rng.randint(1, n))])
+        # negative entries, and denominators whose common multiple passes 2^62
+        b = tuple(rng.choice([rng.randint(-3, 9), Fraction(rng.randint(-9, 99), rng.choice(
+            [1, 7, 3 ** 41, 2 ** 70 + 1])), rng.uniform(-1, 2 ** n)]) for _ in all_vectors(n))
+        yield f"mixed{trial}", b, cost, rng.choice([0, Fraction(1, 3), 1e-9])
+    big = 2 ** 62
+    yield "numerators-past-int64", (big, -big, Fraction(big, 3), 1), CostFunction.average(2), 0
+    # the hamming dual is tight on some cosets: tolerances below, at and above 0
+    d3 = hamming_b(3)
+    for shift in (-1, 0, 1):
+        yield f"tol-edge{shift}", d3, CostFunction.average(3), Fraction(shift, 2)
+
+
+def hamming_b(n):
+    from paritylp import bounds
+
+    return bounds.dual_hamming(n).b
+
+
+class TestShortCosets:
+    """The table's integer sums pick out the cosets the walk picks, with the
+    same slacks, in the same order."""
+
+    @pytest.mark.parametrize("b, cost, tol", [case[1:] for case in _short_coset_cases()],
+                             ids=[case[0] for case in _short_coset_cases()])
+    def test_matches_coset_walk(self, b, cost, tol):
+        from paritylp.lp import _short_cosets
+
+        got, want = list(_short_cosets(b, cost, tol)), list(loop_short_cosets(b, cost, tol))
+        assert [key for key, _ in got] == [key for key, _ in want]
+        assert same([v for _, v in got], [v for _, v in want])
+
+    def test_cases_reach_both_paths_and_the_edge(self):
+        cases = {name: case for name, *case in _short_coset_cases()}
+        wide = [case for case in cases.values()
+                if max(abs(Fraction(v)).numerator for v in case[0]) >= 2 ** 62
+                or math.lcm(*(Fraction(v).denominator for v in case[0])) >= 2 ** 62]
+        assert 3 <= len(wide) < len(cases) - 3
+        assert any(list(loop_short_cosets(*case)) for case in wide)
+        # a tolerance below zero makes the tight cosets short, none otherwise
+        short = [len(list(loop_short_cosets(*cases[f"tol-edge{shift}"]))) for shift in (-1, 0, 1)]
+        assert short[0] > 0 and short[1:] == [0, 0]
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_non_finite_refused(self, bad):
+        from paritylp.lp import _short_cosets
+
+        with pytest.raises(ValueError, match="finite"):
+            list(_short_cosets((1, bad), CostFunction.average(1), 0))
+        with pytest.raises(ValueError, match="finite"):
+            list(_short_cosets((1, 2), CostFunction.average(1), bad))
 
 
 class TestDualVector:

@@ -76,6 +76,21 @@ class TestAmplitudeProfile:
         with pytest.raises(ProfileError, match="inconsistent"):
             AmplitudeProfile.from_json_dict(data)
 
+    @pytest.mark.parametrize("data", [
+        {"n": 2, "weights": ["1/20", "3/20", "3/10", "1/2"]},
+        AmplitudeProfile.from_weights(1, ["1/2", "1/2"]).with_real_amplitudes().to_json_dict(),
+        {"n": 1, "amplitudes": [{"re": 0.6}, {"re": 0.0, "im": 0.8}]},
+    ], ids=["weights", "weights-and-amplitudes", "amplitudes"])
+    def test_json_load_validates_once(self, monkeypatch, data):
+        # the weights, their sum and the amplitudes are checked in one pass
+        calls = []
+        real = AmplitudeProfile.__post_init__
+        monkeypatch.setattr(AmplitudeProfile, "__post_init__",
+                            lambda self: calls.append(self) or real(self))
+        p = AmplitudeProfile.from_json_dict(data)
+        assert len(calls) == 1 and calls[0] is p
+        assert (p.amplitudes is None) == ("amplitudes" not in data)
+
     def test_zero_set(self):
         p = AmplitudeProfile.from_weights(2, ["1/2", "0", "1/2", "0"])
         assert p.zero_set == (1, 3)

@@ -399,6 +399,12 @@ def enumerate_all_codes(n: int) -> tuple[ParityCode, ...]:
     return tuple(code for k in range(n + 1) for code in enumerate_codes(n, k))
 
 
+@cache
+def code_positions(n: int) -> dict:
+    """Each code of the code table of n -> its position in the table."""
+    return {code: j for j, code in enumerate(enumerate_all_codes(n))}
+
+
 def codes_of_rank(n: int, k: int) -> tuple[ParityCode, ...]:
     """The rank-k slice of the code table: the codes of enumerate_codes(n, k),
     in its order, with their cosets kept."""

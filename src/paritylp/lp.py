@@ -57,7 +57,8 @@ class Constraint:
 @dataclass
 class LpModel:
     """The primal by its columns: maximize objective·x subject to A x = 1
-    and x >= 0, with one row per index of `support`.
+    and x >= 0, with one row per index of `support`.  Variable j is the
+    mu of the coset `labels[j]`, a (code, s) key as `PrimalSolution.mu` has.
 
     `constraints`, the same rows as `Constraint`s tagged ("index", i), is
     derived from the columns on first read; `solve` never reads it.
@@ -128,8 +129,8 @@ class SolveReport:
 
 
 def _label_str(label) -> str:
-    if label[0] == "mu":
-        _, code, s = label
+    if isinstance(label[0], ParityCode):
+        code, s = label
         return f"mu[{code.label()},s={s}]"
     if label[0] == "b":
         _, i, n = label
@@ -167,7 +168,8 @@ def build_primal(profile: AmplitudeProfile, cost: CostFunction) -> LpModel:
     # members has it.
     rows = row_of[table.entries]
     inside = np.minimum.reduceat(rows, table.starts) >= 0
-    labels = [("mu", code, s) for code, s in compress(table.keys, inside.tolist())]
+    # A variable's label is its coset's (code, s) key, as mu is keyed.
+    labels = list(compress(table.keys, inside.tolist()))
     values = [_rank_value(cost, k) for k in range(n + 1)]
     ranks = table.ranks[inside]
     objective = [values[k] for k in ranks.tolist()]
@@ -235,31 +237,44 @@ class PrimalSolution:
     weights: tuple
     _lam: dict | None = field(default=None, init=False, repr=False)
 
+    @functools.cached_property
+    def carried(self) -> list:
+        """The ((code, s), mu) items of mu with mu != 0, in mu's order, listed
+        on first read: the cosets that carry mass, which are all that the
+        outcome law, the sampler and the operators read."""
+        return list(compress(self.mu.items(), self.mu.values()))
+
     @property
     def lam(self) -> dict:
-        """lambda[(code, i)] = mu[(code, s)] / w_i for each member i of the
-        coset s, in mu's order; a zero-weight index has mu = 0 on the
-        bottom code and lambda = 1 there."""
+        """lambda[(code, i)] for every coset of mu, as `lam_items` gives it."""
         if self._lam is None:
-            w = self.weights
-            lam: dict = {}
-            for (code, s), v in self.mu.items():
-                members = code.cosets.members_of(s)
-                w0 = w[members[0]]
-                if not w0:
-                    lam[(code, s)] = v + 1
-                    continue
-                # 0 / w is one value for every w > 0: a zero level divides once.
-                q = v or v / w0
-                for i in members:
-                    lam[(code, i)] = v / w[i] if v else q
-            self._lam = lam
+            self._lam = dict(self.lam_items(self.mu.items()))
         return self._lam
+
+    def lam_items(self, cosets):
+        """((code, i), lambda) with lambda = mu[(code, s)] / w_i for each member
+        i of each ((code, s), mu) of `cosets`, in their order.  A coset whose
+        first member has weight zero yields ((code, s), mu + 1) alone: on the
+        bottom code, a zero-weight index, with mu = 0 and lambda = 1."""
+        w = self.weights
+        for (code, s), v in cosets:
+            members = code.cosets.members_of(s)
+            w0 = w[members[0]]
+            if not w0:
+                yield (code, s), v + 1
+                continue
+            # 0 / w is one value for every w > 0: a zero level divides once.
+            q = v or v / w0
+            for i in members:
+                yield (code, i), v / w[i] if v else q
 
     @classmethod
     def from_lp_values(cls, profile: AmplitudeProfile, values: dict,
                        objective) -> PrimalSolution:
-        mu = {(code, s): v for (_, code, s), v in values.items()}
+        """The solution of a solve's `values`, which are keyed (code, s) as mu
+        is: mu is a copy of them (no key is hashed again), with mu = 0 on the
+        bottom code at each zero-weight index."""
+        mu = dict(values)
         # Absorb unconstrained indices into the no-information outcome: the
         # bottom code's cosets are single indices.
         bottom = ParityCode.bottom(profile.n)
@@ -416,8 +431,10 @@ def check_dual_feasible(sol: DualSolution, cost: CostFunction,
 
     An int, a `Fraction` and a finite binary64 float are all exact
     rationals, so every coset is decided on integers (`_short_cosets`); a
-    NaN or infinite b_i or tolerance raises ValueError.
+    NaN or infinite b_i or tolerance raises ValueError.  Above LP_MAX_N it
+    raises BudgetError before any coset table is built.
     """
+    check_budget(sol.n)
     tol = _default_tol(tol, sol.b, cost.values)
     violations = []
     max_v = 0
@@ -442,7 +459,9 @@ def check_dual_feasible(sol: DualSolution, cost: CostFunction,
 
 def coset_slacks(sol: DualSolution, cost: CostFunction) -> dict:
     """(code, s) -> the sum of b over the coset, in ascending order, minus
-    the right-hand side, for every code of the table."""
+    the right-hand side, for every code of the table; capped as
+    `check_dual_feasible` is."""
+    check_budget(sol.n)
     b, table = sol.b, coset_table(sol.n)
     return {(code, s): sum(map(b.__getitem__, coset)) - _rank_value(cost, k)
             for k, (codes, members) in enumerate(zip(table.codes, table.members))

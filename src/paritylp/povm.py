@@ -20,7 +20,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .errors import BudgetError, ProfileError
-from .f2lin import ParityCode, all_vectors, by_code, dot, enumerate_all_codes, vec_str
+from .f2lin import ParityCode, all_vectors, by_code, code_positions, dot, vec_str
 from .lp import PrimalSolution
 from .profiles import AmplitudeProfile, CostFunction
 
@@ -131,21 +131,24 @@ def build_from_primal(sol: PrimalSolution, profile: AmplitudeProfile) -> PovmSet
     """
     _check_n(profile.n)
     size = 1 << profile.n
+    # (s, mu / 2^k) for each carried coset of each rank >= 1 code, where
+    # that is nonzero in binary64 too
+    carried: dict = {}
+    for (code, s), v in sol.carried:
+        c = float(v) / (1 << code.k)
+        if code.k and c:
+            carried.setdefault(code, []).append((s, c))
+    position = code_positions(profile.n)
     elements: dict = {}
-    for code in enumerate_all_codes(profile.n):
-        if code.k == 0:
-            continue
-        # 2^(n-k) syndromes, without building the cosets of a code with no mass
-        coeffs = [float(sol.mu.get((code, s), 0)) / (1 << code.k)
-                  for s in range(1 << (profile.n - code.k))]
-        if not any(coeffs):
-            continue
+    # in the code table's order, each code's syndromes ascending: the order
+    # the terms and elements are summed in, here and in verify_povm
+    for code in sorted(carried, key=position.__getitem__):
+        syndromes, coeffs = zip(*sorted(carried[code]))
         fourier = _coset_fourier(profile, code)
-        carried = [s for s, c in enumerate(coeffs) if c]
         for y in range(1 << code.k):
             mat = np.zeros((size, size), dtype=complex)
-            for s, vec in zip(carried, _coset_states(code, y, fourier, carried)):
-                mat += coeffs[s] * np.outer(vec, np.conj(vec))
+            for c, vec in zip(coeffs, _coset_states(code, y, fourier, syndromes)):
+                mat += c * np.outer(vec, np.conj(vec))
             elements[(code, y)] = mat
     total = sum(elements.values(), np.zeros((size, size), dtype=complex))
     perp = np.eye(size, dtype=complex) - total

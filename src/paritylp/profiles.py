@@ -49,7 +49,10 @@ class AmplitudeProfile:
         if any(w < 0 for w in self.weights):
             raise ProfileError("weights must be nonnegative")
         if self.rational:
-            if sum(self.weights) != 1:
+            # the sum is exactly 1 when the numerators over the common
+            # denominator add up to that denominator
+            den = math.lcm(*(w.denominator for w in self.weights))
+            if sum(w.numerator * (den // w.denominator) for w in self.weights) != den:
                 raise ProfileError("rational weights must sum to exactly 1")
         else:
             if abs(math.fsum(self.weights) - 1.0) > FLOAT_TOL:

@@ -5,7 +5,9 @@ comes up with probability sum_i lambda_i w_i and always reports y = H.x),
 a seeded ancestral sampler, and a state-vector oracle that materializes the
 closed-form post-processing state and reads the distribution off its
 register amplitudes.  The sampler draws its histogram as per-index
-multinomials, so its cost does not grow with the number of shots.
+multinomials, so its cost does not grow with the number of shots.  All three
+walk only the cosets that carry mass (`PrimalSolution.carried`): an optimal
+vertex gives mass to no more cosets than the profile has supported indices.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from numbers import Rational
 import numpy as np
 
 from .errors import BudgetError, ProfileError
-from .f2lin import ParityCode, dot, enumerate_all_codes, vec_str
+from .f2lin import ParityCode, code_positions, dot, enumerate_all_codes, vec_str
 from .lp import PrimalSolution
 from .profiles import AmplitudeProfile
 
@@ -35,7 +37,7 @@ def exact_distribution(sol: PrimalSolution, profile: AmplitudeProfile,
     constraint.  Probabilities are exact fractions for an exact solution.
     """
     acc: dict[ParityCode, object] = {}
-    for (code, s), v in sol.mu.items():
+    for (code, s), v in sol.carried:
         acc[code] = acc.get(code, 0) + (1 << code.k) * v
     bottom = ParityCode.bottom(profile.n)
     acc.setdefault(bottom, sol.objective * 0)
@@ -81,10 +83,11 @@ def sample(sol: PrimalSolution, profile: AmplitudeProfile, x: int,
     weights = np.array([profile.weights_float[i] for i in support])
     weights = weights / weights.sum()
     codes = enumerate_all_codes(profile.n)
+    cols = code_positions(profile.n)
     rows = {i: row for row, i in enumerate(support)}
-    cols = {code: col for col, code in enumerate(codes)}
     lam = np.zeros((len(support), len(codes)))
-    for (code, i), v in sol.lam.items():
+    # lambda is zero off the carried cosets, so only their members are filled
+    for (code, i), v in sol.lam_items(sol.carried):
         if i in rows:
             lam[rows[i], cols[code]] = float(v)
     if np.any(lam < 0):
@@ -141,9 +144,7 @@ def statevector_check(sol: PrimalSolution, profile: AmplitudeProfile,
         raise ProfileError("state-vector oracle requires full dual support")
     amplitudes: dict = {}
     probs: dict = {}
-    for (code, s), v in sol.mu.items():
-        if v == 0:
-            continue
+    for (code, s), v in sol.carried:
         y = code.parity(x)
         v_s = code.cosets.leader_min(s)
         amp = math.sqrt((1 << code.k) * float(v))

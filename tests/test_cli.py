@@ -787,6 +787,7 @@ def _corpus_profiles() -> dict:
             profiles[f"b{n}"] = ball_profile(n, n // 2, rng).to_json_dict()
     profiles["f3"] = bernoulli_profile(3, 0.1).to_json_dict()
     profiles["ph3"] = phased_profile(3, random.Random("corpus/ph3"))
+    profiles["ph5"] = phased_profile(5, random.Random("corpus/ph5"))
     return profiles
 
 
@@ -829,6 +830,8 @@ CORPUS = {
     "simulate-r3": "simulate --profile {r3} --x 101 --seed 2 --shots 1000",
     "simulate-b4-float": "simulate --profile {b4} --x 0110 --seed 3 --shots 500 --mode float",
     "simulate-r5": "simulate --profile {r5} --x 10011 --seed 4 --shots 100",
+    "simulate-ph5-float":
+        "simulate --profile {ph5} --x 01101 --seed 6 --shots 1000000 --mode float",
     "simulate-r2-table": "simulate --profile {r2} --x 01 --seed 5 --shots 100 --format table",
     "slpn-n0": "slpn --n 0 --t 0.1",
     "slpn-n3": "slpn --n 3 --t 0.1 --mode float",

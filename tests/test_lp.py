@@ -108,7 +108,7 @@ def two_loop_primal(profile, cost):
         for s in range(cos.n_syndromes):
             if all(i in support for i in cos.members_of(s)):
                 var_index[(code, s)] = len(labels)
-                labels.append(("mu", code, s))
+                labels.append((code, s))
                 objective.append(cost.value(code.k) * (1 << code.k))
     constraints = []
     for i in profile.support:
@@ -206,7 +206,7 @@ def loop_primal(profile, cost):
             if None not in rows:
                 flat += rows
                 lens.append(len(rows))
-                labels.append(("mu", code, s))
+                labels.append((code, s))
                 objective.append(value)
     return (labels, objective, np.array(flat, dtype=np.intp),
             np.repeat(np.arange(len(lens)), lens), np.ones(len(flat), dtype=np.int64),
@@ -947,7 +947,7 @@ def dense_pair(profile, cost, mode, float_stage=True):
     model = build_primal(profile, cost)
     report = dense_solve(model, mode, float_stage, seeds=list(range(len(profile.support))))
     mu, lam = {}, {}
-    for (_, code, s), v in report.values.items():
+    for (code, s), v in report.values.items():
         mu[(code, s)] = v
         for i in code.cosets.members_of(s):
             lam[(code, i)] = v / profile.weights[i]
@@ -1237,7 +1237,7 @@ class TestNoInformationStart:
             without_float_stage(monkeypatch)
         model = build_primal(p, CostFunction.average(p.n))
         bottom = ParityCode.bottom(p.n)
-        assert model.labels[:len(p.support)] == [("mu", bottom, i) for i in p.support]
+        assert model.labels[:len(p.support)] == [(bottom, i) for i in p.support]
         report = solve(model, mode.removesuffix("-loop"))
         assert report.status == "optimal" and report.stats.phase_pivots[0] == 0
         if report.mode == "exact":
@@ -1355,7 +1355,7 @@ def eager_lam(profile, values, objective):
     one per coset for a zero level; then 1 on the bottom code at each
     zero-weight index."""
     lam = {}
-    for (_, code, s), v in values.items():
+    for (code, s), v in values.items():
         members = code.cosets.members_of(s)
         q = v or v / profile.weights[members[0]]
         for i in members:
@@ -1408,7 +1408,7 @@ class TestLazyLambda:
 
         p = rand_rational_profile(n, random.Random(f"lambda/candidate/{n}"))
         cand = primal_candidate(family, p)
-        values = {("mu", code, code.G.mul_vec(i)): v * p.weights[i]
+        values = {(code, code.G.mul_vec(i)): v * p.weights[i]
                   for (code, i), v in cand.lam.items()}
         assert same(cand.to_solution(p).lam, eager_lam(p, values, cand.objective))
 
@@ -1419,13 +1419,27 @@ class TestLazyLambda:
         (["verify", "--family", "hamming"], False),
         (["verify", "--family", "threshold-ball", "--d", "1", "--gamma", "2.5"], False),
         (["threshold", "--tau", "2"], False),
-        (["simulate", "--x", "101", "--seed", "1", "--shots", "100"], True),
     ])
     def test_cli_jobs_build_lambda_only_when_read(self, tmp_path, capsys, monkeypatch,
                                                   argv, reads, support):
         rng = random.Random("lambda/cli")
         p = rand_rational_profile(3, rng) if support == "full" else ball_profile(3, 1, rng)
         self._run_counting_builds(tmp_path, capsys, monkeypatch, p, argv, reads)
+
+    @pytest.mark.parametrize("argv, support", [
+        (["simulate", "--x", "101", "--seed", "1", "--shots", "100"], "full"),
+        (["simulate", "--x", "101", "--seed", "1", "--shots", "100"], "ball"),
+        (["simulate", "--x", "011", "--seed", "2", "--shots", "100", "--mode", "float"], "full"),
+        (["povm", "--assume-real-amplitudes"], "full"),
+        (["povm", "--assume-real-amplitudes", "--mode", "float"], "full"),
+    ], ids=["simulate-full", "simulate-ball", "simulate-float", "povm", "povm-float"])
+    def test_measurement_jobs_never_build_lambda(self, tmp_path, capsys, monkeypatch,
+                                                 argv, support):
+        # the sampler, the outcome law, the state-vector oracle and the
+        # operators read the carried cosets of mu alone
+        rng = random.Random("lambda/cli")
+        p = rand_rational_profile(3, rng) if support == "full" else ball_profile(3, 1, rng)
+        self._run_counting_builds(tmp_path, capsys, monkeypatch, p, argv, False)
 
     def test_candidate_slackness_builds_lambda(self, tmp_path, capsys, monkeypatch):
         # a nonnegative candidate goes through complementary_slackness
@@ -1513,6 +1527,23 @@ def _audit_costs(n):
     for tau in range(1, n + 1) if n < 5 else (3,):
         yield CostFunction.threshold(n, tau)
     yield CostFunction.custom(n, [Fraction(k * k, 3) for k in range(n + 1)])
+
+
+class TestDualAuditCap:
+    def test_n6_refused_before_any_coset_table(self, monkeypatch):
+        from paritylp import f2lin, lp
+
+        built = []
+        real = lp.coset_table
+        monkeypatch.setattr(lp, "coset_table", lambda n: built.append(n) or real(n))
+        before = f2lin.coset_table.cache_info()
+        sol = DualSolution(6, (Fraction(1),) * 64)
+        for audit in (check_dual_feasible, coset_slacks):
+            with pytest.raises(BudgetError, match="capped at n <= 5"):
+                audit(sol, CostFunction.average(6))
+        after = f2lin.coset_table.cache_info()
+        assert not built
+        assert (after.misses, after.currsize) == (before.misses, before.currsize)
 
 
 class TestIntegerDualAudit:

@@ -403,7 +403,7 @@ class TestBuildFromPrimal:
         from paritylp.lp import PrimalSolution
 
         bottom = ParityCode.bottom(2)
-        values = {("mu", bottom, s): 0.25 for s in all_vectors(2)}
+        values = {(bottom, s): 0.25 for s in all_vectors(2)}
         sol = PrimalSolution.from_lp_values(p, values, 0.0)
         povm = build_from_primal(sol, p)
         assert not povm.elements
@@ -448,8 +448,7 @@ class TestBuildFromPrimal:
         for s in all_vectors(2):
             key = (bottom, s)
             mixed_mu[key] = mixed_mu.get(key, 0.0) + 0.5 * p.weights_float[s]
-        values = {("mu", code, s): v for (code, s), v in mixed_mu.items()}
-        mixed = PrimalSolution.from_lp_values(p, values, 0.5 * rep.objective)
+        mixed = PrimalSolution.from_lp_values(p, mixed_mu, 0.5 * rep.objective)
         assert check_primal_feasible(mixed, p).feasible
         povm = build_from_primal(mixed, p)
         assert verify_povm(povm, p).ok
@@ -473,16 +472,36 @@ class TestBuildFromPrimal:
                 expected = float(dist.get((code, y), 0.0))
                 assert got == pytest.approx(expected, abs=1e-10)
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("phases", ["phased", "real"])
     def test_matches_loops(self, n, phases):
+        # LP optima (exact on rational weights), every candidate family, a
+        # mixture with the bottom code, that mixture's mu in reverse order
+        # and every syndrome of every rank-1 code from the last: the same
+        # elements in the same order, bit for bit, and no lambda built
+        from paritylp.bounds import primal_candidate
+
         rng = random.Random(70 + n)
         p = random_phase_profile(n, rng)
         if phases == "real":
             p = rand_rational_profile(n, rng).with_real_amplitudes()
-        for cost in (CostFunction.average(n), CostFunction.threshold(n, 1)):
-            sol, _ = solve_primal(p, cost, mode="float")
+        sols = []
+        for cost in (CostFunction.average(n), CostFunction.threshold(n, 1),
+                     CostFunction.threshold(n, min(2, n))):
+            for mode in ("float", "exact"):
+                sols.append(solve_primal(p, cost, mode=mode)[0])
+        sols += [primal_candidate(family, p) for family in ("hamming", "cohamming", "spike")]
+        sol, bottom = sols[0], ParityCode.bottom(n)
+        mixed = {key: v / 2 for key, v in sol.mu.items()}
+        for s in all_vectors(n):
+            mixed[(bottom, s)] = mixed.get((bottom, s), 0) + p.weights[s] / 2
+        spread = {(code, s): rng.random() for code in reversed(codes_of_rank(n, 1))
+                  for s in reversed(range(1 << (n - 1)))}
+        for mu in (mixed, dict(reversed(mixed.items())), spread):
+            sols.append(PrimalSolution(n, mu, sol.objective / 2, p.weights))
+        for sol in sols:
             assert_same_sets(build_from_primal(sol, p), build_from_primal_loops(sol, p))
+            assert sol._lam is None
 
     def test_threshold_cost_solution(self):
         rng = random.Random(9)
@@ -598,8 +617,8 @@ class TestOperatorCap:
         p = random_phase_profile(n, random.Random(60))
         w = p.weights_float
         assert 0 < min(w) < max(w)
-        values = {("mu", codes_of_rank(n, n)[0], 0): min(w)}
-        values.update({("mu", ParityCode.bottom(n), s): w[s] - min(w)
+        values = {(codes_of_rank(n, n)[0], 0): min(w)}
+        values.update({(ParityCode.bottom(n), s): w[s] - min(w)
                        for s in all_vectors(n)})
         cost = CostFunction.average(n)
         objective = float(cost.value(n)) * (1 << n) * min(w)

@@ -35,6 +35,17 @@ class TestAmplitudeProfile:
         with pytest.raises(ProfileError):
             AmplitudeProfile.from_weights(1, ["1/2", "1/3"])
 
+    @pytest.mark.parametrize("off", [Fraction(1, 10**30), Fraction(-1, 10**30)])
+    def test_rational_sum_off_by_a_hair_refused(self, off):
+        # denominators 3, 7 and 10^30 + 1: the common one has 32 digits
+        tiny = Fraction(1, 10**30 + 1)
+        weights = [Fraction(1, 3), Fraction(2, 7), tiny, 1 - Fraction(1, 3) - Fraction(2, 7) - tiny]
+        assert AmplitudeProfile(2, tuple(weights)).rational
+        weights[3] += off
+        assert sum(weights) == 1 + off
+        with pytest.raises(ProfileError, match="exactly 1"):
+            AmplitudeProfile(2, tuple(weights))
+
     def test_float_tolerance(self):
         AmplitudeProfile.from_weights(1, [0.5, 0.5 + 1e-13])
         with pytest.raises(ProfileError):

@@ -3,22 +3,112 @@
 import math
 import random
 from fractions import Fraction
+from numbers import Rational
 
 import pytest
 
 import numpy as np
 
 from conftest import ball_profile, rand_rational_profile
+from paritylp.bounds import primal_candidate
 from paritylp.errors import BudgetError
-from paritylp.f2lin import ParityCode, all_vectors, codes_of_rank, enumerate_all_codes
+from paritylp.f2lin import (
+    ParityCode,
+    all_vectors,
+    by_code,
+    codes_of_rank,
+    dot,
+    enumerate_all_codes,
+)
 from paritylp.lp import PrimalSolution, solve_primal
 from paritylp.profiles import AmplitudeProfile, CostFunction, bernoulli_profile
 from paritylp.simulate import (
     STATEVECTOR_MAX_N,
+    OutcomeRecord,
+    StatevectorReport,
     exact_distribution,
     sample,
     statevector_check,
 )
+
+
+# -- oracles: the three routes as they walked every coset of mu -------------
+
+def walk_lam(sol):
+    """lambda over every coset of mu, one division per member of a nonzero
+    level and one per coset for a zero level."""
+    w, lam = sol.weights, {}
+    for (code, s), v in sol.mu.items():
+        members = code.cosets.members_of(s)
+        if not w[members[0]]:
+            lam[(code, s)] = v + 1
+            continue
+        q = v or v / w[members[0]]
+        for i in members:
+            lam[(code, i)] = v / w[i] if v else q
+    return lam
+
+
+def walk_exact_distribution(sol, profile, x):
+    acc = {}
+    for (code, s), v in sol.mu.items():
+        acc[code] = acc.get(code, 0) + (1 << code.k) * v
+    bottom = ParityCode.bottom(profile.n)
+    acc.setdefault(bottom, sol.objective * 0)
+    return {(code, code.parity(x)): p for code, p in acc.items() if p != 0 or code.k == 0}
+
+
+def walk_sample(sol, profile, x, shots, seed):
+    """The bulk sampler with its support x codes matrix filled from the
+    whole lambda dict."""
+    support = list(profile.support)
+    weights = np.array([profile.weights_float[i] for i in support])
+    weights = weights / weights.sum()
+    codes = enumerate_all_codes(profile.n)
+    rows = {i: row for row, i in enumerate(support)}
+    cols = {code: col for col, code in enumerate(codes)}
+    lam = np.zeros((len(support), len(codes)))
+    for (code, i), v in walk_lam(sol).items():
+        if i in rows:
+            lam[rows[i], cols[code]] = float(v)
+    if np.any(lam < 0):
+        raise ValueError("lambda entries must be nonnegative")
+    row_sums = lam.sum(axis=1)
+    if np.max(np.abs(row_sums - 1.0)) > 1e-9:
+        raise ValueError("lambda rows must sum to 1 on the support")
+    rng = np.random.default_rng(seed)
+    counts = np.zeros(len(codes), dtype=np.int64)
+    for row, m in enumerate(rng.multinomial(shots, weights)):
+        if m:
+            cells = np.flatnonzero(lam[row])
+            counts[cells] += rng.multinomial(m, lam[row, cells] / row_sums[row])
+    records = [OutcomeRecord(code, code.parity(x), int(c), int(c) / shots)
+               for code, c in zip(codes, counts) if c]
+    return sorted(records, key=lambda r: r.code.sort_key)
+
+
+def walk_statevector_check(sol, profile, x):
+    amplitudes, probs = {}, {}
+    for (code, s), v in sol.mu.items():
+        if v == 0:
+            continue
+        y = code.parity(x)
+        amp = math.sqrt((1 << code.k) * float(v))
+        if dot(x, code.cosets.leader_min(s)):
+            amp = -amp
+        amplitudes[(code, y, s)] = amp
+        probs[(code, y)] = probs.get((code, y), 0) + (1 << code.k) * v
+    norm_dev = abs(math.fsum(a * a for a in amplitudes.values()) - 1.0)
+    dist = walk_exact_distribution(sol, profile, x)
+    keys = set(dist) | set(probs)
+    exact_match = None
+    if all(isinstance(p, Rational) for p in dist.values()):
+        exact_match = all(dist.get(k, 0) == probs.get(k, 0) for k in keys)
+    max_dev = 0.0
+    for k in keys:
+        max_dev = max(max_dev, abs(float(dist.get(k, 0)) - float(probs.get(k, 0))))
+    wrong = math.fsum(a * a for (code, y, _), a in amplitudes.items() if y != code.parity(x))
+    return StatevectorReport(norm_dev, max_dev, wrong, len(amplitudes), exact_match)
 
 
 def uniform(n):
@@ -28,7 +118,7 @@ def uniform(n):
 def bottom_only_solution(p):
     """All mass on the no-information outcome (a feasible primal point)."""
     bottom = ParityCode.bottom(p.n)
-    values = {("mu", bottom, s): p.weights[s] for s in range(1 << p.n)}
+    values = {(bottom, s): p.weights[s] for s in range(1 << p.n)}
     return PrimalSolution.from_lp_values(p, values, Fraction(0))
 
 
@@ -54,6 +144,100 @@ def broadcast_compare_counts(sol, p, shots, seed):
         for col, c in zip(*np.unique(picked, return_counts=True)):
             counts[codes[col]] = counts.get(codes[col], 0) + int(c)
     return counts
+
+
+def outcome(route, *args):
+    """What a route returns, down to the bits of every number, or the
+    ValueError it raises."""
+    try:
+        result = route(*args)
+    except ValueError as exc:
+        return "raises", str(exc)
+    if isinstance(result, dict):
+        return [(key, type(p), repr(p)) for key, p in sorted(result.items(), key=by_code)]
+    if isinstance(result, StatevectorReport):
+        return repr(result)
+    return [(r.code, r.y, r.count, r.frequency.hex()) for r in result]
+
+
+def assert_routes_match_walks(sol, p, x, seed):
+    for shots in (1, 1000, 10**6):
+        assert outcome(sample, sol, p, x, shots, seed) == \
+            outcome(walk_sample, sol, p, x, shots, seed)
+    assert outcome(exact_distribution, sol, p, x) == outcome(walk_exact_distribution, sol, p, x)
+    if p.full_support:
+        assert outcome(statevector_check, sol, p, x) == \
+            outcome(walk_statevector_check, sol, p, x)
+    assert sol._lam is None
+
+
+def _lp_cases():
+    for n in range(1, 6):
+        rng = random.Random(f"walk/{n}")
+        full = rand_rational_profile(n, rng)
+        binary = AmplitudeProfile.from_weights(
+            n, [float(w) for w in rand_rational_profile(n, rng).weights])
+        ball = ball_profile(n, n // 2, rng)
+        for cost in ("average", "tau2"):
+            yield f"n{n}-exact-{cost}", full, "exact", cost
+            yield f"n{n}-float-{cost}", binary, "float", cost
+            yield f"n{n}-ball-{cost}", ball, "exact", cost
+
+
+def _candidate_cases():
+    for n in range(1, 6):
+        rng = random.Random(f"walk/candidate/{n}")
+        binary = AmplitudeProfile.from_weights(
+            n, [float(w) for w in rand_rational_profile(n, rng).weights])
+        for kind, p in (("uniform", uniform(n)), ("rational", rand_rational_profile(n, rng)),
+                        ("binary", binary)):
+            for family in ("hamming", "cohamming", "spike"):
+                yield f"n{n}-{kind}-{family}", p, family
+
+
+class TestMatchesWholeMuWalk:
+    """The routes walk the carried cosets alone and give what the walks over
+    every coset of mu (and every entry of lambda) give, bit for bit, and
+    build no lambda."""
+
+    @pytest.mark.parametrize("name, p, mode, cost", list(_lp_cases()),
+                             ids=[case[0] for case in _lp_cases()])
+    def test_lp_solutions(self, name, p, mode, cost):
+        c = CostFunction.average(p.n) if cost == "average" else \
+            CostFunction.threshold(p.n, min(2, p.n))
+        sol, _ = solve_primal(p, c, mode)
+        assert len(sol.carried) < len(sol.mu) or p.n == 1
+        rng = random.Random(name)
+        for x in sorted({0, (1 << p.n) - 1, rng.randrange(1 << p.n)}):
+            assert_routes_match_walks(sol, p, x, rng.randrange(1 << 31))
+
+    @pytest.mark.parametrize("name, p, family", list(_candidate_cases()),
+                             ids=[case[0] for case in _candidate_cases()])
+    def test_dense_candidates(self, name, p, family):
+        cand = primal_candidate(family, p)
+        rng = random.Random(name)
+        for x in sorted({0, (1 << p.n) - 1, rng.randrange(1 << p.n)}):
+            assert_routes_match_walks(cand, p, x, rng.randrange(1 << 31))
+
+    def test_candidates_hold_both_verdicts(self):
+        verdicts = {primal_candidate(family, p).nonnegative for _, p, family in _candidate_cases()}
+        assert verdicts == {True, False}
+
+    def test_dense_rows_and_negative_lambda(self):
+        p = uniform(2)
+        codes = enumerate_all_codes(2)
+        row = [Fraction(19, 79), Fraction(27, 79), Fraction(15, 79), Fraction(18, 79), 0]
+        dense = PrimalSolution(2, {(code, s): v / 4 for code, v in zip(codes, row)
+                                   for s in range(code.cosets.n_syndromes)}, Fraction(0), p.weights)
+        for x in all_vectors(2):
+            assert_routes_match_walks(dense, p, x, x)
+        q = uniform(1)
+        bottom, full = ParityCode.bottom(1), codes_of_rank(1, 1)[0]
+        negative = PrimalSolution(1, {(bottom, 0): -0.25, (bottom, 1): -0.25, (full, 0): 0.75},
+                                  1.0, q.weights)
+        assert outcome(sample, negative, q, 0, 100, 1) == \
+            ("raises", "lambda entries must be nonnegative")
+        assert_routes_match_walks(negative, q, 0, 1)
 
 
 class TestExactDistribution:

@@ -51,7 +51,11 @@ def _cost_from_args(n: int, args) -> CostFunction:
     if args.cost == "custom":
         if not args.cost_values:
             raise ToolkitError("custom cost needs --cost-values c0,c1,...")
-        return CostFunction.custom(n, [Fraction(v) for v in args.cost_values.split(",")])
+        try:
+            values = [Fraction(v) for v in args.cost_values.split(",")]
+        except ZeroDivisionError:
+            raise ToolkitError(f"cost values {args.cost_values!r} divide by zero") from None
+        return CostFunction.custom(n, values)
     raise ToolkitError(f"unknown cost {args.cost!r}")
 
 
@@ -476,6 +480,18 @@ def cmd_enumerate(args) -> tuple[dict, str]:
     return report, _table(rows, ("k", "H", "G"))
 
 
+def _tolerance(text: str) -> float:
+    """A tolerance option's value: a finite binary64 >= 0, since a NaN or an
+    infinity would pass every audit it bounds."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"need a finite tolerance >= 0, not {text!r}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser, *, profile: bool = True,
                 mode: bool = False, tol_feas: bool = False) -> None:
     """--format and --out, and whichever of --profile, --mode and --tol-feas
@@ -487,7 +503,7 @@ def _add_common(p: argparse.ArgumentParser, *, profile: bool = True,
     p.add_argument("--format", choices=["json", "table"], default="json")
     p.add_argument("--out", help="write the report here instead of stdout")
     if tol_feas:
-        p.add_argument("--tol-feas", type=float, default=lp.FLOAT_FEAS_TOL, dest="tol_feas")
+        p.add_argument("--tol-feas", type=_tolerance, default=lp.FLOAT_FEAS_TOL, dest="tol_feas")
 
 
 def _add_cost(p: argparse.ArgumentParser) -> None:
@@ -533,9 +549,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("povm", help="synthesize and verify the measurement operators")
     _add_common(p, mode=True, tol_feas=True)
-    p.add_argument("--tol-complete", type=float, default=povm.TOL_COMPLETE,
+    p.add_argument("--tol-complete", type=_tolerance, default=povm.TOL_COMPLETE,
                    dest="tol_complete")
-    p.add_argument("--tol-unambig", type=float, default=povm.TOL_UNAMBIG,
+    p.add_argument("--tol-unambig", type=_tolerance, default=povm.TOL_UNAMBIG,
                    dest="tol_unambig")
     _add_cost(p)
     p.add_argument("--assume-real-amplitudes", action="store_true",

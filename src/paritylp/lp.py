@@ -228,45 +228,40 @@ def solve(model: LpModel, mode: str = EXACT) -> SolveReport:
 
 @dataclass
 class PrimalSolution:
-    """Coset-reduced mu values; lambda = mu / weight is derived from them on
-    first read, with the weights of the profile mu was found for."""
+    """Coset-reduced mu values, with the weights of the profile mu was found
+    for; lambda = mu / weight is a view derived from them."""
 
     n: int
     mu: dict
     objective: object
     weights: tuple
-    _lam: dict | None = field(default=None, init=False, repr=False)
 
     @functools.cached_property
     def carried(self) -> list:
         """The ((code, s), mu) items of mu with mu != 0, in mu's order, listed
         on first read: the cosets that carry mass, which are all that the
-        outcome law, the sampler and the operators read."""
+        audits, the outcome law, the sampler and the operators read."""
         return list(compress(self.mu.items(), self.mu.values()))
 
-    @property
+    @functools.cached_property
     def lam(self) -> dict:
-        """lambda[(code, i)] for every coset of mu, as `lam_items` gives it."""
-        if self._lam is None:
-            self._lam = dict(self.lam_items(self.mu.items()))
-        return self._lam
+        """lambda[(code, i)] for every coset of mu, as `lam_items` gives it,
+        built on first read; only a candidate's report reads it."""
+        return dict(self.lam_items(self.mu.items()))
 
     def lam_items(self, cosets):
-        """((code, i), lambda) with lambda = mu[(code, s)] / w_i for each member
-        i of each ((code, s), mu) of `cosets`, in their order.  A coset whose
-        first member has weight zero yields ((code, s), mu + 1) alone: on the
-        bottom code, a zero-weight index, with mu = 0 and lambda = 1."""
+        """((code, i), lambda) for each member i of each ((code, s), mu) of
+        `cosets`, in their order, with lambda = mu / w_i.  At a zero-weight
+        index, where mu / w_i has no value, lambda is mu + 1 on the bottom
+        code, whose coset {i} a solve gives mu = 0, and mu on every other
+        code, where a feasible point has mu = 0."""
         w = self.weights
         for (code, s), v in cosets:
-            members = code.cosets.members_of(s)
-            w0 = w[members[0]]
-            if not w0:
-                yield (code, s), v + 1
-                continue
-            # 0 / w is one value for every w > 0: a zero level divides once.
-            q = v or v / w0
-            for i in members:
-                yield (code, i), v / w[i] if v else q
+            for i in code.cosets.members_of(s):
+                if w[i]:
+                    yield (code, i), v / w[i]
+                else:
+                    yield (code, i), v if code.k else v + 1
 
     @classmethod
     def from_lp_values(cls, profile: AmplitudeProfile, values: dict,
@@ -386,43 +381,47 @@ def _default_tol(tol, *operands):
 
 def check_primal_feasible(sol: PrimalSolution, profile: AmplitudeProfile,
                           tol=None) -> FeasibilityReport:
-    """Audit nonnegativity and the per-index normalization.
+    """Audit the point mu on exact rationals, as the dual audit audits b.
 
-    lambda * weight is constant on each coset by construction (lambda is
-    derived from mu), so only these two families are checked.
+    lambda = mu / w is constant on each coset by construction, so only the
+    cosets that carry mass are read: lambda >= -tol on each, no mass on one
+    that meets the zero set, and sum_H lambda_i = 1 within tol at each
+    supported i (the mu holding i sum to w_i).  Ints, `Fraction`s and
+    finite floats are all exact rationals; a NaN or an infinity raises
+    ValueError, and above LP_MAX_N it raises BudgetError before any work.
     """
     return _primal_audit(sol, profile, tol)[0]
 
 
 def _primal_audit(sol: PrimalSolution, profile: AmplitudeProfile,
                   tol) -> tuple[FeasibilityReport, list]:
-    """The report of `check_primal_feasible` and each index's sum of lambda
-    over the codes, summed in one pass over lambda."""
-    tol = _default_tol(tol, profile.weights, sol.lam.values())
-    violations = []
-    max_v = 0
-
-    totals = [0] * (1 << sol.n)
-    for (code, i), v in sol.lam.items():
-        totals[i] += v
-        if v < -tol:
-            violations.append(
-                {"constraint": f"lambda[{code.label()},{vec_str(i, sol.n)}] >= 0",
-                 "violation": float(-v)}
-            )
-            max_v = max(max_v, -v)
-
+    """The report of `check_primal_feasible` and each index's exact
+    sum_H lambda_i - 1 (0 off the support)."""
+    check_budget(sol.n)
+    tol = _exact(_default_tol(tol, profile.weights, (v for _, v in sol.carried)))
+    w = [_exact(v) for v in profile.weights]
+    sums, found = [0] * len(w), []
+    for (code, s), v in sol.carried:
+        members = code.cosets.members_of(s)
+        v = _exact(v)
+        for i in members:
+            sums[i] += v
+        # lambda is lowest on the lightest member; where that one weighs 0,
+        # mu / 0 has no value and the violation is mu itself
+        lightest = min(map(w.__getitem__, members))
+        if not lightest:
+            found.append((f"mu[{code.label()},s={s}] = 0 on the zero set", abs(v)))
+        elif v < -tol * lightest:
+            found.append((f"mu[{code.label()},s={s}] >= 0", -v / lightest))
+    residuals = [0] * len(w)
     for i in profile.support:
-        gap = abs(totals[i] - 1)
-        if gap > tol:
-            violations.append(
-                {"constraint": f"sum_codes lambda[{vec_str(i, sol.n)}] = 1",
-                 "violation": float(gap)}
-            )
-            max_v = max(max_v, gap)
-
-    checked = len(sol.lam) + len(profile.support)
-    return FeasibilityReport(not violations, violations, max_v, checked), totals
+        residuals[i] = sums[i] / w[i] - 1
+        if abs(residuals[i]) > tol:
+            found.append((f"sum_codes lambda[{vec_str(i, sol.n)}] = 1", abs(residuals[i])))
+    violations = [{"constraint": c, "violation": float(gap)} for c, gap in found]
+    max_v = max((gap for _, gap in found), default=0)
+    checked = len(sol.mu) + len(profile.support)
+    return FeasibilityReport(not found, violations, max_v, checked), residuals
 
 
 def check_dual_feasible(sol: DualSolution, cost: CostFunction,
@@ -474,7 +473,7 @@ def _exact(v) -> Fraction:
     try:
         return Fraction(v)
     except (OverflowError, ValueError):
-        raise ValueError(f"the dual audit needs finite numbers, not {v!r}") from None
+        raise ValueError(f"the audits need finite numbers, not {v!r}") from None
 
 
 def _short_cosets(b: tuple, cost: CostFunction, tol):
@@ -535,44 +534,31 @@ def complementary_slackness(primal: PrimalSolution, dual: DualSolution,
 
     Products (sum_H lambda_i - 1) * b_i and mu[(code, s)] * constraint slack
     must all vanish; together with feasibility of both solutions this proves
-    the pair optimal and the objectives equal.  The tolerance is 0 when every
-    operand is rational, FLOAT_FEAS_TOL if not.
+    the pair optimal and the objectives equal.  Every product, and the gap
+    between the objectives, is taken on exact rationals, as the audits take
+    theirs.  The tolerance is 0 when every operand is rational,
+    FLOAT_FEAS_TOL if not.
     """
-    tol = _default_tol(None, profile.weights, primal.lam.values(), dual.b)
-    p_report, totals = _primal_audit(primal, profile, tol)
+    check_budget(primal.n)
+    tol = _default_tol(None, profile.weights, (v for _, v in primal.carried), dual.b)
+    p_report, residuals = _primal_audit(primal, profile, tol)
     d_report = check_dual_feasible(dual, cost, tol)
-
-    violations = []
-    b = dual.b
-    max_index = 0
-    for i, (total, b_i) in enumerate(zip(totals, b)):
-        product = (total - 1) * b_i
-        if abs(product) > tol:
-            violations.append(
-                {"product": f"index {vec_str(i, primal.n)}",
-                 "value": float(product)}
-            )
-        max_index = max(max_index, abs(product))
-
-    # A coset with mu = 0 has product 0 whatever its slack, so only the cosets
-    # mu uses are summed (as `coset_slacks` sums them), in mu's order: the
-    # code table's for a solve or a candidate.
-    max_coset = 0
-    for (code, s), v in primal.mu.items():
-        if not v:
-            continue
-        slack = sum(map(b.__getitem__, code.cosets.members_of(s))) - _rank_value(cost, code.k)
-        product = v * slack
-        if abs(product) > tol:
-            violations.append(
-                {"product": f"coset {code.label()},s={s}", "value": float(product)}
-            )
-        max_coset = max(max_coset, abs(product))
-
-    p_obj = sum(_rank_value(cost, code.k) * v
-                for (code, _), v in primal.mu.items())
+    tol, b = _exact(tol), [_exact(v) for v in dual.b]
+    index = [(f"index {vec_str(i, primal.n)}", residual * b_i)
+             for i, (residual, b_i) in enumerate(zip(residuals, b))]
+    # A coset with mu = 0 adds 0 to the objective and has product 0 whatever
+    # its slack, so only the carried cosets are summed, in mu's order.
+    coset = [(f"coset {code.label()},s={s}",
+              _exact(v) * (sum(map(b.__getitem__, code.cosets.members_of(s)))
+                           - _rank_value(cost, code.k)))
+             for (code, s), v in primal.carried]
+    violations = [{"product": name, "value": float(product)}
+                  for name, product in index + coset if abs(product) > tol]
+    p_obj = sum(_rank_value(cost, code.k) * v for (code, _), v in primal.carried)
     d_obj = dual.evaluate(profile)
     certified = (p_report.feasible and d_report.feasible and not violations
-                 and abs(p_obj - d_obj) <= tol)
+                 and abs(_exact(p_obj) - _exact(d_obj)) <= tol)
     return SlacknessReport(certified, p_report.feasible, d_report.feasible,
-                           max_index, max_coset, p_obj, d_obj, violations)
+                           max(abs(product) for _, product in index),
+                           max((abs(product) for _, product in coset), default=0),
+                           p_obj, d_obj, violations)

@@ -13,6 +13,7 @@ with a float is a float.  Cost values are always stored exactly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -27,6 +28,22 @@ FLOAT_TOL = 1e-12
 def _is_number(v) -> bool:
     """A JSON number: int or float, but not a boolean."""
     return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _fraction(text: str) -> Fraction:
+    """A weight string as a `Fraction`; a zero denominator is refused."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ProfileError(f"weight {text!r} has a zero denominator") from None
+
+
+def _squared_norm(a: complex) -> float:
+    """|a|^2 as abs(a) ** 2 gives it; a square past binary64 is refused."""
+    try:
+        return abs(a) ** 2
+    except OverflowError:
+        raise ProfileError(f"|amplitude|^2 of {a!r} overflows binary64") from None
 
 
 @dataclass(frozen=True)
@@ -46,6 +63,9 @@ class AmplitudeProfile:
             raise ProfileError(f"expected 2^{self.n} weights, got {size}")
         num = Fraction if all(isinstance(w, Rational) for w in self.weights) else float
         object.__setattr__(self, "weights", tuple(map(num, self.weights)))
+        # a NaN fails every comparison, so it would pass the checks below
+        if num is float and not all(map(math.isfinite, self.weights)):
+            raise ProfileError("weights must be finite numbers")
         if any(w < 0 for w in self.weights):
             raise ProfileError("weights must be nonnegative")
         if self.rational:
@@ -61,7 +81,7 @@ class AmplitudeProfile:
             if len(self.amplitudes) != size:
                 raise ProfileError("amplitude count does not match 2^n")
             for a, w in zip(self.amplitudes, self.weights):
-                if abs(abs(a) ** 2 - float(w)) > FLOAT_TOL:
+                if not abs(_squared_norm(a) - float(w)) <= FLOAT_TOL:
                     raise ProfileError("|amplitude|^2 inconsistent with weight")
 
     @property
@@ -103,13 +123,13 @@ class AmplitudeProfile:
     def from_weights(cls, n: int, values, amplitudes=None) -> AmplitudeProfile:
         """Build from weights, and amplitudes if given; str/int/Fraction
         entries select rational mode."""
-        return cls(n, tuple(Fraction(v) if isinstance(v, str) else v for v in values),
+        return cls(n, tuple(_fraction(v) if isinstance(v, str) else v for v in values),
                    amplitudes)
 
     @classmethod
     def from_amplitudes(cls, n: int, amps) -> AmplitudeProfile:
         amps = tuple(complex(a) for a in amps)
-        weights = tuple(abs(a) ** 2 for a in amps)
+        weights = tuple(map(_squared_norm, amps))
         return cls(n, weights, amps)
 
     @classmethod
@@ -162,8 +182,10 @@ class CostFunction:
     def __post_init__(self) -> None:
         if len(self.values) != self.n + 1:
             raise ValueError(f"need {self.n + 1} cost values")
-        if not all(0 <= v < math.inf for v in self.values):
-            raise ValueError("cost values must be finite and nonnegative")
+        # A solve's float stage reads each cost(k) 2^k as a binary64.
+        if not all(0 <= v * (1 << k) <= sys.float_info.max for k, v in enumerate(self.values)):
+            raise ValueError("cost values must be nonnegative, with each cost(k) 2^k "
+                             "a finite binary64")
         # Floats convert losslessly, so a cost never decides the number type.
         object.__setattr__(self, "values", tuple(
             v if isinstance(v, Rational) else Fraction(v) for v in self.values))

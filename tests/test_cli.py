@@ -133,6 +133,24 @@ class TestOptionSurface:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, option", [
+        ("solve", "--tol-feas"), ("povm", "--tol-feas"), ("povm", "--tol-complete"),
+        ("povm", "--tol-unambig"),
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "-1e-300", "abc"])
+    def test_bad_tolerance_is_a_usage_error(self, capsys, command, option, value):
+        # a NaN or infinite tolerance would pass every audit it bounds
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--profile", "p.json", f"{option}={value}"])
+        assert exc.value.code == 2
+        assert f"argument {option}: need a finite tolerance >= 0, not {value!r}" in \
+            capsys.readouterr().err
+
+    def test_zero_tolerance_accepted(self):
+        args = build_parser().parse_args(["povm", "--profile", "p.json", "--tol-feas", "0",
+                                          "--tol-complete", "1e-3", "--tol-unambig", "2"])
+        assert (args.tol_feas, args.tol_complete, args.tol_unambig) == (0.0, 1e-3, 2.0)
+
 
 class TestSolve:
     def test_exact_solve(self, capsys, profile_file):
@@ -146,10 +164,11 @@ class TestSolve:
         assert report["gap"] == 0
         assert report["audits"]["strong_duality_gap"]
 
-    @pytest.mark.parametrize("tol, expected", [("1e-9", 0), ("-1", 1)])
+    @pytest.mark.parametrize("tol, expected", [("1e-9", 0), ("0", 1)])
     def test_float_profile_under_exact_mode(self, tmp_path, capsys, tol, expected):
         # binary64 weights run a float solve, so the duality audit compares
-        # against --tol-feas (a negative tolerance fails it) instead of gap == 0
+        # against --tol-feas (0 is below this solve's gap of one ulp, and
+        # fails it) instead of gap == 0
         path = tmp_path / "bern.json"
         path.write_text(json.dumps(bernoulli_profile(3, 0.1).to_json_dict()))
         code, report = run_json(capsys, [
@@ -171,7 +190,8 @@ class TestSolve:
         assert code == 0
         assert (report["rho"], report["sigma"], report["gap"]) == (rho, rho, 0)
 
-    @pytest.mark.parametrize("values", ["0,nan,1", "0,inf,1", "0,-1,1", "0,abc,1", "0,1"])
+    @pytest.mark.parametrize("values", ["0,nan,1", "0,inf,1", "0,-1,1", "0,abc,1", "0,1",
+                                        "1/0,1,2", "1e400,1,2"])
     def test_bad_custom_cost_values(self, capsys, profile_file, values):
         code = main(["solve", "--profile", profile_file, "--cost", "custom",
                      "--cost-values", values])
@@ -207,6 +227,22 @@ class TestSolve:
         path.write_text(json.dumps(data))
         assert main(["solve", "--profile", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("data", [
+        {"n": 1, "weights": ["1/0", "1"]},
+        {"n": 1, "amplitudes": [{"re": 1e308, "im": 1e308}, {"re": 0, "im": 0}]},
+        {"n": 1, "weights": [math.nan, 1.0]},
+    ], ids=["zero-denominator", "amplitude-overflow", "nan-weight"])
+    @pytest.mark.parametrize("argv", [["solve"], ["solve", "--mode", "float"],
+                                      ["primal-candidate", "--family", "hamming"]],
+                             ids=["solve", "solve-float", "candidate"])
+    def test_malformed_number_refused(self, tmp_path, capsys, data, argv):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main([argv[0], "--profile", str(path), *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
 
     def test_dump_model(self, tmp_path, capsys, profile_file):
         dump = tmp_path / "model.txt"
@@ -822,6 +858,7 @@ CORPUS = {
     "candidate-r4-cohamming": "primal-candidate --profile {r4} --family cohamming",
     "candidate-r4-spike": "primal-candidate --profile {r4} --family spike",
     "candidate-r2-table": "primal-candidate --profile {r2} --family spike --format table",
+    "candidate-f3-hamming": "primal-candidate --profile {f3} --family hamming",
     "povm-r1": "povm --profile {r1} " + REAL,
     "povm-r3-tau1": "povm --profile {r3} --cost threshold --tau 1 " + REAL,
     "povm-ph3-float": "povm --profile {ph3} --mode float",

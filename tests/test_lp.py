@@ -1442,7 +1442,7 @@ class TestLazyLambda:
         self._run_counting_builds(tmp_path, capsys, monkeypatch, p, argv, False)
 
     def test_candidate_slackness_builds_lambda(self, tmp_path, capsys, monkeypatch):
-        # a nonnegative candidate goes through complementary_slackness
+        # the candidate's report lists lambda; its slackness audit reads mu
         p = profile(3, ["1/8"] * 8)
         self._run_counting_builds(tmp_path, capsys, monkeypatch, p,
                                   ["primal-candidate", "--family", "hamming"], True)
@@ -1453,18 +1453,34 @@ class TestLazyLambda:
 
         path = tmp_path / "p.json"
         path.write_text(json.dumps(p.to_json_dict()))
-        builds = []
-        real = PrimalSolution.lam
-
-        def counted(self):
-            if self._lam is None:
-                builds.append(self)
-            return real.fget(self)
-
-        monkeypatch.setattr(PrimalSolution, "lam", property(counted))
+        builds = count_lambda_builds(monkeypatch)
         assert main([argv[0], "--profile", str(path), *argv[1:]]) == 0
         capsys.readouterr()
         assert bool(builds) is reads
+
+
+def count_lambda_builds(monkeypatch, items=False):
+    """The list each build of `PrimalSolution.lam` appends its solution to,
+    and each call of `lam_items` too when `items` is set."""
+    builds = []
+    real = PrimalSolution.__dict__["lam"].func
+
+    def counted(self):
+        builds.append(self)
+        return real(self)
+
+    lam = functools.cached_property(counted)
+    lam.__set_name__(PrimalSolution, "lam")
+    monkeypatch.setattr(PrimalSolution, "lam", lam)
+    if items:
+        real_items = PrimalSolution.lam_items
+
+        def counted_items(self, cosets):
+            builds.append(self)
+            return real_items(self, cosets)
+
+        monkeypatch.setattr(PrimalSolution, "lam_items", counted_items)
+    return builds
 
 
 def generic_dual_audit(sol, cost, tol=None):
@@ -1492,6 +1508,56 @@ def generic_dual_audit(sol, cost, tol=None):
                                    "violation": float(-slack)})
                 max_v = max(max_v, -slack)
     return not violations, violations, max_v, checked, slacks
+
+
+def generic_lam(sol):
+    """PrimalSolution.lam as the primal audits built it: mu / w_i on each
+    member, and ((code, s), mu + 1) alone for a coset whose first member
+    weighs zero."""
+    w, lam = sol.weights, {}
+    for (code, s), v in sol.mu.items():
+        members = code.cosets.members_of(s)
+        if not w[members[0]]:
+            lam[(code, s)] = v + 1
+            continue
+        for i in members:
+            lam[(code, i)] = v / w[i]
+    return lam
+
+
+def generic_primal_audit(sol, profile, tol=None):
+    """check_primal_feasible as it was: the whole lambda dict, each index's
+    sum of lambda in the arithmetic of mu.  Returns (feasible, totals)."""
+    lam = generic_lam(sol)
+    if tol is None:
+        rational = all(isinstance(v, Rational) for v in chain(profile.weights, lam.values()))
+        tol = 0 if rational else 1e-9
+    totals = [0] * (1 << sol.n)
+    for (_, i), v in lam.items():
+        totals[i] += v
+    feasible = (all(v >= -tol for v in lam.values())
+                and all(abs(totals[i] - 1) <= tol for i in profile.support))
+    return feasible, totals
+
+
+def generic_slackness(primal, dual, profile, cost):
+    """complementary_slackness as it was, in the arithmetic of the operands:
+    (certified, primal feasible, dual feasible, largest index product,
+    largest coset product)."""
+    rational = all(isinstance(v, Rational)
+                   for v in chain(profile.weights, generic_lam(primal).values(), dual.b))
+    tol = 0 if rational else 1e-9
+    p_ok, totals = generic_primal_audit(primal, profile, tol)
+    d_ok = generic_dual_audit(dual, cost, tol)[0]
+    b = dual.b
+    index = [abs((total - 1) * b_i) for total, b_i in zip(totals, b)]
+    coset = [abs(v * (sum(b[i] for i in code.cosets.members_of(s))
+                      - cost.value(code.k) * (1 << code.k)))
+             for (code, s), v in primal.mu.items() if v]
+    p_obj = sum(cost.value(code.k) * (1 << code.k) * v for (code, _), v in primal.mu.items())
+    certified = (p_ok and d_ok and all(x <= tol for x in index + coset)
+                 and abs(p_obj - dual.evaluate(profile)) <= tol)
+    return certified, p_ok, d_ok, max(index), max(coset, default=0)
 
 
 def _audit_duals():
@@ -1633,6 +1699,197 @@ class TestFloatDualAudit:
     def test_infinite_tolerance_refused(self):
         with pytest.raises(ValueError):
             check_dual_feasible(DualSolution(2, (8,) * 4), CostFunction.average(2), math.inf)
+
+
+def off_points(sol):
+    """sol, then sol with every mu doubled and with the mu of its first
+    carried coset negated: two points the audits must refuse."""
+    doubled = {key: 2 * v for key, v in sol.mu.items()}
+    negated = dict(sol.mu)
+    key, v = sol.carried[0]
+    negated[key] = -v
+    return [sol] + [PrimalSolution(sol.n, mu, sol.objective, sol.weights)
+                    for mu in (doubled, negated)]
+
+
+def rational_bernoulli(n, q):
+    """Weights q^|i| (1 - q)^(n - |i|): a Bernoulli profile, rational for a
+    rational q, inside the hamming candidate's nonnegative regime."""
+    from paritylp.f2lin import hamming_weight
+
+    return profile(n, [q ** hamming_weight(i) * (1 - q) ** (n - hamming_weight(i))
+                       for i in all_vectors(n)])
+
+
+def zero_set_counterexample():
+    """(0, 1/2, 1/4, 1/4) with mu = 1/4 on coset s=0 of H[10], the indices
+    {0, 1}, and the bottom code on the rest: index 1 sums lambda to 3/2."""
+    p = profile(2, [0, Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)])
+    code = next(c for c in enumerate_codes(2, 1) if c.label() == "H[10]")
+    bottom = ParityCode.bottom(2)
+    mu = {(code, 0): Fraction(1, 4), (bottom, 0): Fraction(0),
+          (bottom, 1): Fraction(1, 2), (bottom, 2): Fraction(1, 4), (bottom, 3): Fraction(1, 4)}
+    return PrimalSolution(2, mu, Fraction(5, 4), p.weights), p
+
+
+class TestExactPrimalAudit:
+    """The primal audits read mu alone, decide on exact rationals, and give
+    the verdicts of the lambda walk (`generic_primal_audit`) on every point
+    below but the zero-set counterexample, which the walk passes."""
+
+    @staticmethod
+    def assert_verdicts_match(sol, dual, p, cost, tol=None):
+        """The verdicts of both audits, and on rational operands the largest
+        products too, against the lambda walk's."""
+        assert check_primal_feasible(sol, p, tol).feasible == \
+            generic_primal_audit(sol, p, tol)[0]
+        report = complementary_slackness(sol, dual, p, cost)
+        *verdicts, max_index, max_coset = generic_slackness(sol, dual, p, cost)
+        assert [report.certified, report.primal_feasible, report.dual_feasible] == verdicts
+        if all(isinstance(v, Rational) for v in chain(p.weights, sol.mu.values(), dual.b)):
+            assert (report.max_index_product, report.max_coset_product) == (max_index, max_coset)
+        return report.certified
+
+    @pytest.mark.parametrize("p", [p for _, p in _lambda_profiles()],
+                             ids=[name for name, _ in _lambda_profiles()])
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_solves_match_lambda_walk(self, p, mode):
+        for cost in (CostFunction.average(p.n), CostFunction.threshold(p.n, 1)):
+            primal, dual, _ = solve_pair(p, cost, mode)
+            # feasible, but short of optimal wherever the optimum is below 2^n max C
+            loose = DualSolution(p.n, (max(cost.values) * (1 << p.n),) * (1 << p.n))
+            verdicts = [self.assert_verdicts_match(sol, d, p, cost)
+                        for sol in off_points(primal) for d in (dual, loose)]
+            assert verdicts[0] and verdicts[2:] == [False] * 4
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_candidates_match_lambda_walk(self, n):
+        from paritylp.bounds import AVERAGE_FAMILIES, paired_dual, primal_candidate
+
+        rng = random.Random(f"primal-audit/candidate/{n}")
+        rational = rand_rational_profile(n, rng)
+        profiles = [rational, profile(n, [float(w) for w in rational.weights]),
+                    bernoulli_profile(n, 0.1), rational_bernoulli(n, Fraction(1, 5))]
+        cost = CostFunction.average(n)
+        signs = set()
+        for p in profiles:
+            for family in AVERAGE_FAMILIES:
+                cand = primal_candidate(family, p)
+                signs.add(cand.nonnegative)
+                for sol in off_points(cand):
+                    self.assert_verdicts_match(sol, paired_dual(family, n), p, cost)
+        assert signs == {True, False}
+
+    @pytest.mark.parametrize("index", range(6))
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_powered_rationals_match_lambda_walk(self, index, mode):
+        p = powered_profile(index)
+        for cost in (CostFunction.average(4), CostFunction.threshold(4, 2)):
+            primal, dual, _ = solve_pair(p, cost, mode)
+            for sol in off_points(primal):
+                self.assert_verdicts_match(sol, dual, p, cost)
+
+    def test_tiny_weights_match_lambda_walk(self):
+        rng = random.Random("primal-audit/tiny")
+        verdicts = []
+        for trial in range(12):
+            n = 3 + trial % 3
+            p = _tiny_weight_profile(n, rng)
+            cost = rng.choice([CostFunction.average(n), CostFunction.threshold(n, 2)])
+            primal, dual, _ = solve_pair(p, cost, "float")
+            for sol in off_points(primal):
+                for tol in (1e-12, 1e-6):
+                    assert check_primal_feasible(sol, p, tol).feasible == \
+                        generic_primal_audit(sol, p, tol)[0]
+                verdicts.append(self.assert_verdicts_match(sol, dual, p, cost))
+        # the solved points pass on some profiles and fail on tiny-weight rows on others
+        assert any(verdicts[::3]) and not all(verdicts[::3])
+
+    def test_zero_set_mass_refused(self):
+        sol, p = zero_set_counterexample()
+        report = check_primal_feasible(sol, p)
+        assert not report.feasible
+        assert [v["constraint"] for v in report.violations] == [
+            "mu[H[10],s=0] = 0 on the zero set", "sum_codes lambda[10] = 1"]
+        assert report.max_violation == Fraction(1, 2)
+        # the lambda walk keys lambda = mu + 1 by the syndrome and passes it
+        assert generic_primal_audit(sol, p)[0]
+
+    @pytest.mark.parametrize("case, refused", [
+        # mu = -10^-13 is lambda = -1/10 on the bottom code at index 0
+        ("negative", ["mu[bottom,s=0] >= 0"]),
+        # the mu holding index 0 sum to w_0 + 10^-13, so lambda sums to 11/10
+        ("normalization", ["sum_codes lambda[0] = 1"]),
+        ("feasible", []),
+    ], ids=["negative", "normalization", "feasible"])
+    def test_tolerance_in_lambda_units(self, case, refused):
+        # a tolerance of 10^-9 bounds lambda = mu / w, not mu: at an index
+        # of weight 10^-12, a mu off by 10^-13 puts lambda off by 1/10
+        w0, d = Fraction(1, 10**12), Fraction(1, 10**13)
+        p = profile(1, [w0, 1 - w0])
+        bottom, top = ParityCode.bottom(1), enumerate_codes(1, 1)[0]
+        # mu on {0} and {1} of the bottom code and on {0, 1} of the top one
+        m0, m01, m1 = {"negative": (-d, w0 + d, 1 - 2 * w0 - d),
+                       "normalization": (w0, d, 1 - w0 - d),
+                       "feasible": (w0, 0, 1 - w0)}[case]
+        mu = {(bottom, 0): m0, (bottom, 1): m1, (top, 0): m01}
+        sol = PrimalSolution(1, mu, 0, p.weights)
+        report = check_primal_feasible(sol, p, Fraction(1, 10**9))
+        assert [v["constraint"] for v in report.violations] == refused
+        assert generic_primal_audit(sol, p, Fraction(1, 10**9))[0] == (not refused)
+
+    def test_lambda_keyed_by_members(self):
+        sol, p = zero_set_counterexample()
+        code, bottom = next(iter(sol.mu))[0], ParityCode.bottom(2)
+        assert sol.lam == {(code, 0): Fraction(1, 4), (code, 1): Fraction(1, 2),
+                           (bottom, 0): Fraction(1), (bottom, 1): Fraction(1),
+                           (bottom, 2): Fraction(1), (bottom, 3): Fraction(1)}
+
+    def test_negative_candidate_names_its_cosets(self):
+        from paritylp.bounds import primal_candidate
+
+        p = profile(2, ["1/20", "3/20", "3/10", "1/2"])
+        cand = primal_candidate("spike", p)
+        report = check_primal_feasible(cand, p)
+        assert not cand.nonnegative and not report.feasible
+        assert {v["constraint"] for v in report.violations} == {
+            f"mu[{code.label()},s={s}] >= 0" for (code, s), v in cand.mu.items() if v < 0}
+
+    def test_audits_never_build_lambda(self, monkeypatch, tmp_path, capsys):
+        from dataclasses import fields
+
+        from paritylp.bounds import paired_dual, primal_candidate
+        from paritylp.cli import main
+
+        assert [f.name for f in fields(PrimalSolution)] == ["n", "mu", "objective", "weights"]
+        builds = count_lambda_builds(monkeypatch, items=True)
+        p = rand_rational_profile(3, random.Random("primal-audit/lambda"))
+        for mode in ("exact", "float"):
+            primal, dual, _ = solve_pair(p, CostFunction.average(3), mode)
+            check_primal_feasible(primal, p)
+            assert complementary_slackness(primal, dual, p, CostFunction.average(3)).certified
+        q = rational_bernoulli(3, Fraction(1, 5))
+        cand = primal_candidate("hamming", q)
+        check_primal_feasible(cand, q)
+        assert complementary_slackness(cand, paired_dual("hamming", 3), q,
+                                       CostFunction.average(3)).certified
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(bernoulli_profile(3, 0.2).to_json_dict()))
+        assert main(["solve", "--profile", str(path), "--mode", "float"]) == 0
+        assert json.loads(capsys.readouterr().out)["audits"]["primal_feasible"]
+        assert builds == []
+
+    def test_n6_refused_before_any_work(self):
+        p = profile(6, [Fraction(1, 64)] * 64)
+        bottom = ParityCode.bottom(6)
+        sol = PrimalSolution(6, {(bottom, i): w for i, w in enumerate(p.weights)},
+                             Fraction(0), p.weights)
+        with pytest.raises(BudgetError, match="capped at n <= 5"):
+            check_primal_feasible(sol, p)
+        with pytest.raises(BudgetError, match="capped at n <= 5"):
+            complementary_slackness(sol, DualSolution(6, (Fraction(1),) * 64), p,
+                                    CostFunction.average(6))
+        assert "carried" not in vars(sol)
 
 
 def loop_short_cosets(b, cost, tol):

@@ -501,7 +501,7 @@ class TestBuildFromPrimal:
             sols.append(PrimalSolution(n, mu, sol.objective / 2, p.weights))
         for sol in sols:
             assert_same_sets(build_from_primal(sol, p), build_from_primal_loops(sol, p))
-            assert sol._lam is None
+            assert "lam" not in vars(sol)
 
     def test_threshold_cost_solution(self):
         rng = random.Random(9)

@@ -1,6 +1,7 @@
 """Profiles: construction, validation, Bernoulli family, perturbation."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -102,6 +103,31 @@ class TestAmplitudeProfile:
         assert len(calls) == 1 and calls[0] is p
         assert (p.amplitudes is None) == ("amplitudes" not in data)
 
+    def test_zero_denominator_refused(self):
+        with pytest.raises(ProfileError, match="zero denominator"):
+            AmplitudeProfile.from_json_dict({"n": 1, "weights": ["1/0", "1"]})
+
+    @pytest.mark.parametrize("data", [
+        {"n": 1, "amplitudes": [{"re": 1e308, "im": 1e308}, {"re": 0, "im": 0}]},
+        {"n": 1, "weights": [1.0, 0.0], "amplitudes": [{"re": 1e308, "im": 1e308}, {"re": 0}]},
+    ], ids=["amplitudes", "beside-weights"])
+    def test_amplitude_square_overflow_refused(self, data):
+        with pytest.raises(ProfileError, match="overflows"):
+            AmplitudeProfile.from_json_dict(data)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_refused(self, bad):
+        # NaN fails the sum check's comparison, so only the finiteness
+        # check stands between it and a solve
+        with pytest.raises(ProfileError, match="finite"):
+            AmplitudeProfile.from_weights(1, [bad, 1.0])
+        with pytest.raises(ProfileError, match="finite"):
+            AmplitudeProfile.from_json_dict({"n": 1, "amplitudes": [{"re": bad}, {"re": 1.0}]})
+
+    def test_nan_amplitude_beside_weights_refused(self):
+        with pytest.raises(ProfileError, match="inconsistent"):
+            AmplitudeProfile(1, (1.0, 0.0), (complex(math.nan, 0), 0j))
+
     def test_zero_set(self):
         p = AmplitudeProfile.from_weights(2, ["1/2", "0", "1/2", "0"])
         assert p.zero_set == (1, 3)
@@ -126,6 +152,16 @@ class TestCostFunction:
         for bad in (-1, math.inf, math.nan):
             with pytest.raises(ValueError):
                 CostFunction.custom(1, [0, bad])
+
+    @pytest.mark.parametrize("values", [
+        [Fraction(10) ** 400, 1, 2],
+        # cost(2) 2^2 passes the largest binary64, though cost(2) does not
+        [0, 1, Fraction(sys.float_info.max) / 2],
+    ], ids=["1e400", "rank-value"])
+    def test_rank_value_past_binary64_refused(self, values):
+        with pytest.raises(ValueError, match="finite binary64"):
+            CostFunction.custom(2, values)
+        assert CostFunction.custom(2, [0, 1, Fraction(sys.float_info.max) / 4])
 
     def test_json(self):
         c = CostFunction.from_json_dict(2, {"kind": "threshold", "tau": 2})

@@ -168,7 +168,7 @@ def assert_routes_match_walks(sol, p, x, seed):
     if p.full_support:
         assert outcome(statevector_check, sol, p, x) == \
             outcome(walk_statevector_check, sol, p, x)
-    assert sol._lam is None
+    assert "lam" not in vars(sol)
 
 
 def _lp_cases():

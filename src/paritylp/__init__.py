@@ -31,7 +31,6 @@ from .errors import (
     ToolkitError,
 )
 from .f2lin import (
-    CosetPartition,
     F2Matrix,
     ParityCode,
     char_sum,

@@ -195,11 +195,10 @@ def primal_candidate(family: str, profile: AmplitudeProfile) -> PrimalCandidate:
             for code in codes_of_rank(n, k):
                 if not all(hamming_weight(row) == 1 for row in code.H.rows):
                     continue  # not an identity-row matrix
-                cos = code.cosets
+                # cohamming reads the lightest leaders, hamming the heaviest
+                leaders = code.leaders[0 if family == "cohamming" else 1].tolist()
                 total = 0
-                for s in range(cos.n_syndromes):
-                    leader = (cos.leader_min(s) if family == "cohamming"
-                              else cos.leader_max(s))
+                for s, leader in enumerate(leaders):
                     term = weight[leader]
                     total = total - term if hamming_weight(s) & 1 else total + term
                 if family == "cohamming" and (n - k) & 1:
@@ -212,9 +211,8 @@ def primal_candidate(family: str, profile: AmplitudeProfile) -> PrimalCandidate:
         mu[(codes_of_rank(n, n)[0], 0)] = weight[0]
         objective = objective + n * (1 << n) * weight[0]
         for code in codes_of_rank(n, n - 1):
-            cos = code.cosets
-            w1 = sum(weight[i] for i in cos.members_of(1))
-            w0s = sum(weight[i] for i in cos.members_of(0))
+            w1 = sum(weight[i] for i in code.cosets[1].tolist())
+            w0s = sum(weight[i] for i in code.cosets[0].tolist())
             value = (w1 - w0s) / (1 << (n - 1))
             mu[(code, 1)] = value
             objective = objective + (n - 1) * (1 << (n - 1)) * value

@@ -42,6 +42,10 @@ def _load_profile(path: str) -> AmplitudeProfile:
 
 
 def _cost_from_args(n: int, args) -> CostFunction:
+    if args.tau is not None and args.cost != "threshold":
+        raise ToolkitError("--tau is read only with --cost threshold")
+    if args.cost_values is not None and args.cost != "custom":
+        raise ToolkitError("--cost-values is read only with --cost custom")
     if args.cost == "average":
         return CostFunction.average(n)
     if args.cost == "threshold":
@@ -256,7 +260,16 @@ def cmd_solve(args) -> tuple[dict, str]:
     return report, _table(rows, ("quantity", "value"))
 
 
+# The verify families that read each family option.
+_FAMILY_OPTIONS = {"d": ("threshold-ball",), "gamma": ("threshold-ball",),
+                   "tau": ("threshold-ball", "threshold-set"), "set": ("threshold-set",)}
+
+
 def _family_dual(args, profile: AmplitudeProfile) -> tuple[lp.DualSolution, CostFunction]:
+    unread = [f"--{name}" for name, readers in _FAMILY_OPTIONS.items()
+              if getattr(args, name) is not None and args.family not in readers]
+    if unread:
+        raise ToolkitError(f"family {args.family} does not read {', '.join(unread)}")
     n = profile.n
     if args.family in bounds.AVERAGE_FAMILIES:
         return bounds.paired_dual(args.family, n), CostFunction.average(n)
@@ -392,6 +405,8 @@ def cmd_simulate(args) -> tuple[dict, str]:
 
 
 def cmd_slpn(args) -> tuple[dict, str]:
+    if (args.d is None) != (args.gamma is None):
+        raise ToolkitError("slpn reads --d and --gamma together")
     # Before the profile: it holds 2^n weights.
     lp.check_budget(args.n)
     profile = bernoulli_profile(args.n, args.t)
@@ -401,7 +416,7 @@ def cmd_slpn(args) -> tuple[dict, str]:
     rho_av = float(p_report.objective)
     hamming_bound = 2 * args.n * params.t_perp
     threshold_part = None
-    if args.d is not None and args.gamma is not None:
+    if args.d is not None:
         ball_sol = bounds.dual_threshold_ball(args.n, args.d, args.gamma)
         tau = ball_sol.params["tau"]
         _, t_report = lp.solve_primal(
@@ -463,16 +478,15 @@ def cmd_enumerate(args) -> tuple[dict, str]:
             len(codes) == gaussian_binomial(args.n, k)
         )
         for code in codes:
-            cos = code.cosets
             codes_out.append({
                 "k": k,
                 "H": code.H.to_strings(),
                 "G": code.G.to_strings(),
                 "coset_leaders": [
                     {"syndrome": vec_str(s, args.n - k),
-                     "min": vec_str(cos.leader_min(s), args.n),
-                     "max": vec_str(cos.leader_max(s), args.n)}
-                    for s in range(cos.n_syndromes)
+                     "min": vec_str(lightest, args.n),
+                     "max": vec_str(heaviest, args.n)}
+                    for s, (lightest, heaviest) in enumerate(code.leaders.T.tolist())
                 ],
             })
     report = {"codes": codes_out, "audits": audits}

@@ -4,8 +4,9 @@ A vector of F_2^n is a plain int: coordinate x_j lives in bit (j - 1), so
 coordinate 1 is the least-significant bit.  ``vec_str`` renders coordinates
 left to right (x_1 x_2 ... x_n).  Matrices are immutable tuples of row ints
 with an explicit column count.  Everything here is pure and hashable, so
-values double as dictionary keys throughout the package; the one exception
-is the coset table of each n, which holds read-only integer arrays.
+values double as dictionary keys throughout the package; the exception is
+the cosets, which a code and the coset table of each n hold as read-only
+integer arrays.
 """
 
 from __future__ import annotations
@@ -182,32 +183,6 @@ def gaussian_binomial(n: int, k: int) -> int:
     return num // den
 
 
-@dataclass(frozen=True)
-class CosetPartition:
-    """The 2^(n-k) dual cosets of a code, indexed by syndrome.
-
-    ``members[s]`` lists the coset sorted ascending; leaders break weight
-    ties by smallest integer encoding.
-    """
-
-    members: tuple[tuple[int, ...], ...]
-    leaders_min: tuple[int, ...]
-    leaders_max: tuple[int, ...]
-
-    @property
-    def n_syndromes(self) -> int:
-        return len(self.members)
-
-    def members_of(self, s: int) -> tuple[int, ...]:
-        return self.members[s]
-
-    def leader_min(self, s: int) -> int:
-        return self.leaders_min[s]
-
-    def leader_max(self, s: int) -> int:
-        return self.leaders_max[s]
-
-
 @dataclass(frozen=True, order=True)
 class ParityCode:
     """A canonical full-rank k x n parity matrix with its dual-coset data.
@@ -253,8 +228,20 @@ class ParityCode:
         return kernel_generator(self.H)
 
     @cached_property
-    def cosets(self) -> CosetPartition:
+    def cosets(self) -> np.ndarray:
+        """Row s: the coset of syndrome s, ascending (`dual_cosets`)."""
         return dual_cosets(self)
+
+    @cached_property
+    def leaders(self) -> np.ndarray:
+        """Read-only (2, 2^(n-k)): row 0 holds the lightest member of each
+        coset, row 1 the heaviest.  The first argmin (argmax) over the
+        ascending members breaks weight ties by the smallest encoding."""
+        weight = _bit_counts(self.n)[self.cosets]
+        picks = np.stack([weight.argmin(1), weight.argmax(1)])
+        leaders = self.cosets[np.arange(len(weight)), picks]
+        leaders.flags.writeable = False
+        return leaders
 
     def parity(self, x: int) -> int:
         """The measured information y = H.x."""
@@ -276,20 +263,15 @@ def by_code(item) -> tuple:
     return code.sort_key, j
 
 
-def dual_cosets(code: ParityCode) -> CosetPartition:
-    """Partition F_2^n into the fibers of x -> G.x and pick both leaders.
-
-    Runs the coset table's routine on this code alone, so a single code at
-    n = 7 or 8 never builds the table of its n.
+def dual_cosets(code: ParityCode) -> np.ndarray:
+    """The read-only (2^(n-k), 2^k) array whose row s is the coset
+    {x : G.x = s}, ascending: `coset_table(n).members[k][c]` for the code's
+    position c.  Runs the table's routine on this code alone, so a single
+    code at n = 7 or 8 never builds the table of its n.
     """
     members = _coset_members(_syndromes(code.n, code.k, [code]), code.k)[0]
-    weight = _bit_counts(code.n)[members]
-    # The first argmin (argmax) over ascending members breaks weight ties
-    # by the smallest integer encoding.
-    lead_min = np.take_along_axis(members, weight.argmin(-1)[:, None], -1)[:, 0]
-    lead_max = np.take_along_axis(members, weight.argmax(-1)[:, None], -1)[:, 0]
-    return CosetPartition(tuple(map(tuple, members.tolist())),
-                          tuple(lead_min.tolist()), tuple(lead_max.tolist()))
+    members.flags.writeable = False
+    return members
 
 
 @cache

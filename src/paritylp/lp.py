@@ -257,7 +257,7 @@ class PrimalSolution:
         code, where a feasible point has mu = 0."""
         w = self.weights
         for (code, s), v in cosets:
-            for i in code.cosets.members_of(s):
+            for i in code.cosets[s].tolist():
                 if w[i]:
                     yield (code, i), v / w[i]
                 else:
@@ -402,7 +402,7 @@ def _primal_audit(sol: PrimalSolution, profile: AmplitudeProfile,
     w = [_exact(v) for v in profile.weights]
     sums, found = [0] * len(w), []
     for (code, s), v in sol.carried:
-        members = code.cosets.members_of(s)
+        members = code.cosets[s].tolist()
         v = _exact(v)
         for i in members:
             sums[i] += v
@@ -549,7 +549,7 @@ def complementary_slackness(primal: PrimalSolution, dual: DualSolution,
     # A coset with mu = 0 adds 0 to the objective and has product 0 whatever
     # its slack, so only the carried cosets are summed, in mu's order.
     coset = [(f"coset {code.label()},s={s}",
-              _exact(v) * (sum(map(b.__getitem__, code.cosets.members_of(s)))
+              _exact(v) * (sum(map(b.__getitem__, code.cosets[s].tolist()))
                            - _rank_value(cost, code.k)))
              for (code, s), v in primal.carried]
     violations = [{"product": name, "value": float(product)}

@@ -71,7 +71,7 @@ def _coset_fourier(profile: AmplitudeProfile, code: ParityCode) -> tuple[np.ndar
             "coset states need full dual support; apply perturb_full_support"
         )
     span = np.array([code.H.transpose_mul(u) for u in range(1 << code.k)])
-    idx = np.array(code.cosets.leaders_min)[:, None] ^ span
+    idx = code.leaders[0][:, None] ^ span
     return idx, 1.0 / np.conj(amps[idx])
 
 
@@ -220,7 +220,7 @@ def rho_eval(povm: PovmSet, profile: AmplitudeProfile, cost: CostFunction) -> fl
     return total / (1 << povm.n)
 
 
-def symmetrize(povm: PovmSet, *, check_input: bool = True) -> PovmSet:
+def symmetrize(povm: PovmSet) -> PovmSet:
     """Average over shifts, landing in the shift-covariant class.
 
     F_bar[(code, y)] = 2^-n sum_a X_a F[(code, y + H.a)] X_a, with a missing
@@ -229,10 +229,14 @@ def symmetrize(povm: PovmSet, *, check_input: bool = True) -> PovmSet:
     completeness, unambiguity) is required and the output rescores
     identically under the expectation form.
     """
-    if check_input:
-        report = verify_povm(povm, povm.profile, check_symmetry=False)
-        if not report.gamma_ok:
-            raise ValueError("input fails the measurement-validity checks")
+    report = verify_povm(povm, povm.profile, check_symmetry=False)
+    if not report.gamma_ok:
+        raise ValueError("input fails the measurement-validity checks")
+    return _shift_average(povm)
+
+
+def _shift_average(povm: PovmSet) -> PovmSet:
+    """The shift average of `symmetrize`, on any input, valid or not."""
     n = povm.n
     idx = np.arange(1 << n)
     elements = {}
@@ -343,6 +347,6 @@ def fourier_diag_check(povm: PovmSet) -> FourierDiagReport:
         factor = max(factor, float(np.max(np.abs(
             np.real(np.diag(agg_hat)) - (1 << code.k) * hat_diag
         ))))
-        by_coset = (weights * hat_diag)[:, np.array(code.cosets.members)]
+        by_coset = (weights * hat_diag)[:, code.cosets]
         spread = max(spread, float(np.max(by_coset.max(axis=2) - by_coset.min(axis=2))))
     return FourierDiagReport(offdiag, factor, spread)

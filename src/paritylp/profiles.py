@@ -209,13 +209,28 @@ class CostFunction:
 
     @classmethod
     def from_json_dict(cls, n: int, data: dict) -> CostFunction:
+        """The cost of a {"kind": ...} object: "average" (the default),
+        "threshold" with an integer "tau", or "custom" with "values" a list
+        of numbers or fraction strings.  Anything else raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError("cost JSON must be an object")
         kind = data.get("kind", "average")
         if kind == "average":
             return cls.average(n)
         if kind == "threshold":
-            return cls.threshold(n, int(data["tau"]))
+            tau = data.get("tau")
+            if isinstance(tau, bool) or not isinstance(tau, int):
+                raise ValueError("threshold cost JSON needs an integer 'tau'")
+            return cls.threshold(n, tau)
         if kind == "custom":
-            return cls.custom(n, [Fraction(str(v)) for v in data["values"]])
+            values = data.get("values")
+            if not (isinstance(values, list)
+                    and all(isinstance(v, str) or _is_number(v) for v in values)):
+                raise ValueError("'values' must be a list of numbers or fraction strings")
+            try:
+                return cls.custom(n, [Fraction(str(v)) for v in values])
+            except ZeroDivisionError:
+                raise ValueError(f"cost values {values!r} divide by zero") from None
         raise ValueError(f"unknown cost kind {kind!r}")
 
 
@@ -262,18 +277,10 @@ def perturb_full_support(p: AmplitudeProfile, delta) -> AmplitudeProfile:
     if not zero:
         return p
     t_size = len(zero)
-    if p.rational and isinstance(delta, Rational):
-        one_minus = Fraction(1) - Fraction(delta)
-        fill = Fraction(delta) / t_size
-        new_weights = tuple(
-            fill if w == 0 else one_minus * w for w in p.weights
-        )
-    else:
-        one_minus = 1.0 - float(delta)
-        fill = float(delta) / t_size
-        new_weights = tuple(
-            fill if w == 0 else one_minus * float(w) for w in p.weights
-        )
+    num = Fraction if p.rational and isinstance(delta, Rational) else float
+    one_minus = 1 - num(delta)
+    fill = num(delta) / t_size
+    new_weights = tuple(fill if w == 0 else one_minus * num(w) for w in p.weights)
     new_amps = None
     if p.amplitudes is not None:
         scale = math.sqrt(1.0 - float(delta))
@@ -285,25 +292,19 @@ def perturb_full_support(p: AmplitudeProfile, delta) -> AmplitudeProfile:
     return AmplitudeProfile(p.n, new_weights, new_amps)
 
 
+def _sum(p: AmplitudeProfile, terms):
+    """A sum in the profile's number type: exact `Fraction` for a rational
+    profile, the correctly rounded `math.fsum` for a binary64 one."""
+    return sum(terms, Fraction(0)) if p.rational else math.fsum(terms)
+
+
 def average_dual_weight(p: AmplitudeProfile):
     """Mean Hamming weight of the dual distribution, sum |i| w_i."""
-    if p.rational:
-        return sum(
-            (hamming_weight(i) * p.weights[i] for i in all_vectors(p.n)),
-            Fraction(0),
-        )
-    return math.fsum(hamming_weight(i) * p.weights[i] for i in all_vectors(p.n))
+    return _sum(p, (hamming_weight(i) * p.weights[i] for i in all_vectors(p.n)))
 
 
 def tail_mass(p: AmplitudeProfile, d: int):
     """Total weight on indices of Hamming weight > d."""
     if not 0 <= d <= p.n:
         raise ValueError("need 0 <= d <= n")
-    if p.rational:
-        return sum(
-            (p.weights[i] for i in all_vectors(p.n) if hamming_weight(i) > d),
-            Fraction(0),
-        )
-    return math.fsum(
-        p.weights[i] for i in all_vectors(p.n) if hamming_weight(i) > d
-    )
+    return _sum(p, (p.weights[i] for i in all_vectors(p.n) if hamming_weight(i) > d))

@@ -146,7 +146,7 @@ def statevector_check(sol: PrimalSolution, profile: AmplitudeProfile,
     probs: dict = {}
     for (code, s), v in sol.carried:
         y = code.parity(x)
-        v_s = code.cosets.leader_min(s)
+        v_s = int(code.leaders[0, s])
         amp = math.sqrt((1 << code.k) * float(v))
         if dot(x, v_s):
             amp = -amp

@@ -116,7 +116,7 @@ class TestAverageDualFamilies:
         for (code, s), slack in slacks.items():
             if code.k != 1:
                 continue
-            members = code.cosets.members_of(s)
+            members = code.cosets[s].tolist()
             total = slack + 2
             assert total == (6 if 0 in members else 2)
 
@@ -244,8 +244,8 @@ class TestAffineBallGeometry:
         for k in range(n + 1):
             for code in enumerate_codes(n, k):
                 cos = code.cosets
-                for s in range(cos.n_syndromes):
-                    members = cos.members_of(s)
+                for s in range(len(cos)):
+                    members = cos[s].tolist()
                     for d in range(n + 1):
                         inside = sum(
                             1 for v in members if hamming_weight(v) <= d
@@ -259,8 +259,8 @@ class TestAffineBallGeometry:
         # sum over a coset of 2|i| is at least k 2^k
         for code in enumerate_all_codes(n):
             cos = code.cosets
-            for s in range(cos.n_syndromes):
-                total = sum(2 * hamming_weight(i) for i in cos.members_of(s))
+            for s in range(len(cos)):
+                total = sum(2 * hamming_weight(i) for i in cos[s].tolist())
                 assert total >= code.k * (1 << code.k)
 
 
@@ -272,7 +272,7 @@ def place_lambda(family, p):
     lam, objective = {}, 0
 
     def place(code, s_target, value):
-        for i in code.cosets.members_of(s_target):
+        for i in code.cosets[s_target].tolist():
             lam[(code, i)] = value / weight[i]
 
     if family in ("hamming", "cohamming"):
@@ -281,9 +281,9 @@ def place_lambda(family, p):
                 code = ParityCode.from_matrix(mat)
                 cos = code.cosets
                 total = 0
-                for s in range(cos.n_syndromes):
-                    leader = (cos.leader_min(s) if family == "cohamming"
-                              else cos.leader_max(s))
+                for s in range(len(cos)):
+                    leader = (int(code.leaders[0, s]) if family == "cohamming"
+                              else int(code.leaders[1, s]))
                     term = weight[leader]
                     total = total - term if hamming_weight(s) & 1 else total + term
                 if family == "cohamming" and (n - k) & 1:
@@ -297,8 +297,8 @@ def place_lambda(family, p):
         objective = objective + n * (1 << n) * weight[0]
         for code in codes_of_rank(n, n - 1):
             cos = code.cosets
-            w1 = sum(weight[i] for i in cos.members_of(1))
-            w0s = sum(weight[i] for i in cos.members_of(0))
+            w1 = sum(weight[i] for i in cos[1].tolist())
+            w0s = sum(weight[i] for i in cos[0].tolist())
             value = (w1 - w0s) / (1 << (n - 1))
             place(code, 1, value)
             objective = objective + (n - 1) * (1 << (n - 1)) * value
@@ -451,10 +451,10 @@ class TestCountN:
                     brute = 0
                     for code in mats:
                         cos = code.cosets
-                        if i not in cos.members_of(ones):
+                        if i not in cos[ones].tolist():
                             continue
-                        if any(cos.leader_min(s) == x
-                               for s in range(cos.n_syndromes)):
+                        if any(int(code.leaders[0, s]) == x
+                               for s in range(len(cos))):
                             brute += 1
                     assert count_N(k, i, x, n) == brute, (n, k, i, x)
 
@@ -557,7 +557,7 @@ def walk_threshold_certificate(profile, tau):
     from paritylp.bounds import ThresholdZeroCertificate
 
     n, zero = profile.n, set(profile.zero_set)
-    cosets = [(code, s, code.cosets.members_of(s))
+    cosets = [(code, s, tuple(code.cosets[s].tolist()))
               for code in codes_of_rank(n, tau) for s in range(1 << (n - tau))]
     missed = [c for c in cosets if not zero & set(c[2])]
     if missed:

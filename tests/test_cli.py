@@ -146,6 +146,28 @@ class TestOptionSurface:
         assert f"argument {option}: need a finite tolerance >= 0, not {value!r}" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        ("solve --profile {p} --tau 2", "--tau is read only with --cost threshold"),
+        ("simulate --profile {p} --x 01 --seed 1 --cost custom --cost-values 0,1,2 --tau 1",
+         "--tau is read only with --cost threshold"),
+        ("solve --profile {p} --cost threshold --tau 2 --cost-values 0,1,2",
+         "--cost-values is read only with --cost custom"),
+        ("verify --profile {p} --family spike --tau 2 --d 1",
+         "family spike does not read --d, --tau"),
+        ("verify --profile {p} --family threshold-set --tau 1 --set 10 --gamma 3",
+         "family threshold-set does not read --gamma"),
+        ("slpn --n 2 --t 0.1 --d 1", "slpn reads --d and --gamma together"),
+        ("slpn --n 2 --t 0.1 --gamma 3", "slpn reads --d and --gamma together"),
+        ("verify --profile {p} --family threshold-ball --d 0 --gamma 3 --set 10",
+         "family threshold-ball does not read --set"),
+    ], ids=["tau-average-cost", "tau-custom-cost", "cost-values-threshold-cost",
+            "d-tau-spike", "gamma-threshold-set", "slpn-d-alone", "slpn-gamma-alone",
+            "set-threshold-ball"])
+    def test_option_the_cost_or_family_does_not_read_is_refused(
+            self, capsys, profile_file, argv, message):
+        assert main(argv.format(p=profile_file).split()) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_zero_tolerance_accepted(self):
         args = build_parser().parse_args(["povm", "--profile", "p.json", "--tol-feas", "0",
                                           "--tol-complete", "1e-3", "--tol-unambig", "2"])

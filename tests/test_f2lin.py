@@ -154,34 +154,33 @@ class TestDualCosets:
     def test_single_parity_bit(self):
         code = ParityCode.from_matrix(mat("10"))
         cos = dual_cosets(code)
-        assert cos.members_of(0) == (0, 1)
-        assert cos.members_of(1) == (2, 3)
-        assert cos.leader_min(1) == 2 and cos.leader_max(1) == 3
-        assert code.cosets == cos
+        assert cos[0].tolist() == [0, 1]
+        assert cos[1].tolist() == [2, 3]
+        assert code.leaders[0, 1] == 2 and code.leaders[1, 1] == 3
+        assert np.array_equal(code.cosets, cos)
 
     def test_tie_break_smallest_integer(self):
         # D(1) of the xor parity is {01, 10}, both weight 1; the smaller
         # integer encoding (coordinate string 10) wins.
         code = ParityCode.from_matrix(mat("11"))
-        cos = code.cosets
-        assert set(cos.members_of(1)) == {1, 2}
-        assert cos.leader_min(1) == 1
-        assert vec_str(cos.leader_min(1), 2) == "10"
+        assert set(code.cosets[1].tolist()) == {1, 2}
+        assert code.leaders[0, 1] == 1
+        assert vec_str(int(code.leaders[0, 1]), 2) == "10"
 
     def test_rank_zero_singletons(self):
         cos = ParityCode.bottom(2).cosets
-        assert all(cos.members_of(s) == (s,) for s in range(4))
+        assert all(tuple(cos[s].tolist()) == (s,) for s in range(4))
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_partition_properties(self, n):
         for k in range(n + 1):
             for code in enumerate_codes(n, k):
                 cos = code.cosets
-                seen = sorted(x for s in range(cos.n_syndromes)
-                              for x in cos.members_of(s))
+                seen = sorted(x for s in range(len(cos))
+                              for x in cos[s].tolist())
                 assert seen == list(all_vectors(n))
-                assert all(len(cos.members_of(s)) == 1 << k
-                           for s in range(cos.n_syndromes))
+                assert all(len(cos[s]) == 1 << k
+                           for s in range(len(cos)))
 
     def test_identity_row_leader_closed_form(self):
         # For a row-subset of the identity, the min leader is zero on the
@@ -194,13 +193,12 @@ class TestDualCosets:
                 for r in m.rows:
                     selected.add(r.bit_length() - 1)
                 rest = [j for j in range(n) if j not in selected]
-                cos = code.cosets
-                for s in range(cos.n_syndromes):
+                for s in range(len(code.cosets)):
                     expected = 0
                     for pos, j in enumerate(rest):
                         if (s >> pos) & 1:
                             expected |= 1 << j
-                    assert cos.leader_min(s) == expected
+                    assert code.leaders[0, s] == expected
 
 
 def bucket_cosets(code):
@@ -212,6 +210,11 @@ def bucket_cosets(code):
     return (tuple(map(tuple, buckets)),
             tuple(min(b, key=lambda v: (hamming_weight(v), v)) for b in buckets),
             tuple(min(b, key=lambda v: (-hamming_weight(v), v)) for b in buckets))
+
+
+def as_buckets(members, leaders):
+    """Coset and leader arrays in the tuple form of bucket_cosets."""
+    return (tuple(map(tuple, members.tolist())), *map(tuple, leaders.tolist()))
 
 
 class TestCosetTable:
@@ -242,8 +245,7 @@ class TestCosetTable:
             for code, row in zip(codes, members.tolist()):
                 walk = bucket_cosets(code)
                 assert tuple(map(tuple, row)) == walk[0]
-                cos = dual_cosets(code)
-                assert (cos.members, cos.leaders_min, cos.leaders_max) == walk
+                assert as_buckets(dual_cosets(code), code.leaders) == walk
 
     def test_single_code_at_n8(self):
         rng = random.Random("cosets/8")
@@ -251,8 +253,17 @@ class TestCosetTable:
             pass
         code = ParityCode.from_matrix(m)
         cos = dual_cosets(code)
-        assert (cos.members, cos.leaders_min, cos.leaders_max) == bucket_cosets(code)
-        assert all(type(v) is int for v in cos.members[1] + cos.leaders_max)
+        assert as_buckets(cos, code.leaders) == bucket_cosets(code)
+        assert np.array_equal(code.cosets, cos)
+        for array in (cos, code.cosets, code.leaders):
+            assert np.issubdtype(array.dtype, np.integer)
+            assert array.flags.writeable is False
+
+    def test_code_cosets_are_table_rows(self):
+        table = coset_table(5)
+        for k, codes in enumerate(table.codes):
+            for code, members in zip(codes, table.members[k]):
+                assert np.array_equal(code.cosets, members)
 
     def test_budget_refusal_builds_no_table(self, monkeypatch):
         import paritylp.f2lin as f2lin
@@ -265,7 +276,7 @@ class TestCosetTable:
         import paritylp.f2lin as f2lin
 
         monkeypatch.setattr(f2lin, "coset_table", None)
-        assert dual_cosets(ParityCode.from_matrix(mat("1100110", "0101011"))).n_syndromes == 32
+        assert dual_cosets(ParityCode.from_matrix(mat("1100110", "0101011"))).shape == (32, 4)
 
 
 class TestCharSum:
@@ -316,7 +327,7 @@ class TestUniversal:
         complement = set(all_vectors(n)) - u
         # U universal iff the complement contains no affine tau-subspace.
         contains = any(
-            set(code.cosets.members_of(s)) <= complement
+            set(code.cosets[s].tolist()) <= complement
             for code in enumerate_codes(n, tau)
             for s in range(1 << (n - tau))
         )
@@ -344,7 +355,7 @@ class TestUniversal:
         missed = uncovered_affine_subspaces({0, 1}, 1, 2)
         assert len(missed) == 1
         code, s = missed[0]
-        assert set(code.cosets.members_of(s)) == {2, 3}
+        assert set(code.cosets[s].tolist()) == {2, 3}
 
 
 class TestVecStrings:

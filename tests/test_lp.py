@@ -105,8 +105,8 @@ def two_loop_primal(profile, cost):
     labels, objective, var_index = [], [], {}
     for code in codes:
         cos = code.cosets
-        for s in range(cos.n_syndromes):
-            if all(i in support for i in cos.members_of(s)):
+        for s in range(len(cos)):
+            if all(i in support for i in cos[s].tolist()):
                 var_index[(code, s)] = len(labels)
                 labels.append((code, s))
                 objective.append(cost.value(code.k) * (1 << code.k))
@@ -131,8 +131,8 @@ def dual_rows(profile, cost):
     for code in enumerate_all_codes(n):
         cos = code.cosets
         rhs = cost.value(code.k) * (1 << code.k)
-        for s in range(cos.n_syndromes):
-            coeffs = {i: 1 for i in cos.members_of(s)}
+        for s in range(len(cos)):
+            coeffs = {i: 1 for i in cos[s].tolist()}
             constraints.append(Constraint(coeffs, ">=", rhs, tag=("coset", code, s)))
     return RowModel("dual", "min", labels, list(profile.weights), constraints)
 
@@ -201,7 +201,7 @@ def loop_primal(profile, cost):
     labels, objective, flat, lens = [], [], [], []
     for code in enumerate_all_codes(profile.n):
         value = cost.value(code.k) * (1 << code.k)
-        for s, members in enumerate(code.cosets.members):
+        for s, members in enumerate(code.cosets.tolist()):
             rows = [row_of.get(i) for i in members]
             if None not in rows:
                 flat += rows
@@ -635,7 +635,7 @@ class TestFeasibilityChecks:
         slacks = coset_slacks(dual, cost)
         want = {(code, s): sum(dual.b[i] for i in members) - cost.value(code.k) * (1 << code.k)
                 for code in enumerate_all_codes(4)
-                for s, members in enumerate(code.cosets.members)}
+                for s, members in enumerate(code.cosets.tolist())}
         assert [repr(v) for v in slacks.values()] == [repr(v) for v in want.values()]
         assert list(slacks) == list(want)
 
@@ -949,7 +949,7 @@ def dense_pair(profile, cost, mode, float_stage=True):
     mu, lam = {}, {}
     for (code, s), v in report.values.items():
         mu[(code, s)] = v
-        for i in code.cosets.members_of(s):
+        for i in code.cosets[s].tolist():
             lam[(code, i)] = v / profile.weights[i]
     bottom = ParityCode.bottom(profile.n)
     for i in profile.zero_set:
@@ -1356,7 +1356,7 @@ def eager_lam(profile, values, objective):
     zero-weight index."""
     lam = {}
     for (code, s), v in values.items():
-        members = code.cosets.members_of(s)
+        members = code.cosets[s].tolist()
         q = v or v / profile.weights[members[0]]
         for i in members:
             lam[(code, i)] = v / profile.weights[i] if v else q
@@ -1499,7 +1499,7 @@ def generic_dual_audit(sol, cost, tol=None):
             max_v = max(max_v, -v)
     for code in enumerate_all_codes(sol.n):
         rhs = cost.value(code.k) * (1 << code.k)
-        for s, members in enumerate(code.cosets.members):
+        for s, members in enumerate(code.cosets.tolist()):
             slack = sum(map(b.__getitem__, members)) - rhs
             slacks[(code, s)] = slack
             checked += 1
@@ -1516,7 +1516,7 @@ def generic_lam(sol):
     weighs zero."""
     w, lam = sol.weights, {}
     for (code, s), v in sol.mu.items():
-        members = code.cosets.members_of(s)
+        members = code.cosets[s].tolist()
         if not w[members[0]]:
             lam[(code, s)] = v + 1
             continue
@@ -1551,7 +1551,7 @@ def generic_slackness(primal, dual, profile, cost):
     d_ok = generic_dual_audit(dual, cost, tol)[0]
     b = dual.b
     index = [abs((total - 1) * b_i) for total, b_i in zip(totals, b)]
-    coset = [abs(v * (sum(b[i] for i in code.cosets.members_of(s))
+    coset = [abs(v * (sum(b[i] for i in code.cosets[s].tolist())
                       - cost.value(code.k) * (1 << code.k)))
              for (code, s), v in primal.mu.items() if v]
     p_obj = sum(cost.value(code.k) * (1 << code.k) * v for (code, _), v in primal.mu.items())
@@ -1902,7 +1902,7 @@ def loop_short_cosets(b, cost, tol):
     for code in enumerate_all_codes(n):
         rhs = cost.value(code.k) * (1 << code.k)
         limit = math.ceil((rhs - tol) * den)
-        for s, members in enumerate(code.cosets.members):
+        for s, members in enumerate(code.cosets.tolist()):
             if sum(map(nums.__getitem__, members)) < limit:
                 yield (code, s), sum(map(b.__getitem__, members)) - rhs
 

@@ -171,6 +171,25 @@ class TestCostFunction:
         assert all(type(v) is Fraction for v in c.values)
         assert [float(v) for v in c.values] == [0.0, 0.5, 0.1]
 
+    @pytest.mark.parametrize("data", [
+        {"kind": "threshold", "tau": 2.7},
+        {"kind": "threshold", "tau": True},
+        {"kind": "threshold", "tau": "2"},
+        {"kind": "threshold"},
+        {"kind": "custom", "values": "012"},
+        {"kind": "custom", "values": [0, True, 2]},
+        {"kind": "custom", "values": [0, None, 2]},
+        {"kind": "custom", "values": ["0", "1/0", "2"]},
+        {"kind": "custom"},
+        [{"kind": "average"}],
+        {"kind": "quadratic"},
+    ], ids=["tau-float", "tau-bool", "tau-string", "tau-missing", "values-string",
+            "values-bool", "values-null", "values-zero-denominator", "values-missing",
+            "list", "unknown-kind"])
+    def test_json_malformed_refused(self, data):
+        with pytest.raises(ValueError):
+            CostFunction.from_json_dict(2, data)
+
 
 class TestBernoulli:
     def test_dual_rate_endpoints(self):
@@ -284,6 +303,19 @@ class TestSummaries:
         p = AmplitudeProfile.from_weights(2, ["1", "0", "0", "0"])
         for d in range(3):
             assert tail_mass(p, d) == 0
+
+    def test_number_type_follows_the_profile(self):
+        rational = AmplitudeProfile.from_weights(2, ["1/2", "1/4", "1/4", "0"])
+        binary64 = AmplitudeProfile.from_weights(2, [0.5, 0.3, 0.2, 0.0])
+        for p, num in ((rational, Fraction), (binary64, float)):
+            assert type(average_dual_weight(p)) is num
+            assert all(type(tail_mass(p, d)) is num for d in range(3))
+            q = perturb_full_support(p, Fraction(1, 10))
+            assert all(type(w) is num for w in q.weights)
+        assert average_dual_weight(rational) == Fraction(1, 2)
+        assert perturb_full_support(rational, Fraction(1, 10)).weights == (
+            Fraction(9, 20), Fraction(9, 40), Fraction(9, 40), Fraction(1, 10))
+        assert all(type(w) is float for w in perturb_full_support(rational, 0.1).weights)
 
     def test_tail_monotone(self):
         p = AmplitudeProfile.from_weights(2, ["1/4"] * 4)

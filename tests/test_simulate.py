@@ -39,7 +39,7 @@ def walk_lam(sol):
     level and one per coset for a zero level."""
     w, lam = sol.weights, {}
     for (code, s), v in sol.mu.items():
-        members = code.cosets.members_of(s)
+        members = code.cosets[s].tolist()
         if not w[members[0]]:
             lam[(code, s)] = v + 1
             continue
@@ -94,7 +94,7 @@ def walk_statevector_check(sol, profile, x):
             continue
         y = code.parity(x)
         amp = math.sqrt((1 << code.k) * float(v))
-        if dot(x, code.cosets.leader_min(s)):
+        if dot(x, int(code.leaders[0, s])):
             amp = -amp
         amplitudes[(code, y, s)] = amp
         probs[(code, y)] = probs.get((code, y), 0) + (1 << code.k) * v
@@ -228,7 +228,7 @@ class TestMatchesWholeMuWalk:
         codes = enumerate_all_codes(2)
         row = [Fraction(19, 79), Fraction(27, 79), Fraction(15, 79), Fraction(18, 79), 0]
         dense = PrimalSolution(2, {(code, s): v / 4 for code, v in zip(codes, row)
-                                   for s in range(code.cosets.n_syndromes)}, Fraction(0), p.weights)
+                                   for s in range(len(code.cosets))}, Fraction(0), p.weights)
         for x in all_vectors(2):
             assert_routes_match_walks(dense, p, x, x)
         q = uniform(1)
@@ -370,7 +370,7 @@ class TestSample:
         row = [Fraction(19, 79), Fraction(27, 79), Fraction(15, 79), Fraction(18, 79), 0]
         # lambda = row on every index: mu = row / 4 on every coset of each code
         mu = {(code, s): v / 4 for code, v in zip(codes, row)
-              for s in range(code.cosets.n_syndromes)}
+              for s in range(len(code.cosets))}
         sol = PrimalSolution(2, mu, Fraction(0), p.weights)
         assert sol.lam == {(code, i): v for code, v in zip(codes, row) for i in range(4)}
         for seed in range(4):

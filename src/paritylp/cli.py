@@ -250,7 +250,7 @@ def cmd_solve(args) -> tuple[dict, str]:
         "sigma": dual.objective,
         "gap": float(gap),
         "primal": p_report.to_json_dict(),
-        "dual_solution": dual.to_json_dict(),
+        "dual_solution": {"b": dual.to_json_dict()["b"]},
         "primal_solution": primal.to_json_dict(),
         "audits": audits,
     }
@@ -384,7 +384,7 @@ def cmd_simulate(args) -> tuple[dict, str]:
     primal, _ = lp.solve_primal(profile, cost, args.mode)
     dist = simulate.exact_distribution(primal, profile, x)
     records = simulate.sample(primal, profile, x, args.shots, args.seed)
-    sv = simulate.statevector_check(primal, profile, x) if profile.full_support else None
+    sv = simulate.statevector_check(primal, profile, x, dist) if profile.full_support else None
     wrong = [r for r in records if r.y != r.code.parity(x)]
     audits = {"sampled_y_always_Hx": not wrong}
     if sv is not None:

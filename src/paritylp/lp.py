@@ -113,18 +113,13 @@ class SolveReport:
     stats: simplex.SolveStats | None = None
 
     def to_json_dict(self) -> dict:
-        values = None
-        if self.values is not None:
-            values = {_label_str(k): v for k, v in self.values.items()}
+        """How the solve ran; the `solve` report gives its values elsewhere."""
         return {
             "status": self.status,
-            "objective": self.objective,
-            "objective_float": None if self.objective is None else float(self.objective),
             "mode": self.mode,
             "pivots": self.pivots,
             "wall_time_s": self.wall_time,
             "strategy": self.strategy,
-            "values": values,
         }
 
 
@@ -221,7 +216,8 @@ def solve(model: LpModel, mode: str = EXACT) -> SolveReport:
     if result.status != simplex.OPTIMAL:
         return SolveReport(result.status, None, None, mode, result.pivots,
                            elapsed, result.strategy, stats=result.stats)
-    values = dict(zip(model.labels, result.x))
+    # Only the columns with x != 0, in column order: at most one per row.
+    values = dict(compress(zip(model.labels, result.x), result.x))
     return SolveReport("optimal", -result.objective, values, mode, result.pivots,
                        elapsed, result.strategy, [-y for y in result.y], result.stats)
 
@@ -229,19 +225,18 @@ def solve(model: LpModel, mode: str = EXACT) -> SolveReport:
 @dataclass
 class PrimalSolution:
     """Coset-reduced mu values, with the weights of the profile mu was found
-    for; lambda = mu / weight is a view derived from them."""
+    for; lambda = mu / weight is a view derived from them.
+
+    A coset missing from mu has mu = 0.  A solve keeps only the cosets that
+    carry mass (an optimal vertex has at most one per supported index), and
+    every reader walks mu as it is, so an entry mu = 0, as a closed-form
+    candidate may hold, adds nothing to any sum.
+    """
 
     n: int
     mu: dict
     objective: object
     weights: tuple
-
-    @functools.cached_property
-    def carried(self) -> list:
-        """The ((code, s), mu) items of mu with mu != 0, in mu's order, listed
-        on first read: the cosets that carry mass, which are all that the
-        audits, the outcome law, the sampler and the operators read."""
-        return list(compress(self.mu.items(), self.mu.values()))
 
     @functools.cached_property
     def lam(self) -> dict:
@@ -253,8 +248,8 @@ class PrimalSolution:
         """((code, i), lambda) for each member i of each ((code, s), mu) of
         `cosets`, in their order, with lambda = mu / w_i.  At a zero-weight
         index, where mu / w_i has no value, lambda is mu + 1 on the bottom
-        code, whose coset {i} a solve gives mu = 0, and mu on every other
-        code, where a feasible point has mu = 0."""
+        code (the no-information outcome) and mu on every other code, where
+        a feasible point has mu = 0."""
         w = self.weights
         for (code, s), v in cosets:
             for i in code.cosets[s].tolist():
@@ -267,23 +262,14 @@ class PrimalSolution:
     def from_lp_values(cls, profile: AmplitudeProfile, values: dict,
                        objective) -> PrimalSolution:
         """The solution of a solve's `values`, which are keyed (code, s) as mu
-        is: mu is a copy of them (no key is hashed again), with mu = 0 on the
-        bottom code at each zero-weight index."""
-        mu = dict(values)
-        # Absorb unconstrained indices into the no-information outcome: the
-        # bottom code's cosets are single indices.
-        bottom = ParityCode.bottom(profile.n)
-        mu.update(dict.fromkeys([(bottom, i) for i in profile.zero_set], objective * 0))
-        return cls(profile.n, mu, objective, profile.weights)
+        is and hold only x != 0: mu is a copy of them (no key is hashed
+        again)."""
+        return cls(profile.n, dict(values), objective, profile.weights)
 
     def to_json_dict(self) -> dict:
-        return {
-            "objective": self.objective,
-            "mu": {
-                f"{code.label()},s={s}": v
-                for (code, s), v in sorted(self.mu.items(), key=by_code)
-            },
-        }
+        """mu as it is held, in the canonical order of codes, then s."""
+        return {"mu": {f"{code.label()},s={s}": v
+                       for (code, s), v in sorted(self.mu.items(), key=by_code)}}
 
 
 @dataclass
@@ -384,8 +370,8 @@ def check_primal_feasible(sol: PrimalSolution, profile: AmplitudeProfile,
     """Audit the point mu on exact rationals, as the dual audit audits b.
 
     lambda = mu / w is constant on each coset by construction, so only the
-    cosets that carry mass are read: lambda >= -tol on each, no mass on one
-    that meets the zero set, and sum_H lambda_i = 1 within tol at each
+    cosets of mu are read: lambda >= -tol on each, no mass on one that
+    meets the zero set, and sum_H lambda_i = 1 within tol at each
     supported i (the mu holding i sum to w_i).  Ints, `Fraction`s and
     finite floats are all exact rationals; a NaN or an infinity raises
     ValueError, and above LP_MAX_N it raises BudgetError before any work.
@@ -398,10 +384,10 @@ def _primal_audit(sol: PrimalSolution, profile: AmplitudeProfile,
     """The report of `check_primal_feasible` and each index's exact
     sum_H lambda_i - 1 (0 off the support)."""
     check_budget(sol.n)
-    tol = _exact(_default_tol(tol, profile.weights, (v for _, v in sol.carried)))
+    tol = _exact(_default_tol(tol, profile.weights, sol.mu.values()))
     w = [_exact(v) for v in profile.weights]
     sums, found = [0] * len(w), []
-    for (code, s), v in sol.carried:
+    for (code, s), v in sol.mu.items():
         members = code.cosets[s].tolist()
         v = _exact(v)
         for i in members:
@@ -409,7 +395,7 @@ def _primal_audit(sol: PrimalSolution, profile: AmplitudeProfile,
         # lambda is lowest on the lightest member; where that one weighs 0,
         # mu / 0 has no value and the violation is mu itself
         lightest = min(map(w.__getitem__, members))
-        if not lightest:
+        if v and not lightest:
             found.append((f"mu[{code.label()},s={s}] = 0 on the zero set", abs(v)))
         elif v < -tol * lightest:
             found.append((f"mu[{code.label()},s={s}] >= 0", -v / lightest))
@@ -540,21 +526,21 @@ def complementary_slackness(primal: PrimalSolution, dual: DualSolution,
     FLOAT_FEAS_TOL if not.
     """
     check_budget(primal.n)
-    tol = _default_tol(None, profile.weights, (v for _, v in primal.carried), dual.b)
+    tol = _default_tol(None, profile.weights, primal.mu.values(), dual.b)
     p_report, residuals = _primal_audit(primal, profile, tol)
     d_report = check_dual_feasible(dual, cost, tol)
     tol, b = _exact(tol), [_exact(v) for v in dual.b]
     index = [(f"index {vec_str(i, primal.n)}", residual * b_i)
              for i, (residual, b_i) in enumerate(zip(residuals, b))]
-    # A coset with mu = 0 adds 0 to the objective and has product 0 whatever
-    # its slack, so only the carried cosets are summed, in mu's order.
+    # A coset missing from mu adds 0 to the objective and has product 0
+    # whatever its slack, so only the cosets of mu are summed, in mu's order.
     coset = [(f"coset {code.label()},s={s}",
               _exact(v) * (sum(map(b.__getitem__, code.cosets[s].tolist()))
                            - _rank_value(cost, code.k)))
-             for (code, s), v in primal.carried]
+             for (code, s), v in primal.mu.items()]
     violations = [{"product": name, "value": float(product)}
                   for name, product in index + coset if abs(product) > tol]
-    p_obj = sum(_rank_value(cost, code.k) * v for (code, _), v in primal.carried)
+    p_obj = sum(_rank_value(cost, code.k) * v for (code, _), v in primal.mu.items())
     d_obj = dual.evaluate(profile)
     certified = (p_report.feasible and d_report.feasible and not violations
                  and abs(_exact(p_obj) - _exact(d_obj)) <= tol)

@@ -131,10 +131,10 @@ def build_from_primal(sol: PrimalSolution, profile: AmplitudeProfile) -> PovmSet
     """
     _check_n(profile.n)
     size = 1 << profile.n
-    # (s, mu / 2^k) for each carried coset of each rank >= 1 code, where
-    # that is nonzero in binary64 too
+    # (s, mu / 2^k) for each coset of each rank >= 1 code that carries mass
+    # in binary64
     carried: dict = {}
-    for (code, s), v in sol.carried:
+    for (code, s), v in sol.mu.items():
         c = float(v) / (1 << code.k)
         if code.k and c:
             carried.setdefault(code, []).append((s, c))
@@ -196,14 +196,20 @@ def _zero_filled(code: ParityCode, ys, stack: np.ndarray) -> np.ndarray:
 
 def _covariance_dev(code: ParityCode, ys, stack: np.ndarray) -> float:
     """max |X_a F[(code, y)] X_a - F[(code, y + H.a)]| over the elements of
-    a stack and the generators a = e_1..e_n, a missing partner read as zero."""
-    full = _zero_filled(code, ys, stack)
-    idx = np.arange(stack.shape[1])
+    a stack and the generators a = e_1..e_n, a missing partner read as zero.
+
+    Rows and columns are read as n bit axes each, the highest bit first, so
+    conjugating by X_a for a = e_j (x -> x ^ a on both sides) reverses the
+    row and the column axis of bit j: a view, with no index arrays."""
+    n = code.n
+    bits = (2,) * (2 * n)
+    elements = stack.reshape(len(ys), *bits)
+    full = _zero_filled(code, ys, stack).reshape(-1, *bits)
     dev = 0.0
-    for a in (1 << j for j in range(code.n)):
-        p = idx ^ a
-        moved = stack[:, p[:, None], p]
-        moved -= full[np.bitwise_xor(ys, code.parity(a))]
+    for j in range(n):
+        row_axis = n - j
+        moved = np.flip(elements, (row_axis, row_axis + n))
+        moved = moved - full[np.bitwise_xor(ys, code.parity(1 << j))]
         dev = max(dev, float(np.max(np.abs(moved))))
     return dev
 

@@ -75,7 +75,8 @@ class AmplitudeProfile:
             if sum(w.numerator * (den // w.denominator) for w in self.weights) != den:
                 raise ProfileError("rational weights must sum to exactly 1")
         else:
-            if abs(math.fsum(self.weights) - 1.0) > FLOAT_TOL:
+            # a weight above 1 fails the sum anyway, and fsum overflows on huge ones
+            if max(self.weights) > 1 or abs(math.fsum(self.weights) - 1.0) > FLOAT_TOL:
                 raise ProfileError("weights must sum to 1 within 1e-12")
         if self.amplitudes is not None:
             if len(self.amplitudes) != size:

@@ -6,8 +6,9 @@ a seeded ancestral sampler, and a state-vector oracle that materializes the
 closed-form post-processing state and reads the distribution off its
 register amplitudes.  The sampler draws its histogram as per-index
 multinomials, so its cost does not grow with the number of shots.  All three
-walk only the cosets that carry mass (`PrimalSolution.carried`): an optimal
-vertex gives mass to no more cosets than the profile has supported indices.
+walk the cosets of mu alone, which for a solve are those that carry mass: an
+optimal vertex gives mass to no more cosets than the profile has supported
+indices.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ def exact_distribution(sol: PrimalSolution, profile: AmplitudeProfile,
     constraint.  Probabilities are exact fractions for an exact solution.
     """
     acc: dict[ParityCode, object] = {}
-    for (code, s), v in sol.carried:
+    for (code, s), v in sol.mu.items():
         acc[code] = acc.get(code, 0) + (1 << code.k) * v
     bottom = ParityCode.bottom(profile.n)
     acc.setdefault(bottom, sol.objective * 0)
@@ -86,8 +87,8 @@ def sample(sol: PrimalSolution, profile: AmplitudeProfile, x: int,
     cols = code_positions(profile.n)
     rows = {i: row for row, i in enumerate(support)}
     lam = np.zeros((len(support), len(codes)))
-    # lambda is zero off the carried cosets, so only their members are filled
-    for (code, i), v in sol.lam_items(sol.carried):
+    # lambda is zero off the cosets of mu, so only their members are filled
+    for (code, i), v in sol.lam_items(sol.mu.items()):
         if i in rows:
             lam[rows[i], cols[code]] = float(v)
     if np.any(lam < 0):
@@ -129,13 +130,14 @@ class StatevectorReport:
 
 
 def statevector_check(sol: PrimalSolution, profile: AmplitudeProfile,
-                      x: int) -> StatevectorReport:
+                      x: int, dist: dict) -> StatevectorReport:
     """Materialize the closed-form post-processing state and audit it.
 
     The state lives on registers (y, s, H) with amplitude
-    (-1)^(x.v_s) sqrt(2^k mu[(code, s)]) at (H.x, s, H); weights-only
-    profiles are accepted with the nonnegative-real amplitude convention.
-    Verifies unit norm, that marginalizing s reproduces exact_distribution,
+    (-1)^(x.v_s) sqrt(2^k mu[(code, s)]) at (H.x, s, H) for each coset with
+    mu != 0; weights-only profiles are accepted with the nonnegative-real
+    amplitude convention.  Verifies unit norm, that marginalizing s
+    reproduces `dist`, the law `exact_distribution(sol, profile, x)` gave,
     and that the first register never disagrees with H.x.
     """
     if profile.n > STATEVECTOR_MAX_N:
@@ -144,7 +146,9 @@ def statevector_check(sol: PrimalSolution, profile: AmplitudeProfile,
         raise ProfileError("state-vector oracle requires full dual support")
     amplitudes: dict = {}
     probs: dict = {}
-    for (code, s), v in sol.carried:
+    for (code, s), v in sol.mu.items():
+        if not v:
+            continue
         y = code.parity(x)
         v_s = int(code.leaders[0, s])
         amp = math.sqrt((1 << code.k) * float(v))
@@ -156,7 +160,6 @@ def statevector_check(sol: PrimalSolution, profile: AmplitudeProfile,
 
     norm_dev = abs(math.fsum(a * a for a in amplitudes.values()) - 1.0)
 
-    dist = exact_distribution(sol, profile, x)
     keys = set(dist) | set(probs)
     max_dev = 0.0
     exact_match: bool | None = None

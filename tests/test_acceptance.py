@@ -277,7 +277,7 @@ def test_criterion_7_simulation():
                 prob = float(dist[(rec.code, rec.y)])
                 sigma = math.sqrt(prob * (1 - prob) / shots)
                 assert abs(rec.frequency - prob) <= 3 * sigma + 1e-12
-            sv = statevector_check(sol, p, x)
+            sv = statevector_check(sol, p, x, dist)
             assert sv.norm_deviation <= 1e-12
             assert sv.max_distribution_deviation <= 1e-10
             assert sv.wrong_outcome_mass == 0.0

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import check_report
 from conftest import ball_profile, rand_rational_profile
 from paritylp import bounds, cli, lp, povm
 from paritylp.cli import _render, build_parser, dump_json, main
@@ -254,10 +255,13 @@ class TestSolve:
         {"n": 1, "weights": ["1/0", "1"]},
         {"n": 1, "amplitudes": [{"re": 1e308, "im": 1e308}, {"re": 0, "im": 0}]},
         {"n": 1, "weights": [math.nan, 1.0]},
-    ], ids=["zero-denominator", "amplitude-overflow", "nan-weight"])
+        # math.fsum of these raises OverflowError
+        {"n": 1, "weights": [1e308, 1e308]},
+    ], ids=["zero-denominator", "amplitude-overflow", "nan-weight", "weight-sum-overflow"])
     @pytest.mark.parametrize("argv", [["solve"], ["solve", "--mode", "float"],
-                                      ["primal-candidate", "--family", "hamming"]],
-                             ids=["solve", "solve-float", "candidate"])
+                                      ["primal-candidate", "--family", "hamming"],
+                                      ["povm", "--assume-real-amplitudes"]],
+                             ids=["solve", "solve-float", "candidate", "povm"])
     def test_malformed_number_refused(self, tmp_path, capsys, data, argv):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
@@ -767,6 +771,24 @@ def in_order(keys: list) -> bool:
     return all(a < b for a, b in zip(keys, keys[1:]))
 
 
+class TestSolveReportShape:
+    def test_mu_once_and_sparse(self, tmp_path, capsys):
+        """An exact n=5 report lists mu once, only mu != 0, and each value
+        once: rho, sigma and gap at the top, b and mu below them."""
+        path = tmp_path / "n5.json"
+        path.write_text(json.dumps(rand_rational_profile(5, random.Random(1)).to_json_dict()))
+        assert main(["solve", "--profile", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert len(out.encode()) < 10_000
+        report = json.loads(out)
+        assert list(report) == ["config", "rho", "sigma", "gap", "primal", "dual_solution",
+                                "primal_solution", "audits"]
+        assert list(report["primal"]) == ["status", "mode", "pivots", "wall_time_s", "strategy"]
+        assert list(report["dual_solution"]) == ["b"] and list(report["primal_solution"]) == ["mu"]
+        mu = report["primal_solution"]["mu"]
+        assert 0 < len(mu) <= 32 and all(Fraction(v) for v in mu.values())
+
+
 class TestReportOrder:
     @pytest.fixture
     def path(self, tmp_path):
@@ -777,8 +799,11 @@ class TestReportOrder:
 
     def test_solve_mu(self, capsys, path):
         _, report = run_json(capsys, ["solve", "--profile", path])
-        entries = [key.rsplit(",s=", 1) for key in report["primal_solution"]["mu"]]
-        assert len(entries) > 100
+        mu = report["primal_solution"]["mu"]
+        entries = [key.rsplit(",s=", 1) for key in mu]
+        # sparse: only mu != 0, over more than two codes
+        assert all(Fraction(v) for v in mu.values())
+        assert len({label for label, _ in entries}) > 2
         keys = [order_key(label, int(s)) for label, s in entries]
         assert in_order(keys)
 
@@ -943,3 +968,16 @@ class TestReportCorpus:
         if command.startswith("solve") and reports:
             primal = reports[0]["primal"]
             assert primal["mode"] == "float" or primal["strategy"] == "certified"
+
+    @pytest.mark.parametrize("name", [name for name, command in CORPUS.items()
+                                      if name.startswith("solve") and "table" not in command])
+    def test_solve_checks_itself(self, capsys, paths, name):
+        """The stdlib checker proves every exact solve report optimal from
+        the report and its profile alone, and refuses to read a float one."""
+        assert main(CORPUS[name].format(**paths).split()) == 0
+        report = json.loads(capsys.readouterr().out)
+        with open(report["config"]["profile"]) as fh:
+            profile = json.load(fh)
+        exact = report["primal"]["mode"] == "exact"
+        assert check_report.check(report, profile) == ([] if exact else ["not an exact report"])
+        assert exact != (name in ("solve-r2-float-custom", "solve-r4-float", "solve-f3"))

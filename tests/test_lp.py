@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import chain
 from numbers import Rational
@@ -943,25 +944,20 @@ def _dense_solve_exact(rows, rhs):
 
 
 def dense_pair(profile, cost, mode, float_stage=True):
-    """solve_pair as it was on dense_solve: lambda by one division per member."""
+    """solve_pair on dense_solve: its report with the levels x != 0 as
+    values, mu those levels, and lambda by one division per member."""
     model = build_primal(profile, cost)
     report = dense_solve(model, mode, float_stage, seeds=list(range(len(profile.support))))
-    mu, lam = {}, {}
-    for (code, s), v in report.values.items():
-        mu[(code, s)] = v
-        for i in code.cosets[s].tolist():
-            lam[(code, i)] = v / profile.weights[i]
-    bottom = ParityCode.bottom(profile.n)
-    for i in profile.zero_set:
-        lam[(bottom, i)] = report.objective * 0 + 1
-        mu[(bottom, i)] = report.objective * 0
+    mu = {key: v for key, v in report.values.items() if v}
+    lam = {(code, i): v / profile.weights[i]
+           for (code, s), v in mu.items() for i in code.cosets[s].tolist()}
     b = {con.tag[1]: u * next(iter(con.coeffs.values()))
          for con, u in zip(model.constraints, report.duals)}
     if report.mode != "exact":
         b = {i: 0.0 if -1e-9 <= v < 0 else v for i, v in b.items()}
     cover = report.objective * 0 + max(cost.value(k) * (1 << k) for k in range(profile.n + 1))
     b.update(dict.fromkeys(profile.zero_set, cover))
-    return report, mu, lam, tuple(b[i] for i in all_vectors(profile.n))
+    return replace(report, values=mu), mu, lam, tuple(b[i] for i in all_vectors(profile.n))
 
 
 def same(x, y):
@@ -1349,21 +1345,24 @@ class TestCertificateColumnSums:
             assert results == {True, False}
 
 
-def eager_lam(profile, values, objective):
+def eager_lam(profile, values):
     """PrimalSolution.from_lp_values's lambda as it was built eagerly, in
     the order of the LP values: one division per member of a nonzero level,
-    one per coset for a zero level; then 1 on the bottom code at each
-    zero-weight index."""
+    one per coset for a zero level."""
     lam = {}
     for (code, s), v in values.items():
         members = code.cosets[s].tolist()
         q = v or v / profile.weights[members[0]]
         for i in members:
             lam[(code, i)] = v / profile.weights[i] if v else q
-    bottom = ParityCode.bottom(profile.n)
-    for i in profile.zero_set:
-        lam[(bottom, i)] = objective * 0 + 1
     return lam
+
+
+def dense_values(model, report):
+    """A solve's values with a zero level on every other column of its
+    model, as `values` held them before they kept only x != 0."""
+    zero = report.objective * 0
+    return {label: report.values.get(label, zero) for label in model.labels}
 
 
 def _lambda_profiles():
@@ -1377,14 +1376,33 @@ def _lambda_profiles():
     yield "ball5", ball_profile(5, 2, random.Random("lambda/5"))
 
 
+class TestSparseMu:
+    """A solve keeps only the columns with x != 0, at most one per row, in
+    the model's column order, and mu is those values."""
+
+    @pytest.mark.parametrize("p", [p for _, p in _lambda_profiles()],
+                             ids=[name for name, _ in _lambda_profiles()])
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_no_zero_entries(self, p, mode):
+        for cost in (CostFunction.average(p.n), CostFunction.threshold(p.n, 1)):
+            model = build_primal(p, cost)
+            report = solve(model, mode)
+            assert report.values and all(report.values.values())
+            assert len(report.values) <= len(p.support)
+            assert list(report.values) == [key for key in model.labels if key in report.values]
+            primal, _, pair_report = solve_pair(p, cost, mode)
+            assert same(primal.mu, pair_report.values) and same(pair_report.values, report.values)
+
+
 class TestLazyLambda:
     """lambda is derived from mu on first read, as the eager loop built it."""
 
     def test_cases_hold_zero_levels_and_zero_sets(self):
         zero_levels = zero_sets = 0
         for _, p in _lambda_profiles():
-            report = solve(build_primal(p, CostFunction.threshold(p.n, 1)), "exact")
-            zero_levels += any(v == 0 for v in report.values.values())
+            model = build_primal(p, CostFunction.threshold(p.n, 1))
+            report = solve(model, "exact")
+            zero_levels += any(v == 0 for v in dense_values(model, report).values())
             zero_sets += bool(p.zero_set)
         assert zero_levels >= 10 and zero_sets >= 6
 
@@ -1393,13 +1411,14 @@ class TestLazyLambda:
     @pytest.mark.parametrize("mode", ["exact", "float"])
     def test_matches_eager_loop(self, p, mode):
         for cost in (CostFunction.average(p.n), CostFunction.threshold(p.n, 1)):
-            report = solve(build_primal(p, cost), mode)
-            sol = PrimalSolution.from_lp_values(p, report.values, report.objective)
-            want = eager_lam(p, report.values, report.objective)
-            assert same(sol.lam, want)
-            assert sol.lam is sol.lam
-            if p.zero_set:
-                assert sol.mu.get((ParityCode.bottom(p.n), p.zero_set[0]), 0) == 0
+            model = build_primal(p, cost)
+            report = solve(model, mode)
+            for values in (report.values, dense_values(model, report)):
+                sol = PrimalSolution.from_lp_values(p, values, report.objective)
+                assert same(sol.lam, eager_lam(p, values))
+                assert sol.lam is sol.lam
+                if p.zero_set:
+                    assert sol.mu.get((ParityCode.bottom(p.n), p.zero_set[0]), 0) == 0
 
     @pytest.mark.parametrize("family", ["hamming", "cohamming", "spike"])
     @pytest.mark.parametrize("n", range(1, 5))
@@ -1410,7 +1429,7 @@ class TestLazyLambda:
         cand = primal_candidate(family, p)
         values = {(code, code.G.mul_vec(i)): v * p.weights[i]
                   for (code, i), v in cand.lam.items()}
-        assert same(cand.to_solution(p).lam, eager_lam(p, values, cand.objective))
+        assert same(cand.to_solution(p).lam, eager_lam(p, values))
 
     @pytest.mark.parametrize("support", ["full", "ball"])
     @pytest.mark.parametrize("argv, reads", [
@@ -1702,11 +1721,11 @@ class TestFloatDualAudit:
 
 
 def off_points(sol):
-    """sol, then sol with every mu doubled and with the mu of its first
-    carried coset negated: two points the audits must refuse."""
+    """sol, then sol with every mu doubled and with the first nonzero mu
+    negated: two points the audits must refuse."""
     doubled = {key: 2 * v for key, v in sol.mu.items()}
     negated = dict(sol.mu)
-    key, v = sol.carried[0]
+    key, v = next((key, v) for key, v in sol.mu.items() if v)
     negated[key] = -v
     return [sol] + [PrimalSolution(sol.n, mu, sol.objective, sol.weights)
                     for mu in (doubled, negated)]
@@ -1740,11 +1759,17 @@ class TestExactPrimalAudit:
     @staticmethod
     def assert_verdicts_match(sol, dual, p, cost, tol=None):
         """The verdicts of both audits, and on rational operands the largest
-        products too, against the lambda walk's."""
+        products too, against the lambda walk's.  The walk reads sol with
+        mu = 0 on the bottom code at each zero-weight index, where its lambda
+        is 1, the form a solve's mu took before it kept only mu != 0."""
+        walked = dict(sol.mu)
+        for i in p.zero_set:
+            walked.setdefault((ParityCode.bottom(p.n), i), sol.objective * 0)
+        walked = PrimalSolution(sol.n, walked, sol.objective, sol.weights)
         assert check_primal_feasible(sol, p, tol).feasible == \
-            generic_primal_audit(sol, p, tol)[0]
+            generic_primal_audit(walked, p, tol)[0]
         report = complementary_slackness(sol, dual, p, cost)
-        *verdicts, max_index, max_coset = generic_slackness(sol, dual, p, cost)
+        *verdicts, max_index, max_coset = generic_slackness(walked, dual, p, cost)
         assert [report.certified, report.primal_feasible, report.dual_feasible] == verdicts
         if all(isinstance(v, Rational) for v in chain(p.weights, sol.mu.values(), dual.b)):
             assert (report.max_index_product, report.max_coset_product) == (max_index, max_coset)
@@ -1880,16 +1905,21 @@ class TestExactPrimalAudit:
         assert builds == []
 
     def test_n6_refused_before_any_work(self):
+        class Unread(dict):
+            def items(self):
+                raise AssertionError("mu read above the cap")
+
+            values = items
+
         p = profile(6, [Fraction(1, 64)] * 64)
         bottom = ParityCode.bottom(6)
-        sol = PrimalSolution(6, {(bottom, i): w for i, w in enumerate(p.weights)},
+        sol = PrimalSolution(6, Unread({(bottom, i): w for i, w in enumerate(p.weights)}),
                              Fraction(0), p.weights)
         with pytest.raises(BudgetError, match="capped at n <= 5"):
             check_primal_feasible(sol, p)
         with pytest.raises(BudgetError, match="capped at n <= 5"):
             complementary_slackness(sol, DualSolution(6, (Fraction(1),) * 64), p,
                                     CostFunction.average(6))
-        assert "carried" not in vars(sol)
 
 
 def loop_short_cosets(b, cost, tol):

@@ -23,6 +23,8 @@ from paritylp.povm import (
     POVM_MAX_N,
     PovmSet,
     PovmVerification,
+    _code_stacks,
+    _covariance_dev,
     _shift_average,
     build_from_primal,
     coset_basis,
@@ -672,6 +674,21 @@ def seeded_sets(n):
             "non-hermitian": skewed}
 
 
+def gather_covariance_dev(code, ys, stack):
+    """povm._covariance_dev with each generator's permutation as a 2-D
+    fancy-index gather of rows and columns, the form it replaced."""
+    full = np.zeros((1 << code.k,) + stack.shape[1:], dtype=complex)
+    full[ys] = stack
+    idx = np.arange(stack.shape[1])
+    dev = 0.0
+    for a in (1 << j for j in range(code.n)):
+        p = idx ^ a
+        moved = stack[:, p[:, None], p]
+        moved -= full[np.bitwise_xor(ys, code.parity(a))]
+        dev = max(dev, float(np.max(np.abs(moved))))
+    return dev
+
+
 def float_bits(values):
     return [(type(v), v.hex() if isinstance(v, float) else v) for v in values]
 
@@ -736,6 +753,15 @@ class TestAuditsMatchLoops:
                 symmetrize(povm)
         else:
             assert_same_sets(symmetrize(povm), want)
+
+    @pytest.mark.parametrize("n,label", SEEDED)
+    def test_covariance_matches_gather(self, n, label):
+        # every set but the optimum breaks covariance on purpose
+        povm = seeded_sets(n)[label]
+        devs = [(_covariance_dev(code, ys, stack), gather_covariance_dev(code, ys, stack))
+                for code, ys, stack in _code_stacks(povm)]
+        assert float_bits([got for got, _ in devs]) == float_bits([want for _, want in devs])
+        assert (max(got for got, _ in devs) > 1e-6) == (label != "optimum")
 
     @pytest.mark.parametrize("n,label", SEEDED)
     def test_covariance_against_shift_matrices(self, n, label):

@@ -20,7 +20,7 @@ from paritylp.f2lin import (
     dot,
     enumerate_all_codes,
 )
-from paritylp.lp import PrimalSolution, solve_primal
+from paritylp.lp import PrimalSolution, build_primal, solve_primal
 from paritylp.profiles import AmplitudeProfile, CostFunction, bernoulli_profile
 from paritylp.simulate import (
     STATEVECTOR_MAX_N,
@@ -160,15 +160,29 @@ def outcome(route, *args):
     return [(r.code, r.y, r.count, r.frequency.hex()) for r in result]
 
 
-def assert_routes_match_walks(sol, p, x, seed):
+def assert_routes_match_walks(sol, walked, p, x, seed):
+    """The routes on sol give what the walks give on `walked`, the same
+    point with every entry of mu that sol leaves out, if any, as 0."""
     for shots in (1, 1000, 10**6):
         assert outcome(sample, sol, p, x, shots, seed) == \
-            outcome(walk_sample, sol, p, x, shots, seed)
-    assert outcome(exact_distribution, sol, p, x) == outcome(walk_exact_distribution, sol, p, x)
+            outcome(walk_sample, walked, p, x, shots, seed)
+    dist = exact_distribution(sol, p, x)
+    assert outcome(exact_distribution, sol, p, x) == \
+        outcome(walk_exact_distribution, walked, p, x)
     if p.full_support:
-        assert outcome(statevector_check, sol, p, x) == \
-            outcome(walk_statevector_check, sol, p, x)
+        assert outcome(statevector_check, sol, p, x, dist) == \
+            outcome(walk_statevector_check, walked, p, x)
     assert "lam" not in vars(sol)
+
+
+def dense_form(sol, p, cost):
+    """A solve's sol as solves gave it before mu kept only mu != 0: a level
+    on every column of the model, 0 off the cosets with mass, then 0 on the
+    bottom code at each zero-weight index."""
+    zero = sol.objective * 0
+    mu = {label: sol.mu.get(label, zero) for label in build_primal(p, cost).labels}
+    mu.update(dict.fromkeys([(ParityCode.bottom(p.n), i) for i in p.zero_set], zero))
+    return PrimalSolution(p.n, mu, sol.objective, sol.weights)
 
 
 def _lp_cases():
@@ -196,9 +210,10 @@ def _candidate_cases():
 
 
 class TestMatchesWholeMuWalk:
-    """The routes walk the carried cosets alone and give what the walks over
-    every coset of mu (and every entry of lambda) give, bit for bit, and
-    build no lambda."""
+    """The routes walk the cosets of a solve's sparse mu alone and give what
+    the walks over every coset of its dense form (and every entry of
+    lambda) give, bit for bit, and build no lambda; on a point whose mu
+    holds zeros, they give what the walks give on that same point."""
 
     @pytest.mark.parametrize("name, p, mode, cost", list(_lp_cases()),
                              ids=[case[0] for case in _lp_cases()])
@@ -206,10 +221,11 @@ class TestMatchesWholeMuWalk:
         c = CostFunction.average(p.n) if cost == "average" else \
             CostFunction.threshold(p.n, min(2, p.n))
         sol, _ = solve_primal(p, c, mode)
-        assert len(sol.carried) < len(sol.mu) or p.n == 1
+        dense = dense_form(sol, p, c)
+        assert all(sol.mu.values()) and (len(sol.mu) < len(dense.mu) or p.n == 1)
         rng = random.Random(name)
         for x in sorted({0, (1 << p.n) - 1, rng.randrange(1 << p.n)}):
-            assert_routes_match_walks(sol, p, x, rng.randrange(1 << 31))
+            assert_routes_match_walks(sol, dense, p, x, rng.randrange(1 << 31))
 
     @pytest.mark.parametrize("name, p, family", list(_candidate_cases()),
                              ids=[case[0] for case in _candidate_cases()])
@@ -217,7 +233,7 @@ class TestMatchesWholeMuWalk:
         cand = primal_candidate(family, p)
         rng = random.Random(name)
         for x in sorted({0, (1 << p.n) - 1, rng.randrange(1 << p.n)}):
-            assert_routes_match_walks(cand, p, x, rng.randrange(1 << 31))
+            assert_routes_match_walks(cand, cand, p, x, rng.randrange(1 << 31))
 
     def test_candidates_hold_both_verdicts(self):
         verdicts = {primal_candidate(family, p).nonnegative for _, p, family in _candidate_cases()}
@@ -230,14 +246,14 @@ class TestMatchesWholeMuWalk:
         dense = PrimalSolution(2, {(code, s): v / 4 for code, v in zip(codes, row)
                                    for s in range(len(code.cosets))}, Fraction(0), p.weights)
         for x in all_vectors(2):
-            assert_routes_match_walks(dense, p, x, x)
+            assert_routes_match_walks(dense, dense, p, x, x)
         q = uniform(1)
         bottom, full = ParityCode.bottom(1), codes_of_rank(1, 1)[0]
         negative = PrimalSolution(1, {(bottom, 0): -0.25, (bottom, 1): -0.25, (full, 0): 0.75},
                                   1.0, q.weights)
         assert outcome(sample, negative, q, 0, 100, 1) == \
             ("raises", "lambda entries must be nonnegative")
-        assert_routes_match_walks(negative, q, 0, 1)
+        assert_routes_match_walks(negative, negative, q, 0, 1)
 
 
 class TestExactDistribution:
@@ -399,7 +415,7 @@ class TestStatevector:
     def test_n1_full_recovery(self):
         p = uniform(1)
         sol, _ = solve_primal(p, CostFunction.average(1))
-        report = statevector_check(sol, p, 0)
+        report = statevector_check(sol, p, 0, exact_distribution(sol, p, 0))
         assert report.n_amplitudes == 1
         assert report.norm_deviation == 0
         assert report.ok
@@ -410,7 +426,7 @@ class TestStatevector:
             p = rand_rational_profile(n, rng)
             sol, _ = solve_primal(p, CostFunction.average(n))
             for x in (0, (1 << n) - 1):
-                report = statevector_check(sol, p, x)
+                report = statevector_check(sol, p, x, exact_distribution(sol, p, x))
                 assert report.norm_deviation <= 1e-12
                 assert report.max_distribution_deviation <= 1e-10
                 assert report.wrong_outcome_mass == 0.0
@@ -422,7 +438,7 @@ class TestStatevector:
         for p in (bernoulli_profile(2, 0.1), rand_rational_profile(4, random.Random(11))):
             sol, _ = solve_primal(p, CostFunction.average(p.n), mode="float")
             assert all(v >= 0 for v in sol.mu.values())
-            report = statevector_check(sol, p, 1)
+            report = statevector_check(sol, p, 1, exact_distribution(sol, p, 1))
             assert report.ok
 
     def test_requires_full_support(self):
@@ -431,17 +447,18 @@ class TestStatevector:
         p = AmplitudeProfile.from_weights(2, ["1/2", "1/2", "0", "0"])
         sol, _ = solve_primal(p, CostFunction.average(2))
         with pytest.raises(ProfileError):
-            statevector_check(sol, p, 0)
+            statevector_check(sol, p, 0, exact_distribution(sol, p, 0))
 
     def test_runs_at_cap_and_refuses_above(self):
         # the bottom code alone: no code table is built, even at the cap
         p = uniform(STATEVECTOR_MAX_N)
-        report = statevector_check(bottom_only_solution(p), p, 0b10110101)
+        sol = bottom_only_solution(p)
+        report = statevector_check(sol, p, 0b10110101, exact_distribution(sol, p, 0b10110101))
         assert report.ok and report.exact_match
         assert report.n_amplitudes == 1 << STATEVECTOR_MAX_N
         above = uniform(STATEVECTOR_MAX_N + 1)
         with pytest.raises(BudgetError, match=f"capped at n <= {STATEVECTOR_MAX_N}"):
-            statevector_check(bottom_only_solution(above), above, 0)
+            statevector_check(bottom_only_solution(above), above, 0, {})
 
 
 class TestConsistencyTriangle:
@@ -454,7 +471,7 @@ class TestConsistencyTriangle:
         shots = 100000
         dist = exact_distribution(sol, p, x)
         records = sample(sol, p, x, shots, seed=77)
-        sv = statevector_check(sol, p, x)
+        sv = statevector_check(sol, p, x, dist)
         assert sv.ok and sv.exact_match
         sampled_keys = {(r.code, r.y) for r in records}
         positive_keys = {k for k, v in dist.items() if v > 0}

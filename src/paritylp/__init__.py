@@ -60,7 +60,6 @@ from .lp import (
 from .povm import (
     PovmSet,
     build_from_primal,
-    coset_basis,
     fourier_diag_check,
     rho_eval,
     state_psi,
@@ -71,10 +70,8 @@ from .profiles import (
     AmplitudeProfile,
     BernoulliParams,
     CostFunction,
-    average_dual_weight,
     bernoulli_profile,
     perturb_full_support,
-    tail_mass,
 )
 from .simulate import (
     OutcomeRecord,

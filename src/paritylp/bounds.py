@@ -23,7 +23,6 @@ from .f2lin import (
     F2Matrix,
     all_vectors,
     ball,
-    by_code,
     codes_of_rank,
     coset_counts,
     coset_table,
@@ -150,14 +149,12 @@ class PrimalCandidate(PrimalSolution):
         return self
 
     def to_json_dict(self) -> dict:
+        """The verdict and objective, then mu as `solve` lists it, zeros kept."""
         return {
             "family": self.family,
             "nonnegative": self.nonnegative,
             "objective": self.objective,
-            "lambda": {
-                f"{code.label()},{vec_str(i, self.n)}": v
-                for (code, i), v in sorted(self.lam.items(), key=by_code)
-            },
+            **super().to_json_dict(),
         }
 
 
@@ -172,19 +169,16 @@ def primal_candidate(family: str, profile: AmplitudeProfile) -> PrimalCandidate:
                coset-difference terms.
 
     Each formula gives mu on one coset of a code of the code table, so the
-    normalization holds and lambda = mu / w is constant on each coset; only
-    nonnegativity is regime-dependent, and the verdict is returned instead
-    of assumed.
+    normalization holds; only nonnegativity is regime-dependent, and the
+    verdict is returned instead of assumed.
     """
     if family not in AVERAGE_FAMILIES:
         raise FamilyError(f"unknown candidate family {family!r}")
     if profile.n > CANDIDATE_MAX_N:
         raise BudgetError(f"candidates capped at n <= {CANDIDATE_MAX_N}")
     if not profile.full_support:
-        raise ProfileError(
-            "candidate formulas divide by every weight; perturb the profile "
-            "to full support first"
-        )
+        raise ProfileError("candidate formulas divide by every weight; "
+                           "apply perturb_full_support")
     n = profile.n
     weight = profile.weights
     mu: dict = {}
@@ -218,7 +212,7 @@ def primal_candidate(family: str, profile: AmplitudeProfile) -> PrimalCandidate:
             objective = objective + (n - 1) * (1 << (n - 1)) * value
 
     nonneg = all(v >= 0 for v in mu.values())
-    return PrimalCandidate(n, mu, objective, weight, family, nonneg)
+    return PrimalCandidate(n, mu, objective, family, nonneg)
 
 
 def count_N(k: int, i: int, x: int, n: int) -> int:

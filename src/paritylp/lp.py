@@ -224,8 +224,8 @@ def solve(model: LpModel, mode: str = EXACT) -> SolveReport:
 
 @dataclass
 class PrimalSolution:
-    """Coset-reduced mu values, with the weights of the profile mu was found
-    for; lambda = mu / weight is a view derived from them.
+    """Coset-reduced mu values: mu[(code, s)] / w_i is the lambda of every
+    member i of the coset, so mu is the point's only form.
 
     A coset missing from mu has mu = 0.  A solve keeps only the cosets that
     carry mass (an optimal vertex has at most one per supported index), and
@@ -236,35 +236,6 @@ class PrimalSolution:
     n: int
     mu: dict
     objective: object
-    weights: tuple
-
-    @functools.cached_property
-    def lam(self) -> dict:
-        """lambda[(code, i)] for every coset of mu, as `lam_items` gives it,
-        built on first read; only a candidate's report reads it."""
-        return dict(self.lam_items(self.mu.items()))
-
-    def lam_items(self, cosets):
-        """((code, i), lambda) for each member i of each ((code, s), mu) of
-        `cosets`, in their order, with lambda = mu / w_i.  At a zero-weight
-        index, where mu / w_i has no value, lambda is mu + 1 on the bottom
-        code (the no-information outcome) and mu on every other code, where
-        a feasible point has mu = 0."""
-        w = self.weights
-        for (code, s), v in cosets:
-            for i in code.cosets[s].tolist():
-                if w[i]:
-                    yield (code, i), v / w[i]
-                else:
-                    yield (code, i), v if code.k else v + 1
-
-    @classmethod
-    def from_lp_values(cls, profile: AmplitudeProfile, values: dict,
-                       objective) -> PrimalSolution:
-        """The solution of a solve's `values`, which are keyed (code, s) as mu
-        is and hold only x != 0: mu is a copy of them (no key is hashed
-        again)."""
-        return cls(profile.n, dict(values), objective, profile.weights)
 
     def to_json_dict(self) -> dict:
         """mu as it is held, in the canonical order of codes, then s."""
@@ -314,7 +285,8 @@ def solve_pair(profile: AmplitudeProfile, cost: CostFunction, mode: str = EXACT
     report = solve(model, mode)
     if report.status != "optimal":
         raise SolveError(f"primal solve ended with status {report.status}")
-    primal = PrimalSolution.from_lp_values(profile, report.values, report.objective)
+    # values is keyed (code, s) as mu is and holds only x != 0
+    primal = PrimalSolution(profile.n, dict(report.values), report.objective)
     # objective * 0 puts the cover in the number type the solve ran in.
     cover = report.objective * 0 + max(_rank_value(cost, k) for k in range(profile.n + 1))
     b = [cover] * (1 << profile.n)

@@ -88,17 +88,6 @@ def _coset_states(code: ParityCode, y: int, fourier, syndromes) -> list[np.ndarr
     return out
 
 
-def coset_basis(profile: AmplitudeProfile, code: ParityCode, y: int) -> list[np.ndarray]:
-    """The per-syndrome states orthogonal to every wrong-outcome family member.
-
-    A_s carries Fourier coefficients 1/conj(amplitude) with signs (-1)^(y.u)
-    on the coset of syndrome s, anchored at the coset leader.  Distinct
-    syndromes have disjoint Fourier support, so the list is orthogonal.
-    """
-    fourier = _coset_fourier(profile, code)
-    return _coset_states(code, y, fourier, range(len(fourier[0])))
-
-
 @dataclass
 class PovmSet:
     """Operators for every informative (code, y) outcome plus the leftover."""

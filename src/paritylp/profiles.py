@@ -291,21 +291,3 @@ def perturb_full_support(p: AmplitudeProfile, delta) -> AmplitudeProfile:
             for i in all_vectors(p.n)
         )
     return AmplitudeProfile(p.n, new_weights, new_amps)
-
-
-def _sum(p: AmplitudeProfile, terms):
-    """A sum in the profile's number type: exact `Fraction` for a rational
-    profile, the correctly rounded `math.fsum` for a binary64 one."""
-    return sum(terms, Fraction(0)) if p.rational else math.fsum(terms)
-
-
-def average_dual_weight(p: AmplitudeProfile):
-    """Mean Hamming weight of the dual distribution, sum |i| w_i."""
-    return _sum(p, (hamming_weight(i) * p.weights[i] for i in all_vectors(p.n)))
-
-
-def tail_mass(p: AmplitudeProfile, d: int):
-    """Total weight on indices of Hamming weight > d."""
-    if not 0 <= d <= p.n:
-        raise ValueError("need 0 <= d <= n")
-    return _sum(p, (p.weights[i] for i in all_vectors(p.n) if hamming_weight(i) > d))

@@ -86,14 +86,17 @@ def sample(sol: PrimalSolution, profile: AmplitudeProfile, x: int,
     codes = enumerate_all_codes(profile.n)
     cols = code_positions(profile.n)
     rows = {i: row for row, i in enumerate(support)}
-    lam = np.zeros((len(support), len(codes)))
-    # lambda is zero off the cosets of mu, so only their members are filled
-    for (code, i), v in sol.lam_items(sol.mu.items()):
-        if i in rows:
-            lam[rows[i], cols[code]] = float(v)
-    if np.any(lam < 0):
+    law = np.zeros((len(support), len(codes)))
+    # lambda_i = mu / w_i is zero off the cosets of mu, so only their
+    # supported members are filled
+    for (code, s), v in sol.mu.items():
+        col = cols[code]
+        for i in code.cosets[s].tolist():
+            if i in rows:
+                law[rows[i], col] = float(v / profile.weights[i])
+    if np.any(law < 0):
         raise ValueError("lambda entries must be nonnegative")
-    row_sums = lam.sum(axis=1)
+    row_sums = law.sum(axis=1)
     if np.max(np.abs(row_sums - 1.0)) > 1e-9:
         raise ValueError("lambda rows must sum to 1 on the support")
 
@@ -103,8 +106,8 @@ def sample(sol: PrimalSolution, profile: AmplitudeProfile, x: int,
         if m:
             # only the row's nonzero cells: numpy hands the last cell the
             # leftover shots, which must not land on a zero-probability code
-            cells = np.flatnonzero(lam[row])
-            counts[cells] += rng.multinomial(m, lam[row, cells] / row_sums[row])
+            cells = np.flatnonzero(law[row])
+            counts[cells] += rng.multinomial(m, law[row, cells] / row_sums[row])
 
     records = [OutcomeRecord(code, code.parity(x), int(c), int(c) / shots)
                for code, c in zip(codes, counts) if c]

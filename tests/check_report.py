@@ -1,5 +1,5 @@
-"""Check an exact `solve` report against its profile, with the standard
-library alone: no numpy and no `paritylp` import.
+"""Check an exact `solve` or `primal-candidate` report against its
+profile, with the standard library alone: no numpy and no `paritylp` import.
 
     python tests/check_report.py REPORT.json PROFILE.json
 
@@ -19,8 +19,16 @@ force, and every test is decided in `Fraction`s:
 - sum_i b_i w_i = sum cost(k) 2^k mu = rho = sigma, and the gap is 0.
 
 A coset missing from mu has mu = 0.  By weak duality, a report that passes
-proves that its rho is the optimum, whatever program wrote it.  Exit 0
-when every test passes; else one line per failed test and exit 1.
+proves that its rho is the optimum, whatever program wrote it.
+
+A `primal-candidate` report lists the candidate's mu as `solve` lists
+its own, zeros kept, under the average cost.  Its tests are:
+
+- mu >= 0 when the report says `nonnegative`, and some mu < 0 when not;
+- at each supported index i, the mu of the cosets holding i sum to w_i;
+- its `objective` is sum cost(k) 2^k mu, exactly.
+
+Exit 0 when every test passes; else one line per failed test and exit 1.
 """
 
 import functools
@@ -122,22 +130,19 @@ def cost_values(config: dict, n: int) -> list:
     raise ValueError(f"unknown cost {kind!r}")
 
 
-def check(report: dict, profile: dict) -> list:
-    """The failed tests of an exact `solve` report, as lines; [] if none."""
-    if report["primal"]["mode"] != "exact":
-        return ["not an exact report"]
-    n = profile["n"]
-    weights = [number(w) for w in profile["weights"]]
-    rank_value = [c * (1 << k) for k, c in enumerate(cost_values(report["config"], n))]
-    rho, sigma = number(report["rho"]), number(report["sigma"])
-    failed = []
-
+def check_mu(mu_map: dict, weights: list, rank_value: list, failed: list,
+             nonnegative: bool = True) -> Fraction:
+    """Append to `failed` each test that a report's mu fails: mu >= 0 (when
+    `nonnegative`), no mass on a coset that meets the zero set, and the mu
+    holding each supported index sum to its weight.  Returns
+    sum cost(k) 2^k mu."""
+    n = len(weights).bit_length() - 1
     sums, primal = [Fraction(0)] * (1 << n), Fraction(0)
-    for key, value in report["primal_solution"]["mu"].items():
+    for key, value in mu_map.items():
         label, s = key.rsplit(",s=", 1)
         coset, mu = coset_of(label, int(s), n), number(value)
         k = len(coset).bit_length() - 1
-        if mu < 0:
+        if nonnegative and mu < 0:
             failed.append(f"mu[{key}] = {mu} < 0")
         if mu and any(weights[i] == 0 for i in coset):
             failed.append(f"mu[{key}] = {mu} on a coset that meets the zero set")
@@ -147,6 +152,45 @@ def check(report: dict, profile: dict) -> list:
     for i, w in enumerate(weights):
         if w and sums[i] != w:
             failed.append(f"the mu holding index {i} sum to {sums[i]}, not w = {w}")
+    return primal
+
+
+def rank_values(config: dict, n: int) -> list:
+    """cost(k) 2^k for k = 0 ... n."""
+    return [c * (1 << k) for k, c in enumerate(cost_values(config, n))]
+
+
+def check_candidate(report: dict, profile: dict) -> list:
+    """The failed tests of a `primal-candidate` report's point, as lines."""
+    candidate = report["candidate"]
+    if isinstance(candidate["objective"], float):
+        return ["not an exact report"]
+    n = profile["n"]
+    weights = [number(w) for w in profile["weights"]]
+    failed = []
+    nonnegative = candidate["nonnegative"]
+    primal = check_mu(candidate["mu"], weights, rank_values(report["config"], n), failed,
+                      nonnegative)
+    if not nonnegative and all(number(v) >= 0 for v in candidate["mu"].values()):
+        failed.append("the report says not nonnegative, but every mu >= 0")
+    if primal != number(candidate["objective"]):
+        failed.append(f"sum cost mu = {primal}, not the objective {candidate['objective']}")
+    return failed
+
+
+def check(report: dict, profile: dict) -> list:
+    """The failed tests of an exact `solve` or `primal-candidate` report,
+    as lines; [] if none."""
+    if "candidate" in report:
+        return check_candidate(report, profile)
+    if report["primal"]["mode"] != "exact":
+        return ["not an exact report"]
+    n = profile["n"]
+    weights = [number(w) for w in profile["weights"]]
+    rank_value = rank_values(report["config"], n)
+    rho, sigma = number(report["rho"]), number(report["sigma"])
+    failed = []
+    primal = check_mu(report["primal_solution"]["mu"], weights, rank_value, failed)
 
     b_map = report["dual_solution"]["b"]
     b = [number(b_map[coordinates(i, n)]) for i in range(1 << n)]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -124,3 +125,41 @@ def ball_profile(n: int, d: int, rng: random.Random) -> AmplitudeProfile:
 def point_mass_profile(n: int, at: int) -> AmplitudeProfile:
     weights = [Fraction(1) if i == at else Fraction(0) for i in all_vectors(n)]
     return AmplitudeProfile.from_weights(n, weights)
+
+
+def lam_items(mu_items, weights):
+    """((code, i), lambda) for each member i of each ((code, s), mu) of
+    `mu_items`, in their order, with lambda = mu / w_i.  At a zero-weight
+    index, where mu / w_i has no value, lambda is mu + 1 on the bottom code
+    (the no-information outcome) and mu on every other code, where a
+    feasible point has mu = 0.  The library keeps mu alone; this is the
+    lambda the tests compare against."""
+    for (code, s), v in mu_items:
+        for i in code.cosets[s].tolist():
+            if weights[i]:
+                yield (code, i), v / weights[i]
+            else:
+                yield (code, i), v if code.k else v + 1
+
+
+def lam_of(sol, weights) -> dict:
+    """lambda[(code, i)] for every member of every coset of sol.mu."""
+    return dict(lam_items(sol.mu.items(), weights))
+
+
+def _sum(p: AmplitudeProfile, terms):
+    """A sum in the profile's number type: exact `Fraction` for a rational
+    profile, the correctly rounded `math.fsum` for a binary64 one."""
+    return sum(terms, Fraction(0)) if p.rational else math.fsum(terms)
+
+
+def average_dual_weight(p: AmplitudeProfile):
+    """Mean Hamming weight of the dual distribution, sum |i| w_i."""
+    return _sum(p, (hamming_weight(i) * p.weights[i] for i in all_vectors(p.n)))
+
+
+def tail_mass(p: AmplitudeProfile, d: int):
+    """Total weight on indices of Hamming weight > d."""
+    if not 0 <= d <= p.n:
+        raise ValueError("need 0 <= d <= n")
+    return _sum(p, (p.weights[i] for i in all_vectors(p.n) if hamming_weight(i) > d))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ball_profile, point_mass_profile, rand_rational_profile
+from conftest import ball_profile, lam_of, point_mass_profile, rand_rational_profile
 from paritylp.bounds import (
     AVERAGE_FAMILIES,
     CANDIDATE_MAX_N,
@@ -31,12 +31,14 @@ from paritylp.f2lin import (
     F2Matrix,
     ParityCode,
     all_vectors,
+    by_code,
     codes_of_rank,
     enumerate_all_codes,
     enumerate_codes,
     enumerate_identity_rows,
     hamming_weight,
     identity,
+    vec_str,
 )
 from paritylp.lp import (
     check_dual_feasible,
@@ -217,7 +219,7 @@ class TestThresholdFamilies:
         assert check_dual_feasible(sol, CostFunction.threshold(3, 1)).feasible
 
     def test_ball_objective_is_constant_times_tail(self):
-        from paritylp.profiles import tail_mass
+        from conftest import tail_mass
 
         p = bernoulli_profile(4, 0.1)
         sol = dual_threshold_ball(4, 1, 3.0)
@@ -331,7 +333,7 @@ class TestPrimalCandidates:
         cand = primal_candidate("spike", p)
         assert not cand.nonnegative
         xor_code = ParityCode.from_matrix(F2Matrix(2, (3,)))
-        lam = cand.lam.get((xor_code, 1), 0)
+        lam = lam_of(cand, p.weights).get((xor_code, 1), 0)
         assert lam == (Fraction(9, 20) - Fraction(11, 20)) / (2 * Fraction(3, 20))
 
     def test_hamming_nonnegative_for_decreasing_weights(self):
@@ -350,10 +352,10 @@ class TestPrimalCandidates:
         for _ in range(4):
             p = rand_rational_profile(n, rng)
             cand = primal_candidate(family, p)
-            sol = cand.to_solution(p)
+            lam = lam_of(cand.to_solution(p), p.weights)
             codes = tuple(enumerate_all_codes(n))
             for i in all_vectors(n):
-                total = sum(sol.lam.get((code, i), 0) for code in codes)
+                total = sum(lam.get((code, i), 0) for code in codes)
                 assert total == 1, (family, n, i)
 
     @pytest.mark.parametrize("family", ["hamming", "cohamming", "spike"])
@@ -388,8 +390,9 @@ class TestPrimalCandidates:
             p = profile(n, [float(w) for w in p.weights])
         cand = primal_candidate(family, p)
         lam, objective = place_lambda(family, p)
-        assert list(cand.lam) == list(lam)
-        assert bits(cand.lam.values()) == bits(lam.values())
+        got = lam_of(cand, p.weights)
+        assert list(got) == list(lam)
+        assert bits(got.values()) == bits(lam.values())
         assert bits([cand.objective]) == bits([objective])
         assert cand.nonnegative == all(v >= 0 for v in lam.values())
 
@@ -406,8 +409,36 @@ class TestPrimalCandidates:
         cand = primal_candidate(family, p)
         assert calls == []
         table = {id(code) for code in enumerate_all_codes(4)}
-        assert all(id(code) in table for code, _ in cand.lam)
+        assert all(id(code) in table for code, _ in cand.mu)
         assert cand.to_solution(p) is cand
+
+    @pytest.mark.parametrize("kind", ["uniform", "rational", "binary64"])
+    @pytest.mark.parametrize("n", range(1, CANDIDATE_MAX_N + 1))
+    @pytest.mark.parametrize("family", AVERAGE_FAMILIES)
+    def test_mu_report_gives_the_lambda_report(self, family, n, kind):
+        # mu / w_i over the members of each listed coset is the lambda the
+        # report listed before it listed mu: key, order, value and type
+        p = rand_rational_profile(n, random.Random(f"report/{n}"))
+        if kind == "uniform":
+            p = profile(n, [Fraction(1, 1 << n)] * (1 << n))
+        elif kind == "binary64":
+            p = profile(n, [float(w) for w in p.weights])
+        cand = primal_candidate(family, p)
+        old = {f"{code.label()},{vec_str(i, n)}": v
+               for (code, i), v in sorted(lam_of(cand, p.weights).items(), key=by_code)}
+        report = cand.to_json_dict()
+        assert list(report) == ["family", "nonnegative", "objective", "mu"]
+        code_of = {code.label(): code for code in enumerate_all_codes(n)}
+        lam = {}
+        for key, v in report["mu"].items():
+            label, s = key.rsplit(",s=", 1)
+            for i in code_of[label].cosets[int(s)].tolist():
+                lam[(code_of[label], i)] = v / p.weights[i]
+        new = {f"{code.label()},{vec_str(i, n)}": v
+               for (code, i), v in sorted(lam.items(), key=by_code)}
+        assert list(new) == list(old)
+        assert bits(new.values()) == bits(old.values())
+        assert len(report["mu"]) == len(cand.mu)
 
     def test_runs_at_cap_and_refuses_above(self):
         n = CANDIDATE_MAX_N

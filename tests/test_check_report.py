@@ -1,7 +1,7 @@
 """The stdlib report checker (`check_report.py`) against the library and
-against exact `solve` reports: it accepts what a solve writes, rejects
-reports changed by one value, and rebuilds the cosets the README
-describes, which are the coset table's."""
+against exact `solve` and `primal-candidate` reports: it accepts what a
+solve or a candidate writes, rejects reports changed by one value, and
+rebuilds the cosets the README describes, which are the coset table's."""
 
 import json
 import random
@@ -14,6 +14,7 @@ import check_report
 from conftest import ball_profile, rand_rational_profile
 from paritylp.cli import main
 from paritylp.f2lin import coset_table
+from paritylp.profiles import AmplitudeProfile
 
 
 @pytest.mark.parametrize("n", range(6))
@@ -150,3 +151,55 @@ def test_command_line(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     assert check_report.main([str(paths[1]), str(paths[2])]) == 1
     assert "are not all equal" in capsys.readouterr().out
+
+
+def candidate_report(tmp_path, capsys, p, family):
+    """A `primal-candidate` report of p and the profile JSON it was read from."""
+    path = tmp_path / f"p{len(list(tmp_path.iterdir()))}.json"
+    path.write_text(json.dumps(p.to_json_dict()))
+    assert main(["primal-candidate", "--profile", str(path), "--family", family]) == 0
+    return json.loads(capsys.readouterr().out), json.loads(path.read_text())
+
+
+def _candidate_profiles():
+    for n in (1, 3, 5):
+        rng = random.Random(f"check/candidate/{n}")
+        yield f"full{n}", rand_rational_profile(n, rng)
+        yield f"uniform{n}", AmplitudeProfile.from_weights(n, [Fraction(1, 1 << n)] * (1 << n))
+
+
+CANDIDATE_PROFILES = dict(_candidate_profiles())
+
+
+def move_mu_by_one_unit(candidate):
+    """The candidate with its first nonzero mu raised by one unit of its
+    denominator."""
+    mu = dict(candidate["mu"])
+    key, v = next((key, Fraction(v)) for key, v in mu.items() if Fraction(v))
+    mu[key] = str(v + Fraction(1, v.denominator))
+    return {**candidate, "mu": mu}
+
+
+@pytest.mark.parametrize("family", ["hamming", "cohamming", "spike"])
+@pytest.mark.parametrize("name", list(CANDIDATE_PROFILES))
+def test_candidate_reports(tmp_path, capsys, name, family):
+    """Every exact candidate report passes, whatever its verdict; moving
+    one mu by one unit, flipping the verdict or changing the objective
+    fails it."""
+    report, profile = candidate_report(tmp_path, capsys, CANDIDATE_PROFILES[name], family)
+    candidate = report["candidate"]
+    assert check_report.check(report, profile) == []
+    moved = check_report.check({**report, "candidate": move_mu_by_one_unit(candidate)}, profile)
+    assert any("sum to" in line for line in moved), moved
+    flipped = {**candidate, "nonnegative": not candidate["nonnegative"]}
+    assert check_report.check({**report, "candidate": flipped}, profile)
+    changed = {**candidate, "objective": str(Fraction(candidate["objective"]) + 1)}
+    assert any("not the objective" in line
+               for line in check_report.check({**report, "candidate": changed}, profile))
+
+
+def test_candidate_cases_hold_both_verdicts(tmp_path, capsys):
+    verdicts = {candidate_report(tmp_path, capsys, p, family)[0]["candidate"]["nonnegative"]
+                for p in CANDIDATE_PROFILES.values() for family in ("hamming", "spike")}
+    assert verdicts == {True, False}
+

@@ -826,8 +826,10 @@ class TestReportOrder:
     def test_candidate_lambda(self, capsys, path, family):
         _, report = run_json(capsys, ["primal-candidate", "--profile", path,
                                       "--family", family])
-        entries = [key.rsplit(",", 1) for key in report["candidate"]["lambda"]]
-        assert in_order([order_key(label, vec_from_str(i)) for label, i in entries])
+        # the candidate's point is listed as a solve's is: mu by (code, s)
+        entries = [key.rsplit(",s=", 1) for key in report["candidate"]["mu"]]
+        assert len({label for label, _ in entries}) > 2
+        assert in_order([order_key(label, int(s)) for label, s in entries])
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_code_order(self, n):
@@ -981,3 +983,15 @@ class TestReportCorpus:
         exact = report["primal"]["mode"] == "exact"
         assert check_report.check(report, profile) == ([] if exact else ["not an exact report"])
         assert exact != (name in ("solve-r2-float-custom", "solve-r4-float", "solve-f3"))
+
+    @pytest.mark.parametrize("name", [name for name, command in CORPUS.items()
+                                      if name.startswith("candidate") and "table" not in command])
+    def test_candidate_checks_itself(self, capsys, paths, name):
+        """The stdlib checker accepts every exact candidate report, of either
+        verdict, and refuses to read a binary64 one."""
+        assert main(CORPUS[name].format(**paths).split()) == 0
+        report = json.loads(capsys.readouterr().out)
+        with open(report["config"]["profile"]) as fh:
+            profile = json.load(fh)
+        exact = name != "candidate-f3-hamming"
+        assert check_report.check(report, profile) == ([] if exact else ["not an exact report"])

@@ -17,6 +17,7 @@ from conftest import (
     RowModel,
     ball_profile,
     full_rank_matrices,
+    lam_of,
     literal_lp_model,
     rand_rational_profile,
 )
@@ -656,7 +657,7 @@ class TestFeasibilityChecks:
         p = profile(1, ["1/2", "1/2"])
         sol, _ = solve_primal(p, CostFunction.average(1))
         broken = PrimalSolution(sol.n, {k: 2 * v for k, v in sol.mu.items()},
-                                sol.objective, p.weights)
+                                sol.objective)
         report = check_primal_feasible(broken, p)
         assert not report.feasible
 
@@ -1086,7 +1087,7 @@ class TestColumnFormMatchesDenseRows:
         primal, dual, report = solve_pair(p, cost, mode)
         want, mu, lam, b = dense_pair(p, cost, mode, float_stage=False)
         assert_same_report(report, want)
-        assert same(primal.mu, mu) and same(primal.lam, lam)
+        assert same(primal.mu, mu) and same(lam_of(primal, p.weights), lam)
         assert same(dual.b, b)
         assert report.strategy == "exact-pivots"
 
@@ -1346,9 +1347,9 @@ class TestCertificateColumnSums:
 
 
 def eager_lam(profile, values):
-    """PrimalSolution.from_lp_values's lambda as it was built eagerly, in
-    the order of the LP values: one division per member of a nonzero level,
-    one per coset for a zero level."""
+    """lambda as it was built eagerly from a solve's values, in their
+    order: one division per member of a nonzero level, one per coset for a
+    zero level."""
     lam = {}
     for (code, s), v in values.items():
         members = code.cosets[s].tolist()
@@ -1395,7 +1396,8 @@ class TestSparseMu:
 
 
 class TestLazyLambda:
-    """lambda is derived from mu on first read, as the eager loop built it."""
+    """lambda = mu / w_i is derived from mu and the profile, in the tests
+    alone (`lam_of`), as the eager loop built it; no job's report lists it."""
 
     def test_cases_hold_zero_levels_and_zero_sets(self):
         zero_levels = zero_sets = 0
@@ -1414,9 +1416,8 @@ class TestLazyLambda:
             model = build_primal(p, cost)
             report = solve(model, mode)
             for values in (report.values, dense_values(model, report)):
-                sol = PrimalSolution.from_lp_values(p, values, report.objective)
-                assert same(sol.lam, eager_lam(p, values))
-                assert sol.lam is sol.lam
+                sol = PrimalSolution(p.n, values, report.objective)
+                assert same(lam_of(sol, p.weights), eager_lam(p, values))
                 if p.zero_set:
                     assert sol.mu.get((ParityCode.bottom(p.n), p.zero_set[0]), 0) == 0
 
@@ -1428,8 +1429,8 @@ class TestLazyLambda:
         p = rand_rational_profile(n, random.Random(f"lambda/candidate/{n}"))
         cand = primal_candidate(family, p)
         values = {(code, code.G.mul_vec(i)): v * p.weights[i]
-                  for (code, i), v in cand.lam.items()}
-        assert same(cand.to_solution(p).lam, eager_lam(p, values))
+                  for (code, i), v in lam_of(cand, p.weights).items()}
+        assert same(lam_of(cand.to_solution(p), p.weights), eager_lam(p, values))
 
     @pytest.mark.parametrize("support", ["full", "ball"])
     @pytest.mark.parametrize("argv, reads", [
@@ -1439,11 +1440,10 @@ class TestLazyLambda:
         (["verify", "--family", "threshold-ball", "--d", "1", "--gamma", "2.5"], False),
         (["threshold", "--tau", "2"], False),
     ])
-    def test_cli_jobs_build_lambda_only_when_read(self, tmp_path, capsys, monkeypatch,
-                                                  argv, reads, support):
+    def test_cli_jobs_build_lambda_only_when_read(self, tmp_path, capsys, argv, reads, support):
         rng = random.Random("lambda/cli")
         p = rand_rational_profile(3, rng) if support == "full" else ball_profile(3, 1, rng)
-        self._run_counting_builds(tmp_path, capsys, monkeypatch, p, argv, reads)
+        self._run_listing_lambda(tmp_path, capsys, p, argv, reads)
 
     @pytest.mark.parametrize("argv, support", [
         (["simulate", "--x", "101", "--seed", "1", "--shots", "100"], "full"),
@@ -1452,54 +1452,32 @@ class TestLazyLambda:
         (["povm", "--assume-real-amplitudes"], "full"),
         (["povm", "--assume-real-amplitudes", "--mode", "float"], "full"),
     ], ids=["simulate-full", "simulate-ball", "simulate-float", "povm", "povm-float"])
-    def test_measurement_jobs_never_build_lambda(self, tmp_path, capsys, monkeypatch,
-                                                 argv, support):
+    def test_measurement_jobs_never_build_lambda(self, tmp_path, capsys, argv, support):
         # the sampler, the outcome law, the state-vector oracle and the
-        # operators read the carried cosets of mu alone
+        # operators read the cosets of mu alone, and report no lambda
         rng = random.Random("lambda/cli")
         p = rand_rational_profile(3, rng) if support == "full" else ball_profile(3, 1, rng)
-        self._run_counting_builds(tmp_path, capsys, monkeypatch, p, argv, False)
-
-    def test_candidate_slackness_builds_lambda(self, tmp_path, capsys, monkeypatch):
-        # the candidate's report lists lambda; its slackness audit reads mu
-        p = profile(3, ["1/8"] * 8)
-        self._run_counting_builds(tmp_path, capsys, monkeypatch, p,
-                                  ["primal-candidate", "--family", "hamming"], True)
+        self._run_listing_lambda(tmp_path, capsys, p, argv, False)
 
     @staticmethod
-    def _run_counting_builds(tmp_path, capsys, monkeypatch, p, argv, reads):
+    def _run_listing_lambda(tmp_path, capsys, p, argv, reads):
+        """Run the job; its report has a "lambda" key somewhere exactly when
+        `reads` is set, and a `PrimalSolution` holds no lambda to build."""
         from paritylp.cli import main
 
         path = tmp_path / "p.json"
         path.write_text(json.dumps(p.to_json_dict()))
-        builds = count_lambda_builds(monkeypatch)
         assert main([argv[0], "--profile", str(path), *argv[1:]]) == 0
-        capsys.readouterr()
-        assert bool(builds) is reads
-
-
-def count_lambda_builds(monkeypatch, items=False):
-    """The list each build of `PrimalSolution.lam` appends its solution to,
-    and each call of `lam_items` too when `items` is set."""
-    builds = []
-    real = PrimalSolution.__dict__["lam"].func
-
-    def counted(self):
-        builds.append(self)
-        return real(self)
-
-    lam = functools.cached_property(counted)
-    lam.__set_name__(PrimalSolution, "lam")
-    monkeypatch.setattr(PrimalSolution, "lam", lam)
-    if items:
-        real_items = PrimalSolution.lam_items
-
-        def counted_items(self, cosets):
-            builds.append(self)
-            return real_items(self, cosets)
-
-        monkeypatch.setattr(PrimalSolution, "lam_items", counted_items)
-    return builds
+        keys, stack = set(), [json.loads(capsys.readouterr().out)]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, dict):
+                keys |= set(node)
+                stack += node.values()
+            elif isinstance(node, list):
+                stack += node
+        assert ("lambda" in keys) is reads
+        assert not {"lam", "lam_items", "from_lp_values", "weights"} & set(dir(PrimalSolution))
 
 
 def generic_dual_audit(sol, cost, tol=None):
@@ -1529,11 +1507,10 @@ def generic_dual_audit(sol, cost, tol=None):
     return not violations, violations, max_v, checked, slacks
 
 
-def generic_lam(sol):
-    """PrimalSolution.lam as the primal audits built it: mu / w_i on each
-    member, and ((code, s), mu + 1) alone for a coset whose first member
-    weighs zero."""
-    w, lam = sol.weights, {}
+def generic_lam(sol, w):
+    """lambda as the primal audits built it: mu / w_i on each member, and
+    ((code, s), mu + 1) alone for a coset whose first member weighs zero."""
+    lam = {}
     for (code, s), v in sol.mu.items():
         members = code.cosets[s].tolist()
         if not w[members[0]]:
@@ -1547,7 +1524,7 @@ def generic_lam(sol):
 def generic_primal_audit(sol, profile, tol=None):
     """check_primal_feasible as it was: the whole lambda dict, each index's
     sum of lambda in the arithmetic of mu.  Returns (feasible, totals)."""
-    lam = generic_lam(sol)
+    lam = generic_lam(sol, profile.weights)
     if tol is None:
         rational = all(isinstance(v, Rational) for v in chain(profile.weights, lam.values()))
         tol = 0 if rational else 1e-9
@@ -1564,7 +1541,7 @@ def generic_slackness(primal, dual, profile, cost):
     (certified, primal feasible, dual feasible, largest index product,
     largest coset product)."""
     rational = all(isinstance(v, Rational)
-                   for v in chain(profile.weights, generic_lam(primal).values(), dual.b))
+                   for v in chain(profile.weights, generic_lam(primal, profile.weights).values(), dual.b))
     tol = 0 if rational else 1e-9
     p_ok, totals = generic_primal_audit(primal, profile, tol)
     d_ok = generic_dual_audit(dual, cost, tol)[0]
@@ -1727,7 +1704,7 @@ def off_points(sol):
     negated = dict(sol.mu)
     key, v = next((key, v) for key, v in sol.mu.items() if v)
     negated[key] = -v
-    return [sol] + [PrimalSolution(sol.n, mu, sol.objective, sol.weights)
+    return [sol] + [PrimalSolution(sol.n, mu, sol.objective)
                     for mu in (doubled, negated)]
 
 
@@ -1748,7 +1725,7 @@ def zero_set_counterexample():
     bottom = ParityCode.bottom(2)
     mu = {(code, 0): Fraction(1, 4), (bottom, 0): Fraction(0),
           (bottom, 1): Fraction(1, 2), (bottom, 2): Fraction(1, 4), (bottom, 3): Fraction(1, 4)}
-    return PrimalSolution(2, mu, Fraction(5, 4), p.weights), p
+    return PrimalSolution(2, mu, Fraction(5, 4)), p
 
 
 class TestExactPrimalAudit:
@@ -1765,7 +1742,7 @@ class TestExactPrimalAudit:
         walked = dict(sol.mu)
         for i in p.zero_set:
             walked.setdefault((ParityCode.bottom(p.n), i), sol.objective * 0)
-        walked = PrimalSolution(sol.n, walked, sol.objective, sol.weights)
+        walked = PrimalSolution(sol.n, walked, sol.objective)
         assert check_primal_feasible(sol, p, tol).feasible == \
             generic_primal_audit(walked, p, tol)[0]
         report = complementary_slackness(sol, dual, p, cost)
@@ -1858,7 +1835,7 @@ class TestExactPrimalAudit:
                        "normalization": (w0, d, 1 - w0 - d),
                        "feasible": (w0, 0, 1 - w0)}[case]
         mu = {(bottom, 0): m0, (bottom, 1): m1, (top, 0): m01}
-        sol = PrimalSolution(1, mu, 0, p.weights)
+        sol = PrimalSolution(1, mu, 0)
         report = check_primal_feasible(sol, p, Fraction(1, 10**9))
         assert [v["constraint"] for v in report.violations] == refused
         assert generic_primal_audit(sol, p, Fraction(1, 10**9))[0] == (not refused)
@@ -1866,7 +1843,7 @@ class TestExactPrimalAudit:
     def test_lambda_keyed_by_members(self):
         sol, p = zero_set_counterexample()
         code, bottom = next(iter(sol.mu))[0], ParityCode.bottom(2)
-        assert sol.lam == {(code, 0): Fraction(1, 4), (code, 1): Fraction(1, 2),
+        assert lam_of(sol, p.weights) == {(code, 0): Fraction(1, 4), (code, 1): Fraction(1, 2),
                            (bottom, 0): Fraction(1), (bottom, 1): Fraction(1),
                            (bottom, 2): Fraction(1), (bottom, 3): Fraction(1)}
 
@@ -1880,14 +1857,13 @@ class TestExactPrimalAudit:
         assert {v["constraint"] for v in report.violations} == {
             f"mu[{code.label()},s={s}] >= 0" for (code, s), v in cand.mu.items() if v < 0}
 
-    def test_audits_never_build_lambda(self, monkeypatch, tmp_path, capsys):
+    def test_audits_never_build_lambda(self, tmp_path, capsys):
         from dataclasses import fields
 
         from paritylp.bounds import paired_dual, primal_candidate
         from paritylp.cli import main
 
-        assert [f.name for f in fields(PrimalSolution)] == ["n", "mu", "objective", "weights"]
-        builds = count_lambda_builds(monkeypatch, items=True)
+        assert [f.name for f in fields(PrimalSolution)] == ["n", "mu", "objective"]
         p = rand_rational_profile(3, random.Random("primal-audit/lambda"))
         for mode in ("exact", "float"):
             primal, dual, _ = solve_pair(p, CostFunction.average(3), mode)
@@ -1902,7 +1878,6 @@ class TestExactPrimalAudit:
         path.write_text(json.dumps(bernoulli_profile(3, 0.2).to_json_dict()))
         assert main(["solve", "--profile", str(path), "--mode", "float"]) == 0
         assert json.loads(capsys.readouterr().out)["audits"]["primal_feasible"]
-        assert builds == []
 
     def test_n6_refused_before_any_work(self):
         class Unread(dict):
@@ -1914,7 +1889,7 @@ class TestExactPrimalAudit:
         p = profile(6, [Fraction(1, 64)] * 64)
         bottom = ParityCode.bottom(6)
         sol = PrimalSolution(6, Unread({(bottom, i): w for i, w in enumerate(p.weights)}),
-                             Fraction(0), p.weights)
+                             Fraction(0))
         with pytest.raises(BudgetError, match="capped at n <= 5"):
             check_primal_feasible(sol, p)
         with pytest.raises(BudgetError, match="capped at n <= 5"):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import rand_rational_profile
+from conftest import lam_of, rand_rational_profile
 from paritylp.errors import BudgetError, ProfileError
 from paritylp.f2lin import (
     F2Matrix,
@@ -24,10 +24,11 @@ from paritylp.povm import (
     PovmSet,
     PovmVerification,
     _code_stacks,
+    _coset_fourier,
+    _coset_states,
     _covariance_dev,
     _shift_average,
     build_from_primal,
-    coset_basis,
     fourier_diag_check,
     rho_eval,
     state_psi,
@@ -58,6 +59,13 @@ def shifted(m, a):
     """X_a m X_a with X_a = shift_op(a, n), by permuting rows and columns."""
     p = np.arange(len(m)) ^ a
     return m[np.ix_(p, p)]
+
+
+def coset_basis(profile, code, y):
+    """A_s for every syndrome s, as the builder makes them: one Fourier
+    support per code, signed by (-1)^(y.u) for the outcome y."""
+    fourier = _coset_fourier(profile, code)
+    return _coset_states(code, y, fourier, range(len(fourier[0])))
 
 
 def coset_basis_loops(profile, code, y):
@@ -407,7 +415,7 @@ class TestBuildFromPrimal:
 
         bottom = ParityCode.bottom(2)
         values = {(bottom, s): 0.25 for s in all_vectors(2)}
-        sol = PrimalSolution.from_lp_values(p, values, 0.0)
+        sol = PrimalSolution(p.n, values, 0.0)
         povm = build_from_primal(sol, p)
         assert not povm.elements
         assert povm.perp == pytest.approx(np.eye(4))
@@ -430,11 +438,12 @@ class TestBuildFromPrimal:
         p = random_phase_profile(2, rng)
         sol, _ = solve_primal(p, CostFunction.average(2), mode="float")
         povm = build_from_primal(sol, p)
+        lam = lam_of(sol, p.weights)
         w = walsh_hadamard(2)
         for (code, y), mat in povm.elements.items():
             hat = w @ mat @ w
             for i in all_vectors(2):
-                expected = float(sol.lam.get((code, i), 0)) / (1 << code.k)
+                expected = float(lam.get((code, i), 0)) / (1 << code.k)
                 assert hat[i, i].real == pytest.approx(expected, abs=1e-10)
 
     def test_suboptimal_feasible_point_scores_its_own_objective(self):
@@ -451,7 +460,7 @@ class TestBuildFromPrimal:
         for s in all_vectors(2):
             key = (bottom, s)
             mixed_mu[key] = mixed_mu.get(key, 0.0) + 0.5 * p.weights_float[s]
-        mixed = PrimalSolution.from_lp_values(p, mixed_mu, 0.5 * rep.objective)
+        mixed = PrimalSolution(p.n, mixed_mu, 0.5 * rep.objective)
         assert check_primal_feasible(mixed, p).feasible
         povm = build_from_primal(mixed, p)
         assert verify_povm(povm, p).ok
@@ -481,7 +490,7 @@ class TestBuildFromPrimal:
         # LP optima (exact on rational weights), every candidate family, a
         # mixture with the bottom code, that mixture's mu in reverse order
         # and every syndrome of every rank-1 code from the last: the same
-        # elements in the same order, bit for bit, and no lambda built
+        # elements in the same order, bit for bit
         from paritylp.bounds import primal_candidate
 
         rng = random.Random(70 + n)
@@ -501,10 +510,9 @@ class TestBuildFromPrimal:
         spread = {(code, s): rng.random() for code in reversed(codes_of_rank(n, 1))
                   for s in reversed(range(1 << (n - 1)))}
         for mu in (mixed, dict(reversed(mixed.items())), spread):
-            sols.append(PrimalSolution(n, mu, sol.objective / 2, p.weights))
+            sols.append(PrimalSolution(n, mu, sol.objective / 2))
         for sol in sols:
             assert_same_sets(build_from_primal(sol, p), build_from_primal_loops(sol, p))
-            assert "lam" not in vars(sol)
 
     def test_threshold_cost_solution(self):
         rng = random.Random(9)
@@ -625,7 +633,7 @@ class TestOperatorCap:
                        for s in all_vectors(n)})
         cost = CostFunction.average(n)
         objective = float(cost.value(n)) * (1 << n) * min(w)
-        povm = build_from_primal(PrimalSolution.from_lp_values(p, values, objective), p)
+        povm = build_from_primal(PrimalSolution(n, values, objective), p)
         assert len(povm.elements) == 1 << n
 
         ver = verify_povm(povm, p)

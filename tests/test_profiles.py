@@ -9,16 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import average_dual_weight, tail_mass
 from paritylp.errors import ProfileError
 from paritylp.f2lin import hamming_weight
 from paritylp.profiles import (
     AmplitudeProfile,
     BernoulliParams,
     CostFunction,
-    average_dual_weight,
     bernoulli_profile,
     perturb_full_support,
-    tail_mass,
 )
 
 
@@ -295,6 +294,9 @@ class TestPerturb:
 
 
 class TestSummaries:
+    """The summaries the tests read, kept beside the oracles in conftest, in
+    the profile's number type."""
+
     def test_uniform_average(self):
         p = AmplitudeProfile.from_weights(2, ["1/4"] * 4)
         assert average_dual_weight(p) == 1

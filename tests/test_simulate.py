@@ -9,7 +9,7 @@ import pytest
 
 import numpy as np
 
-from conftest import ball_profile, rand_rational_profile
+from conftest import ball_profile, lam_of, rand_rational_profile
 from paritylp.bounds import primal_candidate
 from paritylp.errors import BudgetError
 from paritylp.f2lin import (
@@ -34,10 +34,10 @@ from paritylp.simulate import (
 
 # -- oracles: the three routes as they walked every coset of mu -------------
 
-def walk_lam(sol):
+def walk_lam(sol, w):
     """lambda over every coset of mu, one division per member of a nonzero
     level and one per coset for a zero level."""
-    w, lam = sol.weights, {}
+    lam = {}
     for (code, s), v in sol.mu.items():
         members = code.cosets[s].tolist()
         if not w[members[0]]:
@@ -68,7 +68,7 @@ def walk_sample(sol, profile, x, shots, seed):
     rows = {i: row for row, i in enumerate(support)}
     cols = {code: col for col, code in enumerate(codes)}
     lam = np.zeros((len(support), len(codes)))
-    for (code, i), v in walk_lam(sol).items():
+    for (code, i), v in walk_lam(sol, profile.weights).items():
         if i in rows:
             lam[rows[i], cols[code]] = float(v)
     if np.any(lam < 0):
@@ -119,7 +119,7 @@ def bottom_only_solution(p):
     """All mass on the no-information outcome (a feasible primal point)."""
     bottom = ParityCode.bottom(p.n)
     values = {(bottom, s): p.weights[s] for s in range(1 << p.n)}
-    return PrimalSolution.from_lp_values(p, values, Fraction(0))
+    return PrimalSolution(p.n, values, Fraction(0))
 
 
 def broadcast_compare_counts(sol, p, shots, seed):
@@ -131,7 +131,8 @@ def broadcast_compare_counts(sol, p, shots, seed):
     weights = np.array([p.weights_float[i] for i in support])
     weights = weights / weights.sum()
     codes = enumerate_all_codes(p.n)
-    lam = np.array([[float(sol.lam.get((c, i), 0)) for c in codes] for i in support])
+    lam = lam_of(sol, p.weights)
+    lam = np.array([[float(lam.get((c, i), 0)) for c in codes] for i in support])
     cum = np.cumsum(lam / lam.sum(axis=1)[:, None], axis=1)
     rng = np.random.default_rng(seed)
     chunk = 1 << 15
@@ -172,7 +173,6 @@ def assert_routes_match_walks(sol, walked, p, x, seed):
     if p.full_support:
         assert outcome(statevector_check, sol, p, x, dist) == \
             outcome(walk_statevector_check, walked, p, x)
-    assert "lam" not in vars(sol)
 
 
 def dense_form(sol, p, cost):
@@ -182,7 +182,7 @@ def dense_form(sol, p, cost):
     zero = sol.objective * 0
     mu = {label: sol.mu.get(label, zero) for label in build_primal(p, cost).labels}
     mu.update(dict.fromkeys([(ParityCode.bottom(p.n), i) for i in p.zero_set], zero))
-    return PrimalSolution(p.n, mu, sol.objective, sol.weights)
+    return PrimalSolution(p.n, mu, sol.objective)
 
 
 def _lp_cases():
@@ -212,8 +212,8 @@ def _candidate_cases():
 class TestMatchesWholeMuWalk:
     """The routes walk the cosets of a solve's sparse mu alone and give what
     the walks over every coset of its dense form (and every entry of
-    lambda) give, bit for bit, and build no lambda; on a point whose mu
-    holds zeros, they give what the walks give on that same point."""
+    lambda) give, bit for bit; on a point whose mu holds zeros, they give
+    what the walks give on that same point."""
 
     @pytest.mark.parametrize("name, p, mode, cost", list(_lp_cases()),
                              ids=[case[0] for case in _lp_cases()])
@@ -244,13 +244,13 @@ class TestMatchesWholeMuWalk:
         codes = enumerate_all_codes(2)
         row = [Fraction(19, 79), Fraction(27, 79), Fraction(15, 79), Fraction(18, 79), 0]
         dense = PrimalSolution(2, {(code, s): v / 4 for code, v in zip(codes, row)
-                                   for s in range(len(code.cosets))}, Fraction(0), p.weights)
+                                   for s in range(len(code.cosets))}, Fraction(0))
         for x in all_vectors(2):
             assert_routes_match_walks(dense, dense, p, x, x)
         q = uniform(1)
         bottom, full = ParityCode.bottom(1), codes_of_rank(1, 1)[0]
         negative = PrimalSolution(1, {(bottom, 0): -0.25, (bottom, 1): -0.25, (full, 0): 0.75},
-                                  1.0, q.weights)
+                                  1.0)
         assert outcome(sample, negative, q, 0, 100, 1) == \
             ("raises", "lambda entries must be nonnegative")
         assert_routes_match_walks(negative, negative, q, 0, 1)
@@ -387,8 +387,8 @@ class TestSample:
         # lambda = row on every index: mu = row / 4 on every coset of each code
         mu = {(code, s): v / 4 for code, v in zip(codes, row)
               for s in range(len(code.cosets))}
-        sol = PrimalSolution(2, mu, Fraction(0), p.weights)
-        assert sol.lam == {(code, i): v for code, v in zip(codes, row) for i in range(4)}
+        sol = PrimalSolution(2, mu, Fraction(0))
+        assert lam_of(sol, p.weights) == {(code, i): v for code, v in zip(codes, row) for i in range(4)}
         for seed in range(4):
             records = sample(sol, p, 0, 1 << 62, seed)
             assert sum(r.count for r in records) == 1 << 62
@@ -400,7 +400,7 @@ class TestSample:
         bottom, full = ParityCode.bottom(1), codes_of_rank(1, 1)[0]
         # lambda is -0.5 on the bottom code and 1.5 on the full one, at both indices
         mu = {(bottom, 0): -0.25, (bottom, 1): -0.25, (full, 0): 0.75}
-        sol = PrimalSolution(1, mu, 1.0, p.weights)
+        sol = PrimalSolution(1, mu, 1.0)
         with pytest.raises(ValueError, match="nonnegative"):
             sample(sol, p, 0, 100, seed=1)
 

@@ -6,17 +6,24 @@ comes by columns, as A = diag(scale) M (`Columns`; for a profile's primal,
 M is the 0/1 coset incidence).  The loop keeps no tableau, only B⁻¹, updated
 rank-1 on each pivot, and x_B = B⁻¹ b (Maros, Computational Techniques of
 the Simplex Method, 2003), from a diagonal start of seeded columns and
-artificials.  It prices d = c - (c_B B⁻¹) A: the most negative reduced cost
-enters until STALL_LIMIT consecutive degenerate pivots, then the lowest
-eligible index (Bland's rule, which cannot cycle); the leaving row is the
-minimum ratio, ties going to the lowest basis index.
+artificials.  It prices d = c - (c_B B⁻¹) A and stops when no d_j < 0
+(within the float tolerance).  Among the eligible columns the one with the
+most negative d_j / ‖A_j‖ enters, ties going to the lowest index: the
+column norms ‖A_j‖ = √(Σᵢ (scaleᵢ Mᵢⱼ)²) are computed once per solve in
+binary64 (1 for an artificial or an all-zero column), so a column through
+rows scaled by a large 1 / w_i does not win on the size of its entries
+alone (normalized pricing with fixed reference weights; Forrest & Goldfarb,
+Math. Program. 1992).  After STALL_LIMIT consecutive degenerate pivots the
+lowest eligible index enters instead (Bland's rule, which cannot cycle);
+the leaving row is the minimum ratio, ties going to the lowest basis index.
 
 Float data is solved by that loop alone.  On exact data it runs in binary64
 and only proposes a basis B, and an inverse M_B⁻¹ = adj / d that counts only
 if M_B adj = d I holds on integers.  B is accepted when x_B >= 0 and every
 reduced cost is >= 0, both read on integers (Applegate, Cook, Dash &
 Espinoza, Oper. Res. Lett. 2007).  Otherwise the same loop runs again from
-the same start on `Fraction`s, with no tolerance; it terminates on every
+the same start on `Fraction`s, with no tolerance and the same norms and
+rule (the scores compare d_j rounded to binary64); it terminates on every
 input and gives exact infeasible and unbounded verdicts.
 """
 
@@ -41,7 +48,7 @@ EXACT_PIVOTS = "exact-pivots"
 # Comparison tolerance of the float stage.
 FLOAT_TOL = 1e-9
 
-# Degenerate pivots allowed under the steepest-coefficient rule before the
+# Degenerate pivots allowed under the normalized rule before the
 # iteration switches (permanently) to Bland's rule, which cannot cycle.
 STALL_LIMIT = 30
 
@@ -94,6 +101,10 @@ def simplex_min(a: Columns, b, c, *, basis_seed=None) -> StandardResult:
             positive entry on row r (else ValueError), or None for an
             artificial.  `lp.solve` seeds the no-information measurement.
 
+    The entering column is the eligible one with the most negative
+    d_j / ‖A_j‖, on norms that `column_norms` computes once for the float
+    stage and the exact fallback alike.
+
     Returns:
         StandardResult; x has length len(c) and y length len(b).  Its
         strategy is "float" on float data, and on exact data "certified"
@@ -108,14 +119,15 @@ def simplex_min(a: Columns, b, c, *, basis_seed=None) -> StandardResult:
     unit_cols = [next(arts) if col is None else col for col in seeds]
     exact = c.dtype == object
     stats = SolveStats()
+    norms = column_norms(a, nv, len(art_rows))
     status, basis, levels, y = _revised(a, b.astype(float), c.astype(float),
-                                        unit_cols, art_rows, stats)
+                                        unit_cols, art_rows, stats, norms)
     strategy = FLOAT
     if exact:
         solution = _certify(a, b, c, basis, art_rows) if status == OPTIMAL else None
         strategy = CERTIFIED if solution else EXACT_PIVOTS
         status, basis, levels, y = ((status, basis, *solution) if solution
-                                    else _revised(a, b, c, unit_cols, art_rows, stats))
+                                    else _revised(a, b, c, unit_cols, art_rows, stats, norms))
     pivots = sum(stats.phase_pivots)
     if status != OPTIMAL:
         return StandardResult(status, None, None, pivots, strategy=strategy, stats=stats)
@@ -130,12 +142,23 @@ def simplex_min(a: Columns, b, c, *, basis_seed=None) -> StandardResult:
     return StandardResult(OPTIMAL, objective, x, pivots, y, strategy, stats)
 
 
-def _revised(a, b, c, unit_cols, art_rows, stats) -> tuple:
+def column_norms(a: Columns, nv: int, n_art: int) -> np.ndarray:
+    """‖A_j‖ = √(Σᵢ (scaleᵢ Mᵢⱼ)²) in binary64 for the nv columns of `a`, then
+    1 for each of n_art artificials; an all-zero column counts as norm 1."""
+    scale = np.array([float(v) for v in a.scale])
+    entries = scale[a.rows] * a.coef.astype(float)
+    norms = np.sqrt(np.bincount(a.cols, weights=entries * entries, minlength=nv))
+    norms[norms == 0] = 1.0
+    return np.concatenate((norms, np.ones(n_art)))
+
+
+def _revised(a, b, c, unit_cols, art_rows, stats, norms) -> tuple:
     """Both phases in the arithmetic of c: on Fractions if its dtype is object.
 
     Returns (status, basis, levels x_B, multipliers y), the last two None
     unless optimal.  Columns past len(c) are the artificials, one per row in
     art_rows; they may stay in the basis at level zero on redundant rows.
+    `norms` holds the pricing norm of every column, artificials included.
     """
     m, nv = len(b), len(c)
     total = nv + len(art_rows)
@@ -181,9 +204,20 @@ def _revised(a, b, c, unit_cols, art_rows, stats) -> tuple:
         stall, bland = 0, False
         while allowed:
             d = obj[:allowed] - dot(dot(obj[basis], binv), big[:, :allowed])
-            # Bland's rule takes the first eligible column.
-            enter = int((d < -tol).argmax() if bland else d.argmin())
-            if d[enter] >= -tol:
+            eligible = d < -tol
+            if bland:
+                # Bland's rule takes the first eligible column.
+                enter = int(eligible.argmax())
+            else:
+                # The most negative d_j / ‖A_j‖ over the eligible columns, scored
+                # in binary64 on either arithmetic.  The lowest score over all
+                # columns is nearly always eligible; when not, mask the others.
+                score = d.astype(float, copy=False) / norms[:allowed]
+                enter = int(score.argmin())
+                if not eligible[enter]:
+                    score[~eligible] = np.inf
+                    enter = int(score.argmin())
+            if not eligible[enter]:
                 break
             if sum(stats.phase_pivots) >= limit:
                 return ITERATION_LIMIT

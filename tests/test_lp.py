@@ -415,9 +415,9 @@ class TestSolve:
         """
         real = simplex._revised
 
-        def bad_float_stage(a, b, c, unit_cols, art_rows, stats):
+        def bad_float_stage(a, b, c, unit_cols, art_rows, stats, norms):
             if c.dtype == object:
-                return real(a, b, c, unit_cols, art_rows, stats)
+                return real(a, b, c, unit_cols, art_rows, stats, norms)
             bad = {"start": list(unit_cols), "suboptimal": list(range(len(b))),
                    "singular": [0] * len(b)}[wrong]
             return simplex.OPTIMAL, bad, None, None
@@ -585,9 +585,9 @@ class TestSolverEdgeCases:
         assert solve_rows(equality_model(a_rows, b, c)).objective == objective
         real = simplex._revised
 
-        def bad_float_stage(a, b, c, unit_cols, art_rows, stats):
+        def bad_float_stage(a, b, c, unit_cols, art_rows, stats, norms):
             if c.dtype == object:
-                return real(a, b, c, unit_cols, art_rows, stats)
+                return real(a, b, c, unit_cols, art_rows, stats, norms)
             return simplex.OPTIMAL, list(bad_basis), None, None
 
         monkeypatch.setattr(simplex, "_revised", bad_float_stage)
@@ -616,6 +616,31 @@ class TestSolverEdgeCases:
         ])
         report = solve_rows(model)
         assert report.status == "optimal" and report.objective == 3
+
+    @pytest.mark.parametrize("mode", ["exact", "float", "exact-loop"])
+    @pytest.mark.parametrize("cost0", [0, 1, -1], ids=["free", "costly", "unbounded"])
+    def test_zero_column_next_to_an_entering_one(self, monkeypatch, mode, cost0):
+        # x0 is in no row, and x1's reduced cost is -1 at the start: x0's norm
+        # is read as 1, so its score is never 0 / 0, a NaN that argmin would
+        # pick and the loop would read as "optimal" before x1 enters
+        if mode == "exact-loop":
+            without_float_stage(monkeypatch)
+        model = RowModel("zero-column", "min", [("x", 0), ("x", 1)],
+                         [Fraction(cost0), Fraction(-1)],
+                         [Constraint({1: Fraction(1)}, "<=", Fraction(2))])
+        report, res = solve_rows(model, mode.removesuffix("-loop")), _scipy_raw(model)
+        if cost0 < 0:
+            assert (report.status, res.status) == ("unbounded", 3)
+        else:
+            assert report.status == "optimal" and res.status == 0
+            assert report.objective == res.fun == -2
+
+    def test_column_norms(self):
+        # column 0 is (3, 8) on rows scaled by 1 and 1/2, so (3, 4) in A;
+        # column 1 is empty and column 2 an artificial
+        a = simplex.Columns(np.array([0, 1]), np.array([0, 0]), np.array([3, 8]),
+                            [Fraction(1), Fraction(1, 2)])
+        assert simplex.column_norms(a, 2, 1).tolist() == [5.0, 1.0, 1.0]
 
 
 class TestFeasibilityChecks:
@@ -758,7 +783,8 @@ def solve_rows(model, mode="exact", seeded=True):
 
 
 def dense_solve(model, mode="exact", float_stage=True, seeds=None):
-    """The standard form solved as lp.solve did on a dense tableau of Python rows.
+    """The standard form solved as lp.solve did on a dense tableau of Python
+    rows, priced by the loop's rule (the least d_j / ‖A_j‖ enters).
 
     Each row is a list of len(c) entries, converted entry by entry to the
     solve's number type; the certificate checks c - Aᵀy with a Fraction loop
@@ -780,8 +806,9 @@ def _dense_simplex_min(a_rows, b, c, seeds, float_stage):
             art_rows.append(i)
         unit_cols.append(col)
     exact = all(isinstance(v, Rational) for v in chain(b, c))
-    status, basis, t, pivots = (_dense_two_phase(a_rows, b, c, unit_cols, art_rows, False)
-                                if float_stage else ("skipped", None, None, 0))
+    stats = simplex.SolveStats()
+    status, basis, t = (_dense_two_phase(a_rows, b, c, unit_cols, art_rows, False, stats)
+                        if float_stage else ("skipped", None, None))
     strategy, solution = "float", None
     if exact:
         b = [Fraction(v) for v in b]
@@ -790,11 +817,11 @@ def _dense_simplex_min(a_rows, b, c, seeds, float_stage):
         if status == "optimal":
             solution = _dense_certify(a_rows, b, c, basis, art_rows)
         if solution is None:
-            status, basis, t, more = _dense_two_phase(a_rows, b, c, unit_cols, art_rows, True)
-            pivots += more
+            status, basis, t = _dense_two_phase(a_rows, b, c, unit_cols, art_rows, True, stats)
             strategy = "exact-pivots"
+    pivots = sum(stats.phase_pivots)
     if status != "optimal":
-        return simplex.StandardResult(status, None, None, pivots, strategy=strategy)
+        return simplex.StandardResult(status, None, None, pivots, strategy=strategy, stats=stats)
     nv = len(c)
     zero = c[0] * 0 if nv else 0
     if solution is None:
@@ -811,10 +838,10 @@ def _dense_simplex_min(a_rows, b, c, seeds, float_stage):
         if col < nv:
             x[col] = v
     objective = sum((ci * xi for ci, xi in zip(c, x) if xi), zero)
-    return simplex.StandardResult("optimal", objective, x, pivots, y, strategy)
+    return simplex.StandardResult("optimal", objective, x, pivots, y, strategy, stats)
 
 
-def _dense_two_phase(a_rows, b, c, unit_cols, art_rows, exact):
+def _dense_two_phase(a_rows, b, c, unit_cols, art_rows, exact, stats):
     m, nv = len(a_rows), len(c)
     total = nv + len(art_rows)
     if exact:
@@ -836,21 +863,22 @@ def _dense_two_phase(a_rows, b, c, unit_cols, art_rows, exact):
     t[m] -= t[m, basis] @ t[:m]
     t[m + 1, nv:total] = num(1)
     t[m + 1] -= t[art_rows].sum(axis=0)
-    pivots = 0
+    # The pricing norms of the model's columns, before any row is divided out.
+    norms = [math.sqrt(sum(float(row[j]) * float(row[j]) for row in a_rows)) or 1.0
+             for j in range(nv)] + [1.0] * len(art_rows)
     if art_rows:
-        status, pivots = _tableau_iterate(t, basis, m + 1, total, tol, pivots, limit)
+        status = _tableau_iterate(t, basis, m + 1, total, tol, limit, norms, stats, 0)
         if status != "optimal":
-            return status, basis, t, pivots
+            return status, basis, t
         if -t[m + 1, -1] > tol:
-            return "infeasible", basis, t, pivots
+            return "infeasible", basis, t
         for i in range(m):
             if basis[i] >= nv:
                 usable = np.flatnonzero(abs(t[i, :nv]) > tol)
                 if usable.size:
                     _tableau_pivot(t, basis, i, int(usable[0]))
-                    pivots += 1
-    status, pivots = _tableau_iterate(t, basis, m, nv, tol, pivots, limit)
-    return status, basis, t, pivots
+                    stats.phase_pivots[0] += 1
+    return _tableau_iterate(t, basis, m, nv, tol, limit, norms, stats, 1), basis, t
 
 
 def _tableau_pivot(t, basis, r, j) -> None:
@@ -864,11 +892,15 @@ def _tableau_pivot(t, basis, r, j) -> None:
     basis[r] = j
 
 
-def _tableau_iterate(t, basis, obj, allowed, tol, pivots, limit) -> tuple[str, int]:
-    """Pivot on objective row `obj` over columns [0, allowed) until optimal.
+def _tableau_iterate(t, basis, obj, allowed, tol, limit, norms, stats, phase) -> str:
+    """Pivot on objective row `obj` over columns [0, allowed) until optimal,
+    counting each pivot, and each degenerate one, into `stats`.
 
-    The pivot limit guards the float tableau against cycling by rounding;
-    the exact tableau has none, since Bland's rule cannot cycle.
+    Of the columns whose reduced cost is below -tol, the one with the least
+    float(cost) / norm enters, the first of equal scores; after more than
+    STALL_LIMIT degenerate pivots in a row the first of them enters (Bland's
+    rule).  The pivot limit guards the float tableau against cycling by
+    rounding; the exact tableau has none, since Bland's rule cannot cycle.
     """
     m = len(basis)
     basis_arr = np.array(basis)
@@ -876,32 +908,34 @@ def _tableau_iterate(t, basis, obj, allowed, tol, pivots, limit) -> tuple[str, i
     bland = False
     while allowed:
         costs = t[obj, :allowed]
+        eligible = [j for j in range(allowed) if costs[j] < -tol]
+        if not eligible:
+            break
         if bland:
-            eligible = np.flatnonzero(costs < -tol)
-            if not eligible.size:
-                break
-            enter = int(eligible[0])
+            enter = eligible[0]
         else:
-            enter = int(np.argmin(costs))
-            if costs[enter] >= -tol:
-                break
-        if pivots >= limit:
-            return "iteration-limit", pivots
+            scores = [float(costs[j]) / norms[j] for j in eligible]
+            enter = eligible[scores.index(min(scores))]
+        if sum(stats.phase_pivots) >= limit:
+            return "iteration-limit"
         column = t[:m, enter]
         rows = np.flatnonzero(column > tol)
         if not rows.size:
-            return "unbounded", pivots
+            return "unbounded"
         ratios = np.maximum(t[rows, -1], 0) / column[rows]
         best = ratios.min()
         ties = rows[ratios <= best + tol]
         leave = int(ties[np.argmin(basis_arr[ties])])
+        stats.degenerate += bool(best <= tol)
+        _tableau_pivot(t, basis, leave, enter)
+        basis_arr[leave] = enter
+        stats.phase_pivots[phase] += 1
         if not bland:
             stall = stall + 1 if best <= tol else 0
             bland = stall > simplex.STALL_LIMIT
-        _tableau_pivot(t, basis, leave, enter)
-        basis_arr[leave] = enter
-        pivots += 1
-    return "optimal", pivots
+            if bland and stats.bland_at is None:
+                stats.bland_at = sum(stats.phase_pivots)
+    return "optimal"
 
 
 def _dense_certify(a_rows, b, c, basis, art_rows):
@@ -973,7 +1007,7 @@ def same(x, y):
 
 
 def assert_same_report(got, want):
-    for name in ("status", "objective", "values", "duals", "pivots", "strategy", "mode"):
+    for name in ("status", "objective", "values", "duals", "pivots", "strategy", "mode", "stats"):
         assert same(getattr(got, name), getattr(want, name)), name
 
 
@@ -1146,27 +1180,55 @@ def beale_model():
 
 
 class TestSolveStats:
+    """Pivot counts of the loop; each pin on Beale's example is the dense
+    tableau oracle's count, which every arithmetic of the loop matches."""
+
     @pytest.mark.parametrize("mode", ["exact", "float", "exact-loop"])
     def test_beale_counts_pinned(self, monkeypatch, mode):
-        # the slacks start feasible, so phase 1 makes no pivot; STALL_LIMIT + 1
-        # degenerate pivots in a row hand over to Bland's rule, which ends the cycle
+        # the slacks start feasible, so phase 1 makes no pivot; normalized
+        # pricing reaches the optimum in 5 pivots, 4 of them degenerate, where
+        # the steepest-coefficient rule cycled until Bland's rule took over
         if mode == "exact-loop":
             without_float_stage(monkeypatch)
         report = solve_rows(beale_model(), mode.removesuffix("-loop"))
-        assert report.stats == simplex.SolveStats([0, 36], degenerate=34, bland_at=31)
-        assert report.pivots == 36 == dense_solve(beale_model(), float_stage=False).pivots
+        oracle = dense_solve(beale_model(), float_stage=False)
+        assert report.stats == oracle.stats == simplex.SolveStats([0, 5], degenerate=4)
+        assert report.pivots == 5 == oracle.pivots
+        assert float(report.objective) == pytest.approx(-1 / 20)
+
+    @pytest.mark.parametrize("mode", ["exact", "float", "exact-loop"])
+    def test_bland_takes_over_after_the_stall_limit(self, monkeypatch, mode):
+        # no input of the suite cycles under normalized pricing, so the limit
+        # is lowered: Beale's third degenerate pivot in a row hands over to
+        # Bland's rule, which takes one pivot more to the same optimum
+        monkeypatch.setattr(simplex, "STALL_LIMIT", 2)
+        if mode == "exact-loop":
+            without_float_stage(monkeypatch)
+        report = solve_rows(beale_model(), mode.removesuffix("-loop"))
+        oracle = dense_solve(beale_model(), float_stage=False)
+        want = simplex.SolveStats([0, 6], degenerate=4, bland_at=3)
+        assert report.stats == oracle.stats == want
         assert float(report.objective) == pytest.approx(-1 / 20)
 
     @pytest.mark.parametrize("mode", ["exact", "float", "exact-loop"])
     def test_beale_from_artificials_never_stalls(self, monkeypatch, mode):
-        # without basis_seed every row starts on an artificial, and the
-        # steepest rule reaches the optimum before a run of degenerate pivots
-        # can hand over: the slack basis is what brings Bland's rule into reach
+        # without basis_seed every row starts on an artificial, and phase 1
+        # lands on an optimal basis: phase 2 makes no pivot
         if mode == "exact-loop":
             without_float_stage(monkeypatch)
         report = solve_rows(beale_model(), mode.removesuffix("-loop"), seeded=False)
-        assert report.stats == simplex.SolveStats([3, 2], degenerate=2)
+        oracle = dense_solve(beale_model(), float_stage=False, seeds=[None] * 3)
+        assert report.stats == oracle.stats == simplex.SolveStats([3, 0], degenerate=2)
         assert float(report.objective) == pytest.approx(-1 / 20)
+
+    def test_float_pivot_budget(self):
+        # 24 seeded n=5 profiles: the steepest-coefficient rule took 3,187
+        # pivots under the average cost and 2,430 under tau = 2
+        totals = [sum(solve_pair(rand_rational_profile(5, random.Random(s)), cost, "float")[2].pivots
+                      for s in range(24))
+                  for cost in (CostFunction.average(5), CostFunction.threshold(5, 2))]
+        assert totals == [1893, 1188]
+        assert totals[0] < 3187 and totals[1] < 2430
 
     @pytest.mark.parametrize("mode", ["exact", "float", "exact-loop"])
     def test_drive_out_counts_in_phase_1(self, monkeypatch, mode):
@@ -1192,8 +1254,8 @@ class TestSolveStats:
         fast = solve(model)
         real = simplex._revised
 
-        def bad_float_stage(a, b, c, unit_cols, art_rows, stats):
-            result = real(a, b, c, unit_cols, art_rows, stats)
+        def bad_float_stage(a, b, c, unit_cols, art_rows, stats, norms):
+            result = real(a, b, c, unit_cols, art_rows, stats, norms)
             return result if c.dtype == object else (simplex.OPTIMAL, list(unit_cols), None, None)
 
         monkeypatch.setattr(simplex, "_revised", bad_float_stage)
@@ -1266,13 +1328,15 @@ class TestNoInformationStart:
         assert got.objective == 3
 
     def test_tiny_weight_profile_takes_the_exact_loop(self):
-        p = powered_profile(19)
+        # the first index of powered_profile with a weight below 1e-9 whose
+        # float basis fails the exact check
+        p = powered_profile(1)
         assert min(p.weights) < 1e-9
         model = build_primal(p, CostFunction.average(4))
         fast, report = solve(model, "float"), solve(model)
         # the float basis is rejected; the exact loop starts from the seed
         assert report.strategy == "exact-pivots"
-        assert (fast.pivots, report.pivots - fast.pivots) == (35, 33)
+        assert (fast.pivots, report.pivots - fast.pivots) == (16, 16)
         assert report.stats.phase_pivots == [0, report.pivots]
         assert abs(report.objective - scipy_optimum(model)) <= 1e-9
 
@@ -1308,9 +1372,9 @@ class TestCertificateColumnSums:
             seen.append(a.coef.dtype)
             return real_prices(a, c, y, den)
 
-        def slack_basis(a, b, c, unit_cols, art_rows, stats):
+        def slack_basis(a, b, c, unit_cols, art_rows, stats, norms):
             if c.dtype == object:
-                return real_revised(a, b, c, unit_cols, art_rows, stats)
+                return real_revised(a, b, c, unit_cols, art_rows, stats, norms)
             return simplex.OPTIMAL, [2, 3], None, None
 
         monkeypatch.setattr(simplex, "_prices_out", prices)
@@ -1661,6 +1725,33 @@ def _float_duals():
                               1e-12 * rng.random()]) for _ in all_vectors(n))
         cases.append((DualSolution(n, b), CostFunction.average(n)))
     return cases
+
+
+def _tiny_weight_set():
+    """The README's seeded set: at each n = 3..5, 14 Bernoulli profiles with
+    t from 0.001 to 0.49 in geometric steps and 42 `_tiny_weight_profile`s."""
+    rng = random.Random("tiny-weights")
+    for n in (3, 4, 5):
+        for k in range(14):
+            yield bernoulli_profile(n, 0.001 * 490 ** (k / 13))
+        for _ in range(42):
+            yield _tiny_weight_profile(n, rng)
+
+
+class TestFloatTinyWeights:
+    def test_slackness_failures_are_tiny_and_flagged(self):
+        """"Float mode and tiny weights" in the README: of 168 float solves,
+        every one that fails complementary slackness has a weight below
+        2.2e-9 and fails the primal audit, and none that passes fails it."""
+        verdicts = []
+        for p in _tiny_weight_set():
+            cost = CostFunction.average(p.n)
+            primal, dual, _ = solve_pair(p, cost, "float")
+            certified = complementary_slackness(primal, dual, p, cost).certified
+            assert check_primal_feasible(primal, p).feasible == certified
+            assert certified or min(p.weights) < 2.2e-9
+            verdicts.append(certified)
+        assert len(verdicts) == 168 and 0 < verdicts.count(False) < 168
 
 
 class TestFloatDualAudit:

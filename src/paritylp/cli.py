@@ -115,13 +115,80 @@ def _key(key) -> str:
     return encode_basestring_ascii(key)
 
 
-def _matrix_json(m, level: int, table: dict) -> str:
+# Fibonacci hashing: the top bits of pattern * 2^64/phi pick a pattern's slot.
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+
+
+class _FloatTokens:
+    """The token json writes for each float met so far, by bit pattern,
+    -0.0, NaN and Infinity included.
+
+    A pattern sits in its home slot of `keys` and `tokens` (an object
+    array) when that slot was free as it came, else among the sorted
+    patterns `spill_keys` beside their `spill_tokens`.  So a matrix's
+    tokens are one gather, plus one search for the few spilled patterns
+    in it.  The table has 16 slots per float of the first matrix,
+    rounded up to a power of two.
+    """
+
+    def __init__(self):
+        self.keys = None  # allocated by the first lookup
+
+    def _home(self, bits: np.ndarray) -> np.ndarray:
+        return ((bits.view(np.uint64) * _MIX) >> self._shift).astype(np.intp)
+
+    def lookup(self, bits: np.ndarray) -> list:
+        """The tokens of an int64 array of patterns, in order; the patterns
+        the table lacks are added by one C-encoder call."""
+        if self.keys is None:
+            log_size = (16 * len(bits) - 1).bit_length()
+            self._shift = np.uint64(64 - log_size)
+            self.keys = np.zeros(1 << log_size, dtype=np.int64)
+            self.tokens = np.empty(1 << log_size, dtype=object)
+            self.used = np.zeros(1 << log_size, dtype=bool)
+            self.spill_keys = np.empty(0, dtype=np.int64)
+            self.spill_tokens = np.empty(0, dtype=object)
+        home = self._home(bits)
+        hit = self.used[home] & (self.keys[home] == bits)
+        if hit.all():
+            return self.tokens[home].tolist()
+        miss = np.flatnonzero(~hit)
+        at = np.searchsorted(self.spill_keys, bits[miss])
+        spilled = self.spill_keys[np.minimum(at, len(self.spill_keys) - 1)] == bits[miss] \
+            if len(self.spill_keys) else np.zeros(len(miss), dtype=bool)
+        if not spilled.all():
+            self._add(bits[miss[~spilled]])
+            return self.lookup(bits)
+        tokens = self.tokens[home]
+        tokens[miss] = self.spill_tokens[at]
+        return tokens.tolist()
+
+    def _add(self, bits: np.ndarray) -> None:
+        """Encode new patterns, each once, and file each in its home slot,
+        or among the spilled ones when another pattern holds that slot."""
+        # by sorting: np.unique without an index output imports numpy.ma
+        bits = np.sort(bits)
+        bits = bits[np.append(True, bits[1:] != bits[:-1])]
+        text = json.dumps(bits.view(float).tolist())
+        tokens = np.array(text[1:-1].split(", "), dtype=object)
+        home = self._home(bits)
+        free = np.flatnonzero(~self.used[home])
+        placed = free[np.unique(home[free], return_index=True)[1]]
+        self.keys[home[placed]] = bits[placed]
+        self.tokens[home[placed]] = tokens[placed]
+        self.used[home[placed]] = True
+        rest = np.ones(len(bits), dtype=bool)
+        rest[placed] = False
+        at = np.searchsorted(self.spill_keys, bits[rest])
+        self.spill_keys = np.insert(self.spill_keys, at, bits[rest])
+        self.spill_tokens = np.insert(self.spill_tokens, at, tokens[rest])
+
+
+def _matrix_json(m, level: int, table: _FloatTokens) -> str:
     """A 2-D array as json writes its rows of {"re": ., "im": .} dicts at `level`.
 
-    `table` maps an int64 bit pattern to the token json writes for that
-    float, -0.0, NaN and Infinity included; the patterns it lacks among the
-    interleaved (re, im) values are added by one C-encoder call.  The
-    separators are fixed per level.
+    The tokens of the interleaved (re, im) values come from `table`, by bit
+    pattern.  The separators are fixed per level.
     """
     if m.ndim != 2:
         raise TypeError(f"cannot encode a {m.ndim}-D array as a matrix")
@@ -130,12 +197,7 @@ def _matrix_json(m, level: int, table: dict) -> str:
     i0, i1, i2, i3 = ("\n" + "  " * (level + d) for d in range(4))
     if m.size == 0:
         return "[" + ",".join([i1 + "[]"] * rows) + i0 + "]" if rows else "[]"
-    bits, inverse = np.unique(m.view(np.int64).ravel(), return_inverse=True)
-    bits = bits.tolist()
-    new = [b for b in bits if b not in table]
-    text = json.dumps(np.array(new, dtype=np.int64).view(float).tolist())
-    table.update(zip(new, text[1:-1].split(", ")))
-    tokens = np.array([table[b] for b in bits], dtype=object)[inverse].tolist()
+    tokens = table.lookup(m.view(np.int64).ravel())
     opening = "{" + i3 + '"re": '
     closing = i2 + "}"
     parts = ["," + i3 + '"im": '] * (2 * len(tokens))
@@ -159,7 +221,7 @@ def dump_json(obj, fh) -> None:
     distinct value is encoded once per call.
     """
     out: list[str] = []
-    floats: dict = {}
+    floats = _FloatTokens()
     tokens = _TOKENS
 
     def put(value, level: int) -> None:
@@ -193,6 +255,7 @@ def dump_json(obj, fh) -> None:
 
     put(obj, 0)
     fh.write("".join(out))
+    del put  # put refers to itself; breaking the cycle frees the table now
 
 
 def _config_dict(args) -> dict:

@@ -247,6 +247,15 @@ class ParityCode:
         """The measured information y = H.x."""
         return self.H.mul_vec(x)
 
+    @cached_property
+    def parities(self) -> np.ndarray:
+        """Read-only 2^n array: `parity(x)` at x, from the bit counts."""
+        rows = np.array(self.H.rows, dtype=np.intp).reshape(self.k, 1)
+        bits = (_bit_counts(self.n) & 1)[rows & np.arange(1 << self.n)]
+        parities = (bits << np.arange(self.k)[:, None]).sum(0)
+        parities.flags.writeable = False
+        return parities
+
     def label(self) -> str:
         return self._label
 

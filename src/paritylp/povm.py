@@ -6,16 +6,18 @@ Fourier diagonal of such an element is lambda_i / 2^k, which makes the set
 complete once the leftover goes to the no-information element, keeps every
 wrong-outcome overlap exactly zero, and commutes with shifts up to the
 outcome relabeling y -> y + H.a.  All of that is re-checked numerically by
-``verify_povm`` instead of being trusted.  The audits walk the set once per
-code, on the stack of that code's elements, and check covariance on the n
-generators e_1..e_n of the shift group.
+``verify_povm`` instead of being trusted.  A set holds one stack per code,
+the (2^k, 2^n, 2^n) array of that code's elements, which the builder fills
+and the audits, the score and the report read as it is.  Covariance is
+checked on the n generators e_1..e_n of the shift group.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-from functools import lru_cache, reduce
+from dataclasses import asdict, dataclass, field
+from functools import cached_property, lru_cache, reduce
+from types import MappingProxyType
 
 import numpy as np
 
@@ -75,27 +77,71 @@ def _coset_fourier(profile: AmplitudeProfile, code: ParityCode) -> tuple[np.ndar
     return idx, 1.0 / np.conj(amps[idx])
 
 
-def _coset_states(code: ParityCode, y: int, fourier, syndromes) -> list[np.ndarray]:
-    """A_s for each listed syndrome s: its coefficients signed by (-1)^(y.u)."""
+def _coset_states(code: ParityCode, fourier, syndromes) -> np.ndarray:
+    """A_s of every outcome y and listed syndrome s, at [y, j] for s =
+    syndromes[j]: the coefficients of s signed by (-1)^(y.u), taken to the
+    computational basis by one batched product with the core shape of
+    W @ four, so each state has the bits of that one product."""
     idx, inv = fourier
-    signed = np.where(walsh_hadamard(code.k)[y] < 0, -inv, inv)
-    w = walsh_hadamard(code.n)
-    out = []
-    for s in syndromes:
-        four = np.zeros(len(w), dtype=complex)
-        four[idx[s]] = signed[s]
-        out.append(w @ four)
-    return out
+    picked = list(syndromes)
+    signs = walsh_hadamard(code.k)[:, None, :] < 0
+    signed = np.where(signs, -inv[picked], inv[picked])
+    four = np.zeros((len(signs), len(picked), 1 << code.n), dtype=complex)
+    four[:, np.arange(len(picked))[:, None], idx[picked]] = signed
+    return (walsh_hadamard(code.n) @ four[..., None])[..., 0]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PovmSet:
-    """Operators for every informative (code, y) outcome plus the leftover."""
+    """Operators for every informative (code, y) outcome plus the leftover.
+
+    `stacks` is the set's only storage: it maps each code, in the set's
+    order, to (ys, stack), where stack is one read-only (len(ys), 2^n, 2^n)
+    array and stack[j] the element of outcome (code, ys[j]).  A built set
+    holds all 2^k outcomes of each code, in order; `from_elements` builds a
+    set from any mapping, with outcomes missing.  `perp` is the
+    no-information element.
+    """
 
     n: int
-    elements: dict
+    stacks: dict
     perp: np.ndarray
     profile: AmplitudeProfile
+    _overlap_cache: dict = field(default_factory=dict, init=False, repr=False)
+
+    @classmethod
+    def from_elements(cls, n: int, elements, perp: np.ndarray,
+                      profile: AmplitudeProfile) -> PovmSet:
+        """The set of an element mapping keyed by (code, y): one stack per
+        code, the codes in the order they first appear and each code's
+        outcomes in the mapping's order."""
+        groups: dict[ParityCode, dict] = {}
+        for (code, y), mat in elements.items():
+            groups.setdefault(code, {})[y] = mat
+        stacks = {}
+        for code, mats in groups.items():
+            stack = np.array(list(mats.values()), dtype=complex)
+            stack.flags.writeable = False
+            stacks[code] = (tuple(mats), stack)
+        return cls(n, stacks, perp, profile)
+
+    @cached_property
+    def elements(self) -> MappingProxyType:
+        """(code, y) -> element, each a view into its code's stack."""
+        return MappingProxyType({(code, y): mat
+                                 for code, (ys, stack) in self.stacks.items()
+                                 for y, mat in zip(ys, stack)})
+
+    def overlaps(self, profile: AmplitudeProfile) -> list[np.ndarray]:
+        """<psi_x|M_j|psi_x> at [j, x] for each code's stack, in the set's
+        order, then for the leftover: computed once per set and profile,
+        and read by both `verify_povm` and `rho_eval`."""
+        table = self._overlap_cache.get(profile)
+        if table is None:
+            states = _states(profile)
+            table = [_overlaps(stack, states) for _, _, stack in _code_stacks(self)]
+            self._overlap_cache[profile] = table
+        return table
 
     def to_json_dict(self) -> dict:
         """The set with its operators as ndarrays; `cli.dump_json` writes each
@@ -128,41 +174,49 @@ def build_from_primal(sol: PrimalSolution, profile: AmplitudeProfile) -> PovmSet
         if code.k and c:
             carried.setdefault(code, []).append((s, c))
     position = code_positions(profile.n)
-    elements: dict = {}
+    stacks: dict = {}
+    total = np.zeros((size, size), dtype=complex)
     # in the code table's order, each code's syndromes ascending: the order
     # the terms and elements are summed in, here and in verify_povm
     for code in sorted(carried, key=position.__getitem__):
         syndromes, coeffs = zip(*sorted(carried[code]))
-        fourier = _coset_fourier(profile, code)
-        for y in range(1 << code.k):
-            mat = np.zeros((size, size), dtype=complex)
-            for c, vec in zip(coeffs, _coset_states(code, y, fourier, syndromes)):
-                mat += c * np.outer(vec, np.conj(vec))
-            elements[(code, y)] = mat
-    total = sum(elements.values(), np.zeros((size, size), dtype=complex))
+        states = _coset_states(code, _coset_fourier(profile, code), syndromes)
+        stack = np.zeros((len(states), size, size), dtype=complex)
+        for j, c in enumerate(coeffs):
+            vec = states[:, j]
+            term = vec[:, :, None] * np.conj(vec)[:, None, :]
+            term *= c
+            stack += term
+        for mat in stack:
+            total += mat
+        stack.flags.writeable = False
+        stacks[code] = (tuple(range(len(stack))), stack)
     perp = np.eye(size, dtype=complex) - total
-    return PovmSet(profile.n, elements, perp, profile)
+    return PovmSet(profile.n, stacks, perp, profile)
 
 
 def _code_stacks(povm: PovmSet):
     """Walk the set once per code, in the set's order.
 
     Yields (code, ys, stack) with stack[j] the element of outcome
-    (code, ys[j]), as one (len(ys), 2^n, 2^n) array; the no-information
-    element comes last, as the one outcome of ParityCode.bottom(n).  Only
-    one code is stacked at a time, so the set is never copied whole.
+    (code, ys[j]): each code's stack as the set holds it, then the
+    no-information element as the one outcome of ParityCode.bottom(n).
     """
-    groups: dict[ParityCode, list[int]] = {}
-    for code, y in povm.elements:
-        groups.setdefault(code, []).append(y)
-    for code, ys in groups.items():
-        yield code, ys, np.stack([povm.elements[(code, y)] for y in ys])
-    yield ParityCode.bottom(povm.n), [0], povm.perp[None]
+    for code, (ys, stack) in povm.stacks.items():
+        yield code, ys, stack
+    yield ParityCode.bottom(povm.n), (0,), povm.perp[None]
 
 
 def _states(profile: AmplitudeProfile) -> np.ndarray:
-    """Row x is the x-shifted state of the family."""
-    return np.array([state_psi(profile, x) for x in all_vectors(profile.n)])
+    """Row x is the x-shifted state of the family, `state_psi(profile, x)`
+    bit for bit: row x of the sign pattern of W picks a_i or -a_i, and one
+    batched product keeps the core shape of W @ four."""
+    _check_n(profile.n)
+    amps = profile.require_amplitudes()
+    w = walsh_hadamard(profile.n)
+    four = np.where(w < 0, np.array([-a for a in amps], dtype=complex),
+                    np.array(amps, dtype=complex))
+    return (w @ four[..., None])[..., 0]
 
 
 def _overlaps(stack: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -177,9 +231,12 @@ def _overlaps(stack: np.ndarray, states: np.ndarray) -> np.ndarray:
 
 
 def _zero_filled(code: ParityCode, ys, stack: np.ndarray) -> np.ndarray:
-    """All 2^k outcomes of a code, with zeros where the set has no element."""
+    """All 2^k outcomes of a code, with zeros where the set has no element:
+    the stack itself when it holds every outcome in order."""
+    if ys == tuple(range(1 << code.k)):
+        return stack
     full = np.zeros((1 << code.k,) + stack.shape[1:], dtype=complex)
-    full[ys] = stack
+    full[list(ys)] = stack
     return full
 
 
@@ -205,12 +262,11 @@ def _covariance_dev(code: ParityCode, ys, stack: np.ndarray) -> float:
 
 def rho_eval(povm: PovmSet, profile: AmplitudeProfile, cost: CostFunction) -> float:
     """Average score over a uniform hidden string (the expectation form)."""
-    states = _states(profile)
     total = 0.0
-    for code, _, stack in _code_stacks(povm):
+    for (code, _, _), overlaps in zip(_code_stacks(povm), povm.overlaps(profile)):
         ck = float(cost.value(code.k))
         if ck:
-            for row in _overlaps(stack, states).real.tolist():
+            for row in overlaps.real.tolist():
                 total += ck * sum(row)
     return total / (1 << povm.n)
 
@@ -234,7 +290,7 @@ def _shift_average(povm: PovmSet) -> PovmSet:
     """The shift average of `symmetrize`, on any input, valid or not."""
     n = povm.n
     idx = np.arange(1 << n)
-    elements = {}
+    stacks = {}
     for code, ys, stack in _code_stacks(povm):
         full = _zero_filled(code, ys, stack)
         outcomes = np.arange(len(full))
@@ -243,9 +299,10 @@ def _shift_average(povm: PovmSet) -> PovmSet:
             p = idx ^ a
             acc += full[(outcomes ^ code.parity(a))[:, None, None], p[:, None], p]
         acc /= len(idx)
-        elements.update(((code, y), mat) for y, mat in enumerate(acc))
-    perp = elements.pop((ParityCode.bottom(n), 0))
-    return PovmSet(n, elements, perp, povm.profile)
+        acc.flags.writeable = False
+        stacks[code] = (tuple(range(len(acc))), acc)
+    _, perp = stacks.pop(ParityCode.bottom(n))
+    return PovmSet(n, stacks, perp[0], povm.profile)
 
 
 @dataclass
@@ -280,24 +337,22 @@ def verify_povm(povm: PovmSet, profile: AmplitudeProfile, *,
     """
     n = povm.n
     size = 1 << n
-    states = _states(profile)
     total = np.zeros((size, size), dtype=complex)
     herm = unambig = 0.0
     min_eig = math.inf
     sym_dev = 0.0 if check_symmetry else None
-    for code, ys, stack in _code_stacks(povm):
+    for (code, ys, stack), overlaps in zip(_code_stacks(povm), povm.overlaps(profile)):
         adj = stack.conj().transpose(0, 2, 1)
         herm = max(herm, float(np.max(np.abs(stack - adj))))
         min_eig = min(min_eig, float(np.min(np.linalg.eigvalsh((stack + adj) / 2))))
         del adj  # before the covariance audit, which holds several stack-sized arrays
         # element by element, in the set's order, as a running sum adds them
-        total = np.concatenate((total[None], stack)).sum(axis=0)
+        for mat in stack:
+            total += mat
 
-        parity = np.array([code.parity(x) for x in all_vectors(n)])
-        wrong = parity != np.array(ys)[:, None]
+        wrong = code.parities != np.array(ys)[:, None]
         if wrong.any():
-            overlaps = _overlaps(stack, states)[wrong].tolist()
-            unambig = max(unambig, max(map(abs, overlaps)))
+            unambig = max(unambig, max(map(abs, overlaps[wrong].tolist())))
 
         if check_symmetry:
             sym_dev = max(sym_dev, n * _covariance_dev(code, ys, stack))

@@ -514,6 +514,8 @@ NANS = np.array([0x7FF8000000000000, 0x7FF8000000000001, -0x8000000000000,
                  0x7FF0000000000001], dtype=np.int64).view(float).reshape(2, 2)
 PAYLOADS = complex_of(NANS, NANS[::-1])
 SIGNED = complex_of([[0.0, -0.0], [np.inf, -np.inf]], [[-0.0, 0.0], [-np.inf, np.inf]])
+# 800 distinct floats
+SPREAD = complex_of(*np.random.default_rng(0).normal(size=(2, 20, 20)))
 
 
 def phased_profile(n: int, rng: random.Random) -> dict:
@@ -552,9 +554,12 @@ class TestWriter:
         {"m": MATRIX, "neg": [-MATRIX], "t": {"x": [MATRIX.T, -MATRIX.T]}},
         [SIGNED, {"neg": -SIGNED, "real": SIGNED.real}, [[SIGNED.imag, -SIGNED]]],
         {"a": PAYLOADS, "b": [PAYLOADS.T, NANS, {"c": -PAYLOADS, "d": MATRIX}]},
+        # a 1 x 1 matrix first sizes the token table to 32 slots, so most
+        # patterns of the 20 x 20 ones spill past their taken slots
+        [np.ones((1, 1)), SPREAD, {"again": [SPREAD.T, -SPREAD]}, SPECIAL, SPREAD],
     ], ids=["scalars", "matrix", "matrices", "nested", "empty-arrays", "keys",
             "list", "dict", "same-twice", "negated-transposed", "signed-zeros-infs",
-            "nan-payloads"])
+            "nan-payloads", "spilled"])
     def test_matches_json_dumps(self, obj):
         assert written(obj) == json.dumps(nested(obj), indent=2, default=_render)
 
@@ -873,6 +878,7 @@ def _corpus_profiles() -> dict:
             profiles[f"b{n}"] = ball_profile(n, n // 2, rng).to_json_dict()
     profiles["f3"] = bernoulli_profile(3, 0.1).to_json_dict()
     profiles["ph3"] = phased_profile(3, random.Random("corpus/ph3"))
+    profiles["ph4"] = phased_profile(4, random.Random("corpus/ph4"))
     profiles["ph5"] = phased_profile(5, random.Random("corpus/ph5"))
     return profiles
 
@@ -912,6 +918,7 @@ CORPUS = {
     "povm-r1": "povm --profile {r1} " + REAL,
     "povm-r3-tau1": "povm --profile {r3} --cost threshold --tau 1 " + REAL,
     "povm-ph3-float": "povm --profile {ph3} --mode float",
+    "povm-ph4-float": "povm --profile {ph4} --mode float",
     "povm-r2-table": "povm --profile {r2} --format table " + REAL,
     "simulate-r0": "simulate --profile {r0} --x= --seed 1 --shots 10",
     "simulate-r3": "simulate --profile {r3} --x 101 --seed 2 --shots 1000",

@@ -150,6 +150,14 @@ class TestIdentityRows:
             assert list(m.rows) == sorted(m.rows)
 
 
+class TestParities:
+    @pytest.mark.parametrize("n", range(0, 5))
+    def test_table_matches_parity(self, n):
+        for code in enumerate_all_codes(n):
+            assert code.parities.tolist() == [code.parity(x) for x in all_vectors(n)]
+            assert not code.parities.flags.writeable
+
+
 class TestDualCosets:
     def test_single_parity_bit(self):
         code = ParityCode.from_matrix(mat("10"))

@@ -28,6 +28,7 @@ from paritylp.povm import (
     _coset_states,
     _covariance_dev,
     _shift_average,
+    _states,
     build_from_primal,
     fourier_diag_check,
     rho_eval,
@@ -65,18 +66,20 @@ def coset_basis(profile, code, y):
     """A_s for every syndrome s, as the builder makes them: one Fourier
     support per code, signed by (-1)^(y.u) for the outcome y."""
     fourier = _coset_fourier(profile, code)
-    return _coset_states(code, y, fourier, range(len(fourier[0])))
+    return list(_coset_states(code, fourier, range(len(fourier[0])))[y])
 
 
-def coset_basis_loops(profile, code, y):
-    """A_s for every syndrome, coefficient by coefficient over the coset."""
+def coset_basis_loops(profile, code, y, syndromes=None):
+    """A_s for every listed syndrome (by default all), coefficient by
+    coefficient over the coset."""
     amps = profile.require_amplitudes()
     w = walsh_hadamard(profile.n)
+    span = [code.H.transpose_mul(u) for u in range(1 << code.k)]
     out = []
-    for s in range(len(code.cosets)):
+    for s in range(len(code.cosets)) if syndromes is None else syndromes:
         four = np.zeros(1 << profile.n, dtype=complex)
         for u in range(1 << code.k):
-            idx = code.H.transpose_mul(u) ^ int(code.leaders[0, s])
+            idx = span[u] ^ int(code.leaders[0, s])
             coeff = 1.0 / np.conj(amps[idx])
             four[idx] = -coeff if dot(y, u) else coeff
         out.append(w @ four)
@@ -90,16 +93,17 @@ def build_from_primal_loops(sol, profile):
     for code in enumerate_all_codes(profile.n):
         coeffs = [float(sol.mu.get((code, s), 0)) / (1 << code.k)
                   for s in range(1 << (profile.n - code.k))]
-        if code.k == 0 or not any(coeffs):
+        live = [s for s, c in enumerate(coeffs) if c]
+        if code.k == 0 or not live:
             continue
         for y in range(1 << code.k):
             mat = np.zeros((size, size), dtype=complex)
-            for c, vec in zip(coeffs, coset_basis_loops(profile, code, y)):
-                if c:
-                    mat += c * np.outer(vec, np.conj(vec))
+            for s, vec in zip(live, coset_basis_loops(profile, code, y, live)):
+                mat += coeffs[s] * np.outer(vec, np.conj(vec))
             elements[(code, y)] = mat
     total = sum(elements.values(), np.zeros((size, size), dtype=complex))
-    return PovmSet(profile.n, elements, np.eye(size, dtype=complex) - total, profile)
+    return PovmSet.from_elements(profile.n, elements, np.eye(size, dtype=complex) - total,
+                                 profile)
 
 
 def rho_eval_loops(povm, profile, cost):
@@ -139,7 +143,7 @@ def symmetrize_loops(povm):
         (shifted(povm.perp, a) for a in all_vectors(n)),
         np.zeros((size, size), dtype=complex),
     ) / size
-    return PovmSet(n, elements, perp, povm.profile)
+    return PovmSet.from_elements(n, elements, perp, povm.profile)
 
 
 def verify_povm_loops(povm, profile, *, tol_hermitian=1e-12, tol_psd=1e-9,
@@ -286,6 +290,16 @@ class TestStates:
         with pytest.raises(ProfileError):
             state_psi(p, 0)
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+    def test_batched_states_match_state_psi(self, n):
+        # bit for bit, signed zeros of real-amplitude profiles included
+        rng = random.Random(30 + n)
+        for p in (random_phase_profile(n, rng),
+                  rand_rational_profile(n, rng).with_real_amplitudes()):
+            states = _states(p)
+            assert [row.tobytes() for row in states] == \
+                [state_psi(p, x).tobytes() for x in all_vectors(n)]
+
     def test_shift_relation(self):
         # |psi_x> = X_x |psi_0>
         rng = random.Random(3)
@@ -409,6 +423,20 @@ class TestBuildFromPrimal:
         assert povm.elements[(code, 1)] == pytest.approx(np.diag([0.0, 1.0]))
         assert povm.perp == pytest.approx(np.zeros((2, 2)))
 
+    def test_elements_are_read_only_views_of_the_stacks(self):
+        p = random_phase_profile(3, random.Random(17))
+        sol, _ = solve_primal(p, CostFunction.average(3), mode="float")
+        povm = build_from_primal(sol, p)
+        for code, (ys, stack) in povm.stacks.items():
+            assert ys == tuple(range(1 << code.k)) and not stack.flags.writeable
+            for y in ys:
+                assert povm.elements[(code, y)].base is stack
+        key = next(iter(povm.elements))
+        with pytest.raises(TypeError):
+            povm.elements[key] = np.zeros((8, 8), dtype=complex)
+        with pytest.raises(ValueError):
+            povm.elements[key][0, 0] = 1.0
+
     def test_all_mass_on_bottom_gives_identity_leftover(self):
         p = uniform_amps(2)
         from paritylp.lp import PrimalSolution
@@ -484,13 +512,15 @@ class TestBuildFromPrimal:
                 expected = float(dist.get((code, y), 0.0))
                 assert got == pytest.approx(expected, abs=1e-10)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("phases", ["phased", "real"])
     def test_matches_loops(self, n, phases):
         # LP optima (exact on rational weights), every candidate family, a
         # mixture with the bottom code, that mixture's mu in reverse order
         # and every syndrome of every rank-1 code from the last: the same
-        # elements in the same order, bit for bit
+        # elements in the same order, bit for bit; each set holds 2^k
+        # elements per code that carries mass, and they are exact
+        # relabellings of one another
         from paritylp.bounds import primal_candidate
 
         rng = random.Random(70 + n)
@@ -512,7 +542,11 @@ class TestBuildFromPrimal:
         for mu in (mixed, dict(reversed(mixed.items())), spread):
             sols.append(PrimalSolution(n, mu, sol.objective / 2))
         for sol in sols:
-            assert_same_sets(build_from_primal(sol, p), build_from_primal_loops(sol, p))
+            povm = build_from_primal(sol, p)
+            assert_same_sets(povm, build_from_primal_loops(sol, p))
+            carrying = {code for (code, _), v in sol.mu.items() if code.k and v}
+            assert len(povm.elements) == sum(1 << code.k for code in carrying)
+            assert_relabellings(povm)
 
     def test_threshold_cost_solution(self):
         rng = random.Random(9)
@@ -563,8 +597,8 @@ class TestSymmetrize:
         # zero out one informative branch, dumping its mass into the leftover
         key = next(k for k in povm.elements if k[0].k == 1)
         dropped = povm.elements[key]
-        povm.elements[key] = np.zeros_like(dropped)
-        povm.perp = povm.perp + dropped
+        povm = PovmSet.from_elements(2, {**povm.elements, key: np.zeros_like(dropped)},
+                                     povm.perp + dropped, p)
         before = verify_povm(povm, p)
         assert before.gamma_ok and before.symmetric_ok is False
         rho_before = rho_eval(povm, p, cost)
@@ -581,7 +615,9 @@ class TestSymmetrize:
         povm = build_from_primal(sol, p)
         # drop one informative element, moving its mass to the leftover
         key = next(k for k in povm.elements if k[0].k == 1)
-        povm.perp = povm.perp + povm.elements.pop(key)
+        kept = {k: mat for k, mat in povm.elements.items() if k != key}
+        povm = PovmSet.from_elements(2, kept, povm.perp + povm.elements[key], p)
+        assert key not in povm.elements
         before = verify_povm(povm, p)
         assert before.gamma_ok and before.symmetric_ok is False
         sym = symmetrize(povm)
@@ -595,7 +631,7 @@ class TestSymmetrize:
         p = uniform_amps(1)
         sol, _ = solve_primal(p, CostFunction.average(1))
         povm = build_from_primal(sol, p)
-        povm.perp = povm.perp - 10 * np.eye(2)
+        povm = PovmSet(1, povm.stacks, povm.perp - 10 * np.eye(2), p)
         with pytest.raises(ValueError):
             symmetrize(povm)
 
@@ -668,16 +704,14 @@ def seeded_sets(n):
     sol, _ = solve_primal(p, CostFunction.average(n), mode="float")
     base = build_from_primal(sol, p)
     key = next(iter(base.elements))
-
-    def copy():
-        return PovmSet(n, dict(base.elements), base.perp.copy(), p)
-
-    zeroed, missing, skewed = copy(), copy(), copy()
-    zeroed.elements[key] = np.zeros_like(base.elements[key])
-    zeroed.perp = zeroed.perp + base.elements[key]
-    missing.perp = missing.perp + missing.elements.pop(key)
+    mat = base.elements[key]
+    kept = {k: m for k, m in base.elements.items() if k != key}
+    zeroed = PovmSet.from_elements(n, {**base.elements, key: np.zeros_like(mat)},
+                                   base.perp + mat, p)
+    missing = PovmSet.from_elements(n, kept, base.perp + mat, p)
     noise = np.random.default_rng(n).normal(size=(2, 1 << n, 1 << n))
-    skewed.elements[key] = base.elements[key] + 1e-3 * (noise[0] + 1j * noise[1])
+    skewed = PovmSet.from_elements(
+        n, {**base.elements, key: mat + 1e-3 * (noise[0] + 1j * noise[1])}, base.perp, p)
     return {"optimum": base, "zeroed": zeroed, "missing": missing,
             "non-hermitian": skewed}
 
@@ -686,7 +720,7 @@ def gather_covariance_dev(code, ys, stack):
     """povm._covariance_dev with each generator's permutation as a 2-D
     fancy-index gather of rows and columns, the form it replaced."""
     full = np.zeros((1 << code.k,) + stack.shape[1:], dtype=complex)
-    full[ys] = stack
+    full[list(ys)] = stack
     idx = np.arange(stack.shape[1])
     dev = 0.0
     for a in (1 << j for j in range(code.n)):
@@ -701,6 +735,17 @@ def float_bits(values):
     return [(type(v), v.hex() if isinstance(v, float) else v) for v in values]
 
 
+def assert_relabellings(povm):
+    """X_a F[(H, y)] X_a is F[(H, y + H.a)] bit for bit, for every element
+    and every generator a: `shifted` on a code's elements at once."""
+    idx = np.arange(1 << povm.n)
+    for code, (ys, stack) in povm.stacks.items():
+        for a in (1 << j for j in range(povm.n)):
+            p = idx ^ a
+            partners = [ys.index(y ^ code.parity(a)) for y in ys]
+            assert stack[:, p[:, None], p].tobytes() == stack[partners].tobytes()
+
+
 def assert_same_sets(got, want):
     assert list(got.elements) == list(want.elements)
     for mat, ref in zip([*got.elements.values(), got.perp],
@@ -710,7 +755,7 @@ def assert_same_sets(got, want):
 
 
 SEEDED = [(n, label) for n in (1, 2, 3, 4)
-          for label in ("optimum", "zeroed", "missing", "non-hermitian")]
+          for label in ("optimum", "zeroed", "missing", "non-hermitian")] + [(5, "optimum")]
 
 
 class TestAuditsMatchLoops:

@@ -13,6 +13,7 @@ import contextlib
 import functools
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -408,12 +409,11 @@ def cmd_povm(args) -> tuple[dict, str]:
     primal, p_report = lp.solve_primal(profile, cost, args.mode)
     povm_set = povm.build_from_primal(primal, profile)
     verification = povm.verify_povm(
-        povm_set, profile,
-        tol_psd=args.tol_feas, tol_complete=args.tol_complete,
+        povm_set, tol_psd=args.tol_feas, tol_complete=args.tol_complete,
         tol_unambig=args.tol_unambig,
     )
     fourier = povm.fourier_diag_check(povm_set)
-    rho = povm.rho_eval(povm_set, profile, cost)
+    rho = povm.rho_eval(povm_set, cost)
     audits = {
         "povm_valid": verification.ok,
         "rho_matches_lp": abs(rho - float(p_report.objective)) <= 1e-8,
@@ -673,6 +673,12 @@ def main(argv: list[str] | None = None) -> int:
             raise ToolkitError("need n >= 0")
         body, table_text = args.func(args)
         _emit(args, {"config": _config_dict(args), **body}, table_text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: end as a shell shows a command that
+        # SIGPIPE stopped, and let the exit flush write to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
     except (ToolkitError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

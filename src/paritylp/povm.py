@@ -7,15 +7,15 @@ complete once the leftover goes to the no-information element, keeps every
 wrong-outcome overlap exactly zero, and commutes with shifts up to the
 outcome relabeling y -> y + H.a.  All of that is re-checked numerically by
 ``verify_povm`` instead of being trusted.  A set holds one stack per code,
-the (2^k, 2^n, 2^n) array of that code's elements, which the builder fills
-and the audits, the score and the report read as it is.  Covariance is
+the (2^k, 2^n, 2^n) array of all that code's elements, which the builder
+fills and the audits, the score and the report read as it is.  Covariance is
 checked on the n generators e_1..e_n of the shift group.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache, reduce
 from types import MappingProxyType
 
@@ -96,52 +96,49 @@ class PovmSet:
     """Operators for every informative (code, y) outcome plus the leftover.
 
     `stacks` is the set's only storage: it maps each code, in the set's
-    order, to (ys, stack), where stack is one read-only (len(ys), 2^n, 2^n)
-    array and stack[j] the element of outcome (code, ys[j]).  A built set
-    holds all 2^k outcomes of each code, in order; `from_elements` builds a
-    set from any mapping, with outcomes missing.  `perp` is the
-    no-information element.
+    order, to one read-only (2^k, 2^n, 2^n) array whose row y is the element
+    of outcome (code, y).  `perp` is the no-information element; `profile`
+    is the family the audits and the score read.
     """
 
     n: int
     stacks: dict
     perp: np.ndarray
     profile: AmplitudeProfile
-    _overlap_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def from_elements(cls, n: int, elements, perp: np.ndarray,
                       profile: AmplitudeProfile) -> PovmSet:
         """The set of an element mapping keyed by (code, y): one stack per
-        code, the codes in the order they first appear and each code's
-        outcomes in the mapping's order."""
-        groups: dict[ParityCode, dict] = {}
+        code, the codes in the order they first appear, and a zero element
+        for each outcome of a listed code that the mapping lacks."""
+        size = 1 << n
+        stacks: dict = {}
         for (code, y), mat in elements.items():
-            groups.setdefault(code, {})[y] = mat
-        stacks = {}
-        for code, mats in groups.items():
-            stack = np.array(list(mats.values()), dtype=complex)
+            if not 0 <= y < 1 << code.k:
+                raise ValueError(f"outcome {y} of a rank-{code.k} code is outside "
+                                 f"range({1 << code.k})")
+            if code not in stacks:
+                stacks[code] = np.zeros((1 << code.k, size, size), dtype=complex)
+            stacks[code][y] = mat
+        for stack in stacks.values():
             stack.flags.writeable = False
-            stacks[code] = (tuple(mats), stack)
         return cls(n, stacks, perp, profile)
 
     @cached_property
     def elements(self) -> MappingProxyType:
         """(code, y) -> element, each a view into its code's stack."""
         return MappingProxyType({(code, y): mat
-                                 for code, (ys, stack) in self.stacks.items()
-                                 for y, mat in zip(ys, stack)})
+                                 for code, stack in self.stacks.items()
+                                 for y, mat in enumerate(stack)})
 
-    def overlaps(self, profile: AmplitudeProfile) -> list[np.ndarray]:
+    @cached_property
+    def overlaps(self) -> list[np.ndarray]:
         """<psi_x|M_j|psi_x> at [j, x] for each code's stack, in the set's
-        order, then for the leftover: computed once per set and profile,
-        and read by both `verify_povm` and `rho_eval`."""
-        table = self._overlap_cache.get(profile)
-        if table is None:
-            states = _states(profile)
-            table = [_overlaps(stack, states) for _, _, stack in _code_stacks(self)]
-            self._overlap_cache[profile] = table
-        return table
+        order, then for the leftover, under the set's profile: read by both
+        `verify_povm` and `rho_eval`."""
+        states = _states(self.profile)
+        return [_overlaps(stack, states) for _, stack in _code_stacks(self)]
 
     def to_json_dict(self) -> dict:
         """The set with its operators as ndarrays; `cli.dump_json` writes each
@@ -190,21 +187,17 @@ def build_from_primal(sol: PrimalSolution, profile: AmplitudeProfile) -> PovmSet
         for mat in stack:
             total += mat
         stack.flags.writeable = False
-        stacks[code] = (tuple(range(len(stack))), stack)
+        stacks[code] = stack
     perp = np.eye(size, dtype=complex) - total
     return PovmSet(profile.n, stacks, perp, profile)
 
 
 def _code_stacks(povm: PovmSet):
-    """Walk the set once per code, in the set's order.
-
-    Yields (code, ys, stack) with stack[j] the element of outcome
-    (code, ys[j]): each code's stack as the set holds it, then the
-    no-information element as the one outcome of ParityCode.bottom(n).
-    """
-    for code, (ys, stack) in povm.stacks.items():
-        yield code, ys, stack
-    yield ParityCode.bottom(povm.n), (0,), povm.perp[None]
+    """Walk the set once per code, in the set's order: (code, stack) for
+    each code's stack as the set holds it, then the no-information element
+    as the one outcome of ParityCode.bottom(n)."""
+    yield from povm.stacks.items()
+    yield ParityCode.bottom(povm.n), povm.perp[None]
 
 
 def _states(profile: AmplitudeProfile) -> np.ndarray:
@@ -230,40 +223,31 @@ def _overlaps(stack: np.ndarray, states: np.ndarray) -> np.ndarray:
     return np.matmul(np.conj(states)[None, :, None, :], applied)[..., 0, 0]
 
 
-def _zero_filled(code: ParityCode, ys, stack: np.ndarray) -> np.ndarray:
-    """All 2^k outcomes of a code, with zeros where the set has no element:
-    the stack itself when it holds every outcome in order."""
-    if ys == tuple(range(1 << code.k)):
-        return stack
-    full = np.zeros((1 << code.k,) + stack.shape[1:], dtype=complex)
-    full[list(ys)] = stack
-    return full
-
-
-def _covariance_dev(code: ParityCode, ys, stack: np.ndarray) -> float:
+def _covariance_dev(code: ParityCode, stack: np.ndarray) -> float:
     """max |X_a F[(code, y)] X_a - F[(code, y + H.a)]| over the elements of
-    a stack and the generators a = e_1..e_n, a missing partner read as zero.
+    a code's stack and the generators a = e_1..e_n.
 
-    Rows and columns are read as n bit axes each, the highest bit first, so
-    conjugating by X_a for a = e_j (x -> x ^ a on both sides) reverses the
-    row and the column axis of bit j: a view, with no index arrays."""
-    n = code.n
-    bits = (2,) * (2 * n)
-    elements = stack.reshape(len(ys), *bits)
-    full = _zero_filled(code, ys, stack).reshape(-1, *bits)
+    The stack is read as k outcome bit axes, then n row and n column bit
+    axes, the highest bit first.  Conjugating by X_a for a = e_j reverses
+    the row and the column axis of bit j, and y -> y + H.a reverses the
+    outcome axes of the bits set in H.a (none where H.a = 0), so the pairs
+    compared are those of one flipped view and the stack itself: no index
+    arrays and no gathered copy."""
+    n, k = code.n, code.k
+    elements = stack.reshape((2,) * (k + 2 * n))
     dev = 0.0
     for j in range(n):
-        row_axis = n - j
-        moved = np.flip(elements, (row_axis, row_axis + n))
-        moved = moved - full[np.bitwise_xor(ys, code.parity(1 << j))]
-        dev = max(dev, float(np.max(np.abs(moved))))
+        h = code.parity(1 << j)
+        axes = (k + n - 1 - j, k + 2 * n - 1 - j,
+                *(k - 1 - b for b in range(k) if h >> b & 1))
+        dev = max(dev, float(np.max(np.abs(np.flip(elements, axes) - elements))))
     return dev
 
 
-def rho_eval(povm: PovmSet, profile: AmplitudeProfile, cost: CostFunction) -> float:
+def rho_eval(povm: PovmSet, cost: CostFunction) -> float:
     """Average score over a uniform hidden string (the expectation form)."""
     total = 0.0
-    for (code, _, _), overlaps in zip(_code_stacks(povm), povm.overlaps(profile)):
+    for (code, _), overlaps in zip(_code_stacks(povm), povm.overlaps):
         ck = float(cost.value(code.k))
         if ck:
             for row in overlaps.real.tolist():
@@ -274,14 +258,11 @@ def rho_eval(povm: PovmSet, profile: AmplitudeProfile, cost: CostFunction) -> fl
 def symmetrize(povm: PovmSet) -> PovmSet:
     """Average over shifts, landing in the shift-covariant class.
 
-    F_bar[(code, y)] = 2^-n sum_a X_a F[(code, y + H.a)] X_a, with a missing
-    element read as zero; every outcome of a code present in the input is
-    present in the output.  Validity of the input (positivity,
-    completeness, unambiguity) is required and the output rescores
-    identically under the expectation form.
+    F_bar[(code, y)] = 2^-n sum_a X_a F[(code, y + H.a)] X_a.  Validity of
+    the input (positivity, completeness, unambiguity) is required and the
+    output rescores identically under the expectation form.
     """
-    report = verify_povm(povm, povm.profile, check_symmetry=False)
-    if not report.gamma_ok:
+    if not verify_povm(povm).gamma_ok:
         raise ValueError("input fails the measurement-validity checks")
     return _shift_average(povm)
 
@@ -291,17 +272,16 @@ def _shift_average(povm: PovmSet) -> PovmSet:
     n = povm.n
     idx = np.arange(1 << n)
     stacks = {}
-    for code, ys, stack in _code_stacks(povm):
-        full = _zero_filled(code, ys, stack)
-        outcomes = np.arange(len(full))
-        acc = np.zeros_like(full)
+    for code, stack in _code_stacks(povm):
+        outcomes = np.arange(len(stack))
+        acc = np.zeros_like(stack)
         for a in all_vectors(n):
             p = idx ^ a
-            acc += full[(outcomes ^ code.parity(a))[:, None, None], p[:, None], p]
+            acc += stack[(outcomes ^ code.parity(a))[:, None, None], p[:, None], p]
         acc /= len(idx)
         acc.flags.writeable = False
-        stacks[code] = (tuple(range(len(acc))), acc)
-    _, perp = stacks.pop(ParityCode.bottom(n))
+        stacks[code] = acc
+    perp = stacks.pop(ParityCode.bottom(n))
     return PovmSet(n, stacks, perp[0], povm.profile)
 
 
@@ -311,37 +291,36 @@ class PovmVerification:
     min_eigenvalue: float
     completeness_frobenius: float
     max_unambiguity_trace: float
-    max_symmetry_dev: float | None
+    max_symmetry_dev: float
     gamma_ok: bool
-    symmetric_ok: bool | None
+    symmetric_ok: bool
 
     @property
     def ok(self) -> bool:
-        return self.gamma_ok and (self.symmetric_ok is not False)
+        return self.gamma_ok and self.symmetric_ok
 
     def to_json_dict(self) -> dict:
         return {**asdict(self), "ok": self.ok}
 
 
-def verify_povm(povm: PovmSet, profile: AmplitudeProfile, *,
+def verify_povm(povm: PovmSet, *,
                 tol_psd: float = TOL_PSD,
                 tol_complete: float = TOL_COMPLETE,
-                tol_unambig: float = TOL_UNAMBIG,
-                check_symmetry: bool = True) -> PovmVerification:
-    """Numerically audit every defining property of the measurement set.
+                tol_unambig: float = TOL_UNAMBIG) -> PovmVerification:
+    """Numerically audit every defining property of the measurement set
+    against its own profile.
 
-    A missing element counts as zero.  Covariance is checked on the shift
-    generators e_1..e_n; max_symmetry_dev is n times their largest deviation,
-    which bounds the deviation under every one of the 2^n shifts.  Hermiticity
-    and covariance are held to TOL_HERMITIAN and TOL_SYMMETRY.
+    Covariance is checked on the shift generators e_1..e_n; max_symmetry_dev
+    is n times their largest deviation, which bounds the deviation under
+    every one of the 2^n shifts.  Hermiticity and covariance are held to
+    TOL_HERMITIAN and TOL_SYMMETRY.
     """
     n = povm.n
     size = 1 << n
     total = np.zeros((size, size), dtype=complex)
-    herm = unambig = 0.0
+    herm = unambig = sym_dev = 0.0
     min_eig = math.inf
-    sym_dev = 0.0 if check_symmetry else None
-    for (code, ys, stack), overlaps in zip(_code_stacks(povm), povm.overlaps(profile)):
+    for (code, stack), overlaps in zip(_code_stacks(povm), povm.overlaps):
         adj = stack.conj().transpose(0, 2, 1)
         herm = max(herm, float(np.max(np.abs(stack - adj))))
         min_eig = min(min_eig, float(np.min(np.linalg.eigvalsh((stack + adj) / 2))))
@@ -350,12 +329,11 @@ def verify_povm(povm: PovmSet, profile: AmplitudeProfile, *,
         for mat in stack:
             total += mat
 
-        wrong = code.parities != np.array(ys)[:, None]
+        wrong = code.parities != np.arange(len(stack))[:, None]
         if wrong.any():
             unambig = max(unambig, max(map(abs, overlaps[wrong].tolist())))
 
-        if check_symmetry:
-            sym_dev = max(sym_dev, n * _covariance_dev(code, ys, stack))
+        sym_dev = max(sym_dev, n * _covariance_dev(code, stack))
     complete = float(np.linalg.norm(total - np.eye(size)))
 
     gamma_ok = (
@@ -364,9 +342,8 @@ def verify_povm(povm: PovmSet, profile: AmplitudeProfile, *,
         and complete <= tol_complete
         and unambig <= tol_unambig
     )
-    symmetric_ok = None if sym_dev is None else sym_dev <= TOL_SYMMETRY
     return PovmVerification(herm, min_eig, complete, unambig, sym_dev,
-                            gamma_ok, symmetric_ok)
+                            gamma_ok, sym_dev <= TOL_SYMMETRY)
 
 
 @dataclass
@@ -389,7 +366,7 @@ def fourier_diag_check(povm: PovmSet) -> FourierDiagReport:
     w_mat = walsh_hadamard(povm.n)
     weights = np.array(povm.profile.weights_float)
     offdiag = factor = spread = 0.0
-    for code, _, stack in _code_stacks(povm):
+    for code, stack in _code_stacks(povm):
         agg_hat = w_mat @ stack.sum(axis=0) @ w_mat
         off = agg_hat - np.diag(np.diag(agg_hat))
         offdiag = max(offdiag, float(np.max(np.abs(off))))

@@ -241,7 +241,7 @@ def test_criterion_6_povm_synthesis():
         for p in profiles:
             sol, rep = solve_primal(p, cost, mode="float")
             povm = build_from_primal(sol, p)
-            ver = verify_povm(povm, p)
+            ver = verify_povm(povm)
             assert ver.max_hermitian_dev <= 1e-12
             assert ver.min_eigenvalue >= -1e-9
             assert ver.completeness_frobenius <= 1e-8
@@ -249,7 +249,7 @@ def test_criterion_6_povm_synthesis():
             assert ver.max_symmetry_dev <= 1e-9
             fourier = fourier_diag_check(povm)
             assert fourier.max_coset_spread <= 1e-10
-            assert abs(rho_eval(povm, p, cost) - float(rep.objective)) <= 1e-8
+            assert abs(rho_eval(povm, cost) - float(rep.objective)) <= 1e-8
     _finish(6, "synthesized measurements pass positivity, completeness, "
                "unambiguity, shift symmetry, Fourier structure, and score "
                "matching (n<=3)", start, 60)

@@ -5,10 +5,14 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -865,6 +869,20 @@ class TestEnumerate:
         assert main(["enumerate", "--n", "-1", *argv]) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "error: need n >= 0\n")
+
+    def test_closed_stdout_exits_141_quietly(self):
+        # the report (about 300 kB) outgrows the pipe, so the writer is still
+        # writing when the reader closes it
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen([sys.executable, "-m", "paritylp.cli", "enumerate", "--n", "5"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 141
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
 
 
 def _corpus_profiles() -> dict:

@@ -106,8 +106,8 @@ def build_from_primal_loops(sol, profile):
                                  profile)
 
 
-def rho_eval_loops(povm, profile, cost):
-    states = [state_psi(profile, x) for x in all_vectors(povm.n)]
+def rho_eval_loops(povm, cost):
+    states = [state_psi(povm.profile, x) for x in all_vectors(povm.n)]
     total = 0.0
     for (code, y), mat in povm.elements.items():
         ck = float(cost.value(code.k))
@@ -125,7 +125,7 @@ def rho_eval_loops(povm, profile, cost):
 
 
 def symmetrize_loops(povm):
-    """Without the input check; a missing element raises KeyError."""
+    """Without the input check."""
     n = povm.n
     size = 1 << n
     elements = {}
@@ -146,9 +146,8 @@ def symmetrize_loops(povm):
     return PovmSet.from_elements(n, elements, perp, povm.profile)
 
 
-def verify_povm_loops(povm, profile, *, tol_hermitian=1e-12, tol_psd=1e-9,
-                      tol_complete=1e-8, tol_unambig=1e-10, tol_symmetry=1e-9,
-                      check_symmetry=True):
+def verify_povm_loops(povm, *, tol_hermitian=1e-12, tol_psd=1e-9,
+                      tol_complete=1e-8, tol_unambig=1e-10, tol_symmetry=1e-9):
     n = povm.n
     size = 1 << n
     all_ops = list(povm.elements.values()) + [povm.perp]
@@ -162,7 +161,7 @@ def verify_povm_loops(povm, profile, *, tol_hermitian=1e-12, tol_psd=1e-9,
     total = sum(all_ops[:-1], np.zeros((size, size), dtype=complex)) + povm.perp
     complete = float(np.linalg.norm(total - np.eye(size)))
 
-    states = [state_psi(profile, x) for x in all_vectors(n)]
+    states = [state_psi(povm.profile, x) for x in all_vectors(n)]
     unambig = 0.0
     for (code, y), mat in povm.elements.items():
         for x in all_vectors(n):
@@ -172,22 +171,16 @@ def verify_povm_loops(povm, profile, *, tol_hermitian=1e-12, tol_psd=1e-9,
 
     # covariance on the generators e_1..e_n, reported as n times the largest
     # deviation: a bound on the deviation under every shift
-    sym_dev = None
-    if check_symmetry:
-        sym_dev = 0.0
-        generators = [1 << j for j in range(n)]
-        for (code, y), mat in povm.elements.items():
-            for a in generators:
-                partner = povm.elements.get((code, y ^ code.parity(a)))
-                moved = shifted(mat, a)
-                if partner is None:
-                    sym_dev = max(sym_dev, float(np.max(np.abs(moved))))
-                else:
-                    sym_dev = max(sym_dev, float(np.max(np.abs(moved - partner))))
+    sym_dev = 0.0
+    generators = [1 << j for j in range(n)]
+    for (code, y), mat in povm.elements.items():
         for a in generators:
-            moved = shifted(povm.perp, a)
-            sym_dev = max(sym_dev, float(np.max(np.abs(moved - povm.perp))))
-        sym_dev = n * sym_dev
+            partner = povm.elements[(code, y ^ code.parity(a))]
+            sym_dev = max(sym_dev, float(np.max(np.abs(shifted(mat, a) - partner))))
+    for a in generators:
+        moved = shifted(povm.perp, a)
+        sym_dev = max(sym_dev, float(np.max(np.abs(moved - povm.perp))))
+    sym_dev = n * sym_dev
 
     gamma_ok = (
         herm <= tol_hermitian
@@ -195,9 +188,8 @@ def verify_povm_loops(povm, profile, *, tol_hermitian=1e-12, tol_psd=1e-9,
         and complete <= tol_complete
         and unambig <= tol_unambig
     )
-    symmetric_ok = None if sym_dev is None else sym_dev <= tol_symmetry
     return PovmVerification(herm, min_eig, complete, unambig, sym_dev,
-                            gamma_ok, symmetric_ok)
+                            gamma_ok, sym_dev <= tol_symmetry)
 
 
 def fourier_diag_check_loops(povm):
@@ -233,21 +225,19 @@ def fourier_diag_check_loops(povm):
 
 def all_shifts_deviation(povm):
     """max |X_a F[(code, y)] X_a - F[(code, y + H.a)]| over every element,
-    the leftover and every shift a, with X_a as a matrix; a missing partner
-    counts as zero.  X_a is real, so it acts on the real and imaginary parts
-    in turn, which halves the cost of the products."""
+    the leftover and every shift a, with X_a as a matrix.  X_a is real, so
+    it acts on the real and imaginary parts in turn, which halves the cost
+    of the products."""
     n = povm.n
     keyed = list(povm.elements) + [(ParityCode.bottom(n), 0)]
     mats = np.stack([*povm.elements.values(), povm.perp])
     lookup = dict(zip(keyed, mats))
     re, im = mats.real.copy(), mats.imag.copy()
-    zero = np.zeros_like(povm.perp)
     dev = 0.0
     for a in all_vectors(n):
         xa = shift_op(a, n)
         moved = xa @ re @ xa + 1j * (xa @ im @ xa)
-        partners = np.stack([lookup.get((code, y ^ code.parity(a)), zero)
-                             for code, y in keyed])
+        partners = np.stack([lookup[(code, y ^ code.parity(a))] for code, y in keyed])
         dev = max(dev, float(np.max(np.abs(moved - partners))))
     return dev
 
@@ -427,9 +417,9 @@ class TestBuildFromPrimal:
         p = random_phase_profile(3, random.Random(17))
         sol, _ = solve_primal(p, CostFunction.average(3), mode="float")
         povm = build_from_primal(sol, p)
-        for code, (ys, stack) in povm.stacks.items():
-            assert ys == tuple(range(1 << code.k)) and not stack.flags.writeable
-            for y in ys:
+        for code, stack in povm.stacks.items():
+            assert len(stack) == 1 << code.k and not stack.flags.writeable
+            for y in range(len(stack)):
                 assert povm.elements[(code, y)].base is stack
         key = next(iter(povm.elements))
         with pytest.raises(TypeError):
@@ -455,9 +445,9 @@ class TestBuildFromPrimal:
             cost = CostFunction.average(n)
             sol, rep = solve_primal(p, cost, mode="float")
             povm = build_from_primal(sol, p)
-            ver = verify_povm(povm, p)
+            ver = verify_povm(povm)
             assert ver.gamma_ok and ver.symmetric_ok, ver.to_json_dict()
-            assert rho_eval(povm, p, cost) == pytest.approx(
+            assert rho_eval(povm, cost) == pytest.approx(
                 float(rep.objective), abs=1e-8
             )
 
@@ -491,8 +481,8 @@ class TestBuildFromPrimal:
         mixed = PrimalSolution(p.n, mixed_mu, 0.5 * rep.objective)
         assert check_primal_feasible(mixed, p).feasible
         povm = build_from_primal(mixed, p)
-        assert verify_povm(povm, p).ok
-        assert rho_eval(povm, p, cost) == pytest.approx(
+        assert verify_povm(povm).ok
+        assert rho_eval(povm, cost) == pytest.approx(
             0.5 * float(rep.objective), abs=1e-8
         )
 
@@ -554,9 +544,9 @@ class TestBuildFromPrimal:
         cost = CostFunction.threshold(2, 1)
         sol, rep = solve_primal(p, cost, mode="float")
         povm = build_from_primal(sol, p)
-        ver = verify_povm(povm, p)
+        ver = verify_povm(povm)
         assert ver.ok
-        assert rho_eval(povm, p, cost) == pytest.approx(
+        assert rho_eval(povm, cost) == pytest.approx(
             float(rep.objective), abs=1e-8
         )
 
@@ -567,14 +557,14 @@ class TestRhoEval:
         from paritylp.povm import PovmSet
 
         povm = PovmSet(2, {}, np.eye(4, dtype=complex), p)
-        assert rho_eval(povm, p, CostFunction.average(2)) == 0
-        assert rho_eval(povm, p, CostFunction.threshold(2, 1)) == 0
+        assert rho_eval(povm, CostFunction.average(2)) == 0
+        assert rho_eval(povm, CostFunction.threshold(2, 1)) == 0
 
     def test_n1_uniform_full_recovery_scores_one(self):
         p = uniform_amps(1)
         sol, _ = solve_primal(p, CostFunction.average(1))
         povm = build_from_primal(sol, p)
-        assert rho_eval(povm, p, CostFunction.average(1)) == pytest.approx(1.0)
+        assert rho_eval(povm, CostFunction.average(1)) == pytest.approx(1.0)
 
 
 class TestSymmetrize:
@@ -599,13 +589,13 @@ class TestSymmetrize:
         dropped = povm.elements[key]
         povm = PovmSet.from_elements(2, {**povm.elements, key: np.zeros_like(dropped)},
                                      povm.perp + dropped, p)
-        before = verify_povm(povm, p)
+        before = verify_povm(povm)
         assert before.gamma_ok and before.symmetric_ok is False
-        rho_before = rho_eval(povm, p, cost)
+        rho_before = rho_eval(povm, cost)
         sym = symmetrize(povm)
-        after = verify_povm(sym, p)
+        after = verify_povm(sym)
         assert after.gamma_ok and after.symmetric_ok
-        assert rho_eval(sym, p, cost) == pytest.approx(rho_before, abs=1e-10)
+        assert rho_eval(sym, cost) == pytest.approx(rho_before, abs=1e-10)
 
     def test_missing_element_read_as_zero(self):
         rng = random.Random(11)
@@ -617,14 +607,14 @@ class TestSymmetrize:
         key = next(k for k in povm.elements if k[0].k == 1)
         kept = {k: mat for k, mat in povm.elements.items() if k != key}
         povm = PovmSet.from_elements(2, kept, povm.perp + povm.elements[key], p)
-        assert key not in povm.elements
-        before = verify_povm(povm, p)
+        assert not povm.elements[key].any()
+        before = verify_povm(povm)
         assert before.gamma_ok and before.symmetric_ok is False
         sym = symmetrize(povm)
         assert key in sym.elements
-        after = verify_povm(sym, p)
+        after = verify_povm(sym)
         assert after.gamma_ok and after.symmetric_ok
-        assert rho_eval(sym, p, cost) == pytest.approx(rho_eval(povm, p, cost),
+        assert rho_eval(sym, cost) == pytest.approx(rho_eval(povm, cost),
                                                        abs=1e-10)
 
     def test_rejects_invalid_input(self):
@@ -672,9 +662,9 @@ class TestOperatorCap:
         povm = build_from_primal(PrimalSolution(n, values, objective), p)
         assert len(povm.elements) == 1 << n
 
-        ver = verify_povm(povm, p)
+        ver = verify_povm(povm)
         assert ver.ok, ver.to_json_dict()
-        assert abs(rho_eval(povm, p, cost) - objective) <= 1e-9
+        assert abs(rho_eval(povm, cost) - objective) <= 1e-9
         assert max(fourier_diag_check(povm).to_json_dict().values()) <= 1e-9
         assert all_shifts_deviation(povm) <= ver.max_symmetry_dev * (1 + 1e-12)
 
@@ -697,8 +687,9 @@ class TestStateFamilyRank:
 
 def seeded_sets(n):
     """Four sets from one seeded n-bit optimum: the covariant optimum, one
-    element zeroed or removed with its mass moved to the leftover, and one
-    element perturbed off Hermitian."""
+    element zeroed or left out of the mapping (so held as a zero element)
+    with its mass moved to the leftover, and one element perturbed off
+    Hermitian."""
     rng = random.Random(40 + n)
     p = random_phase_profile(n, rng)
     sol, _ = solve_primal(p, CostFunction.average(n), mode="float")
@@ -716,17 +707,16 @@ def seeded_sets(n):
             "non-hermitian": skewed}
 
 
-def gather_covariance_dev(code, ys, stack):
+def gather_covariance_dev(code, stack):
     """povm._covariance_dev with each generator's permutation as a 2-D
-    fancy-index gather of rows and columns, the form it replaced."""
-    full = np.zeros((1 << code.k,) + stack.shape[1:], dtype=complex)
-    full[list(ys)] = stack
-    idx = np.arange(stack.shape[1])
+    fancy-index gather of rows and columns and each outcome's partner
+    gathered by index, the form it replaced."""
+    idx, outcomes = np.arange(stack.shape[1]), np.arange(len(stack))
     dev = 0.0
     for a in (1 << j for j in range(code.n)):
         p = idx ^ a
         moved = stack[:, p[:, None], p]
-        moved -= full[np.bitwise_xor(ys, code.parity(a))]
+        moved -= stack[outcomes ^ code.parity(a)]
         dev = max(dev, float(np.max(np.abs(moved))))
     return dev
 
@@ -739,10 +729,10 @@ def assert_relabellings(povm):
     """X_a F[(H, y)] X_a is F[(H, y + H.a)] bit for bit, for every element
     and every generator a: `shifted` on a code's elements at once."""
     idx = np.arange(1 << povm.n)
-    for code, (ys, stack) in povm.stacks.items():
+    for code, stack in povm.stacks.items():
         for a in (1 << j for j in range(povm.n)):
             p = idx ^ a
-            partners = [ys.index(y ^ code.parity(a)) for y in ys]
+            partners = np.arange(len(stack)) ^ code.parity(a)
             assert stack[:, p[:, None], p].tobytes() == stack[partners].tobytes()
 
 
@@ -758,6 +748,42 @@ SEEDED = [(n, label) for n in (1, 2, 3, 4)
           for label in ("optimum", "zeroed", "missing", "non-hermitian")] + [(5, "optimum")]
 
 
+class TestFromElements:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_missing_outcome_is_its_zeroed_twin(self, n):
+        # bit for bit: stacks, audits, score, Fourier check and symmetrize
+        sets = seeded_sets(n)
+        missing, zeroed = sets["missing"], sets["zeroed"]
+        assert len(missing.elements) == len(sets["optimum"].elements)
+        assert list(missing.stacks) == list(zeroed.stacks)
+        assert not any(stack.flags.writeable for stack in missing.stacks.values())
+        assert_same_sets(missing, zeroed)
+        assert float_bits(verify_povm(missing).to_json_dict().values()) == \
+            float_bits(verify_povm(zeroed).to_json_dict().values())
+        assert float_bits(fourier_diag_check(missing).to_json_dict().values()) == \
+            float_bits(fourier_diag_check(zeroed).to_json_dict().values())
+        for cost in (CostFunction.average(n), CostFunction.threshold(n, 1)):
+            assert float_bits([rho_eval(missing, cost)]) == \
+                float_bits([rho_eval(zeroed, cost)])
+        assert_same_sets(symmetrize(missing), symmetrize(zeroed))
+
+    def test_outcomes_in_ascending_order(self):
+        base = seeded_sets(2)["optimum"]
+        shuffled = PovmSet.from_elements(2, dict(reversed(base.elements.items())),
+                                         base.perp, base.profile)
+        assert list(shuffled.stacks) == list(reversed(base.stacks))
+        for code, stack in base.stacks.items():
+            assert shuffled.stacks[code].tobytes() == stack.tobytes()
+
+    @pytest.mark.parametrize("y", [-1, 4])
+    def test_outcome_outside_range_refused(self, y):
+        base = seeded_sets(2)["optimum"]
+        code = next(code for code in base.stacks if code.k == 2)
+        elements = {**base.elements, (code, y): np.zeros((4, 4), dtype=complex)}
+        with pytest.raises(ValueError, match="outside range"):
+            PovmSet.from_elements(2, elements, base.perp, base.profile)
+
+
 class TestAuditsMatchLoops:
     """The per-code batched audits reproduce the element-by-element loops
     bit for bit."""
@@ -765,13 +791,10 @@ class TestAuditsMatchLoops:
     @pytest.mark.parametrize("n,label", SEEDED)
     def test_verify_povm(self, n, label):
         povm = seeded_sets(n)[label]
-        for check_symmetry in (True, False):
-            got = verify_povm(povm, povm.profile, check_symmetry=check_symmetry)
-            want = verify_povm_loops(povm, povm.profile,
-                                     check_symmetry=check_symmetry)
-            assert float_bits(got.to_json_dict().values()) == \
-                float_bits(want.to_json_dict().values())
-        assert verify_povm(povm, povm.profile).ok == (label == "optimum")
+        got = verify_povm(povm)
+        assert float_bits(got.to_json_dict().values()) == \
+            float_bits(verify_povm_loops(povm).to_json_dict().values())
+        assert got.ok == (label == "optimum")
 
     @pytest.mark.parametrize("n,label", SEEDED)
     def test_rho_eval(self, n, label):
@@ -779,8 +802,8 @@ class TestAuditsMatchLoops:
         costs = [CostFunction.average(n), CostFunction.threshold(n, 1),
                  CostFunction.custom(n, [Fraction(1, 2)] + [1] * n)]
         for cost in costs:
-            assert float_bits([rho_eval(povm, povm.profile, cost)]) == \
-                float_bits([rho_eval_loops(povm, povm.profile, cost)])
+            assert float_bits([rho_eval(povm, cost)]) == \
+                float_bits([rho_eval_loops(povm, cost)])
 
     @pytest.mark.parametrize("n,label", SEEDED)
     def test_fourier_diag_check(self, n, label):
@@ -791,15 +814,8 @@ class TestAuditsMatchLoops:
 
     @pytest.mark.parametrize("n,label", SEEDED)
     def test_symmetrize(self, n, label):
-        sets = seeded_sets(n)
-        povm = sets[label]
-        if label == "missing":
-            with pytest.raises(KeyError):
-                symmetrize_loops(povm)
-            # the loops agree once the missing element is an explicit zero
-            want = symmetrize_loops(sets["zeroed"])
-        else:
-            want = symmetrize_loops(povm)
+        povm = seeded_sets(n)[label]
+        want = symmetrize_loops(povm)
         assert_same_sets(_shift_average(povm), want)
         if label == "non-hermitian":
             with pytest.raises(ValueError):
@@ -811,14 +827,19 @@ class TestAuditsMatchLoops:
     def test_covariance_matches_gather(self, n, label):
         # every set but the optimum breaks covariance on purpose
         povm = seeded_sets(n)[label]
-        devs = [(_covariance_dev(code, ys, stack), gather_covariance_dev(code, ys, stack))
-                for code, ys, stack in _code_stacks(povm)]
+        devs = [(_covariance_dev(code, stack), gather_covariance_dev(code, stack))
+                for code, stack in _code_stacks(povm)]
         assert float_bits([got for got, _ in devs]) == float_bits([want for _, want in devs])
         assert (max(got for got, _ in devs) > 1e-6) == (label != "optimum")
+        if n >= 3:
+            # a rank >= 1 code with H.e_j = 0: a generator whose flip leaves
+            # the outcome axes alone
+            assert any(code.parity(1 << j) == 0
+                       for code in povm.stacks for j in range(n))
 
     @pytest.mark.parametrize("n,label", SEEDED)
     def test_covariance_against_shift_matrices(self, n, label):
         # the generator figure bounds the deviation under every shift
         povm = seeded_sets(n)[label]
-        reported = verify_povm(povm, povm.profile).max_symmetry_dev
+        reported = verify_povm(povm).max_symmetry_dev
         assert all_shifts_deviation(povm) <= reported * (1 + 1e-12)

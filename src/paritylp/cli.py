@@ -39,7 +39,11 @@ from .profiles import (
 
 def _load_profile(path: str) -> AmplitudeProfile:
     with open(path) as fh:
-        return AmplitudeProfile.from_json_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ToolkitError(f"profile {path!r} is nested too deeply") from None
+    return AmplitudeProfile.from_json_dict(data)
 
 
 def _cost_from_args(n: int, args) -> CostFunction:
@@ -47,21 +51,8 @@ def _cost_from_args(n: int, args) -> CostFunction:
         raise ToolkitError("--tau is read only with --cost threshold")
     if args.cost_values is not None and args.cost != "custom":
         raise ToolkitError("--cost-values is read only with --cost custom")
-    if args.cost == "average":
-        return CostFunction.average(n)
-    if args.cost == "threshold":
-        if args.tau is None:
-            raise ToolkitError("threshold cost needs --tau")
-        return CostFunction.threshold(n, args.tau)
-    if args.cost == "custom":
-        if not args.cost_values:
-            raise ToolkitError("custom cost needs --cost-values c0,c1,...")
-        try:
-            values = [Fraction(v) for v in args.cost_values.split(",")]
-        except ZeroDivisionError:
-            raise ToolkitError(f"cost values {args.cost_values!r} divide by zero") from None
-        return CostFunction.custom(n, values)
-    raise ToolkitError(f"unknown cost {args.cost!r}")
+    values = None if args.cost_values is None else args.cost_values.split(",")
+    return CostFunction.from_json_dict(n, {"kind": args.cost, "tau": args.tau, "values": values})
 
 
 def _render(value):
@@ -475,16 +466,15 @@ def cmd_slpn(args) -> tuple[dict, str]:
     profile = bernoulli_profile(args.n, args.t)
     params = BernoulliParams(args.t)
     cost = CostFunction.average(args.n)
-    _, p_report = lp.solve_primal(profile, cost, args.mode)
+    # A Bernoulli profile is binary64, so both solves run in float.
+    _, p_report = lp.solve_primal(profile, cost)
     rho_av = float(p_report.objective)
     hamming_bound = 2 * args.n * params.t_perp
     threshold_part = None
     if args.d is not None:
         ball_sol = bounds.dual_threshold_ball(args.n, args.d, args.gamma)
         tau = ball_sol.params["tau"]
-        _, t_report = lp.solve_primal(
-            profile, CostFunction.threshold(args.n, tau), args.mode
-        )
+        _, t_report = lp.solve_primal(profile, CostFunction.threshold(args.n, tau))
         threshold_part = {
             "tau": tau,
             "rho_threshold": float(t_report.objective),
@@ -644,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("slpn", help="Bernoulli-noise summary against the k/2 barrier")
-    _add_common(p, profile=False, mode=True, tol_feas=True)
+    _add_common(p, profile=False, tol_feas=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--d", type=int)
@@ -679,7 +669,7 @@ def main(argv: list[str] | None = None) -> int:
         # SIGPIPE stopped, and let the exit flush write to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141  # 128 + SIGPIPE
-    except (ToolkitError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (ToolkitError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if all(body["audits"].values()) else 1

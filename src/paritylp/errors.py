@@ -13,8 +13,8 @@ class RankDeficientError(ToolkitError):
     """A matrix required to have full rank does not."""
 
 
-class ProfileError(ToolkitError):
-    """An amplitude profile is malformed or lacks required data."""
+class ProfileError(ToolkitError, ValueError):
+    """A profile, a cost or a number string is malformed or lacks data."""
 
 
 class SolveError(ToolkitError):

@@ -136,7 +136,7 @@ def _label_str(label) -> str:
 def _rank_value(cost: CostFunction, k: int):
     """cost(k) 2^k: the primal objective coefficient of a rank-k coset, and
     the right-hand side of its covering constraint in the dual."""
-    return cost.value(k) * (1 << k)
+    return cost.values[k] * (1 << k)
 
 
 def check_budget(n: int) -> None:

@@ -248,7 +248,7 @@ def rho_eval(povm: PovmSet, cost: CostFunction) -> float:
     """Average score over a uniform hidden string (the expectation form)."""
     total = 0.0
     for (code, _), overlaps in zip(_code_stacks(povm), povm.overlaps):
-        ck = float(cost.value(code.k))
+        ck = float(cost.values[code.k])
         if ck:
             for row in overlaps.real.tolist():
                 total += ck * sum(row)

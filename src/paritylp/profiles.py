@@ -3,7 +3,7 @@
 A profile holds the Fourier-side data of the reference state: squared
 weights |a_i|^2 indexed by integer encoding, optionally with the complex
 amplitudes themselves.  The number type is a property of the data: a
-profile whose weights are all rational (ints, fractions, fraction strings)
+profile whose weights are all rational (ints, fractions, number strings)
 stores them as `Fraction` and normalizes exactly; any other profile stores
 binary64 floats with a 1e-12 validation tolerance.  Arithmetic downstream
 follows the type, since Fraction with int stays Fraction and anything mixed
@@ -13,6 +13,7 @@ with a float is a float.  Cost values are always stored exactly.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -26,16 +27,36 @@ FLOAT_TOL = 1e-12
 
 
 def _is_number(v) -> bool:
-    """A JSON number: int or float, but not a boolean."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A JSON number binary64 holds: a float, or an int (not a boolean) no
+    larger than the largest binary64, which no weight, amplitude or cost is."""
+    return isinstance(v, float) or type(v) is int and abs(v) <= sys.float_info.max
 
 
-def _fraction(text: str) -> Fraction:
-    """A weight string as a `Fraction`; a zero denominator is refused."""
+# Every number string read from outside, in ASCII: a sign, then an integer,
+# a/b or a decimal, an integer or decimal ending in an exponent of at most
+# three digits, which every binary64's repr fits and keeps a read cheap.
+_NUMBER = re.compile(r"[+-]?(?:[0-9]+/[0-9]+|"
+                     r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]{1,3})?)")
+
+
+def _fraction(text: str, what: str) -> Fraction:
+    """A number string as a `Fraction`: the only reader of one.  A string
+    outside the grammar, or with a zero denominator, is refused."""
+    if not _NUMBER.fullmatch(text):
+        raise ProfileError(f"{what} {text!r} is not a number: need an integer, a/b or a "
+                           "decimal with an exponent of at most 3 digits")
     try:
         return Fraction(text)
     except ZeroDivisionError:
-        raise ProfileError(f"weight {text!r} has a zero denominator") from None
+        raise ProfileError(f"{what} {text!r} has a zero denominator") from None
+
+
+def _number_list(values, what: str) -> list:
+    """A JSON field that must be a list of numbers or number strings."""
+    if not (isinstance(values, list)
+            and all(isinstance(v, str) or _is_number(v) for v in values)):
+        raise ProfileError(f"{what} must be a list of numbers or number strings")
+    return values
 
 
 def _squared_norm(a: complex) -> float:
@@ -62,7 +83,10 @@ class AmplitudeProfile:
         if size.bit_length() != self.n + 1 or size != 1 << self.n:
             raise ProfileError(f"expected 2^{self.n} weights, got {size}")
         num = Fraction if all(isinstance(w, Rational) for w in self.weights) else float
-        object.__setattr__(self, "weights", tuple(map(num, self.weights)))
+        try:
+            object.__setattr__(self, "weights", tuple(map(num, self.weights)))
+        except OverflowError:  # an int or number string past binary64, beside a float
+            raise ProfileError("weights must be finite binary64 numbers") from None
         # a NaN fails every comparison, so it would pass the checks below
         if num is float and not all(map(math.isfinite, self.weights)):
             raise ProfileError("weights must be finite numbers")
@@ -124,7 +148,7 @@ class AmplitudeProfile:
     def from_weights(cls, n: int, values, amplitudes=None) -> AmplitudeProfile:
         """Build from weights, and amplitudes if given; str/int/Fraction
         entries select rational mode."""
-        return cls(n, tuple(_fraction(v) if isinstance(v, str) else v for v in values),
+        return cls(n, tuple(_fraction(v, "weight") if isinstance(v, str) else v for v in values),
                    amplitudes)
 
     @classmethod
@@ -151,11 +175,7 @@ class AmplitudeProfile:
                     "'amplitudes' must be a list of {\"re\": number, \"im\": number}")
             amps = tuple(complex(a["re"], a.get("im", 0.0)) for a in amps)
         if "weights" in data:
-            weights = data["weights"]
-            if not (isinstance(weights, list)
-                    and all(isinstance(w, str) or _is_number(w) for w in weights)):
-                raise ProfileError("'weights' must be a list of numbers or fraction strings")
-            return cls.from_weights(n, weights, amps)
+            return cls.from_weights(n, _number_list(data["weights"], "profile 'weights'"), amps)
         if amps is not None:
             return cls.from_amplitudes(n, amps)
         raise ProfileError("profile JSON needs 'weights' or 'amplitudes'")
@@ -202,17 +222,11 @@ class CostFunction:
         return cls(n, tuple(1 if k >= tau else 0 for k in range(n + 1)))
 
     @classmethod
-    def custom(cls, n: int, values) -> CostFunction:
-        return cls(n, tuple(values))
-
-    def value(self, k: int):
-        return self.values[k]
-
-    @classmethod
     def from_json_dict(cls, n: int, data: dict) -> CostFunction:
         """The cost of a {"kind": ...} object: "average" (the default),
         "threshold" with an integer "tau", or "custom" with "values" a list
-        of numbers or fraction strings.  Anything else raises ValueError."""
+        of numbers or number strings, each read as the decimal or fraction
+        it is written as.  Anything else raises ValueError."""
         if not isinstance(data, dict):
             raise ValueError("cost JSON must be an object")
         kind = data.get("kind", "average")
@@ -221,17 +235,11 @@ class CostFunction:
         if kind == "threshold":
             tau = data.get("tau")
             if isinstance(tau, bool) or not isinstance(tau, int):
-                raise ValueError("threshold cost JSON needs an integer 'tau'")
+                raise ValueError("threshold cost needs an integer 'tau'")
             return cls.threshold(n, tau)
         if kind == "custom":
-            values = data.get("values")
-            if not (isinstance(values, list)
-                    and all(isinstance(v, str) or _is_number(v) for v in values)):
-                raise ValueError("'values' must be a list of numbers or fraction strings")
-            try:
-                return cls.custom(n, [Fraction(str(v)) for v in values])
-            except ZeroDivisionError:
-                raise ValueError(f"cost values {values!r} divide by zero") from None
+            return cls(n, tuple(_fraction(str(v), "cost value")
+                                for v in _number_list(data.get("values"), "custom cost 'values'")))
         raise ValueError(f"unknown cost kind {kind!r}")
 
 

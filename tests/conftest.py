@@ -90,7 +90,7 @@ def literal_lp_model(profile: AmplitudeProfile, cost, matrices) -> RowModel:
     labels = []
     objective = []
     for mi, m in enumerate(matrices):
-        ck = cost.value(m.n_rows)
+        ck = cost.values[m.n_rows]
         for i in all_vectors(n):
             labels.append(("lam", mi, i))
             objective.append(ck * profile.weights[i])

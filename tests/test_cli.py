@@ -104,7 +104,7 @@ OPTIONS = {
              "cost", "tau", "cost_values", "assume_real_amplitudes"),
     "simulate": ("profile", "mode", "format", "out",
                  "cost", "tau", "cost_values", "x", "shots", "seed"),
-    "slpn": ("mode", "format", "out", "tol_feas", "n", "t", "d", "gamma"),
+    "slpn": ("format", "out", "tol_feas", "n", "t", "d", "gamma"),
     "threshold": ("profile", "mode", "format", "out", "tol_feas", "tau"),
     "enumerate": ("format", "out", "n", "k"),
 }
@@ -117,7 +117,7 @@ class TestOptionSurface:
         declared = {name: tuple(a.dest for a in sub._actions if a.dest != "help")
                     for name, sub in action.choices.items()}
         assert declared == OPTIONS
-        assert sum(map(len, declared.values())) == 62
+        assert sum(map(len, declared.values())) == 61
 
     def test_tolerance_defaults_are_the_library_constants(self):
         args = build_parser().parse_args(["povm", "--profile", "p.json"])
@@ -130,8 +130,9 @@ class TestOptionSurface:
         ["simulate", "--profile", "p.json", "--x", "01", "--seed", "1", "--tol-feas", "1"],
         ["solve", "--profile", "p.json", "--tol-complete", "1"],
         ["slpn", "--n", "2", "--t", "0.1", "--tol-unambig", "1"],
+        ["slpn", "--n", "2", "--t", "0.1", "--mode", "float"],
     ], ids=["enumerate-mode", "candidate-tol-feas", "simulate-tol-feas",
-            "solve-tol-complete", "slpn-tol-unambig"])
+            "solve-tol-complete", "slpn-tol-unambig", "slpn-mode"])
     def test_unread_option_is_a_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -261,7 +262,12 @@ class TestSolve:
         {"n": 1, "weights": [math.nan, 1.0]},
         # math.fsum of these raises OverflowError
         {"n": 1, "weights": [1e308, 1e308]},
-    ], ids=["zero-denominator", "amplitude-overflow", "nan-weight", "weight-sum-overflow"])
+        # each of these overflowed float() in a traceback
+        {"n": 1, "weights": [0.5, 10 ** 400]},
+        {"n": 1, "weights": [0.5, "1e400"]},
+        {"n": 1, "amplitudes": [{"re": 10 ** 400}, {"re": 0}]},
+    ], ids=["zero-denominator", "amplitude-overflow", "nan-weight", "weight-sum-overflow",
+            "huge-int-weight", "huge-string-weight", "huge-int-amplitude"])
     @pytest.mark.parametrize("argv", [["solve"], ["solve", "--mode", "float"],
                                       ["primal-candidate", "--family", "hamming"],
                                       ["povm", "--assume-real-amplitudes"]],
@@ -709,16 +715,15 @@ class TestSimulate:
 
 class TestSlpn:
     def test_reports_lp_mode(self, capsys):
-        # the Bernoulli profile is binary64, so the default exact mode runs float
+        # the Bernoulli profile is binary64, so the solve runs float, and
+        # slpn takes no --mode
         code, report = run_json(capsys, ["slpn", "--n", "4", "--t", "0.1"])
         assert code == 0
-        assert report["config"]["mode"] == "exact"
+        assert "mode" not in report["config"]
         assert report["lp_mode"] == "float"
 
     def test_summary(self, capsys):
-        code, report = run_json(capsys, [
-            "slpn", "--n", "2", "--t", "0.1", "--mode", "float",
-        ])
+        code, report = run_json(capsys, ["slpn", "--n", "2", "--t", "0.1"])
         assert code == 0
         assert abs(report["rho_average"] - 0.8) < 1e-9
         assert abs(report["hamming_bound"] - 0.8) < 1e-9
@@ -727,7 +732,6 @@ class TestSlpn:
     def test_with_threshold(self, capsys):
         code, report = run_json(capsys, [
             "slpn", "--n", "4", "--t", "0.1", "--d", "1", "--gamma", "3.0",
-            "--mode", "float",
         ])
         assert code == 0
         assert report["threshold"]["tau"] == 3
@@ -946,7 +950,7 @@ CORPUS = {
         "simulate --profile {ph5} --x 01101 --seed 6 --shots 1000000 --mode float",
     "simulate-r2-table": "simulate --profile {r2} --x 01 --seed 5 --shots 100 --format table",
     "slpn-n0": "slpn --n 0 --t 0.1",
-    "slpn-n3": "slpn --n 3 --t 0.1 --mode float",
+    "slpn-n3": "slpn --n 3 --t 0.1",
     "slpn-n4-ball": "slpn --n 4 --t 0.05 --d 1 --gamma 3.0",
     "slpn-n5": "slpn --n 5 --t 0.1",
     "enumerate-n0": "enumerate --n 0",

@@ -111,7 +111,7 @@ def two_loop_primal(profile, cost):
             if all(i in support for i in cos[s].tolist()):
                 var_index[(code, s)] = len(labels)
                 labels.append((code, s))
-                objective.append(cost.value(code.k) * (1 << code.k))
+                objective.append(cost.values[code.k] * (1 << code.k))
     constraints = []
     for i in profile.support:
         inv = 1 / profile.weights[i]
@@ -132,7 +132,7 @@ def dual_rows(profile, cost):
     constraints = []
     for code in enumerate_all_codes(n):
         cos = code.cosets
-        rhs = cost.value(code.k) * (1 << code.k)
+        rhs = cost.values[code.k] * (1 << code.k)
         for s in range(len(cos)):
             coeffs = {i: 1 for i in cos[s].tolist()}
             constraints.append(Constraint(coeffs, ">=", rhs, tag=("coset", code, s)))
@@ -150,7 +150,7 @@ def _reference_cases():
         rng = random.Random(f"build/{n}")
         yield rand_rational_profile(n, rng), CostFunction.average(n)
         yield ball_profile(n, n // 2, rng), CostFunction.threshold(n, 1)
-        yield bernoulli_profile(n, 0.1), CostFunction.custom(n, [0.5 * k for k in range(n + 1)])
+        yield bernoulli_profile(n, 0.1), CostFunction(n, [0.5 * k for k in range(n + 1)])
 
 
 class TestBuildPrimal:
@@ -202,7 +202,7 @@ def loop_primal(profile, cost):
     row_of = {i: r for r, i in enumerate(profile.support)}
     labels, objective, flat, lens = [], [], [], []
     for code in enumerate_all_codes(profile.n):
-        value = cost.value(code.k) * (1 << code.k)
+        value = cost.values[code.k] * (1 << code.k)
         for s, members in enumerate(code.cosets.tolist()):
             rows = [row_of.get(i) for i in members]
             if None not in rows:
@@ -229,7 +229,7 @@ class TestPrimalFromCosetTable:
     @pytest.mark.parametrize("p", [p for _, p in _primal_cases()],
                              ids=[name for name, _ in _primal_cases()])
     def test_arrays_match_coset_walk(self, p):
-        for cost in (CostFunction.average(p.n), CostFunction.custom(p.n, range(p.n, -1, -1))):
+        for cost in (CostFunction.average(p.n), CostFunction(p.n, range(p.n, -1, -1))):
             got = build_primal(p, cost)
             labels, objective, rows, cols, coef, scale = loop_primal(p, cost)
             assert got.labels == labels and same(got.objective, objective)
@@ -465,7 +465,7 @@ class TestSolve:
         for n in (2, 3, 4):
             p = rand_rational_profile(n, rng)
             base = CostFunction.average(n)
-            tripled = CostFunction.custom(n, [3 * v for v in base.values])
+            tripled = CostFunction(n, [3 * v for v in base.values])
             assert solve_primal(p, tripled)[1].objective == 3 * solve_primal(p, base)[1].objective
 
     def test_coset_reduction_matches_literal_program(self):
@@ -506,8 +506,8 @@ class TestSolve:
     def test_monotone_in_cost(self):
         rng = random.Random(5)
         p = rand_rational_profile(2, rng)
-        base = CostFunction.custom(2, [0, 1, 1])
-        bigger = CostFunction.custom(2, [0, 1, 3])
+        base = CostFunction(2, [0, 1, 1])
+        bigger = CostFunction(2, [0, 1, 3])
         _, r1 = solve_primal(p, base)
         _, r2 = solve_primal(p, bigger)
         assert r2.objective >= r1.objective
@@ -538,7 +538,7 @@ class TestAtCap:
         (CostFunction.average(5), Fraction(8131, 2236)),
         (CostFunction.threshold(5, 2), Fraction(1)),
         # float cost values are exact binary fractions and keep the solve exact
-        (CostFunction.custom(5, [0, 0.5, 1.25, 2.5, 3.75, 4.5]), Fraction(1813, 559)),
+        (CostFunction(5, [0, 0.5, 1.25, 2.5, 3.75, 4.5]), Fraction(1813, 559)),
     ], ids=["average", "threshold2", "custom"])
     def test_n5_exact_pair(self, cost, optimum):
         p = rand_rational_profile(5, random.Random(505))
@@ -660,7 +660,7 @@ class TestFeasibilityChecks:
         dual, _ = solve_dual(bernoulli_profile(4, 0.15), CostFunction.average(4), "float")
         cost = CostFunction.average(4)
         slacks = coset_slacks(dual, cost)
-        want = {(code, s): sum(dual.b[i] for i in members) - cost.value(code.k) * (1 << code.k)
+        want = {(code, s): sum(dual.b[i] for i in members) - cost.values[code.k] * (1 << code.k)
                 for code in enumerate_all_codes(4)
                 for s, members in enumerate(code.cosets.tolist())}
         assert [repr(v) for v in slacks.values()] == [repr(v) for v in want.values()]
@@ -674,7 +674,7 @@ class TestFeasibilityChecks:
 
     def test_bottom_only_primal_feasible(self):
         p = profile(2, ["1/4"] * 4)
-        sol, _ = solve_primal(p, CostFunction.custom(2, [0, 0, 0]))
+        sol, _ = solve_primal(p, CostFunction(2, [0, 0, 0]))
         report = check_primal_feasible(sol, p)
         assert report.feasible
 
@@ -990,7 +990,7 @@ def dense_pair(profile, cost, mode, float_stage=True):
          for con, u in zip(model.constraints, report.duals)}
     if report.mode != "exact":
         b = {i: 0.0 if -1e-9 <= v < 0 else v for i, v in b.items()}
-    cover = report.objective * 0 + max(cost.value(k) * (1 << k) for k in range(profile.n + 1))
+    cover = report.objective * 0 + max(cost.values[k] * (1 << k) for k in range(profile.n + 1))
     b.update(dict.fromkeys(profile.zero_set, cover))
     return replace(report, values=mu), mu, lam, tuple(b[i] for i in all_vectors(profile.n))
 
@@ -1029,7 +1029,7 @@ def _oracle_cases(modes=("exact", "float"), max_n=5):
         costs = {"average": CostFunction.average(n), "tau1": CostFunction.threshold(n, 1)}
         if n >= 2:
             costs["tau2"] = CostFunction.threshold(n, 2)
-        costs["custom"] = CostFunction.custom(n, [0.5 * k * k for k in range(n + 1)])
+        costs["custom"] = CostFunction(n, [0.5 * k * k for k in range(n + 1)])
         if n == 5:
             costs = {k: costs[k] for k in ("average", "tau2")}
         for cname, cost in costs.items():
@@ -1559,7 +1559,7 @@ def generic_dual_audit(sol, cost, tol=None):
                                "violation": float(-v)})
             max_v = max(max_v, -v)
     for code in enumerate_all_codes(sol.n):
-        rhs = cost.value(code.k) * (1 << code.k)
+        rhs = cost.values[code.k] * (1 << code.k)
         for s, members in enumerate(code.cosets.tolist()):
             slack = sum(map(b.__getitem__, members)) - rhs
             slacks[(code, s)] = slack
@@ -1612,9 +1612,9 @@ def generic_slackness(primal, dual, profile, cost):
     b = dual.b
     index = [abs((total - 1) * b_i) for total, b_i in zip(totals, b)]
     coset = [abs(v * (sum(b[i] for i in code.cosets[s].tolist())
-                      - cost.value(code.k) * (1 << code.k)))
+                      - cost.values[code.k] * (1 << code.k)))
              for (code, s), v in primal.mu.items() if v]
-    p_obj = sum(cost.value(code.k) * (1 << code.k) * v for (code, _), v in primal.mu.items())
+    p_obj = sum(cost.values[code.k] * (1 << code.k) * v for (code, _), v in primal.mu.items())
     certified = (p_ok and d_ok and all(x <= tol for x in index + coset)
                  and abs(p_obj - dual.evaluate(profile)) <= tol)
     return certified, p_ok, d_ok, max(index), max(coset, default=0)
@@ -1652,7 +1652,7 @@ def _audit_costs(n):
     yield CostFunction.average(n)
     for tau in range(1, n + 1) if n < 5 else (3,):
         yield CostFunction.threshold(n, tau)
-    yield CostFunction.custom(n, [Fraction(k * k, 3) for k in range(n + 1)])
+    yield CostFunction(n, [Fraction(k * k, 3) for k in range(n + 1)])
 
 
 class TestDualAuditCap:
@@ -1996,7 +1996,7 @@ def loop_short_cosets(b, cost, tol):
     nums = [v.numerator * (den // v.denominator) for v in exact]
     n = len(b).bit_length() - 1
     for code in enumerate_all_codes(n):
-        rhs = cost.value(code.k) * (1 << code.k)
+        rhs = cost.values[code.k] * (1 << code.k)
         limit = math.ceil((rhs - tol) * den)
         for s, members in enumerate(code.cosets.tolist()):
             if sum(map(nums.__getitem__, members)) < limit:

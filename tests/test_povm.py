@@ -110,13 +110,13 @@ def rho_eval_loops(povm, cost):
     states = [state_psi(povm.profile, x) for x in all_vectors(povm.n)]
     total = 0.0
     for (code, y), mat in povm.elements.items():
-        ck = float(cost.value(code.k))
+        ck = float(cost.values[code.k])
         if ck == 0.0:
             continue
         total += ck * sum(
             float(np.real(np.conj(s) @ (mat @ s))) for s in states
         )
-    c0 = float(cost.value(0))
+    c0 = float(cost.values[0])
     if c0:
         total += c0 * sum(
             float(np.real(np.conj(s) @ (povm.perp @ s))) for s in states
@@ -658,7 +658,7 @@ class TestOperatorCap:
         values.update({(ParityCode.bottom(n), s): w[s] - min(w)
                        for s in all_vectors(n)})
         cost = CostFunction.average(n)
-        objective = float(cost.value(n)) * (1 << n) * min(w)
+        objective = float(cost.values[n]) * (1 << n) * min(w)
         povm = build_from_primal(PrimalSolution(n, values, objective), p)
         assert len(povm.elements) == 1 << n
 
@@ -800,7 +800,7 @@ class TestAuditsMatchLoops:
     def test_rho_eval(self, n, label):
         povm = seeded_sets(n)[label]
         costs = [CostFunction.average(n), CostFunction.threshold(n, 1),
-                 CostFunction.custom(n, [Fraction(1, 2)] + [1] * n)]
+                 CostFunction(n, [Fraction(1, 2)] + [1] * n)]
         for cost in costs:
             assert float_bits([rho_eval(povm, cost)]) == \
                 float_bits([rho_eval_loops(povm, cost)])

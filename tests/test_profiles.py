@@ -150,7 +150,7 @@ class TestCostFunction:
     def test_nonnegative(self):
         for bad in (-1, math.inf, math.nan):
             with pytest.raises(ValueError):
-                CostFunction.custom(1, [0, bad])
+                CostFunction(1, [0, bad])
 
     @pytest.mark.parametrize("values", [
         [Fraction(10) ** 400, 1, 2],
@@ -159,8 +159,8 @@ class TestCostFunction:
     ], ids=["1e400", "rank-value"])
     def test_rank_value_past_binary64_refused(self, values):
         with pytest.raises(ValueError, match="finite binary64"):
-            CostFunction.custom(2, values)
-        assert CostFunction.custom(2, [0, 1, Fraction(sys.float_info.max) / 4])
+            CostFunction(2, values)
+        assert CostFunction(2, [0, 1, Fraction(sys.float_info.max) / 4])
 
     def test_json(self):
         c = CostFunction.from_json_dict(2, {"kind": "threshold", "tau": 2})

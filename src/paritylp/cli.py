@@ -14,9 +14,9 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -33,6 +33,8 @@ from .profiles import (
     AmplitudeProfile,
     BernoulliParams,
     CostFunction,
+    _DECIMAL,
+    _MAX_CHARS,
     bernoulli_profile,
 )
 
@@ -60,51 +62,6 @@ def _render(value):
     if isinstance(value, Fraction):
         return str(value)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _float_token(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value == math.inf:
-        return "Infinity"
-    if value == -math.inf:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
-# The token json writes for a scalar of each type.
-_TOKENS = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    float: _float_token,
-    bool: lambda v: "true" if v else "false",
-    type(None): lambda v: "null",
-    Fraction: lambda v: encode_basestring_ascii(str(v)),
-}
-
-
-def _token(value) -> str:
-    """The token of a scalar: by its type, or for a subclass (numpy's
-    float64, say) by the first of str, int and float it is an instance of,
-    as json checks them."""
-    token = _TOKENS.get(type(value))
-    if token is not None:
-        return token(value)
-    for kind in (str, int, float):
-        if isinstance(value, kind):
-            return _TOKENS[kind](value)
-    return encode_basestring_ascii(_render(value))
-
-
-def _key(key) -> str:
-    """A dict key as json writes it: a string, or the token of a bool,
-    None, int or float key as a string."""
-    if not isinstance(key, str):
-        if key is not None and not isinstance(key, (int, float)):
-            raise TypeError(f"keys must be str, int, float, bool or None, "
-                            f"not {type(key).__name__}")
-        key = _token(key)
-    return encode_basestring_ascii(key)
 
 
 # Fibonacci hashing: the top bits of pattern * 2^64/phi pick a pattern's slot.
@@ -202,57 +159,46 @@ def _matrix_json(m, level: int, table: _FloatTokens) -> str:
 
 
 def dump_json(obj, fh) -> None:
-    """Write `obj` to `fh` as json.dump(obj, fh, indent=2) would.
+    """Write `obj` to `fh` as json.dump(obj, fh, indent=2) would, with each
+    `Fraction` as its string and each 2-D ndarray as its rows of
+    {"re": real, "im": imag} dicts.
 
-    Scalars are written by the token table above (each `Fraction` as a
-    string), containers by the writer's own recursion, and each 2-D ndarray
-    as its rows of {"re": real, "im": imag} dicts.  The text before a
-    matrix is written out before the matrix is rendered, and each matrix as
-    soon as it is, so no more than one matrix is held as text.  The
-    matrices share one table of float tokens keyed by bit pattern, so each
-    distinct value is encoded once per call.
+    The standard encoder writes `obj` with a marker string for each matrix:
+    a NUL, a nonce drawn for this call and the matrix's index.  The text
+    between markers is written as is; each matrix is rendered at the indent
+    of its marker's line and written at once, so at most one matrix is held
+    as text.  The matrices share one table of float tokens keyed by bit
+    pattern, so each distinct value is encoded once per call.
     """
-    out: list[str] = []
+    nonce = os.urandom(16).hex()
+    arrays = []
+
+    def default(value):
+        if isinstance(value, np.ndarray):
+            arrays.append(value)
+            return f"\x00{nonce}{len(arrays) - 1}"
+        return _render(value)
+
+    text = json.JSONEncoder(indent=2, default=default).encode(obj)
+    # each marker once and in order, and the nonce nowhere else
+    markers = [f'"\\u0000{nonce}{i}"' for i in range(len(arrays))]
+    starts = []
+    for marker in markers:
+        starts.append(text.find(marker, starts[-1] if starts else 0))
+    if -1 in starts or text.count(nonce) != len(arrays):
+        raise ValueError("a report string holds this call's matrix marker")
     floats = _FloatTokens()
-    tokens = _TOKENS
-
-    def put(value, level: int) -> None:
-        if isinstance(value, dict):
-            items, opening, closing = value.items(), "{", "}"
-        elif isinstance(value, (list, tuple)):
-            items, opening, closing = enumerate(value), "[", "]"
-        elif isinstance(value, np.ndarray):
-            fh.write("".join(out))
-            out.clear()
-            fh.write(_matrix_json(value, level, floats))
-            return
-        else:
-            out.append(_token(value))
-            return
-        if not value:
-            out.append(opening + closing)
-            return
-        sep = opening + "\n" + "  " * (level + 1)
-        keyed = opening == "{"
-        for key, item in items:
-            head = sep + _key(key) + ": " if keyed else sep
-            token = tokens.get(type(item))
-            if token is None:
-                out.append(head)
-                put(item, level + 1)
-            else:
-                out.append(head + token(item))
-            sep = ",\n" + "  " * (level + 1)
-        out.append("\n" + "  " * level + closing)
-
-    put(obj, 0)
-    fh.write("".join(out))
-    del put  # put refers to itself; breaking the cycle frees the table now
+    at = 0
+    for marker, start, array in zip(markers, starts, arrays):
+        line = text[text.rfind("\n", 0, start) + 1:start]
+        fh.write(text[at:start])
+        fh.write(_matrix_json(array, (len(line) - len(line.lstrip(" "))) // 2, floats))
+        at = start + len(marker)
+    fh.write(text[at:])
 
 
 def _config_dict(args) -> dict:
-    skip = {"func"}
-    return {k: v for k, v in vars(args).items() if k not in skip and v is not None}
+    return {k: v for k, v in vars(args).items() if k != "func" and v is not None}
 
 
 def _table(rows: list[tuple], headers: tuple) -> str:
@@ -547,16 +493,29 @@ def cmd_enumerate(args) -> tuple[dict, str]:
     return report, _table(rows, ("k", "H", "G"))
 
 
-def _tolerance(text: str) -> float:
-    """A tolerance option's value: a finite binary64 >= 0, since a NaN or an
-    infinity would pass every audit it bounds."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"need a finite tolerance >= 0, not {text!r}")
-    return value
+def _number_option(grammar: str, read, what: str, ok=lambda value: True):
+    """An argparse type: the value `read` gives for a string in `grammar`, no
+    longer than a number string may be, when `ok` holds for it."""
+    pattern = re.compile(grammar)
+
+    def parse(text: str):
+        value = read(text) if len(text) <= _MAX_CHARS and pattern.fullmatch(text) else None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"need {what}, not {text!r}")
+        return value
+
+    return parse
+
+
+# CLI numbers are ASCII, as number strings are: an integer option takes a
+# sign and digits, a float option a decimal of the number grammar, or inf or
+# nan, which each command that reads one refuses itself.  A tolerance must
+# be finite and >= 0: a NaN or an infinity would pass every audit it bounds.
+_FLOAT = rf"{_DECIMAL}|[+-]?(?:inf|nan)"
+_int_option = _number_option(r"[+-]?[0-9]+", int, "an integer")
+_float_option = _number_option(_FLOAT, float, "a decimal number, inf or nan")
+_tolerance = _number_option(_FLOAT, float, "a finite tolerance >= 0",
+                            lambda value: 0 <= value < math.inf)
 
 
 def _add_common(p: argparse.ArgumentParser, *, profile: bool = True,
@@ -576,7 +535,7 @@ def _add_common(p: argparse.ArgumentParser, *, profile: bool = True,
 def _add_cost(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cost", choices=["average", "threshold", "custom"],
                    default="average")
-    p.add_argument("--tau", type=int)
+    p.add_argument("--tau", type=_int_option)
     p.add_argument("--cost-values", dest="cost_values")
 
 
@@ -602,9 +561,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True,
                    choices=["hamming", "cohamming", "spike",
                             "threshold-ball", "threshold-set"])
-    p.add_argument("--d", type=int)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--tau", type=int)
+    p.add_argument("--d", type=_int_option)
+    p.add_argument("--gamma", type=_float_option)
+    p.add_argument("--tau", type=_int_option)
     p.add_argument("--set", help="comma-separated coordinate strings")
     p.set_defaults(func=cmd_verify)
 
@@ -629,27 +588,27 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, mode=True)
     _add_cost(p)
     p.add_argument("--x", required=True, help="hidden string, coordinate order x1..xn")
-    p.add_argument("--shots", type=int, default=100000)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--shots", type=_int_option, default=100000)
+    p.add_argument("--seed", type=_int_option, required=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("slpn", help="Bernoulli-noise summary against the k/2 barrier")
     _add_common(p, profile=False, tol_feas=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--d", type=int)
-    p.add_argument("--gamma", type=float)
+    p.add_argument("--n", type=_int_option, required=True)
+    p.add_argument("--t", type=_float_option, required=True)
+    p.add_argument("--d", type=_int_option)
+    p.add_argument("--gamma", type=_float_option)
     p.set_defaults(func=cmd_slpn)
 
     p = sub.add_parser("threshold", help="zero-quality certificate for a threshold")
     _add_common(p, mode=True, tol_feas=True)
-    p.add_argument("--tau", type=int, required=True)
+    p.add_argument("--tau", type=_int_option, required=True)
     p.set_defaults(func=cmd_threshold)
 
     p = sub.add_parser("enumerate", help="list canonical codes and coset leaders")
     _add_common(p, profile=False)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int)
+    p.add_argument("--n", type=_int_option, required=True)
+    p.add_argument("--k", type=_int_option)
     p.set_defaults(func=cmd_enumerate)
 
     return parser

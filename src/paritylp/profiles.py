@@ -35,16 +35,24 @@ def _is_number(v) -> bool:
 # Every number string read from outside, in ASCII: a sign, then an integer,
 # a/b or a decimal, an integer or decimal ending in an exponent of at most
 # three digits, which every binary64's repr fits and keeps a read cheap.
-_NUMBER = re.compile(r"[+-]?(?:[0-9]+/[0-9]+|"
-                     r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]{1,3})?)")
+# The CLI's numeric options read their decimals by the same grammar.
+_DECIMAL = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]{1,3})?"
+_NUMBER = re.compile(rf"[+-]?[0-9]+/[0-9]+|{_DECIMAL}")
+_GRAMMAR = "an integer, a/b or a decimal with an exponent of at most 3 digits"
+# Python's default limit on the digits of an int read from a string: a
+# number string is at most this long, so no read of one reaches the limit.
+_MAX_CHARS = 4300
 
 
 def _fraction(text: str, what: str) -> Fraction:
     """A number string as a `Fraction`: the only reader of one.  A string
-    outside the grammar, or with a zero denominator, is refused."""
+    outside the grammar, longer than _MAX_CHARS or with a zero denominator
+    is refused."""
+    if len(text) > _MAX_CHARS:
+        raise ProfileError(f"{what} {text[:20]!r}... of {len(text)} characters is not a "
+                           f"number: need {_GRAMMAR}, in at most {_MAX_CHARS} characters")
     if not _NUMBER.fullmatch(text):
-        raise ProfileError(f"{what} {text!r} is not a number: need an integer, a/b or a "
-                           "decimal with an exponent of at most 3 digits")
+        raise ProfileError(f"{what} {text!r} is not a number: need {_GRAMMAR}")
     try:
         return Fraction(text)
     except ZeroDivisionError:

@@ -120,8 +120,12 @@ def simplex_min(a: Columns, b, c, *, basis_seed=None) -> StandardResult:
     exact = c.dtype == object
     stats = SolveStats()
     norms = column_norms(a, nv, len(art_rows))
-    status, basis, levels, y = _revised(a, b.astype(float), c.astype(float),
+    c_float = c.astype(float)
+    shift = _pricing_shift(c_float, len(b))
+    status, basis, levels, y = _revised(a, b.astype(float), np.ldexp(c_float, -shift),
                                         unit_cols, art_rows, stats, norms)
+    if shift and y is not None:
+        y = [math.ldexp(v, shift) for v in y]
     strategy = FLOAT
     if exact:
         solution = _certify(a, b, c, basis, art_rows) if status == OPTIMAL else None
@@ -150,6 +154,17 @@ def column_norms(a: Columns, nv: int, n_art: int) -> np.ndarray:
     norms = np.sqrt(np.bincount(a.cols, weights=entries * entries, minlength=nv))
     norms[norms == 0] = 1.0
     return np.concatenate((norms, np.ones(n_art)))
+
+
+def _pricing_shift(c, m: int) -> int:
+    """The power of two the float stage divides c by: 0, unless a sum of m
+    costs could pass 2^1000, when just enough to bring such sums under it.
+
+    Pricing sums products of costs over the rows, so costs near the top of
+    binary64 would price with infinities.  A power of two keeps every cost
+    above 2^-1022 exact, and the multipliers are scaled back.
+    """
+    return max(0, math.frexp(np.abs(c).max(initial=0))[1] + m.bit_length() - 1000)
 
 
 def _revised(a, b, c, unit_cols, art_rows, stats, norms) -> tuple:

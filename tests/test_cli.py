@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -225,6 +226,22 @@ class TestSolve:
                      "--cost-values", values])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("mode, rho", [("exact", str(10 ** 308)), ("float", 1e308)],
+                             ids=["exact", "float"])
+    def test_costs_near_the_top_of_binary64(self, capsys, profile_file, mode, rho):
+        # pricing sums costs over the rows: at 1e308 the float stage prices
+        # the costs scaled by a power of two, not with infinities
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["solve", "--profile", profile_file, "--mode", mode,
+                         "--cost", "custom", "--cost-values", "1e+308,1,2"])
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        assert (code, err) == (0, "")
+        assert (report["rho"], report["sigma"], report["gap"]) == (rho, rho, 0)
+        assert report["primal"]["pivots"] == 0
+        assert report["dual_solution"]["b"] == dict.fromkeys(["00", "10", "01", "11"], rho)
 
     def test_threshold_point_mass(self, capsys, point_mass_file):
         code, report = run_json(capsys, [
@@ -572,6 +589,35 @@ class TestWriter:
             "nan-payloads", "spilled"])
     def test_matches_json_dumps(self, obj):
         assert written(obj) == json.dumps(nested(obj), indent=2, default=_render)
+
+    @pytest.mark.parametrize("text", [
+        "\x00", "\x000", "\x00123", "\\u00000", "\x00" + "f" * 32 + "0", "\x00" + "0" * 40,
+    ], ids=["nul", "nul-digit", "nul-digits", "escaped-nul-digit", "marker-shaped",
+            "nul-zeros"])
+    def test_strings_like_a_marker(self, text):
+        # the writer marks each matrix with a NUL, a nonce of 32 hex digits
+        # and an index; a report string of that shape is text all the same
+        obj = [text, {"m": MATRIX, text: text, "s": [text, SPECIAL]}, text + text, MATRIX]
+        assert written(obj) == json.dumps(nested(obj), indent=2, default=_render)
+        assert written(text) == json.dumps(text)
+
+    @pytest.mark.parametrize("obj", [
+        ["{m}0", MATRIX], [MATRIX, "{m}0"], ["{m}1", MATRIX, MATRIX], [MATRIX, {"{m}": 1}],
+        ["{m}", MATRIX], ["{m}0"],
+    ], ids=["repeated-before", "repeated-after", "out-of-order", "key", "bare-nonce",
+            "no-matrix"])
+    def test_string_holding_the_nonce_refused(self, monkeypatch, obj):
+        # a report string holding this call's nonce makes a marker repeated
+        # or out of order, or adds one: the report is refused, unwritten
+        monkeypatch.setattr(cli.os, "urandom", lambda size: b"\xab" * size)
+        marker = "\x00" + "ab" * 16
+        forged = [{k.format(m=marker): v for k, v in item.items()} if isinstance(item, dict)
+                  else item.format(m=marker) if isinstance(item, str) else item
+                  for item in obj]
+        fh = io.StringIO()
+        with pytest.raises(ValueError, match="marker"):
+            dump_json(forged, fh)
+        assert fh.getvalue() == ""
 
     def test_each_pattern_encoded_once(self, monkeypatch):
         prof = AmplitudeProfile.from_json_dict(phased_profile(3, random.Random(3)))

@@ -3,17 +3,21 @@ in a traceback: the grammar's table, deep nesting, and a fuzzer that
 mutates one field of a valid profile, cost string or argv."""
 
 import contextlib
+import importlib.util
 import io
 import json
+import math
 import re
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from paritylp.cli import main
+from paritylp.cli import build_parser, main
 from paritylp.errors import ProfileError
 from paritylp.profiles import AmplitudeProfile, CostFunction, _fraction
 
@@ -27,6 +31,36 @@ GRAMMAR = [
     ("inf", False), ("", False), ("1/2e3", False), ("1 / 2", False), ("0x10", False),
 ]
 GRAMMAR_IDS = [f"{'accept' if ok else 'refuse'}-{text!r}" for text, ok in GRAMMAR]
+
+# (text, read by an integer option, read by a float option): CLI numbers are
+# ASCII too; an integer option takes a sign and digits, a float option a
+# decimal of the grammar above, or inf or nan (refused by the commands).
+OPTION_GRAMMAR = [
+    ("3", True, True), ("-2", True, True), ("+7", True, True), ("007", True, True),
+    ("1" + "0" * 400, True, True), ("0.25", False, True), ("1e-3", False, True),
+    ("+.5E-007", False, True), ("1e+308", False, True), ("inf", False, True),
+    ("-inf", False, True), ("nan", False, True),
+    ("١", False, False), (" 1", False, False), ("1 ", False, False), ("1_0", False, False),
+    (" 1_0e-2", False, False), ("1e-1000", False, False), ("Infinity", False, False),
+    ("NaN", False, False), ("0x10", False, False), ("", False, False), ("1/2", False, False),
+    ("9" * 5000, False, False),
+]
+# Each numeric option, after the argv that makes it parse.
+NUMERIC_OPTIONS = {
+    "--tau": ["threshold", "--profile", "p.json"],
+    "--d": ["verify", "--profile", "p.json", "--family", "threshold-ball"],
+    "--k": ["enumerate", "--n", "2"],
+    "--n": ["enumerate"],
+    "--shots": ["simulate", "--profile", "p.json", "--x", "0", "--seed", "1"],
+    "--seed": ["simulate", "--profile", "p.json", "--x", "0"],
+    "--t": ["slpn", "--n", "2"],
+    "--gamma": ["slpn", "--n", "2", "--t", "0.1"],
+    "--tol-feas": ["povm", "--profile", "p.json"],
+    "--tol-complete": ["povm", "--profile", "p.json"],
+    "--tol-unambig": ["povm", "--profile", "p.json"],
+}
+INT_OPTIONS = ("--tau", "--d", "--k", "--n", "--shots", "--seed")
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
 
 def _refusal(call) -> str:
@@ -99,6 +133,45 @@ class TestGrammar:
         assert code == (0 if ok and Fraction(text) >= 0 else 2)
         assert (repr(text) in err) != ok
 
+    @pytest.mark.parametrize("option", NUMERIC_OPTIONS)
+    @pytest.mark.parametrize("text, int_ok, float_ok", OPTION_GRAMMAR,
+                             ids=[repr(text)[:12] for text, _, _ in OPTION_GRAMMAR])
+    def test_numeric_option(self, option, text, int_ok, float_ok):
+        ok = int_ok if option in INT_OPTIONS else float_ok
+        if option.startswith("--tol"):
+            # a tolerance is also finite and >= 0
+            ok = ok and 0 <= float(text) < math.inf
+        argv = [*NUMERIC_OPTIONS[option], f"{option}={text}"]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                value = vars(build_parser().parse_args(argv))[option[2:].replace("-", "_")]
+            except SystemExit as exc:
+                value = exc
+        if ok:
+            read = int(text) if option in INT_OPTIONS else float(text)
+            assert value == read or math.isnan(read) and math.isnan(value)
+        else:
+            assert isinstance(value, SystemExit) and value.code == 2
+            [line] = [ln for ln in err.getvalue().splitlines() if "error:" in ln]
+            assert line.endswith(f"error: argument {option}: need " + (
+                "a finite tolerance >= 0" if option.startswith("--tol") else
+                "an integer" if option in INT_OPTIONS else
+                "a decimal number, inf or nan") + f", not {text!r}")
+
+    def test_workload_argv_accepted(self, monkeypatch):
+        # every job the benchmark sends still parses
+        spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        parser = build_parser()
+        for workload in workloads.WORKLOADS:
+            for seed in (1, 2):
+                for job in workloads.make_inputs(workload, seed, "full", 30, "in").jobs:
+                    args = parser.parse_args(list(job.argv))
+                    assert args.command == job.command
+
     def test_float_repr_reads_back(self):
         # every binary64 writes its repr within the grammar, so a float cost
         # in JSON reads as the decimal it prints as
@@ -123,6 +196,21 @@ class TestRefusedQuickly:
         assert time.perf_counter() - start < 0.5
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("text", ["1" * 5000, "1/" + "3" * 5000, "0." + "0" * 4299])
+    @pytest.mark.parametrize("field", ["weight", "cost value"])
+    def test_long_number_string(self, root, profile_path, text, field):
+        # longer than Python's 4,300-digit limit on reading an int: the
+        # reader's own message names the field and the grammar, not a Python call
+        path = root / "long.json"
+        path.write_text(json.dumps({"n": 1, "weights": [text, "1"]}))
+        argv = ["solve", "--profile", str(path)] if field == "weight" else \
+            ["solve", "--profile", profile_path, "--cost", "custom", f"--cost-values={text},1,2"]
+        code, out, err = _run(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {field} {text[:20]!r}... of {len(text)} characters "
+                              "is not a number: need an integer, a/b or a decimal")
+        assert len(err.splitlines()) == 1 and "set_int_max_str_digits" not in err
 
 
 # The fuzzer's small grammar of JSON values, as text: deep nesting, long

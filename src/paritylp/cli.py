@@ -35,6 +35,7 @@ from .profiles import (
     CostFunction,
     _DECIMAL,
     _MAX_CHARS,
+    _fraction,
     bernoulli_profile,
 )
 
@@ -42,10 +43,18 @@ from .profiles import (
 def _load_profile(path: str) -> AmplitudeProfile:
     with open(path) as fh:
         try:
-            data = json.load(fh)
+            data = json.load(fh, parse_int=_json_int)
         except RecursionError:
             raise ToolkitError(f"profile {path!r} is nested too deeply") from None
     return AmplitudeProfile.from_json_dict(data)
+
+
+def _json_int(text: str) -> int:
+    """A JSON integer literal; the number reader refuses one longer than a
+    number string may be, before int() reaches Python's digit limit."""
+    if len(text) > _MAX_CHARS:
+        _fraction(text, "JSON integer")
+    return int(text)
 
 
 def _cost_from_args(n: int, args) -> CostFunction:
@@ -508,11 +517,13 @@ def _number_option(grammar: str, read, what: str, ok=lambda value: True):
 
 
 # CLI numbers are ASCII, as number strings are: an integer option takes a
-# sign and digits, a float option a decimal of the number grammar, or inf or
-# nan, which each command that reads one refuses itself.  A tolerance must
+# sign and digits (a count, --n or --seed, only when >= 0), a float option a
+# decimal of the number grammar, or inf or nan, which each command that
+# reads one refuses itself.  A tolerance must
 # be finite and >= 0: a NaN or an infinity would pass every audit it bounds.
 _FLOAT = rf"{_DECIMAL}|[+-]?(?:inf|nan)"
 _int_option = _number_option(r"[+-]?[0-9]+", int, "an integer")
+_count_option = _number_option(r"[+-]?[0-9]+", int, "an integer >= 0", lambda value: value >= 0)
 _float_option = _number_option(_FLOAT, float, "a decimal number, inf or nan")
 _tolerance = _number_option(_FLOAT, float, "a finite tolerance >= 0",
                             lambda value: 0 <= value < math.inf)
@@ -589,12 +600,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cost(p)
     p.add_argument("--x", required=True, help="hidden string, coordinate order x1..xn")
     p.add_argument("--shots", type=_int_option, default=100000)
-    p.add_argument("--seed", type=_int_option, required=True)
+    p.add_argument("--seed", type=_count_option, required=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("slpn", help="Bernoulli-noise summary against the k/2 barrier")
     _add_common(p, profile=False, tol_feas=True)
-    p.add_argument("--n", type=_int_option, required=True)
+    p.add_argument("--n", type=_count_option, required=True)
     p.add_argument("--t", type=_float_option, required=True)
     p.add_argument("--d", type=_int_option)
     p.add_argument("--gamma", type=_float_option)
@@ -607,7 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list canonical codes and coset leaders")
     _add_common(p, profile=False)
-    p.add_argument("--n", type=_int_option, required=True)
+    p.add_argument("--n", type=_count_option, required=True)
     p.add_argument("--k", type=_int_option)
     p.set_defaults(func=cmd_enumerate)
 
@@ -618,8 +629,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "n", 0) < 0:  # the --n of slpn and enumerate
-            raise ToolkitError("need n >= 0")
         body, table_text = args.func(args)
         _emit(args, {"config": _config_dict(args), **body}, table_text)
         sys.stdout.flush()

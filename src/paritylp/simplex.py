@@ -1,21 +1,22 @@
-"""Two-phase revised simplex on columns: a float basis, an integer certificate, an exact fallback.
+"""One-phase revised simplex on columns: a float basis, an integer certificate, an exact fallback.
 
 Solves   min c.x   s.t.   A x = b,  x >= 0,  with b >= 0,  over `Fraction`s
 (b and c numpy arrays of dtype object) or binary64 floats (float64).  A
 comes by columns, as A = diag(scale) M (`Columns`; for a profile's primal,
 M is the 0/1 coset incidence).  The loop keeps no tableau, only B⁻¹, updated
 rank-1 on each pivot, and x_B = B⁻¹ b (Maros, Computational Techniques of
-the Simplex Method, 2003), from a diagonal start of seeded columns and
-artificials.  It prices d = c - (c_B B⁻¹) A and stops when no d_j < 0
-(within the float tolerance).  Among the eligible columns the one with the
-most negative d_j / ‖A_j‖ enters, ties going to the lowest index: the
-column norms ‖A_j‖ = √(Σᵢ (scaleᵢ Mᵢⱼ)²) are computed once per solve in
-binary64 (1 for an artificial or an all-zero column), so a column through
-rows scaled by a large 1 / w_i does not win on the size of its entries
-alone (normalized pricing with fixed reference weights; Forrest & Goldfarb,
-Math. Program. 1992).  After STALL_LIMIT consecutive degenerate pivots the
-lowest eligible index enters instead (Bland's rule, which cannot cycle);
-the leaving row is the minimum ratio, ties going to the lowest basis index.
+the Simplex Method, 2003), from a diagonal start of seeded columns, which
+is feasible since b >= 0, so one phase prices the objective from there.
+It prices d = c - (c_B B⁻¹) A and stops when no d_j < 0 (within the float
+tolerance).  Among the eligible columns the one with the most negative
+d_j / ‖A_j‖ enters, ties going to the lowest index: the column norms
+‖A_j‖ = √(Σᵢ (scaleᵢ Mᵢⱼ)²) are computed once per solve in binary64 (1 for
+an all-zero column), so a column through rows scaled by a large 1 / w_i
+does not win on the size of its entries alone (normalized pricing with
+fixed reference weights; Forrest & Goldfarb, Math. Program. 1992).  After
+STALL_LIMIT consecutive degenerate pivots the lowest eligible index enters
+instead (Bland's rule, which cannot cycle); the leaving row is the minimum
+ratio, ties going to the lowest basis index.
 
 Float data is solved by that loop alone.  On exact data it runs in binary64
 and only proposes a basis B, and an inverse M_B⁻¹ = adj / d that counts only
@@ -23,8 +24,9 @@ if M_B adj = d I holds on integers.  B is accepted when x_B >= 0 and every
 reduced cost is >= 0, both read on integers (Applegate, Cook, Dash &
 Espinoza, Oper. Res. Lett. 2007).  Otherwise the same loop runs again from
 the same start on `Fraction`s, with no tolerance and the same norms and
-rule (the scores compare d_j rounded to binary64); it terminates on every
-input and gives exact infeasible and unbounded verdicts.
+rule (the scores compare d_j rounded to binary64, all scaled by a power of
+two when one would overflow it); it terminates on every input and gives an
+exact unbounded verdict.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from fractions import Fraction
 import numpy as np
 
 OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 ITERATION_LIMIT = "iteration-limit"
 
@@ -69,10 +70,9 @@ class Columns:
 @dataclass
 class SolveStats:
     """What the pivot loops of a solve did, float stage and exact fallback
-    together: pivots in phases 1 and 2 (phase 1 counts those that drive
-    artificials out), and the solve's pivot count when Bland's rule took over."""
+    together: its pivots, and its pivot count when Bland's rule took over."""
 
-    phase_pivots: list = field(default_factory=lambda: [0, 0])
+    pivots: int = 0
     degenerate: int = 0
     bland_at: int | None = None
     reinversions: int = 0
@@ -90,16 +90,16 @@ class StandardResult:
     stats: SolveStats = field(default_factory=SolveStats)
 
 
-def simplex_min(a: Columns, b, c, *, basis_seed=None) -> StandardResult:
-    """Two-phase simplex for min c.x, A x = b (b >= 0), x >= 0.
+def simplex_min(a: Columns, b, c, *, basis_seed) -> StandardResult:
+    """Simplex for min c.x, A x = b (b >= 0), x >= 0, from a seeded basis.
 
     Args:
         a: the len(b) x len(c) matrix A in column form.
         b, c: nonnegative right-hand sides and objective coefficients, numpy
             arrays of dtype object (rationals) for an exact solve, else float64.
         basis_seed: the start: per row r, a column whose one nonzero is a
-            positive entry on row r (else ValueError), or None for an
-            artificial.  `lp.solve` seeds the no-information measurement.
+            positive entry on row r (else ValueError), so the start is a
+            feasible basis.  `lp.solve` seeds the no-information measurement.
 
     The entering column is the eligible one with the most negative
     d_j / ‖A_j‖, on norms that `column_norms` computes once for the float
@@ -112,48 +112,42 @@ def simplex_min(a: Columns, b, c, *, basis_seed=None) -> StandardResult:
         A float run that reaches its pivot limit ends "iteration-limit".
         Float levels within FLOAT_TOL below zero are reported as 0, so x >= 0.
     """
-    nv = len(c)
-    seeds = list(basis_seed) if basis_seed else [None] * len(b)
-    art_rows = [i for i, col in enumerate(seeds) if col is None]
-    arts = iter(range(nv, nv + len(art_rows)))
-    unit_cols = [next(arts) if col is None else col for col in seeds]
+    nv, seeds = len(c), list(basis_seed)
     exact = c.dtype == object
     stats = SolveStats()
-    norms = column_norms(a, nv, len(art_rows))
+    norms = column_norms(a, nv)
     c_float = c.astype(float)
     shift = _pricing_shift(c_float, len(b))
     status, basis, levels, y = _revised(a, b.astype(float), np.ldexp(c_float, -shift),
-                                        unit_cols, art_rows, stats, norms)
+                                        seeds, stats, norms)
     if shift and y is not None:
         y = [math.ldexp(v, shift) for v in y]
     strategy = FLOAT
     if exact:
-        solution = _certify(a, b, c, basis, art_rows) if status == OPTIMAL else None
+        solution = _certify(a, b, c, basis) if status == OPTIMAL else None
         strategy = CERTIFIED if solution else EXACT_PIVOTS
         status, basis, levels, y = ((status, basis, *solution) if solution
-                                    else _revised(a, b, c, unit_cols, art_rows, stats, norms))
-    pivots = sum(stats.phase_pivots)
+                                    else _revised(a, b, c, seeds, stats, norms))
     if status != OPTIMAL:
-        return StandardResult(status, None, None, pivots, strategy=strategy, stats=stats)
+        return StandardResult(status, None, None, stats.pivots, strategy=strategy, stats=stats)
 
     zero = (Fraction(0) if exact else float(c[0]) * 0) if nv else 0
     x = [zero] * nv
     for col, v in zip(basis, levels):
-        if col < nv:
-            x[col] = v
-    cols = sorted(j for j in basis if j < nv)
+        x[col] = v
+    cols = sorted(basis)
     objective = sum((cj * x[j] for j, cj in zip(cols, c[cols].tolist()) if x[j]), zero)
-    return StandardResult(OPTIMAL, objective, x, pivots, y, strategy, stats)
+    return StandardResult(OPTIMAL, objective, x, stats.pivots, y, strategy, stats)
 
 
-def column_norms(a: Columns, nv: int, n_art: int) -> np.ndarray:
-    """‖A_j‖ = √(Σᵢ (scaleᵢ Mᵢⱼ)²) in binary64 for the nv columns of `a`, then
-    1 for each of n_art artificials; an all-zero column counts as norm 1."""
+def column_norms(a: Columns, nv: int) -> np.ndarray:
+    """‖A_j‖ = √(Σᵢ (scaleᵢ Mᵢⱼ)²) in binary64 for the nv columns of `a`;
+    an all-zero column counts as norm 1."""
     scale = np.array([float(v) for v in a.scale])
     entries = scale[a.rows] * a.coef.astype(float)
     norms = np.sqrt(np.bincount(a.cols, weights=entries * entries, minlength=nv))
     norms[norms == 0] = 1.0
-    return np.concatenate((norms, np.ones(n_art)))
+    return norms
 
 
 def _pricing_shift(c, m: int) -> int:
@@ -167,26 +161,20 @@ def _pricing_shift(c, m: int) -> int:
     return max(0, math.frexp(np.abs(c).max(initial=0))[1] + m.bit_length() - 1000)
 
 
-def _revised(a, b, c, unit_cols, art_rows, stats, norms) -> tuple:
-    """Both phases in the arithmetic of c: on Fractions if its dtype is object.
+def _revised(a, b, c, basis_seed, stats, norms) -> tuple:
+    """The pivot loop in the arithmetic of c: on Fractions if its dtype is object.
 
     Returns (status, basis, levels x_B, multipliers y), the last two None
-    unless optimal.  Columns past len(c) are the artificials, one per row in
-    art_rows; they may stay in the basis at level zero on redundant rows.
-    `norms` holds the pricing norm of every column, artificials included.
+    unless optimal.  `norms` holds the pricing norm of every column.
     """
     m, nv = len(b), len(c)
-    total = nv + len(art_rows)
     exact = c.dtype == object
     num, tol, dot = (Fraction, 0, _sparse_dot) if exact else (float, FLOAT_TOL, np.dot)
-    big = np.full((m, total), num(0), dtype=c.dtype)
+    big = np.full((m, nv), num(0), dtype=c.dtype)
     # num(scale_i) coef: float(1 / w_i) on the primal, not 1 / float(w_i).
     big[a.rows, a.cols] = np.array([num(v) for v in a.scale])[a.rows] * a.coef
-    big[art_rows, range(nv, total)] = num(1)
-    phase1 = np.array([num(0)] * nv + [num(1)] * len(art_rows), dtype=c.dtype)
-    cost = np.concatenate((c, phase1[nv:] * 0))
     # The starting basis is diagonal, so B⁻¹ = diag(1 / B_rr) and x_B = b / B_rr.
-    basis = np.array(unit_cols, dtype=np.intp)
+    basis = np.array(basis_seed, dtype=np.intp)
     diag = big[range(m), basis]
     if not (diag > 0).all() or np.count_nonzero(big[:, basis]) != m:
         raise ValueError("a seeded column is not a positive multiple of its row's unit vector")
@@ -194,9 +182,9 @@ def _revised(a, b, c, unit_cols, art_rows, stats, norms) -> tuple:
     x = b / diag
     # A pivot limit guards binary64 against cycling by rounding (the float run
     # comes first, so the solve's count is its own); Bland's rule cannot cycle.
-    limit = math.inf if exact else 50 * (m + total)
+    limit = math.inf if exact else 50 * (m + nv)
 
-    def pivot(r, j, alpha, phase):
+    def pivot(r, j, alpha):
         """Bring column j into the basis at row r; alpha is B⁻¹ A_j."""
         prow, xr = binv[r] / alpha[r], x[r] / alpha[r]
         if exact:
@@ -208,66 +196,56 @@ def _revised(a, b, c, unit_cols, art_rows, stats, norms) -> tuple:
             binv[:] -= alpha[:, None] * prow
             x[:] -= alpha * xr
         binv[r], x[r], basis[r] = prow, xr, j
-        stats.phase_pivots[phase] += 1
-        if not exact and sum(stats.phase_pivots) % REINVERT_EVERY == 0:
+        stats.pivots += 1
+        if not exact and stats.pivots % REINVERT_EVERY == 0:
             binv[:] = np.linalg.inv(big[:, basis])
             x[:] = binv @ b
             stats.reinversions += 1
 
-    def iterate(obj, allowed, phase):
-        """Pivot on the reduced costs of objective `obj` over columns [0, allowed)."""
-        stall, bland = 0, False
-        while allowed:
-            d = obj[:allowed] - dot(dot(obj[basis], binv), big[:, :allowed])
-            eligible = d < -tol
-            if bland:
-                # Bland's rule takes the first eligible column.
-                enter = int(eligible.argmax())
-            else:
-                # The most negative d_j / ‖A_j‖ over the eligible columns, scored
-                # in binary64 on either arithmetic.  The lowest score over all
-                # columns is nearly always eligible; when not, mask the others.
-                score = d.astype(float, copy=False) / norms[:allowed]
-                enter = int(score.argmin())
-                if not eligible[enter]:
-                    score[~eligible] = np.inf
-                    enter = int(score.argmin())
+    stall, bland = 0, False
+    while nv:
+        d = c - dot(dot(c[basis], binv), big)
+        eligible = d < -tol
+        if bland:
+            # Bland's rule takes the first eligible column.
+            enter = int(eligible.argmax())
+        else:
+            # The most negative d_j / ‖A_j‖ over the eligible columns, scored
+            # in binary64 on either arithmetic.  The lowest score over all
+            # columns is nearly always eligible; when not, mask the others.
+            try:
+                score = d.astype(float, copy=False) / norms
+            except OverflowError:
+                # A Fraction d_j past binary64: score d / 2^e, with e just
+                # large enough to bring every |d_j| under 2^1000.
+                top = max(map(abs, d))
+                e = top.numerator.bit_length() - top.denominator.bit_length() - 999
+                score = (d / (1 << e)).astype(float) / norms
+            enter = int(score.argmin())
             if not eligible[enter]:
-                break
-            if sum(stats.phase_pivots) >= limit:
-                return ITERATION_LIMIT
-            alpha = dot(big[:, enter], binv.T)
-            rows = (alpha > tol).nonzero()[0]
-            if not rows.size:
-                return UNBOUNDED
-            ratios = np.maximum(x[rows], 0) / alpha[rows]
-            best = ratios.min()
-            ties = rows[ratios <= best + tol]
-            stall = stall + 1 if best <= tol else 0
-            stats.degenerate += stall > 0
-            pivot(int(ties[basis[ties].argmin()]), enter, alpha, phase)
-            if stall > STALL_LIMIT and not bland:
-                bland = True
-                stats.bland_at = stats.bland_at or sum(stats.phase_pivots)
-        return OPTIMAL
-
-    status = iterate(phase1, total, 0)
-    if status == OPTIMAL and phase1[basis] @ x > tol:
-        status = INFEASIBLE
-    if status == OPTIMAL:
-        # Drive artificials out of the (degenerate) basis where a real
-        # column can replace them; the rows left are redundant.
-        for i in np.flatnonzero(basis >= nv):
-            usable = np.flatnonzero(abs(dot(binv[i], big[:, :nv])) > tol)
-            if usable.size:
-                pivot(i, usable[0], dot(big[:, usable[0]], binv.T), 0)
-        status = iterate(cost, nv, 1)
-    if status != OPTIMAL:
-        return status, basis.tolist(), None, None
+                score[~eligible] = np.inf
+                enter = int(score.argmin())
+        if not eligible[enter]:
+            break
+        if stats.pivots >= limit:
+            return ITERATION_LIMIT, basis.tolist(), None, None
+        alpha = dot(big[:, enter], binv.T)
+        rows = (alpha > tol).nonzero()[0]
+        if not rows.size:
+            return UNBOUNDED, basis.tolist(), None, None
+        ratios = np.maximum(x[rows], 0) / alpha[rows]
+        best = ratios.min()
+        ties = rows[ratios <= best + tol]
+        stall = stall + 1 if best <= tol else 0
+        stats.degenerate += stall > 0
+        pivot(int(ties[basis[ties].argmin()]), enter, alpha)
+        if stall > STALL_LIMIT and not bland:
+            bland = True
+            stats.bland_at = stats.bland_at or stats.pivots
     if not exact:
         # Rounding leaves degenerate levels a hair below zero; they are 0.
         x[(x < 0) & (x >= -FLOAT_TOL)] = 0.0
-    return OPTIMAL, basis.tolist(), x.tolist(), (cost[basis] @ binv).tolist()
+    return OPTIMAL, basis.tolist(), x.tolist(), (c[basis] @ binv).tolist()
 
 
 def _sparse_dot(u, mat):
@@ -281,26 +259,22 @@ def _sparse_dot(u, mat):
 
 # -- exact certificate -----------------------------------------------------
 
-def _certify(a, b, c, basis, art_rows) -> tuple | None:
+def _certify(a, b, c, basis) -> tuple | None:
     """Check a basis exactly; return its levels x_B and multipliers y, or None.
 
-    The basis may hold artificial columns (index >= len(c), here the unit
-    vector of row art_rows[index - len(c)] of M) only at level exactly zero.
     With M_B adj = d I, x_B = adj (b / scale) / d solves M_B x_B = b / scale,
     y' = adjᵀ c_B / d solves M_Bᵀ y' = c_B, and y = y' / scale.
     """
-    m, nv = len(b), len(c)
-    m_b = np.zeros((m, nv + len(art_rows)), dtype=a.coef.dtype)
+    m_b = np.zeros((len(b), len(c)), dtype=a.coef.dtype)
     m_b[a.rows, a.cols] = a.coef
-    m_b[art_rows, range(nv, nv + len(art_rows))] = 1
     adj, d = _adjugate(m_b[:, basis])
     if adj is None:
         return None
     x_num, den_x = _times(adj, [v / s for v, s in zip(b, a.scale)])
-    if any(v < 0 or (v and j >= nv) for j, v in zip(basis, x_num)):
+    if any(v < 0 for v in x_num):
         return None
     # y' = Y / den, so den (Mᵀy')_j is an integer sum along column j.
-    y_num, den = _times(adj.T, [c[j] if j < nv else 0 for j in basis])
+    y_num, den = _times(adj.T, c[basis].tolist())
     den *= d
     if not _prices_out(a, c, y_num, den):
         return None

@@ -243,6 +243,18 @@ class TestSolve:
         assert report["primal"]["pivots"] == 0
         assert report["dual_solution"]["b"] == dict.fromkeys(["00", "10", "01", "11"], rho)
 
+    def test_exact_loop_scores_costs_past_binary64(self, tmp_path, capsys):
+        # the float stage stops at its pivot limit, and the exact loop's
+        # reduced costs pass binary64: it scores them scaled by a power of two
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"n": 2, "weights": ["3/16", "1/8", "3/16", "1/2"]}))
+        code, report = run_json(capsys, ["solve", "--profile", str(path), "--cost", "custom",
+                                         "--cost-values", "1.7e308,1,0"])
+        rho = str(17 * 10 ** 307)
+        assert code == 0
+        assert (report["rho"], report["sigma"], report["gap"]) == (rho, rho, 0)
+        assert report["primal"]["strategy"] == "exact-pivots"
+
     def test_threshold_point_mass(self, capsys, point_mass_file):
         code, report = run_json(capsys, [
             "solve", "--profile", point_mass_file,
@@ -738,6 +750,14 @@ class TestSimulate:
         assert code == 2
         assert "need 1 <= shots < 2**63" in capsys.readouterr().err
 
+    def test_negative_seed(self, capsys, profile_file):
+        # a usage error that names the option, not numpy's from the sampler
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--profile", profile_file, "--x", "01", "--seed", "-1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: argument --seed: need an integer >= 0, not '-1'\n")
+
     def test_cost_independent_of_shots(self, capsys, profile_file):
         start = time.perf_counter()
         code, report = run_json(capsys, [
@@ -790,8 +810,11 @@ class TestSlpn:
         assert capsys.readouterr().err == "error: need finite gamma > 2\n"
 
     def test_negative_n(self, capsys):
-        assert main(["slpn", "--n", "-1", "--t", "0.1"]) == 2
-        assert capsys.readouterr().err == "error: need n >= 0\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["slpn", "--n", "-1", "--t", "0.1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: argument --n: need an integer >= 0, not '-1'\n")
 
     def test_lp_cap_checked_before_profile(self, capsys, monkeypatch):
         # the profile holds 2^n weights, so above the cap it must not be built
@@ -916,9 +939,12 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("argv", [[], ["--k", "0"]], ids=["all-ranks", "one-rank"])
     def test_negative_n(self, capsys, argv):
-        assert main(["enumerate", "--n", "-1", *argv]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--n", "-1", *argv])
+        assert exc.value.code == 2
         captured = capsys.readouterr()
-        assert (captured.out, captured.err) == ("", "error: need n >= 0\n")
+        assert captured.out == ""
+        assert captured.err.endswith("error: argument --n: need an integer >= 0, not '-1'\n")
 
     def test_closed_stdout_exits_141_quietly(self):
         # the report (about 300 kB) outgrows the pipe, so the writer is still

@@ -35,6 +35,7 @@ GRAMMAR_IDS = [f"{'accept' if ok else 'refuse'}-{text!r}" for text, ok in GRAMMA
 # (text, read by an integer option, read by a float option): CLI numbers are
 # ASCII too; an integer option takes a sign and digits, a float option a
 # decimal of the grammar above, or inf or nan (refused by the commands).
+# A count option (COUNT_OPTIONS) reads an integer only when it is >= 0.
 OPTION_GRAMMAR = [
     ("3", True, True), ("-2", True, True), ("+7", True, True), ("007", True, True),
     ("1" + "0" * 400, True, True), ("0.25", False, True), ("1e-3", False, True),
@@ -60,6 +61,7 @@ NUMERIC_OPTIONS = {
     "--tol-unambig": ["povm", "--profile", "p.json"],
 }
 INT_OPTIONS = ("--tau", "--d", "--k", "--n", "--shots", "--seed")
+COUNT_OPTIONS = ("--n", "--seed")
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
 
@@ -141,6 +143,8 @@ class TestGrammar:
         if option.startswith("--tol"):
             # a tolerance is also finite and >= 0
             ok = ok and 0 <= float(text) < math.inf
+        if option in COUNT_OPTIONS:
+            ok = ok and int(text) >= 0
         argv = [*NUMERIC_OPTIONS[option], f"{option}={text}"]
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
@@ -156,6 +160,7 @@ class TestGrammar:
             [line] = [ln for ln in err.getvalue().splitlines() if "error:" in ln]
             assert line.endswith(f"error: argument {option}: need " + (
                 "a finite tolerance >= 0" if option.startswith("--tol") else
+                "an integer >= 0" if option in COUNT_OPTIONS else
                 "an integer" if option in INT_OPTIONS else
                 "a decimal number, inf or nan") + f", not {text!r}")
 
@@ -211,6 +216,20 @@ class TestRefusedQuickly:
         assert err.startswith(f"error: {field} {text[:20]!r}... of {len(text)} characters "
                               "is not a number: need an integer, a/b or a decimal")
         assert len(err.splitlines()) == 1 and "set_int_max_str_digits" not in err
+
+    @pytest.mark.parametrize("field", ["weight", "amplitude"])
+    def test_long_json_integer(self, root, field):
+        # an unquoted literal past Python's 4,300-digit limit: json.load reads
+        # it through the number reader, which refuses it in its own words
+        digits = "1" * 5000
+        path = root / "long-int.json"
+        path.write_text('{"n": 1, "weights": [%s, 0]}' % digits if field == "weight" else
+                        '{"n": 1, "amplitudes": [{"re": %s}, {"re": 0}]}' % digits)
+        code, out, err = _run(["solve", "--profile", str(path)])
+        assert (code, out) == (2, "")
+        assert err == (f"error: JSON integer {digits[:20]!r}... of 5000 characters is not "
+                       "a number: need an integer, a/b or a decimal with an exponent of at "
+                       "most 3 digits, in at most 4300 characters\n")
 
 
 # The fuzzer's small grammar of JSON values, as text: deep nesting, long

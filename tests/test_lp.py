@@ -355,12 +355,14 @@ class TestSolve:
                     scipy_optimum(m), abs=1e-8
                 )
                 d = dual_rows(p, cost)
-                drep = solve_rows(d, mode="float")
+                drep = dense_solve(d, mode="float")
                 assert float(drep.objective) == pytest.approx(
                     scipy_optimum(d), abs=1e-8
                 )
 
     def test_random_small_models_against_scipy(self):
+        # the dense oracle, which solves every program by rows, infeasible
+        # ones included; simplex_min meets it on seeded models below
         rng = random.Random(60)
         agree = 0
         for trial in range(100):
@@ -382,7 +384,7 @@ class TestSolve:
                 )
             model = RowModel(f"fuzz{trial}", sense, [("x", j) for j in range(nv)],
                              objective, constraints)
-            report = solve_rows(model, mode="exact")
+            report = dense_solve(model, mode="exact")
             res = _scipy_raw(model)
             if report.status == "optimal":
                 assert res.status == 0, (trial, res.message)
@@ -415,10 +417,10 @@ class TestSolve:
         """
         real = simplex._revised
 
-        def bad_float_stage(a, b, c, unit_cols, art_rows, stats, norms):
+        def bad_float_stage(a, b, c, seeds, stats, norms):
             if c.dtype == object:
-                return real(a, b, c, unit_cols, art_rows, stats, norms)
-            bad = {"start": list(unit_cols), "suboptimal": list(range(len(b))),
+                return real(a, b, c, seeds, stats, norms)
+            bad = {"start": list(seeds), "suboptimal": list(range(len(b))),
                    "singular": [0] * len(b)}[wrong]
             return simplex.OPTIMAL, bad, None, None
 
@@ -440,7 +442,7 @@ class TestSolve:
         rng = random.Random(200 + n)
         for cost in (CostFunction.average(n), CostFunction.threshold(n, n)):
             for p in (rand_rational_profile(n, rng), ball_profile(n, n - 1, rng)):
-                direct = solve_rows(dual_rows(p, cost))
+                direct = dense_solve(dual_rows(p, cost))
                 dual, report = solve_dual(p, cost)
                 assert direct.objective == dual.objective == report.objective
                 assert check_dual_feasible(dual, cost).feasible
@@ -486,7 +488,7 @@ class TestSolve:
                 p = rand_rational_profile(n, rng)
                 _, rep = solve_primal(p, cost)
                 literal = literal_lp_model(p, cost, canonical)
-                lit_rep = solve_rows(literal)
+                lit_rep = dense_solve(literal)
                 assert lit_rep.objective == rep.objective
 
     def test_duplicates_do_not_change_optimum(self):
@@ -500,7 +502,7 @@ class TestSolve:
                 p = rand_rational_profile(n, rng)
                 _, rep = solve_primal(p, cost)
                 literal = literal_lp_model(p, cost, with_duplicates)
-                lit_rep = solve_rows(literal)
+                lit_rep = dense_solve(literal)
                 assert lit_rep.objective == rep.objective
 
     def test_monotone_in_cost(self):
@@ -567,54 +569,47 @@ class TestSolverEdgeCases:
         # min x0 + x1, x0 - x1 = 1: basis {x1} prices out dual feasible
         # (y = -1) but puts x1 at -1
         ([[1, -1]], [1], [1, 1], [1], "optimal", 1),
-        # x0 = 1, x0 = 2: basis {x0, artificial of row 2} prices out dual
-        # feasible but leaves the artificial at 1
-        ([[1], [1]], [1, 2], [1], [0, 2], "infeasible", None),
         # min x0, 7 x0 + x1 = 7: basis {x0} is feasible, y = 1/7, and x1's
         # reduced cost is exactly -1/7, one unit over the common denominator
         ([[7, 1]], [7], [1, 0], [0], "optimal", 0),
         # min x0 + x1, x0 - 7 x1 = 1: basis {x1} prices out dual feasible but
         # puts x1 at exactly -1/7
         ([[1, -7]], [1], [1, 1], [1], "optimal", 1),
-    ], ids=["negative-level", "artificial-left", "reduced-cost-minus-1/D",
-            "level-minus-1/D"])
+    ], ids=["negative-level", "reduced-cost-minus-1/D", "level-minus-1/D"])
     def test_certificate_rejects_bad_levels(self, monkeypatch, a_rows, b, c,
                                             bad_basis, status, objective):
         # the certificate has no slack: whatever the float stage proposes,
-        # a rejected basis falls back to exact pivots and the same optimum
-        assert solve_rows(equality_model(a_rows, b, c)).objective == objective
+        # a rejected basis falls back to exact pivots and the same optimum;
+        # x0 is a positive multiple of the one row's unit vector, the seed
+        assert solve_rows(equality_model(a_rows, b, c), seeds=[0]).objective == objective
         real = simplex._revised
 
-        def bad_float_stage(a, b, c, unit_cols, art_rows, stats, norms):
+        def bad_float_stage(a, b, c, seeds, stats, norms):
             if c.dtype == object:
-                return real(a, b, c, unit_cols, art_rows, stats, norms)
+                return real(a, b, c, seeds, stats, norms)
             return simplex.OPTIMAL, list(bad_basis), None, None
 
         monkeypatch.setattr(simplex, "_revised", bad_float_stage)
-        result = solve_rows(equality_model(a_rows, b, c))
+        result = solve_rows(equality_model(a_rows, b, c), seeds=[0])
         assert result.strategy == "exact-pivots"
         assert (result.status, result.objective) == (status, objective)
 
-    def test_infeasible_hand_model(self):
-        model = RowModel("clash", "min", [("x",)], [Fraction(1)], [
-            Constraint({0: Fraction(1)}, "=", Fraction(1)),
-            Constraint({0: Fraction(1)}, "=", Fraction(2)),
-        ])
-        assert solve_rows(model).status == "infeasible"
-
     def test_unbounded_hand_model(self):
+        # x - s = 0 starts on x, whose column is the row's unit vector
         model = RowModel("free", "max", [("x",)], [Fraction(1)], [
             Constraint({0: Fraction(1)}, ">=", Fraction(0)),
         ])
-        assert solve_rows(model).status == "unbounded"
+        assert solve_rows(model, seeds=[0]).status == "unbounded"
 
     def test_negative_rhs_row_flipped(self):
-        # x >= -1 is vacuous for x >= 0; optimum sits at the other bound
+        # x >= -1 is vacuous for x >= 0; optimum sits at the other bound.
+        # The second row has no seed, so the standard form's flip is checked
+        # on the dense oracle
         model = RowModel("flip", "min", [("x",)], [Fraction(1)], [
             Constraint({0: Fraction(1)}, ">=", Fraction(-1)),
             Constraint({0: Fraction(1)}, ">=", Fraction(3)),
         ])
-        report = solve_rows(model)
+        report = dense_solve(model)
         assert report.status == "optimal" and report.objective == 3
 
     @pytest.mark.parametrize("mode", ["exact", "float", "exact-loop"])
@@ -637,10 +632,10 @@ class TestSolverEdgeCases:
 
     def test_column_norms(self):
         # column 0 is (3, 8) on rows scaled by 1 and 1/2, so (3, 4) in A;
-        # column 1 is empty and column 2 an artificial
+        # column 1 is empty
         a = simplex.Columns(np.array([0, 1]), np.array([0, 0]), np.array([3, 8]),
                             [Fraction(1), Fraction(1, 2)])
-        assert simplex.column_norms(a, 2, 1).tolist() == [5.0, 1.0, 1.0]
+        assert simplex.column_norms(a, 2).tolist() == [5.0, 1.0]
 
 
 class TestFeasibilityChecks:
@@ -768,23 +763,28 @@ def row_report(model, result, exact, flips, sense):
                        result.pivots, 0.0, result.strategy, duals, result.stats)
 
 
-def solve_rows(model, mode="exact", seeded=True):
+def solve_rows(model, mode="exact", seeds=None):
     """Solve a model by rows on simplex.simplex_min: its standard form goes
-    over by the nonzeros of each column, the slack seeds (unless `seeded`
-    is false) as the starting basis."""
-    exact, rows, b, c, seeds, flips, sense = standard_form(model, mode)
+    over by the nonzeros of each column, the slack seeds (or `seeds`, if
+    given) as the starting basis, which must hold a column for every row."""
+    exact, rows, b, c, slack_seeds, flips, sense = standard_form(model, mode)
+    seeds = seeds or slack_seeds
+    assert None not in seeds, "simplex_min starts from a seed on every row"
     dtype = object if exact else float
     a = np.array(rows, dtype=object).reshape(len(rows), len(c))
     cols, nz = np.nonzero(a.T)
     columns = simplex.Columns(nz, cols, a[nz, cols], [1] * len(b))
     result = simplex.simplex_min(columns, np.array(b, dtype=dtype), np.array(c, dtype=dtype),
-                                 basis_seed=seeds if seeded else None)
+                                 basis_seed=seeds)
     return row_report(model, result, exact, flips, sense)
 
 
 def dense_solve(model, mode="exact", float_stage=True, seeds=None):
     """The standard form solved as lp.solve did on a dense tableau of Python
-    rows, priced by the loop's rule (the least d_j / ‖A_j‖ enters).
+    rows, priced by the loop's rule (the least d_j / ‖A_j‖ enters).  It is
+    the general two-phase oracle: a row without a seed starts on an
+    artificial, so it solves programs simplex_min cannot start, and gives
+    an infeasible verdict.
 
     Each row is a list of len(c) entries, converted entry by entry to the
     solve's number type; the certificate checks c - Aᵀy with a Fraction loop
@@ -819,7 +819,7 @@ def _dense_simplex_min(a_rows, b, c, seeds, float_stage):
         if solution is None:
             status, basis, t = _dense_two_phase(a_rows, b, c, unit_cols, art_rows, True, stats)
             strategy = "exact-pivots"
-    pivots = sum(stats.phase_pivots)
+    pivots = stats.pivots
     if status != "optimal":
         return simplex.StandardResult(status, None, None, pivots, strategy=strategy, stats=stats)
     nv = len(c)
@@ -867,7 +867,7 @@ def _dense_two_phase(a_rows, b, c, unit_cols, art_rows, exact, stats):
     norms = [math.sqrt(sum(float(row[j]) * float(row[j]) for row in a_rows)) or 1.0
              for j in range(nv)] + [1.0] * len(art_rows)
     if art_rows:
-        status = _tableau_iterate(t, basis, m + 1, total, tol, limit, norms, stats, 0)
+        status = _tableau_iterate(t, basis, m + 1, total, tol, limit, norms, stats)
         if status != "optimal":
             return status, basis, t
         if -t[m + 1, -1] > tol:
@@ -877,8 +877,8 @@ def _dense_two_phase(a_rows, b, c, unit_cols, art_rows, exact, stats):
                 usable = np.flatnonzero(abs(t[i, :nv]) > tol)
                 if usable.size:
                     _tableau_pivot(t, basis, i, int(usable[0]))
-                    stats.phase_pivots[0] += 1
-    return _tableau_iterate(t, basis, m, nv, tol, limit, norms, stats, 1), basis, t
+                    stats.pivots += 1
+    return _tableau_iterate(t, basis, m, nv, tol, limit, norms, stats), basis, t
 
 
 def _tableau_pivot(t, basis, r, j) -> None:
@@ -892,7 +892,7 @@ def _tableau_pivot(t, basis, r, j) -> None:
     basis[r] = j
 
 
-def _tableau_iterate(t, basis, obj, allowed, tol, limit, norms, stats, phase) -> str:
+def _tableau_iterate(t, basis, obj, allowed, tol, limit, norms, stats) -> str:
     """Pivot on objective row `obj` over columns [0, allowed) until optimal,
     counting each pivot, and each degenerate one, into `stats`.
 
@@ -916,7 +916,7 @@ def _tableau_iterate(t, basis, obj, allowed, tol, limit, norms, stats, phase) ->
         else:
             scores = [float(costs[j]) / norms[j] for j in eligible]
             enter = eligible[scores.index(min(scores))]
-        if sum(stats.phase_pivots) >= limit:
+        if stats.pivots >= limit:
             return "iteration-limit"
         column = t[:m, enter]
         rows = np.flatnonzero(column > tol)
@@ -929,12 +929,12 @@ def _tableau_iterate(t, basis, obj, allowed, tol, limit, norms, stats, phase) ->
         stats.degenerate += bool(best <= tol)
         _tableau_pivot(t, basis, leave, enter)
         basis_arr[leave] = enter
-        stats.phase_pivots[phase] += 1
+        stats.pivots += 1
         if not bland:
             stall = stall + 1 if best <= tol else 0
             bland = stall > simplex.STALL_LIMIT
             if bland and stats.bland_at is None:
-                stats.bland_at = sum(stats.phase_pivots)
+                stats.bland_at = stats.pivots
     return "optimal"
 
 
@@ -1037,8 +1037,10 @@ def _oracle_cases(modes=("exact", "float"), max_n=5):
                 yield pytest.param(p, cost, mode, id=f"{name}-{cname}-{mode}")
 
 
-def _fuzz_models():
-    """The random models of test_random_small_models_against_scipy."""
+def _fuzz_models(seeded=False):
+    """The random models of test_random_small_models_against_scipy; with
+    `seeded`, each row's relation is instead the one whose slack starts the
+    row (<= for a right-hand side >= 0, else >=), so simplex_min solves it."""
     rng = random.Random(60)
     for trial in range(100):
         nv = rng.randint(1, 4)
@@ -1050,8 +1052,10 @@ def _fuzz_models():
             coeffs = {j: Fraction(rng.randint(-3, 3)) for j in range(nv) if rng.random() < 0.8}
             if not coeffs:
                 coeffs = {0: Fraction(1)}
-            constraints.append(Constraint(coeffs, rng.choice(["=", ">=", "<="]),
-                                          Fraction(rng.randint(-4, 4))))
+            rel, rhs = rng.choice(["=", ">=", "<="]), Fraction(rng.randint(-4, 4))
+            if seeded:
+                rel = "<=" if rhs >= 0 else ">="
+            constraints.append(Constraint(coeffs, rel, rhs))
         yield RowModel(f"fuzz{trial}", sense, [("x", j) for j in range(nv)],
                        objective, constraints)
 
@@ -1112,7 +1116,7 @@ class TestColumnFormMatchesDenseRows:
         model = build_primal(p, cost)
         assert_same_optimum(report, dense_solve(model, mode), model)
         assert complementary_slackness(primal, dual, p, cost).certified
-        assert sum(report.stats.phase_pivots) == report.pivots
+        assert report.stats.pivots == report.pivots
 
     @pytest.mark.parametrize("p, cost, mode", [
         case for case in _oracle_cases(("exact",), max_n=3) if case.values[0].rational])
@@ -1132,27 +1136,31 @@ class TestColumnFormMatchesDenseRows:
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
     def test_fuzz_models(self, mode):
+        # a seeded start is feasible, so no verdict is "infeasible"
         statuses = set()
-        for model in _fuzz_models():
+        for model in _fuzz_models(seeded=True):
             got = solve_rows(model, mode)
             assert_same_optimum(got, dense_solve(model, mode), model)
             statuses.add(got.status)
-        assert statuses == {"optimal", "infeasible", "unbounded"}
+        assert statuses == {"optimal", "unbounded"}
 
     def test_exact_loop_fuzz_models(self, monkeypatch):
         without_float_stage(monkeypatch)
-        for model in _fuzz_models():
+        for model in _fuzz_models(seeded=True):
             assert_same_report(solve_rows(model), dense_solve(model, float_stage=False))
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
     def test_dual_and_literal_models(self, mode):
+        # programs with rows no column can seed, which the tests solve on the
+        # dense oracle alone: it meets HiGHS, and certifies an exact optimum
         for model in _dual_and_literal_models():
-            assert_same_optimum(solve_rows(model, mode), dense_solve(model, mode), model)
-
-    def test_exact_loop_dual_and_literal_models(self, monkeypatch):
-        without_float_stage(monkeypatch)
-        for model in _dual_and_literal_models():
-            assert_same_report(solve_rows(model), dense_solve(model, float_stage=False))
+            got = dense_solve(model, mode)
+            assert got.status == "optimal"
+            assert abs(float(got.objective) - scipy_optimum(model)) <= 1e-9
+            if got.mode == "exact":
+                assert got.strategy == "certified"
+                assert sum(y * con.rhs for y, con in zip(got.duals, model.constraints)) \
+                    == got.objective
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_phased_n5_float(self, seed):
@@ -1185,14 +1193,13 @@ class TestSolveStats:
 
     @pytest.mark.parametrize("mode", ["exact", "float", "exact-loop"])
     def test_beale_counts_pinned(self, monkeypatch, mode):
-        # the slacks start feasible, so phase 1 makes no pivot; normalized
-        # pricing reaches the optimum in 5 pivots, 4 of them degenerate, where
+        # the slacks start feasible; normalized pricing reaches the optimum in 5 pivots, 4 of them degenerate, where
         # the steepest-coefficient rule cycled until Bland's rule took over
         if mode == "exact-loop":
             without_float_stage(monkeypatch)
         report = solve_rows(beale_model(), mode.removesuffix("-loop"))
         oracle = dense_solve(beale_model(), float_stage=False)
-        assert report.stats == oracle.stats == simplex.SolveStats([0, 5], degenerate=4)
+        assert report.stats == oracle.stats == simplex.SolveStats(5, degenerate=4)
         assert report.pivots == 5 == oracle.pivots
         assert float(report.objective) == pytest.approx(-1 / 20)
 
@@ -1206,19 +1213,8 @@ class TestSolveStats:
             without_float_stage(monkeypatch)
         report = solve_rows(beale_model(), mode.removesuffix("-loop"))
         oracle = dense_solve(beale_model(), float_stage=False)
-        want = simplex.SolveStats([0, 6], degenerate=4, bland_at=3)
+        want = simplex.SolveStats(6, degenerate=4, bland_at=3)
         assert report.stats == oracle.stats == want
-        assert float(report.objective) == pytest.approx(-1 / 20)
-
-    @pytest.mark.parametrize("mode", ["exact", "float", "exact-loop"])
-    def test_beale_from_artificials_never_stalls(self, monkeypatch, mode):
-        # without basis_seed every row starts on an artificial, and phase 1
-        # lands on an optimal basis: phase 2 makes no pivot
-        if mode == "exact-loop":
-            without_float_stage(monkeypatch)
-        report = solve_rows(beale_model(), mode.removesuffix("-loop"), seeded=False)
-        oracle = dense_solve(beale_model(), float_stage=False, seeds=[None] * 3)
-        assert report.stats == oracle.stats == simplex.SolveStats([3, 0], degenerate=2)
         assert float(report.objective) == pytest.approx(-1 / 20)
 
     def test_float_pivot_budget(self):
@@ -1230,23 +1226,12 @@ class TestSolveStats:
         assert totals == [1893, 1188]
         assert totals[0] < 3187 and totals[1] < 2430
 
-    @pytest.mark.parametrize("mode", ["exact", "float", "exact-loop"])
-    def test_drive_out_counts_in_phase_1(self, monkeypatch, mode):
-        # min 3 x0 - x1, -x1 = 0: phase 1 ends at once with the artificial
-        # basic at level 0, and x1 replaces it in phase 1's count
-        if mode == "exact-loop":
-            without_float_stage(monkeypatch)
-        report = solve_rows(equality_model([[0, -1]], [Fraction(0)], [Fraction(3), Fraction(-1)]),
-                            mode.removesuffix("-loop"))
-        assert report.stats == simplex.SolveStats([1, 0])
-        assert report.objective == 0
-
     @pytest.mark.parametrize("name", ["full5", "bernoulli5"])
     def test_float_reinversions(self, name):
         p = dict(_oracle_profiles())[name]
         _, _, report = solve_pair(p, CostFunction.average(5), "float")
         assert report.stats.reinversions == report.pivots // simplex.REINVERT_EVERY > 0
-        assert sum(report.stats.phase_pivots) == report.pivots
+        assert report.stats.pivots == report.pivots
 
     def test_fallback_adds_its_pivots(self, monkeypatch):
         # a rejected float basis: the exact loop's pivots add to the float stage's
@@ -1254,14 +1239,14 @@ class TestSolveStats:
         fast = solve(model)
         real = simplex._revised
 
-        def bad_float_stage(a, b, c, unit_cols, art_rows, stats, norms):
-            result = real(a, b, c, unit_cols, art_rows, stats, norms)
-            return result if c.dtype == object else (simplex.OPTIMAL, list(unit_cols), None, None)
+        def bad_float_stage(a, b, c, seeds, stats, norms):
+            result = real(a, b, c, seeds, stats, norms)
+            return result if c.dtype == object else (simplex.OPTIMAL, list(seeds), None, None)
 
         monkeypatch.setattr(simplex, "_revised", bad_float_stage)
         slow = solve(model)
         assert slow.strategy == "exact-pivots" and slow.objective == fast.objective
-        assert slow.stats.phase_pivots == [2 * v for v in fast.stats.phase_pivots]
+        assert slow.stats.pivots == 2 * fast.stats.pivots
 
 
 def _start_cases():
@@ -1287,8 +1272,8 @@ def powered_profile(index):
 
 class TestNoInformationStart:
     """`lp.solve` starts at the rank-0 code's singleton cosets, mu_i = w_i,
-    which is feasible for every profile: phase 1 has nothing to do, and the
-    exact fallback starts there too."""
+    which is feasible for every profile, so simplex_min needs no phase 1;
+    the exact fallback starts there too."""
 
     @pytest.mark.parametrize("p, mode", list(_start_cases()))
     def test_phase_1_makes_no_pivot(self, monkeypatch, p, mode):
@@ -1297,8 +1282,17 @@ class TestNoInformationStart:
         model = build_primal(p, CostFunction.average(p.n))
         bottom = ParityCode.bottom(p.n)
         assert model.labels[:len(p.support)] == [(bottom, i) for i in p.support]
+        # every run of the loop, float stage and exact fallback, starts there
+        starts, real = [], simplex._revised
+
+        def spy(a, b, c, seeds, *rest):
+            starts.append(list(seeds))
+            return real(a, b, c, seeds, *rest)
+
+        monkeypatch.setattr(simplex, "_revised", spy)
         report = solve(model, mode.removesuffix("-loop"))
-        assert report.status == "optimal" and report.stats.phase_pivots[0] == 0
+        assert starts and all(s == list(range(len(p.support))) for s in starts)
+        assert report.status == "optimal" and report.stats.pivots == report.pivots
         if report.mode == "exact":
             assert report.strategy == ("exact-pivots" if mode == "exact-loop" else "certified")
 
@@ -1337,7 +1331,7 @@ class TestNoInformationStart:
         # the float basis is rejected; the exact loop starts from the seed
         assert report.strategy == "exact-pivots"
         assert (fast.pivots, report.pivots - fast.pivots) == (16, 16)
-        assert report.stats.phase_pivots == [0, report.pivots]
+        assert report.stats.pivots == report.pivots
         assert abs(report.objective - scipy_optimum(model)) <= 1e-9
 
 
@@ -1372,9 +1366,9 @@ class TestCertificateColumnSums:
             seen.append(a.coef.dtype)
             return real_prices(a, c, y, den)
 
-        def slack_basis(a, b, c, unit_cols, art_rows, stats, norms):
+        def slack_basis(a, b, c, seeds, stats, norms):
             if c.dtype == object:
-                return real_revised(a, b, c, unit_cols, art_rows, stats, norms)
+                return real_revised(a, b, c, seeds, stats, norms)
             return simplex.OPTIMAL, [2, 3], None, None
 
         monkeypatch.setattr(simplex, "_prices_out", prices)

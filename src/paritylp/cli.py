@@ -362,7 +362,9 @@ def cmd_povm(args) -> tuple[dict, str]:
     rho = povm.rho_eval(povm_set, cost)
     audits = {
         "povm_valid": verification.ok,
-        "rho_matches_lp": abs(rho - float(p_report.objective)) <= 1e-8,
+        # Within 1e-8, or one part in 10^12 where rho passes 10^4.
+        "rho_matches_lp": math.isclose(rho, float(p_report.objective), rel_tol=1e-12,
+                                       abs_tol=1e-8),
     }
     report = {
         "rho_lp": p_report.objective,
@@ -517,13 +519,16 @@ def _number_option(grammar: str, read, what: str, ok=lambda value: True):
 
 
 # CLI numbers are ASCII, as number strings are: an integer option takes a
-# sign and digits (a count, --n or --seed, only when >= 0), a float option a
+# sign and digits (a count, --n or --seed, only when >= 0, and --shots only
+# from 1 to below the sampler's int64 limit), a float option a
 # decimal of the number grammar, or inf or nan, which each command that
 # reads one refuses itself.  A tolerance must
 # be finite and >= 0: a NaN or an infinity would pass every audit it bounds.
 _FLOAT = rf"{_DECIMAL}|[+-]?(?:inf|nan)"
 _int_option = _number_option(r"[+-]?[0-9]+", int, "an integer")
 _count_option = _number_option(r"[+-]?[0-9]+", int, "an integer >= 0", lambda value: value >= 0)
+_shots_option = _number_option(r"[+-]?[0-9]+", int, "1 <= shots < 2**63",
+                               lambda value: 1 <= value < simulate.SHOTS_LIMIT)
 _float_option = _number_option(_FLOAT, float, "a decimal number, inf or nan")
 _tolerance = _number_option(_FLOAT, float, "a finite tolerance >= 0",
                             lambda value: 0 <= value < math.inf)
@@ -599,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, mode=True)
     _add_cost(p)
     p.add_argument("--x", required=True, help="hidden string, coordinate order x1..xn")
-    p.add_argument("--shots", type=_int_option, default=100000)
+    p.add_argument("--shots", type=_shots_option, default=100000)
     p.add_argument("--seed", type=_count_option, required=True)
     p.set_defaults(func=cmd_simulate)
 

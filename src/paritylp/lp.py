@@ -79,8 +79,8 @@ class LpModel:
     def constraints(self) -> list[Constraint]:
         a = self.columns
         coeffs: list = [{} for _ in self.support]
-        for r, j, v in zip(a.rows.tolist(), a.cols.tolist(), a.coef.tolist()):
-            coeffs[r][j] = a.scale[r] * v
+        for r, j in zip(a.rows.tolist(), a.cols.tolist()):
+            coeffs[r][j] = a.scale[r]
         return [Constraint(co, "=", 1, ("index", i)) for co, i in zip(coeffs, self.support)]
 
     def to_text(self) -> str:
@@ -153,6 +153,8 @@ def build_primal(profile: AmplitudeProfile, cost: CostFunction) -> LpModel:
     equality per supported index i: sum over codes of mu[(code, s(i))] / w_i
     equals 1.  The model carries its columns: row i is (1 / w_i) times the
     0/1 incidence of the cosets that hold i, gathered from the coset table.
+    Its first len(support) columns are the rank-0 code's cosets {i}, unit
+    columns: the no-information measurement, where `simplex_min` starts.
     """
     check_budget(profile.n)
     n = profile.n
@@ -171,7 +173,6 @@ def build_primal(profile: AmplitudeProfile, cost: CostFunction) -> LpModel:
     flat = rows[np.repeat(inside, 1 << table.ranks)]
     lens = 1 << ranks
     columns = simplex.Columns(flat, np.repeat(np.arange(len(lens)), lens),
-                              np.ones(len(flat), dtype=np.int64),
                               [1 / profile.weights[i] for i in profile.support])
     return LpModel(labels, objective, columns, profile.support)
 
@@ -203,22 +204,18 @@ def solve(model: LpModel, mode: str = EXACT) -> SolveReport:
     # One subclass test per number type, not one isinstance per entry.
     exact = mode == EXACT and all(issubclass(t, Rational) for t in set(map(type, chain(
         model.objective, model.columns.scale))))
-    # The dtype of b and c selects the arithmetic of simplex_min; the
+    # The dtype of c selects the arithmetic of simplex_min; the
     # maximization is solved as min -objective·x.
-    num, dtype = (Fraction, object) if exact else (float, float)
-    c = -np.array(model.objective, dtype=dtype)
-    b = np.full(len(model.support), num(1), dtype=dtype)
-    # Column r is the rank-0 code's coset {support[r]}: the no-information
-    # measurement, feasible for every profile, is the starting basis.
-    result = simplex.simplex_min(model.columns, b, c, basis_seed=range(len(model.support)))
+    c = -np.array(model.objective, dtype=object if exact else float)
+    result = simplex.simplex_min(model.columns, c)
     elapsed = time.perf_counter() - start
-    mode = EXACT if exact else FLOAT
+    mode, pivots = EXACT if exact else FLOAT, result.stats.pivots
     if result.status != simplex.OPTIMAL:
-        return SolveReport(result.status, None, None, mode, result.pivots,
+        return SolveReport(result.status, None, None, mode, pivots,
                            elapsed, result.strategy, stats=result.stats)
     # Only the columns with x != 0, in column order: at most one per row.
-    values = dict(compress(zip(model.labels, result.x), result.x))
-    return SolveReport("optimal", -result.objective, values, mode, result.pivots,
+    values = {model.labels[j]: v for j, v in result.x.items() if v}
+    return SolveReport("optimal", -result.objective, values, mode, pivots,
                        elapsed, result.strategy, [-y for y in result.y], result.stats)
 
 

@@ -1,15 +1,16 @@
-"""One-phase revised simplex on columns: a float basis, an integer certificate, an exact fallback.
+"""Revised simplex for the profile primal: a float basis, an integer certificate, an exact fallback.
 
-Solves   min c.x   s.t.   A x = b,  x >= 0,  with b >= 0,  over `Fraction`s
-(b and c numpy arrays of dtype object) or binary64 floats (float64).  A
-comes by columns, as A = diag(scale) M (`Columns`; for a profile's primal,
-M is the 0/1 coset incidence).  The loop keeps no tableau, only B⁻¹, updated
-rank-1 on each pivot, and x_B = B⁻¹ b (Maros, Computational Techniques of
-the Simplex Method, 2003), from a diagonal start of seeded columns, which
-is feasible since b >= 0, so one phase prices the objective from there.
-It prices d = c - (c_B B⁻¹) A and stops when no d_j < 0 (within the float
-tolerance).  Among the eligible columns the one with the most negative
-d_j / ‖A_j‖ enters, ties going to the lowest index: the column norms
+Solves   min c.x   s.t.   diag(scale) M x = 1,  x >= 0,  with M a 0/1 matrix
+given by its nonzeros (`Columns`; for a profile's primal, M is the coset
+incidence and scale_i = 1 / w_i), over `Fraction`s (c of dtype object) or
+binary64 floats (float64).  The first m columns are the unit vectors, column
+r on row r (the no-information measurement), so they are a feasible start
+and one phase prices the objective from there.  The loop keeps no tableau,
+only B⁻¹, updated rank-1 on each pivot, and x_B = B⁻¹ 1 (Maros,
+Computational Techniques of the Simplex Method, 2003).  It prices
+d = c - (c_B B⁻¹) A and stops when no d_j < 0 (within the float tolerance).
+Among the eligible columns the one with the most negative d_j / ‖A_j‖
+enters, ties going to the lowest index: the column norms
 ‖A_j‖ = √(Σᵢ (scaleᵢ Mᵢⱼ)²) are computed once per solve in binary64 (1 for
 an all-zero column), so a column through rows scaled by a large 1 / w_i
 does not win on the size of its entries alone (normalized pricing with
@@ -18,15 +19,22 @@ STALL_LIMIT consecutive degenerate pivots the lowest eligible index enters
 instead (Bland's rule, which cannot cycle); the leaving row is the minimum
 ratio, ties going to the lowest basis index.
 
+Both stages price c / 2^s, with s = `_cost_shift(c)` the power of two that
+puts max|c| in [128, 256).  The float stage's tolerance is absolute, so on
+that one scale it reads costs of any size alike, and its sums cannot
+overflow; the multipliers are scaled back, and the objective is summed from
+c itself.
+
 Float data is solved by that loop alone.  On exact data it runs in binary64
 and only proposes a basis B, and an inverse M_B⁻¹ = adj / d that counts only
 if M_B adj = d I holds on integers.  B is accepted when x_B >= 0 and every
 reduced cost is >= 0, both read on integers (Applegate, Cook, Dash &
 Espinoza, Oper. Res. Lett. 2007).  Otherwise the same loop runs again from
-the same start on `Fraction`s, with no tolerance and the same norms and
-rule (the scores compare d_j rounded to binary64, all scaled by a power of
-two when one would overflow it); it terminates on every input and gives an
-exact unbounded verdict.
+the same start on `Fraction`s, on the same c / 2^s exactly, with no
+tolerance and the same norms and rule.  Its scores compare d_j rounded to
+binary64, which always fit: d_j = c_j - c_B M_B⁻¹ M_j, and Hadamard's bound
+on the 0/1 minors keeps |d_j| below 2^100 at m <= 32.  It terminates on
+every input and gives an exact unbounded verdict.
 """
 
 from __future__ import annotations
@@ -46,7 +54,7 @@ FLOAT = "float"
 CERTIFIED = "certified"
 EXACT_PIVOTS = "exact-pivots"
 
-# Comparison tolerance of the float stage.
+# Comparison tolerance of the float stage, on costs scaled by `_cost_shift`.
 FLOAT_TOL = 1e-9
 
 # Degenerate pivots allowed under the normalized rule before the
@@ -59,11 +67,10 @@ REINVERT_EVERY = 50
 
 @dataclass(frozen=True)
 class Columns:
-    """A = diag(scale) M by the nonzeros of M: M[rows[e], cols[e]] = coef[e]."""
+    """A = diag(scale) M by the nonzeros of the 0/1 matrix M: M[rows[e], cols[e]] = 1."""
 
     rows: np.ndarray
     cols: np.ndarray  # nondecreasing
-    coef: np.ndarray
     scale: list
 
 
@@ -82,104 +89,103 @@ class SolveStats:
 class StandardResult:
     status: str
     objective: object | None
-    x: list | None
-    pivots: int
-    # Row multipliers at optimality: c - Aᵀy >= 0 and b.y equals the objective.
+    # Each basic column's level, in column order.
+    x: dict | None
+    # Row multipliers at optimality: c - Aᵀy >= 0 and Σ y equals the objective.
     y: list | None = None
     strategy: str = FLOAT
     stats: SolveStats = field(default_factory=SolveStats)
 
 
-def simplex_min(a: Columns, b, c, *, basis_seed) -> StandardResult:
-    """Simplex for min c.x, A x = b (b >= 0), x >= 0, from a seeded basis.
+def simplex_min(a: Columns, c) -> StandardResult:
+    """Simplex for min c.x, diag(a.scale) M x = 1, x >= 0, from the unit columns.
 
     Args:
-        a: the len(b) x len(c) matrix A in column form.
-        b, c: nonnegative right-hand sides and objective coefficients, numpy
-            arrays of dtype object (rationals) for an exact solve, else float64.
-        basis_seed: the start: per row r, a column whose one nonzero is a
-            positive entry on row r (else ValueError), so the start is a
-            feasible basis.  `lp.solve` seeds the no-information measurement.
+        a: the len(a.scale) x len(c) matrix A in column form.  Its first
+            len(a.scale) columns are the start: column r must be a positive
+            multiple of row r's unit vector (else ValueError).
+            `lp.build_primal` puts the no-information measurement there.
+        c: objective coefficients, a numpy array of dtype object (rationals)
+            for an exact solve, else float64.
 
     The entering column is the eligible one with the most negative
     d_j / ‖A_j‖, on norms that `column_norms` computes once for the float
     stage and the exact fallback alike.
 
     Returns:
-        StandardResult; x has length len(c) and y length len(b).  Its
-        strategy is "float" on float data, and on exact data "certified"
-        when the float basis passed the exact check, else "exact-pivots".
-        A float run that reaches its pivot limit ends "iteration-limit".
-        Float levels within FLOAT_TOL below zero are reported as 0, so x >= 0.
+        StandardResult; x maps each basic column to its level and y has one
+        multiplier per row.  Its strategy is "float" on float data, and on
+        exact data "certified" when the float basis passed the exact check,
+        else "exact-pivots".  A float run that reaches its pivot limit ends
+        "iteration-limit".  Float levels within FLOAT_TOL below zero are
+        reported as 0, so x >= 0.
     """
-    nv, seeds = len(c), list(basis_seed)
+    nv = len(c)
     exact = c.dtype == object
     stats = SolveStats()
     norms = column_norms(a, nv)
     c_float = c.astype(float)
-    shift = _pricing_shift(c_float, len(b))
-    status, basis, levels, y = _revised(a, b.astype(float), np.ldexp(c_float, -shift),
-                                        seeds, stats, norms)
-    if shift and y is not None:
-        y = [math.ldexp(v, shift) for v in y]
+    shift = _cost_shift(c_float)
+    status, basis, levels, y = _revised(a, np.ldexp(c_float, -shift), stats, norms)
     strategy = FLOAT
     if exact:
-        solution = _certify(a, b, c, basis) if status == OPTIMAL else None
+        # An int times 2^-shift stays an int, and is priced out as one.
+        c_scaled = c * (1 << -shift) if shift <= 0 else c * Fraction(1, 1 << shift)
+        solution = _certify(a, c_scaled, basis) if status == OPTIMAL else None
         strategy = CERTIFIED if solution else EXACT_PIVOTS
         status, basis, levels, y = ((status, basis, *solution) if solution
-                                    else _revised(a, b, c, seeds, stats, norms))
+                                    else _revised(a, c_scaled, stats, norms))
     if status != OPTIMAL:
-        return StandardResult(status, None, None, stats.pivots, strategy=strategy, stats=stats)
+        return StandardResult(status, None, None, strategy=strategy, stats=stats)
 
+    power = Fraction(2) ** shift
+    y = [v * power for v in y] if exact else [math.ldexp(v, shift) for v in y]
+    x = dict(sorted(zip(basis, levels)))
     zero = (Fraction(0) if exact else float(c[0]) * 0) if nv else 0
-    x = [zero] * nv
-    for col, v in zip(basis, levels):
-        x[col] = v
-    cols = sorted(basis)
-    objective = sum((cj * x[j] for j, cj in zip(cols, c[cols].tolist()) if x[j]), zero)
-    return StandardResult(OPTIMAL, objective, x, stats.pivots, y, strategy, stats)
+    objective = sum((cj * v for cj, v in zip(c[list(x)].tolist(), x.values()) if v), zero)
+    return StandardResult(OPTIMAL, objective, x, y, strategy, stats)
 
 
 def column_norms(a: Columns, nv: int) -> np.ndarray:
     """‖A_j‖ = √(Σᵢ (scaleᵢ Mᵢⱼ)²) in binary64 for the nv columns of `a`;
     an all-zero column counts as norm 1."""
-    scale = np.array([float(v) for v in a.scale])
-    entries = scale[a.rows] * a.coef.astype(float)
+    entries = np.array([float(v) for v in a.scale])[a.rows]
     norms = np.sqrt(np.bincount(a.cols, weights=entries * entries, minlength=nv))
     norms[norms == 0] = 1.0
     return norms
 
 
-def _pricing_shift(c, m: int) -> int:
-    """The power of two the float stage divides c by: 0, unless a sum of m
-    costs could pass 2^1000, when just enough to bring such sums under it.
+def _cost_shift(c) -> int:
+    """The exponent s of the power of two both stages divide c by: the one
+    that puts max|c| in [128, 256), or 0 when c = 0.
 
-    Pricing sums products of costs over the rows, so costs near the top of
-    binary64 would price with infinities.  A power of two keeps every cost
-    above 2^-1022 exact, and the multipliers are scaled back.
+    Division by 2^s is exact in binary64 above its subnormals, and so is
+    scaling the multipliers back.
     """
-    return max(0, math.frexp(np.abs(c).max(initial=0))[1] + m.bit_length() - 1000)
+    top = np.abs(c).max(initial=0)
+    return math.frexp(top)[1] - 8 if top else 0
 
 
-def _revised(a, b, c, basis_seed, stats, norms) -> tuple:
+def _revised(a, c, stats, norms) -> tuple:
     """The pivot loop in the arithmetic of c: on Fractions if its dtype is object.
 
     Returns (status, basis, levels x_B, multipliers y), the last two None
     unless optimal.  `norms` holds the pricing norm of every column.
     """
-    m, nv = len(b), len(c)
+    m, nv = len(a.scale), len(c)
     exact = c.dtype == object
     num, tol, dot = (Fraction, 0, _sparse_dot) if exact else (float, FLOAT_TOL, np.dot)
     big = np.full((m, nv), num(0), dtype=c.dtype)
-    # num(scale_i) coef: float(1 / w_i) on the primal, not 1 / float(w_i).
-    big[a.rows, a.cols] = np.array([num(v) for v in a.scale])[a.rows] * a.coef
-    # The starting basis is diagonal, so B⁻¹ = diag(1 / B_rr) and x_B = b / B_rr.
-    basis = np.array(basis_seed, dtype=np.intp)
-    diag = big[range(m), basis]
-    if not (diag > 0).all() or np.count_nonzero(big[:, basis]) != m:
-        raise ValueError("a seeded column is not a positive multiple of its row's unit vector")
+    # num(scale_i): float(1 / w_i) on the primal, not 1 / float(w_i).
+    big[a.rows, a.cols] = np.array([num(v) for v in a.scale])[a.rows]
+    # The starting basis is diagonal, so B⁻¹ = diag(1 / B_rr) and x_B = 1 / B_rr.
+    basis = np.arange(m)
+    diag = big[basis, basis]
+    if not (diag > 0).all() or np.count_nonzero(big[:, :m]) != m:
+        raise ValueError("a starting column is not a positive multiple of its row's unit vector")
     binv = np.where(np.eye(m, dtype=bool), 1 / diag, num(0))
-    x = b / diag
+    x = 1 / diag
+    ones = np.ones(m)
     # A pivot limit guards binary64 against cycling by rounding (the float run
     # comes first, so the solve's count is its own); Bland's rule cannot cycle.
     limit = math.inf if exact else 50 * (m + nv)
@@ -199,7 +205,7 @@ def _revised(a, b, c, basis_seed, stats, norms) -> tuple:
         stats.pivots += 1
         if not exact and stats.pivots % REINVERT_EVERY == 0:
             binv[:] = np.linalg.inv(big[:, basis])
-            x[:] = binv @ b
+            x[:] = binv @ ones
             stats.reinversions += 1
 
     stall, bland = 0, False
@@ -213,14 +219,7 @@ def _revised(a, b, c, basis_seed, stats, norms) -> tuple:
             # The most negative d_j / ‖A_j‖ over the eligible columns, scored
             # in binary64 on either arithmetic.  The lowest score over all
             # columns is nearly always eligible; when not, mask the others.
-            try:
-                score = d.astype(float, copy=False) / norms
-            except OverflowError:
-                # A Fraction d_j past binary64: score d / 2^e, with e just
-                # large enough to bring every |d_j| under 2^1000.
-                top = max(map(abs, d))
-                e = top.numerator.bit_length() - top.denominator.bit_length() - 999
-                score = (d / (1 << e)).astype(float) / norms
+            score = d.astype(float, copy=False) / norms
             enter = int(score.argmin())
             if not eligible[enter]:
                 score[~eligible] = np.inf
@@ -259,18 +258,18 @@ def _sparse_dot(u, mat):
 
 # -- exact certificate -----------------------------------------------------
 
-def _certify(a, b, c, basis) -> tuple | None:
+def _certify(a, c, basis) -> tuple | None:
     """Check a basis exactly; return its levels x_B and multipliers y, or None.
 
-    With M_B adj = d I, x_B = adj (b / scale) / d solves M_B x_B = b / scale,
+    With M_B adj = d I, x_B = adj w / d solves M_B x_B = w, w = 1 / scale,
     y' = adjᵀ c_B / d solves M_Bᵀ y' = c_B, and y = y' / scale.
     """
-    m_b = np.zeros((len(b), len(c)), dtype=a.coef.dtype)
-    m_b[a.rows, a.cols] = a.coef
+    m_b = np.zeros((len(a.scale), len(c)), dtype=np.int64)
+    m_b[a.rows, a.cols] = 1
     adj, d = _adjugate(m_b[:, basis])
     if adj is None:
         return None
-    x_num, den_x = _times(adj, [v / s for v, s in zip(b, a.scale)])
+    x_num, den_x = _times(adj, [1 / Fraction(s) for s in a.scale])
     if any(v < 0 for v in x_num):
         return None
     # y' = Y / den, so den (Mᵀy')_j is an integer sum along column j.
@@ -287,26 +286,25 @@ def _times(adj, v) -> tuple:
     denominator of v, computed in int64 when that cannot overflow."""
     den = math.lcm(*(q.denominator for q in v))
     nums = [q.numerator * (den // q.denominator) for q in v]
-    dtype = np.int64 if _int64_safe(adj, nums) else object
+    dtype = np.int64 if _int64_safe(int(np.abs(adj).max(initial=0)), nums) else object
     return (adj.astype(dtype) @ np.array(nums, dtype=dtype)).tolist(), den
 
 
-def _int64_safe(matrix, v) -> bool:
-    """Whether a sum of len(v) products of an entry of the integer `matrix`
-    and an entry of v stays below 2^62, so that int64 cannot overflow."""
-    return matrix.dtype.kind in "iu" and len(v) * max(map(abs, v), default=0) * int(
-        np.abs(matrix).max(initial=0)) < 2**62
+def _int64_safe(top: int, v) -> bool:
+    """Whether a sum of len(v) products of an entry of v and an integer of
+    magnitude at most `top` stays below 2^62, so that int64 cannot overflow."""
+    return len(v) * max(map(abs, v), default=0) * top < 2**62
 
 
 def _prices_out(a, c, y, den) -> bool:
     """Whether every reduced cost c_j - (Mᵀy)_j / den is >= 0, for integers y.
 
     The column sums (Mᵀy)_j come from one reduceat over the nonzeros, in
-    int64 when M is integer and no sum can reach 2^62, on Python objects
-    otherwise; den c_j >= (Mᵀy)_j is then tested in the exact arithmetic of c.
+    int64 when no sum can reach 2^62, on Python objects otherwise;
+    den c_j >= (Mᵀy)_j is then tested in the exact arithmetic of c.
     """
-    nv, dtype = len(c), np.int64 if _int64_safe(a.coef, y) else object
-    products = np.array(y, dtype=dtype)[a.rows] * a.coef
+    nv, dtype = len(c), np.int64 if _int64_safe(1, y) else object
+    products = np.array(y, dtype=dtype)[a.rows]
     sums = np.zeros(nv, dtype=dtype)
     if len(a.cols):
         # The nonzeros of a column are one run of equal indices in a.cols.
@@ -316,18 +314,13 @@ def _prices_out(a, c, y, den) -> bool:
 
 
 def _adjugate(m_b) -> tuple:
-    """(adj, d) with m_b adj = d I, adj integer (int64, or Python ints for a
-    scaled m_b) and d > 0, or (None, 0).
+    """(adj, d) with m_b adj = d I for the 0/1 matrix m_b, adj int64 and
+    d > 0, or (None, 0).
 
-    A non-integer m_b (only row models built in the tests have one) is scaled
-    to integers by columns first.  Binary64 proposes d and adj, d times the
-    inverse, rounded; they count only if the identity holds on integers,
-    checked in int64 under a bound that rules out overflow.
+    Binary64 proposes d and adj, d times the inverse, rounded; they count
+    only if the identity holds on integers, checked in int64 under a bound
+    that rules out overflow.
     """
-    ell = None
-    if m_b.dtype == object:
-        ell = np.array([math.lcm(*(v.denominator for v in col)) for col in m_b.T], dtype=object)
-        m_b = np.frompyfunc(int, 1, 1)(m_b * ell)
     f = m_b.astype(float)
     try:
         inv = np.linalg.inv(f)
@@ -337,12 +330,12 @@ def _adjugate(m_b) -> tuple:
     for d in _denominators(f, inv):
         with np.errstate(all="ignore"):
             adj = np.rint(d * inv)
-        if 0 < d < 2**62 and m * np.abs(f).max(initial=1) * np.abs(adj).max(initial=1) < 2**62:
+        if 0 < d < 2**62 and m * np.abs(adj).max(initial=1) < 2**62:
             adj, d = adj.astype(np.int64), int(d)
-            check = m_b.astype(np.int64) @ adj
+            check = m_b @ adj
             check[range(m), range(m)] -= d
             if not check.any():
-                return (adj if ell is None else adj.astype(object) * ell[:, None]), d
+                return adj, d
     return None, 0
 
 

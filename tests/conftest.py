@@ -8,6 +8,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from paritylp import simplex
 from paritylp.f2lin import F2Matrix, all_vectors, hamming_weight
 from paritylp.lp import Constraint, model_text
 from paritylp.profiles import AmplitudeProfile
@@ -163,3 +164,16 @@ def tail_mass(p: AmplitudeProfile, d: int):
     if not 0 <= d <= p.n:
         raise ValueError("need 0 <= d <= n")
     return _sum(p, (p.weights[i] for i in all_vectors(p.n) if hamming_weight(i) > d))
+
+
+def without_float_stage(monkeypatch):
+    """Exact solves skip the float stage, so the revised loop runs on
+    Fractions from the solve's start, as the exact fallback does."""
+    real = simplex._revised
+
+    def exact_only(a, c, *rest):
+        if c.dtype == object:
+            return real(a, c, *rest)
+        return simplex.ITERATION_LIMIT, None, None, None
+
+    monkeypatch.setattr(simplex, "_revised", exact_only)

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import check_report
-from conftest import ball_profile, rand_rational_profile
+from conftest import ball_profile, rand_rational_profile, without_float_stage
 from paritylp import bounds, cli, lp, povm
 from paritylp.cli import _render, build_parser, dump_json, main
 from paritylp.f2lin import enumerate_all_codes, vec_from_str
@@ -243,14 +243,20 @@ class TestSolve:
         assert report["primal"]["pivots"] == 0
         assert report["dual_solution"]["b"] == dict.fromkeys(["00", "10", "01", "11"], rho)
 
-    def test_exact_loop_scores_costs_past_binary64(self, tmp_path, capsys):
-        # the float stage stops at its pivot limit, and the exact loop's
-        # reduced costs pass binary64: it scores them scaled by a power of two
+    def test_exact_loop_scores_costs_past_binary64(self, tmp_path, capsys, monkeypatch):
+        # both stages price the costs on one scale, max |c| in [128, 256):
+        # the float stage's basis is certified, and the exact loop, forced
+        # here, scores reduced costs that would pass binary64 unscaled
         path = tmp_path / "w.json"
         path.write_text(json.dumps({"n": 2, "weights": ["3/16", "1/8", "3/16", "1/2"]}))
-        code, report = run_json(capsys, ["solve", "--profile", str(path), "--cost", "custom",
-                                         "--cost-values", "1.7e308,1,0"])
+        argv = ["solve", "--profile", str(path), "--cost", "custom", "--cost-values", "1.7e308,1,0"]
         rho = str(17 * 10 ** 307)
+        code, report = run_json(capsys, [*argv, "--mode", "float"])
+        assert code == 0 and report["rho"] == 1.7e308
+        code, report = run_json(capsys, argv)
+        assert code == 0 and report["primal"]["strategy"] == "certified"
+        without_float_stage(monkeypatch)
+        code, report = run_json(capsys, argv)
         assert code == 0
         assert (report["rho"], report["sigma"], report["gap"]) == (rho, rho, 0)
         assert report["primal"]["strategy"] == "exact-pivots"
@@ -519,6 +525,17 @@ class TestPovm:
         assert abs(report["rho_povm"] - 1.1) < 1e-8
         assert len(report["povm"]["elements"]) > 0
 
+    def test_rho_matches_lp_relative_at_large_costs(self, tmp_path, capsys):
+        # at rho = 9.6e7 the two float sums differ by 3e-8, about one part in
+        # 10^15: within the relative tolerance, past the absolute one
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"n": 1, "weights": ["12/25", "13/25"]}))
+        code, report = run_json(capsys, [
+            "povm", "--profile", str(path), "--assume-real-amplitudes", "--mode", "float",
+            "--cost", "custom", "--cost-values", "0,1e8"])
+        assert code == 0 and report["audits"]["rho_matches_lp"]
+        assert 1e-8 < abs(report["rho_povm"] - report["rho_lp"]) <= 1e-12 * report["rho_lp"]
+
 
 def nested(obj):
     """The report form before the streamed writer: each ndarray as its
@@ -745,10 +762,13 @@ class TestSimulate:
 
     @pytest.mark.parametrize("shots", ["0", "-1", str(1 << 63)])
     def test_shots_out_of_range(self, capsys, profile_file, shots):
-        code = main(["simulate", "--profile", profile_file, "--x", "01",
-                     "--shots", shots, "--seed", "1"])
-        assert code == 2
-        assert "need 1 <= shots < 2**63" in capsys.readouterr().err
+        # a usage error that names the option, not the sampler's ValueError
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--profile", profile_file, "--x", "01",
+                  "--shots", shots, "--seed", "1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument --shots: need 1 <= shots < 2**63, not '{shots}'\n")
 
     def test_negative_seed(self, capsys, profile_file):
         # a usage error that names the option, not numpy's from the sampler
@@ -959,6 +979,20 @@ class TestEnumerate:
         assert proc.wait(timeout=120) == 141
         assert proc.stderr.read() == b""
         proc.stderr.close()
+
+
+class TestRuntimeDependencies:
+    def test_numpy_is_the_only_one(self):
+        # scipy and hypothesis are test dependencies and pytest the runner:
+        # neither the library nor the CLI may load them
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = ("import sys, paritylp, paritylp.cli; print(sorted("
+                "{m.split('.')[0] for m in sys.modules} & {'scipy', 'hypothesis', 'pytest'}))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, check=True)
+        assert proc.stdout == "[]\n"
 
 
 def _corpus_profiles() -> dict:

@@ -35,7 +35,7 @@ GRAMMAR_IDS = [f"{'accept' if ok else 'refuse'}-{text!r}" for text, ok in GRAMMA
 # (text, read by an integer option, read by a float option): CLI numbers are
 # ASCII too; an integer option takes a sign and digits, a float option a
 # decimal of the grammar above, or inf or nan (refused by the commands).
-# A count option (COUNT_OPTIONS) reads an integer only when it is >= 0.
+# A ranged option (RANGED_OPTIONS) reads an integer only inside its range.
 OPTION_GRAMMAR = [
     ("3", True, True), ("-2", True, True), ("+7", True, True), ("007", True, True),
     ("1" + "0" * 400, True, True), ("0.25", False, True), ("1e-3", False, True),
@@ -61,7 +61,12 @@ NUMERIC_OPTIONS = {
     "--tol-unambig": ["povm", "--profile", "p.json"],
 }
 INT_OPTIONS = ("--tau", "--d", "--k", "--n", "--shots", "--seed")
-COUNT_OPTIONS = ("--n", "--seed")
+# Each integer option with a range: its test, and the wording of its refusal.
+RANGED_OPTIONS = {
+    "--n": (lambda v: v >= 0, "an integer >= 0"),
+    "--seed": (lambda v: v >= 0, "an integer >= 0"),
+    "--shots": (lambda v: 1 <= v < 2 ** 63, "1 <= shots < 2**63"),
+}
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
 
@@ -143,8 +148,8 @@ class TestGrammar:
         if option.startswith("--tol"):
             # a tolerance is also finite and >= 0
             ok = ok and 0 <= float(text) < math.inf
-        if option in COUNT_OPTIONS:
-            ok = ok and int(text) >= 0
+        if option in RANGED_OPTIONS:
+            ok = ok and RANGED_OPTIONS[option][0](int(text))
         argv = [*NUMERIC_OPTIONS[option], f"{option}={text}"]
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
@@ -160,7 +165,7 @@ class TestGrammar:
             [line] = [ln for ln in err.getvalue().splitlines() if "error:" in ln]
             assert line.endswith(f"error: argument {option}: need " + (
                 "a finite tolerance >= 0" if option.startswith("--tol") else
-                "an integer >= 0" if option in COUNT_OPTIONS else
+                RANGED_OPTIONS[option][1] if option in RANGED_OPTIONS else
                 "an integer" if option in INT_OPTIONS else
                 "a decimal number, inf or nan") + f", not {text!r}")
 

@@ -20,6 +20,7 @@ from conftest import (
     lam_of,
     literal_lp_model,
     rand_rational_profile,
+    without_float_stage,
 )
 from paritylp import simplex
 from paritylp.errors import BudgetError
@@ -83,13 +84,6 @@ def _scipy_raw(model):
         bounds=(0, None),
         method="highs",
     )
-
-
-def equality_model(a_rows, b, c):
-    """min c.x subject to the rows of A x = b, as a row model."""
-    constraints = [Constraint({j: v for j, v in enumerate(row) if v}, "=", r)
-                   for row, r in zip(a_rows, b)]
-    return RowModel("rows", "min", [("x", j) for j in range(len(c))], c, constraints)
 
 
 def scipy_optimum(model):
@@ -211,7 +205,7 @@ def loop_primal(profile, cost):
                 labels.append((code, s))
                 objective.append(value)
     return (labels, objective, np.array(flat, dtype=np.intp),
-            np.repeat(np.arange(len(lens)), lens), np.ones(len(flat), dtype=np.int64),
+            np.repeat(np.arange(len(lens)), lens),
             [1 / profile.weights[i] for i in profile.support])
 
 
@@ -231,9 +225,9 @@ class TestPrimalFromCosetTable:
     def test_arrays_match_coset_walk(self, p):
         for cost in (CostFunction.average(p.n), CostFunction(p.n, range(p.n, -1, -1))):
             got = build_primal(p, cost)
-            labels, objective, rows, cols, coef, scale = loop_primal(p, cost)
+            labels, objective, rows, cols, scale = loop_primal(p, cost)
             assert got.labels == labels and same(got.objective, objective)
-            for name, want in (("rows", rows), ("cols", cols), ("coef", coef)):
+            for name, want in (("rows", rows), ("cols", cols)):
                 array = getattr(got.columns, name)
                 assert array.dtype == want.dtype and np.array_equal(array, want), name
             assert same(got.columns.scale, scale)
@@ -417,11 +411,12 @@ class TestSolve:
         """
         real = simplex._revised
 
-        def bad_float_stage(a, b, c, seeds, stats, norms):
+        def bad_float_stage(a, c, stats, norms):
             if c.dtype == object:
-                return real(a, b, c, seeds, stats, norms)
-            bad = {"start": list(seeds), "suboptimal": list(range(len(b))),
-                   "singular": [0] * len(b)}[wrong]
+                return real(a, c, stats, norms)
+            m = len(a.scale)
+            bad = {"start": list(range(m)), "suboptimal": list(range(m)),
+                   "singular": [0] * m}[wrong]
             return simplex.OPTIMAL, bad, None, None
 
         rng = random.Random(55)
@@ -564,42 +559,55 @@ class TestAtCap:
             assert complementary_slackness(primal, dual, p, cost).certified
 
 
+def basis_flaws(model, basis):
+    """The least level of a basis of the primal, and the least reduced cost
+    of min -objective·x there, both exact."""
+    rows = [[con.coeffs.get(j, 0) for j in basis] for con in model.constraints]
+    levels = _dense_solve_exact(rows, [1] * len(rows))
+    y = _dense_solve_exact([list(col) for col in zip(*rows)], [-model.objective[j] for j in basis])
+    reduced = [-v - sum(con.coeffs.get(j, 0) * y_i for con, y_i in zip(model.constraints, y))
+               for j, v in enumerate(model.objective)]
+    return min(levels), min(reduced)
+
+
 class TestSolverEdgeCases:
-    @pytest.mark.parametrize("a_rows, b, c, bad_basis, status, objective", [
-        # min x0 + x1, x0 - x1 = 1: basis {x1} prices out dual feasible
-        # (y = -1) but puts x1 at -1
-        ([[1, -1]], [1], [1, 1], [1], "optimal", 1),
-        # min x0, 7 x0 + x1 = 7: basis {x0} is feasible, y = 1/7, and x1's
-        # reduced cost is exactly -1/7, one unit over the common denominator
-        ([[7, 1]], [7], [1, 0], [0], "optimal", 0),
-        # min x0 + x1, x0 - 7 x1 = 1: basis {x1} prices out dual feasible but
-        # puts x1 at exactly -1/7
-        ([[1, -7]], [1], [1, 1], [1], "optimal", 1),
+    # n = 1: columns 0 and 1 are the cosets {0} and {1} of the rank-0 code,
+    # column 2 is {0, 1}; basis[r] is the column basic on row r
+    @pytest.mark.parametrize("weights, values, bad_basis, flaws, optimum", [
+        # {mu_{0,1}, mu_0} prices out under the average cost, but puts mu_0
+        # at w_0 - w_1 = -1/2
+        (["1/4", "3/4"], [0, 1], [2, 0], (Fraction(-1, 2), 0), Fraction(1, 2)),
+        # {mu_{0,1}, mu_1} is feasible, and mu_0's reduced cost is exactly
+        # -1/2, one unit over the common denominator 2 of c_B
+        (["3/7", "4/7"], [Fraction(255, 2), Fraction(509, 4)], [2, 1],
+         (Fraction(1, 7), Fraction(-1, 2)), Fraction(255, 2)),
+        # {mu_{0,1}, mu_1} prices out, but puts mu_1 at w_1 - w_0 = -1/7,
+        # one unit over the common denominator 7 of the weights
+        (["4/7", "3/7"], [0, 1], [2, 1], (Fraction(-1, 7), 0), Fraction(6, 7)),
     ], ids=["negative-level", "reduced-cost-minus-1/D", "level-minus-1/D"])
-    def test_certificate_rejects_bad_levels(self, monkeypatch, a_rows, b, c,
-                                            bad_basis, status, objective):
+    def test_certificate_rejects_bad_levels(self, monkeypatch, weights, values, bad_basis,
+                                            flaws, optimum):
         # the certificate has no slack: whatever the float stage proposes,
-        # a rejected basis falls back to exact pivots and the same optimum;
-        # x0 is a positive multiple of the one row's unit vector, the seed
-        assert solve_rows(equality_model(a_rows, b, c), seeds=[0]).objective == objective
+        # a rejected basis falls back to exact pivots and the same optimum
+        model = build_primal(profile(1, weights), CostFunction(1, values))
+        assert basis_flaws(model, bad_basis) == flaws
+        assert solve(model).objective == optimum
         real = simplex._revised
 
-        def bad_float_stage(a, b, c, seeds, stats, norms):
+        def bad_float_stage(a, c, stats, norms):
             if c.dtype == object:
-                return real(a, b, c, seeds, stats, norms)
+                return real(a, c, stats, norms)
             return simplex.OPTIMAL, list(bad_basis), None, None
 
         monkeypatch.setattr(simplex, "_revised", bad_float_stage)
-        result = solve_rows(equality_model(a_rows, b, c), seeds=[0])
-        assert result.strategy == "exact-pivots"
-        assert (result.status, result.objective) == (status, objective)
+        report = solve(model)
+        assert (report.strategy, report.objective) == ("exact-pivots", optimum)
 
     def test_unbounded_hand_model(self):
-        # x - s = 0 starts on x, whose column is the row's unit vector
-        model = RowModel("free", "max", [("x",)], [Fraction(1)], [
-            Constraint({0: Fraction(1)}, ">=", Fraction(0)),
-        ])
-        assert solve_rows(model, seeds=[0]).status == "unbounded"
+        # column 0 is the start, column 1 is in no row and lowers the cost
+        a = simplex.Columns(np.array([0]), np.array([0]), [1])
+        result = simplex.simplex_min(a, np.array([Fraction(0), Fraction(-1)], dtype=object))
+        assert (result.status, result.strategy) == ("unbounded", "exact-pivots")
 
     def test_negative_rhs_row_flipped(self):
         # x >= -1 is vacuous for x >= 0; optimum sits at the other bound.
@@ -615,26 +623,24 @@ class TestSolverEdgeCases:
     @pytest.mark.parametrize("mode", ["exact", "float", "exact-loop"])
     @pytest.mark.parametrize("cost0", [0, 1, -1], ids=["free", "costly", "unbounded"])
     def test_zero_column_next_to_an_entering_one(self, monkeypatch, mode, cost0):
-        # x0 is in no row, and x1's reduced cost is -1 at the start: x0's norm
-        # is read as 1, so its score is never 0 / 0, a NaN that argmin would
-        # pick and the loop would read as "optimal" before x1 enters
+        # (x0 + x2) / 2 = 1 from the start x0 = 2: column 1 is in no row,
+        # and x2's reduced cost is -1 there.  Column 1's norm is read as 1,
+        # so its score is never 0 / 0, a NaN that argmin would pick and the
+        # loop would read as "optimal" before x2 enters
         if mode == "exact-loop":
             without_float_stage(monkeypatch)
-        model = RowModel("zero-column", "min", [("x", 0), ("x", 1)],
-                         [Fraction(cost0), Fraction(-1)],
-                         [Constraint({1: Fraction(1)}, "<=", Fraction(2))])
-        report, res = solve_rows(model, mode.removesuffix("-loop")), _scipy_raw(model)
+        a = simplex.Columns(np.array([0, 0]), np.array([0, 2]), [Fraction(1, 2)])
+        c = np.array([Fraction(v) for v in (0, cost0, -1)],
+                     dtype=float if mode == "float" else object)
+        result = simplex.simplex_min(a, c)
         if cost0 < 0:
-            assert (report.status, res.status) == ("unbounded", 3)
+            assert result.status == "unbounded"
         else:
-            assert report.status == "optimal" and res.status == 0
-            assert report.objective == res.fun == -2
+            assert (result.status, result.objective, result.x) == ("optimal", -2, {2: 2})
 
     def test_column_norms(self):
-        # column 0 is (3, 8) on rows scaled by 1 and 1/2, so (3, 4) in A;
-        # column 1 is empty
-        a = simplex.Columns(np.array([0, 1]), np.array([0, 0]), np.array([3, 8]),
-                            [Fraction(1), Fraction(1, 2)])
+        # column 0 is on both rows, scaled by 3 and 4; column 1 is empty
+        a = simplex.Columns(np.array([0, 1]), np.array([0, 0]), [Fraction(3), Fraction(4)])
         assert simplex.column_norms(a, 2).tolist() == [5.0, 1.0]
 
 
@@ -753,38 +759,22 @@ def standard_form(model, mode):
 
 def row_report(model, result, exact, flips, sense):
     """A standard-form result as the model's SolveReport, in the model's own sense."""
-    mode = "exact" if exact else "float"
+    mode, pivots = "exact" if exact else "float", result.stats.pivots
     if result.status != "optimal":
-        return SolveReport(result.status, None, None, mode, result.pivots, 0.0,
+        return SolveReport(result.status, None, None, mode, pivots, 0.0,
                            result.strategy, stats=result.stats)
-    values = dict(zip(model.labels, result.x[:model.n_vars]))
+    values = {model.labels[j]: v for j, v in result.x.items() if j < model.n_vars}
     duals = [sense * f * y for f, y in zip(flips, result.y)]
     return SolveReport("optimal", sense * result.objective, values, mode,
-                       result.pivots, 0.0, result.strategy, duals, result.stats)
-
-
-def solve_rows(model, mode="exact", seeds=None):
-    """Solve a model by rows on simplex.simplex_min: its standard form goes
-    over by the nonzeros of each column, the slack seeds (or `seeds`, if
-    given) as the starting basis, which must hold a column for every row."""
-    exact, rows, b, c, slack_seeds, flips, sense = standard_form(model, mode)
-    seeds = seeds or slack_seeds
-    assert None not in seeds, "simplex_min starts from a seed on every row"
-    dtype = object if exact else float
-    a = np.array(rows, dtype=object).reshape(len(rows), len(c))
-    cols, nz = np.nonzero(a.T)
-    columns = simplex.Columns(nz, cols, a[nz, cols], [1] * len(b))
-    result = simplex.simplex_min(columns, np.array(b, dtype=dtype), np.array(c, dtype=dtype),
-                                 basis_seed=seeds)
-    return row_report(model, result, exact, flips, sense)
+                       pivots, 0.0, result.strategy, duals, result.stats)
 
 
 def dense_solve(model, mode="exact", float_stage=True, seeds=None):
     """The standard form solved as lp.solve did on a dense tableau of Python
     rows, priced by the loop's rule (the least d_j / ‖A_j‖ enters).  It is
     the general two-phase oracle: a row without a seed starts on an
-    artificial, so it solves programs simplex_min cannot start, and gives
-    an infeasible verdict.
+    artificial, so it solves any program by rows, which simplex_min does
+    not, and gives an infeasible verdict.
 
     Each row is a list of len(c) entries, converted entry by entry to the
     solve's number type; the certificate checks c - Aᵀy with a Fraction loop
@@ -819,9 +809,8 @@ def _dense_simplex_min(a_rows, b, c, seeds, float_stage):
         if solution is None:
             status, basis, t = _dense_two_phase(a_rows, b, c, unit_cols, art_rows, True, stats)
             strategy = "exact-pivots"
-    pivots = stats.pivots
     if status != "optimal":
-        return simplex.StandardResult(status, None, None, pivots, strategy=strategy, stats=stats)
+        return simplex.StandardResult(status, None, None, strategy=strategy, stats=stats)
     nv = len(c)
     zero = c[0] * 0 if nv else 0
     if solution is None:
@@ -838,7 +827,7 @@ def _dense_simplex_min(a_rows, b, c, seeds, float_stage):
         if col < nv:
             x[col] = v
     objective = sum((ci * xi for ci, xi in zip(c, x) if xi), zero)
-    return simplex.StandardResult("optimal", objective, x, pivots, y, strategy, stats)
+    return simplex.StandardResult("optimal", objective, dict(enumerate(x)), y, strategy, stats)
 
 
 def _dense_two_phase(a_rows, b, c, unit_cols, art_rows, exact, stats):
@@ -1040,7 +1029,7 @@ def _oracle_cases(modes=("exact", "float"), max_n=5):
 def _fuzz_models(seeded=False):
     """The random models of test_random_small_models_against_scipy; with
     `seeded`, each row's relation is instead the one whose slack starts the
-    row (<= for a right-hand side >= 0, else >=), so simplex_min solves it."""
+    row (<= for a right-hand side >= 0, else >=), so no row needs phase 1."""
     rng = random.Random(60)
     for trial in range(100):
         nv = rng.randint(1, 4)
@@ -1072,19 +1061,6 @@ def _dual_and_literal_models():
         yield literal_lp_model(p, CostFunction.average(n), matrices)
 
 
-def without_float_stage(monkeypatch):
-    """Exact solves skip the float stage, so the revised loop runs on
-    Fractions from the solve's start, as the exact fallback does."""
-    real = simplex._revised
-
-    def exact_only(a, b, c, *rest):
-        if c.dtype == object:
-            return real(a, b, c, *rest)
-        return simplex.ITERATION_LIMIT, None, None, None
-
-    monkeypatch.setattr(simplex, "_revised", exact_only)
-
-
 def assert_same_optimum(got, want, model):
     """The gate between the revised loop and the tableau where rounding may
     pick another optimal vertex: the same status; an exact optimum equal as
@@ -1102,7 +1078,8 @@ def assert_same_optimum(got, want, model):
 
 
 class TestColumnFormMatchesDenseRows:
-    """The revised loop on columns against the dense-row tableau it replaced.
+    """The revised loop on columns against the dense-row tableau it replaced,
+    on profiles; the tableau alone, against HiGHS, on general programs.
 
     In exact arithmetic the two follow the same pivot path, so the loop the
     exact fallback runs matches the Fraction tableau bit for bit.  In
@@ -1136,18 +1113,23 @@ class TestColumnFormMatchesDenseRows:
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
     def test_fuzz_models(self, mode):
-        # a seeded start is feasible, so no verdict is "infeasible"
+        # a slack start is feasible, so no verdict is "infeasible"
         statuses = set()
         for model in _fuzz_models(seeded=True):
-            got = solve_rows(model, mode)
-            assert_same_optimum(got, dense_solve(model, mode), model)
+            got, res = dense_solve(model, mode), _scipy_raw(model)
+            assert res.status == {"optimal": 0, "unbounded": 3}[got.status]
+            if got.status == "optimal":
+                assert abs(float(got.objective) - scipy_optimum(model)) <= 1e-9
             statuses.add(got.status)
         assert statuses == {"optimal", "unbounded"}
 
-    def test_exact_loop_fuzz_models(self, monkeypatch):
-        without_float_stage(monkeypatch)
+    def test_exact_loop_fuzz_models(self):
+        # the tableau's Fraction pivots from the slack start reach the
+        # optimum of its float stage's basis, exactly
         for model in _fuzz_models(seeded=True):
-            assert_same_report(solve_rows(model), dense_solve(model, float_stage=False))
+            slow, fast = dense_solve(model, float_stage=False), dense_solve(model)
+            assert (slow.status, slow.strategy) == (fast.status, "exact-pivots")
+            assert same(slow.objective, fast.objective)
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
     def test_dual_and_literal_models(self, mode):
@@ -1188,34 +1170,37 @@ def beale_model():
 
 
 class TestSolveStats:
-    """Pivot counts of the loop; each pin on Beale's example is the dense
-    tableau oracle's count, which every arithmetic of the loop matches."""
+    """Pivot counts: Beale's example pinned on the dense tableau oracle, and
+    the revised loop against the oracle on a profile."""
 
     @pytest.mark.parametrize("mode", ["exact", "float", "exact-loop"])
-    def test_beale_counts_pinned(self, monkeypatch, mode):
+    def test_beale_counts_pinned(self, mode):
         # the slacks start feasible; normalized pricing reaches the optimum in 5 pivots, 4 of them degenerate, where
         # the steepest-coefficient rule cycled until Bland's rule took over
-        if mode == "exact-loop":
-            without_float_stage(monkeypatch)
-        report = solve_rows(beale_model(), mode.removesuffix("-loop"))
-        oracle = dense_solve(beale_model(), float_stage=False)
-        assert report.stats == oracle.stats == simplex.SolveStats(5, degenerate=4)
-        assert report.pivots == 5 == oracle.pivots
+        report = dense_solve(beale_model(), mode.removesuffix("-loop"),
+                             float_stage=mode != "exact-loop")
+        assert report.stats == simplex.SolveStats(5, degenerate=4)
+        assert report.pivots == 5
         assert float(report.objective) == pytest.approx(-1 / 20)
 
     @pytest.mark.parametrize("mode", ["exact", "float", "exact-loop"])
     def test_bland_takes_over_after_the_stall_limit(self, monkeypatch, mode):
         # no input of the suite cycles under normalized pricing, so the limit
-        # is lowered: Beale's third degenerate pivot in a row hands over to
-        # Bland's rule, which takes one pivot more to the same optimum
-        monkeypatch.setattr(simplex, "STALL_LIMIT", 2)
+        # is lowered to 0: the 9th pivot, the first degenerate one, hands over
+        # to Bland's rule, which takes 14 pivots where the rule alone takes 11,
+        # to the same optimum; the dense tableau follows the same path
+        p, cost = rand_rational_profile(3, random.Random("bland/3/0")), CostFunction.average(3)
+        unlowered = solve_pair(p, cost)[2]
+        assert unlowered.stats == simplex.SolveStats(11, degenerate=1)
+        monkeypatch.setattr(simplex, "STALL_LIMIT", 0)
         if mode == "exact-loop":
             without_float_stage(monkeypatch)
-        report = solve_rows(beale_model(), mode.removesuffix("-loop"))
-        oracle = dense_solve(beale_model(), float_stage=False)
-        want = simplex.SolveStats(6, degenerate=4, bland_at=3)
-        assert report.stats == oracle.stats == want
-        assert float(report.objective) == pytest.approx(-1 / 20)
+        report = solve_pair(p, cost, mode.removesuffix("-loop"))[2]
+        oracle = dense_pair(p, cost, mode.removesuffix("-loop"),
+                            float_stage=mode != "exact-loop")[0]
+        assert report.stats == oracle.stats == simplex.SolveStats(14, degenerate=2, bland_at=9)
+        assert report.objective == oracle.objective
+        assert float(report.objective) == pytest.approx(float(unlowered.objective), abs=1e-12)
 
     def test_float_pivot_budget(self):
         # 24 seeded n=5 profiles: the steepest-coefficient rule took 3,187
@@ -1239,9 +1224,10 @@ class TestSolveStats:
         fast = solve(model)
         real = simplex._revised
 
-        def bad_float_stage(a, b, c, seeds, stats, norms):
-            result = real(a, b, c, seeds, stats, norms)
-            return result if c.dtype == object else (simplex.OPTIMAL, list(seeds), None, None)
+        def bad_float_stage(a, c, stats, norms):
+            result = real(a, c, stats, norms)
+            start = list(range(len(a.scale)))
+            return result if c.dtype == object else (simplex.OPTIMAL, start, None, None)
 
         monkeypatch.setattr(simplex, "_revised", bad_float_stage)
         slow = solve(model)
@@ -1280,46 +1266,46 @@ class TestNoInformationStart:
         if mode == "exact-loop":
             without_float_stage(monkeypatch)
         model = build_primal(p, CostFunction.average(p.n))
-        bottom = ParityCode.bottom(p.n)
-        assert model.labels[:len(p.support)] == [(bottom, i) for i in p.support]
-        # every run of the loop, float stage and exact fallback, starts there
-        starts, real = [], simplex._revised
-
-        def spy(a, b, c, seeds, *rest):
-            starts.append(list(seeds))
-            return real(a, b, c, seeds, *rest)
-
-        monkeypatch.setattr(simplex, "_revised", spy)
+        bottom, m = ParityCode.bottom(p.n), len(p.support)
+        assert model.labels[:m] == [(bottom, i) for i in p.support]
+        # those columns are the unit vectors simplex_min starts from, and the
+        # loop runs once per stage, float stage and exact fallback, from there
+        a = model.columns
+        assert a.rows[a.cols < m].tolist() == a.cols[a.cols < m].tolist() == list(range(m))
+        runs, real = [], simplex._revised
+        monkeypatch.setattr(simplex, "_revised", lambda *args: runs.append(1) or real(*args))
         report = solve(model, mode.removesuffix("-loop"))
-        assert starts and all(s == list(range(len(p.support))) for s in starts)
-        assert report.status == "optimal" and report.stats.pivots == report.pivots
+        assert report.status == "optimal"
+        assert len(runs) == (2 if report.strategy == "exact-pivots" else 1)
         if report.mode == "exact":
             assert report.strategy == ("exact-pivots" if mode == "exact-loop" else "certified")
 
-    @pytest.mark.parametrize("seeds", [[2, 1], [1, 0]], ids=["two-rows", "other-row"])
+    @pytest.mark.parametrize("order", [[2, 1, 0], [1, 0, 2]], ids=["two-rows", "other-row"])
     @pytest.mark.parametrize("mode", ["exact", "float"])
-    def test_seed_off_its_row_refused(self, seeds, mode):
-        # column 2 is the coset {0, 1} of the rank-1 code; column 1 is {1}
+    def test_seed_off_its_row_refused(self, order, mode):
+        # the n = 1 primal's columns {0}, {1} and {0, 1}, reordered so that
+        # the first is {0, 1}, on two rows, or {1}, on the other row
         model = build_primal(profile(1, ["1/3", "2/3"]), CostFunction.average(1))
-        num, dtype = (Fraction, object) if mode == "exact" else (float, float)
-        b = np.array([num(1)] * 2, dtype=dtype)
-        c = -np.array(model.objective, dtype=dtype)
-        with pytest.raises(ValueError, match="seeded column"):
-            simplex.simplex_min(model.columns, b, c, basis_seed=seeds)
+        a = model.columns
+        members = [a.rows[a.cols == j] for j in order]
+        cols = np.repeat(np.arange(len(order)), [len(rows) for rows in members])
+        reordered = simplex.Columns(np.concatenate(members), cols, a.scale)
+        c = -np.array([model.objective[j] for j in order],
+                      dtype=object if mode == "exact" else float)
+        with pytest.raises(ValueError, match="starting column"):
+            simplex.simplex_min(reordered, c)
 
-    def test_determinant_beyond_binary64_fails_the_integer_check(self):
-        # the optimal basis [[3^40, 1], [1, 3^40]] has determinant 3^80 - 1:
-        # binary64 cannot propose its inverse, and the exact loop takes over
-        big = 3 ** 40
-        model = RowModel("huge", "max", [("x", 0), ("x", 1)], [Fraction(1), Fraction(1)], [
-            Constraint({0: Fraction(big), 1: Fraction(1)}, "<=", Fraction(big + 2)),
-            Constraint({0: Fraction(1), 1: Fraction(big)}, "<=", Fraction(2 * big + 1)),
-        ])
-        assert simplex._adjugate(np.array([[big, 1], [1, big]], dtype=object))[0] is None
-        got, want = solve_rows(model), dense_solve(model)
-        assert (got.strategy, want.strategy) == ("exact-pivots", "certified")
-        assert same(got.objective, want.objective) and same(got.values, want.values)
-        assert got.objective == 3
+    def test_failed_integer_check_takes_the_exact_loop(self, monkeypatch):
+        # with no candidate d, binary64 proposes no inverse: _adjugate gives
+        # None, and the exact loop reaches the certified optimum
+        model = build_primal(rand_rational_profile(3, random.Random("adjugate")),
+                             CostFunction.average(3))
+        fast = solve(model)
+        monkeypatch.setattr(simplex, "_denominators", lambda f, inv: iter(()))
+        assert simplex._adjugate(np.eye(2, dtype=np.int64)) == (None, 0)
+        slow = solve(model)
+        assert (fast.strategy, slow.strategy) == ("certified", "exact-pivots")
+        assert same(slow.objective, fast.objective) and same(slow.duals, fast.duals)
 
     def test_tiny_weight_profile_takes_the_exact_loop(self):
         # the first index of powered_profile with a weight below 1e-9 whose
@@ -1335,62 +1321,89 @@ class TestNoInformationStart:
         assert abs(report.objective - scipy_optimum(model)) <= 1e-9
 
 
+def _cost_scale_cases():
+    """Seeded n = 3..5 profiles, rational and binary64, under the average
+    cost and tau = 2, in each mode that runs on them."""
+    for n in (3, 4, 5):
+        rational = rand_rational_profile(n, random.Random(f"cost-scale/{n}"))
+        binary64 = profile(n, [float(w) for w in rational.weights])
+        for name, p in ((f"rational{n}", rational), (f"binary64-{n}", binary64)):
+            for cname, cost in (("average", CostFunction.average(n)),
+                                ("tau2", CostFunction.threshold(n, 2))):
+                for mode in ("exact", "float") if p.rational else ("float",):
+                    yield pytest.param(p, cost, mode, id=f"{name}-{cname}-{mode}")
+
+
+class TestCostScale:
+    """Both stages price c / 2^s with max |c| in [128, 256), so the float
+    tolerance reads costs of any scale alike."""
+
+    @staticmethod
+    def solve_scaled(p, cost, factor, mode):
+        return solve(build_primal(p, CostFunction(p.n, [v * factor for v in cost.values])), mode)
+
+    @pytest.mark.parametrize("p, cost, mode", list(_cost_scale_cases()))
+    def test_powers_of_two_keep_the_pivots(self, p, cost, mode):
+        # the float stage sees the same costs bit for bit, and rho, summed
+        # from the caller's costs, scales exactly
+        base = solve(build_primal(p, cost), mode)
+        for factor in (Fraction(1, 2 ** 40), Fraction(2 ** 40)):
+            got = self.solve_scaled(p, cost, factor, mode)
+            assert (got.status, got.pivots, got.strategy) == ("optimal", base.pivots, base.strategy)
+            assert type(got.objective) is type(base.objective)
+            assert got.objective == base.objective * factor
+
+    @pytest.mark.parametrize("p, cost, mode", list(_cost_scale_cases()))
+    def test_powers_of_ten_keep_the_optimum(self, p, cost, mode):
+        base = solve(build_primal(p, cost), mode)
+        for k in (-12, -6, 3, 6):
+            factor = Fraction(10) ** k
+            got = self.solve_scaled(p, cost, factor, mode)
+            assert got.status == "optimal"
+            if got.mode == "exact":
+                assert got.strategy == "certified"
+                assert got.objective == base.objective * factor
+            else:
+                assert math.isclose(got.objective, base.objective * float(factor), rel_tol=1e-12)
+
+
 def loop_prices_out(a, c, y, den):
     """simplex._prices_out as a walk: den c_j against the column sum
     sum_r y_r M[r, j], on Python numbers, column by column."""
     sums = [0] * len(c)
-    for r, j, v in zip(a.rows.tolist(), a.cols.tolist(), a.coef.tolist()):
-        sums[j] += y[r] * v
+    for r, j in zip(a.rows.tolist(), a.cols.tolist()):
+        sums[j] += y[r]
     return all(cj * den >= total for cj, total in zip(c, sums))
 
 
 class TestCertificateColumnSums:
     """The certificate's column sums and sign test, int64 and object paths."""
 
-    @staticmethod
-    def huge_model():
-        # the row model of test_determinant_beyond_binary64_fails_the_integer_check
-        big = 3 ** 40
-        return RowModel("huge", "max", [("x", 0), ("x", 1)], [Fraction(1), Fraction(1)], [
-            Constraint({0: Fraction(big), 1: Fraction(1)}, "<=", Fraction(big + 2)),
-            Constraint({0: Fraction(1), 1: Fraction(big)}, "<=", Fraction(2 * big + 1)),
-        ])
-
-    def test_row_model_takes_the_object_path(self, monkeypatch):
-        # the float stage proposes the slack basis: its adjugate is the
-        # identity, and the reduced costs are read on 3^40-sized Fractions
-        seen = []
-        real_prices, real_revised = simplex._prices_out, simplex._revised
+    def test_large_multipliers_take_the_object_path(self, monkeypatch):
+        # a cost with denominator 3^41 puts the certificate's integer
+        # multipliers past 2^62: the column sums are taken on Python ints
+        seen, real = [], simplex._prices_out
 
         def prices(a, c, y, den):
-            seen.append(a.coef.dtype)
-            return real_prices(a, c, y, den)
-
-        def slack_basis(a, b, c, seeds, stats, norms):
-            if c.dtype == object:
-                return real_revised(a, b, c, seeds, stats, norms)
-            return simplex.OPTIMAL, [2, 3], None, None
+            seen.append(simplex._int64_safe(1, y))
+            return real(a, c, y, den)
 
         monkeypatch.setattr(simplex, "_prices_out", prices)
-        monkeypatch.setattr(simplex, "_revised", slack_basis)
-        report = solve_rows(self.huge_model())
-        assert seen == [np.dtype(object)]
-        assert (report.strategy, report.objective) == ("exact-pivots", 3)
+        p = rand_rational_profile(2, random.Random("object-path"))
+        cost = CostFunction(2, [0, 1, 2 + Fraction(1, 3 ** 41)])
+        primal, dual, report = solve_pair(p, cost)
+        assert seen == [False] and report.strategy == "certified"
+        assert complementary_slackness(primal, dual, p, cost).certified
 
     @pytest.mark.parametrize("scale", [1, 2 ** 40, 3 ** 40, 2 ** 70])
     def test_matches_column_walk(self, scale):
-        # the primal's int64 incidence, and the 3^40 rows, under multipliers
-        # up to 2^70: sums past int64 go to Python ints
+        # the primal's incidence, and a hand one with empty columns, under
+        # multipliers up to 2^70: sums past int64 go to Python ints
         rng = random.Random(f"prices/{scale}")
         primal = build_primal(rand_rational_profile(3, rng), CostFunction.average(3))
-        exact, rows, b, c, *_ = standard_form(self.huge_model(), "exact")
-        a = np.array(rows, dtype=object)
-        cols, nz = np.nonzero(a.T)
-        huge = simplex.Columns(nz, cols, a[nz, cols], [1] * len(b))
         # columns 1 and 3 have no nonzero
-        gaps = simplex.Columns(np.array([0, 1, 0]), np.array([0, 0, 2]), np.array([1, 2, 3]),
-                               [1, 1])
-        for columns, c in ((primal.columns, [-v for v in primal.objective]), (huge, c),
+        gaps = simplex.Columns(np.array([0, 1, 0]), np.array([0, 0, 2]), [1, 1])
+        for columns, c in ((primal.columns, [-v for v in primal.objective]),
                            (gaps, [Fraction(-1, 2), 0, 5, 1])):
             m, results = len(columns.scale), set()
             for trial in range(12):

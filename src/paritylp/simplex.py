@@ -1,4 +1,4 @@
-"""Revised simplex for the profile primal: a float basis, an integer certificate, an exact fallback.
+"""Revised simplex for the profile primal: a float basis, proven or repaired on integers.
 
 Solves   min c.x   s.t.   diag(scale) M x = 1,  x >= 0,  with M a 0/1 matrix
 given by its nonzeros (`Columns`; for a profile's primal, M is the coset
@@ -25,16 +25,13 @@ that one scale it reads costs of any size alike, and its sums cannot
 overflow; the multipliers are scaled back, and the objective is summed from
 c itself.
 
-Float data is solved by that loop alone.  On exact data it runs in binary64
-and only proposes a basis B, and an inverse M_B⁻¹ = adj / d that counts only
-if M_B adj = d I holds on integers.  B is accepted when x_B >= 0 and every
-reduced cost is >= 0, both read on integers (Applegate, Cook, Dash &
-Espinoza, Oper. Res. Lett. 2007).  Otherwise the same loop runs again from
-the same start on `Fraction`s, on the same c / 2^s exactly, with no
-tolerance and the same norms and rule.  Its scores compare d_j rounded to
-binary64, which always fit: d_j = c_j - c_B M_B⁻¹ M_j, and Hadamard's bound
-on the 0/1 minors keeps |d_j| below 2^100 at m <= 32.  It terminates on
-every input and gives an exact unbounded verdict.
+Float data is solved by that loop alone.  On exact data it proposes a basis B
+and M_B⁻¹ = adj / d, accepted if M_B adj = d I, x_B >= 0 and every reduced
+cost is >= 0, all read on integers (Applegate, Cook, Dash & Espinoza, Oper.
+Res. Lett. 2007).  Otherwise an integer loop repairs B by Bland's rule, which
+cannot cycle: dual pivots while only levels are negative, primal ones while
+only reduced costs are, each updating adj and d fraction-free (Bareiss, Math.
+Comp. 1968).  Both negative, or no adj, restarts it at adj = I on the unit columns.
 """
 
 from __future__ import annotations
@@ -76,7 +73,7 @@ class Columns:
 
 @dataclass
 class SolveStats:
-    """What the pivot loops of a solve did, float stage and exact fallback
+    """What the pivot loops of a solve did, float stage and integer loop
     together: its pivots, and its pivot count when Bland's rule took over."""
 
     pivots: int = 0
@@ -108,10 +105,6 @@ def simplex_min(a: Columns, c) -> StandardResult:
         c: objective coefficients, a numpy array of dtype object (rationals)
             for an exact solve, else float64.
 
-    The entering column is the eligible one with the most negative
-    d_j / ‖A_j‖, on norms that `column_norms` computes once for the float
-    stage and the exact fallback alike.
-
     Returns:
         StandardResult; x maps each basic column to its level and y has one
         multiplier per row.  Its strategy is "float" on float data, and on
@@ -123,18 +116,14 @@ def simplex_min(a: Columns, c) -> StandardResult:
     nv = len(c)
     exact = c.dtype == object
     stats = SolveStats()
-    norms = column_norms(a, nv)
     c_float = c.astype(float)
     shift = _cost_shift(c_float)
-    status, basis, levels, y = _revised(a, np.ldexp(c_float, -shift), stats, norms)
+    status, basis, levels, y = _revised(a, np.ldexp(c_float, -shift), stats)
     strategy = FLOAT
     if exact:
         # An int times 2^-shift stays an int, and is priced out as one.
         c_scaled = c * (1 << -shift) if shift <= 0 else c * Fraction(1, 1 << shift)
-        solution = _certify(a, c_scaled, basis) if status == OPTIMAL else None
-        strategy = CERTIFIED if solution else EXACT_PIVOTS
-        status, basis, levels, y = ((status, basis, *solution) if solution
-                                    else _revised(a, c_scaled, stats, norms))
+        strategy, status, basis, levels, y = _exact(a, c_scaled, basis, stats)
     if status != OPTIMAL:
         return StandardResult(status, None, None, strategy=strategy, stats=stats)
 
@@ -166,119 +155,131 @@ def _cost_shift(c) -> int:
     return math.frexp(top)[1] - 8 if top else 0
 
 
-def _revised(a, c, stats, norms) -> tuple:
-    """The pivot loop in the arithmetic of c: on Fractions if its dtype is object.
-
-    Returns (status, basis, levels x_B, multipliers y), the last two None
-    unless optimal.  `norms` holds the pricing norm of every column.
-    """
+def _revised(a, c, stats) -> tuple:
+    """The float stage: (status, basis, levels x_B, multipliers y) in
+    binary64, the last three None unless optimal."""
     m, nv = len(a.scale), len(c)
-    exact = c.dtype == object
-    num, tol, dot = (Fraction, 0, _sparse_dot) if exact else (float, FLOAT_TOL, np.dot)
-    big = np.full((m, nv), num(0), dtype=c.dtype)
-    # num(scale_i): float(1 / w_i) on the primal, not 1 / float(w_i).
-    big[a.rows, a.cols] = np.array([num(v) for v in a.scale])[a.rows]
+    norms = column_norms(a, nv)
+    big = np.zeros((m, nv))
+    # float(scale_i): float(1 / w_i) on the primal, not 1 / float(w_i).
+    big[a.rows, a.cols] = np.array([float(v) for v in a.scale])[a.rows]
     # The starting basis is diagonal, so B⁻¹ = diag(1 / B_rr) and x_B = 1 / B_rr.
     basis = np.arange(m)
     diag = big[basis, basis]
     if not (diag > 0).all() or np.count_nonzero(big[:, :m]) != m:
         raise ValueError("a starting column is not a positive multiple of its row's unit vector")
-    binv = np.where(np.eye(m, dtype=bool), 1 / diag, num(0))
+    binv = np.where(np.eye(m, dtype=bool), 1 / diag, 0.0)
     x = 1 / diag
     ones = np.ones(m)
-    # A pivot limit guards binary64 against cycling by rounding (the float run
-    # comes first, so the solve's count is its own); Bland's rule cannot cycle.
-    limit = math.inf if exact else 50 * (m + nv)
 
     def pivot(r, j, alpha):
         """Bring column j into the basis at row r; alpha is B⁻¹ A_j."""
         prow, xr = binv[r] / alpha[r], x[r] / alpha[r]
-        if exact:
-            # Only the rows alpha touches and the columns prow touches change.
-            rows, cols = np.flatnonzero(alpha), np.flatnonzero(prow)
-            binv[np.ix_(rows, cols)] -= np.outer(alpha[rows], prow[cols])
-            x[rows] -= alpha[rows] * xr
-        else:
-            binv[:] -= alpha[:, None] * prow
-            x[:] -= alpha * xr
+        binv[:] -= alpha[:, None] * prow
+        x[:] -= alpha * xr
         binv[r], x[r], basis[r] = prow, xr, j
         stats.pivots += 1
-        if not exact and stats.pivots % REINVERT_EVERY == 0:
+        if stats.pivots % REINVERT_EVERY == 0:
             binv[:] = np.linalg.inv(big[:, basis])
             x[:] = binv @ ones
             stats.reinversions += 1
 
     stall, bland = 0, False
     while nv:
-        d = c - dot(dot(c[basis], binv), big)
-        eligible = d < -tol
+        d = c - np.dot(np.dot(c[basis], binv), big)
+        eligible = d < -FLOAT_TOL
         if bland:
             # Bland's rule takes the first eligible column.
             enter = int(eligible.argmax())
         else:
-            # The most negative d_j / ‖A_j‖ over the eligible columns, scored
-            # in binary64 on either arithmetic.  The lowest score over all
-            # columns is nearly always eligible; when not, mask the others.
-            score = d.astype(float, copy=False) / norms
+            # The most negative d_j / ‖A_j‖ over the eligible columns: the
+            # lowest score is nearly always eligible; when not, mask the others.
+            score = d / norms
             enter = int(score.argmin())
             if not eligible[enter]:
                 score[~eligible] = np.inf
                 enter = int(score.argmin())
         if not eligible[enter]:
             break
-        if stats.pivots >= limit:
-            return ITERATION_LIMIT, basis.tolist(), None, None
-        alpha = dot(big[:, enter], binv.T)
-        rows = (alpha > tol).nonzero()[0]
+        # A pivot limit guards against cycling by rounding.
+        if stats.pivots >= 50 * (m + nv):
+            return ITERATION_LIMIT, None, None, None
+        alpha = np.dot(big[:, enter], binv.T)
+        rows = (alpha > FLOAT_TOL).nonzero()[0]
         if not rows.size:
-            return UNBOUNDED, basis.tolist(), None, None
+            return UNBOUNDED, None, None, None
         ratios = np.maximum(x[rows], 0) / alpha[rows]
         best = ratios.min()
-        ties = rows[ratios <= best + tol]
-        stall = stall + 1 if best <= tol else 0
+        ties = rows[ratios <= best + FLOAT_TOL]
+        stall = stall + 1 if best <= FLOAT_TOL else 0
         stats.degenerate += stall > 0
         pivot(int(ties[basis[ties].argmin()]), enter, alpha)
         if stall > STALL_LIMIT and not bland:
             bland = True
             stats.bland_at = stats.bland_at or stats.pivots
-    if not exact:
-        # Rounding leaves degenerate levels a hair below zero; they are 0.
-        x[(x < 0) & (x >= -FLOAT_TOL)] = 0.0
+    # Rounding leaves degenerate levels a hair below zero; they are 0.
+    x[(x < 0) & (x >= -FLOAT_TOL)] = 0.0
     return OPTIMAL, basis.tolist(), x.tolist(), (c[basis] @ binv).tolist()
 
 
-def _sparse_dot(u, mat):
-    """u @ mat over the nonzeros of u and of mat's rows, for Fractions."""
-    out = np.full(mat.shape[1], Fraction(0), dtype=object)
-    for i in np.flatnonzero(u):
-        nz = np.flatnonzero(mat[i])
-        out[nz] += u[i] * mat[i, nz]
-    return out
+# -- integer loop ------------------------------------------------------------
 
-
-# -- exact certificate -----------------------------------------------------
-
-def _certify(a, c, basis) -> tuple | None:
-    """Check a basis exactly; return its levels x_B and multipliers y, or None.
-
-    With M_B adj = d I, x_B = adj w / d solves M_B x_B = w, w = 1 / scale,
-    y' = adjᵀ c_B / d solves M_Bᵀ y' = c_B, and y = y' / scale.
-    """
-    m_b = np.zeros((len(a.scale), len(c)), dtype=np.int64)
+def _exact(a, c, basis, stats) -> tuple:
+    """(strategy, status, basis, levels x_B, multipliers y), solved exactly
+    from `basis` or, if None, the unit columns.  M_B⁻¹ = adj / d, M_B adj = d I
+    on integers, d > 0.  With w = 1 / scale, x_B = adj w / d, y = y' / scale and
+    y' = adjᵀ c_B / d; the reduced costs c_j - (Mᵀy')_j and row r of B⁻¹A,
+    adj_r M / d, do not depend on the scale."""
+    m, nv = len(a.scale), len(c)
+    m_b = np.zeros((m, nv), dtype=np.int64)
     m_b[a.rows, a.cols] = 1
-    adj, d = _adjugate(m_b[:, basis])
-    if adj is None:
-        return None
-    x_num, den_x = _times(adj, [1 / Fraction(s) for s in a.scale])
-    if any(v < 0 for v in x_num):
-        return None
-    # y' = Y / den, so den (Mᵀy')_j is an integer sum along column j.
-    y_num, den = _times(adj.T, c[basis].tolist())
-    den *= d
-    if not _prices_out(a, c, y_num, den):
-        return None
-    return ([Fraction(v, d * den_x) for v in x_num],
-            [Fraction(v * s.denominator, den * s.numerator) for v, s in zip(y_num, a.scale)])
+    adj, d = (None, 0) if basis is None else _adjugate(m_b[:, basis])
+    strategy = EXACT_PIVOTS if adj is None else CERTIFIED
+    while True:
+        if adj is None:
+            basis, adj, d = list(range(m)), np.eye(m, dtype=object), 1
+        x_num, den_x = _times(adj, [1 / Fraction(s) for s in a.scale])
+        # y' = Y / den, so den (Mᵀy')_j is an integer sum along column j.
+        y_num, den = _times(adj.T, c[basis].tolist())
+        den *= d
+        sums = _column_sums(a, nv, y_num)
+        negative = c * den < sums
+        low = [r for r, v in enumerate(x_num) if v < 0]
+        if not low and not negative.any():
+            y = [Fraction(v * s.denominator, den * s.numerator) for v, s in zip(y_num, a.scale)]
+            return strategy, OPTIMAL, basis, [Fraction(v, d * den_x) for v in x_num], y
+        strategy, adj = EXACT_PIVOTS, adj.astype(object)
+        if low and negative.any():
+            adj = None
+            continue
+        if low:
+            # Dual pivot: the lowest basic index with a negative level
+            # leaves; the least d_j / -(B⁻¹A)_rj enters, the first of equals.
+            r = min(low, key=basis.__getitem__)
+            t = _column_sums(a, nv, adj[r].tolist())
+            ratio = {j: Fraction(c[j] * den - int(sums[j]), -int(t[j]))
+                     for j in np.flatnonzero(t < 0).tolist()}
+            enter = min(ratio, key=ratio.__getitem__)
+        else:
+            # Primal pivot: the first column with d_j < 0 enters; the least
+            # x_r / (B⁻¹A)_rj leaves, the lowest basic index of equals.
+            enter = int(negative.argmax())
+        q = adj[:, a.rows[a.cols == enter]].sum(axis=1)
+        if not low:
+            rows = [i for i in range(m) if q[i] > 0]
+            if not rows:
+                return strategy, UNBOUNDED, basis, None, None
+            r = min(rows, key=lambda i: (Fraction(x_num[i], q[i]), basis[i]))
+        # Exact for the true adjugate (Sylvester); not for a fraction of it.
+        p, num = q[r], q[r] * adj - np.outer(q, adj[r])
+        num[r] = d * adj[r]
+        if (num % d).any():
+            adj = None
+            continue
+        adj, d, basis[r] = num // d * (1 if p > 0 else -1), abs(p), enter
+        stats.bland_at = stats.pivots if stats.bland_at is None else stats.bland_at
+        stats.pivots += 1
+        stats.degenerate += ratio[enter] == 0 if low else x_num[r] == 0
 
 
 def _times(adj, v) -> tuple:
@@ -296,21 +297,17 @@ def _int64_safe(top: int, v) -> bool:
     return len(v) * max(map(abs, v), default=0) * top < 2**62
 
 
-def _prices_out(a, c, y, den) -> bool:
-    """Whether every reduced cost c_j - (Mᵀy)_j / den is >= 0, for integers y.
-
-    The column sums (Mᵀy)_j come from one reduceat over the nonzeros, in
-    int64 when no sum can reach 2^62, on Python objects otherwise;
-    den c_j >= (Mᵀy)_j is then tested in the exact arithmetic of c.
-    """
-    nv, dtype = len(c), np.int64 if _int64_safe(1, y) else object
+def _column_sums(a, nv, y) -> np.ndarray:
+    """(Mᵀy)_j for integers y, j < nv: one reduceat over the nonzeros, in
+    int64 when no sum can reach 2^62, on Python objects otherwise."""
+    dtype = np.int64 if _int64_safe(1, y) else object
     products = np.array(y, dtype=dtype)[a.rows]
     sums = np.zeros(nv, dtype=dtype)
     if len(a.cols):
         # The nonzeros of a column are one run of equal indices in a.cols.
         starts = np.concatenate(([0], (a.cols[1:] != a.cols[:-1]).nonzero()[0] + 1))
         sums[a.cols[starts]] = np.add.reduceat(products, starts)
-    return not (c * den < sums).any()
+    return sums
 
 
 def _adjugate(m_b) -> tuple:

@@ -166,14 +166,20 @@ def tail_mass(p: AmplitudeProfile, d: int):
     return _sum(p, (p.weights[i] for i in all_vectors(p.n) if hamming_weight(i) > d))
 
 
+def powered_profile(index, n=4, seed=2):
+    """Profile `index` of a seeded set with tiny weights (ROADMAP item 2):
+    integer weights 1..1000, and in every other profile each weight raised
+    to a power of 1 to 4 of its own.  The n=5 set is seeded with 5."""
+    rng = random.Random(seed)
+    for k in range(index + 1):
+        nums = [rng.randint(1, 1000) for _ in range(1 << n)]
+        if k % 2:
+            nums = [v ** rng.randint(1, 4) for v in nums]
+    return AmplitudeProfile.from_weights(n, [Fraction(v, sum(nums)) for v in nums])
+
+
 def without_float_stage(monkeypatch):
-    """Exact solves skip the float stage, so the revised loop runs on
-    Fractions from the solve's start, as the exact fallback does."""
-    real = simplex._revised
-
-    def exact_only(a, c, *rest):
-        if c.dtype == object:
-            return real(a, c, *rest)
-        return simplex.ITERATION_LIMIT, None, None, None
-
-    monkeypatch.setattr(simplex, "_revised", exact_only)
+    """The float stage ends "iteration-limit" at once, so an exact solve's
+    integer loop starts from the unit columns."""
+    monkeypatch.setattr(simplex, "_revised",
+                        lambda a, c, stats: (simplex.ITERATION_LIMIT, None, None, None))

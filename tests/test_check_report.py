@@ -11,7 +11,7 @@ from itertools import product
 import pytest
 
 import check_report
-from conftest import ball_profile, rand_rational_profile
+from conftest import ball_profile, powered_profile, rand_rational_profile
 from paritylp.cli import main
 from paritylp.f2lin import coset_table
 from paritylp.profiles import AmplitudeProfile
@@ -67,6 +67,19 @@ def test_accepts_seeded_solves(tmp_path, capsys, name, cost):
     report, profile = solve_report(tmp_path, capsys, p, cost_args(cost, p.n))
     assert report["primal"]["mode"] == "exact"
     assert check_report.check(report, profile) == []
+
+
+def test_accepts_a_repaired_solve(tmp_path, capsys):
+    """A weight below 1e-10 fails the float basis's exact check, and the
+    integer loop repairs it: the report is still a proof, which the
+    checker's command accepts."""
+    report, profile = solve_report(tmp_path, capsys, powered_profile(1))
+    assert (report["primal"]["strategy"], report["gap"]) == ("exact-pivots", 0)
+    paths = [tmp_path / "report.json", tmp_path / "profile.json"]
+    for path, data in zip(paths, (report, profile)):
+        path.write_text(json.dumps(data))
+    assert check_report.main([str(path) for path in paths]) == 0
+    assert capsys.readouterr().out == ""
 
 
 def test_any_feasible_b_bounds_every_profile(tmp_path, capsys):

@@ -251,10 +251,8 @@ def cmd_solve(args) -> tuple[dict, str]:
     primal, dual, p_report = lp.solve_pair(profile, cost, args.mode)
     gap = abs(p_report.objective - dual.objective)
     tol = 0 if p_report.mode == lp.EXACT else args.tol_feas
-    # A binary64 gap may also be one part in 10^12 of rho, as in rho_matches_lp,
-    # unless --tol-feas 0 allows no gap at all.
-    gap_tol = tol and max(tol, 1e-12 * abs(p_report.objective))
-    audits = {"strong_duality_gap": gap <= gap_tol}
+    # A binary64 gap may also be 1e-12 |rho|, as in rho_matches_lp; --tol-feas 0 allows none.
+    audits = {"strong_duality_gap": gap <= (tol and max(tol, 1e-12 * abs(p_report.objective)))}
     if p_report.mode == lp.FLOAT:
         # A certified solve is feasible; a binary64 one is audited row by row.
         audits["primal_feasible"] = lp.check_primal_feasible(primal, profile, tol=tol).feasible

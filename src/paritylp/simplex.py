@@ -28,10 +28,10 @@ c itself.
 Float data is solved by that loop alone.  On exact data it proposes a basis B
 and M_B⁻¹ = adj / d, accepted if M_B adj = d I, x_B >= 0 and every reduced
 cost is >= 0, all read on integers (Applegate, Cook, Dash & Espinoza, Oper.
-Res. Lett. 2007).  Otherwise an integer loop repairs B by Bland's rule, which
-cannot cycle: dual pivots while only levels are negative, primal ones while
-only reduced costs are, each updating adj and d fraction-free (Bareiss, Math.
-Comp. 1968).  Both negative, or no adj, restarts it at adj = I on the unit columns.
+Res. Lett. 2007).  Otherwise an integer loop repairs B: dual pivots by Bland's
+rule while only levels are negative, primal ones by the float stage's rule
+while only reduced costs are, each updating adj and d fraction-free (Bareiss,
+Math. Comp. 1968).  Both negative, or no adj, restarts it at adj = I on the unit columns.
 """
 
 from __future__ import annotations
@@ -234,7 +234,7 @@ def _exact(a, c, basis, stats) -> tuple:
     m_b = np.zeros((m, nv), dtype=np.int64)
     m_b[a.rows, a.cols] = 1
     adj, d = (None, 0) if basis is None else _adjugate(m_b[:, basis])
-    strategy = EXACT_PIVOTS if adj is None else CERTIFIED
+    strategy, stall, bland = EXACT_PIVOTS if adj is None else CERTIFIED, 0, False
     while True:
         if adj is None:
             basis, adj, d = list(range(m)), np.eye(m, dtype=object), 1
@@ -248,9 +248,8 @@ def _exact(a, c, basis, stats) -> tuple:
         if not low and not negative.any():
             y = [Fraction(v * s.denominator, den * s.numerator) for v, s in zip(y_num, a.scale)]
             return strategy, OPTIMAL, basis, [Fraction(v, d * den_x) for v in x_num], y
-        strategy, adj = EXACT_PIVOTS, adj.astype(object)
-        if low and negative.any():
-            adj = None
+        strategy, adj = EXACT_PIVOTS, None if low and negative.any() else adj.astype(object)
+        if adj is None:
             continue
         if low:
             # Dual pivot: the lowest basic index with a negative level
@@ -261,9 +260,10 @@ def _exact(a, c, basis, stats) -> tuple:
                      for j in np.flatnonzero(t < 0).tolist()}
             enter = min(ratio, key=ratio.__getitem__)
         else:
-            # Primal pivot: the first column with d_j < 0 enters; the least
-            # x_r / (B⁻¹A)_rj leaves, the lowest basic index of equals.
-            enter = int(negative.argmax())
+            # Primal pivot: the float stage's rule enters, the least x_r / (B⁻¹A)_rj leaves.
+            j = np.flatnonzero(negative)
+            score = ((c[j] * den - sums[j]) / den).astype(float) / column_norms(a, nv)[j]
+            enter = int(j[0 if bland else score.argmin()])
         q = adj[:, a.rows[a.cols == enter]].sum(axis=1)
         if not low:
             rows = [i for i in range(m) if q[i] > 0]
@@ -277,9 +277,11 @@ def _exact(a, c, basis, stats) -> tuple:
             adj = None
             continue
         adj, d, basis[r] = num // d * (1 if p > 0 else -1), abs(p), enter
-        stats.bland_at = stats.pivots if stats.bland_at is None else stats.bland_at
         stats.pivots += 1
-        stats.degenerate += ratio[enter] == 0 if low else x_num[r] == 0
+        stall = stall + 1 if (ratio[enter] == 0 if low else x_num[r] == 0) else 0
+        stats.degenerate += stall > 0
+        if stall > STALL_LIMIT and not (low or bland):
+            bland, stats.bland_at = True, stats.bland_at or stats.pivots
 
 
 def _times(adj, v) -> tuple:

@@ -598,21 +598,23 @@ class TestSolverEdgeCases:
         assert (report.strategy, report.objective, report.pivots) == ("exact-pivots", optimum, 1)
 
     @pytest.mark.parametrize("cost3, status, objective", [
-        (-1, "unbounded", None), (0, "optimal", Fraction(-1, 2))], ids=["restart", "dual"])
+        (Fraction(-1, 4), "unbounded", None), (0, "optimal", Fraction(-1, 2))],
+        ids=["restart", "dual"])
     def test_float_basis_repaired_or_restarted(self, monkeypatch, cost3, status, objective):
         # rows scaled by 2 and 1, so w = (1/2, 1); columns {0}, {1}, {0, 1}
         # and an empty column 3.  The proposed basis {0, 1} on row 0 and {0}
-        # on row 1 puts mu_0 at w_0 - w_1 = -1/2.  With c_3 = -1 column 3's
+        # on row 1 puts mu_0 at w_0 - w_1 = -1/2.  With c_3 = -1/4 column 3's
         # reduced cost is negative too: the loop restarts from the unit
-        # columns, {0, 1} enters, then column 3, on no row, is unbounded.
-        # With c_3 = 0 one dual pivot brings in {1}
+        # columns, {0, 1} enters (its score -1/√5 is below -1/4), then
+        # column 3, on no row, is unbounded.  With c_3 = 0 one dual pivot
+        # brings in {1}
         a = simplex.Columns(np.array([0, 1, 0, 1]), np.array([0, 1, 2, 2]), [2, 1])
         c = np.array([Fraction(v) for v in (0, 0, -1, cost3)], dtype=object)
         monkeypatch.setattr(simplex, "_revised",
                             lambda a, c, stats: (simplex.OPTIMAL, [2, 0], None, None))
         result = simplex.simplex_min(a, c)
         assert (result.status, result.objective, result.strategy) == (status, objective, "exact-pivots")
-        assert result.stats == simplex.SolveStats(1, bland_at=0)
+        assert result.stats == simplex.SolveStats(1)
 
     def test_unbounded_hand_model(self):
         # column 0 is the start, column 1 is in no row and lowers the cost
@@ -792,7 +794,7 @@ def dense_solve(model, mode="exact", float_stage=True, seeds=None):
     over every row and column.  Every pivot rewrites the whole tableau.
     `seeds`, if given, replaces the slack seeds as the starting basis.
     Without the float stage, or when the certificate fails, an exact solve
-    pivots on Fractions from that start under Bland's rule, the path the
+    pivots on Fractions from that start by the same rule, the path the
     integer loop takes from the unit columns.
     """
     exact, rows, b, c, slack_seeds, flips, sense = standard_form(model, mode)
@@ -868,7 +870,7 @@ def _dense_two_phase(a_rows, b, c, unit_cols, art_rows, exact, stats):
     norms = [math.sqrt(sum(float(row[j]) * float(row[j]) for row in a_rows)) or 1.0
              for j in range(nv)] + [1.0] * len(art_rows)
     if art_rows:
-        status = _tableau_iterate(t, basis, m + 1, total, tol, limit, norms, stats, exact)
+        status = _tableau_iterate(t, basis, m + 1, total, tol, limit, norms, stats)
         if status != "optimal":
             return status, basis, t
         if -t[m + 1, -1] > tol:
@@ -879,7 +881,7 @@ def _dense_two_phase(a_rows, b, c, unit_cols, art_rows, exact, stats):
                 if usable.size:
                     _tableau_pivot(t, basis, i, int(usable[0]))
                     stats.pivots += 1
-    return _tableau_iterate(t, basis, m, nv, tol, limit, norms, stats, exact), basis, t
+    return _tableau_iterate(t, basis, m, nv, tol, limit, norms, stats), basis, t
 
 
 def _tableau_pivot(t, basis, r, j) -> None:
@@ -893,20 +895,20 @@ def _tableau_pivot(t, basis, r, j) -> None:
     basis[r] = j
 
 
-def _tableau_iterate(t, basis, obj, allowed, tol, limit, norms, stats, bland) -> str:
+def _tableau_iterate(t, basis, obj, allowed, tol, limit, norms, stats) -> str:
     """Pivot on objective row `obj` over columns [0, allowed) until optimal,
     counting each pivot, and each degenerate one, into `stats`.
 
     Of the columns whose reduced cost is below -tol, the one with the least
-    float(cost) / norm enters, the first of equal scores; from the start if
-    `bland`, else after more than STALL_LIMIT degenerate pivots in a row, the
-    first of them enters (Bland's rule).  The pivot limit guards the float
-    tableau against cycling by rounding; the exact tableau has none, since
-    Bland's rule cannot cycle.
+    float(cost) / norm enters, the first of equal scores; after more than
+    STALL_LIMIT degenerate pivots in a row the first of them enters (Bland's
+    rule).  The pivot limit guards the float tableau against cycling by
+    rounding; the exact tableau has none, since Bland's rule cannot cycle.
     """
     m = len(basis)
     basis_arr = np.array(basis)
     stall = 0
+    bland = False
     while allowed:
         costs = t[obj, :allowed]
         eligible = [j for j in range(allowed) if costs[j] < -tol]
@@ -928,8 +930,6 @@ def _tableau_iterate(t, basis, obj, allowed, tol, limit, norms, stats, bland) ->
         ties = rows[ratios <= best + tol]
         leave = int(ties[np.argmin(basis_arr[ties])])
         stats.degenerate += bool(best <= tol)
-        if bland and stats.bland_at is None:
-            stats.bland_at = stats.pivots
         _tableau_pivot(t, basis, leave, enter)
         basis_arr[leave] = enter
         stats.pivots += 1
@@ -1095,8 +1095,8 @@ class TestColumnFormMatchesDenseRows:
     """The revised loop on columns against the dense-row tableau it replaced,
     on profiles; the tableau alone, against HiGHS, on general programs.
 
-    From the unit columns, the integer loop and the Fraction tableau both
-    pivot by Bland's rule and follow the same path, bit for bit.  In
+    In exact arithmetic the two follow the same pivot path, so the integer
+    loop from the unit columns matches the Fraction tableau bit for bit.  In
     binary64 they round differently, and on a degenerate program a solve
     may end on another optimal vertex; there `assert_same_optimum` holds.
     """
@@ -1190,14 +1190,11 @@ class TestSolveStats:
     @pytest.mark.parametrize("mode", ["exact", "float", "exact-loop"])
     def test_beale_counts_pinned(self, mode):
         # the slacks start feasible; normalized pricing reaches the optimum in 5 pivots, 4 of them degenerate, where
-        # the steepest-coefficient rule cycled until Bland's rule took over.
-        # Bland's rule from the start, the integer loop's, takes 6
+        # the steepest-coefficient rule cycled until Bland's rule took over
         report = dense_solve(beale_model(), mode.removesuffix("-loop"),
                              float_stage=mode != "exact-loop")
-        want = (simplex.SolveStats(6, degenerate=4, bland_at=0) if mode == "exact-loop"
-                else simplex.SolveStats(5, degenerate=4))
-        assert report.stats == want
-        assert report.pivots == want.pivots
+        assert report.stats == simplex.SolveStats(5, degenerate=4)
+        assert report.pivots == 5
         assert float(report.objective) == pytest.approx(-1 / 20)
 
     @pytest.mark.parametrize("mode", ["exact", "float", "exact-loop"])
@@ -1205,8 +1202,7 @@ class TestSolveStats:
         # no input of the suite cycles under normalized pricing, so the limit
         # is lowered to 0: the 9th pivot, the first degenerate one, hands over
         # to Bland's rule, which takes 14 pivots where the rule alone takes 11,
-        # to the same optimum; the dense tableau follows the same path.  The
-        # integer loop pivots by Bland's rule from the start, in 29 pivots
+        # to the same optimum; the dense tableau follows the same path
         p, cost = rand_rational_profile(3, random.Random("bland/3/0")), CostFunction.average(3)
         unlowered = solve_pair(p, cost)[2]
         assert unlowered.stats == simplex.SolveStats(11, degenerate=1)
@@ -1216,9 +1212,7 @@ class TestSolveStats:
         report = solve_pair(p, cost, mode.removesuffix("-loop"))[2]
         oracle = dense_pair(p, cost, mode.removesuffix("-loop"),
                             float_stage=mode != "exact-loop")[0]
-        assert report.stats == oracle.stats == (
-            simplex.SolveStats(29, degenerate=1, bland_at=0) if mode == "exact-loop"
-            else simplex.SolveStats(14, degenerate=2, bland_at=9))
+        assert report.stats == oracle.stats == simplex.SolveStats(14, degenerate=2, bland_at=9)
         assert report.objective == oracle.objective
         assert float(report.objective) == pytest.approx(float(unlowered.objective), abs=1e-12)
 
@@ -1263,9 +1257,9 @@ class TestSolveStats:
 def _start_cases():
     """The oracle's rational, ball-supported and binary64 profiles, and n = 0."""
     for name, p in [("r0", profile(0, ["1"])), *_oracle_profiles()]:
-        # the integer loop from the unit columns runs on rational data, by
-        # Bland's rule: full4 takes 219 pivots in 0.05 s, full5 4,661 in 3.4 s
-        loop = ["exact-loop"] if p.rational and p.n <= 4 else []
+        # the integer loop from the unit columns runs on rational data:
+        # full4 takes 20 pivots in 0.01 s, full5 84 in 0.11 s
+        loop = ["exact-loop"] if p.rational else []
         for mode in ["exact", "float"] + loop:
             yield pytest.param(p, mode, id=f"{name}-{mode}")
 
@@ -1294,7 +1288,7 @@ class TestNoInformationStart:
                                 lambda *args, stage=stage, real=real: runs.append(stage) or real(*args))
         report = solve(model, mode.removesuffix("-loop"))
         assert report.status == "optimal"
-        assert runs == ["_revised", "_exact"] if report.mode == "exact" else ["_revised"]
+        assert runs == (["_revised", "_exact"] if report.mode == "exact" else ["_revised"])
         if report.mode == "exact":
             assert report.strategy == ("exact-pivots" if mode == "exact-loop" else "certified")
 
@@ -1344,17 +1338,18 @@ class TestNoInformationStart:
         assert solve(model).objective == report.objective
 
     @pytest.mark.parametrize("n, index, seed, pivots", [
-        (4, 7, 2, (15, 6)), (5, 13, 5, (33, 15))], ids=["n4", "n5"])
+        (4, 59, 2, (15, 9)), (5, 13, 5, (33, 15))], ids=["n4", "n5"])
     def test_tiny_weight_repair_pivots(self, n, index, seed, pivots):
-        # the most dual pivots a repair took on the seeded sets: 9 of the 200
-        # n=4 profiles, and 15 of the 60 n=5 ones
+        # the longest repairs under the average cost on the seeded sets: 9
+        # dual pivots on one of the 200 n=4 profiles, 15 on one of the 60 n=5 ones
         p = powered_profile(index, n, seed)
         cost = CostFunction.average(n)
         model = build_primal(p, cost)
         fast, report = solve(model, "float"), solve(model)
         assert report.strategy == "exact-pivots"
         assert (fast.pivots, report.pivots - fast.pivots) == pivots
-        assert report.stats.bland_at == fast.pivots
+        # dual pivots follow Bland's rule from the first, with no stall to hand over
+        assert report.stats.bland_at is None
         assert abs(report.objective - scipy_optimum(model)) <= 1e-9
         primal, dual, _ = solve_pair(p, cost)
         slack = complementary_slackness(primal, dual, p, cost)
@@ -1365,7 +1360,7 @@ class TestNoInformationStart:
         # but the fraction-free update divides exactly only for the true
         # adjugate.  With every common factor divided out, the first update
         # of this repair leaves a remainder, and the loop restarts from the
-        # unit columns: 78 primal pivots where 4 dual ones repair the basis
+        # unit columns: 17 primal pivots where 4 dual ones repair the basis
         model = build_primal(powered_profile(127), CostFunction.average(4))
         fast, want = solve(model, "float"), solve(model)
         real = simplex._adjugate
@@ -1378,7 +1373,7 @@ class TestNoInformationStart:
         monkeypatch.setattr(simplex, "_adjugate", reduced)
         got = solve(model)
         assert (want.strategy, want.pivots - fast.pivots) == ("exact-pivots", 4)
-        assert (got.strategy, got.pivots - fast.pivots) == ("exact-pivots", 78)
+        assert (got.strategy, got.pivots - fast.pivots) == ("exact-pivots", 17)
         assert got.objective == want.objective
 
 

@@ -441,16 +441,13 @@ def _short_cosets(b: tuple, cost: CostFunction, tol):
     ints otherwise; the slack itself is summed in the arithmetic of b, as
     `coset_slacks` sums it, for the short cosets alone.
     """
-    exact = [_exact(v) for v in b]
+    nums, den = simplex._over_one_denominator([_exact(v) for v in b])
     tol = _exact(tol)
-    den = math.lcm(*(v.denominator for v in exact))
-    nums = [v.numerator * (den // v.denominator) for v in exact]
     limits = [math.ceil((_rank_value(cost, k) - tol) * den) for k in range(len(cost.values))]
-    n = len(b).bit_length() - 1
-    small = max(map(abs, nums)) << n < 2**62 and max(map(abs, limits)) < 2**62
-    nums = np.array(nums, dtype=np.int64 if small else object)
-    limits = np.array(limits, dtype=nums.dtype)
-    table = coset_table(n)
+    # A coset sums at most len(b) numerators.
+    dtype = np.int64 if simplex._int64_safe(1, nums) and simplex._int64_safe(1, limits) else object
+    nums, limits = np.array(nums, dtype=dtype), np.array(limits, dtype=dtype)
+    table = coset_table(len(b).bit_length() - 1)
     sums = np.add.reduceat(nums[table.entries], table.starts)
     for j in np.flatnonzero(sums < limits[table.ranks]).tolist():
         (code, s), start = table.keys[j], table.starts[j]

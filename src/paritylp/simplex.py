@@ -19,23 +19,23 @@ STALL_LIMIT consecutive degenerate pivots the lowest eligible index enters
 instead (Bland's rule, which cannot cycle); the leaving row is the minimum
 ratio, ties going to the lowest basis index.
 
-Both stages price c / 2^s, with s = `_cost_shift(c)` the power of two that
-puts max|c| in [128, 256).  The float stage's tolerance is absolute, so on
-that one scale it reads costs of any size alike, and its sums cannot
-overflow; the multipliers are scaled back, and the objective is summed from
-c itself.
+The float stage prices c / 2^s, s = `_cost_shift(c)`: its absolute tolerance
+reads costs of any size alike on that one scale, and its sums cannot
+overflow.  Its multipliers are scaled back; the objective is summed from c.
 
 Float data is solved by that loop alone.  On exact data it proposes a basis B
 and M_B⁻¹ = adj / d, accepted if M_B adj = d I, x_B >= 0 and every reduced
 cost is >= 0, all read on integers (Applegate, Cook, Dash & Espinoza, Oper.
-Res. Lett. 2007).  Otherwise an integer loop repairs B: dual pivots by Bland's
-rule while only levels are negative, primal ones by the float stage's rule
-while only reduced costs are, each updating adj and d fraction-free (Bareiss,
-Math. Comp. 1968).  Both negative, or no adj, restarts it at adj = I on the unit columns.
+Res. Lett. 2007), d = |det M_B| rounded, c as integers over one denominator.
+Otherwise an integer loop repairs B: dual pivots by Bland's rule while only
+levels are negative, primal ones by the float stage's rule while only reduced
+costs are, each updating adj and d fraction-free (Bareiss, Math. Comp. 1968).
+Both negative, or no adj, restarts it at adj = I on the unit columns.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -60,6 +60,9 @@ STALL_LIMIT = 30
 
 # Float pivots between fresh inversions of B⁻¹, which clear its rank-1 updates' rounding.
 REINVERT_EVERY = 50
+
+# Orders the integer loop's ratio candidates (key, num, den), den > 0, by num / den on integers.
+_BY_RATIO = functools.cmp_to_key(lambda u, v: u[1] * v[2] - v[1] * u[2])
 
 
 @dataclass(frozen=True)
@@ -121,14 +124,11 @@ def simplex_min(a: Columns, c) -> StandardResult:
     status, basis, levels, y = _revised(a, np.ldexp(c_float, -shift), stats)
     strategy = FLOAT
     if exact:
-        # An int times 2^-shift stays an int, and is priced out as one.
-        c_scaled = c * (1 << -shift) if shift <= 0 else c * Fraction(1, 1 << shift)
-        strategy, status, basis, levels, y = _exact(a, c_scaled, basis, stats)
+        c_num, c_den = _over_one_denominator(c.tolist())
+        strategy, status, basis, levels, y = _exact(a, c_num, c_den, shift, basis, stats)
     if status != OPTIMAL:
         return StandardResult(status, None, None, strategy=strategy, stats=stats)
-
-    power = Fraction(2) ** shift
-    y = [v * power for v in y] if exact else [math.ldexp(v, shift) for v in y]
+    y = y if exact else [math.ldexp(v, shift) for v in y]
     x = dict(sorted(zip(basis, levels)))
     zero = (Fraction(0) if exact else float(c[0]) * 0) if nv else 0
     objective = sum((cj * v for cj, v in zip(c[list(x)].tolist(), x.values()) if v), zero)
@@ -224,30 +224,40 @@ def _revised(a, c, stats) -> tuple:
 
 # -- integer loop ------------------------------------------------------------
 
-def _exact(a, c, basis, stats) -> tuple:
+def _exact(a, c_num, c_den, shift, basis, stats) -> tuple:
     """(strategy, status, basis, levels x_B, multipliers y), solved exactly
-    from `basis` or, if None, the unit columns.  M_B⁻¹ = adj / d, M_B adj = d I
-    on integers, d > 0.  With w = 1 / scale, x_B = adj w / d, y = y' / scale and
-    y' = adjᵀ c_B / d; the reduced costs c_j - (Mᵀy')_j and row r of B⁻¹A,
-    adj_r M / d, do not depend on the scale."""
-    m, nv = len(a.scale), len(c)
-    m_b = np.zeros((m, nv), dtype=np.int64)
-    m_b[a.rows, a.cols] = 1
-    adj, d = (None, 0) if basis is None else _adjugate(m_b[:, basis])
+    from `basis` or, if None, the unit columns, for the costs c = c_num / c_den.
+    M_B⁻¹ = adj / d, M_B adj = d I on integers, d > 0.  With w = 1 / scale,
+    x_B = adj w / d, y = y' / scale and y' = adjᵀ c_B / d; the reduced costs
+    c_j - (Mᵀy')_j and row r of B⁻¹A, adj_r M / d, do not depend on the scale."""
+    m, nv = len(a.scale), len(c_num)
+    c_top = max(map(abs, c_num), default=0)
+    costs = np.array(c_num, dtype=np.int64 if _int64_safe(1, [c_top]) else object)
+    w_num, w_den = _over_one_denominator([1 / Fraction(s) for s in a.scale])
+    adj, d, norms = None, 0, None
+    if basis is not None:
+        # M_B from the basic columns' nonzeros, each column one run of a.cols.
+        lo, hi = (np.searchsorted(a.cols, basis, side).tolist() for side in ("left", "right"))
+        m_b = np.zeros((m, m), dtype=np.int64)
+        for k, (i, j) in enumerate(zip(lo, hi)):
+            m_b[a.rows[i:j], k] = 1
+        adj, d = _adjugate(m_b)
     strategy, stall, bland = EXACT_PIVOTS if adj is None else CERTIFIED, 0, False
     while True:
         if adj is None:
             basis, adj, d = list(range(m)), np.eye(m, dtype=object), 1
-        x_num, den_x = _times(adj, [1 / Fraction(s) for s in a.scale])
-        # y' = Y / den, so den (Mᵀy')_j is an integer sum along column j.
-        y_num, den = _times(adj.T, c[basis].tolist())
-        den *= d
-        sums = _column_sums(a, nv, y_num)
-        negative = c * den < sums
+        x_num = _times(adj, w_num)
+        # y' = Y / (c_den d), so c_den d (Mᵀy')_j is an integer sum along column
+        # j, and c_den d times the reduced cost of column j is c_num_j d minus it.
+        y_num = _times(adj.T, [c_num[j] for j in basis])
+        reduced = ((costs if _int64_safe(d, [c_top]) else costs.astype(object)) * d
+                   - _column_sums(a, nv, y_num))
+        negative = reduced < 0
         low = [r for r, v in enumerate(x_num) if v < 0]
         if not low and not negative.any():
-            y = [Fraction(v * s.denominator, den * s.numerator) for v, s in zip(y_num, a.scale)]
-            return strategy, OPTIMAL, basis, [Fraction(v, d * den_x) for v in x_num], y
+            y = [Fraction(v * s.denominator, c_den * d * s.numerator)
+                 for v, s in zip(y_num, a.scale)]
+            return strategy, OPTIMAL, basis, [Fraction(v, d * w_den) for v in x_num], y
         strategy, adj = EXACT_PIVOTS, None if low and negative.any() else adj.astype(object)
         if adj is None:
             continue
@@ -256,20 +266,22 @@ def _exact(a, c, basis, stats) -> tuple:
             # leaves; the least d_j / -(B⁻¹A)_rj enters, the first of equals.
             r = min(low, key=basis.__getitem__)
             t = _column_sums(a, nv, adj[r].tolist())
-            ratio = {j: Fraction(c[j] * den - int(sums[j]), -int(t[j]))
-                     for j in np.flatnonzero(t < 0).tolist()}
-            enter = min(ratio, key=ratio.__getitem__)
+            enter = min(((j, int(reduced[j]), -int(t[j])) for j in np.flatnonzero(t < 0).tolist()),
+                        key=_BY_RATIO)[0]
         else:
-            # Primal pivot: the float stage's rule enters, the least x_r / (B⁻¹A)_rj leaves.
+            # Primal pivot: the float stage's rule enters, scored on d_j of c / 2^shift (a
+            # quotient of Python ints is correctly rounded); the least x_r / (B⁻¹A)_rj leaves.
             j = np.flatnonzero(negative)
-            score = ((c[j] * den - sums[j]) / den).astype(float) / column_norms(a, nv)[j]
+            norms = column_norms(a, nv) if norms is None else norms
+            den = c_den * d << max(shift, 0)
+            score = np.array([(v << max(-shift, 0)) / den for v in reduced[j].tolist()]) / norms[j]
             enter = int(j[0 if bland else score.argmin()])
         q = adj[:, a.rows[a.cols == enter]].sum(axis=1)
         if not low:
-            rows = [i for i in range(m) if q[i] > 0]
+            rows = sorted((i for i in range(m) if q[i] > 0), key=basis.__getitem__)
             if not rows:
                 return strategy, UNBOUNDED, basis, None, None
-            r = min(rows, key=lambda i: (Fraction(x_num[i], q[i]), basis[i]))
+            r = min(((i, x_num[i], int(q[i])) for i in rows), key=_BY_RATIO)[0]
         # Exact for the true adjugate (Sylvester); not for a fraction of it.
         p, num = q[r], q[r] * adj - np.outer(q, adj[r])
         num[r] = d * adj[r]
@@ -278,19 +290,24 @@ def _exact(a, c, basis, stats) -> tuple:
             continue
         adj, d, basis[r] = num // d * (1 if p > 0 else -1), abs(p), enter
         stats.pivots += 1
-        stall = stall + 1 if (ratio[enter] == 0 if low else x_num[r] == 0) else 0
+        stall = stall + 1 if (reduced[enter] if low else x_num[r]) == 0 else 0
         stats.degenerate += stall > 0
         if stall > STALL_LIMIT and not (low or bland):
             bland, stats.bland_at = True, stats.bland_at or stats.pivots
 
 
-def _times(adj, v) -> tuple:
-    """adj v for rationals v, as a list of integer numerators over the common
-    denominator of v, computed in int64 when that cannot overflow."""
-    den = math.lcm(*(q.denominator for q in v))
-    nums = [q.numerator * (den // q.denominator) for q in v]
-    dtype = np.int64 if _int64_safe(int(np.abs(adj).max(initial=0)), nums) else object
-    return (adj.astype(dtype) @ np.array(nums, dtype=dtype)).tolist(), den
+def _over_one_denominator(v) -> tuple:
+    """Rationals v as (integer numerators, their least common denominator)."""
+    den = math.lcm(*{q.denominator for q in v})
+    if den == 1:
+        return [q.numerator for q in v], den
+    return [q.numerator * (den // q.denominator) for q in v], den
+
+
+def _times(adj, v) -> list:
+    """adj v for integers v, computed in int64 when that cannot overflow."""
+    dtype = np.int64 if _int64_safe(int(np.abs(adj).max(initial=0)), v) else object
+    return (adj.astype(dtype) @ np.array(v, dtype=dtype)).tolist()
 
 
 def _int64_safe(top: int, v) -> bool:
@@ -313,39 +330,20 @@ def _column_sums(a, nv, y) -> np.ndarray:
 
 
 def _adjugate(m_b) -> tuple:
-    """(adj, d) with m_b adj = d I for the 0/1 matrix m_b, adj int64 and
-    d > 0, or (None, 0).
-
-    Binary64 proposes d and adj, d times the inverse, rounded; they count
-    only if the identity holds on integers, checked in int64 under a bound
-    that rules out overflow.
-    """
+    """(adj, d) with m_b adj = d I for the 0/1 matrix m_b, adj int64 and d > 0,
+    or (None, 0).  Binary64 proposes d = |det m_b| and adj = d m_b⁻¹, rounded;
+    they count only if the identity holds on integers, checked in int64."""
     f = m_b.astype(float)
     try:
         inv = np.linalg.inv(f)
     except np.linalg.LinAlgError:
         return None, 0
-    m = len(f)
-    for d in _denominators(f, inv):
-        with np.errstate(all="ignore"):
-            adj = np.rint(d * inv)
-        if 0 < d < 2**62 and m * np.abs(adj).max(initial=1) < 2**62:
-            adj, d = adj.astype(np.int64), int(d)
-            check = m_b @ adj
-            check[range(m), range(m)] -= d
-            if not check.any():
-                return adj, d
-    return None, 0
-
-
-def _denominators(f, inv):
-    """Candidates for d: |det f| rounded, then a common denominator of inv
-    that continued fractions read off its entries, one entry at a time."""
-    yield np.rint(abs(np.linalg.det(f)))
-    d = 1
-    while d < 2**53 and np.isfinite(inv).all():
-        off = np.flatnonzero(np.abs(d * inv - np.rint(d * inv)) > 1e-6)
-        if not off.size:
-            yield d
-            return
-        d *= Fraction(d * inv.flat[off[0]]).limit_denominator(2**24).denominator
+    d = np.rint(abs(np.linalg.det(f)))
+    with np.errstate(all="ignore"):
+        adj = np.rint(d * inv)
+    # m_b adj sums len(m_b) products of a 0/1 entry and an entry of adj.
+    top = np.abs(adj).max(initial=d)
+    if not (d > 0 and np.isfinite(top) and _int64_safe(int(top), [1] * len(f))):
+        return None, 0
+    adj, d = adj.astype(np.int64), int(d)
+    return (adj, d) if (m_b @ adj == d * np.eye(len(f), dtype=np.int64)).all() else (None, 0)

@@ -1308,15 +1308,22 @@ class TestNoInformationStart:
             simplex.simplex_min(reordered, c)
 
     def test_failed_integer_check_takes_the_exact_loop(self, monkeypatch):
-        # with no candidate d, binary64 proposes no inverse: _adjugate gives
-        # None, and the integer loop from the unit columns reaches the
-        # certified optimum
+        # _adjugate proposes d = |det M_B| rounded and nothing else: a
+        # singular M_B gets no adj, a regular one its true adjugate
+        ones, regular = np.ones((2, 2), dtype=np.int64), np.array([[1, 1], [1, 0]])
+        assert simplex._adjugate(ones) == (None, 0)
+        adj, d = simplex._adjugate(regular)
+        assert (adj.tolist(), d) == ([[0, 1], [1, -1]], 1)
+        # when the proposal fails the integer check, _adjugate gives None,
+        # and the integer loop from the unit columns reaches the certified
+        # optimum
         model = build_primal(rand_rational_profile(3, random.Random("adjugate")),
                              CostFunction.average(3))
         fast = solve(model)
-        monkeypatch.setattr(simplex, "_denominators", lambda f, inv: iter(()))
-        assert simplex._adjugate(np.eye(2, dtype=np.int64)) == (None, 0)
+        proposals = []
+        monkeypatch.setattr(simplex, "_adjugate", lambda m_b: proposals.append(m_b) or (None, 0))
         slow = solve(model)
+        assert len(proposals) == 1
         assert (fast.strategy, slow.strategy) == ("certified", "exact-pivots")
         assert same(slow.objective, fast.objective) and same(slow.duals, fast.duals)
 
@@ -1421,6 +1428,68 @@ class TestCostScale:
                 assert got.objective == base.objective * factor
             else:
                 assert math.isclose(got.objective, base.objective * float(factor), rel_tol=1e-12)
+
+
+def _fractional_cost_cases(ns=(3, 4, 5)):
+    """A seeded rational profile for each n, under costs k/3 and under a
+    list of decimals."""
+    decimals = ["0", "0.5", "1.25", "2", "3.5", "4.75"]
+    for n in ns:
+        p = rand_rational_profile(n, random.Random(f"fractional/{n}"))
+        yield pytest.param(p, CostFunction(n, [Fraction(k, 3) for k in range(n + 1)]),
+                           id=f"thirds{n}")
+        yield pytest.param(p, CostFunction(n, [Fraction(v) for v in decimals[:n + 1]]),
+                           id=f"decimals{n}")
+
+
+class TestFractionalCosts:
+    """Costs off the integers: the integer loop reads them as integer
+    numerators over one common denominator."""
+
+    @pytest.mark.parametrize("p, cost", list(_fractional_cost_cases()))
+    def test_certified_optimum_matches_highs(self, p, cost):
+        primal, dual, report = solve_pair(p, cost)
+        assert report.strategy == "certified"
+        assert abs(report.objective - scipy_optimum(build_primal(p, cost))) <= 1e-9
+        slack = complementary_slackness(primal, dual, p, cost)
+        assert slack.certified and slack.primal_objective == slack.dual_objective
+        if cost.values[1] == Fraction(1, 3):
+            # k/3 is the average cost over 3, and so is its optimum, exactly
+            assert report.objective * 3 == solve_pair(p, CostFunction.average(p.n))[2].objective
+
+    @pytest.mark.parametrize("p, cost", list(_fractional_cost_cases((3, 4))))
+    def test_integer_loop_matches_dense_oracle(self, monkeypatch, p, cost):
+        # the Fraction tableau from the unit columns follows the same path
+        # (at n = 5 it takes 15-20 s a cost, so the suite stops at n = 4)
+        without_float_stage(monkeypatch)
+        primal, dual, report = solve_pair(p, cost)
+        want, mu, lam, b = dense_pair(p, cost, "exact", float_stage=False)
+        assert report.strategy == "exact-pivots"
+        assert_same_report(report, want)
+        assert same(primal.mu, mu) and same(dual.b, b)
+
+    @pytest.mark.parametrize("p, cost", list(_fractional_cost_cases()))
+    def test_certificate_compares_no_fractions(self, monkeypatch, p, cost):
+        # every comparison of the certificate is on integers: no
+        # Fraction.__lt__ runs while _exact does
+        inside, seen = [], []
+        real_exact, real_lt = simplex._exact, Fraction.__lt__
+
+        def exact(*args):
+            inside.append(True)
+            try:
+                return real_exact(*args)
+            finally:
+                inside.pop()
+
+        def lt(x, y):
+            seen.extend(inside)
+            return real_lt(x, y)
+
+        monkeypatch.setattr(simplex, "_exact", exact)
+        monkeypatch.setattr(Fraction, "__lt__", lt)
+        report = solve(build_primal(p, cost))
+        assert report.strategy == "certified" and not seen
 
 
 def loop_column_sums(a, nv, y):

@@ -105,6 +105,8 @@ def dual_threshold_ball(n: int, d: int, gamma: float,
     if not 0 <= d <= n:
         raise ValueError("need 0 <= d <= n")
     if tau is None:
+        if gamma * d > n:  # before the ceiling, which a huge gamma d overflows
+            raise ValueError(f"threshold tau = ceil({gamma} * {d}) outside [1, {n}]")
         tau = math.ceil(gamma * d) if d >= 1 else 1
     if not 1 <= tau <= n:
         raise ValueError(f"threshold tau={tau} outside [1, {n}]")

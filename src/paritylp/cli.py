@@ -480,9 +480,9 @@ def cmd_threshold(args) -> tuple[dict, str]:
 
 
 def cmd_enumerate(args) -> tuple[dict, str]:
-    ks = [args.k] if args.k is not None else list(range(args.n + 1))
-    codes_out = []
-    audits = {}
+    # Lazy, so that enumerate_codes refuses an n above its cap before n + 1 ranks exist.
+    ks = [args.k] if args.k is not None else range(args.n + 1)
+    codes_out, audits = [], {}
     for k in ks:
         codes = enumerate_codes(args.n, k)
         audits[f"count_k{k}_matches_gaussian_binomial"] = (

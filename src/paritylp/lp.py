@@ -12,12 +12,12 @@ picks the arithmetic: a certified rational solve when the mode is exact and
 every entry of the model is rational, binary64 otherwise.  Its report
 records the mode that ran, and everything downstream is plain arithmetic
 on the values it returns.  Every solve of a profile goes through the
-primal, which has one row per supported index; the dual is read off the
-same optimal basis, as the row multipliers divided by the weights, with an
+primal, which has one row per supported index, sum mu = w_i; the dual is
+read off the same optimal basis, as those rows' multipliers, with an
 explicit covering value on the zero-weight indices.  The primal carries
-its columns (each variable's member rows, row i scaled by 1 / w_i), which
-`solve` hands to the simplex as they are; its rows are derived from them
-only when read.  The dual program itself is only ever written out as text.
+its columns (each variable's member rows) and the weights, which `solve`
+hands to the simplex as they are; its rows, divided by the weights, are
+derived only when read.  The dual program itself is only written as text.
 """
 
 from __future__ import annotations
@@ -56,12 +56,13 @@ class Constraint:
 
 @dataclass
 class LpModel:
-    """The primal by its columns: maximize objective·x subject to A x = 1
+    """The primal by its columns: maximize objective·x subject to M x = w
     and x >= 0, with one row per index of `support`.  Variable j is the
     mu of the coset `labels[j]`, a (code, s) key as `PrimalSolution.mu` has.
 
-    `constraints`, the same rows as `Constraint`s tagged ("index", i), is
-    derived from the columns on first read; `solve` never reads it.
+    `constraints`, the rows in lambda form (row i divided by w_i, "= 1")
+    as `Constraint`s tagged ("index", i), is derived from the columns on
+    first read; `solve` never reads it.
     """
 
     name: ClassVar[str] = "primal"
@@ -78,10 +79,11 @@ class LpModel:
     @functools.cached_property
     def constraints(self) -> list[Constraint]:
         a = self.columns
-        coeffs: list = [{} for _ in self.support]
+        cols: list = [[] for _ in self.support]
         for r, j in zip(a.rows.tolist(), a.cols.tolist()):
-            coeffs[r][j] = a.scale[r]
-        return [Constraint(co, "=", 1, ("index", i)) for co, i in zip(coeffs, self.support)]
+            cols[r].append(j)
+        return [Constraint(dict.fromkeys(js, 1 / w), "=", 1, ("index", i))
+                for js, w, i in zip(cols, a.w, self.support)]
 
     def to_text(self) -> str:
         return model_text(self.name, self.sense, self.labels, self.objective, self.constraints)
@@ -107,7 +109,7 @@ class SolveReport:
     pivots: int
     wall_time: float
     strategy: str
-    # Multipliers of the model's constraints, in the model's own sense.
+    # b on the support: the multipliers of M x = w, in the model's own sense.
     duals: list | None = None
     # What the pivot loops did; no CLI report carries it.
     stats: simplex.SolveStats | None = None
@@ -150,9 +152,9 @@ def build_primal(profile: AmplitudeProfile, cost: CostFunction) -> LpModel:
 
     Variables mu[(code, s)] >= 0 exist only for cosets inside the support;
     a coset touching a zero-weight index is pinned to zero by omission.  One
-    equality per supported index i: sum over codes of mu[(code, s(i))] / w_i
-    equals 1.  The model carries its columns: row i is (1 / w_i) times the
-    0/1 incidence of the cosets that hold i, gathered from the coset table.
+    equality per supported index i: sum over codes of mu[(code, s(i))]
+    equals w_i.  The model carries its columns: row i is the 0/1 incidence
+    of the cosets that hold i, gathered from the coset table.
     Its first len(support) columns are the rank-0 code's cosets {i}, unit
     columns: the no-information measurement, where `simplex_min` starts.
     """
@@ -173,7 +175,7 @@ def build_primal(profile: AmplitudeProfile, cost: CostFunction) -> LpModel:
     flat = rows[np.repeat(inside, 1 << table.ranks)]
     lens = 1 << ranks
     columns = simplex.Columns(flat, np.repeat(np.arange(len(lens)), lens),
-                              [1 / profile.weights[i] for i in profile.support])
+                              [profile.weights[i] for i in profile.support])
     return LpModel(labels, objective, columns, profile.support)
 
 
@@ -194,16 +196,15 @@ def solve(model: LpModel, mode: str = EXACT) -> SolveReport:
     The solve is exact when the mode is exact and every entry of the model
     is rational; otherwise it runs in binary64, and the report's mode says
     which ran.  The pricing rule is deterministic, so exact optima are
-    bit-identical across invocations.  The report carries the multipliers
-    of the model's constraints: the objective equals the sum of
-    multiplier times right-hand side.
+    bit-identical across invocations.  The report carries b on the support,
+    the multipliers of M x = w: the objective equals sum b_i w_i.
     """
     if mode not in (EXACT, FLOAT):
         raise SolveError(f"unknown mode {mode!r}")
     start = time.perf_counter()
     # One subclass test per number type, not one isinstance per entry.
     exact = mode == EXACT and all(issubclass(t, Rational) for t in set(map(type, chain(
-        model.objective, model.columns.scale))))
+        model.objective, model.columns.w))))
     # The dtype of c selects the arithmetic of simplex_min; the
     # maximization is solved as min -objective·x.
     c = -np.array(model.objective, dtype=object if exact else float)
@@ -271,15 +272,13 @@ def solve_pair(profile: AmplitudeProfile, cost: CostFunction, mode: str = EXACT
                ) -> tuple[PrimalSolution, DualSolution, SolveReport]:
     """Optimal primal and dual solutions from one solve of the primal.
 
-    Row i of the primal reads sum mu / w_i = 1, so its multiplier u_i gives
-    b_i = u_i / w_i, with 1 / w_i the row's scale in the model's columns, and
-    sum b_i w_i = sum u_i is the primal optimum.  An index of weight zero
-    carries no row; it gets max_k cost(k) 2^k, which covers by itself every
-    coset it lies in.  In float mode a b_i within FLOAT_FEAS_TOL below zero
-    is reported as 0, so b >= 0.
+    Row i of the primal reads sum mu = w_i, and its multiplier is b_i, so
+    sum b_i w_i is the primal optimum.  An index of weight zero carries no
+    row; it gets max_k cost(k) 2^k, which covers by itself every coset it
+    lies in.  In float mode a b_i within FLOAT_FEAS_TOL below zero is
+    reported as 0, so b >= 0.
     """
-    model = build_primal(profile, cost)
-    report = solve(model, mode)
+    report = solve(build_primal(profile, cost), mode)
     if report.status != "optimal":
         raise SolveError(f"primal solve ended with status {report.status}")
     # values is keyed (code, s) as mu is and holds only x != 0
@@ -287,11 +286,9 @@ def solve_pair(profile: AmplitudeProfile, cost: CostFunction, mode: str = EXACT
     # objective * 0 puts the cover in the number type the solve ran in.
     cover = report.objective * 0 + max(_rank_value(cost, k) for k in range(profile.n + 1))
     b = [cover] * (1 << profile.n)
-    for i, u, g in zip(profile.support, report.duals, model.columns.scale):
-        b[i] = u * g
-        if report.mode != EXACT and -FLOAT_FEAS_TOL <= b[i] < 0:
-            # As simplex_min does for levels: rounding residue below zero reads 0.
-            b[i] = 0.0
+    for i, u in zip(profile.support, report.duals):
+        # As simplex_min does for levels: rounding residue below zero reads 0.
+        b[i] = 0.0 if report.mode != EXACT and -FLOAT_FEAS_TOL <= u < 0 else u
     dual = DualSolution(profile.n, tuple(b))
     dual.objective = dual.evaluate(profile)
     return primal, dual, report

@@ -1,36 +1,38 @@
 """Revised simplex for the profile primal: a float basis, proven or repaired on integers.
 
-Solves   min c.x   s.t.   diag(scale) M x = 1,  x >= 0,  with M a 0/1 matrix
-given by its nonzeros (`Columns`; for a profile's primal, M is the coset
-incidence and scale_i = 1 / w_i), over `Fraction`s (c of dtype object) or
-binary64 floats (float64).  The first m columns are the unit vectors, column
-r on row r (the no-information measurement), so they are a feasible start
-and one phase prices the objective from there.  The loop keeps no tableau,
+Solves   min c.x   s.t.   M x = w,  x >= 0,  with M a 0/1 matrix given by
+its nonzeros and w > 0 (`Columns`; for a profile's primal, M is the coset
+incidence and w the supported weights), over `Fraction`s (c of dtype object)
+or binary64 floats (float64).  The first m columns are the unit vectors,
+column r on row r (the no-information measurement), so they are a feasible
+start and one phase prices the objective from there.  The float stage
+solves A x = 1, its rows scaled to A = diag(1 / w) M, and keeps no tableau,
 only B⁻¹, updated rank-1 on each pivot, and x_B = B⁻¹ 1 (Maros,
 Computational Techniques of the Simplex Method, 2003).  It prices
 d = c - (c_B B⁻¹) A and stops when no d_j < 0 (within the float tolerance).
 Among the eligible columns the one with the most negative d_j / ‖A_j‖
-enters, ties going to the lowest index: the column norms
-‖A_j‖ = √(Σᵢ (scaleᵢ Mᵢⱼ)²) are computed once per solve in binary64 (1 for
-an all-zero column), so a column through rows scaled by a large 1 / w_i
-does not win on the size of its entries alone (normalized pricing with
-fixed reference weights; Forrest & Goldfarb, Math. Program. 1992).  After
-STALL_LIMIT consecutive degenerate pivots the lowest eligible index enters
-instead (Bland's rule, which cannot cycle); the leaving row is the minimum
-ratio, ties going to the lowest basis index.
+enters, ties going to the lowest index: the column norms ‖A_j‖ are
+computed once per solve in binary64 (1 for an all-zero column), so a column
+through rows scaled by a large 1 / w_i does not win on the size of its
+entries alone (normalized pricing with fixed reference weights; Forrest &
+Goldfarb, Math. Program. 1992).  After STALL_LIMIT consecutive degenerate
+pivots the lowest eligible index enters instead (Bland's rule, which cannot
+cycle); the leaving row is the minimum ratio, ties going to the lowest
+basis index.
 
 The float stage prices c / 2^s, s = `_cost_shift(c)`: its absolute tolerance
 reads costs of any size alike on that one scale, and its sums cannot
 overflow.  Its multipliers are scaled back; the objective is summed from c.
 
 Float data is solved by that loop alone.  On exact data it proposes a basis B
-and M_B⁻¹ = adj / d, accepted if M_B adj = d I, x_B >= 0 and every reduced
-cost is >= 0, all read on integers (Applegate, Cook, Dash & Espinoza, Oper.
-Res. Lett. 2007), d = |det M_B| rounded, c as integers over one denominator.
-Otherwise an integer loop repairs B: dual pivots by Bland's rule while only
-levels are negative, primal ones by the float stage's rule while only reduced
-costs are, each updating adj and d fraction-free (Bareiss, Math. Comp. 1968).
-Both negative, or no adj, restarts it at adj = I on the unit columns.
+and M_B⁻¹ = adj / d, accepted if M_B adj = d I, x_B = adj w / d >= 0 and
+every reduced cost is >= 0, all read on integers (Applegate, Cook, Dash &
+Espinoza, Oper. Res. Lett. 2007), d = |det M_B| rounded, c and w as integers
+over one denominator each.  Otherwise an integer loop repairs B: dual pivots
+by Bland's rule while only levels are negative, primal ones by the float
+stage's rule while only reduced costs are, each updating adj and d
+fraction-free (Bareiss, Math. Comp. 1968).  Both negative, or no adj,
+restarts it at adj = I on the unit columns.
 """
 
 from __future__ import annotations
@@ -67,11 +69,11 @@ _BY_RATIO = functools.cmp_to_key(lambda u, v: u[1] * v[2] - v[1] * u[2])
 
 @dataclass(frozen=True)
 class Columns:
-    """A = diag(scale) M by the nonzeros of the 0/1 matrix M: M[rows[e], cols[e]] = 1."""
+    """M x = w by the nonzeros of the 0/1 matrix M (M[rows[e], cols[e]] = 1) and w > 0."""
 
     rows: np.ndarray
     cols: np.ndarray  # nondecreasing
-    scale: list
+    w: list
 
 
 @dataclass
@@ -91,22 +93,22 @@ class StandardResult:
     objective: object | None
     # Each basic column's level, in column order.
     x: dict | None
-    # Row multipliers at optimality: c - Aᵀy >= 0 and Σ y equals the objective.
+    # Row multipliers at optimality: c - Mᵀy >= 0 and Σ y_i w_i equals the objective.
     y: list | None = None
     strategy: str = FLOAT
     stats: SolveStats = field(default_factory=SolveStats)
 
 
 def simplex_min(a: Columns, c) -> StandardResult:
-    """Simplex for min c.x, diag(a.scale) M x = 1, x >= 0, from the unit columns.
+    """Simplex for min c.x, M x = w, x >= 0, from the unit columns.
 
     Args:
-        a: the len(a.scale) x len(c) matrix A in column form.  Its first
-            len(a.scale) columns are the start: column r must be a positive
-            multiple of row r's unit vector (else ValueError).
+        a: the len(a.w) x len(c) matrix M in column form, and w.  Its first
+            len(a.w) columns are the start: column r must be row r's unit
+            vector (else ValueError).
             `lp.build_primal` puts the no-information measurement there.
         c: objective coefficients, a numpy array of dtype object (rationals)
-            for an exact solve, else float64.
+            and rational w for an exact solve, else float64.
 
     Returns:
         StandardResult; x maps each basic column to its level and y has one
@@ -121,24 +123,27 @@ def simplex_min(a: Columns, c) -> StandardResult:
     stats = SolveStats()
     c_float = c.astype(float)
     shift = _cost_shift(c_float)
-    status, basis, levels, y = _revised(a, np.ldexp(c_float, -shift), stats)
+    scale = np.array([float(1 / v) for v in a.w])  # float(1 / w_i), not 1 / float(w_i)
+    norms = column_norms(a, scale, nv)
+    status, basis, levels, y = _revised(a, scale, norms, np.ldexp(c_float, -shift), stats)
     strategy = FLOAT
     if exact:
         c_num, c_den = _over_one_denominator(c.tolist())
-        strategy, status, basis, levels, y = _exact(a, c_num, c_den, shift, basis, stats)
+        strategy, status, basis, levels, y = _exact(a, c_num, c_den, shift, norms, basis, stats)
     if status != OPTIMAL:
         return StandardResult(status, None, None, strategy=strategy, stats=stats)
-    y = y if exact else [math.ldexp(v, shift) for v in y]
+    # Row i of A is row i of M times scale_i, and so is its multiplier.
+    y = y if exact else [math.ldexp(v, shift) * s for v, s in zip(y, scale.tolist())]
     x = dict(sorted(zip(basis, levels)))
     zero = (Fraction(0) if exact else float(c[0]) * 0) if nv else 0
     objective = sum((cj * v for cj, v in zip(c[list(x)].tolist(), x.values()) if v), zero)
     return StandardResult(OPTIMAL, objective, x, y, strategy, stats)
 
 
-def column_norms(a: Columns, nv: int) -> np.ndarray:
-    """‖A_j‖ = √(Σᵢ (scaleᵢ Mᵢⱼ)²) in binary64 for the nv columns of `a`;
-    an all-zero column counts as norm 1."""
-    entries = np.array([float(v) for v in a.scale])[a.rows]
+def column_norms(a: Columns, scale: np.ndarray, nv: int) -> np.ndarray:
+    """‖A_j‖ = √(Σᵢ (scaleᵢ Mᵢⱼ)²) in binary64 for the nv columns of `a`
+    under the row scale `scale`; an all-zero column counts as norm 1."""
+    entries = scale[a.rows]
     norms = np.sqrt(np.bincount(a.cols, weights=entries * entries, minlength=nv))
     norms[norms == 0] = 1.0
     return norms
@@ -155,14 +160,12 @@ def _cost_shift(c) -> int:
     return math.frexp(top)[1] - 8 if top else 0
 
 
-def _revised(a, c, stats) -> tuple:
-    """The float stage: (status, basis, levels x_B, multipliers y) in
-    binary64, the last three None unless optimal."""
-    m, nv = len(a.scale), len(c)
-    norms = column_norms(a, nv)
+def _revised(a, scale, norms, c, stats) -> tuple:
+    """The float stage on A = diag(scale) M: (status, basis, levels x_B,
+    multipliers y of A's rows) in binary64, the last three None unless optimal."""
+    m, nv = len(scale), len(c)
     big = np.zeros((m, nv))
-    # float(scale_i): float(1 / w_i) on the primal, not 1 / float(w_i).
-    big[a.rows, a.cols] = np.array([float(v) for v in a.scale])[a.rows]
+    big[a.rows, a.cols] = scale[a.rows]
     # The starting basis is diagonal, so B⁻¹ = diag(1 / B_rr) and x_B = 1 / B_rr.
     basis = np.arange(m)
     diag = big[basis, basis]
@@ -224,17 +227,16 @@ def _revised(a, c, stats) -> tuple:
 
 # -- integer loop ------------------------------------------------------------
 
-def _exact(a, c_num, c_den, shift, basis, stats) -> tuple:
+def _exact(a, c_num, c_den, shift, norms, basis, stats) -> tuple:
     """(strategy, status, basis, levels x_B, multipliers y), solved exactly
     from `basis` or, if None, the unit columns, for the costs c = c_num / c_den.
-    M_B⁻¹ = adj / d, M_B adj = d I on integers, d > 0.  With w = 1 / scale,
-    x_B = adj w / d, y = y' / scale and y' = adjᵀ c_B / d; the reduced costs
-    c_j - (Mᵀy')_j and row r of B⁻¹A, adj_r M / d, do not depend on the scale."""
-    m, nv = len(a.scale), len(c_num)
+    M_B⁻¹ = adj / d, M_B adj = d I on integers, d > 0, x_B = adj w / d and
+    y = adjᵀ c_B / d.  `norms` are the float stage's, for its pricing rule."""
+    m, nv = len(a.w), len(c_num)
     c_top = max(map(abs, c_num), default=0)
     costs = np.array(c_num, dtype=np.int64 if _int64_safe(1, [c_top]) else object)
-    w_num, w_den = _over_one_denominator([1 / Fraction(s) for s in a.scale])
-    adj, d, norms = None, 0, None
+    w_num, w_den = _over_one_denominator(a.w)
+    adj, d = None, 0
     if basis is not None:
         # M_B from the basic columns' nonzeros, each column one run of a.cols.
         lo, hi = (np.searchsorted(a.cols, basis, side).tolist() for side in ("left", "right"))
@@ -247,7 +249,7 @@ def _exact(a, c_num, c_den, shift, basis, stats) -> tuple:
         if adj is None:
             basis, adj, d = list(range(m)), np.eye(m, dtype=object), 1
         x_num = _times(adj, w_num)
-        # y' = Y / (c_den d), so c_den d (Mᵀy')_j is an integer sum along column
+        # y = Y / (c_den d), so c_den d (Mᵀy)_j is an integer sum along column
         # j, and c_den d times the reduced cost of column j is c_num_j d minus it.
         y_num = _times(adj.T, [c_num[j] for j in basis])
         reduced = ((costs if _int64_safe(d, [c_top]) else costs.astype(object)) * d
@@ -255,8 +257,7 @@ def _exact(a, c_num, c_den, shift, basis, stats) -> tuple:
         negative = reduced < 0
         low = [r for r, v in enumerate(x_num) if v < 0]
         if not low and not negative.any():
-            y = [Fraction(v * s.denominator, c_den * d * s.numerator)
-                 for v, s in zip(y_num, a.scale)]
+            y = [Fraction(v, c_den * d) for v in y_num]
             return strategy, OPTIMAL, basis, [Fraction(v, d * w_den) for v in x_num], y
         strategy, adj = EXACT_PIVOTS, None if low and negative.any() else adj.astype(object)
         if adj is None:
@@ -272,7 +273,6 @@ def _exact(a, c_num, c_den, shift, basis, stats) -> tuple:
             # Primal pivot: the float stage's rule enters, scored on d_j of c / 2^shift (a
             # quotient of Python ints is correctly rounded); the least x_r / (B⁻¹A)_rj leaves.
             j = np.flatnonzero(negative)
-            norms = column_norms(a, nv) if norms is None else norms
             den = c_den * d << max(shift, 0)
             score = np.array([(v << max(-shift, 0)) / den for v in reduced[j].tolist()]) / norms[j]
             enter = int(j[0 if bland else score.argmin()])

@@ -182,4 +182,4 @@ def without_float_stage(monkeypatch):
     """The float stage ends "iteration-limit" at once, so an exact solve's
     integer loop starts from the unit columns."""
     monkeypatch.setattr(simplex, "_revised",
-                        lambda a, c, stats: (simplex.ITERATION_LIMIT, None, None, None))
+                        lambda *_: (simplex.ITERATION_LIMIT, None, None, None))

@@ -238,6 +238,14 @@ class TestThresholdFamilies:
         with pytest.raises(ValueError):
             dual_threshold_ball(2, 1, 3.0)
 
+    @pytest.mark.parametrize("gamma", [2.5, 1e154, 1e308], ids=["tau-4", "large", "overflow"])
+    def test_ball_tau_above_n_refused_before_its_ceiling(self, gamma):
+        # gamma d > n is exactly ceil(gamma d) > n; gamma = 1e308 puts gamma d
+        # past binary64, whose ceiling would raise OverflowError
+        with pytest.raises(ValueError, match=r"outside \[1, 3\]"):
+            dual_threshold_ball(3, 2, gamma)
+        assert dual_threshold_ball(3, 1, 3.0).params["tau"] == 3
+
 
 class TestAffineBallGeometry:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -454,6 +454,13 @@ class TestVerify:
         assert code == 2
         assert capsys.readouterr().err == "error: need finite gamma > 2\n"
 
+    def test_ball_refuses_huge_finite_gamma(self, capsys, profile_file):
+        # gamma d = 2e308 overflows to inf: it is refused before its ceiling
+        code = main(["verify", "--profile", profile_file, "--family", "threshold-ball",
+                     "--d", "2", "--gamma", "1e308"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: threshold tau = ceil(1e+308 * 2) outside [1, 2]\n"
+
     def test_threshold_set(self, capsys, point_mass_file):
         code, report = run_json(capsys, [
             "verify", "--profile", point_mass_file, "--family",
@@ -851,6 +858,13 @@ class TestSlpn:
         assert code == 2
         assert capsys.readouterr().err == "error: need finite gamma > 2\n"
 
+    def test_ball_refuses_huge_finite_gamma(self, capsys):
+        code = main(["slpn", "--n", "3", "--t", "0.1", "--d", "2", "--gamma", "1e308"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: threshold tau = ceil(1e+308 * 2) outside [1, 3]\n"
+
     def test_negative_n(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["slpn", "--n", "-1", "--t", "0.1"])
@@ -987,6 +1001,13 @@ class TestEnumerate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.endswith("error: argument --n: need an integer >= 0, not '-1'\n")
+
+    def test_n_past_a_c_integer_refused_by_the_cap(self, capsys):
+        # no list of n + 1 ranks is built before the cap refuses n
+        assert main(["enumerate", "--n", "9" * 20]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: code enumeration capped at n <= 8\n"
 
     def test_closed_stdout_exits_141_quietly(self):
         # the report (about 300 kB) outgrows the pipe, so the writer is still

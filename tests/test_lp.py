@@ -12,6 +12,7 @@ from numbers import Rational
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.sparse
 
 from conftest import (
     RowModel,
@@ -90,6 +91,24 @@ def _scipy_raw(model):
 def scipy_optimum(model):
     """Independent check through HiGHS."""
     res = _scipy_raw(model)
+    assert res.status == 0, res.message
+    return -res.fun if model.sense == "max" else res.fun
+
+
+def sparse_optimum(model):
+    """HiGHS on a program of equality rows, handed a scipy.sparse matrix: the
+    dense rows of `_scipy_raw` would take about 0.9 GB for the literal n = 5
+    program."""
+    cons = model.constraints
+    assert all(con.rel == "=" for con in cons)
+    rows = [r for r, con in enumerate(cons) for _ in con.coeffs]
+    cols = [j for con in cons for j in con.coeffs]
+    vals = [float(v) for con in cons for v in con.coeffs.values()]
+    a_eq = scipy.sparse.csr_array((vals, (rows, cols)), shape=(len(cons), model.n_vars))
+    c = np.array([float(v) for v in model.objective])
+    res = scipy.optimize.linprog(-c if model.sense == "max" else c, A_eq=a_eq,
+                                 b_eq=[float(con.rhs) for con in cons], bounds=(0, None),
+                                 method="highs")
     assert res.status == 0, res.message
     return -res.fun if model.sense == "max" else res.fun
 
@@ -207,7 +226,7 @@ def loop_primal(profile, cost):
                 objective.append(value)
     return (labels, objective, np.array(flat, dtype=np.intp),
             np.repeat(np.arange(len(lens)), lens),
-            [1 / profile.weights[i] for i in profile.support])
+            [profile.weights[i] for i in profile.support])
 
 
 def _primal_cases():
@@ -226,12 +245,12 @@ class TestPrimalFromCosetTable:
     def test_arrays_match_coset_walk(self, p):
         for cost in (CostFunction.average(p.n), CostFunction(p.n, range(p.n, -1, -1))):
             got = build_primal(p, cost)
-            labels, objective, rows, cols, scale = loop_primal(p, cost)
+            labels, objective, rows, cols, w = loop_primal(p, cost)
             assert got.labels == labels and same(got.objective, objective)
             for name, want in (("rows", rows), ("cols", cols)):
                 array = getattr(got.columns, name)
                 assert array.dtype == want.dtype and np.array_equal(array, want), name
-            assert same(got.columns.scale, scale)
+            assert same(got.columns.w, w)
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_cold_solve_builds_no_coset_partition(self, monkeypatch, n):
@@ -412,8 +431,8 @@ class TestSolve:
         must land on the certified optimum.
         """
 
-        def bad_float_stage(a, c, stats):
-            m = len(a.scale)
+        def bad_float_stage(a, *_):
+            m = len(a.w)
             bad = {"start": list(range(m)), "suboptimal": list(range(m)),
                    "singular": [0] * m}[wrong]
             return simplex.OPTIMAL, bad, None, None
@@ -548,6 +567,19 @@ class TestAtCap:
         assert slack.primal_objective - slack.dual_objective == 0
         assert dual.objective == report.objective
 
+    @pytest.mark.parametrize("cost", [CostFunction.average(5), CostFunction.threshold(5, 2)],
+                             ids=["average", "threshold2"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_n5_matches_literal_program(self, seed, cost):
+        # the per-index program, one lambda per (code, index) with explicit
+        # coset-constancy rows, against the certified coset-reduced optimum
+        p = rand_rational_profile(5, random.Random(f"literal5/{seed}"))
+        _, report = solve_primal(p, cost)
+        assert (report.mode, report.strategy) == ("exact", "certified")
+        literal = literal_lp_model(p, cost, [code.H for code in enumerate_all_codes(5)])
+        assert (literal.n_vars, len(literal.constraints)) == (11968, 9549)
+        assert sparse_optimum(literal) == pytest.approx(float(report.objective), abs=1e-9)
+
     def test_n4_ball_dual_read_off(self):
         p = ball_profile(4, 2, random.Random(404))
         assert p.zero_set
@@ -593,7 +625,7 @@ class TestSolverEdgeCases:
         assert basis_flaws(model, bad_basis) == flaws
         assert solve(model).objective == optimum
         monkeypatch.setattr(simplex, "_revised",
-                            lambda a, c, stats: (simplex.OPTIMAL, list(bad_basis), None, None))
+                            lambda *_: (simplex.OPTIMAL, list(bad_basis), None, None))
         report = solve(model)
         assert (report.strategy, report.objective, report.pivots) == ("exact-pivots", optimum, 1)
 
@@ -601,17 +633,18 @@ class TestSolverEdgeCases:
         (Fraction(-1, 4), "unbounded", None), (0, "optimal", Fraction(-1, 2))],
         ids=["restart", "dual"])
     def test_float_basis_repaired_or_restarted(self, monkeypatch, cost3, status, objective):
-        # rows scaled by 2 and 1, so w = (1/2, 1); columns {0}, {1}, {0, 1}
+        # w = (1/2, 1), rows the float stage scales by 2 and 1; columns {0}, {1}, {0, 1}
         # and an empty column 3.  The proposed basis {0, 1} on row 0 and {0}
         # on row 1 puts mu_0 at w_0 - w_1 = -1/2.  With c_3 = -1/4 column 3's
         # reduced cost is negative too: the loop restarts from the unit
         # columns, {0, 1} enters (its score -1/√5 is below -1/4), then
         # column 3, on no row, is unbounded.  With c_3 = 0 one dual pivot
         # brings in {1}
-        a = simplex.Columns(np.array([0, 1, 0, 1]), np.array([0, 1, 2, 2]), [2, 1])
+        a = simplex.Columns(np.array([0, 1, 0, 1]), np.array([0, 1, 2, 2]),
+                            [Fraction(1, 2), Fraction(1)])
         c = np.array([Fraction(v) for v in (0, 0, -1, cost3)], dtype=object)
         monkeypatch.setattr(simplex, "_revised",
-                            lambda a, c, stats: (simplex.OPTIMAL, [2, 0], None, None))
+                            lambda *_: (simplex.OPTIMAL, [2, 0], None, None))
         result = simplex.simplex_min(a, c)
         assert (result.status, result.objective, result.strategy) == (status, objective, "exact-pivots")
         assert result.stats == simplex.SolveStats(1)
@@ -636,13 +669,13 @@ class TestSolverEdgeCases:
     @pytest.mark.parametrize("mode", ["exact", "float", "exact-loop"])
     @pytest.mark.parametrize("cost0", [0, 1, -1], ids=["free", "costly", "unbounded"])
     def test_zero_column_next_to_an_entering_one(self, monkeypatch, mode, cost0):
-        # (x0 + x2) / 2 = 1 from the start x0 = 2: column 1 is in no row,
+        # x0 + x2 = 2 from the start x0 = 2: column 1 is in no row,
         # and x2's reduced cost is -1 there.  Column 1's norm is read as 1,
         # so its score is never 0 / 0, a NaN that argmin would pick and the
         # loop would read as "optimal" before x2 enters
         if mode == "exact-loop":
             without_float_stage(monkeypatch)
-        a = simplex.Columns(np.array([0, 0]), np.array([0, 2]), [Fraction(1, 2)])
+        a = simplex.Columns(np.array([0, 0]), np.array([0, 2]), [Fraction(2)])
         c = np.array([Fraction(v) for v in (0, cost0, -1)],
                      dtype=float if mode == "float" else object)
         result = simplex.simplex_min(a, c)
@@ -653,8 +686,8 @@ class TestSolverEdgeCases:
 
     def test_column_norms(self):
         # column 0 is on both rows, scaled by 3 and 4; column 1 is empty
-        a = simplex.Columns(np.array([0, 1]), np.array([0, 0]), [Fraction(3), Fraction(4)])
-        assert simplex.column_norms(a, 2).tolist() == [5.0, 1.0]
+        a = simplex.Columns(np.array([0, 1]), np.array([0, 0]), [Fraction(1, 3), Fraction(1, 4)])
+        assert simplex.column_norms(a, np.array([3.0, 4.0]), 2).tolist() == [5.0, 1.0]
 
 
 class TestFeasibilityChecks:
@@ -989,13 +1022,15 @@ def dense_pair(profile, cost, mode, float_stage=True):
     mu = {key: v for key, v in report.values.items() if v}
     lam = {(code, i): v / profile.weights[i]
            for (code, s), v in mu.items() for i in code.cosets[s].tolist()}
-    b = {con.tag[1]: u * next(iter(con.coeffs.values()))
-         for con, u in zip(model.constraints, report.duals)}
+    # The oracle's multipliers u are those of the rows divided by w_i; b_i = u_i / w_i.
+    duals = [u * next(iter(con.coeffs.values())) for con, u in zip(model.constraints, report.duals)]
+    b = dict(zip(profile.support, duals))
     if report.mode != "exact":
         b = {i: 0.0 if -1e-9 <= v < 0 else v for i, v in b.items()}
     cover = report.objective * 0 + max(cost.values[k] * (1 << k) for k in range(profile.n + 1))
     b.update(dict.fromkeys(profile.zero_set, cover))
-    return replace(report, values=mu), mu, lam, tuple(b[i] for i in all_vectors(profile.n))
+    return (replace(report, values=mu, duals=duals), mu, lam,
+            tuple(b[i] for i in all_vectors(profile.n)))
 
 
 def same(x, y):
@@ -1086,7 +1121,7 @@ def assert_same_optimum(got, want, model):
     if got.mode == "exact":
         assert same(got.objective, want.objective)
         assert got.strategy == "certified"
-        assert sum(y * con.rhs for y, con in zip(got.duals, model.constraints)) == got.objective
+        assert sum(b * w for b, w in zip(got.duals, model.columns.w)) == got.objective
     else:
         assert abs(got.objective - scipy_optimum(model)) <= 1e-9
 
@@ -1240,9 +1275,9 @@ class TestSolveStats:
         fast = solve(model)
         real = simplex._revised
 
-        def bad_float_stage(a, c, stats):
-            real(a, c, stats)
-            return simplex.OPTIMAL, list(range(len(a.scale))), None, None
+        def bad_float_stage(a, *args):
+            real(a, *args)
+            return simplex.OPTIMAL, list(range(len(a.w))), None, None
 
         with monkeypatch.context() as m:
             m.setattr(simplex, "_revised", bad_float_stage)
@@ -1301,7 +1336,7 @@ class TestNoInformationStart:
         a = model.columns
         members = [a.rows[a.cols == j] for j in order]
         cols = np.repeat(np.arange(len(order)), [len(rows) for rows in members])
-        reordered = simplex.Columns(np.concatenate(members), cols, a.scale)
+        reordered = simplex.Columns(np.concatenate(members), cols, a.w)
         c = -np.array([model.objective[j] for j in order],
                       dtype=object if mode == "exact" else float)
         with pytest.raises(ValueError, match="starting column"):
@@ -1492,6 +1527,92 @@ class TestFractionalCosts:
         assert report.strategy == "certified" and not seen
 
 
+class TestUnscaledRows:
+    """`simplex_min` solves M x = w as the paper writes it, sum mu = w_i:
+    its multipliers are those rows' own, b itself on a profile's primal,
+    and only the float stage scales the rows by 1 / w_i."""
+
+    def test_hand_model_multipliers_are_b(self):
+        # the n = 1 primal for w = (1/4, 3/4) under the average cost, as
+        # min -2 mu_{0,1}: mu_{0,1} = 1/4 on row 0 and mu_1 = 1/2 on row 1.
+        # Its multipliers solve y_0 + y_1 = -2 and y_1 = 0, so b = -y = (2, 0)
+        # covers the coset {0, 1}, and sum y_i w_i is the optimum, exactly
+        w = [Fraction(1, 4), Fraction(3, 4)]
+        a = simplex.Columns(np.array([0, 1, 0, 1]), np.array([0, 1, 2, 2]), w)
+        c = np.array([Fraction(0), Fraction(0), Fraction(-2)], dtype=object)
+        result = simplex.simplex_min(a, c)
+        assert (result.strategy, result.x) == ("certified", {1: Fraction(1, 2), 2: Fraction(1, 4)})
+        assert same(result.y, [Fraction(-2), Fraction(0)])
+        assert sum(y * v for y, v in zip(result.y, w)) == result.objective == Fraction(-1, 2)
+
+    def test_three_row_hand_model(self):
+        # rows w = (1/2, 1/3, 1/6) and the columns {0, 1}, {1, 2} and
+        # {0, 1, 2} beside the units, at costs -1, -1 and -2.  Row 1 bounds
+        # the three by 1/3 and row 2 bounds {0, 1, 2} by 1/6, so the optimum
+        # is -1/2, at mu_0 = mu_{0,1} = mu_{0,1,2} = 1/6, where y = (0, -1, -1)
+        w = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]
+        a = simplex.Columns(np.array([0, 1, 2, 0, 1, 1, 2, 0, 1, 2]),
+                            np.array([0, 1, 2, 3, 3, 4, 4, 5, 5, 5]), w)
+        c = np.array([Fraction(v) for v in (0, 0, 0, -1, -1, -2)], dtype=object)
+        result = simplex.simplex_min(a, c)
+        assert (result.strategy, result.objective) == ("certified", Fraction(-1, 2))
+        assert result.x == dict.fromkeys([0, 3, 5], Fraction(1, 6))
+        assert same(result.y, [Fraction(0), Fraction(-1), Fraction(-1)])
+        assert sum(y * v for y, v in zip(result.y, w)) == result.objective
+        reduced = [c[j] - sum(result.y[r] for r in a.rows[a.cols == j].tolist())
+                   for j in range(len(c))]
+        assert min(reduced) == 0 and all(reduced[j] == 0 for j in result.x)
+
+    @pytest.mark.parametrize("p, cost, mode", list(_oracle_cases(max_n=4)))
+    def test_multipliers_are_b_on_the_support(self, p, cost, mode):
+        # exact: -y is b on the support, and sum y_i w_i is the optimum with
+        # no gap; float: the same up to the clamp of rounding residue
+        model = build_primal(p, cost)
+        exact = mode == "exact" and p.rational
+        result = simplex.simplex_min(model.columns, -np.array(
+            model.objective, dtype=object if exact else float))
+        _, dual, report = solve_pair(p, cost, mode)
+        assert same([-y for y in result.y], report.duals)
+        b = [dual.b[i] for i in p.support]
+        if exact:
+            assert same(b, report.duals)
+            assert sum(y * v for y, v in zip(result.y, model.columns.w)) == result.objective
+        else:
+            assert b == [0.0 if -1e-9 <= u < 0 else u for u in report.duals]
+            assert math.fsum(y * v for y, v in zip(result.y, model.columns.w)) == pytest.approx(
+                float(result.objective), abs=1e-9)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_no_fraction_division(self, monkeypatch, n):
+        # no weight is inverted to build the primal, and the certificate
+        # reads w as integers over one denominator: no Fraction division
+        # runs in build_primal, nor in _exact on a certified solve
+        p = rand_rational_profile(n, random.Random(f"no-division/{n}"))
+        cost = CostFunction.average(n)
+        calls = []
+        for name in ("__truediv__", "__rtruediv__"):
+            real = getattr(Fraction, name)
+            monkeypatch.setattr(Fraction, name,
+                                lambda x, y, name=name, real=real: calls.append(name) or real(x, y))
+        assert (Fraction(1, 3) / 2, 2 / Fraction(1, 3)) == (Fraction(1, 6), 6)
+        assert calls == ["__truediv__", "__rtruediv__"]
+        calls.clear()
+        model = build_primal(p, cost)
+        assert calls == []
+        real_exact, in_exact = simplex._exact, []
+
+        def exact(*args):
+            start = len(calls)
+            try:
+                return real_exact(*args)
+            finally:
+                in_exact.append(calls[start:])
+
+        monkeypatch.setattr(simplex, "_exact", exact)
+        report = solve(model)
+        assert report.strategy == "certified" and in_exact == [[]]
+
+
 def loop_column_sums(a, nv, y):
     """simplex._column_sums as a walk: sum_r y_r M[r, j] on Python ints,
     column by column."""
@@ -1529,7 +1650,7 @@ class TestCertificateColumnSums:
         # columns 1 and 3 have no nonzero
         gaps = simplex.Columns(np.array([0, 1, 0]), np.array([0, 0, 2]), [1, 1])
         for columns, nv in ((primal.columns, primal.n_vars), (gaps, 4)):
-            m = len(columns.scale)
+            m = len(columns.w)
             for trial in range(12):
                 # every third y is uniformly very negative
                 y = [-64 * scale] * m if trial % 3 == 0 else \

@@ -246,7 +246,7 @@ def cmd_solve(args) -> tuple[dict, str]:
     cost = _cost_from_args(profile.n, args)
     if args.dump_model:
         with open(args.dump_model, "w") as fh:
-            fh.write(lp.build_primal(profile, cost).to_text() + "\n")
+            fh.write(lp.build_primal(profile).to_text(cost) + "\n")
             fh.write(lp.build_dual(profile, cost) + "\n")
     primal, dual, p_report = lp.solve_pair(profile, cost, args.mode)
     gap = abs(p_report.objective - dual.objective)
@@ -423,16 +423,16 @@ def cmd_slpn(args) -> tuple[dict, str]:
     lp.check_budget(args.n)
     profile = bernoulli_profile(args.n, args.t)
     params = BernoulliParams(args.t)
-    cost = CostFunction.average(args.n)
-    # A Bernoulli profile is binary64, so both solves run in float.
-    _, p_report = lp.solve_primal(profile, cost)
+    # A Bernoulli profile is binary64, so both solves of its one model run in float.
+    model = lp.build_primal(profile)
+    p_report = lp.solve_optimal(model, CostFunction.average(args.n))
     rho_av = float(p_report.objective)
     hamming_bound = 2 * args.n * params.t_perp
     threshold_part = None
     if args.d is not None:
         ball_sol = bounds.dual_threshold_ball(args.n, args.d, args.gamma)
         tau = ball_sol.params["tau"]
-        _, t_report = lp.solve_primal(profile, CostFunction.threshold(args.n, tau))
+        t_report = lp.solve_optimal(model, CostFunction.threshold(args.n, tau))
         threshold_part = {
             "tau": tau,
             "rho_threshold": float(t_report.objective),

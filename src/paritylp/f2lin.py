@@ -106,13 +106,6 @@ class F2Matrix:
     def to_strings(self) -> list[str]:
         return [vec_str(r, self.n_cols) for r in self.rows]
 
-    @classmethod
-    def from_strings(cls, rows: list[str]) -> F2Matrix:
-        if not rows:
-            raise ValueError("cannot infer column count from zero rows")
-        n = len(rows[0])
-        return cls(n, tuple(vec_from_str(r) for r in rows))
-
 
 def identity(n: int) -> F2Matrix:
     return F2Matrix(n, tuple(1 << j for j in range(n)))

@@ -6,18 +6,16 @@ the constancy of lambda * weight on each coset is thereby built into the
 model instead of written as equalities.  The dual has one nonnegative
 variable per index and one covering constraint per (code, syndrome).
 
-The primal carries the profile's own numbers (`Fraction` for a rational
-profile, binary64 otherwise; costs are always exact), and `solve` alone
+The primal is the profile's alone, in its own numbers (`Fraction` for a
+rational profile, binary64 otherwise) and with each column's rank; a cost
+enters at `solve` as its n + 1 values cost(k) 2^k, always exact.  `solve`
 picks the arithmetic: a certified rational solve when the mode is exact and
-every entry of the model is rational, binary64 otherwise.  Its report
-records the mode that ran, and everything downstream is plain arithmetic
-on the values it returns.  Every solve of a profile goes through the
-primal, which has one row per supported index, sum mu = w_i; the dual is
-read off the same optimal basis, as those rows' multipliers, with an
-explicit covering value on the zero-weight indices.  The primal carries
-its columns (each variable's member rows) and the weights, which `solve`
-hands to the simplex as they are; its rows, divided by the weights, are
-derived only when read.  The dual program itself is only written as text.
+every weight is rational, binary64 otherwise, and its report records which
+ran.  Every solve of a profile goes through the primal, one row per
+supported index, sum mu = w_i; the dual is read off the same optimal basis,
+as those rows' multipliers, with an explicit covering value on the
+zero-weight indices.  The primal's rows, divided by the weights, are derived
+from its columns only when read; the dual program is only written as text.
 """
 
 from __future__ import annotations
@@ -56,9 +54,10 @@ class Constraint:
 
 @dataclass
 class LpModel:
-    """The primal by its columns: maximize objective·x subject to M x = w
-    and x >= 0, with one row per index of `support`.  Variable j is the
-    mu of the coset `labels[j]`, a (code, s) key as `PrimalSolution.mu` has.
+    """The primal by its columns: maximize sum_j cost(k_j) 2^k_j x_j subject
+    to M x = w and x >= 0, with one row per index of `support`, for any
+    cost.  Variable j is the mu of the coset `labels[j]`, a (code, s) key as
+    `PrimalSolution.mu` has, and k_j = columns.ranks[j] is its code's rank.
 
     `constraints`, the rows in lambda form (row i divided by w_i, "= 1")
     as `Constraint`s tagged ("index", i), is derived from the columns on
@@ -68,7 +67,6 @@ class LpModel:
     name: ClassVar[str] = "primal"
     sense: ClassVar[str] = "max"
     labels: list
-    objective: list
     columns: simplex.Columns
     support: tuple
 
@@ -85,8 +83,9 @@ class LpModel:
         return [Constraint(dict.fromkeys(js, 1 / w), "=", 1, ("index", i))
                 for js, w, i in zip(cols, a.w, self.support)]
 
-    def to_text(self) -> str:
-        return model_text(self.name, self.sense, self.labels, self.objective, self.constraints)
+    def to_text(self, cost: CostFunction) -> str:
+        objective = [_rank_value(cost, k) for k in self.columns.ranks.tolist()]
+        return model_text(self.name, self.sense, self.labels, objective, self.constraints)
 
 
 def model_text(name: str, sense: str, labels: list, objective: list, constraints) -> str:
@@ -147,8 +146,8 @@ def check_budget(n: int) -> None:
         raise BudgetError(f"linear programs capped at n <= {LP_MAX_N}")
 
 
-def build_primal(profile: AmplitudeProfile, cost: CostFunction) -> LpModel:
-    """Coset-reduced maximization program for the measurement quality.
+def build_primal(profile: AmplitudeProfile) -> LpModel:
+    """Coset-reduced maximization program for the measurement quality, under any cost.
 
     Variables mu[(code, s)] >= 0 exist only for cosets inside the support;
     a coset touching a zero-weight index is pinned to zero by omission.  One
@@ -169,14 +168,12 @@ def build_primal(profile: AmplitudeProfile, cost: CostFunction) -> LpModel:
     inside = np.minimum.reduceat(rows, table.starts) >= 0
     # A variable's label is its coset's (code, s) key, as mu is keyed.
     labels = list(compress(table.keys, inside.tolist()))
-    values = [_rank_value(cost, k) for k in range(n + 1)]
     ranks = table.ranks[inside]
-    objective = [values[k] for k in ranks.tolist()]
     flat = rows[np.repeat(inside, 1 << table.ranks)]
     lens = 1 << ranks
     columns = simplex.Columns(flat, np.repeat(np.arange(len(lens)), lens),
-                              [profile.weights[i] for i in profile.support])
-    return LpModel(labels, objective, columns, profile.support)
+                              [profile.weights[i] for i in profile.support], ranks)
+    return LpModel(labels, columns, profile.support)
 
 
 def build_dual(profile: AmplitudeProfile, cost: CostFunction) -> str:
@@ -190,10 +187,10 @@ def build_dual(profile: AmplitudeProfile, cost: CostFunction) -> str:
     return model_text("dual", "min", [("b", i, n) for i in all_vectors(n)], profile.weights, rows)
 
 
-def solve(model: LpModel, mode: str = EXACT) -> SolveReport:
-    """Solve a model exactly (certified rational optimum) or in binary64.
+def solve(model: LpModel, cost: CostFunction, mode: str = EXACT) -> SolveReport:
+    """Solve a model under a cost exactly (certified rational optimum) or in binary64.
 
-    The solve is exact when the mode is exact and every entry of the model
+    The solve is exact when the mode is exact and every weight of the model
     is rational; otherwise it runs in binary64, and the report's mode says
     which ran.  The pricing rule is deterministic, so exact optima are
     bit-identical across invocations.  The report carries b on the support,
@@ -202,12 +199,12 @@ def solve(model: LpModel, mode: str = EXACT) -> SolveReport:
     if mode not in (EXACT, FLOAT):
         raise SolveError(f"unknown mode {mode!r}")
     start = time.perf_counter()
-    # One subclass test per number type, not one isinstance per entry.
-    exact = mode == EXACT and all(issubclass(t, Rational) for t in set(map(type, chain(
-        model.objective, model.columns.w))))
+    # One subclass test per number type, not one isinstance per weight.
+    exact = mode == EXACT and all(issubclass(t, Rational) for t in set(map(type, model.columns.w)))
     # The dtype of c selects the arithmetic of simplex_min; the
-    # maximization is solved as min -objective·x.
-    c = -np.array(model.objective, dtype=object if exact else float)
+    # maximization is solved as min -objective·x, one cost per rank.
+    values = [_rank_value(cost, k) for k in range(cost.n + 1)]
+    c = -np.array(values, dtype=object if exact else float)
     result = simplex.simplex_min(model.columns, c)
     elapsed = time.perf_counter() - start
     mode, pivots = EXACT if exact else FLOAT, result.stats.pivots
@@ -218,6 +215,14 @@ def solve(model: LpModel, mode: str = EXACT) -> SolveReport:
     values = {model.labels[j]: v for j, v in result.x.items() if v}
     return SolveReport("optimal", -result.objective, values, mode, pivots,
                        elapsed, result.strategy, [-y for y in result.y], result.stats)
+
+
+def solve_optimal(model: LpModel, cost: CostFunction, mode: str = EXACT) -> SolveReport:
+    """`solve`, raising SolveError unless it ends optimal."""
+    report = solve(model, cost, mode)
+    if report.status != "optimal":
+        raise SolveError(f"primal solve ended with status {report.status}")
+    return report
 
 
 @dataclass
@@ -278,9 +283,7 @@ def solve_pair(profile: AmplitudeProfile, cost: CostFunction, mode: str = EXACT
     lies in.  In float mode a b_i within FLOAT_FEAS_TOL below zero is
     reported as 0, so b >= 0.
     """
-    report = solve(build_primal(profile, cost), mode)
-    if report.status != "optimal":
-        raise SolveError(f"primal solve ended with status {report.status}")
+    report = solve_optimal(build_primal(profile), cost, mode)
     # values is keyed (code, s) as mu is and holds only x != 0
     primal = PrimalSolution(profile.n, dict(report.values), report.objective)
     # objective * 0 puts the cover in the number type the solve ran in.

@@ -3,26 +3,27 @@
 Solves   min c.x   s.t.   M x = w,  x >= 0,  with M a 0/1 matrix given by
 its nonzeros and w > 0 (`Columns`; for a profile's primal, M is the coset
 incidence and w the supported weights), over `Fraction`s (c of dtype object)
-or binary64 floats (float64).  The first m columns are the unit vectors,
-column r on row r (the no-information measurement), so they are a feasible
-start and one phase prices the objective from there.  The float stage
-solves A x = 1, its rows scaled to A = diag(1 / w) M, and keeps no tableau,
-only B⁻¹, updated rank-1 on each pivot, and x_B = B⁻¹ 1 (Maros,
+or binary64 floats (float64).  c has one cost per rank, column j costing
+c[ranks[j]]; ranks = 0, 1, ... gives each column its own.  The first m columns
+are the unit vectors, column r on row r (the no-information measurement), so
+they are a feasible start and one phase prices the objective from there.  The
+float stage solves A x = 1, its rows scaled to A = diag(1 / w) M, and keeps no
+tableau, only B⁻¹, updated rank-1 on each pivot, and x_B = B⁻¹ 1 (Maros,
 Computational Techniques of the Simplex Method, 2003).  It prices
 d = c - (c_B B⁻¹) A and stops when no d_j < 0 (within the float tolerance).
-Among the eligible columns the one with the most negative d_j / ‖A_j‖
-enters, ties going to the lowest index: the column norms ‖A_j‖ are
-computed once per solve in binary64 (1 for an all-zero column), so a column
-through rows scaled by a large 1 / w_i does not win on the size of its
-entries alone (normalized pricing with fixed reference weights; Forrest &
-Goldfarb, Math. Program. 1992).  After STALL_LIMIT consecutive degenerate
-pivots the lowest eligible index enters instead (Bland's rule, which cannot
-cycle); the leaving row is the minimum ratio, ties going to the lowest
-basis index.
+Among the eligible columns the one with the most negative d_j / ‖A_j‖ enters,
+ties going to the lowest index: the column norms ‖A_j‖ are computed once per
+solve in binary64 (1 for an all-zero column), so a column through rows scaled
+by a large 1 / w_i does not win on the size of its entries alone (normalized
+pricing with fixed reference weights; Forrest & Goldfarb, Math. Program.
+1992).  After STALL_LIMIT consecutive degenerate pivots the lowest eligible
+index enters instead (Bland's rule, which cannot cycle); the leaving row is
+the minimum ratio, ties going to the lowest basis index.
 
-The float stage prices c / 2^s, s = `_cost_shift(c)`: its absolute tolerance
-reads costs of any size alike on that one scale, and its sums cannot
-overflow.  Its multipliers are scaled back; the objective is summed from c.
+The float stage prices c / 2^s, s = `_cost_shift(c)` over the ranks with a
+column: its absolute tolerance reads costs of any size alike on that one
+scale, and its sums cannot overflow.  Its multipliers are scaled back; the
+objective is summed from c.
 
 Float data is solved by that loop alone.  On exact data it proposes a basis B
 and M_B⁻¹ = adj / d, accepted if M_B adj = d I, x_B = adj w / d >= 0 and
@@ -74,6 +75,7 @@ class Columns:
     rows: np.ndarray
     cols: np.ndarray  # nondecreasing
     w: list
+    ranks: np.ndarray  # column j costs c[ranks[j]]
 
 
 @dataclass
@@ -103,12 +105,12 @@ def simplex_min(a: Columns, c) -> StandardResult:
     """Simplex for min c.x, M x = w, x >= 0, from the unit columns.
 
     Args:
-        a: the len(a.w) x len(c) matrix M in column form, and w.  Its first
-            len(a.w) columns are the start: column r must be row r's unit
-            vector (else ValueError).
+        a: the len(a.w) x len(a.ranks) matrix M in column form, and w.  Its
+            first len(a.w) columns are the start: column r must be row r's
+            unit vector (else ValueError).
             `lp.build_primal` puts the no-information measurement there.
-        c: objective coefficients, a numpy array of dtype object (rationals)
-            and rational w for an exact solve, else float64.
+        c: one cost per rank, a numpy array of dtype object (rationals) and
+            rational w for an exact solve, else float64.
 
     Returns:
         StandardResult; x maps each basic column to its level and y has one
@@ -118,14 +120,16 @@ def simplex_min(a: Columns, c) -> StandardResult:
         "iteration-limit".  Float levels within FLOAT_TOL below zero are
         reported as 0, so x >= 0.
     """
-    nv = len(c)
+    nv = len(a.ranks)
     exact = c.dtype == object
     stats = SolveStats()
+    # A rank without a column sets neither the cost scale nor the denominator.
+    c = np.where(np.bincount(a.ranks, minlength=len(c)) > 0, c, 0)
     c_float = c.astype(float)
     shift = _cost_shift(c_float)
     scale = np.array([float(1 / v) for v in a.w])  # float(1 / w_i), not 1 / float(w_i)
     norms = column_norms(a, scale, nv)
-    status, basis, levels, y = _revised(a, scale, norms, np.ldexp(c_float, -shift), stats)
+    status, basis, levels, y = _revised(a, scale, norms, np.ldexp(c_float, -shift)[a.ranks], stats)
     strategy = FLOAT
     if exact:
         c_num, c_den = _over_one_denominator(c.tolist())
@@ -135,8 +139,8 @@ def simplex_min(a: Columns, c) -> StandardResult:
     # Row i of A is row i of M times scale_i, and so is its multiplier.
     y = y if exact else [math.ldexp(v, shift) * s for v, s in zip(y, scale.tolist())]
     x = dict(sorted(zip(basis, levels)))
-    zero = (Fraction(0) if exact else float(c[0]) * 0) if nv else 0
-    objective = sum((cj * v for cj, v in zip(c[list(x)].tolist(), x.values()) if v), zero)
+    zero = (Fraction(0) if exact else float(c[a.ranks[0]]) * 0) if nv else 0
+    objective = sum((cj * v for cj, v in zip(c[a.ranks[list(x)]].tolist(), x.values()) if v), zero)
     return StandardResult(OPTIMAL, objective, x, y, strategy, stats)
 
 
@@ -229,12 +233,12 @@ def _revised(a, scale, norms, c, stats) -> tuple:
 
 def _exact(a, c_num, c_den, shift, norms, basis, stats) -> tuple:
     """(strategy, status, basis, levels x_B, multipliers y), solved exactly
-    from `basis` or, if None, the unit columns, for the costs c = c_num / c_den.
+    from `basis` or, if None, the unit columns, for the rank costs c_num / c_den.
     M_B⁻¹ = adj / d, M_B adj = d I on integers, d > 0, x_B = adj w / d and
     y = adjᵀ c_B / d.  `norms` are the float stage's, for its pricing rule."""
-    m, nv = len(a.w), len(c_num)
+    m, nv = len(a.w), len(a.ranks)
     c_top = max(map(abs, c_num), default=0)
-    costs = np.array(c_num, dtype=np.int64 if _int64_safe(1, [c_top]) else object)
+    costs = np.array(c_num, dtype=np.int64 if _int64_safe(1, [c_top]) else object)[a.ranks]
     w_num, w_den = _over_one_denominator(a.w)
     adj, d = None, 0
     if basis is not None:
@@ -251,7 +255,7 @@ def _exact(a, c_num, c_den, shift, norms, basis, stats) -> tuple:
         x_num = _times(adj, w_num)
         # y = Y / (c_den d), so c_den d (Mᵀy)_j is an integer sum along column
         # j, and c_den d times the reduced cost of column j is c_num_j d minus it.
-        y_num = _times(adj.T, [c_num[j] for j in basis])
+        y_num = _times(adj.T, costs[basis].tolist())
         reduced = ((costs if _int64_safe(d, [c_top]) else costs.astype(object)) * d
                    - _column_sums(a, nv, y_num))
         negative = reduced < 0

@@ -33,6 +33,13 @@ class RowModel:
         return model_text(self.name, self.sense, self.labels, self.objective, self.constraints)
 
 
+def priced(model, cost) -> RowModel:
+    """A profile's primal under `cost`, as a row model for the oracles: the
+    objective has one entry per column, cost(k) 2^k at its rank k."""
+    objective = [cost.values[k] * (1 << k) for k in model.columns.ranks.tolist()]
+    return RowModel(model.name, model.sense, model.labels, objective, model.constraints)
+
+
 def rand_rational_profile(n: int, rng: random.Random, *, max_num: int = 30,
                           full_support: bool = True) -> AmplitudeProfile:
     low = 1 if full_support else 0

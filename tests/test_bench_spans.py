@@ -42,8 +42,8 @@ def test_target_resolves(target):
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_solve_observer_counts_model_shape(mode):
     p = ball_profile(3, 1, random.Random(8))
-    model = lp.build_primal(p, CostFunction.average(3))
-    report = lp.solve(model, mode)
+    model = lp.build_primal(p)
+    report = lp.solve(model, CostFunction.average(3), mode)
     recorder = load_spans().SpanRecorder()
     recorder._observe_solve((model,), report)
     counts = recorder.counts

@@ -35,7 +35,7 @@ from paritylp.f2lin import (
 
 
 def mat(*rows: str) -> F2Matrix:
-    return F2Matrix.from_strings(list(rows))
+    return F2Matrix(len(rows[0]), tuple(vec_from_str(r) for r in rows))
 
 
 class TestRank:

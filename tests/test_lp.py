@@ -21,6 +21,7 @@ from conftest import (
     lam_of,
     literal_lp_model,
     powered_profile,
+    priced,
     rand_rational_profile,
     without_float_stage,
 )
@@ -170,10 +171,11 @@ def _reference_cases():
 class TestBuildPrimal:
     @pytest.mark.parametrize("p, cost", list(_reference_cases()))
     def test_matches_two_loop_construction(self, p, cost):
-        got, want = build_primal(p, cost), two_loop_primal(p, cost)
+        got, want = build_primal(p), two_loop_primal(p, cost)
         assert (got.name, got.sense) == (want.name, want.sense)
         assert got.labels == want.labels
-        assert got.objective == want.objective
+        assert priced(got, cost).objective == want.objective
+        assert got.to_text(cost) == want.to_text()
         assert [(list(c.coeffs.items()), c.rel, c.rhs, c.tag) for c in got.constraints] == \
             [(list(c.coeffs.items()), c.rel, c.rhs, c.tag) for c in want.constraints]
 
@@ -185,28 +187,28 @@ class TestBuildPrimal:
         assert list(table) == [code for k in range(n + 1) for code in enumerate_codes(n, k)]
 
     def test_n1_uniform_shape(self):
-        m = build_primal(profile(1, ["1/2", "1/2"]), CostFunction.average(1))
+        m = build_primal(profile(1, ["1/2", "1/2"]))
         assert m.n_vars == 3
         assert len(m.constraints) == 2
 
     def test_n2_variable_count(self):
         # sum_k [2 choose k]_2 * 2^(2-k) = 4 + 6 + 1
-        m = build_primal(profile(2, ["1/4"] * 4), CostFunction.average(2))
+        m = build_primal(profile(2, ["1/4"] * 4))
         assert m.n_vars == 11
 
     def test_point_mass_pins_mixed_cosets(self):
-        m = build_primal(profile(2, ["1", "0", "0", "0"]), CostFunction.average(2))
+        m = build_primal(profile(2, ["1", "0", "0", "0"]))
         # only the bottom coset {0} survives the zero-weight pinning
         assert m.n_vars == 1
         assert len(m.constraints) == 1
 
     def test_budget(self):
         with pytest.raises(BudgetError):
-            build_primal(profile(6, ["1/64"] * 64), CostFunction.average(6))
+            build_primal(profile(6, ["1/64"] * 64))
 
     def test_text_dump(self):
-        m = build_primal(profile(1, ["1/2", "1/2"]), CostFunction.average(1))
-        text = m.to_text()
+        m = build_primal(profile(1, ["1/2", "1/2"]))
+        text = m.to_text(CostFunction.average(1))
         assert "mu[" in text and "= 1" in text
 
 
@@ -243,10 +245,10 @@ class TestPrimalFromCosetTable:
     @pytest.mark.parametrize("p", [p for _, p in _primal_cases()],
                              ids=[name for name, _ in _primal_cases()])
     def test_arrays_match_coset_walk(self, p):
+        got = build_primal(p)
         for cost in (CostFunction.average(p.n), CostFunction(p.n, range(p.n, -1, -1))):
-            got = build_primal(p, cost)
             labels, objective, rows, cols, w = loop_primal(p, cost)
-            assert got.labels == labels and same(got.objective, objective)
+            assert got.labels == labels and same(priced(got, cost).objective, objective)
             for name, want in (("rows", rows), ("cols", cols)):
                 array = getattr(got.columns, name)
                 assert array.dtype == want.dtype and np.array_equal(array, want), name
@@ -363,10 +365,10 @@ class TestSolve:
                     else CostFunction.threshold(n, 1))
             for _ in range(4):
                 p = rand_rational_profile(n, rng)
-                m = build_primal(p, cost)
-                rep = solve(m, mode="float")
+                m = build_primal(p)
+                rep = solve(m, cost, mode="float")
                 assert float(rep.objective) == pytest.approx(
-                    scipy_optimum(m), abs=1e-8
+                    scipy_optimum(priced(m, cost)), abs=1e-8
                 )
                 d = dual_rows(p, cost)
                 drep = dense_solve(d, mode="float")
@@ -441,12 +443,12 @@ class TestSolve:
         for n in (1, 2, 3):
             p = rand_rational_profile(n, rng)
             for cost in (CostFunction.average(n), CostFunction.threshold(n, 1)):
-                model = build_primal(p, cost)
-                fast = solve(model)
+                model = build_primal(p)
+                fast = solve(model, cost)
                 assert fast.strategy == "certified"
                 with monkeypatch.context() as m:
                     m.setattr(simplex, "_revised", bad_float_stage)
-                    slow = solve(model)
+                    slow = solve(model, cost)
                 assert slow.strategy == "exact-pivots"
                 assert slow.objective == fast.objective
 
@@ -530,8 +532,8 @@ class TestSolve:
     def test_exact_reproducible(self):
         p = profile(2, ["1/20", "3/20", "3/10", "1/2"])
         cost = CostFunction.average(2)
-        first = solve(build_primal(p, cost))
-        second = solve(build_primal(p, cost))
+        first = solve(build_primal(p), cost)
+        second = solve(build_primal(p), cost)
         assert first.objective == second.objective
         assert first.values == second.values
 
@@ -561,7 +563,7 @@ class TestAtCap:
         assert (report.mode, report.strategy) == ("exact", "certified")
         assert type(report.objective) is Fraction and report.objective == optimum
         assert float(report.objective) == pytest.approx(
-            scipy_optimum(build_primal(p, cost)), abs=1e-9)
+            scipy_optimum(priced(build_primal(p), cost)), abs=1e-9)
         slack = complementary_slackness(primal, dual, p, cost)
         assert slack.certified
         assert slack.primal_objective - slack.dual_objective == 0
@@ -621,12 +623,12 @@ class TestSolverEdgeCases:
         # the certificate has no slack: whatever the float stage proposes,
         # a rejected basis is repaired by one exact pivot, a dual one for a
         # negative level and a primal one for a negative reduced cost
-        model = build_primal(profile(1, weights), CostFunction(1, values))
-        assert basis_flaws(model, bad_basis) == flaws
-        assert solve(model).objective == optimum
+        model, cost = build_primal(profile(1, weights)), CostFunction(1, values)
+        assert basis_flaws(priced(model, cost), bad_basis) == flaws
+        assert solve(model, cost).objective == optimum
         monkeypatch.setattr(simplex, "_revised",
                             lambda *_: (simplex.OPTIMAL, list(bad_basis), None, None))
-        report = solve(model)
+        report = solve(model, cost)
         assert (report.strategy, report.objective, report.pivots) == ("exact-pivots", optimum, 1)
 
     @pytest.mark.parametrize("cost3, status, objective", [
@@ -641,7 +643,7 @@ class TestSolverEdgeCases:
         # column 3, on no row, is unbounded.  With c_3 = 0 one dual pivot
         # brings in {1}
         a = simplex.Columns(np.array([0, 1, 0, 1]), np.array([0, 1, 2, 2]),
-                            [Fraction(1, 2), Fraction(1)])
+                            [Fraction(1, 2), Fraction(1)], np.arange(4))
         c = np.array([Fraction(v) for v in (0, 0, -1, cost3)], dtype=object)
         monkeypatch.setattr(simplex, "_revised",
                             lambda *_: (simplex.OPTIMAL, [2, 0], None, None))
@@ -651,7 +653,7 @@ class TestSolverEdgeCases:
 
     def test_unbounded_hand_model(self):
         # column 0 is the start, column 1 is in no row and lowers the cost
-        a = simplex.Columns(np.array([0]), np.array([0]), [1])
+        a = simplex.Columns(np.array([0]), np.array([0]), [1], np.arange(2))
         result = simplex.simplex_min(a, np.array([Fraction(0), Fraction(-1)], dtype=object))
         assert (result.status, result.strategy) == ("unbounded", "exact-pivots")
 
@@ -675,7 +677,7 @@ class TestSolverEdgeCases:
         # loop would read as "optimal" before x2 enters
         if mode == "exact-loop":
             without_float_stage(monkeypatch)
-        a = simplex.Columns(np.array([0, 0]), np.array([0, 2]), [Fraction(2)])
+        a = simplex.Columns(np.array([0, 0]), np.array([0, 2]), [Fraction(2)], np.arange(3))
         c = np.array([Fraction(v) for v in (0, cost0, -1)],
                      dtype=float if mode == "float" else object)
         result = simplex.simplex_min(a, c)
@@ -686,7 +688,8 @@ class TestSolverEdgeCases:
 
     def test_column_norms(self):
         # column 0 is on both rows, scaled by 3 and 4; column 1 is empty
-        a = simplex.Columns(np.array([0, 1]), np.array([0, 0]), [Fraction(1, 3), Fraction(1, 4)])
+        a = simplex.Columns(np.array([0, 1]), np.array([0, 0]), [Fraction(1, 3), Fraction(1, 4)],
+                            np.arange(2))
         assert simplex.column_norms(a, np.array([3.0, 4.0]), 2).tolist() == [5.0, 1.0]
 
 
@@ -1017,7 +1020,7 @@ def _dense_solve_exact(rows, rhs):
 def dense_pair(profile, cost, mode, float_stage=True):
     """solve_pair on dense_solve: its report with the levels x != 0 as
     values, mu those levels, and lambda by one division per member."""
-    model = build_primal(profile, cost)
+    model = priced(build_primal(profile), cost)
     report = dense_solve(model, mode, float_stage, seeds=list(range(len(profile.support))))
     mu = {key: v for key, v in report.values.items() if v}
     lam = {(code, i): v / profile.weights[i]
@@ -1110,7 +1113,7 @@ def _dual_and_literal_models():
         yield literal_lp_model(p, CostFunction.average(n), matrices)
 
 
-def assert_same_optimum(got, want, model):
+def assert_same_optimum(got, want, model, cost):
     """The gate between the revised loop and the tableau where rounding may
     pick another optimal vertex: the same status; an exact optimum equal as
     a Fraction and certified, its multipliers giving the same value; a
@@ -1123,7 +1126,7 @@ def assert_same_optimum(got, want, model):
         assert got.strategy == "certified"
         assert sum(b * w for b, w in zip(got.duals, model.columns.w)) == got.objective
     else:
-        assert abs(got.objective - scipy_optimum(model)) <= 1e-9
+        assert abs(got.objective - scipy_optimum(priced(model, cost))) <= 1e-9
 
 
 class TestColumnFormMatchesDenseRows:
@@ -1139,8 +1142,8 @@ class TestColumnFormMatchesDenseRows:
     @pytest.mark.parametrize("p, cost, mode", list(_oracle_cases()))
     def test_solve_pair(self, p, cost, mode):
         primal, dual, report = solve_pair(p, cost, mode)
-        model = build_primal(p, cost)
-        assert_same_optimum(report, dense_solve(model, mode), model)
+        model = build_primal(p)
+        assert_same_optimum(report, dense_solve(priced(model, cost), mode), model, cost)
         assert complementary_slackness(primal, dual, p, cost).certified
         assert report.stats.pivots == report.pivots
 
@@ -1202,7 +1205,7 @@ class TestColumnFormMatchesDenseRows:
         p = AmplitudeProfile.from_amplitudes(5, [a / norm for a in amps])
         for cost in (CostFunction.average(5), CostFunction.threshold(5, 2)):
             primal, dual, report = solve_pair(p, cost, "float")
-            assert abs(report.objective - scipy_optimum(build_primal(p, cost))) <= 1e-9
+            assert abs(report.objective - scipy_optimum(priced(build_primal(p), cost))) <= 1e-9
             assert complementary_slackness(primal, dual, p, cost).certified
 
 
@@ -1271,8 +1274,9 @@ class TestSolveStats:
         # a rejected float basis: the integer loop's pivots add to the float
         # stage's.  Handed the start, it takes the path it takes from there
         # when the float stage is skipped
-        model = build_primal(rand_rational_profile(2, random.Random(5)), CostFunction.average(2))
-        fast = solve(model)
+        model = build_primal(rand_rational_profile(2, random.Random(5)))
+        cost = CostFunction.average(2)
+        fast = solve(model, cost)
         real = simplex._revised
 
         def bad_float_stage(a, *args):
@@ -1281,9 +1285,9 @@ class TestSolveStats:
 
         with monkeypatch.context() as m:
             m.setattr(simplex, "_revised", bad_float_stage)
-            slow = solve(model)
+            slow = solve(model, cost)
         without_float_stage(monkeypatch)
-        loop = solve(model)
+        loop = solve(model, cost)
         assert slow.strategy == loop.strategy == "exact-pivots"
         assert slow.objective == loop.objective == fast.objective
         assert slow.stats.pivots == fast.stats.pivots + loop.stats.pivots > fast.stats.pivots
@@ -1308,7 +1312,7 @@ class TestNoInformationStart:
     def test_phase_1_makes_no_pivot(self, monkeypatch, p, mode):
         if mode == "exact-loop":
             without_float_stage(monkeypatch)
-        model = build_primal(p, CostFunction.average(p.n))
+        model = build_primal(p)
         bottom, m = ParityCode.bottom(p.n), len(p.support)
         assert model.labels[:m] == [(bottom, i) for i in p.support]
         # those columns are the unit vectors simplex_min starts from, and the
@@ -1321,7 +1325,7 @@ class TestNoInformationStart:
             real = getattr(simplex, stage)
             monkeypatch.setattr(simplex, stage,
                                 lambda *args, stage=stage, real=real: runs.append(stage) or real(*args))
-        report = solve(model, mode.removesuffix("-loop"))
+        report = solve(model, CostFunction.average(p.n), mode.removesuffix("-loop"))
         assert report.status == "optimal"
         assert runs == (["_revised", "_exact"] if report.mode == "exact" else ["_revised"])
         if report.mode == "exact":
@@ -1332,13 +1336,13 @@ class TestNoInformationStart:
     def test_seed_off_its_row_refused(self, order, mode):
         # the n = 1 primal's columns {0}, {1} and {0, 1}, reordered so that
         # the first is {0, 1}, on two rows, or {1}, on the other row
-        model = build_primal(profile(1, ["1/3", "2/3"]), CostFunction.average(1))
+        model = build_primal(profile(1, ["1/3", "2/3"]))
         a = model.columns
         members = [a.rows[a.cols == j] for j in order]
         cols = np.repeat(np.arange(len(order)), [len(rows) for rows in members])
-        reordered = simplex.Columns(np.concatenate(members), cols, a.w)
-        c = -np.array([model.objective[j] for j in order],
-                      dtype=object if mode == "exact" else float)
+        reordered = simplex.Columns(np.concatenate(members), cols, a.w, a.ranks[order])
+        # the average cost, cost(k) 2^k for ranks 0 and 1
+        c = -np.array([0, 2], dtype=object if mode == "exact" else float)
         with pytest.raises(ValueError, match="starting column"):
             simplex.simplex_min(reordered, c)
 
@@ -1352,12 +1356,12 @@ class TestNoInformationStart:
         # when the proposal fails the integer check, _adjugate gives None,
         # and the integer loop from the unit columns reaches the certified
         # optimum
-        model = build_primal(rand_rational_profile(3, random.Random("adjugate")),
-                             CostFunction.average(3))
-        fast = solve(model)
+        model = build_primal(rand_rational_profile(3, random.Random("adjugate")))
+        cost = CostFunction.average(3)
+        fast = solve(model, cost)
         proposals = []
         monkeypatch.setattr(simplex, "_adjugate", lambda m_b: proposals.append(m_b) or (None, 0))
-        slow = solve(model)
+        slow = solve(model, cost)
         assert len(proposals) == 1
         assert (fast.strategy, slow.strategy) == ("certified", "exact-pivots")
         assert same(slow.objective, fast.objective) and same(slow.duals, fast.duals)
@@ -1367,17 +1371,17 @@ class TestNoInformationStart:
         # float basis fails the exact check
         p = powered_profile(1)
         assert min(p.weights) < 1e-9
-        model = build_primal(p, CostFunction.average(4))
-        fast, report = solve(model, "float"), solve(model)
+        model, cost = build_primal(p), CostFunction.average(4)
+        fast, report = solve(model, cost, "float"), solve(model, cost)
         # the float basis is rejected on a negative level, and one dual
         # pivot repairs it; the integer loop from the unit columns, a
         # path of primal pivots, meets the same optimum
         assert report.strategy == "exact-pivots"
         assert (fast.pivots, report.pivots - fast.pivots) == (16, 1)
         assert report.stats.pivots == report.pivots
-        assert abs(report.objective - scipy_optimum(model)) <= 1e-9
+        assert abs(report.objective - scipy_optimum(priced(model, cost))) <= 1e-9
         without_float_stage(monkeypatch)
-        assert solve(model).objective == report.objective
+        assert solve(model, cost).objective == report.objective
 
     @pytest.mark.parametrize("n, index, seed, pivots", [
         (4, 59, 2, (15, 9)), (5, 13, 5, (33, 15))], ids=["n4", "n5"])
@@ -1386,13 +1390,13 @@ class TestNoInformationStart:
         # dual pivots on one of the 200 n=4 profiles, 15 on one of the 60 n=5 ones
         p = powered_profile(index, n, seed)
         cost = CostFunction.average(n)
-        model = build_primal(p, cost)
-        fast, report = solve(model, "float"), solve(model)
+        model = build_primal(p)
+        fast, report = solve(model, cost, "float"), solve(model, cost)
         assert report.strategy == "exact-pivots"
         assert (fast.pivots, report.pivots - fast.pivots) == pivots
         # dual pivots follow Bland's rule from the first, with no stall to hand over
         assert report.stats.bland_at is None
-        assert abs(report.objective - scipy_optimum(model)) <= 1e-9
+        assert abs(report.objective - scipy_optimum(priced(model, cost))) <= 1e-9
         primal, dual, _ = solve_pair(p, cost)
         slack = complementary_slackness(primal, dual, p, cost)
         assert slack.certified and slack.primal_objective - slack.dual_objective == 0
@@ -1403,8 +1407,8 @@ class TestNoInformationStart:
         # adjugate.  With every common factor divided out, the first update
         # of this repair leaves a remainder, and the loop restarts from the
         # unit columns: 17 primal pivots where 4 dual ones repair the basis
-        model = build_primal(powered_profile(127), CostFunction.average(4))
-        fast, want = solve(model, "float"), solve(model)
+        model, cost = build_primal(powered_profile(127)), CostFunction.average(4)
+        fast, want = solve(model, cost, "float"), solve(model, cost)
         real = simplex._adjugate
 
         def reduced(m_b):
@@ -1413,7 +1417,7 @@ class TestNoInformationStart:
             return adj // g, d // g
 
         monkeypatch.setattr(simplex, "_adjugate", reduced)
-        got = solve(model)
+        got = solve(model, cost)
         assert (want.strategy, want.pivots - fast.pivots) == ("exact-pivots", 4)
         assert (got.strategy, got.pivots - fast.pivots) == ("exact-pivots", 17)
         assert got.objective == want.objective
@@ -1438,13 +1442,13 @@ class TestCostScale:
 
     @staticmethod
     def solve_scaled(p, cost, factor, mode):
-        return solve(build_primal(p, CostFunction(p.n, [v * factor for v in cost.values])), mode)
+        return solve(build_primal(p), CostFunction(p.n, [v * factor for v in cost.values]), mode)
 
     @pytest.mark.parametrize("p, cost, mode", list(_cost_scale_cases()))
     def test_powers_of_two_keep_the_pivots(self, p, cost, mode):
         # the float stage sees the same costs bit for bit, and rho, summed
         # from the caller's costs, scales exactly
-        base = solve(build_primal(p, cost), mode)
+        base = solve(build_primal(p), cost, mode)
         for factor in (Fraction(1, 2 ** 40), Fraction(2 ** 40)):
             got = self.solve_scaled(p, cost, factor, mode)
             assert (got.status, got.pivots, got.strategy) == ("optimal", base.pivots, base.strategy)
@@ -1453,7 +1457,7 @@ class TestCostScale:
 
     @pytest.mark.parametrize("p, cost, mode", list(_cost_scale_cases()))
     def test_powers_of_ten_keep_the_optimum(self, p, cost, mode):
-        base = solve(build_primal(p, cost), mode)
+        base = solve(build_primal(p), cost, mode)
         for k in (-12, -6, 3, 6):
             factor = Fraction(10) ** k
             got = self.solve_scaled(p, cost, factor, mode)
@@ -1485,7 +1489,7 @@ class TestFractionalCosts:
     def test_certified_optimum_matches_highs(self, p, cost):
         primal, dual, report = solve_pair(p, cost)
         assert report.strategy == "certified"
-        assert abs(report.objective - scipy_optimum(build_primal(p, cost))) <= 1e-9
+        assert abs(report.objective - scipy_optimum(priced(build_primal(p), cost))) <= 1e-9
         slack = complementary_slackness(primal, dual, p, cost)
         assert slack.certified and slack.primal_objective == slack.dual_objective
         if cost.values[1] == Fraction(1, 3):
@@ -1523,8 +1527,63 @@ class TestFractionalCosts:
 
         monkeypatch.setattr(simplex, "_exact", exact)
         monkeypatch.setattr(Fraction, "__lt__", lt)
-        report = solve(build_primal(p, cost))
+        report = solve(build_primal(p), cost)
         assert report.strategy == "certified" and not seen
+
+
+class TestCostPerRank:
+    """A model is the profile's alone, and a cost reaches the solver as its
+    n + 1 values cost(k) 2^k, expanded to the columns by rank."""
+
+    def test_scale_counts_only_ranks_with_a_column(self):
+        # no rank-3 coset lies inside the support, so cost(3) 2^3 = 8e300 is
+        # on no column: it must set neither the float stage's scale, which
+        # would read every other cost as 0, nor the integer loop's denominator
+        p = profile(3, ["1/4", "1/8", "1/8", "1/4", "1/4", "0", "0", "0"])
+        cost = CostFunction(3, (0, 1, 1, 10 ** 300))
+        assert 3 not in build_primal(p).columns.ranks.tolist()
+        for mode, rho in (("exact", Fraction(1)), ("float", 1.0)):
+            primal, dual, report = solve_pair(p, cost, mode)
+            assert (type(report.objective), report.objective) == (type(rho), rho)
+            assert (report.mode, report.pivots) == (mode, 5)
+            assert report.strategy == ("certified" if mode == "exact" else "float")
+            assert complementary_slackness(primal, dual, p, cost).certified
+
+    def test_no_fraction_work_per_column(self, monkeypatch):
+        # the n = 5 primal has 2451 columns: a solve under costs k/3 negates
+        # its n + 1 costs, the 32 multipliers and the optimum, and floats the
+        # costs and the 32 weights, but no cost per column.  Fraction has no
+        # __float__ of its own
+        p = rand_rational_profile(5, random.Random("spy"))
+        model, cost = build_primal(p), CostFunction(5, [Fraction(k, 3) for k in range(6)])
+        assert model.n_vars == 2451 and "__float__" not in vars(Fraction)
+        calls = {"__neg__": 0, "__float__": 0}
+
+        def counted(name, real):
+            def call(x):
+                calls[name] += 1
+                return real(x)
+            return call
+
+        for owner, name in ((Fraction, "__neg__"), (Rational, "__float__")):
+            monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+        report = solve(model, cost)
+        monkeypatch.undo()
+        assert report.strategy == "certified"
+        assert 0 < calls["__neg__"] < 64 and 0 < calls["__float__"] < 64, calls
+
+    def test_one_model_for_every_cost(self):
+        # solving one model under several costs gives each cost's own solve_pair
+        p = rand_rational_profile(3, random.Random("one-model"))
+        model = build_primal(p)
+        for cost in (CostFunction.average(3), CostFunction.threshold(3, 2),
+                     CostFunction(3, [Fraction(k, 3) for k in range(4)])):
+            for mode in ("exact", "float"):
+                _, _, want = solve_pair(p, cost, mode)
+                got = solve(model, cost, mode)
+                assert same(got.objective, want.objective) and same(got.duals, want.duals)
+                assert (got.values, got.pivots, got.strategy) == (want.values, want.pivots,
+                                                                  want.strategy)
 
 
 class TestUnscaledRows:
@@ -1538,7 +1597,7 @@ class TestUnscaledRows:
         # Its multipliers solve y_0 + y_1 = -2 and y_1 = 0, so b = -y = (2, 0)
         # covers the coset {0, 1}, and sum y_i w_i is the optimum, exactly
         w = [Fraction(1, 4), Fraction(3, 4)]
-        a = simplex.Columns(np.array([0, 1, 0, 1]), np.array([0, 1, 2, 2]), w)
+        a = simplex.Columns(np.array([0, 1, 0, 1]), np.array([0, 1, 2, 2]), w, np.arange(3))
         c = np.array([Fraction(0), Fraction(0), Fraction(-2)], dtype=object)
         result = simplex.simplex_min(a, c)
         assert (result.strategy, result.x) == ("certified", {1: Fraction(1, 2), 2: Fraction(1, 4)})
@@ -1552,7 +1611,7 @@ class TestUnscaledRows:
         # is -1/2, at mu_0 = mu_{0,1} = mu_{0,1,2} = 1/6, where y = (0, -1, -1)
         w = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]
         a = simplex.Columns(np.array([0, 1, 2, 0, 1, 1, 2, 0, 1, 2]),
-                            np.array([0, 1, 2, 3, 3, 4, 4, 5, 5, 5]), w)
+                            np.array([0, 1, 2, 3, 3, 4, 4, 5, 5, 5]), w, np.arange(6))
         c = np.array([Fraction(v) for v in (0, 0, 0, -1, -1, -2)], dtype=object)
         result = simplex.simplex_min(a, c)
         assert (result.strategy, result.objective) == ("certified", Fraction(-1, 2))
@@ -1567,10 +1626,11 @@ class TestUnscaledRows:
     def test_multipliers_are_b_on_the_support(self, p, cost, mode):
         # exact: -y is b on the support, and sum y_i w_i is the optimum with
         # no gap; float: the same up to the clamp of rounding residue
-        model = build_primal(p, cost)
+        model = build_primal(p)
         exact = mode == "exact" and p.rational
+        values = [v * (1 << k) for k, v in enumerate(cost.values)]
         result = simplex.simplex_min(model.columns, -np.array(
-            model.objective, dtype=object if exact else float))
+            values, dtype=object if exact else float))
         _, dual, report = solve_pair(p, cost, mode)
         assert same([-y for y in result.y], report.duals)
         b = [dual.b[i] for i in p.support]
@@ -1597,7 +1657,7 @@ class TestUnscaledRows:
         assert (Fraction(1, 3) / 2, 2 / Fraction(1, 3)) == (Fraction(1, 6), 6)
         assert calls == ["__truediv__", "__rtruediv__"]
         calls.clear()
-        model = build_primal(p, cost)
+        model = build_primal(p)
         assert calls == []
         real_exact, in_exact = simplex._exact, []
 
@@ -1609,7 +1669,7 @@ class TestUnscaledRows:
                 in_exact.append(calls[start:])
 
         monkeypatch.setattr(simplex, "_exact", exact)
-        report = solve(model)
+        report = solve(model, cost)
         assert report.strategy == "certified" and in_exact == [[]]
 
 
@@ -1646,9 +1706,9 @@ class TestCertificateColumnSums:
         # the primal's incidence, and a hand one with empty columns, under
         # multipliers up to 2^70: sums past int64 go to Python ints
         rng = random.Random(f"prices/{scale}")
-        primal = build_primal(rand_rational_profile(3, rng), CostFunction.average(3))
+        primal = build_primal(rand_rational_profile(3, rng))
         # columns 1 and 3 have no nonzero
-        gaps = simplex.Columns(np.array([0, 1, 0]), np.array([0, 0, 2]), [1, 1])
+        gaps = simplex.Columns(np.array([0, 1, 0]), np.array([0, 0, 2]), [1, 1], np.arange(4))
         for columns, nv in ((primal.columns, primal.n_vars), (gaps, 4)):
             m = len(columns.w)
             for trial in range(12):
@@ -1700,8 +1760,8 @@ class TestSparseMu:
     @pytest.mark.parametrize("mode", ["exact", "float"])
     def test_no_zero_entries(self, p, mode):
         for cost in (CostFunction.average(p.n), CostFunction.threshold(p.n, 1)):
-            model = build_primal(p, cost)
-            report = solve(model, mode)
+            model = build_primal(p)
+            report = solve(model, cost, mode)
             assert report.values and all(report.values.values())
             assert len(report.values) <= len(p.support)
             assert list(report.values) == [key for key in model.labels if key in report.values]
@@ -1716,8 +1776,8 @@ class TestLazyLambda:
     def test_cases_hold_zero_levels_and_zero_sets(self):
         zero_levels = zero_sets = 0
         for _, p in _lambda_profiles():
-            model = build_primal(p, CostFunction.threshold(p.n, 1))
-            report = solve(model, "exact")
+            model = build_primal(p)
+            report = solve(model, CostFunction.threshold(p.n, 1), "exact")
             zero_levels += any(v == 0 for v in dense_values(model, report).values())
             zero_sets += bool(p.zero_set)
         assert zero_levels >= 10 and zero_sets >= 6
@@ -1727,8 +1787,8 @@ class TestLazyLambda:
     @pytest.mark.parametrize("mode", ["exact", "float"])
     def test_matches_eager_loop(self, p, mode):
         for cost in (CostFunction.average(p.n), CostFunction.threshold(p.n, 1)):
-            model = build_primal(p, cost)
-            report = solve(model, mode)
+            model = build_primal(p)
+            report = solve(model, cost, mode)
             for values in (report.values, dense_values(model, report)):
                 sol = PrimalSolution(p.n, values, report.objective)
                 assert same(lam_of(sol, p.weights), eager_lam(p, values))

@@ -180,7 +180,7 @@ def dense_form(sol, p, cost):
     on every column of the model, 0 off the cosets with mass, then 0 on the
     bottom code at each zero-weight index."""
     zero = sol.objective * 0
-    mu = {label: sol.mu.get(label, zero) for label in build_primal(p, cost).labels}
+    mu = {label: sol.mu.get(label, zero) for label in build_primal(p).labels}
     mu.update(dict.fromkeys([(ParityCode.bottom(p.n), i) for i in p.zero_set], zero))
     return PrimalSolution(p.n, mu, sol.objective)
 

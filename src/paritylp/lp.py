@@ -74,6 +74,11 @@ class LpModel:
     def n_vars(self) -> int:
         return len(self.labels)
 
+    @property
+    def n(self) -> int:
+        """The n of the profile, read off the code of the first column."""
+        return self.labels[0][0].n
+
     @functools.cached_property
     def constraints(self) -> list[Constraint]:
         a = self.columns
@@ -198,6 +203,8 @@ def solve(model: LpModel, cost: CostFunction, mode: str = EXACT) -> SolveReport:
     """
     if mode not in (EXACT, FLOAT):
         raise SolveError(f"unknown mode {mode!r}")
+    if cost.n != model.n:
+        raise SolveError(f"a cost for n={cost.n} given to a model for n={model.n}")
     start = time.perf_counter()
     # One subclass test per number type, not one isinstance per weight.
     exact = mode == EXACT and all(issubclass(t, Rational) for t in set(map(type, model.columns.w)))

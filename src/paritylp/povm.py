@@ -9,7 +9,10 @@ outcome relabeling y -> y + H.a.  All of that is re-checked numerically by
 ``verify_povm`` instead of being trusted.  A set holds one stack per code,
 the (2^k, 2^n, 2^n) array of all that code's elements, which the builder
 fills and the audits, the score and the report read as it is.  Covariance is
-checked on the n generators e_1..e_n of the shift group.
+checked on the n generators e_1..e_n of the shift group, once per set.  A
+code of deviation exactly 0 holds exact relabellings F[(H, y)] = X_a F[(H, 0)]
+X_a, which share outcome 0's entries, spectrum and Fourier diagonal, so the
+audits read those, and the Born overlaps, off outcome 0 alone.
 """
 
 from __future__ import annotations
@@ -133,12 +136,29 @@ class PovmSet:
                                  for y, mat in enumerate(stack)})
 
     @cached_property
+    def covariance(self) -> list[float]:
+        """`_covariance_dev` of each code's stack, in the set's order, then of
+        the leftover: `verify_povm`, `fourier_diag_check` and `overlaps` read a
+        code whose deviation is exactly 0.0 off its outcome 0 alone."""
+        return [_covariance_dev(code, stack) for code, stack in _code_stacks(self)]
+
+    @cached_property
     def overlaps(self) -> list[np.ndarray]:
         """<psi_x|M_j|psi_x> at [j, x] for each code's stack, in the set's
         order, then for the leftover, under the set's profile: read by both
-        `verify_povm` and `rho_eval`."""
+        `verify_povm` and `rho_eval`.  For an exactly covariant code, M_y is
+        X_a M_0 X_a for the least a with H.a = y, and X_a psi_x = psi_(x+a),
+        so row y is row 0 read at x + a."""
         states = _states(self.profile)
-        return [_overlaps(stack, states) for _, stack in _code_stacks(self)]
+        x = np.arange(len(states))
+        rows = []
+        for (code, stack), dev in zip(_code_stacks(self), self.covariance):
+            if dev == 0.0:
+                least = np.unique(code.parities, return_index=True)[1]
+                rows.append(_overlaps(stack[:1], states)[0][x ^ least[:, None]])
+            else:
+                rows.append(_overlaps(stack, states))
+        return rows
 
     def to_json_dict(self) -> dict:
         """The set with its operators as ndarrays; `cli.dump_json` writes each
@@ -225,23 +245,32 @@ def _overlaps(stack: np.ndarray, states: np.ndarray) -> np.ndarray:
 
 def _covariance_dev(code: ParityCode, stack: np.ndarray) -> float:
     """max |X_a F[(code, y)] X_a - F[(code, y + H.a)]| over the elements of
-    a code's stack and the generators a = e_1..e_n.
+    a code's stack and the generators a = e_1..e_n; NaN if any entry is NaN.
 
-    The stack is read as k outcome bit axes, then n row and n column bit
-    axes, the highest bit first.  Conjugating by X_a for a = e_j reverses
-    the row and the column axis of bit j, and y -> y + H.a reverses the
-    outcome axes of the bits set in H.a (none where H.a = 0), so the pairs
-    compared are those of one flipped view and the stack itself: no index
-    arrays and no gathered copy."""
+    The stack is read as k outcome bit axes, then rows and columns as (hi, 2,
+    lo) blocks around bit j.  Conjugating by X_a for a = e_j reverses both
+    middle axes, and y -> y + H.a the outcome axes of the bits set in H.a, so
+    the pairs compared are those of one flipped view and the stack itself,
+    subtracted only where the two differ."""
     n, k = code.n, code.k
-    elements = stack.reshape((2,) * (k + 2 * n))
     dev = 0.0
     for j in range(n):
+        blocks = stack.reshape((2,) * k + (1 << (n - 1 - j), 2, 1 << j) * 2)
         h = code.parity(1 << j)
-        axes = (k + n - 1 - j, k + 2 * n - 1 - j,
-                *(k - 1 - b for b in range(k) if h >> b & 1))
-        dev = max(dev, float(np.max(np.abs(np.flip(elements, axes) - elements))))
+        flipped = np.flip(blocks, (k + 1, k + 4, *(k - 1 - b for b in range(k) if h >> b & 1)))
+        if not np.array_equal(flipped, blocks):
+            dev = _max(dev, float(np.max(np.abs(flipped - blocks))))
     return dev
+
+
+def _max(a: float, b: float) -> float:
+    """max(a, b), but NaN if either is, so no NaN leaves a running maximum."""
+    return b if b > a or b != b else a
+
+
+def _min(a: float, b: float) -> float:
+    """min(a, b), but NaN if either is."""
+    return b if b < a or b != b else a
 
 
 def rho_eval(povm: PovmSet, cost: CostFunction) -> float:
@@ -320,20 +349,24 @@ def verify_povm(povm: PovmSet, *,
     total = np.zeros((size, size), dtype=complex)
     herm = unambig = sym_dev = 0.0
     min_eig = math.inf
-    for (code, stack), overlaps in zip(_code_stacks(povm), povm.overlaps):
-        adj = stack.conj().transpose(0, 2, 1)
-        herm = max(herm, float(np.max(np.abs(stack - adj))))
-        min_eig = min(min_eig, float(np.min(np.linalg.eigvalsh((stack + adj) / 2))))
-        del adj  # before the covariance audit, which holds several stack-sized arrays
+    for (code, stack), overlaps, dev in zip(_code_stacks(povm), povm.overlaps, povm.covariance):
+        # exact relabellings: outcome 0's entries permuted, a similar matrix
+        orbit = stack[:1] if dev == 0.0 else stack
+        adj = orbit.conj().transpose(0, 2, 1)
+        dev_h = float(np.max(np.abs(orbit - adj)))
+        herm = _max(herm, dev_h)
+        # dev_h is NaN or inf for a non-finite entry, where eigvalsh fails
+        min_eig = _min(min_eig, float(np.min(np.linalg.eigvalsh((orbit + adj) / 2)))
+                       if math.isfinite(dev_h) else math.nan)
         # element by element, in the set's order, as a running sum adds them
         for mat in stack:
             total += mat
 
         wrong = code.parities != np.arange(len(stack))[:, None]
         if wrong.any():
-            unambig = max(unambig, max(map(abs, overlaps[wrong].tolist())))
+            unambig = reduce(_max, map(abs, overlaps[wrong].tolist()), unambig)
 
-        sym_dev = max(sym_dev, n * _covariance_dev(code, stack))
+        sym_dev = _max(sym_dev, n * dev)
     complete = float(np.linalg.norm(total - np.eye(size)))
 
     gamma_ok = (
@@ -366,14 +399,16 @@ def fourier_diag_check(povm: PovmSet) -> FourierDiagReport:
     w_mat = walsh_hadamard(povm.n)
     weights = np.array(povm.profile.weights_float)
     offdiag = factor = spread = 0.0
-    for code, stack in _code_stacks(povm):
+    for (code, stack), dev in zip(_code_stacks(povm), povm.covariance):
         agg_hat = w_mat @ stack.sum(axis=0) @ w_mat
         off = agg_hat - np.diag(np.diag(agg_hat))
-        offdiag = max(offdiag, float(np.max(np.abs(off))))
-        hat_diag = np.real(np.diagonal(w_mat @ stack @ w_mat, axis1=1, axis2=2))
-        factor = max(factor, float(np.max(np.abs(
+        offdiag = _max(offdiag, float(np.max(np.abs(off))))
+        # W X_a M X_a W = Z_a W M W Z_a, Z_a diagonal: the same Fourier diagonal
+        orbit = stack[:1] if dev == 0.0 else stack
+        hat_diag = np.real(np.diagonal(w_mat @ orbit @ w_mat, axis1=1, axis2=2))
+        factor = _max(factor, float(np.max(np.abs(
             np.real(np.diag(agg_hat)) - (1 << code.k) * hat_diag
         ))))
         by_coset = (weights * hat_diag)[:, code.cosets]
-        spread = max(spread, float(np.max(by_coset.max(axis=2) - by_coset.min(axis=2))))
+        spread = _max(spread, float(np.max(by_coset.max(axis=2) - by_coset.min(axis=2))))
     return FourierDiagReport(offdiag, factor, spread)

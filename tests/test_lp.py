@@ -26,7 +26,7 @@ from conftest import (
     without_float_stage,
 )
 from paritylp import simplex
-from paritylp.errors import BudgetError
+from paritylp.errors import BudgetError, SolveError
 from paritylp.f2lin import (
     F2Matrix,
     ParityCode,
@@ -1584,6 +1584,16 @@ class TestCostPerRank:
                 assert same(got.objective, want.objective) and same(got.duals, want.duals)
                 assert (got.values, got.pivots, got.strategy) == (want.values, want.pivots,
                                                                   want.strategy)
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("cost_n", [2, 4])
+    def test_cost_for_another_n_refused(self, cost_n, mode):
+        # a cost with too few ranks failed in numpy's broadcast, and one with
+        # too many solved with its extra ranks ignored
+        model = build_primal(rand_rational_profile(3, random.Random("other-n")))
+        assert model.n == 3
+        with pytest.raises(SolveError, match=f"cost for n={cost_n} given to a model for n=3"):
+            solve(model, CostFunction.average(cost_n), mode)
 
 
 class TestUnscaledRows:

@@ -27,6 +27,7 @@ from paritylp.povm import (
     _coset_fourier,
     _coset_states,
     _covariance_dev,
+    _overlaps,
     _shift_average,
     _states,
     build_from_primal,
@@ -106,15 +107,49 @@ def build_from_primal_loops(sol, profile):
                                  profile)
 
 
-def rho_eval_loops(povm, cost):
+def least_shift(code, y):
+    """The least a with H.a = y."""
+    return min(x for x in all_vectors(code.n) if code.parity(x) == y)
+
+
+def orbit_reading(povm, every_element=False):
+    """(code, y) -> (M, a) for every element and, keyed (bottom, 0), the
+    leftover: the audits read the entries, spectrum and Fourier diagonal of
+    outcome (code, y) off M, and its Born overlap with psi_x as that of M with
+    psi_(x+a).  Where every generator relabelling reproduces the code's
+    elements bit for bit, M is outcome 0 and a the least shift with H.a = y,
+    as F[(H, y)] = X_a F[(H, 0)] X_a and X_a psi_x = psi_(x+a); otherwise, and
+    for every code with `every_element`, M is the element itself and a = 0."""
+    n = povm.n
+    keyed = {**povm.elements, (ParityCode.bottom(n), 0): povm.perp}
+    exact = {}
+    for (code, y), mat in keyed.items():
+        for j in range(n):
+            partner = keyed[(code, y ^ code.parity(1 << j))]
+            if shifted(mat, 1 << j).tobytes() != partner.tobytes():
+                exact[code] = False
+        exact.setdefault(code, not every_element)
+    reading = {}
+    for (code, y), mat in keyed.items():
+        if exact[code]:
+            reading[(code, y)] = (keyed[(code, 0)], least_shift(code, y))
+        else:
+            reading[(code, y)] = (mat, 0)
+    return reading
+
+
+def rho_eval_loops(povm, cost, every_element=False):
+    reading = orbit_reading(povm, every_element)
     states = [state_psi(povm.profile, x) for x in all_vectors(povm.n)]
     total = 0.0
-    for (code, y), mat in povm.elements.items():
+    for (code, y) in povm.elements:
         ck = float(cost.values[code.k])
         if ck == 0.0:
             continue
+        mat, a = reading[(code, y)]
         total += ck * sum(
-            float(np.real(np.conj(s) @ (mat @ s))) for s in states
+            float(np.real(np.conj(states[x ^ a]) @ (mat @ states[x ^ a])))
+            for x in all_vectors(povm.n)
         )
     c0 = float(cost.values[0])
     if c0:
@@ -146,27 +181,30 @@ def symmetrize_loops(povm):
     return PovmSet.from_elements(n, elements, perp, povm.profile)
 
 
-def verify_povm_loops(povm, *, tol_hermitian=1e-12, tol_psd=1e-9,
+def verify_povm_loops(povm, *, every_element=False, tol_hermitian=1e-12, tol_psd=1e-9,
                       tol_complete=1e-8, tol_unambig=1e-10, tol_symmetry=1e-9):
     n = povm.n
     size = 1 << n
     all_ops = list(povm.elements.values()) + [povm.perp]
+    reading = orbit_reading(povm, every_element)
+    read = [m for m, _ in reading.values()]
 
     herm = max(
-        float(np.max(np.abs(m - m.conj().T))) for m in all_ops
+        float(np.max(np.abs(m - m.conj().T))) for m in read
     )
     min_eig = min(
-        float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2))) for m in all_ops
+        float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2))) for m in read
     )
     total = sum(all_ops[:-1], np.zeros((size, size), dtype=complex)) + povm.perp
     complete = float(np.linalg.norm(total - np.eye(size)))
 
     states = [state_psi(povm.profile, x) for x in all_vectors(n)]
     unambig = 0.0
-    for (code, y), mat in povm.elements.items():
+    for (code, y) in povm.elements:
+        mat, a = reading[(code, y)]
         for x in all_vectors(n):
             if code.parity(x) != y:
-                s = states[x]
+                s = states[x ^ a]
                 unambig = max(unambig, abs(complex(np.conj(s) @ (mat @ s))))
 
     # covariance on the generators e_1..e_n, reported as n times the largest
@@ -192,27 +230,28 @@ def verify_povm_loops(povm, *, tol_hermitian=1e-12, tol_psd=1e-9,
                             gamma_ok, sym_dev <= tol_symmetry)
 
 
-def fourier_diag_check_loops(povm):
+def fourier_diag_check_loops(povm, every_element=False):
     n = povm.n
     w_mat = walsh_hadamard(n)
     weights = povm.profile.weights_float
+    reading = orbit_reading(povm, every_element)
     offdiag = 0.0
     factor = 0.0
     spread = 0.0
 
     groups = {}
-    for (code, y), mat in povm.elements.items():
-        groups.setdefault(code, []).append(mat)
-    groups.setdefault(ParityCode.bottom(n), []).append(povm.perp)
+    for (code, y), mat in {**povm.elements, (ParityCode.bottom(n), 0): povm.perp}.items():
+        groups.setdefault(code, []).append((mat, reading[(code, y)][0]))
 
-    for code, mats in groups.items():
+    for code, pairs in groups.items():
+        mats = [mat for mat, _ in pairs]
         agg = sum(mats[1:], mats[0].copy())
         agg_hat = w_mat @ agg @ w_mat
         off = agg_hat - np.diag(np.diag(agg_hat))
         offdiag = max(offdiag, float(np.max(np.abs(off))))
         scale = 1 << code.k
-        for mat in mats:
-            mat_hat_diag = np.real(np.diag(w_mat @ mat @ w_mat))
+        for _, read in pairs:
+            mat_hat_diag = np.real(np.diag(w_mat @ read @ w_mat))
             factor = max(factor, float(np.max(np.abs(
                 np.real(np.diag(agg_hat)) - scale * mat_hat_diag
             ))))
@@ -830,6 +869,7 @@ class TestAuditsMatchLoops:
         devs = [(_covariance_dev(code, stack), gather_covariance_dev(code, stack))
                 for code, stack in _code_stacks(povm)]
         assert float_bits([got for got, _ in devs]) == float_bits([want for _, want in devs])
+        assert float_bits(povm.covariance) == float_bits([got for got, _ in devs])
         assert (max(got for got, _ in devs) > 1e-6) == (label != "optimum")
         if n >= 3:
             # a rank >= 1 code with H.e_j = 0: a generator whose flip leaves
@@ -838,8 +878,110 @@ class TestAuditsMatchLoops:
                        for code in povm.stacks for j in range(n))
 
     @pytest.mark.parametrize("n,label", SEEDED)
+    def test_orbit_reading_matches_every_element(self, n, label):
+        # reading an exactly covariant code off outcome 0 moves the figures
+        # by rounding alone, and no verdict
+        povm = seeded_sets(n)[label]
+        # at n = 1 the one informative code is the one each label breaks
+        assert any(a for _, a in orbit_reading(povm).values()) == (n > 1 or label == "optimum")
+        orbit, every = (verify_povm_loops(povm, every_element=flag).to_json_dict()
+                        for flag in (False, True))
+        for key, value in orbit.items():
+            if isinstance(value, bool):
+                assert value == every[key], key
+            else:
+                assert abs(value - every[key]) <= 1e-15, key
+        for got, want in zip(fourier_diag_check_loops(povm),
+                             fourier_diag_check_loops(povm, every_element=True)):
+            assert abs(got - want) <= 1e-15
+        for cost in (CostFunction.average(n), CostFunction.threshold(n, 1)):
+            assert math.isclose(rho_eval_loops(povm, cost),
+                                rho_eval_loops(povm, cost, every_element=True),
+                                rel_tol=1e-14, abs_tol=0)
+
+    @pytest.mark.parametrize("n,label", SEEDED)
     def test_covariance_against_shift_matrices(self, n, label):
         # the generator figure bounds the deviation under every shift
         povm = seeded_sets(n)[label]
         reported = verify_povm(povm).max_symmetry_dev
         assert all_shifts_deviation(povm) <= reported * (1 + 1e-12)
+
+
+def with_outcome_1(base, code, mat):
+    """The set `base` with outcome 1 of `code` replaced by `mat`."""
+    return PovmSet.from_elements(base.n, {**base.elements, (code, 1): mat},
+                                 base.perp, base.profile)
+
+
+class TestOrbitReading:
+    """A code is audited on its outcome 0 alone only when its covariance
+    deviation is exactly 0: anything else takes the element-by-element
+    path."""
+
+    def test_negative_eigenvalue_off_outcome_0_is_found(self):
+        # outcome 1 is the relabelled outcome 0 less 1e-6 |v><v| for a unit v
+        # in its kernel: outcome 0 alone shows no negative eigenvalue
+        base = seeded_sets(3)["optimum"]
+        code = next(code for code in base.stacks if code.k == 3)
+        relabelled = shifted(base.elements[(code, 0)], least_shift(code, 1))
+        values, vectors = np.linalg.eigh(relabelled)
+        assert abs(values[0]) < 1e-12
+        v = vectors[:, 0]
+        povm = with_outcome_1(base, code, relabelled - 1e-6 * np.outer(v, np.conj(v)))
+        ver = verify_povm(povm)
+        assert ver.min_eigenvalue <= -5e-7
+        assert verify_povm(base).min_eigenvalue > -1e-12
+        assert not ver.gamma_ok and not ver.symmetric_ok
+
+    def test_one_ulp_off_takes_the_element_path(self):
+        # one Hermitian pair of entries of outcome 1 a ulp off the relabelled
+        # outcome 0: the code's overlaps are those of its elements, which
+        # differ in bits from those read off outcome 0
+        base = seeded_sets(3)["optimum"]
+        code = next(code for code in base.stacks if code.k == 3)
+        mat = shifted(base.elements[(code, 0)], least_shift(code, 1))
+        assert mat.tobytes() == base.elements[(code, 1)].tobytes() and mat[0, 1].real
+        mat[0, 1] = complex(np.nextafter(mat[0, 1].real, np.inf), mat[0, 1].imag)
+        mat[1, 0] = np.conj(mat[0, 1])
+        povm = with_outcome_1(base, code, mat)
+        at = list(povm.stacks).index(code)
+        stack = povm.stacks[code]
+        assert 0 < povm.covariance[at] < 1e-15
+        assert verify_povm(povm).max_symmetry_dev > 0
+
+        states = _states(povm.profile)
+        direct = _overlaps(stack, states)
+        x = np.arange(len(states))
+        read_off_0 = np.stack([_overlaps(stack[:1], states)[0][x ^ least_shift(code, y)]
+                               for y in range(len(stack))])
+        assert read_off_0.tobytes() != direct.tobytes()
+        assert povm.overlaps[at].tobytes() == direct.tobytes()
+        assert float_bits(verify_povm(povm).to_json_dict().values()) == \
+            float_bits(verify_povm_loops(povm).to_json_dict().values())
+        assert float_bits(fourier_diag_check(povm).to_json_dict().values()) == \
+            float_bits(fourier_diag_check_loops(povm))
+
+
+class TestNonFinite:
+    """A non-finite entry neither passes nor crashes the audits: every
+    deviation and maximum it reaches reads NaN (inf where the entry is
+    infinite and no NaN arises), and every verdict is false."""
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf])
+    def test_non_finite_entry(self, entry):
+        base = seeded_sets(3)["optimum"]
+        code = next(code for code in base.stacks if code.k == 3)
+        mat = base.elements[(code, 1)].copy()
+        mat[0, 1] = complex(entry, mat[0, 1].imag)
+        povm = with_outcome_1(base, code, mat)
+        # numpy warns of the inf - inf in the products; the figures say it
+        with np.errstate(invalid="ignore"):
+            dev = _covariance_dev(code, povm.stacks[code])
+            ver = verify_povm(povm)
+            fourier = fourier_diag_check(povm).to_json_dict()
+        assert not ver.gamma_ok and not ver.symmetric_ok and not ver.ok
+        figures = [dev, ver.max_hermitian_dev, ver.min_eigenvalue, ver.completeness_frobenius,
+                   ver.max_unambiguity_trace, ver.max_symmetry_dev, *fourier.values()]
+        assert not any(map(math.isfinite, figures))
+        if math.isnan(entry):
+            assert all(map(math.isnan, figures))

@@ -248,18 +248,24 @@ def _covariance_dev(code: ParityCode, stack: np.ndarray) -> float:
     a code's stack and the generators a = e_1..e_n; NaN if any entry is NaN.
 
     The stack is read as k outcome bit axes, then rows and columns as (hi, 2,
-    lo) blocks around bit j.  Conjugating by X_a for a = e_j reverses both
-    middle axes, and y -> y + H.a the outcome axes of the bits set in H.a, so
-    the pairs compared are those of one flipped view and the stack itself,
-    subtracted only where the two differ."""
+    lo) blocks around bit j.  Conjugating by X_a for a = e_j swaps row bit j
+    and column bit j, and y -> y + H.a flips the outcome bits set in H.a.  The
+    pair at row bit 1 of outcome y is the pair at row bit 0 of outcome
+    y + H.a, so only the row-bit-0 half is compared: entry (y, 0, c) against
+    entry (y + H.a, 1, c + e_j), each pair once, subtracted only where the
+    halves differ."""
     n, k = code.n, code.k
+    # the outcome axes and the row's hi axis, ahead of row bit j
+    lead = (slice(None),) * (k + 1)
     dev = 0.0
     for j in range(n):
         blocks = stack.reshape((2,) * k + (1 << (n - 1 - j), 2, 1 << j) * 2)
         h = code.parity(1 << j)
-        flipped = np.flip(blocks, (k + 1, k + 4, *(k - 1 - b for b in range(k) if h >> b & 1)))
-        if not np.array_equal(flipped, blocks):
-            dev = _max(dev, float(np.max(np.abs(flipped - blocks))))
+        lower = blocks[lead + (0,)]
+        upper = np.flip(blocks[lead + (1,)],
+                        (k + 3, *(k - 1 - b for b in range(k) if h >> b & 1)))
+        if not np.array_equal(upper, lower):
+            dev = _max(dev, float(np.max(np.abs(upper - lower))))
     return dev
 
 

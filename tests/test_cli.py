@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import check_report
 from conftest import ball_profile, rand_rational_profile, without_float_stage
-from paritylp import bounds, cli, lp, povm
+from paritylp import bounds, cli, lp, povm, simulate
 from paritylp.cli import _render, build_parser, dump_json, main
 from paritylp.f2lin import enumerate_all_codes, vec_from_str
 from paritylp.profiles import AmplitudeProfile, CostFunction, bernoulli_profile
@@ -762,10 +762,44 @@ class TestSimulate:
             "--shots", "20000", "--seed", "42",
         ])
         assert code == 0
-        assert report["audits"]["sampled_y_always_Hx"]
-        assert report["audits"]["statevector_consistent"]
+        assert report["audits"] == {"histogram_in_support": True,
+                                    "statevector_consistent": True}
+        assert set(report["statevector"]) == {"norm_deviation", "max_distribution_deviation",
+                                              "n_amplitudes", "ok"}
         total = sum(r["count"] for r in report["histogram"])
         assert total == 20000
+
+    @pytest.mark.parametrize("zero_weight", [False, True], ids=["full", "ball5"])
+    def test_histogram_outside_support_fails(self, tmp_path, capsys, monkeypatch,
+                                             profile_file, zero_weight):
+        # a sampler that leaks one shot onto an outcome of exact probability
+        # 0 is caught, also on a zero-weight profile, which has no state-vector
+        # block to catch it
+        if zero_weight:
+            path = tmp_path / "ball5.json"
+            path.write_text(json.dumps(
+                ball_profile(5, 2, random.Random("ci/ball5")).to_json_dict()))
+            profile_file, x = str(path), "01101"
+        else:
+            x = "01"
+        real = simulate.sample
+
+        def leaky(sol, profile, xv, shots, seed):
+            dist = simulate.exact_distribution(sol, profile, xv)
+            leak = next(c for c in enumerate_all_codes(profile.n)
+                        if not dist.get((c, c.parity(xv)), 0))
+            return real(sol, profile, xv, shots, seed) + [
+                simulate.OutcomeRecord(leak, leak.parity(xv), 1, 1 / shots)]
+
+        argv = ["simulate", "--profile", profile_file, "--x", x, "--shots", "1000",
+                "--seed", "5"]
+        code, report = run_json(capsys, argv)
+        assert code == 0 and report["audits"]["histogram_in_support"]
+        assert (report["statevector"] is None) == zero_weight
+        monkeypatch.setattr(simulate, "sample", leaky)
+        code, report = run_json(capsys, argv)
+        assert code == 1
+        assert report["audits"]["histogram_in_support"] is False
 
     def test_float_mode_degenerate_profile(self, tmp_path, capsys):
         # weights of rand_rational_profile(4, random.Random(11)); its float

@@ -73,98 +73,47 @@ def _render(value):
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-# Fibonacci hashing: the top bits of pattern * 2^64/phi pick a pattern's slot.
-_MIX = np.uint64(0x9E3779B97F4A7C15)
-
-
-class _FloatTokens:
-    """The token json writes for each float met so far, by bit pattern,
-    -0.0, NaN and Infinity included.
-
-    A pattern sits in its home slot of `keys` and `tokens` (an object
-    array) when that slot was free as it came, else among the sorted
-    patterns `spill_keys` beside their `spill_tokens`.  So a matrix's
-    tokens are one gather, plus one search for the few spilled patterns
-    in it.  The table has 16 slots per float of the first matrix,
-    rounded up to a power of two.
-    """
-
-    def __init__(self):
-        self.keys = None  # allocated by the first lookup
-
-    def _home(self, bits: np.ndarray) -> np.ndarray:
-        return ((bits.view(np.uint64) * _MIX) >> self._shift).astype(np.intp)
-
-    def lookup(self, bits: np.ndarray) -> list:
-        """The tokens of an int64 array of patterns, in order; the patterns
-        the table lacks are added by one C-encoder call."""
-        if self.keys is None:
-            log_size = (16 * len(bits) - 1).bit_length()
-            self._shift = np.uint64(64 - log_size)
-            self.keys = np.zeros(1 << log_size, dtype=np.int64)
-            self.tokens = np.empty(1 << log_size, dtype=object)
-            self.used = np.zeros(1 << log_size, dtype=bool)
-            self.spill_keys = np.empty(0, dtype=np.int64)
-            self.spill_tokens = np.empty(0, dtype=object)
-        home = self._home(bits)
-        hit = self.used[home] & (self.keys[home] == bits)
-        if hit.all():
-            return self.tokens[home].tolist()
-        miss = np.flatnonzero(~hit)
-        at = np.searchsorted(self.spill_keys, bits[miss])
-        spilled = self.spill_keys[np.minimum(at, len(self.spill_keys) - 1)] == bits[miss] \
-            if len(self.spill_keys) else np.zeros(len(miss), dtype=bool)
-        if not spilled.all():
-            self._add(bits[miss[~spilled]])
-            return self.lookup(bits)
-        tokens = self.tokens[home]
-        tokens[miss] = self.spill_tokens[at]
-        return tokens.tolist()
-
-    def _add(self, bits: np.ndarray) -> None:
-        """Encode new patterns, each once, and file each in its home slot,
-        or among the spilled ones when another pattern holds that slot."""
-        # by sorting: np.unique without an index output imports numpy.ma
-        bits = np.sort(bits)
-        bits = bits[np.append(True, bits[1:] != bits[:-1])]
-        text = json.dumps(bits.view(float).tolist())
-        tokens = np.array(text[1:-1].split(", "), dtype=object)
-        home = self._home(bits)
-        free = np.flatnonzero(~self.used[home])
-        placed = free[np.unique(home[free], return_index=True)[1]]
-        self.keys[home[placed]] = bits[placed]
-        self.tokens[home[placed]] = tokens[placed]
-        self.used[home[placed]] = True
-        rest = np.ones(len(bits), dtype=bool)
-        rest[placed] = False
-        at = np.searchsorted(self.spill_keys, bits[rest])
-        self.spill_keys = np.insert(self.spill_keys, at, bits[rest])
-        self.spill_tokens = np.insert(self.spill_tokens, at, tokens[rest])
-
-
-def _matrix_json(m, level: int, table: _FloatTokens) -> str:
-    """A 2-D array as json writes its rows of {"re": ., "im": .} dicts at `level`.
-
-    The tokens of the interleaved (re, im) values come from `table`, by bit
-    pattern.  The separators are fixed per level.
-    """
-    if m.ndim != 2:
-        raise TypeError(f"cannot encode a {m.ndim}-D array as a matrix")
-    m = np.ascontiguousarray(m, dtype=complex)
-    rows, cols = m.shape
+def _matrix_json(entries: np.ndarray, level: int, layouts: dict) -> str:
+    """A matrix as json writes its rows of {"re": ., "im": .} dicts at `level`,
+    from the (rows, cols, 2) tokens of its (re, im) values.  `layouts` keeps,
+    per shape and level, the separators and a slot for each token to refill."""
+    rows, cols, _ = entries.shape
     i0, i1, i2, i3 = ("\n" + "  " * (level + d) for d in range(4))
-    if m.size == 0:
+    if not entries.size:
         return "[" + ",".join([i1 + "[]"] * rows) + i0 + "]" if rows else "[]"
-    tokens = table.lookup(m.view(np.int64).ravel())
-    opening = "{" + i3 + '"re": '
-    closing = i2 + "}"
-    parts = ["," + i3 + '"im": '] * (2 * len(tokens))
-    parts[1::2] = tokens
-    parts[0::4] = [closing + "," + i2 + opening] * (rows * cols)
-    parts[0::4 * cols] = [closing + i1 + "]," + i1 + "[" + i2 + opening] * rows
-    parts[0] = "[" + i1 + "[" + i2 + opening
-    parts.append(closing + i1 + "]" + i0 + "]")
+    parts = layouts.get((rows, cols, level))
+    if parts is None:
+        opening = "{" + i3 + '"re": '
+        closing = i2 + "}"
+        parts = ["," + i3 + '"im": '] * (2 * entries.size)
+        parts[0::4] = [closing + "," + i2 + opening] * (rows * cols)
+        parts[0::4 * cols] = [closing + i1 + "]," + i1 + "[" + i2 + opening] * rows
+        parts[0] = "[" + i1 + "[" + i2 + opening
+        parts.append(closing + i1 + "]" + i0 + "]")
+        layouts[rows, cols, level] = parts
+    parts[1::2] = entries.ravel().tolist()
     return "".join(parts)
+
+
+def _token_plan(arrays: list) -> list:
+    """(tokens, shift) per matrix: the (rows, cols, 2) json tokens of its
+    source's (re, im), a `povm.OrbitElement`'s source or else the matrix
+    itself at shift 0, which relabels rows and columns.  The distinct
+    sources' floats are deduplicated by bit pattern for one encoder call."""
+    plan = [(a.source, a.shift) if isinstance(a, povm.OrbitElement) and a.source is not None
+            else (a, 0) for a in arrays]
+    bits = {id(m): np.ascontiguousarray(m, dtype=complex).view(np.int64).reshape(*m.shape, 2)
+            for m in {id(m): m for m, _ in plan}.values()}
+    patterns = np.concatenate([b.ravel() for b in bits.values()])
+    patterns.sort()
+    # np.unique would import numpy.ma
+    fresh = np.ones(len(patterns), dtype=bool)
+    fresh[1:] = patterns[1:] != patterns[:-1]
+    patterns = patterns[fresh]
+    text = json.dumps(patterns.view(float).tolist())
+    tokens = np.array(text[1:-1].split(", "), dtype=object)
+    entries = {key: tokens[np.searchsorted(patterns, b)] for key, b in bits.items()}
+    return [(entries[id(source)], shift) for source, shift in plan]
 
 
 def dump_json(obj, fh) -> None:
@@ -176,32 +125,42 @@ def dump_json(obj, fh) -> None:
     a NUL, a nonce drawn for this call and the matrix's index.  The text
     between markers is written as is; each matrix is rendered at the indent
     of its marker's line and written at once, so at most one matrix is held
-    as text.  The matrices share one table of float tokens keyed by bit
-    pattern, so each distinct value is encoded once per call.
+    as text, from its source's tokens relabelled by its shift (`_token_plan`).
     """
     nonce = os.urandom(16).hex()
     arrays = []
 
     def default(value):
         if isinstance(value, np.ndarray):
+            if value.ndim != 2:
+                raise TypeError(f"cannot encode a {value.ndim}-D array as a matrix")
             arrays.append(value)
             return f"\x00{nonce}{len(arrays) - 1}"
         return _render(value)
 
-    text = json.JSONEncoder(indent=2, default=default).encode(obj)
-    # each marker once and in order, and the nonce nowhere else
-    markers = [f'"\\u0000{nonce}{i}"' for i in range(len(arrays))]
-    starts = []
-    for marker in markers:
-        starts.append(text.find(marker, starts[-1] if starts else 0))
-    if -1 in starts or text.count(nonce) != len(arrays):
-        raise ValueError("a report string holds this call's matrix marker")
-    floats = _FloatTokens()
+    try:
+        text = json.JSONEncoder(indent=2, default=default).encode(obj)
+        # each marker once and in order, and the nonce nowhere else
+        markers = [f'"\\u0000{nonce}{i}"' for i in range(len(arrays))]
+        starts = []
+        for marker in markers:
+            starts.append(text.find(marker, starts[-1] if starts else 0))
+        if -1 in starts or text.count(nonce) != len(arrays):
+            raise ValueError("a report string holds this call's matrix marker")
+        plan = _token_plan(arrays) if arrays else []
+    finally:
+        # the encoder's closures hold `default`, and so this list, in a
+        # reference cycle: no matrix may wait in it for the cycle collector
+        arrays.clear()
     at = 0
-    for marker, start, array in zip(markers, starts, arrays):
+    layouts: dict = {}
+    for marker, start, (entries, shift) in zip(markers, starts, plan):
         line = text[text.rfind("\n", 0, start) + 1:start]
+        if shift:
+            p = np.arange(len(entries)) ^ shift
+            entries = entries.take(p, 0).take(p, 1)
         fh.write(text[at:start])
-        fh.write(_matrix_json(array, (len(line) - len(line.lstrip(" "))) // 2, floats))
+        fh.write(_matrix_json(entries, (len(line) - len(line.lstrip(" "))) // 2, layouts))
         at = start + len(marker)
     fh.write(text[at:])
 

@@ -249,6 +249,13 @@ class ParityCode:
         parities.flags.writeable = False
         return parities
 
+    @cached_property
+    def least_shifts(self) -> np.ndarray:
+        """Read-only 2^k array: the least x with `parity(x)` = y, at y."""
+        least = np.unique(self.parities, return_index=True)[1]
+        least.flags.writeable = False
+        return least
+
     def label(self) -> str:
         return self._label
 

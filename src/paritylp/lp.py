@@ -306,8 +306,8 @@ def solve_pair(profile: AmplitudeProfile, cost: CostFunction, mode: str = EXACT
 
 def solve_primal(profile: AmplitudeProfile, cost: CostFunction,
                  mode: str = EXACT) -> tuple[PrimalSolution, SolveReport]:
-    primal, _, report = solve_pair(profile, cost, mode)
-    return primal, report
+    report = solve_optimal(build_primal(profile), cost, mode)
+    return PrimalSolution(profile.n, dict(report.values), report.objective), report
 
 
 def solve_dual(profile: AmplitudeProfile, cost: CostFunction,

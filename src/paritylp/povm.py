@@ -12,7 +12,8 @@ fills and the audits, the score and the report read as it is.  Covariance is
 checked on the n generators e_1..e_n of the shift group, once per set.  A
 code of deviation exactly 0 holds exact relabellings F[(H, y)] = X_a F[(H, 0)]
 X_a, which share outcome 0's entries, spectrum and Fourier diagonal, so the
-audits read those, and the Born overlaps, off outcome 0 alone.
+audits read those, and the Born overlaps, off outcome 0 alone.  The report
+writes each element of an exact orbit (`exact_orbits`) off outcome 0 too.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache, reduce
+from itertools import chain, repeat
 from types import MappingProxyType
 
 import numpy as np
@@ -94,6 +96,13 @@ def _coset_states(code: ParityCode, fourier, syndromes) -> np.ndarray:
     return (walsh_hadamard(code.n) @ four[..., None])[..., 0]
 
 
+class OrbitElement(np.ndarray):
+    """A view of an element, byte for byte source[p][:, p] for p = arange(2^n)
+    ^ shift.  Only `PovmSet.to_json_dict` sets the two; a derived array is plain."""
+
+    source = None
+
+
 @dataclass(frozen=True, eq=False)
 class PovmSet:
     """Operators for every informative (code, y) outcome plus the leftover.
@@ -136,11 +145,31 @@ class PovmSet:
                                  for y, mat in enumerate(stack)})
 
     @cached_property
+    def exact_orbits(self) -> list[bool]:
+        """Per stack, in the set's order, then for the leftover: whether it is
+        an exact orbit.  Byte for byte, each outcome y is outcome 0 relabelled
+        by a_y, the least a with H.a = y; outcome 0 relabelled by each
+        generator of ker H is itself; and outcome 0 holds no NaN.  Bytes, since
+        values let -0.0 pass for 0.0.  Then X_a F[(H, y)] X_a is outcome 0
+        relabelled by a + a_y = a_(y + H.a) + b, b in ker H, which is
+        F[(H, y + H.a)]: every relation `_covariance_dev` compares holds."""
+        orbits = []
+        for code, stack in _code_stacks(self):
+            zero = stack[0]
+            shifts = np.append(code.least_shifts, code.G.rows).astype(np.intp)
+            p = np.arange(len(zero)) ^ shifts[:, None]
+            moved = zero[p[:, :, None], p[:, None, :]]
+            orbits.append(not np.isnan(zero).any() and all(
+                m.tobytes() == want.tobytes() for m, want in zip(moved, chain(stack, repeat(zero)))))
+        return orbits
+
+    @cached_property
     def covariance(self) -> list[float]:
-        """`_covariance_dev` of each code's stack, in the set's order, then of
-        the leftover: `verify_povm`, `fourier_diag_check` and `overlaps` read a
-        code whose deviation is exactly 0.0 off its outcome 0 alone."""
-        return [_covariance_dev(code, stack) for code, stack in _code_stacks(self)]
+        """`_covariance_dev` of each stack of `exact_orbits`, 0.0 for an exact
+        orbit: `verify_povm`, `fourier_diag_check` and `overlaps` read a code
+        whose deviation is exactly 0.0 off its outcome 0 alone."""
+        return [0.0 if exact else _covariance_dev(code, stack)
+                for (code, stack), exact in zip(_code_stacks(self), self.exact_orbits)]
 
     @cached_property
     def overlaps(self) -> list[np.ndarray]:
@@ -154,21 +183,26 @@ class PovmSet:
         rows = []
         for (code, stack), dev in zip(_code_stacks(self), self.covariance):
             if dev == 0.0:
-                least = np.unique(code.parities, return_index=True)[1]
-                rows.append(_overlaps(stack[:1], states)[0][x ^ least[:, None]])
+                rows.append(_overlaps(stack[:1], states)[0][x ^ code.least_shifts[:, None]])
             else:
                 rows.append(_overlaps(stack, states))
         return rows
 
     def to_json_dict(self) -> dict:
         """The set with its operators as ndarrays; `cli.dump_json` writes each
-        matrix as rows of {"re": real, "im": imag} dicts."""
+        matrix as rows of {"re": real, "im": imag} dicts, an exact orbit's
+        elements as `OrbitElement`s of its outcome 0."""
+        elements = dict(self.elements)
+        for (code, stack), exact in zip(self.stacks.items(), self.exact_orbits):
+            for y, shift in enumerate(code.least_shifts.tolist() if exact else ()):
+                mat = elements[code, y] = stack[y].view(OrbitElement)
+                mat.source, mat.shift = self.elements[code, 0], shift
         return {
             "n": self.n,
             "elements": [
                 {"H": code.label(), "k": code.k, "y": vec_str(y, code.k),
                  "matrix": mat}
-                for (code, y), mat in sorted(self.elements.items(), key=by_code)
+                for (code, y), mat in sorted(elements.items(), key=by_code)
             ],
             "perp": self.perp,
         }

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from paritylp import simplex
+import numpy as np
+
+from paritylp import povm, simplex
 from paritylp.f2lin import F2Matrix, all_vectors, hamming_weight
-from paritylp.lp import Constraint, model_text
-from paritylp.profiles import AmplitudeProfile
+from paritylp.lp import Constraint, model_text, solve_primal
+from paritylp.profiles import AmplitudeProfile, CostFunction
 
 
 @dataclass
@@ -190,3 +193,54 @@ def without_float_stage(monkeypatch):
     integer loop starts from the unit columns."""
     monkeypatch.setattr(simplex, "_revised",
                         lambda *_: (simplex.ITERATION_LIMIT, None, None, None))
+
+
+def relabelled(zero, code) -> dict:
+    """(code, y) -> X_a zero X_a for every outcome y, a the least shift with
+    H.a = y, by permuting rows and columns."""
+    idx = np.arange(len(zero))
+    least = [min(x for x in all_vectors(code.n) if code.parity(x) == y)
+             for y in range(1 << code.k)]
+    return {(code, y): zero[np.ix_(idx ^ a, idx ^ a)] for y, a in enumerate(least)}
+
+
+def orbit_breaks() -> tuple:
+    """A seeded n=3 optimum with complex phases, and, by name, copies of it
+    that each fail the exact-orbit test on one count alone, with the code
+    that fails: each copy rebuilds one code as its edited outcome 0
+    relabelled.  "minus-zero": one relabelled copy of an entry whose
+    imaginary part outcome 0 holds as 0.0 holds -0.0; "nan": outcome 0 of a
+    rank-3 code (ker H = 0) holds a NaN; "kernel-shift": outcome 0 of a
+    rank-1 code gains 1e-3 at [0, 0], which the generators of ker H move."""
+    rng = random.Random("orbit-breaks")
+    amps = [math.sqrt(rng.uniform(0.05, 1.0)) * cmath.exp(2j * math.pi * rng.random())
+            for _ in range(8)]
+    scale = math.sqrt(math.fsum(abs(a) ** 2 for a in amps))
+    prof = AmplitudeProfile.from_amplitudes(3, [a / scale for a in amps])
+    base = povm.build_from_primal(solve_primal(prof, CostFunction.average(3), "float")[0], prof)
+    full = next(code for code in base.stacks if code.k == 3)
+    part = next(code for code in base.stacks if code.k == 1)
+
+    def rebuilt(code, edit, after=lambda elements: None):
+        zero = base.elements[(code, 0)].copy()
+        edit(zero)
+        elements = {**base.elements, **relabelled(zero, code)}
+        after(elements)
+        return povm.PovmSet.from_elements(3, elements, base.perp, prof), code
+
+    def real_part_only(m):
+        m[0, 1] = m[0, 1].real
+
+    def minus_zero(elements):
+        least = next(x for x in all_vectors(3) if full.parity(x) == 1)
+        mat = elements[(full, 1)]
+        mat[least, 1 ^ least] = complex(mat[least, 1 ^ least].real, -0.0)
+
+    def nan(m):
+        m[0, 1] = complex(math.nan, m[0, 1].imag)
+
+    def kernel_shift(m):
+        m[0, 0] += 1e-3
+
+    return base, {"minus-zero": rebuilt(full, real_part_only, minus_zero),
+                  "nan": rebuilt(full, nan), "kernel-shift": rebuilt(part, kernel_shift)}

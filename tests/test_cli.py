@@ -1,6 +1,7 @@
 """End-to-end command exercises through the argparse entry point."""
 
 import argparse
+import gc
 import hashlib
 import io
 import json
@@ -12,6 +13,7 @@ import subprocess
 import sys
 import time
 import warnings
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import check_report
-from conftest import ball_profile, rand_rational_profile, without_float_stage
+from conftest import ball_profile, orbit_breaks, rand_rational_profile, without_float_stage
 from paritylp import bounds, cli, lp, povm, simulate
 from paritylp.cli import _render, build_parser, dump_json, main
 from paritylp.f2lin import enumerate_all_codes, vec_from_str
@@ -670,6 +672,14 @@ class TestWriter:
             dump_json(forged, fh)
         assert fh.getvalue() == ""
 
+    @pytest.mark.parametrize("array", [np.zeros((2, 2, 2)), np.zeros(3), np.array(1.0)],
+                             ids=["3-d", "1-d", "0-d"])
+    def test_non_matrix_refused_unwritten(self, array):
+        fh = io.StringIO()
+        with pytest.raises(TypeError, match=f"{array.ndim}-D array"):
+            dump_json({"m": MATRIX, "bad": [array]}, fh)
+        assert fh.getvalue() == ""
+
     def test_each_pattern_encoded_once(self, monkeypatch):
         prof = AmplitudeProfile.from_json_dict(phased_profile(3, random.Random(3)))
         sol, _ = lp.solve_primal(prof, CostFunction.average(3), "float")
@@ -680,20 +690,78 @@ class TestWriter:
         distinct = np.unique(np.concatenate(
             [np.ascontiguousarray(a).view(np.int64).ravel() for a in arrays]))
 
-        encoded = []
+        encoded, calls = [], []
         dumps = json.dumps
 
         def counting(obj, *args, **kwargs):
             encoded.extend(obj)
+            calls.append(len(obj))
             return dumps(obj, *args, **kwargs)
 
         monkeypatch.setattr(json, "dumps", counting)
         text = written(report)
+        # an array-free report takes no encoder call beyond the standard one
+        assert written({"rho": Fraction(1, 3), "m": [[1.5, -0.0]]}) == \
+            dumps({"rho": "1/3", "m": [[1.5, -0.0]]}, indent=2)
         monkeypatch.undo()
         assert text == json.dumps(nested(report), indent=2, default=_render)
-        # every distinct pattern of the report goes to the encoder, once
+        # every distinct pattern of the report goes to the encoder, once, in
+        # one call
+        assert len(calls) == 1
         assert len(encoded) == len(distinct) < sum(a.size for a in arrays)
         assert np.array_equal(np.sort(np.array(encoded).view(np.int64)), distinct)
+
+    @pytest.mark.parametrize("case", ["matrices", "refused", "povm-set"])
+    def test_matrices_freed_on_return(self, monkeypatch, case):
+        # the standard encoder's closures hold the writer's `default` in a
+        # reference cycle: with the collector off, each matrix must still die
+        # as soon as its last reference goes
+        monkeypatch.setattr(cli.os, "urandom", lambda size: b"\xab" * size)
+        if case == "povm-set":
+            prof = AmplitudeProfile.from_json_dict(phased_profile(3, random.Random(3)))
+            sol, _ = lp.solve_primal(prof, CostFunction.average(3), "float")
+            povm_set = povm.build_from_primal(sol, prof)
+            assert all(povm_set.exact_orbits[:-1])
+            target = next(iter(povm_set.stacks.values()))
+            obj = povm_set.to_json_dict()
+            del povm_set
+        else:
+            target = MATRIX.copy()
+            obj = [target, {"again": target}]
+            if case == "refused":
+                obj.append("\x00" + "ab" * 16 + "0")
+        ref = weakref.ref(target)
+        del target
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            if case == "refused":
+                with pytest.raises(ValueError, match="marker"):
+                    written(obj)
+            else:
+                written(obj)
+            del obj
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    @pytest.mark.parametrize("case", ["minus-zero", "nan", "kernel-shift"])
+    def test_orbit_breaks_written_as_held(self, case):
+        # a code that fails the exact-orbit test on one count alone is no
+        # relabelled source: each of its elements is written as it is held
+        povm_set, code = orbit_breaks()[1][case]
+        report = povm_set.to_json_dict()
+        views = [isinstance(e["matrix"], povm.OrbitElement) for e in report["elements"]
+                 if e["H"] == code.label()]
+        assert views and not any(views)
+        assert all(isinstance(e["matrix"], povm.OrbitElement) for e in report["elements"]
+                   if e["H"] != code.label())
+        text = written(report)
+        assert text == json.dumps(nested(report), indent=2, default=_render)
+        edited = {"minus-zero": '"im": -0.0', "nan": '"re": NaN',
+                  "kernel-shift": f'"re": {float(povm_set.stacks[code][0, 0, 0].real)!r}'}
+        assert edited[case] in text
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.recursive(

@@ -342,6 +342,23 @@ class TestSolve:
         _, drep = solve_dual(p, CostFunction.average(2))
         assert drep.objective == 0
 
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_primal_prices_no_dual(self, monkeypatch, mode):
+        # solve_primal returns solve_pair's primal and report, and builds no
+        # dual: none of its callers reads one
+        p = ball_profile(4, 2, random.Random("primal-only"))
+        cost = CostFunction.threshold(4, 2)
+        want, _, want_report = solve_pair(p, cost, mode)
+
+        def refused(*args):
+            raise AssertionError("solve_primal priced a dual")
+
+        monkeypatch.setattr(DualSolution, "__init__", refused)
+        got, report = solve_primal(p, cost, mode)
+        assert (got.n, got.mu, got.objective) == (want.n, want.mu, want.objective)
+        assert (report.objective, report.values, report.duals) == \
+            (want_report.objective, want_report.values, want_report.duals)
+
     def test_float_mode(self):
         p = profile(2, [0.05, 0.15, 0.3, 0.5])
         _, rep = solve_primal(p, CostFunction.average(2), mode="float")

@@ -8,12 +8,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import lam_of, rand_rational_profile
+from conftest import ball_profile, lam_of, orbit_breaks, rand_rational_profile, relabelled
 from paritylp.errors import BudgetError, ProfileError
 from paritylp.f2lin import (
     F2Matrix,
     ParityCode,
     all_vectors,
+    by_code,
     codes_of_rank,
     dot,
     enumerate_all_codes,
@@ -21,6 +22,7 @@ from paritylp.f2lin import (
 from paritylp.lp import PrimalSolution, solve_primal
 from paritylp.povm import (
     POVM_MAX_N,
+    OrbitElement,
     PovmSet,
     PovmVerification,
     _code_stacks,
@@ -38,7 +40,7 @@ from paritylp.povm import (
     verify_povm,
     walsh_hadamard,
 )
-from paritylp.profiles import AmplitudeProfile, CostFunction
+from paritylp.profiles import AmplitudeProfile, CostFunction, perturb_full_support
 
 
 # -- oracles: the operators and the element-by-element audits --------------
@@ -985,3 +987,58 @@ class TestNonFinite:
         assert not any(map(math.isfinite, figures))
         if math.isnan(entry):
             assert all(map(math.isnan, figures))
+
+
+ORBIT_CASES = [(n, family, tau) for n in (3, 4, 5) for family in ("rational", "phased", "ball")
+               for tau in (None, 2)]
+
+
+class TestExactOrbits:
+    """One exact-orbit test per code: every code `build_from_primal` makes
+    passes it and is reported as its outcome 0 relabelled; a code that fails
+    it takes `_covariance_dev`; and `covariance` is `_covariance_dev` of
+    every stack, bit for bit, either way."""
+
+    @pytest.mark.parametrize("n,family,tau", ORBIT_CASES)
+    def test_every_built_code_passes(self, n, family, tau):
+        rng = random.Random(f"orbit/{n}/{family}/{tau}")
+        cost = CostFunction.average(n) if tau is None else CostFunction.threshold(n, tau)
+        codes = 0
+        for _ in range(8):
+            if family == "phased":
+                p, mode = random_phase_profile(n, rng), "float"
+            elif family == "rational":
+                p, mode = rand_rational_profile(n, rng).with_real_amplitudes(), "exact"
+            else:
+                ball = perturb_full_support(ball_profile(n, 2, rng), Fraction(1, 50))
+                p, mode = ball.with_real_amplitudes(), "exact"
+            povm = build_from_primal(solve_primal(p, cost, mode)[0], p)
+            codes += len(povm.stacks)
+            assert all(povm.exact_orbits[:len(povm.stacks)])
+            assert_relabellings(povm)
+            devs = [_covariance_dev(code, stack) for code, stack in _code_stacks(povm)]
+            assert float_bits(povm.covariance) == float_bits(devs)
+            keys = [key for key, _ in sorted(povm.elements.items(), key=by_code)]
+            for (code, y), element in zip(keys, povm.to_json_dict()["elements"]):
+                mat = element["matrix"]
+                assert isinstance(mat, OrbitElement) and mat.source is povm.elements[(code, 0)]
+                assert mat.shift == least_shift(code, y)
+                assert shifted(mat.source, mat.shift).tobytes() == mat.tobytes()
+        assert codes > 0
+
+    def test_breaks_take_the_deviation(self):
+        base, breaks = orbit_breaks()
+        assert all(base.exact_orbits[:len(base.stacks)])
+        for name, (povm, broken) in breaks.items():
+            codes = list(povm.stacks)
+            assert povm.exact_orbits[:len(codes)] == [code != broken for code in codes], name
+            devs = [_covariance_dev(code, stack) for code, stack in _code_stacks(povm)]
+            assert float_bits(povm.covariance) == float_bits(devs), name
+            dev = devs[codes.index(broken)]
+            assert {"minus-zero": dev == 0.0, "nan": math.isnan(dev),
+                    "kernel-shift": dev > 1e-4}[name]
+            # the broken code's elements are its outcome 0 relabelled, but for
+            # the -0.0 of "minus-zero"
+            stack = povm.stacks[broken]
+            again = np.stack(list(relabelled(stack[0], broken).values()))
+            assert (again.tobytes() == stack.tobytes()) == (name != "minus-zero")

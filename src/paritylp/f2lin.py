@@ -194,13 +194,6 @@ class ParityCode:
     H: F2Matrix
 
     @classmethod
-    def from_matrix(cls, m: F2Matrix) -> ParityCode:
-        reduced, _ = rref(m)
-        if reduced.n_rows != m.n_rows:
-            raise RankDeficientError("parity matrix must have full rank")
-        return cls(m.n_cols, reduced.n_rows, reduced)
-
-    @classmethod
     def bottom(cls, n: int) -> ParityCode:
         """The rank-0 code backing the no-information outcome."""
         return cls(n, 0, F2Matrix(n, ()))

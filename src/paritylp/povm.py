@@ -9,7 +9,8 @@ outcome relabeling y -> y + H.a.  All of that is re-checked numerically by
 ``verify_povm`` instead of being trusted.  A set holds one stack per code,
 the (2^k, 2^n, 2^n) array of all that code's elements, which the builder
 fills and the audits, the score and the report read as it is.  Covariance is
-checked on the n generators e_1..e_n of the shift group, once per set.  A
+checked on the n generators e_1..e_n of the shift group, once per set, by the
+plain relabelling X_a F X_a (`_relabelled`) against the partner outcome.  A
 code of deviation exactly 0 holds exact relabellings F[(H, y)] = X_a F[(H, 0)]
 X_a, which share outcome 0's entries, spectrum and Fourier diagonal, so the
 audits read those, and the Born overlaps, off outcome 0 alone.  The report
@@ -153,15 +154,11 @@ class PovmSet:
         values let -0.0 pass for 0.0.  Then X_a F[(H, y)] X_a is outcome 0
         relabelled by a + a_y = a_(y + H.a) + b, b in ker H, which is
         F[(H, y + H.a)]: every relation `_covariance_dev` compares holds."""
-        orbits = []
-        for code, stack in _code_stacks(self):
-            zero = stack[0]
-            shifts = np.append(code.least_shifts, code.G.rows).astype(np.intp)
-            p = np.arange(len(zero)) ^ shifts[:, None]
-            moved = zero[p[:, :, None], p[:, None, :]]
-            orbits.append(not np.isnan(zero).any() and all(
-                m.tobytes() == want.tobytes() for m, want in zip(moved, chain(stack, repeat(zero)))))
-        return orbits
+        return [not np.isnan(stack[0]).any() and all(
+                    m.tobytes() == want.tobytes() for m, want in zip(
+                        _relabelled(stack[0], np.append(code.least_shifts, code.G.rows)),
+                        chain(stack, repeat(stack[0]))))
+                for code, stack in _code_stacks(self)]
 
     @cached_property
     def covariance(self) -> list[float]:
@@ -277,29 +274,23 @@ def _overlaps(stack: np.ndarray, states: np.ndarray) -> np.ndarray:
     return np.matmul(np.conj(states)[None, :, None, :], applied)[..., 0, 0]
 
 
+def _relabelled(m: np.ndarray, shifts) -> np.ndarray:
+    """X_a m X_a on the last two axes of `m`: rows and columns i read at
+    i ^ a.  An array of shifts adds its axes in front of those two."""
+    p = np.arange(m.shape[-1]) ^ np.asarray(shifts, dtype=np.intp)[..., None]
+    return m[..., p[..., :, None], p[..., None, :]]
+
+
 def _covariance_dev(code: ParityCode, stack: np.ndarray) -> float:
     """max |X_a F[(code, y)] X_a - F[(code, y + H.a)]| over the elements of
     a code's stack and the generators a = e_1..e_n; NaN if any entry is NaN.
-
-    The stack is read as k outcome bit axes, then rows and columns as (hi, 2,
-    lo) blocks around bit j.  Conjugating by X_a for a = e_j swaps row bit j
-    and column bit j, and y -> y + H.a flips the outcome bits set in H.a.  The
-    pair at row bit 1 of outcome y is the pair at row bit 0 of outcome
-    y + H.a, so only the row-bit-0 half is compared: entry (y, 0, c) against
-    entry (y + H.a, 1, c + e_j), each pair once, subtracted only where the
-    halves differ."""
-    n, k = code.n, code.k
-    # the outcome axes and the row's hi axis, ahead of row bit j
-    lead = (slice(None),) * (k + 1)
+    A generator that relabels the stack onto its partners value for value
+    subtracts nothing, so an inf it moves onto an equal inf reads 0."""
     dev = 0.0
-    for j in range(n):
-        blocks = stack.reshape((2,) * k + (1 << (n - 1 - j), 2, 1 << j) * 2)
-        h = code.parity(1 << j)
-        lower = blocks[lead + (0,)]
-        upper = np.flip(blocks[lead + (1,)],
-                        (k + 3, *(k - 1 - b for b in range(k) if h >> b & 1)))
-        if not np.array_equal(upper, lower):
-            dev = _max(dev, float(np.max(np.abs(upper - lower))))
+    for a in (1 << j for j in range(code.n)):
+        moved, partners = _relabelled(stack, a), stack[np.arange(len(stack)) ^ code.parity(a)]
+        if not np.array_equal(moved, partners):
+            dev = _max(dev, float(np.max(np.abs(moved - partners))))
     return dev
 
 
@@ -339,15 +330,11 @@ def symmetrize(povm: PovmSet) -> PovmSet:
 def _shift_average(povm: PovmSet) -> PovmSet:
     """The shift average of `symmetrize`, on any input, valid or not."""
     n = povm.n
-    idx = np.arange(1 << n)
     stacks = {}
     for code, stack in _code_stacks(povm):
         outcomes = np.arange(len(stack))
-        acc = np.zeros_like(stack)
-        for a in all_vectors(n):
-            p = idx ^ a
-            acc += stack[(outcomes ^ code.parity(a))[:, None, None], p[:, None], p]
-        acc /= len(idx)
+        acc = sum((_relabelled(stack[outcomes ^ code.parity(a)], a) for a in all_vectors(n)),
+                  np.zeros_like(stack)) / (1 << n)
         acc.flags.writeable = False
         stacks[code] = acc
     perp = stacks.pop(ParityCode.bottom(n))
@@ -404,7 +391,8 @@ def verify_povm(povm: PovmSet, *,
 
         wrong = code.parities != np.arange(len(stack))[:, None]
         if wrong.any():
-            unambig = reduce(_max, map(abs, overlaps[wrong].tolist()), unambig)
+            off = overlaps[wrong]
+            unambig = _max(unambig, float(np.max(np.hypot(off.real, off.imag))))
 
         sym_dev = _max(sym_dev, n * dev)
     complete = float(np.linalg.norm(total - np.eye(size)))

@@ -12,7 +12,8 @@ from fractions import Fraction
 import numpy as np
 
 from paritylp import povm, simplex
-from paritylp.f2lin import F2Matrix, all_vectors, hamming_weight
+from paritylp.errors import RankDeficientError
+from paritylp.f2lin import F2Matrix, ParityCode, all_vectors, hamming_weight, rref
 from paritylp.lp import Constraint, model_text, solve_primal
 from paritylp.profiles import AmplitudeProfile, CostFunction
 
@@ -54,6 +55,15 @@ def rand_rational_profile(n: int, rng: random.Random, *, max_num: int = 30,
     return AmplitudeProfile.from_weights(
         n, [Fraction(v, total) for v in nums]
     )
+
+
+def code_from_matrix(m: F2Matrix) -> ParityCode:
+    """The code whose parity matrix has the row space of `m`, which must
+    have full rank: its reduced echelon form, the canonical record."""
+    reduced, _ = rref(m)
+    if reduced.n_rows != m.n_rows:
+        raise RankDeficientError("parity matrix must have full rank")
+    return ParityCode(m.n_cols, reduced.n_rows, reduced)
 
 
 def brute_rank(m: F2Matrix) -> int:

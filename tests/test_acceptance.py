@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import ball_profile, point_mass_profile, rand_rational_profile
+from conftest import ball_profile, code_from_matrix, point_mass_profile, rand_rational_profile
 from paritylp.bounds import (
     count_N,
     dual_cohamming,
@@ -206,11 +206,9 @@ def test_criterion_5_primal_candidates():
                 certified[family] += 1
     assert all(v > 0 for v in certified.values()), certified
 
-    from paritylp.f2lin import ParityCode
-
     for n in (1, 2, 3, 4, 5):
         for k in range(n + 1):
-            mats = [ParityCode.from_matrix(m)
+            mats = [code_from_matrix(m)
                     for m in enumerate_identity_rows(n, k)]
             all_ones = (1 << (n - k)) - 1
             for i in all_vectors(n):

@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ball_profile, lam_of, point_mass_profile, rand_rational_profile
+from conftest import (
+    ball_profile,
+    code_from_matrix,
+    lam_of,
+    point_mass_profile,
+    rand_rational_profile,
+)
 from paritylp.bounds import (
     AVERAGE_FAMILIES,
     CANDIDATE_MAX_N,
@@ -29,7 +35,6 @@ from paritylp.bounds import (
 from paritylp.errors import BudgetError, FamilyError, ProfileError, RankDeficientError
 from paritylp.f2lin import (
     F2Matrix,
-    ParityCode,
     all_vectors,
     by_code,
     codes_of_rank,
@@ -288,7 +293,7 @@ def place_lambda(family, p):
     if family in ("hamming", "cohamming"):
         for k in range(n + 1):
             for mat in enumerate_identity_rows(n, k):
-                code = ParityCode.from_matrix(mat)
+                code = code_from_matrix(mat)
                 cos = code.cosets
                 total = 0
                 for s in range(len(cos)):
@@ -340,7 +345,7 @@ class TestPrimalCandidates:
         p = profile(2, ["1/20", "3/20", "3/10", "1/2"])
         cand = primal_candidate("spike", p)
         assert not cand.nonnegative
-        xor_code = ParityCode.from_matrix(F2Matrix(2, (3,)))
+        xor_code = code_from_matrix(F2Matrix(2, (3,)))
         lam = lam_of(cand, p.weights).get((xor_code, 1), 0)
         assert lam == (Fraction(9, 20) - Fraction(11, 20)) / (2 * Fraction(3, 20))
 
@@ -482,7 +487,7 @@ class TestCountN:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_matches_bruteforce(self, n):
         for k in range(n + 1):
-            mats = [ParityCode.from_matrix(m)
+            mats = [code_from_matrix(m)
                     for m in enumerate_identity_rows(n, k)]
             ones = (1 << (n - k)) - 1
             for i in all_vectors(n):

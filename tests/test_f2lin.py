@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_rank, brute_row_spaces
+from conftest import brute_rank, brute_row_spaces, code_from_matrix
 from paritylp.errors import BudgetError, RankDeficientError
 from paritylp.f2lin import (
     F2Matrix,
@@ -131,8 +131,8 @@ class TestEnumerateCodes:
             enumerate_codes(9, 2)
 
     def test_from_matrix_canonicalizes(self):
-        a = ParityCode.from_matrix(mat("110", "011"))
-        b = ParityCode.from_matrix(mat("101", "011"))
+        a = code_from_matrix(mat("110", "011"))
+        b = code_from_matrix(mat("101", "011"))
         assert a == b
 
 
@@ -160,7 +160,7 @@ class TestParities:
 
 class TestDualCosets:
     def test_single_parity_bit(self):
-        code = ParityCode.from_matrix(mat("10"))
+        code = code_from_matrix(mat("10"))
         cos = dual_cosets(code)
         assert cos[0].tolist() == [0, 1]
         assert cos[1].tolist() == [2, 3]
@@ -170,7 +170,7 @@ class TestDualCosets:
     def test_tie_break_smallest_integer(self):
         # D(1) of the xor parity is {01, 10}, both weight 1; the smaller
         # integer encoding (coordinate string 10) wins.
-        code = ParityCode.from_matrix(mat("11"))
+        code = code_from_matrix(mat("11"))
         assert set(code.cosets[1].tolist()) == {1, 2}
         assert code.leaders[0, 1] == 1
         assert vec_str(int(code.leaders[0, 1]), 2) == "10"
@@ -196,7 +196,7 @@ class TestDualCosets:
         n = 4
         for k in range(n + 1):
             for m in enumerate_identity_rows(n, k):
-                code = ParityCode.from_matrix(m)
+                code = code_from_matrix(m)
                 selected = set()
                 for r in m.rows:
                     selected.add(r.bit_length() - 1)
@@ -259,7 +259,7 @@ class TestCosetTable:
         rng = random.Random("cosets/8")
         while rank(m := F2Matrix(8, tuple(rng.randrange(1, 256) for _ in range(3)))) < 3:
             pass
-        code = ParityCode.from_matrix(m)
+        code = code_from_matrix(m)
         cos = dual_cosets(code)
         assert as_buckets(cos, code.leaders) == bucket_cosets(code)
         assert np.array_equal(code.cosets, cos)
@@ -284,7 +284,7 @@ class TestCosetTable:
         import paritylp.f2lin as f2lin
 
         monkeypatch.setattr(f2lin, "coset_table", None)
-        assert dual_cosets(ParityCode.from_matrix(mat("1100110", "0101011"))).shape == (32, 4)
+        assert dual_cosets(code_from_matrix(mat("1100110", "0101011"))).shape == (32, 4)
 
 
 class TestCharSum:
@@ -393,7 +393,7 @@ class TestCachedKeys:
             # once k >= 2, with the same row space
             m = F2Matrix(n, tuple(reversed(rows[:1] + tuple(r ^ rows[0] for r in rows[1:]))))
             assert code.k < 2 or rref(m)[0] != m
-            fresh = ParityCode.from_matrix(m)
+            fresh = code_from_matrix(m)
             assert fresh is not code and fresh == code
             assert hash(fresh) == hash(code) == hash((code.n, code.k, code.H))
             assert {code: 1}[fresh] == 1

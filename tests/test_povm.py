@@ -3,12 +3,21 @@
 import cmath
 import math
 import random
+import warnings
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
 
-from conftest import ball_profile, lam_of, orbit_breaks, rand_rational_profile, relabelled
+from conftest import (
+    ball_profile,
+    code_from_matrix,
+    lam_of,
+    orbit_breaks,
+    rand_rational_profile,
+    relabelled,
+)
 from paritylp.errors import BudgetError, ProfileError
 from paritylp.f2lin import (
     F2Matrix,
@@ -29,7 +38,9 @@ from paritylp.povm import (
     _coset_fourier,
     _coset_states,
     _covariance_dev,
+    _max,
     _overlaps,
+    _relabelled,
     _shift_average,
     _states,
     build_from_primal,
@@ -264,6 +275,22 @@ def fourier_diag_check_loops(povm, every_element=False):
     return (offdiag, factor, float(spread))
 
 
+def covariance_dev_loops(code, stack):
+    """max |shifted(F_y, a) - F_(y + H.a)| over the elements F_y of a code's
+    stack and the generators a = e_1..e_n, one element at a time; NaN if any
+    difference is.  A generator under which every element equals its
+    partner, value for value, adds nothing, as the audit skips it."""
+    dev = 0.0
+    for a in (1 << j for j in range(code.n)):
+        pairs = [(shifted(mat, a), stack[y ^ code.parity(a)]) for y, mat in enumerate(stack)]
+        if all(np.array_equal(moved, partner) for moved, partner in pairs):
+            continue
+        for moved, partner in pairs:
+            diff = float(np.max(np.abs(moved - partner)))
+            dev = math.nan if math.isnan(diff) or math.isnan(dev) else max(dev, diff)
+    return dev
+
+
 def all_shifts_deviation(povm):
     """max |X_a F[(code, y)] X_a - F[(code, y + H.a)]| over every element,
     the leftover and every shift a, with X_a as a matrix.  X_a is real, so
@@ -373,6 +400,22 @@ class TestShiftPhaseOps:
                 assert xa @ w == pytest.approx(w @ phase_op(a, n))
                 assert np.array_equal(shifted(m, a), xa @ m @ xa)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_relabelled_is_shifted(self, n):
+        # byte for byte, element by element: a scalar shift on a stack, and
+        # an array of shifts, its axes in front, on one matrix
+        size = 1 << n
+        rng = np.random.default_rng(70 + n)
+        stack = rng.normal(size=(3, size, size)) + 1j * rng.normal(size=(3, size, size))
+        for a in all_vectors(n):
+            moved = _relabelled(stack, a)
+            assert [m.tobytes() for m in moved] == [shifted(m, a).tobytes() for m in stack]
+        shifts = np.arange(size).reshape(2, size // 2)
+        moved = _relabelled(stack[0], shifts)
+        assert moved.shape == (2, size // 2, size, size)
+        assert [m.tobytes() for row in moved for m in row] == \
+            [shifted(stack[0], a).tobytes() for a in all_vectors(n)]
+
 
 class TestCosetBasis:
     def test_n1_uniform(self):
@@ -385,7 +428,7 @@ class TestCosetBasis:
     def test_orthogonality(self):
         rng = random.Random(5)
         p = random_phase_profile(2, rng)
-        code = ParityCode.from_matrix(F2Matrix(2, (3,)))
+        code = code_from_matrix(F2Matrix(2, (3,)))
         for y in (0, 1):
             basis = coset_basis(p, code, y)
             assert abs(np.vdot(basis[0], basis[1])) < 1e-12
@@ -395,7 +438,7 @@ class TestCosetBasis:
         for n in (1, 2, 3):
             p = random_phase_profile(n, rng)
             for k in range(1, n + 1):
-                code = ParityCode.from_matrix(
+                code = code_from_matrix(
                     F2Matrix(n, tuple(1 << j for j in range(k)))
                 )
                 for y in range(1 << k):
@@ -412,7 +455,7 @@ class TestCosetBasis:
         # <A_s|psi_x> = 2^k (-1)^(v_s.x) when Hx = y, for any phases
         rng = random.Random(16)
         p = random_phase_profile(3, rng)
-        code = ParityCode.from_matrix(F2Matrix(3, (3, 5)))
+        code = code_from_matrix(F2Matrix(3, (3, 5)))
         cos = code.cosets
         for y in range(4):
             basis = coset_basis(p, code, y)
@@ -708,6 +751,8 @@ class TestOperatorCap:
         assert abs(rho_eval(povm, cost) - objective) <= 1e-9
         assert max(fourier_diag_check(povm).to_json_dict().values()) <= 1e-9
         assert all_shifts_deviation(povm) <= ver.max_symmetry_dev * (1 + 1e-12)
+        assert float_bits([_covariance_dev(code, stack) for code, stack in _code_stacks(povm)]) == \
+            float_bits([covariance_dev_loops(code, stack) for code, stack in _code_stacks(povm)])
 
     def test_above_cap_refused(self):
         with pytest.raises(BudgetError, match="capped"):
@@ -746,20 +791,6 @@ def seeded_sets(n):
         n, {**base.elements, key: mat + 1e-3 * (noise[0] + 1j * noise[1])}, base.perp, p)
     return {"optimum": base, "zeroed": zeroed, "missing": missing,
             "non-hermitian": skewed}
-
-
-def gather_covariance_dev(code, stack):
-    """povm._covariance_dev with each generator's permutation as a 2-D
-    fancy-index gather of rows and columns and each outcome's partner
-    gathered by index, the form it replaced."""
-    idx, outcomes = np.arange(stack.shape[1]), np.arange(len(stack))
-    dev = 0.0
-    for a in (1 << j for j in range(code.n)):
-        p = idx ^ a
-        moved = stack[:, p[:, None], p]
-        moved -= stack[outcomes ^ code.parity(a)]
-        dev = max(dev, float(np.max(np.abs(moved))))
-    return dev
 
 
 def float_bits(values):
@@ -866,9 +897,10 @@ class TestAuditsMatchLoops:
 
     @pytest.mark.parametrize("n,label", SEEDED)
     def test_covariance_matches_gather(self, n, label):
-        # every set but the optimum breaks covariance on purpose
+        # every set but the optimum breaks covariance on purpose; the
+        # reference walks the elements one at a time through `shifted`
         povm = seeded_sets(n)[label]
-        devs = [(_covariance_dev(code, stack), gather_covariance_dev(code, stack))
+        devs = [(_covariance_dev(code, stack), covariance_dev_loops(code, stack))
                 for code, stack in _code_stacks(povm)]
         assert float_bits([got for got, _ in devs]) == float_bits([want for _, want in devs])
         assert float_bits(povm.covariance) == float_bits([got for got, _ in devs])
@@ -988,6 +1020,65 @@ class TestNonFinite:
         if math.isnan(entry):
             assert all(map(math.isnan, figures))
 
+    @pytest.mark.parametrize("case,rank,want,subtractions", [
+        # an inf on the orbit of a rank-3 code: every generator moves it onto
+        # an equal inf and is skipped
+        ("covariant", 3, 0.0, 0),
+        # on the orbit of a rank-1 code, the generators of ker H move it
+        # within its element, onto finite entries
+        ("covariant", 1, math.inf, 0),
+        ("lone", 3, math.inf, 0),
+        # the orbit plus 1e-3 off it: no generator is skipped, and each that
+        # meets the inf subtracts inf - inf, which numpy warns of
+        ("break", 3, math.nan, 3),
+        ("break", 1, math.nan, 1),
+    ])
+    def test_inf_entry_covariance(self, case, rank, want, subtractions):
+        base = seeded_sets(3)["optimum"]
+        code = next(code for code in base.stacks if code.k == rank)
+        zero = base.elements[(code, 0)].copy()
+        zero[0, 1] = complex(math.inf, zero[0, 1].imag)
+        elements = relabelled(zero, code)
+        if case == "lone":
+            elements = {(code, 1): base.elements[(code, 1)].copy()}
+            elements[(code, 1)][0, 1] = complex(math.inf, zero[0, 1].imag)
+        elif case == "break":
+            elements[(code, 1)][2, 3] += 1e-3
+        stack = PovmSet.from_elements(3, {**base.elements, **elements}, base.perp,
+                                      base.profile).stacks[code]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            dev = _covariance_dev(code, stack)
+        assert [str(w.message) for w in caught] == \
+            ["invalid value encountered in subtract"] * subtractions
+        assert float_bits([dev]) == float_bits([want])
+        with np.errstate(invalid="ignore"):
+            assert float_bits([covariance_dev_loops(code, stack)]) == float_bits([want])
+
+    @pytest.mark.parametrize("value,want", [(complex(math.nan, 0.5), math.nan),
+                                            (complex(math.inf, math.nan), math.inf)])
+    def test_non_finite_wrong_outcome_overlap(self, value, want):
+        # one wrong-outcome Born overlap of a rank-2 code set to `value`: the
+        # audit's vector maximum and the Python walk over abs read the same,
+        # with no warning
+        base = seeded_sets(3)["optimum"]
+        povm = PovmSet(base.n, base.stacks, base.perp, base.profile)
+        at = next(i for i, code in enumerate(povm.stacks) if code.k == 2)
+        code = list(povm.stacks)[at]
+        overlaps = [rows.copy() for rows in base.overlaps]
+        wrong = code.parities != np.arange(1 << code.k)[:, None]
+        y, x = np.argwhere(wrong)[1]
+        overlaps[at][y, x] = value
+        povm.__dict__["overlaps"] = overlaps
+        walk = 0.0
+        for (code, stack), rows in zip(_code_stacks(povm), overlaps):
+            wrong = code.parities != np.arange(len(stack))[:, None]
+            walk = reduce(_max, map(abs, rows[wrong].tolist()), walk)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = verify_povm(povm).max_unambiguity_trace
+        assert float_bits([got]) == float_bits([walk]) == float_bits([want])
+
 
 ORBIT_CASES = [(n, family, tau) for n in (3, 4, 5) for family in ("rational", "phased", "ball")
                for tau in (None, 2)]
@@ -1034,6 +1125,8 @@ class TestExactOrbits:
             assert povm.exact_orbits[:len(codes)] == [code != broken for code in codes], name
             devs = [_covariance_dev(code, stack) for code, stack in _code_stacks(povm)]
             assert float_bits(povm.covariance) == float_bits(devs), name
+            assert float_bits(devs) == float_bits(
+                [covariance_dev_loops(code, stack) for code, stack in _code_stacks(povm)]), name
             dev = devs[codes.index(broken)]
             assert {"minus-zero": dev == 0.0, "nan": math.isnan(dev),
                     "kernel-shift": dev > 1e-4}[name]

@@ -27,6 +27,7 @@ from .f2lin import (
     coset_counts,
     coset_table,
     hamming_weight,
+    is_universal,
     rank,
     vec_str,
 )
@@ -77,8 +78,6 @@ def dual_threshold_indicator(v_set, tau: int, n: int) -> DualSolution:
     Every rank-k coset with k >= tau splits into 2^(k-tau) sub-cosets of
     dimension tau, each of which meets V, so the covering constraints hold.
     """
-    from .f2lin import is_universal
-
     v_set = frozenset(v_set)
     if not is_universal(v_set, tau, n):
         raise FamilyError("the provided set is not tau-universal")

@@ -290,9 +290,7 @@ def solve_pair(profile: AmplitudeProfile, cost: CostFunction, mode: str = EXACT
     lies in.  In float mode a b_i within FLOAT_FEAS_TOL below zero is
     reported as 0, so b >= 0.
     """
-    report = solve_optimal(build_primal(profile), cost, mode)
-    # values is keyed (code, s) as mu is and holds only x != 0
-    primal = PrimalSolution(profile.n, dict(report.values), report.objective)
+    primal, report = solve_primal(profile, cost, mode)
     # objective * 0 puts the cover in the number type the solve ran in.
     cover = report.objective * 0 + max(_rank_value(cost, k) for k in range(profile.n + 1))
     b = [cover] * (1 << profile.n)
@@ -306,6 +304,7 @@ def solve_pair(profile: AmplitudeProfile, cost: CostFunction, mode: str = EXACT
 
 def solve_primal(profile: AmplitudeProfile, cost: CostFunction,
                  mode: str = EXACT) -> tuple[PrimalSolution, SolveReport]:
+    # values is keyed (code, s) as mu is and holds only x != 0
     report = solve_optimal(build_primal(profile), cost, mode)
     return PrimalSolution(profile.n, dict(report.values), report.objective), report
 

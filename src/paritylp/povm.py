@@ -8,13 +8,13 @@ wrong-outcome overlap exactly zero, and commutes with shifts up to the
 outcome relabeling y -> y + H.a.  All of that is re-checked numerically by
 ``verify_povm`` instead of being trusted.  A set holds one stack per code,
 the (2^k, 2^n, 2^n) array of all that code's elements, which the builder
-fills and the audits, the score and the report read as it is.  Covariance is
-checked on the n generators e_1..e_n of the shift group, once per set, by the
-plain relabelling X_a F X_a (`_relabelled`) against the partner outcome.  A
-code of deviation exactly 0 holds exact relabellings F[(H, y)] = X_a F[(H, 0)]
-X_a, which share outcome 0's entries, spectrum and Fourier diagonal, so the
-audits read those, and the Born overlaps, off outcome 0 alone.  The report
-writes each element of an exact orbit (`exact_orbits`) off outcome 0 too.
+fills and the audits, the score and the report read as it is.  A code that
+passes the exact-orbit test (`exact_orbits`) holds exact relabellings
+F[(H, y)] = X_a F[(H, 0)] X_a, which share outcome 0's entries, spectrum and
+Fourier diagonal: the audits, the Born overlaps and the report read a code off
+outcome 0 exactly when the exact-orbit test passes.  Only a code that fails it
+has its covariance checked, on the n generators e_1..e_n of the shift group,
+by the plain relabelling X_a F X_a (`_relabelled`) against the partner outcome.
 """
 
 from __future__ import annotations
@@ -161,29 +161,17 @@ class PovmSet:
                 for code, stack in _code_stacks(self)]
 
     @cached_property
-    def covariance(self) -> list[float]:
-        """`_covariance_dev` of each stack of `exact_orbits`, 0.0 for an exact
-        orbit: `verify_povm`, `fourier_diag_check` and `overlaps` read a code
-        whose deviation is exactly 0.0 off its outcome 0 alone."""
-        return [0.0 if exact else _covariance_dev(code, stack)
-                for (code, stack), exact in zip(_code_stacks(self), self.exact_orbits)]
-
-    @cached_property
     def overlaps(self) -> list[np.ndarray]:
         """<psi_x|M_j|psi_x> at [j, x] for each code's stack, in the set's
         order, then for the leftover, under the set's profile: read by both
-        `verify_povm` and `rho_eval`.  For an exactly covariant code, M_y is
-        X_a M_0 X_a for the least a with H.a = y, and X_a psi_x = psi_(x+a),
-        so row y is row 0 read at x + a."""
+        `verify_povm` and `rho_eval`.  A code is read off outcome 0 exactly
+        when the exact-orbit test passes: M_y is X_a M_0 X_a for the least a
+        with H.a = y, and X_a psi_x = psi_(x+a), so row y is row 0 at x + a."""
         states = _states(self.profile)
         x = np.arange(len(states))
-        rows = []
-        for (code, stack), dev in zip(_code_stacks(self), self.covariance):
-            if dev == 0.0:
-                rows.append(_overlaps(stack[:1], states)[0][x ^ code.least_shifts[:, None]])
-            else:
-                rows.append(_overlaps(stack, states))
-        return rows
+        return [_overlaps(stack[:1], states)[0][x ^ code.least_shifts[:, None]] if exact
+                else _overlaps(stack, states)
+                for (code, stack), exact in zip(_code_stacks(self), self.exact_orbits)]
 
     def to_json_dict(self) -> dict:
         """The set with its operators as ndarrays; `cli.dump_json` writes each
@@ -366,7 +354,9 @@ def verify_povm(povm: PovmSet, *,
     """Numerically audit every defining property of the measurement set
     against its own profile.
 
-    Covariance is checked on the shift generators e_1..e_n; max_symmetry_dev
+    A code is read off outcome 0 exactly when the exact-orbit test passes,
+    and has covariance deviation 0; any other stack is read element by
+    element and checked on the shift generators e_1..e_n.  max_symmetry_dev
     is n times their largest deviation, which bounds the deviation under
     every one of the 2^n shifts.  Hermiticity and covariance are held to
     TOL_HERMITIAN and TOL_SYMMETRY.
@@ -376,9 +366,10 @@ def verify_povm(povm: PovmSet, *,
     total = np.zeros((size, size), dtype=complex)
     herm = unambig = sym_dev = 0.0
     min_eig = math.inf
-    for (code, stack), overlaps, dev in zip(_code_stacks(povm), povm.overlaps, povm.covariance):
+    for (code, stack), overlaps, exact in zip(_code_stacks(povm), povm.overlaps,
+                                              povm.exact_orbits):
         # exact relabellings: outcome 0's entries permuted, a similar matrix
-        orbit = stack[:1] if dev == 0.0 else stack
+        orbit = stack[:1] if exact else stack
         adj = orbit.conj().transpose(0, 2, 1)
         dev_h = float(np.max(np.abs(orbit - adj)))
         herm = _max(herm, dev_h)
@@ -394,7 +385,8 @@ def verify_povm(povm: PovmSet, *,
             off = overlaps[wrong]
             unambig = _max(unambig, float(np.max(np.hypot(off.real, off.imag))))
 
-        sym_dev = _max(sym_dev, n * dev)
+        if not exact:
+            sym_dev = _max(sym_dev, n * _covariance_dev(code, stack))
     complete = float(np.linalg.norm(total - np.eye(size)))
 
     gamma_ok = (
@@ -427,12 +419,12 @@ def fourier_diag_check(povm: PovmSet) -> FourierDiagReport:
     w_mat = walsh_hadamard(povm.n)
     weights = np.array(povm.profile.weights_float)
     offdiag = factor = spread = 0.0
-    for (code, stack), dev in zip(_code_stacks(povm), povm.covariance):
+    for (code, stack), exact in zip(_code_stacks(povm), povm.exact_orbits):
         agg_hat = w_mat @ stack.sum(axis=0) @ w_mat
         off = agg_hat - np.diag(np.diag(agg_hat))
         offdiag = _max(offdiag, float(np.max(np.abs(off))))
         # W X_a M X_a W = Z_a W M W Z_a, Z_a diagonal: the same Fourier diagonal
-        orbit = stack[:1] if dev == 0.0 else stack
+        orbit = stack[:1] if exact else stack
         hat_diag = np.real(np.diagonal(w_mat @ orbit @ w_mat, axis1=1, axis2=2))
         factor = _max(factor, float(np.max(np.abs(
             np.real(np.diag(agg_hat)) - (1 << code.k) * hat_diag

@@ -1,6 +1,7 @@
 """The benchmark's traced mode wraps paritylp functions by name; each name
 must still resolve, or `bench/run.py --trace 1` breaks at install time.  Its
-solve observer reads the model's shape, which must still be there."""
+observers read the model's shape, a set's elements, the shots argument of
+`sample` and a slackness verdict, which must still be there."""
 
 import importlib.util
 import random
@@ -9,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import paritylp
-from conftest import ball_profile
-from paritylp import lp
+from conftest import ball_profile, rand_rational_profile
+from paritylp import bounds, lp, povm, simulate
 from paritylp.profiles import CostFunction
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -49,3 +50,24 @@ def test_solve_observer_counts_model_shape(mode):
     counts = recorder.counts
     assert (counts["solves"], counts["rows"], counts["cols"]) == (1, len(p.support), model.n_vars)
     assert counts["pivots"] == report.pivots > 0
+
+
+def test_other_observers_read_their_counts():
+    p = rand_rational_profile(3, random.Random(9)).with_real_amplitudes()
+    cost = CostFunction.average(3)
+    primal, dual, _ = lp.solve_pair(p, cost)
+    recorder = load_spans().SpanRecorder()
+    povm_set = povm.build_from_primal(primal, p)
+    recorder._observe_build((primal, p), povm_set)
+    # positional, as the CLI calls it: the observer reads the shots at args[3]
+    args = (primal, p, 5, 1000, 7)
+    records = simulate.sample(*args)
+    recorder._observe_sample(args, records)
+    recorder._observe_candidate(("hamming", p), bounds.primal_candidate("hamming", p))
+    report = lp.complementary_slackness(primal, dual, p, cost)
+    recorder._observe_slackness((primal, dual, p, cost), report)
+    counts = recorder.counts
+    elements = sum(1 << code.k for code in povm_set.stacks)
+    assert (counts["elements"], counts["shots"], counts["candidates"], counts["certified"]) == \
+        (elements, 1000, 1, 1) and elements > 0
+    assert sum(record.count for record in records) == 1000

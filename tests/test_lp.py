@@ -33,6 +33,7 @@ from paritylp.f2lin import (
     all_vectors,
     enumerate_all_codes,
     enumerate_codes,
+    hamming_weight,
     rank,
     vec_str,
 )
@@ -2421,3 +2422,81 @@ class TestDualVector:
     def test_tuple_of_length_two_to_the_n(self):
         for n, sol in self._producers():
             assert type(sol.b) is tuple and len(sol.b) == 1 << n
+
+
+def _cross_solve_profiles(n):
+    """Twenty rational n-bit profiles: 12 random, 6 with tiny weights, and
+    the radius-1 and radius-2 balls."""
+    rng = random.Random(f"cross-solve/{n}")
+    return ([rand_rational_profile(n, rng) for _ in range(12)]
+            + [powered_profile(i, n, seed=n) for i in range(6)]
+            + [ball_profile(n, d, rng) for d in (1, 2)])
+
+
+class TestCrossSolveLaw:
+    """The dual feasible set does not depend on the profile: an optimal b(w)
+    is feasible for every other profile w', so b(w).w' >= rho(w'), and rho
+    is the minimum of linear functions of w, so it is concave.  Exact
+    solves, so each inequality is decided on rationals."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_optimal_duals_bound_every_other_profile(self, n):
+        profiles = _cross_solve_profiles(n)
+        pairs = 0
+        for cost in (CostFunction.average(n), CostFunction.threshold(n, 2)):
+            solved = [solve_pair(p, cost) for p in profiles]
+            rho = [report.objective for _, _, report in solved]
+            assert all(type(r) is Fraction for r in rho)
+            for i, (_, dual, _) in enumerate(solved):
+                for j, other in enumerate(profiles):
+                    if i != j:
+                        pairs += 1
+                        assert dual.evaluate(other) >= rho[j], (i, j)
+            for i in range(10):
+                j = (i + 7) % len(profiles)
+                mid = AmplitudeProfile.from_weights(n, [
+                    (a + b) / 2 for a, b in zip(profiles[i].weights, profiles[j].weights)])
+                assert solve_pair(mid, cost)[2].objective >= (rho[i] + rho[j]) / 2, (i, j)
+        assert pairs == 2 * 380
+
+
+def krawtchouk(n, t, x):
+    """K_t(x) = sum_j (-1)^j C(x, j) C(n - x, t - j)."""
+    return sum((-1) ** j * math.comb(x, j) * math.comb(n - x, t - j) for j in range(t + 1))
+
+
+def fixed_weight_profile(n, t):
+    """Fixed-weight noise: w_i = K_t(|i|)^2 / (2^n C(n, t)), which sums to
+    exactly 1, as the profile requires, by the orthogonality of the
+    Krawtchouk polynomials."""
+    scale = (1 << n) * math.comb(n, t)
+    return AmplitudeProfile.from_weights(n, [Fraction(krawtchouk(n, t, hamming_weight(i)) ** 2,
+                                                      scale) for i in all_vectors(n)])
+
+
+FIXED_WEIGHT_AVERAGE = {(2, 1): 1, (3, 1): Fraction(5, 3), (3, 2): Fraction(5, 3),
+                        (4, 1): 2, (4, 2): Fraction(5, 3), (4, 3): 2,
+                        **{(5, t): Fraction(13, 5) for t in range(1, 5)}}
+
+
+class TestFixedWeightNoise:
+    """Exact optima of fixed-weight noise, each certified by its own dual."""
+
+    def assert_optimum(self, p, cost, want):
+        primal, dual, report = solve_pair(p, cost)
+        assert (report.mode, report.objective) == ("exact", want)
+        assert check_dual_feasible(dual, cost).feasible
+        slack = complementary_slackness(primal, dual, p, cost)
+        assert slack.certified and slack.primal_objective - slack.dual_objective == 0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_average_cost(self, n):
+        for t in range(n + 1):
+            want = FIXED_WEIGHT_AVERAGE.get((n, t), n)
+            self.assert_optimum(fixed_weight_profile(n, t), CostFunction.average(n), want)
+
+    def test_threshold_costs_at_n5_t2(self):
+        p = fixed_weight_profile(5, 2)
+        for tau, want in zip(range(1, 6), [1, Fraction(3, 4), Fraction(1, 2),
+                                           Fraction(3, 7), Fraction(2, 5)]):
+            self.assert_optimum(p, CostFunction.threshold(5, tau), want)

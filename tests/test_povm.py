@@ -753,6 +753,7 @@ class TestOperatorCap:
         assert all_shifts_deviation(povm) <= ver.max_symmetry_dev * (1 + 1e-12)
         assert float_bits([_covariance_dev(code, stack) for code, stack in _code_stacks(povm)]) == \
             float_bits([covariance_dev_loops(code, stack) for code, stack in _code_stacks(povm)])
+        assert_audits_match_loops(povm)
 
     def test_above_cap_refused(self):
         with pytest.raises(BudgetError, match="capped"):
@@ -797,6 +798,13 @@ def float_bits(values):
     return [(type(v), v.hex() if isinstance(v, float) else v) for v in values]
 
 
+def assert_symmetry_dev(povm, devs):
+    """`verify_povm`'s max_symmetry_dev is n times the largest of `devs`, the
+    `_covariance_dev` of every stack, bit for bit, NaN kept."""
+    want = povm.n * reduce(_max, devs, 0.0)
+    assert float_bits([verify_povm(povm).max_symmetry_dev]) == float_bits([want])
+
+
 def assert_relabellings(povm):
     """X_a F[(H, y)] X_a is F[(H, y + H.a)] bit for bit, for every element
     and every generator a: `shifted` on a code's elements at once."""
@@ -806,6 +814,19 @@ def assert_relabellings(povm):
             p = idx ^ a
             partners = np.arange(len(stack)) ^ code.parity(a)
             assert stack[:, p[:, None], p].tobytes() == stack[partners].tobytes()
+
+
+def assert_audits_match_loops(povm):
+    """`verify_povm`, `fourier_diag_check` and `rho_eval` give the
+    element-loop oracles' figures bit for bit."""
+    n = povm.n
+    assert float_bits(verify_povm(povm).to_json_dict().values()) == \
+        float_bits(verify_povm_loops(povm).to_json_dict().values())
+    assert float_bits(fourier_diag_check(povm).to_json_dict().values()) == \
+        float_bits(fourier_diag_check_loops(povm))
+    for cost in (CostFunction.average(n), CostFunction.threshold(n, 1),
+                 CostFunction(n, [Fraction(1, 2)] + [1] * n)):
+        assert float_bits([rho_eval(povm, cost)]) == float_bits([rho_eval_loops(povm, cost)])
 
 
 def assert_same_sets(got, want):
@@ -903,7 +924,7 @@ class TestAuditsMatchLoops:
         devs = [(_covariance_dev(code, stack), covariance_dev_loops(code, stack))
                 for code, stack in _code_stacks(povm)]
         assert float_bits([got for got, _ in devs]) == float_bits([want for _, want in devs])
-        assert float_bits(povm.covariance) == float_bits([got for got, _ in devs])
+        assert_symmetry_dev(povm, [got for got, _ in devs])
         assert (max(got for got, _ in devs) > 1e-6) == (label != "optimum")
         if n >= 3:
             # a rank >= 1 code with H.e_j = 0: a generator whose flip leaves
@@ -940,6 +961,23 @@ class TestAuditsMatchLoops:
         reported = verify_povm(povm).max_symmetry_dev
         assert all_shifts_deviation(povm) <= reported * (1 + 1e-12)
 
+    @pytest.mark.parametrize("name", ["minus-zero", "kernel-shift"])
+    def test_orbit_breaks(self, name):
+        # "minus-zero" relabels outcome 0 value for value, but not byte for
+        # byte: it is read element by element, as the loops read it
+        povm, broken = orbit_breaks()[1][name]
+        assert not povm.exact_orbits[list(povm.stacks).index(broken)]
+        assert_audits_match_loops(povm)
+
+    def test_nan_break_reads_nan(self):
+        povm, _ = orbit_breaks()[1]["nan"]
+        ver = verify_povm(povm).to_json_dict()
+        figures = [v for v in ver.values() if isinstance(v, float)]
+        figures += [*fourier_diag_check(povm).to_json_dict().values(),
+                    rho_eval(povm, CostFunction.average(3))]
+        assert len(figures) == 9 and all(map(math.isnan, figures))
+        assert not (ver["gamma_ok"] or ver["symmetric_ok"] or ver["ok"])
+
 
 def with_outcome_1(base, code, mat):
     """The set `base` with outcome 1 of `code` replaced by `mat`."""
@@ -948,9 +986,8 @@ def with_outcome_1(base, code, mat):
 
 
 class TestOrbitReading:
-    """A code is audited on its outcome 0 alone only when its covariance
-    deviation is exactly 0: anything else takes the element-by-element
-    path."""
+    """A code is read off outcome 0 exactly when the exact-orbit test passes:
+    anything else takes the element-by-element path."""
 
     def test_negative_eigenvalue_off_outcome_0_is_found(self):
         # outcome 1 is the relabelled outcome 0 less 1e-6 |v><v| for a unit v
@@ -980,7 +1017,7 @@ class TestOrbitReading:
         povm = with_outcome_1(base, code, mat)
         at = list(povm.stacks).index(code)
         stack = povm.stacks[code]
-        assert 0 < povm.covariance[at] < 1e-15
+        assert not povm.exact_orbits[at] and 0 < _covariance_dev(code, stack) < 1e-15
         assert verify_povm(povm).max_symmetry_dev > 0
 
         states = _states(povm.profile)
@@ -1085,10 +1122,11 @@ ORBIT_CASES = [(n, family, tau) for n in (3, 4, 5) for family in ("rational", "p
 
 
 class TestExactOrbits:
-    """One exact-orbit test per code: every code `build_from_primal` makes
-    passes it and is reported as its outcome 0 relabelled; a code that fails
-    it takes `_covariance_dev`; and `covariance` is `_covariance_dev` of
-    every stack, bit for bit, either way."""
+    """One exact-orbit test per code: a code is read off outcome 0 exactly
+    when the exact-orbit test passes.  Every code `build_from_primal` makes
+    passes it, has deviation 0 and is reported as its outcome 0 relabelled;
+    only a code that fails it takes `_covariance_dev` in `verify_povm`, whose
+    max_symmetry_dev is n times the largest deviation of every stack."""
 
     @pytest.mark.parametrize("n,family,tau", ORBIT_CASES)
     def test_every_built_code_passes(self, n, family, tau):
@@ -1108,7 +1146,8 @@ class TestExactOrbits:
             assert all(povm.exact_orbits[:len(povm.stacks)])
             assert_relabellings(povm)
             devs = [_covariance_dev(code, stack) for code, stack in _code_stacks(povm)]
-            assert float_bits(povm.covariance) == float_bits(devs)
+            assert float_bits(devs[:len(povm.stacks)]) == float_bits([0.0] * len(povm.stacks))
+            assert_symmetry_dev(povm, devs)
             keys = [key for key, _ in sorted(povm.elements.items(), key=by_code)]
             for (code, y), element in zip(keys, povm.to_json_dict()["elements"]):
                 mat = element["matrix"]
@@ -1117,6 +1156,21 @@ class TestExactOrbits:
                 assert shifted(mat.source, mat.shift).tobytes() == mat.tobytes()
         assert codes > 0
 
+    def test_deviation_only_off_the_orbit(self, monkeypatch):
+        # verify_povm runs `_covariance_dev` on each stack that fails the
+        # exact-orbit test, once, and on no other
+        base, breaks = orbit_breaks()
+        seen = []
+        real = _covariance_dev
+        monkeypatch.setattr("paritylp.povm._covariance_dev",
+                            lambda code, stack: seen.append(code) or real(code, stack))
+        for povm in [base, *(povm for povm, _ in breaks.values())]:
+            seen.clear()
+            verify_povm(povm)
+            assert seen == [code for (code, _), exact in zip(_code_stacks(povm), povm.exact_orbits)
+                            if not exact]
+            assert len(seen) == 1 + (povm is not base)
+
     def test_breaks_take_the_deviation(self):
         base, breaks = orbit_breaks()
         assert all(base.exact_orbits[:len(base.stacks)])
@@ -1124,7 +1178,7 @@ class TestExactOrbits:
             codes = list(povm.stacks)
             assert povm.exact_orbits[:len(codes)] == [code != broken for code in codes], name
             devs = [_covariance_dev(code, stack) for code, stack in _code_stacks(povm)]
-            assert float_bits(povm.covariance) == float_bits(devs), name
+            assert_symmetry_dev(povm, devs)
             assert float_bits(devs) == float_bits(
                 [covariance_dev_loops(code, stack) for code, stack in _code_stacks(povm)]), name
             dev = devs[codes.index(broken)]

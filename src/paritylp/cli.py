@@ -383,14 +383,14 @@ def cmd_slpn(args) -> tuple[dict, str]:
     params = BernoulliParams(args.t)
     # A Bernoulli profile is binary64, so both solves of its one model run in float.
     model = lp.build_primal(profile)
-    p_report = lp.solve_optimal(model, CostFunction.average(args.n))
+    p_report = lp.solve(model, CostFunction.average(args.n))
     rho_av = float(p_report.objective)
     hamming_bound = 2 * args.n * params.t_perp
     threshold_part = None
     if args.d is not None:
         ball_sol = bounds.dual_threshold_ball(args.n, args.d, args.gamma)
         tau = ball_sol.params["tau"]
-        t_report = lp.solve_optimal(model, CostFunction.threshold(args.n, tau))
+        t_report = lp.solve(model, CostFunction.threshold(args.n, tau))
         threshold_part = {
             "tau": tau,
             "rho_threshold": float(t_report.objective),

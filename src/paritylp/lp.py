@@ -199,7 +199,9 @@ def solve(model: LpModel, cost: CostFunction, mode: str = EXACT) -> SolveReport:
     is rational; otherwise it runs in binary64, and the report's mode says
     which ran.  The pricing rule is deterministic, so exact optima are
     bit-identical across invocations.  The report carries b on the support,
-    the multipliers of M x = w: the objective equals sum b_i w_i.
+    the multipliers of M x = w: the objective equals sum b_i w_i.  A solve
+    that stops short of optimal (an iteration limit, or "unbounded" by
+    rounding in binary64) raises SolveError.
     """
     if mode not in (EXACT, FLOAT):
         raise SolveError(f"unknown mode {mode!r}")
@@ -214,22 +216,13 @@ def solve(model: LpModel, cost: CostFunction, mode: str = EXACT) -> SolveReport:
     c = -np.array(values, dtype=object if exact else float)
     result = simplex.simplex_min(model.columns, c)
     elapsed = time.perf_counter() - start
-    mode, pivots = EXACT if exact else FLOAT, result.stats.pivots
     if result.status != simplex.OPTIMAL:
-        return SolveReport(result.status, None, None, mode, pivots,
-                           elapsed, result.strategy, stats=result.stats)
+        raise SolveError(f"primal solve ended with status {result.status}")
     # Only the columns with x != 0, in column order: at most one per row.
     values = {model.labels[j]: v for j, v in result.x.items() if v}
-    return SolveReport("optimal", -result.objective, values, mode, pivots,
-                       elapsed, result.strategy, [-y for y in result.y], result.stats)
-
-
-def solve_optimal(model: LpModel, cost: CostFunction, mode: str = EXACT) -> SolveReport:
-    """`solve`, raising SolveError unless it ends optimal."""
-    report = solve(model, cost, mode)
-    if report.status != "optimal":
-        raise SolveError(f"primal solve ended with status {report.status}")
-    return report
+    return SolveReport("optimal", -result.objective, values, EXACT if exact else FLOAT,
+                       result.stats.pivots, elapsed, result.strategy,
+                       [-y for y in result.y], result.stats)
 
 
 @dataclass
@@ -305,7 +298,7 @@ def solve_pair(profile: AmplitudeProfile, cost: CostFunction, mode: str = EXACT
 def solve_primal(profile: AmplitudeProfile, cost: CostFunction,
                  mode: str = EXACT) -> tuple[PrimalSolution, SolveReport]:
     # values is keyed (code, s) as mu is and holds only x != 0
-    report = solve_optimal(build_primal(profile), cost, mode)
+    report = solve(build_primal(profile), cost, mode)
     return PrimalSolution(profile.n, dict(report.values), report.objective), report
 
 

@@ -8,13 +8,14 @@ wrong-outcome overlap exactly zero, and commutes with shifts up to the
 outcome relabeling y -> y + H.a.  All of that is re-checked numerically by
 ``verify_povm`` instead of being trusted.  A set holds one stack per code,
 the (2^k, 2^n, 2^n) array of all that code's elements, which the builder
-fills and the audits, the score and the report read as it is.  A code that
-passes the exact-orbit test (`exact_orbits`) holds exact relabellings
-F[(H, y)] = X_a F[(H, 0)] X_a, which share outcome 0's entries, spectrum and
-Fourier diagonal: the audits, the Born overlaps and the report read a code off
-outcome 0 exactly when the exact-orbit test passes.  Only a code that fails it
-has its covariance checked, on the n generators e_1..e_n of the shift group,
-by the plain relabelling X_a F X_a (`_relabelled`) against the partner outcome.
+fills from outcome 0 by one relabelling and the audits, the score and the
+report read as it is.  A code that passes the exact-orbit test
+(`exact_orbits`) holds exact relabellings F[(H, y)] = X_a F[(H, 0)] X_a, which
+share outcome 0's entries, spectrum and Fourier diagonal: the audits, the Born
+overlaps and the report read a code off outcome 0 exactly when the exact-orbit
+test passes.  Only a code that fails it has its covariance checked, on the n
+generators e_1..e_n of the shift group, by the plain relabelling X_a F X_a
+(`_relabelled`) against the partner outcome.
 """
 
 from __future__ import annotations
@@ -65,13 +66,11 @@ def state_psi(profile: AmplitudeProfile, x: int) -> np.ndarray:
     return walsh_hadamard(profile.n) @ four
 
 
-def _coset_fourier(profile: AmplitudeProfile, code: ParityCode) -> tuple[np.ndarray, np.ndarray]:
-    """Fourier support and unsigned coefficients of a code's coset states.
-
-    Row s holds the coset of syndrome s as H^T.u ^ v_s over u = 0..2^k-1,
-    anchored at the coset leader v_s, and the matching 1/conj(amplitude);
-    every outcome y of the code shares both.
-    """
+def _coset_states(profile: AmplitudeProfile, code: ParityCode, syndromes) -> np.ndarray:
+    """A_s of outcome 0 at row j, for s = syndromes[j]: 1/conj(amplitude) on
+    the coset H^T.u ^ v_s (u = 0..2^k-1, v_s its leader) in the Fourier basis,
+    taken to the computational basis by one batched product with the core
+    shape of W @ four, so each state has the bits of that one product."""
     _check_n(profile.n)
     amps = np.array(profile.require_amplitudes(), dtype=complex)
     if not amps.all():
@@ -79,21 +78,9 @@ def _coset_fourier(profile: AmplitudeProfile, code: ParityCode) -> tuple[np.ndar
             "coset states need full dual support; apply perturb_full_support"
         )
     span = np.array([code.H.transpose_mul(u) for u in range(1 << code.k)])
-    idx = code.leaders[0][:, None] ^ span
-    return idx, 1.0 / np.conj(amps[idx])
-
-
-def _coset_states(code: ParityCode, fourier, syndromes) -> np.ndarray:
-    """A_s of every outcome y and listed syndrome s, at [y, j] for s =
-    syndromes[j]: the coefficients of s signed by (-1)^(y.u), taken to the
-    computational basis by one batched product with the core shape of
-    W @ four, so each state has the bits of that one product."""
-    idx, inv = fourier
-    picked = list(syndromes)
-    signs = walsh_hadamard(code.k)[:, None, :] < 0
-    signed = np.where(signs, -inv[picked], inv[picked])
-    four = np.zeros((len(signs), len(picked), 1 << code.n), dtype=complex)
-    four[:, np.arange(len(picked))[:, None], idx[picked]] = signed
+    idx = code.leaders[0][list(syndromes), None] ^ span
+    four = np.zeros((len(idx), 1 << code.n), dtype=complex)
+    four[np.arange(len(idx))[:, None], idx] = 1.0 / np.conj(amps[idx])
     return (walsh_hadamard(code.n) @ four[..., None])[..., 0]
 
 
@@ -197,8 +184,11 @@ def build_from_primal(sol: PrimalSolution, profile: AmplitudeProfile) -> PovmSet
     """Assemble the measurement attached to a feasible primal point.
 
     F[(code, y)] = sum_s mu[(code, s)] / 2^k |A_s><A_s| for every rank >= 1
-    code carrying mass; the no-information element is the completeness
-    leftover, which the Fourier-diagonal structure keeps positive.
+    code carrying mass.  Only outcome 0 is summed: the A_s of outcome y are
+    those of outcome 0 shifted by any a with H.a = y, up to sign, so outcome
+    y is outcome 0 `_relabelled` by the least such a.  The no-information
+    element is the completeness leftover, which the Fourier-diagonal
+    structure keeps positive.
     """
     _check_n(profile.n)
     size = 1 << profile.n
@@ -216,13 +206,12 @@ def build_from_primal(sol: PrimalSolution, profile: AmplitudeProfile) -> PovmSet
     # the terms and elements are summed in, here and in verify_povm
     for code in sorted(carried, key=position.__getitem__):
         syndromes, coeffs = zip(*sorted(carried[code]))
-        states = _coset_states(code, _coset_fourier(profile, code), syndromes)
-        stack = np.zeros((len(states), size, size), dtype=complex)
-        for j, c in enumerate(coeffs):
-            vec = states[:, j]
-            term = vec[:, :, None] * np.conj(vec)[:, None, :]
+        outcome0 = np.zeros((size, size), dtype=complex)
+        for vec, c in zip(_coset_states(profile, code, syndromes), coeffs):
+            term = vec[:, None] * np.conj(vec)[None, :]
             term *= c
-            stack += term
+            outcome0 += term
+        stack = _relabelled(outcome0, code.least_shifts)
         for mat in stack:
             total += mat
         stack.flags.writeable = False

@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import paritylp
-from conftest import ball_profile, rand_rational_profile
+from conftest import ball_profile, rand_rational_profile, without_float_stage
 from paritylp import bounds, lp, povm, simulate
+from paritylp.errors import SolveError
 from paritylp.profiles import CostFunction
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -50,6 +51,23 @@ def test_solve_observer_counts_model_shape(mode):
     counts = recorder.counts
     assert (counts["solves"], counts["rows"], counts["cols"]) == (1, len(p.support), model.n_vars)
     assert counts["pivots"] == report.pivots > 0
+
+
+def test_solve_that_raises_leaves_the_round_balanced(monkeypatch):
+    # a solve that stops short of optimal raises through its wrapper: every
+    # span it opened is closed, and no solve is counted
+    p = rand_rational_profile(2, random.Random("short-of-optimal"))
+    without_float_stage(monkeypatch)
+    recorder = load_spans().SpanRecorder()
+    recorder.install()
+    try:
+        model = lp.build_primal(p)
+        with pytest.raises(SolveError, match="ended with status iteration-limit"):
+            lp.solve(model, CostFunction.average(2), "float")
+    finally:
+        recorder.uninstall()
+    assert recorder._stack == [] and recorder.counts["solves"] == 0
+    assert "lp.solve" in [span[1] for span in recorder.spans]
 
 
 def test_other_observers_read_their_counts():

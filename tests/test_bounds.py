@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,10 +47,12 @@ from paritylp.f2lin import (
     vec_str,
 )
 from paritylp.lp import (
+    build_primal,
     check_dual_feasible,
     check_primal_feasible,
     complementary_slackness,
     coset_slacks,
+    solve,
     solve_dual,
     solve_primal,
 )
@@ -503,7 +506,65 @@ class TestCountN:
                     assert count_N(k, i, x, n) == brute, (n, k, i, x)
 
 
+def affine_classes(n):
+    """The least member of each class of subsets of F_2^n, as masks whose
+    bit i holds point i, under AGL(n, 2): generated by the translations e_j,
+    the adjacent coordinate swaps and the transvection x_1 += x_2.  Each
+    generator is an involution, so a mask's label falls to the least mask
+    of its class by taking the least label across each generator."""
+    points = np.arange(1 << n)
+    maps = [points ^ (1 << j) for j in range(n)]
+    maps += [points ^ (((points >> j) ^ (points >> (j + 1))) & 1) * (3 << j)
+             for j in range(n - 1)]
+    maps.append(points ^ ((points >> 1) & 1))
+    masks = np.arange(1 << (1 << n))
+    images = [sum(((masks >> i) & 1) << int(m[i]) for i in points) for m in maps]
+    label = masks
+    while True:
+        step = label
+        for image in images:
+            step = np.minimum(step, step[image])
+        step = step[step]
+        if np.array_equal(step, label):
+            return np.unique(label).tolist()
+        label = step
+
+
+def uniform_on(n, support):
+    return profile(n, [Fraction(i in support, len(support)) for i in all_vectors(n)])
+
+
+def rho_threshold(p, tau):
+    return solve(build_primal(p), CostFunction.threshold(p.n, tau)).objective
+
+
 class TestThresholdZeroCertificate:
+    @pytest.mark.parametrize("n, classes, frontier", [
+        (2, 5, [3, 1]), (3, 10, [7, 4, 1]), (4, 32, [15, 10, 5, 1])])
+    def test_every_affine_class(self, n, classes, frontier):
+        # on uniform weights over one support per class, the certificate
+        # decides rho_tau = 0 as the exact LP does; the fewest zero-weight
+        # indices that force rho_tau = 0 are u(n, tau) (ROADMAP item 20),
+        # and no witness keeps rho_tau = 0 once any one zero point joins
+        # its support
+        reps = affine_classes(n)
+        assert len(reps) == classes and reps[0] == 0
+        supports = [{i for i in all_vectors(n) if rep >> i & 1} for rep in reps[1:]]
+        zeros = {tau: [] for tau in range(1, n + 1)}
+        for support in supports:
+            p = uniform_on(n, support)
+            for tau in zeros:
+                rho = rho_threshold(p, tau)
+                assert threshold_zero_certificate(p, tau).rho_is_zero == (rho == 0)
+                if rho == 0:
+                    zeros[tau].append(support)
+        assert [(1 << n) - max(map(len, found)) for found in zeros.values()] == frontier
+        for tau, found in zeros.items():
+            for support in found:
+                if (1 << n) - len(support) == frontier[tau - 1]:
+                    for z in set(all_vectors(n)) - support:
+                        assert rho_threshold(uniform_on(n, support | {z}), tau) > 0
+
     def test_point_mass_witness(self):
         cert = threshold_zero_certificate(point_mass_profile(2, 0), 1)
         assert cert.rho_is_zero

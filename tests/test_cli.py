@@ -210,6 +210,16 @@ class TestSolve:
         assert isinstance(report["rho"], float)
         assert report["audits"]["strong_duality_gap"] is (expected == 0)
 
+    def test_solve_short_of_optimal_is_an_error(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(
+            rand_rational_profile(2, random.Random("short-of-optimal")).to_json_dict()))
+        without_float_stage(monkeypatch)
+        assert main(["solve", "--profile", str(path), "--mode", "float"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: primal solve ended with status iteration-limit\n")
+
     @pytest.mark.parametrize("values, rho", [("0,0.1,0.3", "9/50"), ("0,1/2,1", "7/10")])
     def test_custom_cost_values_are_exact(self, tmp_path, capsys, values, rho):
         # each value is read as a decimal or fraction, so 0.1 is 1/10, not

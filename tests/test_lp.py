@@ -6,7 +6,7 @@ import math
 import random
 from dataclasses import replace
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 from numbers import Rational
 
 import numpy as np
@@ -335,6 +335,15 @@ class TestSolve:
             p = profile(n, [Fraction(1, 1 << n)] * (1 << n))
             _, rep = solve_primal(p, CostFunction.average(n))
             assert rep.objective == n
+
+    def test_short_of_optimal_raises(self, monkeypatch):
+        # a float solve has no exact loop to finish what its float stage
+        # leaves at the iteration limit, so it raises rather than report
+        without_float_stage(monkeypatch)
+        p = rand_rational_profile(2, random.Random("short-of-optimal"))
+        with pytest.raises(SolveError) as err:
+            solve(build_primal(p), CostFunction.average(2), "float")
+        assert str(err.value) == "primal solve ended with status iteration-limit"
 
     def test_point_mass_is_zero(self):
         p = profile(2, ["1", "0", "0", "0"])
@@ -2458,6 +2467,44 @@ class TestCrossSolveLaw:
                     (a + b) / 2 for a, b in zip(profiles[i].weights, profiles[j].weights)])
                 assert solve_pair(mid, cost)[2].objective >= (rho[i] + rho[j]) / 2, (i, j)
         assert pairs == 2 * 380
+
+
+def _product_factors(n, rng):
+    """Seeded n-bit factors: a random rational profile, a powered one and,
+    at n >= 2, one on the radius-1 ball."""
+    factors = [rand_rational_profile(n, rng), powered_profile(rng.randrange(6), n, seed=n)]
+    if n >= 2:
+        factors.append(ball_profile(n, 1, rng))
+    return factors
+
+
+class TestProductProfiles:
+    """ROADMAP fact 2, the product lemma: with block 1 the low n1 bits,
+    w(i) = w1(i mod 2^n1) w2(i >> n1) has rho_average(w) = rho_average(w1) +
+    rho_average(w2), and b(i) = b1(i mod 2^n1) + b2(i >> n1) is an optimal
+    dual of the product.  Exact solves, every split, every pair of factor
+    kinds.  The threshold costs are not additive, so they are left out."""
+
+    @pytest.mark.parametrize("n, products", [(2, 4), (3, 12), (4, 21), (5, 30)])
+    def test_average_cost_is_additive(self, n, products):
+        cost = CostFunction.average(n)
+        seen = 0
+        for n1 in range(1, n):
+            rng = random.Random(f"product/{n1}/{n - n1}")
+            blocks = [[(p, *solve_pair(p, CostFunction.average(m))[1:])
+                       for p in _product_factors(m, rng)] for m in (n1, n - n1)]
+            low = (1 << n1) - 1
+            for (p1, dual1, rep1), (p2, dual2, rep2) in product(*blocks):
+                p = AmplitudeProfile.from_weights(n, [p1.weights[i & low] * p2.weights[i >> n1]
+                                                      for i in all_vectors(n)])
+                rho = solve(build_primal(p), cost).objective
+                assert type(rho) is Fraction and rho == rep1.objective + rep2.objective
+                dual = DualSolution(n, tuple(dual1.b[i & low] + dual2.b[i >> n1]
+                                             for i in all_vectors(n)))
+                assert check_dual_feasible(dual, cost).feasible
+                assert dual.evaluate(p) == rho
+                seen += 1
+        assert seen == products
 
 
 def krawtchouk(n, t, x):

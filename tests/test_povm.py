@@ -35,7 +35,6 @@ from paritylp.povm import (
     PovmSet,
     PovmVerification,
     _code_stacks,
-    _coset_fourier,
     _coset_states,
     _covariance_dev,
     _max,
@@ -77,10 +76,13 @@ def shifted(m, a):
 
 
 def coset_basis(profile, code, y):
-    """A_s for every syndrome s, as the builder makes them: one Fourier
-    support per code, signed by (-1)^(y.u) for the outcome y."""
-    fourier = _coset_fourier(profile, code)
-    return list(_coset_states(code, fourier, range(len(fourier[0])))[y])
+    """A_s of outcome y for every syndrome s: outcome 0's from `_coset_states`,
+    and outcome y's as X_a A_s (-1)^(a.v_s), with v_s the coset leader and a
+    the least shift with H.a = y, the shift the builder relabels outcome 0 by."""
+    a = int(code.least_shifts[y])
+    p = np.arange(1 << code.n) ^ a
+    return [-vec[p] if dot(a, int(v)) else vec[p] for vec, v in zip(
+        _coset_states(profile, code, range(len(code.cosets))), code.leaders[0])]
 
 
 def coset_basis_loops(profile, code, y, syndromes=None):
@@ -476,15 +478,20 @@ class TestCosetBasis:
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("phases", ["phased", "real"])
     def test_matches_loops(self, n, phases):
-        # bit for bit, signed zeros of real-amplitude profiles included
+        # outcome 0 bit for bit, signed zeros of real-amplitude profiles
+        # included; a relabelled outcome value for value, since its zeros may
+        # take the other sign (the elements match bit for bit, in
+        # TestBuildFromPrimal::test_matches_loops)
         rng = random.Random(60 + n)
         p = random_phase_profile(n, rng)
         if phases == "real":
             p = rand_rational_profile(n, rng).with_real_amplitudes()
         for code in enumerate_all_codes(n):
-            for y in range(1 << code.k):
+            got, want = coset_basis(p, code, 0), coset_basis_loops(p, code, 0)
+            assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+            for y in range(1, 1 << code.k):
                 got, want = coset_basis(p, code, y), coset_basis_loops(p, code, y)
-                assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+                assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
 
 
 class TestBuildFromPrimal:

@@ -100,8 +100,8 @@ def _token_plan(arrays: list) -> list:
     source's (re, im), a `povm.OrbitElement`'s source or else the matrix
     itself at shift 0, which relabels rows and columns.  The distinct
     sources' floats are deduplicated by bit pattern for one encoder call."""
-    plan = [(a.source, a.shift) if isinstance(a, povm.OrbitElement) and a.source is not None
-            else (a, 0) for a in arrays]
+    plan = [(a.source, a.shift) if isinstance(a, povm.OrbitElement) else (a, 0)
+            for a in arrays]
     bits = {id(m): np.ascontiguousarray(m, dtype=complex).view(np.int64).reshape(*m.shape, 2)
             for m in {id(m): m for m, _ in plan}.values()}
     patterns = np.concatenate([b.ravel() for b in bits.values()])
@@ -118,8 +118,8 @@ def _token_plan(arrays: list) -> list:
 
 def dump_json(obj, fh) -> None:
     """Write `obj` to `fh` as json.dump(obj, fh, indent=2) would, with each
-    `Fraction` as its string and each 2-D ndarray as its rows of
-    {"re": real, "im": imag} dicts.
+    `Fraction` as its string and each 2-D ndarray or `povm.OrbitElement`
+    as its rows of {"re": real, "im": imag} dicts.
 
     The standard encoder writes `obj` with a marker string for each matrix:
     a NUL, a nonce drawn for this call and the matrix's index.  The text
@@ -131,9 +131,9 @@ def dump_json(obj, fh) -> None:
     arrays = []
 
     def default(value):
-        if isinstance(value, np.ndarray):
-            if value.ndim != 2:
-                raise TypeError(f"cannot encode a {value.ndim}-D array as a matrix")
+        if isinstance(value, np.ndarray) and value.ndim != 2:
+            raise TypeError(f"cannot encode a {value.ndim}-D array as a matrix")
+        if isinstance(value, (np.ndarray, povm.OrbitElement)):
             arrays.append(value)
             return f"\x00{nonce}{len(arrays) - 1}"
         return _render(value)

@@ -106,8 +106,8 @@ def model_text(name: str, sense: str, labels: list, objective: list, constraints
 @dataclass
 class SolveReport:
     status: str
-    objective: object | None
-    values: dict | None
+    objective: object
+    values: dict
     # The arithmetic that ran: "exact" only for exact mode on a rational model.
     mode: str
     pivots: int

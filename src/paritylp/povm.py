@@ -6,25 +6,19 @@ Fourier diagonal of such an element is lambda_i / 2^k, which makes the set
 complete once the leftover goes to the no-information element, keeps every
 wrong-outcome overlap exactly zero, and commutes with shifts up to the
 outcome relabeling y -> y + H.a.  All of that is re-checked numerically by
-``verify_povm`` instead of being trusted.  A set holds one stack per code,
-the (2^k, 2^n, 2^n) array of all that code's elements, which the builder
-fills from outcome 0 by one relabelling and the audits, the score and the
-report read as it is.  A code that passes the exact-orbit test
-(`exact_orbits`) holds exact relabellings F[(H, y)] = X_a F[(H, 0)] X_a, which
-share outcome 0's entries, spectrum and Fourier diagonal: the audits, the Born
-overlaps and the report read a code off outcome 0 exactly when the exact-orbit
-test passes.  Only a code that fails it has its covariance checked, on the n
-generators e_1..e_n of the shift group, by the plain relabelling X_a F X_a
-(`_relabelled`) against the partner outcome.
+``verify_povm`` instead of being trusted.  A built set holds each code by
+its outcome 0 alone, off which the audits, the Born overlaps and the report
+read it exactly when the exact-orbit test (`exact_orbits`) passes; a reader
+that needs every element builds one code's stack at a time.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import chain, repeat
-from types import MappingProxyType
 
 import numpy as np
 
@@ -84,25 +78,24 @@ def _coset_states(profile: AmplitudeProfile, code: ParityCode, syndromes) -> np.
     return (walsh_hadamard(code.n) @ four[..., None])[..., 0]
 
 
-class OrbitElement(np.ndarray):
-    """A view of an element, byte for byte source[p][:, p] for p = arange(2^n)
-    ^ shift.  Only `PovmSet.to_json_dict` sets the two; a derived array is plain."""
+@dataclass(frozen=True, eq=False)
+class OrbitElement:
+    """An exact orbit's element for the writer: source[p][:, p], p = arange(2^n) ^ shift."""
 
-    source = None
+    source: np.ndarray
+    shift: int
 
 
 @dataclass(frozen=True, eq=False)
 class PovmSet:
-    """Operators for every informative (code, y) outcome plus the leftover.
-
-    `stacks` is the set's only storage: it maps each code, in the set's
-    order, to one read-only (2^k, 2^n, 2^n) array whose row y is the element
-    of outcome (code, y).  `perp` is the no-information element; `profile`
-    is the family the audits and the score read.
-    """
+    """Operators for every informative (code, y) outcome plus the leftover
+    `perp`, of the family `profile`.  `held` maps each code, in the set's
+    order, to a read-only (2^n, 2^n) outcome 0 (`build_from_primal`) or a
+    dense (2^k, 2^n, 2^n) stack whose row y is outcome y (`from_elements`,
+    `symmetrize`)."""
 
     n: int
-    stacks: dict
+    held: dict
     perp: np.ndarray
     profile: AmplitudeProfile
 
@@ -125,71 +118,63 @@ class PovmSet:
             stack.flags.writeable = False
         return cls(n, stacks, perp, profile)
 
-    @cached_property
-    def elements(self) -> MappingProxyType:
-        """(code, y) -> element, each a view into its code's stack."""
-        return MappingProxyType({(code, y): mat
-                                 for code, stack in self.stacks.items()
-                                 for y, mat in enumerate(stack)})
+    @property
+    def stacks(self) -> dict:
+        """code -> its read-only (2^k, 2^n, 2^n) stack, built on each read."""
+        return dict(list(_code_stacks(self))[:-1])
+
+    @property
+    def elements(self) -> Mapping:
+        """(code, y) -> element, read-only, each built on read."""
+        return _Elements(dict(list(_code_stacks(self, held=True))[:-1]))
 
     @cached_property
     def exact_orbits(self) -> list[bool]:
-        """Per stack, in the set's order, then for the leftover: whether it is
-        an exact orbit.  Byte for byte, each outcome y is outcome 0 relabelled
-        by a_y, the least a with H.a = y; outcome 0 relabelled by each
-        generator of ker H is itself; and outcome 0 holds no NaN.  Bytes, since
-        values let -0.0 pass for 0.0.  Then X_a F[(H, y)] X_a is outcome 0
-        relabelled by a + a_y = a_(y + H.a) + b, b in ker H, which is
-        F[(H, y + H.a)]: every relation `_covariance_dev` compares holds."""
+        """Per code, in the set's order, then for the leftover: whether, byte
+        for byte (values let -0.0 pass for 0.0), outcome y is outcome 0
+        relabelled by a_y, the least a with H.a = y (as a held outcome 0 is),
+        outcome 0 relabelled by each generator of ker H is itself, and outcome
+        0 holds no NaN; then X_a F[(H, y)] X_a = F[(H, y + H.a)] for every a."""
         return [not np.isnan(stack[0]).any() and all(
-                    m.tobytes() == want.tobytes() for m, want in zip(
-                        _relabelled(stack[0], np.append(code.least_shifts, code.G.rows)),
-                        chain(stack, repeat(stack[0]))))
-                for code, stack in _code_stacks(self)]
+                    m.tobytes() == want.tobytes() for m, want in zip(_relabelled(
+                        stack[0], np.append(code.least_shifts[1:len(stack)], code.G.rows)),
+                        chain(stack[1:], repeat(stack[0]))))
+                for code, stack in _code_stacks(self, held=True)]
 
     @cached_property
     def overlaps(self) -> list[np.ndarray]:
-        """<psi_x|M_j|psi_x> at [j, x] for each code's stack, in the set's
-        order, then for the leftover, under the set's profile: read by both
-        `verify_povm` and `rho_eval`.  A code is read off outcome 0 exactly
-        when the exact-orbit test passes: M_y is X_a M_0 X_a for the least a
-        with H.a = y, and X_a psi_x = psi_(x+a), so row y is row 0 at x + a."""
+        """<psi_x|M_j|psi_x> at [j, x] per code, then for the leftover.  A code
+        is read off outcome 0 exactly when the exact-orbit test passes: M_y is
+        X_a M_0 X_a for the least a with H.a = y, and X_a psi_x = psi_(x+a), so
+        row y is row 0 at x + a."""
         states = _states(self.profile)
         x = np.arange(len(states))
         return [_overlaps(stack[:1], states)[0][x ^ code.least_shifts[:, None]] if exact
-                else _overlaps(stack, states)
-                for (code, stack), exact in zip(_code_stacks(self), self.exact_orbits)]
+                else _overlaps(_full(code, stack), states)
+                for (code, stack), exact in zip(_code_stacks(self, held=True), self.exact_orbits)]
 
     def to_json_dict(self) -> dict:
-        """The set with its operators as ndarrays; `cli.dump_json` writes each
-        matrix as rows of {"re": real, "im": imag} dicts, an exact orbit's
-        elements as `OrbitElement`s of its outcome 0."""
-        elements = dict(self.elements)
-        for (code, stack), exact in zip(self.stacks.items(), self.exact_orbits):
-            for y, shift in enumerate(code.least_shifts.tolist() if exact else ()):
-                mat = elements[code, y] = stack[y].view(OrbitElement)
-                mat.source, mat.shift = self.elements[code, 0], shift
-        return {
-            "n": self.n,
-            "elements": [
-                {"H": code.label(), "k": code.k, "y": vec_str(y, code.k),
-                 "matrix": mat}
-                for (code, y), mat in sorted(elements.items(), key=by_code)
-            ],
-            "perp": self.perp,
-        }
+        """The set for `cli.dump_json`: each operator an ndarray, or an exact
+        orbit's element an `OrbitElement` of its outcome 0."""
+        elements = []
+        for (code, stack), exact in zip(_code_stacks(self, held=True), self.exact_orbits[:-1]):
+            mats = (map(OrbitElement, repeat(stack[0]), code.least_shifts.tolist()) if exact
+                    else _full(code, stack))
+            elements += [((code, y), mat) for y, mat in enumerate(mats)]
+        return {"n": self.n,
+                "elements": [{"H": code.label(), "k": code.k, "y": vec_str(y, code.k),
+                              "matrix": mat} for (code, y), mat in sorted(elements, key=by_code)],
+                "perp": self.perp}
 
 
 def build_from_primal(sol: PrimalSolution, profile: AmplitudeProfile) -> PovmSet:
     """Assemble the measurement attached to a feasible primal point.
 
     F[(code, y)] = sum_s mu[(code, s)] / 2^k |A_s><A_s| for every rank >= 1
-    code carrying mass.  Only outcome 0 is summed: the A_s of outcome y are
-    those of outcome 0 shifted by any a with H.a = y, up to sign, so outcome
-    y is outcome 0 `_relabelled` by the least such a.  The no-information
-    element is the completeness leftover, which the Fourier-diagonal
-    structure keeps positive.
-    """
+    code carrying mass.  Only outcome 0 is summed and held: the A_s of
+    outcome y are those of outcome 0 shifted by any a with H.a = y, up to
+    sign, so outcome y is outcome 0 `_relabelled` by the least such a.  The
+    leftover completes the set; the Fourier structure keeps it positive."""
     _check_n(profile.n)
     size = 1 << profile.n
     # (s, mu / 2^k) for each coset of each rank >= 1 code that carries mass
@@ -200,10 +185,10 @@ def build_from_primal(sol: PrimalSolution, profile: AmplitudeProfile) -> PovmSet
         if code.k and c:
             carried.setdefault(code, []).append((s, c))
     position = code_positions(profile.n)
-    stacks: dict = {}
+    held: dict = {}
     total = np.zeros((size, size), dtype=complex)
-    # in the code table's order, each code's syndromes ascending: the order
-    # the terms and elements are summed in, here and in verify_povm
+    # codes in the table's order, then syndromes and outcomes ascending: the
+    # order the terms and elements are summed in, here and in verify_povm
     for code in sorted(carried, key=position.__getitem__):
         syndromes, coeffs = zip(*sorted(carried[code]))
         outcome0 = np.zeros((size, size), dtype=complex)
@@ -211,21 +196,53 @@ def build_from_primal(sol: PrimalSolution, profile: AmplitudeProfile) -> PovmSet
             term = vec[:, None] * np.conj(vec)[None, :]
             term *= c
             outcome0 += term
-        stack = _relabelled(outcome0, code.least_shifts)
-        for mat in stack:
-            total += mat
-        stack.flags.writeable = False
-        stacks[code] = stack
+        for shift in code.least_shifts.tolist():
+            total += _relabelled(outcome0, shift)
+        outcome0.flags.writeable = False
+        held[code] = outcome0
     perp = np.eye(size, dtype=complex) - total
-    return PovmSet(profile.n, stacks, perp, profile)
+    return PovmSet(profile.n, held, perp, profile)
 
 
-def _code_stacks(povm: PovmSet):
-    """Walk the set once per code, in the set's order: (code, stack) for
-    each code's stack as the set holds it, then the no-information element
-    as the one outcome of ParityCode.bottom(n)."""
-    yield from povm.stacks.items()
+@dataclass(frozen=True, eq=False)
+class _Elements(Mapping):
+    """(code, y) -> outcome y of `_full` on a held stack, built on read."""
+
+    held: dict
+
+    def __getitem__(self, key):
+        code, y = key
+        if code not in self.held or not 0 <= y < 1 << code.k:
+            raise KeyError(key)
+        return _full(code, self.held[code], y)
+
+    def __iter__(self):
+        return ((code, y) for code in self.held for y in range(1 << code.k))
+
+    def __len__(self) -> int:
+        return sum(1 << code.k for code in self.held)
+
+    def items(self) -> list:  # a list, reversible as a dict's items are
+        return [(key, self[key]) for key in self]
+
+
+def _code_stacks(povm: PovmSet, held: bool = False):
+    """(code, stack) per code in the set's order, each built when reached,
+    or as held (outcome 0 as one row), then (ParityCode.bottom(n), [perp])."""
+    for code, mat in povm.held.items():
+        stack = mat[None] if mat.ndim == 2 else mat
+        yield code, stack if held else _full(code, stack)
     yield ParityCode.bottom(povm.n), povm.perp[None]
+
+
+def _full(code: ParityCode, stack: np.ndarray, ys=slice(None)) -> np.ndarray:
+    """Outcomes `ys` (all by default) of a held stack: its rows, or outcome
+    0 relabelled by their least shifts, as the builder relabels it."""
+    if len(stack) == 1 << code.k:
+        return stack[ys]
+    out = _relabelled(stack[0], code.least_shifts[ys])
+    out.flags.writeable = False
+    return out
 
 
 def _states(profile: AmplitudeProfile) -> np.ndarray:
@@ -284,7 +301,7 @@ def _min(a: float, b: float) -> float:
 def rho_eval(povm: PovmSet, cost: CostFunction) -> float:
     """Average score over a uniform hidden string (the expectation form)."""
     total = 0.0
-    for (code, _), overlaps in zip(_code_stacks(povm), povm.overlaps):
+    for (code, _), overlaps in zip(_code_stacks(povm, held=True), povm.overlaps):
         ck = float(cost.values[code.k])
         if ck:
             for row in overlaps.real.tolist():
@@ -344,11 +361,11 @@ def verify_povm(povm: PovmSet, *,
     against its own profile.
 
     A code is read off outcome 0 exactly when the exact-orbit test passes,
-    and has covariance deviation 0; any other stack is read element by
-    element and checked on the shift generators e_1..e_n.  max_symmetry_dev
-    is n times their largest deviation, which bounds the deviation under
-    every one of the 2^n shifts.  Hermiticity and covariance are held to
-    TOL_HERMITIAN and TOL_SYMMETRY.
+    and has covariance deviation 0; any other code is read element by
+    element and checked on the shift generators e_1..e_n; completeness adds
+    every element.  max_symmetry_dev is n times their largest deviation,
+    which bounds the deviation under every one of the 2^n shifts.
+    Hermiticity and covariance are held to TOL_HERMITIAN and TOL_SYMMETRY.
     """
     n = povm.n
     size = 1 << n

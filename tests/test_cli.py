@@ -571,9 +571,19 @@ class TestPovm:
         assert 1e-8 < abs(report["rho_povm"] - report["rho_lp"]) <= 1e-12 * report["rho_lp"]
 
 
+def dense(mat):
+    """A report matrix as an ndarray: a `povm.OrbitElement` as its source
+    relabelled, source[p][:, p] for p = arange(2^n) ^ shift."""
+    if isinstance(mat, povm.OrbitElement):
+        p = np.arange(len(mat.source)) ^ mat.shift
+        return mat.source[p[:, None], p]
+    return mat
+
+
 def nested(obj):
-    """The report form before the streamed writer: each ndarray as its
-    rows of {"re", "im"} dicts."""
+    """The report form before the streamed writer: each ndarray or
+    `povm.OrbitElement` as its rows of {"re", "im"} dicts."""
+    obj = dense(obj)
     if isinstance(obj, np.ndarray):
         return [[{"re": float(v.real), "im": float(v.imag)} for v in row]
                 for row in np.asarray(obj, dtype=complex)]
@@ -695,7 +705,7 @@ class TestWriter:
         sol, _ = lp.solve_primal(prof, CostFunction.average(3), "float")
         report = povm.build_from_primal(sol, prof).to_json_dict()
         report["extra"] = [MATRIX, {"t": -MATRIX.T}, SIGNED, PAYLOADS]
-        arrays = [e["matrix"] for e in report["elements"]] + \
+        arrays = [dense(e["matrix"]) for e in report["elements"]] + \
             [report["perp"], MATRIX, -MATRIX.T, SIGNED, PAYLOADS]
         distinct = np.unique(np.concatenate(
             [np.ascontiguousarray(a).view(np.int64).ravel() for a in arrays]))
@@ -732,7 +742,7 @@ class TestWriter:
             sol, _ = lp.solve_primal(prof, CostFunction.average(3), "float")
             povm_set = povm.build_from_primal(sol, prof)
             assert all(povm_set.exact_orbits[:-1])
-            target = next(iter(povm_set.stacks.values()))
+            target = next(iter(povm_set.held.values()))
             obj = povm_set.to_json_dict()
             del povm_set
         else:
@@ -829,7 +839,7 @@ class TestWriter:
         assert len(report["elements"]) == len(expected["elements"]) > 0
         for got, want in zip(report["elements"], expected["elements"]):
             assert (got["H"], got["k"], got["y"]) == (want["H"], want["k"], want["y"])
-            assert same_bits(parsed(got["matrix"]), want["matrix"])
+            assert same_bits(parsed(got["matrix"]), dense(want["matrix"]))
         assert same_bits(parsed(report["perp"]), expected["perp"])
 
 

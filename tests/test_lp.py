@@ -834,11 +834,12 @@ def standard_form(model, mode):
 
 
 def row_report(model, result, exact, flips, sense):
-    """A standard-form result as the model's SolveReport, in the model's own sense."""
-    mode, pivots = "exact" if exact else "float", result.stats.pivots
+    """An optimal standard-form result as the model's SolveReport, in the
+    model's own sense; any other result as it is, whose `status` its callers
+    read."""
     if result.status != "optimal":
-        return SolveReport(result.status, None, None, mode, pivots, 0.0,
-                           result.strategy, stats=result.stats)
+        return result
+    mode, pivots = "exact" if exact else "float", result.stats.pivots
     values = {model.labels[j]: v for j, v in result.x.items() if j < model.n_vars}
     duals = [sense * f * y for f, y in zip(flips, result.y)]
     return SolveReport("optimal", sense * result.objective, values, mode,

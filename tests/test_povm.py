@@ -2,7 +2,9 @@
 
 import cmath
 import math
+import os
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction
 from functools import reduce
@@ -18,6 +20,8 @@ from conftest import (
     rand_rational_profile,
     relabelled,
 )
+from test_cli import phased_profile
+from paritylp.cli import dump_json
 from paritylp.errors import BudgetError, ProfileError
 from paritylp.f2lin import (
     F2Matrix,
@@ -508,10 +512,18 @@ class TestBuildFromPrimal:
         p = random_phase_profile(3, random.Random(17))
         sol, _ = solve_primal(p, CostFunction.average(3), mode="float")
         povm = build_from_primal(sol, p)
-        for code, stack in povm.stacks.items():
+        stacks, elements = povm.stacks, povm.elements
+        assert list(stacks) == list(povm.held)
+        for code, zero in povm.held.items():
+            # the set holds outcome 0 alone, and builds each stack on read
+            # as outcome 0 relabelled to every outcome
+            assert zero.shape == (8, 8) and not zero.flags.writeable
+            stack = stacks[code]
             assert len(stack) == 1 << code.k and not stack.flags.writeable
+            assert stack.tobytes() == _relabelled(zero, code.least_shifts).tobytes()
             for y in range(len(stack)):
-                assert povm.elements[(code, y)].base is stack
+                assert not elements[(code, y)].flags.writeable
+                assert elements[(code, y)].tobytes() == stack[y].tobytes()
         key = next(iter(povm.elements))
         with pytest.raises(TypeError):
             povm.elements[key] = np.zeros((8, 8), dtype=complex)
@@ -1155,12 +1167,15 @@ class TestExactOrbits:
             devs = [_covariance_dev(code, stack) for code, stack in _code_stacks(povm)]
             assert float_bits(devs[:len(povm.stacks)]) == float_bits([0.0] * len(povm.stacks))
             assert_symmetry_dev(povm, devs)
-            keys = [key for key, _ in sorted(povm.elements.items(), key=by_code)]
+            elements = povm.elements
+            keys = [key for key, _ in sorted(elements.items(), key=by_code)]
             for (code, y), element in zip(keys, povm.to_json_dict()["elements"]):
                 mat = element["matrix"]
-                assert isinstance(mat, OrbitElement) and mat.source is povm.elements[(code, 0)]
+                # the record's source is the held outcome 0 itself, not a copy
+                assert isinstance(mat, OrbitElement) and mat.source.base is povm.held[code]
+                assert mat.source.shape == povm.held[code].shape
                 assert mat.shift == least_shift(code, y)
-                assert shifted(mat.source, mat.shift).tobytes() == mat.tobytes()
+                assert shifted(mat.source, mat.shift).tobytes() == elements[(code, y)].tobytes()
         assert codes > 0
 
     def test_deviation_only_off_the_orbit(self, monkeypatch):
@@ -1196,3 +1211,68 @@ class TestExactOrbits:
             stack = povm.stacks[broken]
             again = np.stack(list(relabelled(stack[0], broken).values()))
             assert (again.tobytes() == stack.tobytes()) == (name != "minus-zero")
+
+    @pytest.mark.parametrize("name", ["nan", "kernel-shift"])
+    def test_held_outcome_0_off_the_orbit(self, name):
+        # the broken code held by its edited outcome 0 alone fails the kernel
+        # or NaN clause as its dense copy does; every reader then builds its
+        # stack, so each figure and matrix is the dense copy's, bit for bit
+        base, breaks = orbit_breaks()
+        dense, code = breaks[name]
+        held = PovmSet(base.n, {**base.held, code: dense.stacks[code][0]}, base.perp,
+                       base.profile)
+        assert held.held[code].shape == (8, 8)
+        assert held.exact_orbits == dense.exact_orbits
+        assert not held.exact_orbits[list(held.held).index(code)]
+        assert [s.tobytes() for s in held.stacks.values()] == \
+            [s.tobytes() for s in dense.stacks.values()]
+        for audit in (lambda s: verify_povm(s).to_json_dict().values(),
+                      lambda s: fourier_diag_check(s).to_json_dict().values(),
+                      lambda s: [rho_eval(s, CostFunction.average(3))],
+                      lambda s: [_covariance_dev(c, stack) for c, stack in _code_stacks(s)]):
+            assert float_bits(audit(held)) == float_bits(audit(dense))
+
+        def matrices(s):
+            return [(m.source.tobytes(), m.shift) if isinstance(m, OrbitElement)
+                    else (m.tobytes(), 0) for m in (e["matrix"] for e in s.to_json_dict()["elements"])]
+
+        assert matrices(held) == matrices(dense)
+
+
+class TestStorage:
+    """A built set holds one (2^n, 2^n) outcome 0 per code and its leftover,
+    and the povm job's peak stays near one code's stack."""
+
+    @pytest.fixture(scope="class")
+    def phased5(self):
+        p = AmplitudeProfile.from_json_dict(phased_profile(5, random.Random("ci/phased5")))
+        return p, solve_primal(p, CostFunction.average(5), "float")[0]
+
+    def test_holds_outcome_0_alone(self, phased5):
+        p, sol = phased5
+        povm = build_from_primal(sol, p)
+        assert all(povm.exact_orbits[:-1]) and len(povm.held) > 1
+        assert all(mat.shape == (32, 32) for mat in povm.held.values())
+        held = sum(mat.nbytes for mat in povm.held.values()) + povm.perp.nbytes
+        assert held == (len(povm.held) + 1) * 16 * 4 ** 5
+
+    def test_report_peak(self, phased5):
+        p, sol = phased5
+        cost = CostFunction.average(5)
+
+        def job():
+            povm = build_from_primal(sol, p)
+            verify_povm(povm)
+            fourier_diag_check(povm)
+            rho_eval(povm, cost)
+            with open(os.devnull, "w") as fh:
+                dump_json(povm.to_json_dict(), fh)
+
+        job()  # fills the caches the job reads: the Walsh matrix, the code tables
+        tracemalloc.start()
+        try:
+            job()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20

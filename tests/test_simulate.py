@@ -9,6 +9,7 @@ import pytest
 import numpy as np
 
 from conftest import ball_profile, lam_of, rand_rational_profile
+from test_cli import phased_profile
 from paritylp.bounds import primal_candidate
 from paritylp.errors import BudgetError
 from paritylp.f2lin import (
@@ -20,6 +21,7 @@ from paritylp.f2lin import (
     enumerate_all_codes,
 )
 from paritylp.lp import PrimalSolution, build_primal, solve_primal
+from paritylp.povm import PovmSet, build_from_primal
 from paritylp.profiles import AmplitudeProfile, CostFunction, bernoulli_profile
 from paritylp.simulate import (
     STATEVECTOR_MAX_N,
@@ -503,3 +505,51 @@ class TestConsistencyTriangle:
             prob = float(dist[(rec.code, rec.y)])
             sigma = math.sqrt(prob * (1 - prob) / shots)
             assert abs(rec.frequency - prob) <= 4 * sigma + 1e-12
+
+
+# -- the Born law of the built measurement ----------------------------------
+
+def born_gap(povm_set, sol, p, x):
+    """max |<psi_x|F[(H, y)]|psi_x> - P(H, y | x)| over every outcome of the
+    set and every key of `exact_distribution`, a missing one read as 0: the
+    Born overlaps are `PovmSet.overlaps[j][y, x]`, one row per outcome of
+    code j in the set's order, then the leftover as the rank-0 code's."""
+    codes = [*povm_set.held, ParityCode.bottom(p.n)]
+    born = {(code, y): complex(row[x])
+            for code, rows in zip(codes, povm_set.overlaps) for y, row in enumerate(rows)}
+    exact = exact_distribution(sol, p, x)
+    return max(abs(born.get(key, 0) - float(exact.get(key, 0))) for key in born.keys() | exact)
+
+
+def _born_cases():
+    for n in range(1, 6):
+        rng = random.Random(f"born/{n}")
+        for i in range(4):
+            yield f"n{n}-{i}", AmplitudeProfile.from_json_dict(phased_profile(n, rng))
+
+
+class TestBornLaw:
+    """The operators `povm` builds, applied to the family's states, give the
+    exact law that `simulate` samples: an oracle independent of mu's sums."""
+
+    @pytest.mark.parametrize("cost", ["average", "tau2"])
+    @pytest.mark.parametrize("name, p", list(_born_cases()),
+                             ids=[case[0] for case in _born_cases()])
+    def test_matches_exact_law(self, name, p, cost):
+        c = CostFunction.average(p.n) if cost == "average" else \
+            CostFunction.threshold(p.n, min(2, p.n))
+        sol, _ = solve_primal(p, c, "float")
+        povm_set = build_from_primal(sol, p)
+        assert povm_set.held
+        for x in all_vectors(p.n):
+            assert born_gap(povm_set, sol, p, x) <= 1e-12
+
+    def test_scaled_element_differs(self):
+        p = AmplitudeProfile.from_json_dict(phased_profile(3, random.Random("born/scaled")))
+        sol, _ = solve_primal(p, CostFunction.average(3), "float")
+        built = build_from_primal(sol, p)
+        key = next(iter(built.elements))
+        scaled = PovmSet.from_elements(
+            3, {**built.elements, key: 1.01 * built.elements[key]}, built.perp, p)
+        assert max(born_gap(built, sol, p, x) for x in all_vectors(3)) <= 1e-12
+        assert max(born_gap(scaled, sol, p, x) for x in all_vectors(3)) > 1e-12

@@ -95,16 +95,12 @@ def _matrix_json(entries: np.ndarray, level: int, layouts: dict) -> str:
     return "".join(parts)
 
 
-def _token_plan(arrays: list) -> list:
-    """(tokens, shift) per matrix: the (rows, cols, 2) json tokens of its
-    source's (re, im), a `povm.OrbitElement`'s source or else the matrix
-    itself at shift 0, which relabels rows and columns.  The distinct
-    sources' floats are deduplicated by bit pattern for one encoder call."""
-    plan = [(a.source, a.shift) if isinstance(a, povm.OrbitElement) else (a, 0)
-            for a in arrays]
-    bits = {id(m): np.ascontiguousarray(m, dtype=complex).view(np.int64).reshape(*m.shape, 2)
-            for m in {id(m): m for m, _ in plan}.values()}
-    patterns = np.concatenate([b.ravel() for b in bits.values()])
+def _tokens(arrays: list) -> list:
+    """The (rows, cols, 2) json tokens of each matrix's (re, im) values.  The
+    matrices' floats are deduplicated by bit pattern for one encoder call."""
+    bits = [np.ascontiguousarray(m, dtype=complex).view(np.int64).reshape(*m.shape, 2)
+            for m in arrays]
+    patterns = np.concatenate([b.ravel() for b in bits])
     patterns.sort()
     # np.unique would import numpy.ma
     fresh = np.ones(len(patterns), dtype=bool)
@@ -112,28 +108,27 @@ def _token_plan(arrays: list) -> list:
     patterns = patterns[fresh]
     text = json.dumps(patterns.view(float).tolist())
     tokens = np.array(text[1:-1].split(", "), dtype=object)
-    entries = {key: tokens[np.searchsorted(patterns, b)] for key, b in bits.items()}
-    return [(entries[id(source)], shift) for source, shift in plan]
+    return [tokens[np.searchsorted(patterns, b)] for b in bits]
 
 
 def dump_json(obj, fh) -> None:
     """Write `obj` to `fh` as json.dump(obj, fh, indent=2) would, with each
-    `Fraction` as its string and each 2-D ndarray or `povm.OrbitElement`
-    as its rows of {"re": real, "im": imag} dicts.
+    `Fraction` as its string and each 2-D ndarray as its rows of
+    {"re": real, "im": imag} dicts.
 
     The standard encoder writes `obj` with a marker string for each matrix:
     a NUL, a nonce drawn for this call and the matrix's index.  The text
-    between markers is written as is; each matrix is rendered at the indent
-    of its marker's line and written at once, so at most one matrix is held
-    as text, from its source's tokens relabelled by its shift (`_token_plan`).
+    between markers is written as is; each matrix is rendered from its
+    tokens (`_tokens`) at the indent of its marker's line and written at
+    once, so at most one matrix is held as text.
     """
     nonce = os.urandom(16).hex()
     arrays = []
 
     def default(value):
-        if isinstance(value, np.ndarray) and value.ndim != 2:
-            raise TypeError(f"cannot encode a {value.ndim}-D array as a matrix")
-        if isinstance(value, (np.ndarray, povm.OrbitElement)):
+        if isinstance(value, np.ndarray):
+            if value.ndim != 2:
+                raise TypeError(f"cannot encode a {value.ndim}-D array as a matrix")
             arrays.append(value)
             return f"\x00{nonce}{len(arrays) - 1}"
         return _render(value)
@@ -147,18 +142,15 @@ def dump_json(obj, fh) -> None:
             starts.append(text.find(marker, starts[-1] if starts else 0))
         if -1 in starts or text.count(nonce) != len(arrays):
             raise ValueError("a report string holds this call's matrix marker")
-        plan = _token_plan(arrays) if arrays else []
+        tokens = _tokens(arrays) if arrays else []
     finally:
         # the encoder's closures hold `default`, and so this list, in a
         # reference cycle: no matrix may wait in it for the cycle collector
         arrays.clear()
     at = 0
     layouts: dict = {}
-    for marker, start, (entries, shift) in zip(markers, starts, plan):
+    for marker, start, entries in zip(markers, starts, tokens):
         line = text[text.rfind("\n", 0, start) + 1:start]
-        if shift:
-            p = np.arange(len(entries)) ^ shift
-            entries = entries.take(p, 0).take(p, 1)
         fh.write(text[at:start])
         fh.write(_matrix_json(entries, (len(line) - len(line.lstrip(" "))) // 2, layouts))
         at = start + len(marker)

@@ -114,9 +114,9 @@ class SolveReport:
     wall_time: float
     strategy: str
     # b on the support: the multipliers of M x = w, in the model's own sense.
-    duals: list | None = None
+    duals: list
     # What the pivot loops did; no CLI report carries it.
-    stats: simplex.SolveStats | None = None
+    stats: simplex.SolveStats
 
     def to_json_dict(self) -> dict:
         """How the solve ran; the `solve` report gives its values elsewhere."""

@@ -7,9 +7,10 @@ complete once the leftover goes to the no-information element, keeps every
 wrong-outcome overlap exactly zero, and commutes with shifts up to the
 outcome relabeling y -> y + H.a.  All of that is re-checked numerically by
 ``verify_povm`` instead of being trusted.  A built set holds each code by
-its outcome 0 alone, off which the audits, the Born overlaps and the report
-read it exactly when the exact-orbit test (`exact_orbits`) passes; a reader
-that needs every element builds one code's stack at a time.
+its outcome 0 alone, off which the audits and the Born overlaps read it
+exactly when the exact-orbit test (`exact_orbits`) passes; a reader that
+needs every element builds one code's stack at a time.  The report writes
+each code as it is held, with the shifts that relabel outcome 0.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from .errors import BudgetError, ProfileError
-from .f2lin import ParityCode, all_vectors, by_code, code_positions, dot, vec_str
+from .f2lin import ParityCode, all_vectors, code_positions, dot, vec_str
 from .lp import PrimalSolution
 from .profiles import AmplitudeProfile, CostFunction
 
@@ -79,14 +80,6 @@ def _coset_states(profile: AmplitudeProfile, code: ParityCode, syndromes) -> np.
 
 
 @dataclass(frozen=True, eq=False)
-class OrbitElement:
-    """An exact orbit's element for the writer: source[p][:, p], p = arange(2^n) ^ shift."""
-
-    source: np.ndarray
-    shift: int
-
-
-@dataclass(frozen=True, eq=False)
 class PovmSet:
     """Operators for every informative (code, y) outcome plus the leftover
     `perp`, of the family `profile`.  `held` maps each code, in the set's
@@ -119,11 +112,6 @@ class PovmSet:
         return cls(n, stacks, perp, profile)
 
     @property
-    def stacks(self) -> dict:
-        """code -> its read-only (2^k, 2^n, 2^n) stack, built on each read."""
-        return dict(list(_code_stacks(self))[:-1])
-
-    @property
     def elements(self) -> Mapping:
         """(code, y) -> element, read-only, each built on read."""
         return _Elements(dict(list(_code_stacks(self, held=True))[:-1]))
@@ -154,16 +142,16 @@ class PovmSet:
                 for (code, stack), exact in zip(_code_stacks(self, held=True), self.exact_orbits)]
 
     def to_json_dict(self) -> dict:
-        """The set for `cli.dump_json`: each operator an ndarray, or an exact
-        orbit's element an `OrbitElement` of its outcome 0."""
-        elements = []
-        for (code, stack), exact in zip(_code_stacks(self, held=True), self.exact_orbits[:-1]):
-            mats = (map(OrbitElement, repeat(stack[0]), code.least_shifts.tolist()) if exact
-                    else _full(code, stack))
-            elements += [((code, y), mat) for y, mat in enumerate(mats)]
+        """The set for `cli.dump_json`, each code as it is held, in code
+        order: `shifts` lists a_y, the least a with H.a = y, for each outcome
+        y, and `held` the held matrices.  Outcome y is held[y] when all 2^k
+        are held, and X_a held[0] X_a for a = shifts[y] when outcome 0 alone
+        is, as `_full` builds it."""
+        codes = sorted(list(_code_stacks(self, held=True))[:-1], key=lambda item: item[0].sort_key)
         return {"n": self.n,
-                "elements": [{"H": code.label(), "k": code.k, "y": vec_str(y, code.k),
-                              "matrix": mat} for (code, y), mat in sorted(elements, key=by_code)],
+                "codes": [{"H": code.label(), "k": code.k,
+                           "shifts": [vec_str(a, code.n) for a in code.least_shifts.tolist()],
+                           "held": list(stack)} for code, stack in codes],
                 "perp": self.perp}
 
 

@@ -13,7 +13,14 @@ import numpy as np
 
 from paritylp import povm, simplex
 from paritylp.errors import RankDeficientError
-from paritylp.f2lin import F2Matrix, ParityCode, all_vectors, hamming_weight, rref
+from paritylp.f2lin import (
+    F2Matrix,
+    ParityCode,
+    all_vectors,
+    hamming_weight,
+    rref,
+    vec_from_str,
+)
 from paritylp.lp import Constraint, model_text, solve_primal
 from paritylp.profiles import AmplitudeProfile, CostFunction
 
@@ -205,6 +212,26 @@ def without_float_stage(monkeypatch):
                         lambda *_: (simplex.ITERATION_LIMIT, None, None, None))
 
 
+def stacks(povm_set) -> dict:
+    """code -> its read-only (2^k, 2^n, 2^n) stack, in the set's order, as
+    `povm._code_stacks` builds it."""
+    return dict(list(povm._code_stacks(povm_set))[:-1])
+
+
+def report_outcomes(entry) -> list:
+    """Every outcome of one code of a `povm` report, by the report's rule:
+    held[y] when the entry holds 2^k matrices, else held[0] with rows and
+    columns i read at i ^ a, for a = shifts[y].  A held matrix is an ndarray
+    (`PovmSet.to_json_dict`) or its rows of {"re", "im"} dicts (the JSON)."""
+    held = [m if isinstance(m, np.ndarray) else
+            np.array([[complex(e["re"], e["im"]) for e in row] for row in m])
+            for m in entry["held"]]
+    if len(held) == 1 << entry["k"]:
+        return held
+    idx = np.arange(len(held[0]))
+    return [held[0][np.ix_(idx ^ a, idx ^ a)] for a in map(vec_from_str, entry["shifts"])]
+
+
 def relabelled(zero, code) -> dict:
     """(code, y) -> X_a zero X_a for every outcome y, a the least shift with
     H.a = y, by permuting rows and columns."""
@@ -228,8 +255,8 @@ def orbit_breaks() -> tuple:
     scale = math.sqrt(math.fsum(abs(a) ** 2 for a in amps))
     prof = AmplitudeProfile.from_amplitudes(3, [a / scale for a in amps])
     base = povm.build_from_primal(solve_primal(prof, CostFunction.average(3), "float")[0], prof)
-    full = next(code for code in base.stacks if code.k == 3)
-    part = next(code for code in base.stacks if code.k == 1)
+    full = next(code for code in base.held if code.k == 3)
+    part = next(code for code in base.held if code.k == 1)
 
     def rebuilt(code, edit, after=lambda elements: None):
         zero = base.elements[(code, 0)].copy()

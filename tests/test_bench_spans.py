@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import paritylp
-from conftest import ball_profile, rand_rational_profile, without_float_stage
+from conftest import ball_profile, rand_rational_profile, stacks, without_float_stage
 from paritylp import bounds, lp, povm, simulate
 from paritylp.errors import SolveError
 from paritylp.profiles import CostFunction
@@ -85,7 +85,7 @@ def test_other_observers_read_their_counts():
     report = lp.complementary_slackness(primal, dual, p, cost)
     recorder._observe_slackness((primal, dual, p, cost), report)
     counts = recorder.counts
-    elements = sum(1 << code.k for code in povm_set.stacks)
+    elements = sum(len(stack) for stack in stacks(povm_set).values())
     assert (counts["elements"], counts["shots"], counts["candidates"], counts["certified"]) == \
         (elements, 1000, 1, 1) and elements > 0
     assert sum(record.count for record in records) == 1000

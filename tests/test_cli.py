@@ -23,10 +23,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import check_report
-from conftest import ball_profile, orbit_breaks, rand_rational_profile, without_float_stage
+from conftest import (
+    ball_profile,
+    orbit_breaks,
+    rand_rational_profile,
+    report_outcomes,
+    stacks,
+    without_float_stage,
+)
 from paritylp import bounds, cli, lp, povm, simulate
 from paritylp.cli import _render, build_parser, dump_json, main
-from paritylp.f2lin import enumerate_all_codes, vec_from_str
+from paritylp.f2lin import enumerate_all_codes, vec_from_str, vec_str
 from paritylp.profiles import AmplitudeProfile, CostFunction, bernoulli_profile
 
 
@@ -557,7 +564,7 @@ class TestPovm:
         assert code == 0
         assert report["verification"]["ok"]
         assert abs(report["rho_povm"] - 1.1) < 1e-8
-        assert len(report["povm"]["elements"]) > 0
+        assert len(report["povm"]["codes"]) > 0
 
     def test_rho_matches_lp_relative_at_large_costs(self, tmp_path, capsys):
         # at rho = 9.6e7 the two float sums differ by 3e-8, about one part in
@@ -571,19 +578,9 @@ class TestPovm:
         assert 1e-8 < abs(report["rho_povm"] - report["rho_lp"]) <= 1e-12 * report["rho_lp"]
 
 
-def dense(mat):
-    """A report matrix as an ndarray: a `povm.OrbitElement` as its source
-    relabelled, source[p][:, p] for p = arange(2^n) ^ shift."""
-    if isinstance(mat, povm.OrbitElement):
-        p = np.arange(len(mat.source)) ^ mat.shift
-        return mat.source[p[:, None], p]
-    return mat
-
-
 def nested(obj):
-    """The report form before the streamed writer: each ndarray or
-    `povm.OrbitElement` as its rows of {"re", "im"} dicts."""
-    obj = dense(obj)
+    """The report form before the streamed writer: each ndarray as its rows
+    of {"re", "im"} dicts."""
     if isinstance(obj, np.ndarray):
         return [[{"re": float(v.real), "im": float(v.imag)} for v in row]
                 for row in np.asarray(obj, dtype=complex)]
@@ -638,8 +635,9 @@ class TestWriter:
         MATRIX,
         [MATRIX, SPECIAL],
         {"config": {"a": 1, "empty": {}}, "rho": Fraction(11, 10),
-         "povm": {"n": 2, "elements": [{"H": "10", "k": 1, "matrix": MATRIX},
-                                       {"k": [], "matrix": SPECIAL}],
+         "povm": {"n": 2, "codes": [{"H": "10", "k": 1, "shifts": ["00", "10"],
+                                    "held": [MATRIX]},
+                                    {"k": [], "held": [SPECIAL, MATRIX]}],
                   "perp": MATRIX.T},
          "deep": [[[{"x": [MATRIX], "y": {}}]], [], ()],
          "after": [Fraction(1, 3), {}, []]},
@@ -705,7 +703,7 @@ class TestWriter:
         sol, _ = lp.solve_primal(prof, CostFunction.average(3), "float")
         report = povm.build_from_primal(sol, prof).to_json_dict()
         report["extra"] = [MATRIX, {"t": -MATRIX.T}, SIGNED, PAYLOADS]
-        arrays = [dense(e["matrix"]) for e in report["elements"]] + \
+        arrays = [m for entry in report["codes"] for m in entry["held"]] + \
             [report["perp"], MATRIX, -MATRIX.T, SIGNED, PAYLOADS]
         distinct = np.unique(np.concatenate(
             [np.ascontiguousarray(a).view(np.int64).ravel() for a in arrays]))
@@ -768,19 +766,25 @@ class TestWriter:
 
     @pytest.mark.parametrize("case", ["minus-zero", "nan", "kernel-shift"])
     def test_orbit_breaks_written_as_held(self, case):
-        # a code that fails the exact-orbit test on one count alone is no
-        # relabelled source: each of its elements is written as it is held
-        povm_set, code = orbit_breaks()[1][case]
-        report = povm_set.to_json_dict()
-        views = [isinstance(e["matrix"], povm.OrbitElement) for e in report["elements"]
-                 if e["H"] == code.label()]
-        assert views and not any(views)
-        assert all(isinstance(e["matrix"], povm.OrbitElement) for e in report["elements"]
-                   if e["H"] != code.label())
-        text = written(report)
-        assert text == json.dumps(nested(report), indent=2, default=_render)
+        # each code is written as it is held: a set of dense stacks, one
+        # code of which fails the exact-orbit test on one count alone, as
+        # every outcome, and the built set it was edited from as each code's
+        # outcome 0 and its shifts
+        base, breaks = orbit_breaks()
+        povm_set, code = breaks[case]
+        order = sorted(base.held, key=lambda c: c.sort_key)
+        dense, built = povm_set.to_json_dict()["codes"], base.to_json_dict()["codes"]
+        assert [e["H"] for e in dense] == [e["H"] for e in built] == [c.label() for c in order]
+        for c, d, b in zip(order, dense, built):
+            assert [m.tobytes() for m in d["held"]] == [m.tobytes() for m in stacks(povm_set)[c]]
+            assert [m.tobytes() for m in b["held"]] == [base.held[c].tobytes()]
+            assert d["shifts"] == b["shifts"] == [vec_str(a, 3) for a in c.least_shifts.tolist()]
+            assert np.stack(report_outcomes(d)).tobytes() == stacks(povm_set)[c].tobytes()
+            assert np.stack(report_outcomes(b)).tobytes() == stacks(base)[c].tobytes()
+        text = written(povm_set.to_json_dict())
+        assert text == json.dumps(nested(povm_set.to_json_dict()), indent=2, default=_render)
         edited = {"minus-zero": '"im": -0.0', "nan": '"re": NaN',
-                  "kernel-shift": f'"re": {float(povm_set.stacks[code][0, 0, 0].real)!r}'}
+                  "kernel-shift": f'"re": {float(stacks(povm_set)[code][0, 0, 0].real)!r}'}
         assert edited[case] in text
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -836,10 +840,15 @@ class TestWriter:
         def same_bits(a, b):
             return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
-        assert len(report["elements"]) == len(expected["elements"]) > 0
-        for got, want in zip(report["elements"], expected["elements"]):
-            assert (got["H"], got["k"], got["y"]) == (want["H"], want["k"], want["y"])
-            assert same_bits(parsed(got["matrix"]), dense(want["matrix"]))
+        built = {code.label(): stack for code, stack in stacks(povm_set).items()}
+        assert len(report["codes"]) == len(expected["codes"]) == len(built) > 0
+        for got, want in zip(report["codes"], expected["codes"]):
+            assert (got["H"], got["k"], got["shifts"]) == (want["H"], want["k"], want["shifts"])
+            assert len(got["held"]) == len(want["held"])
+            for mat, ref in zip(got["held"], want["held"]):
+                assert same_bits(parsed(mat), ref)
+            # every element rebuilt from the written report is the set's own
+            assert np.stack(report_outcomes(got)).tobytes() == built[got["H"]].tobytes()
         assert same_bits(parsed(report["perp"]), expected["perp"])
 
 
@@ -1070,9 +1079,9 @@ class TestReportOrder:
 
     def test_povm_elements(self, capsys, path):
         _, report = run_json(capsys, ["povm", "--profile", path, "--assume-real-amplitudes"])
-        elements = report["povm"]["elements"]
-        assert len({e["H"] for e in elements}) > 2
-        assert in_order([order_key(e["H"], vec_from_str(e["y"])) for e in elements])
+        codes = report["povm"]["codes"]
+        assert len(codes) > 2
+        assert in_order([order_key(entry["H"], 0) for entry in codes])
 
     def test_simulate_entries(self, capsys, path):
         _, report = run_json(capsys, ["simulate", "--profile", path, "--x", "1011",

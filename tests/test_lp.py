@@ -763,6 +763,22 @@ class TestFeasibilityChecks:
         report = check_primal_feasible(broken, p)
         assert not report.feasible
 
+    def test_catches_an_under_covered_index(self):
+        # an exact optimum with mu halved covers every index by half:
+        # sum_H lambda_i - 1 = -1/2, a violation of 1/2 at each, and the
+        # pair no longer certifies
+        p = rand_rational_profile(3, random.Random("under-cover"))
+        cost = CostFunction.average(3)
+        primal, dual, _ = solve_pair(p, cost)
+        half = PrimalSolution(3, {key: v / 2 for key, v in primal.mu.items()},
+                              primal.objective / 2)
+        report = check_primal_feasible(half, p)
+        assert p.support == tuple(range(8)) and not report.feasible
+        assert report.violations == [{"constraint": f"sum_codes lambda[{vec_str(i, 3)}] = 1",
+                                      "violation": 0.5} for i in p.support]
+        assert report.max_violation == Fraction(1, 2)
+        assert not complementary_slackness(half, dual, p, cost).certified
+
 
 class TestSlackness:
     def test_optimal_pair_certifies(self):

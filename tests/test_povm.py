@@ -19,6 +19,8 @@ from conftest import (
     orbit_breaks,
     rand_rational_profile,
     relabelled,
+    report_outcomes,
+    stacks,
 )
 from test_cli import phased_profile
 from paritylp.cli import dump_json
@@ -27,15 +29,14 @@ from paritylp.f2lin import (
     F2Matrix,
     ParityCode,
     all_vectors,
-    by_code,
     codes_of_rank,
     dot,
     enumerate_all_codes,
+    vec_str,
 )
 from paritylp.lp import PrimalSolution, solve_primal
 from paritylp.povm import (
     POVM_MAX_N,
-    OrbitElement,
     PovmSet,
     PovmVerification,
     _code_stacks,
@@ -512,13 +513,13 @@ class TestBuildFromPrimal:
         p = random_phase_profile(3, random.Random(17))
         sol, _ = solve_primal(p, CostFunction.average(3), mode="float")
         povm = build_from_primal(sol, p)
-        stacks, elements = povm.stacks, povm.elements
-        assert list(stacks) == list(povm.held)
+        built, elements = stacks(povm), povm.elements
+        assert list(built) == list(povm.held)
         for code, zero in povm.held.items():
             # the set holds outcome 0 alone, and builds each stack on read
             # as outcome 0 relabelled to every outcome
             assert zero.shape == (8, 8) and not zero.flags.writeable
-            stack = stacks[code]
+            stack = built[code]
             assert len(stack) == 1 << code.k and not stack.flags.writeable
             assert stack.tobytes() == _relabelled(zero, code.least_shifts).tobytes()
             for y in range(len(stack)):
@@ -724,7 +725,7 @@ class TestSymmetrize:
         p = uniform_amps(1)
         sol, _ = solve_primal(p, CostFunction.average(1))
         povm = build_from_primal(sol, p)
-        povm = PovmSet(1, povm.stacks, povm.perp - 10 * np.eye(2), p)
+        povm = PovmSet(1, stacks(povm), povm.perp - 10 * np.eye(2), p)
         with pytest.raises(ValueError):
             symmetrize(povm)
 
@@ -828,7 +829,7 @@ def assert_relabellings(povm):
     """X_a F[(H, y)] X_a is F[(H, y + H.a)] bit for bit, for every element
     and every generator a: `shifted` on a code's elements at once."""
     idx = np.arange(1 << povm.n)
-    for code, stack in povm.stacks.items():
+    for code, stack in stacks(povm).items():
         for a in (1 << j for j in range(povm.n)):
             p = idx ^ a
             partners = np.arange(len(stack)) ^ code.parity(a)
@@ -867,8 +868,8 @@ class TestFromElements:
         sets = seeded_sets(n)
         missing, zeroed = sets["missing"], sets["zeroed"]
         assert len(missing.elements) == len(sets["optimum"].elements)
-        assert list(missing.stacks) == list(zeroed.stacks)
-        assert not any(stack.flags.writeable for stack in missing.stacks.values())
+        assert list(stacks(missing)) == list(stacks(zeroed))
+        assert not any(stack.flags.writeable for stack in stacks(missing).values())
         assert_same_sets(missing, zeroed)
         assert float_bits(verify_povm(missing).to_json_dict().values()) == \
             float_bits(verify_povm(zeroed).to_json_dict().values())
@@ -883,14 +884,14 @@ class TestFromElements:
         base = seeded_sets(2)["optimum"]
         shuffled = PovmSet.from_elements(2, dict(reversed(base.elements.items())),
                                          base.perp, base.profile)
-        assert list(shuffled.stacks) == list(reversed(base.stacks))
-        for code, stack in base.stacks.items():
-            assert shuffled.stacks[code].tobytes() == stack.tobytes()
+        assert list(stacks(shuffled)) == list(reversed(stacks(base)))
+        for code, stack in stacks(base).items():
+            assert stacks(shuffled)[code].tobytes() == stack.tobytes()
 
     @pytest.mark.parametrize("y", [-1, 4])
     def test_outcome_outside_range_refused(self, y):
         base = seeded_sets(2)["optimum"]
-        code = next(code for code in base.stacks if code.k == 2)
+        code = next(code for code in stacks(base) if code.k == 2)
         elements = {**base.elements, (code, y): np.zeros((4, 4), dtype=complex)}
         with pytest.raises(ValueError, match="outside range"):
             PovmSet.from_elements(2, elements, base.perp, base.profile)
@@ -949,7 +950,7 @@ class TestAuditsMatchLoops:
             # a rank >= 1 code with H.e_j = 0: a generator whose flip leaves
             # the outcome axes alone
             assert any(code.parity(1 << j) == 0
-                       for code in povm.stacks for j in range(n))
+                       for code in stacks(povm) for j in range(n))
 
     @pytest.mark.parametrize("n,label", SEEDED)
     def test_orbit_reading_matches_every_element(self, n, label):
@@ -985,7 +986,7 @@ class TestAuditsMatchLoops:
         # "minus-zero" relabels outcome 0 value for value, but not byte for
         # byte: it is read element by element, as the loops read it
         povm, broken = orbit_breaks()[1][name]
-        assert not povm.exact_orbits[list(povm.stacks).index(broken)]
+        assert not povm.exact_orbits[list(stacks(povm)).index(broken)]
         assert_audits_match_loops(povm)
 
     def test_nan_break_reads_nan(self):
@@ -1012,7 +1013,7 @@ class TestOrbitReading:
         # outcome 1 is the relabelled outcome 0 less 1e-6 |v><v| for a unit v
         # in its kernel: outcome 0 alone shows no negative eigenvalue
         base = seeded_sets(3)["optimum"]
-        code = next(code for code in base.stacks if code.k == 3)
+        code = next(code for code in stacks(base) if code.k == 3)
         relabelled = shifted(base.elements[(code, 0)], least_shift(code, 1))
         values, vectors = np.linalg.eigh(relabelled)
         assert abs(values[0]) < 1e-12
@@ -1028,14 +1029,14 @@ class TestOrbitReading:
         # outcome 0: the code's overlaps are those of its elements, which
         # differ in bits from those read off outcome 0
         base = seeded_sets(3)["optimum"]
-        code = next(code for code in base.stacks if code.k == 3)
+        code = next(code for code in stacks(base) if code.k == 3)
         mat = shifted(base.elements[(code, 0)], least_shift(code, 1))
         assert mat.tobytes() == base.elements[(code, 1)].tobytes() and mat[0, 1].real
         mat[0, 1] = complex(np.nextafter(mat[0, 1].real, np.inf), mat[0, 1].imag)
         mat[1, 0] = np.conj(mat[0, 1])
         povm = with_outcome_1(base, code, mat)
-        at = list(povm.stacks).index(code)
-        stack = povm.stacks[code]
+        at = list(stacks(povm)).index(code)
+        stack = stacks(povm)[code]
         assert not povm.exact_orbits[at] and 0 < _covariance_dev(code, stack) < 1e-15
         assert verify_povm(povm).max_symmetry_dev > 0
 
@@ -1060,13 +1061,13 @@ class TestNonFinite:
     @pytest.mark.parametrize("entry", [math.nan, math.inf])
     def test_non_finite_entry(self, entry):
         base = seeded_sets(3)["optimum"]
-        code = next(code for code in base.stacks if code.k == 3)
+        code = next(code for code in stacks(base) if code.k == 3)
         mat = base.elements[(code, 1)].copy()
         mat[0, 1] = complex(entry, mat[0, 1].imag)
         povm = with_outcome_1(base, code, mat)
         # numpy warns of the inf - inf in the products; the figures say it
         with np.errstate(invalid="ignore"):
-            dev = _covariance_dev(code, povm.stacks[code])
+            dev = _covariance_dev(code, stacks(povm)[code])
             ver = verify_povm(povm)
             fourier = fourier_diag_check(povm).to_json_dict()
         assert not ver.gamma_ok and not ver.symmetric_ok and not ver.ok
@@ -1091,7 +1092,7 @@ class TestNonFinite:
     ])
     def test_inf_entry_covariance(self, case, rank, want, subtractions):
         base = seeded_sets(3)["optimum"]
-        code = next(code for code in base.stacks if code.k == rank)
+        code = next(code for code in stacks(base) if code.k == rank)
         zero = base.elements[(code, 0)].copy()
         zero[0, 1] = complex(math.inf, zero[0, 1].imag)
         elements = relabelled(zero, code)
@@ -1100,8 +1101,8 @@ class TestNonFinite:
             elements[(code, 1)][0, 1] = complex(math.inf, zero[0, 1].imag)
         elif case == "break":
             elements[(code, 1)][2, 3] += 1e-3
-        stack = PovmSet.from_elements(3, {**base.elements, **elements}, base.perp,
-                                      base.profile).stacks[code]
+        stack = stacks(PovmSet.from_elements(3, {**base.elements, **elements}, base.perp,
+                                             base.profile))[code]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             dev = _covariance_dev(code, stack)
@@ -1118,9 +1119,9 @@ class TestNonFinite:
         # audit's vector maximum and the Python walk over abs read the same,
         # with no warning
         base = seeded_sets(3)["optimum"]
-        povm = PovmSet(base.n, base.stacks, base.perp, base.profile)
-        at = next(i for i, code in enumerate(povm.stacks) if code.k == 2)
-        code = list(povm.stacks)[at]
+        povm = PovmSet(base.n, stacks(base), base.perp, base.profile)
+        at = next(i for i, code in enumerate(stacks(povm)) if code.k == 2)
+        code = list(stacks(povm))[at]
         overlaps = [rows.copy() for rows in base.overlaps]
         wrong = code.parities != np.arange(1 << code.k)[:, None]
         y, x = np.argwhere(wrong)[1]
@@ -1143,7 +1144,7 @@ ORBIT_CASES = [(n, family, tau) for n in (3, 4, 5) for family in ("rational", "p
 class TestExactOrbits:
     """One exact-orbit test per code: a code is read off outcome 0 exactly
     when the exact-orbit test passes.  Every code `build_from_primal` makes
-    passes it, has deviation 0 and is reported as its outcome 0 relabelled;
+    passes it, has deviation 0 and is reported as its outcome 0 and shifts;
     only a code that fails it takes `_covariance_dev` in `verify_povm`, whose
     max_symmetry_dev is n times the largest deviation of every stack."""
 
@@ -1161,21 +1162,24 @@ class TestExactOrbits:
                 ball = perturb_full_support(ball_profile(n, 2, rng), Fraction(1, 50))
                 p, mode = ball.with_real_amplitudes(), "exact"
             povm = build_from_primal(solve_primal(p, cost, mode)[0], p)
-            codes += len(povm.stacks)
-            assert all(povm.exact_orbits[:len(povm.stacks)])
+            built = stacks(povm)
+            codes += len(built)
+            assert all(povm.exact_orbits[:len(built)])
             assert_relabellings(povm)
             devs = [_covariance_dev(code, stack) for code, stack in _code_stacks(povm)]
-            assert float_bits(devs[:len(povm.stacks)]) == float_bits([0.0] * len(povm.stacks))
+            assert float_bits(devs[:len(built)]) == float_bits([0.0] * len(built))
             assert_symmetry_dev(povm, devs)
-            elements = povm.elements
-            keys = [key for key, _ in sorted(elements.items(), key=by_code)]
-            for (code, y), element in zip(keys, povm.to_json_dict()["elements"]):
-                mat = element["matrix"]
-                # the record's source is the held outcome 0 itself, not a copy
-                assert isinstance(mat, OrbitElement) and mat.source.base is povm.held[code]
-                assert mat.source.shape == povm.held[code].shape
-                assert mat.shift == least_shift(code, y)
-                assert shifted(mat.source, mat.shift).tobytes() == elements[(code, y)].tobytes()
+            report = povm.to_json_dict()["codes"]
+            assert [entry["H"] for entry in report] == \
+                [code.label() for code in sorted(built, key=lambda code: code.sort_key)]
+            for entry in report:
+                code = next(code for code in built if code.label() == entry["H"])
+                # the report holds outcome 0 itself, not a copy, and its shifts
+                (zero,) = entry["held"]
+                assert zero.base is povm.held[code] and zero.shape == povm.held[code].shape
+                assert entry["shifts"] == [vec_str(least_shift(code, y), n)
+                                           for y in range(1 << code.k)]
+                assert np.stack(report_outcomes(entry)).tobytes() == built[code].tobytes()
         assert codes > 0
 
     def test_deviation_only_off_the_orbit(self, monkeypatch):
@@ -1195,9 +1199,9 @@ class TestExactOrbits:
 
     def test_breaks_take_the_deviation(self):
         base, breaks = orbit_breaks()
-        assert all(base.exact_orbits[:len(base.stacks)])
+        assert all(base.exact_orbits[:len(stacks(base))])
         for name, (povm, broken) in breaks.items():
-            codes = list(povm.stacks)
+            codes = list(stacks(povm))
             assert povm.exact_orbits[:len(codes)] == [code != broken for code in codes], name
             devs = [_covariance_dev(code, stack) for code, stack in _code_stacks(povm)]
             assert_symmetry_dev(povm, devs)
@@ -1208,7 +1212,7 @@ class TestExactOrbits:
                     "kernel-shift": dev > 1e-4}[name]
             # the broken code's elements are its outcome 0 relabelled, but for
             # the -0.0 of "minus-zero"
-            stack = povm.stacks[broken]
+            stack = stacks(povm)[broken]
             again = np.stack(list(relabelled(stack[0], broken).values()))
             assert (again.tobytes() == stack.tobytes()) == (name != "minus-zero")
 
@@ -1219,24 +1223,27 @@ class TestExactOrbits:
         # stack, so each figure and matrix is the dense copy's, bit for bit
         base, breaks = orbit_breaks()
         dense, code = breaks[name]
-        held = PovmSet(base.n, {**base.held, code: dense.stacks[code][0]}, base.perp,
+        held = PovmSet(base.n, {**base.held, code: stacks(dense)[code][0]}, base.perp,
                        base.profile)
         assert held.held[code].shape == (8, 8)
         assert held.exact_orbits == dense.exact_orbits
         assert not held.exact_orbits[list(held.held).index(code)]
-        assert [s.tobytes() for s in held.stacks.values()] == \
-            [s.tobytes() for s in dense.stacks.values()]
+        assert [s.tobytes() for s in stacks(held).values()] == \
+            [s.tobytes() for s in stacks(dense).values()]
         for audit in (lambda s: verify_povm(s).to_json_dict().values(),
                       lambda s: fourier_diag_check(s).to_json_dict().values(),
                       lambda s: [rho_eval(s, CostFunction.average(3))],
                       lambda s: [_covariance_dev(c, stack) for c, stack in _code_stacks(s)]):
             assert float_bits(audit(held)) == float_bits(audit(dense))
 
-        def matrices(s):
-            return [(m.source.tobytes(), m.shift) if isinstance(m, OrbitElement)
-                    else (m.tobytes(), 0) for m in (e["matrix"] for e in s.to_json_dict()["elements"])]
+        def outcomes(s):
+            return [[m.tobytes() for m in report_outcomes(entry)]
+                    for entry in s.to_json_dict()["codes"]]
 
-        assert matrices(held) == matrices(dense)
+        # written as held, as outcome 0 and its shifts, and rebuilt bit for bit
+        (entry,) = [e for e in held.to_json_dict()["codes"] if e["H"] == code.label()]
+        assert len(entry["held"]) == 1
+        assert outcomes(held) == outcomes(dense)
 
 
 class TestStorage:

@@ -49,7 +49,6 @@ class Constraint:
     coeffs: dict[int, object]
     rel: str
     rhs: object
-    tag: tuple = ()
 
 
 @dataclass
@@ -59,8 +58,8 @@ class LpModel:
     cost.  Variable j is the mu of the coset `labels[j]`, a (code, s) key as
     `PrimalSolution.mu` has, and k_j = columns.ranks[j] is its code's rank.
 
-    `constraints`, the rows in lambda form (row i divided by w_i, "= 1")
-    as `Constraint`s tagged ("index", i), is derived from the columns on
+    `constraints`, the rows in lambda form (row i divided by w_i, "= 1"),
+    one `Constraint` per index of `support`, is derived from the columns on
     first read; `solve` never reads it.
     """
 
@@ -85,8 +84,7 @@ class LpModel:
         cols: list = [[] for _ in self.support]
         for r, j in zip(a.rows.tolist(), a.cols.tolist()):
             cols[r].append(j)
-        return [Constraint(dict.fromkeys(js, 1 / w), "=", 1, ("index", i))
-                for js, w, i in zip(cols, a.w, self.support)]
+        return [Constraint(dict.fromkeys(js, 1 / w), "=", 1) for js, w in zip(cols, a.w)]
 
     def to_text(self, cost: CostFunction) -> str:
         objective = [_rank_value(cost, k) for k in self.columns.ranks.tolist()]

@@ -6,11 +6,13 @@ Fourier diagonal of such an element is lambda_i / 2^k, which makes the set
 complete once the leftover goes to the no-information element, keeps every
 wrong-outcome overlap exactly zero, and commutes with shifts up to the
 outcome relabeling y -> y + H.a.  All of that is re-checked numerically by
-``verify_povm`` instead of being trusted.  A built set holds each code by
-its outcome 0 alone, off which the audits and the Born overlaps read it
-exactly when the exact-orbit test (`exact_orbits`) passes; a reader that
-needs every element builds one code's stack at a time.  The report writes
-each code as it is held, with the shifts that relabel outcome 0.
+``verify_povm`` instead of being trusted.  A set holds each code as a stack:
+a built code as outcome 0 alone, one row, and a hand-built or symmetrized
+code as all 2^k outcomes.  How a code is held decides how it is read: the
+audits and the Born overlaps read a one-row stack off outcome 0, and any
+other stack element by element; a reader that needs every element builds
+one code's stack at a time.  The report writes each code as it is held,
+with the shifts that relabel outcome 0.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import math
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -83,9 +84,9 @@ def _coset_states(profile: AmplitudeProfile, code: ParityCode, syndromes) -> np.
 class PovmSet:
     """Operators for every informative (code, y) outcome plus the leftover
     `perp`, of the family `profile`.  `held` maps each code, in the set's
-    order, to a read-only (2^n, 2^n) outcome 0 (`build_from_primal`) or a
-    dense (2^k, 2^n, 2^n) stack whose row y is outcome y (`from_elements`,
-    `symmetrize`)."""
+    order, to a read-only stack: one row, outcome 0, whose outcome y is its
+    relabelling by a_y, the least a with H.a = y (`build_from_primal`), or
+    2^k rows, row y outcome y (`from_elements`, `symmetrize`)."""
 
     n: int
     held: dict
@@ -97,10 +98,16 @@ class PovmSet:
                       profile: AmplitudeProfile) -> PovmSet:
         """The set of an element mapping keyed by (code, y): one stack per
         code, the codes in the order they first appear, and a zero element
-        for each outcome of a listed code that the mapping lacks."""
+        for each outcome of a listed code that the mapping lacks.  A code of
+        another n, a rank-0 code (`perp` is its outcome) and an outcome
+        outside range(2^k) are refused."""
         size = 1 << n
         stacks: dict = {}
         for (code, y), mat in elements.items():
+            if code.n != n:
+                raise ValueError(f"a code on {code.n} bits in a set on {n}")
+            if not code.k:
+                raise ValueError("the rank-0 outcome is the leftover perp")
             if not 0 <= y < 1 << code.k:
                 raise ValueError(f"outcome {y} of a rank-{code.k} code is outside "
                                  f"range({1 << code.k})")
@@ -114,32 +121,17 @@ class PovmSet:
     @property
     def elements(self) -> Mapping:
         """(code, y) -> element, read-only, each built on read."""
-        return _Elements(dict(list(_code_stacks(self, held=True))[:-1]))
-
-    @cached_property
-    def exact_orbits(self) -> list[bool]:
-        """Per code, in the set's order, then for the leftover: whether, byte
-        for byte (values let -0.0 pass for 0.0), outcome y is outcome 0
-        relabelled by a_y, the least a with H.a = y (as a held outcome 0 is),
-        outcome 0 relabelled by each generator of ker H is itself, and outcome
-        0 holds no NaN; then X_a F[(H, y)] X_a = F[(H, y + H.a)] for every a."""
-        return [not np.isnan(stack[0]).any() and all(
-                    m.tobytes() == want.tobytes() for m, want in zip(_relabelled(
-                        stack[0], np.append(code.least_shifts[1:len(stack)], code.G.rows)),
-                        chain(stack[1:], repeat(stack[0]))))
-                for code, stack in _code_stacks(self, held=True)]
+        return _Elements(self.held)
 
     @cached_property
     def overlaps(self) -> list[np.ndarray]:
-        """<psi_x|M_j|psi_x> at [j, x] per code, then for the leftover.  A code
-        is read off outcome 0 exactly when the exact-orbit test passes: M_y is
-        X_a M_0 X_a for the least a with H.a = y, and X_a psi_x = psi_(x+a), so
-        row y is row 0 at x + a."""
+        """<psi_x|M_j|psi_x> at [j, x] per code, then for the leftover.  A
+        one-row stack is read off outcome 0: M_y is X_a M_0 X_a for a = a_y,
+        and X_a psi_x = psi_(x+a), so row y is row 0 at x + a."""
         states = _states(self.profile)
         x = np.arange(len(states))
-        return [_overlaps(stack[:1], states)[0][x ^ code.least_shifts[:, None]] if exact
-                else _overlaps(_full(code, stack), states)
-                for (code, stack), exact in zip(_code_stacks(self, held=True), self.exact_orbits)]
+        return [_overlaps(stack, states)[0][x ^ code.least_shifts[:, None]] if len(stack) == 1
+                else _overlaps(stack, states) for code, stack in _code_stacks(self)]
 
     def to_json_dict(self) -> dict:
         """The set for `cli.dump_json`, each code as it is held, in code
@@ -147,7 +139,7 @@ class PovmSet:
         y, and `held` the held matrices.  Outcome y is held[y] when all 2^k
         are held, and X_a held[0] X_a for a = shifts[y] when outcome 0 alone
         is, as `_full` builds it."""
-        codes = sorted(list(_code_stacks(self, held=True))[:-1], key=lambda item: item[0].sort_key)
+        codes = sorted(self.held.items(), key=lambda item: item[0].sort_key)
         return {"n": self.n,
                 "codes": [{"H": code.label(), "k": code.k,
                            "shifts": [vec_str(a, code.n) for a in code.least_shifts.tolist()],
@@ -187,7 +179,7 @@ def build_from_primal(sol: PrimalSolution, profile: AmplitudeProfile) -> PovmSet
         for shift in code.least_shifts.tolist():
             total += _relabelled(outcome0, shift)
         outcome0.flags.writeable = False
-        held[code] = outcome0
+        held[code] = outcome0[None]
     perp = np.eye(size, dtype=complex) - total
     return PovmSet(profile.n, held, perp, profile)
 
@@ -214,13 +206,10 @@ class _Elements(Mapping):
         return [(key, self[key]) for key in self]
 
 
-def _code_stacks(povm: PovmSet, held: bool = False):
-    """(code, stack) per code in the set's order, each built when reached,
-    or as held (outcome 0 as one row), then (ParityCode.bottom(n), [perp])."""
-    for code, mat in povm.held.items():
-        stack = mat[None] if mat.ndim == 2 else mat
-        yield code, stack if held else _full(code, stack)
-    yield ParityCode.bottom(povm.n), povm.perp[None]
+def _code_stacks(povm: PovmSet) -> list:
+    """(code, held stack) per code in the set's order, then
+    (ParityCode.bottom(n), perp as one row)."""
+    return [*povm.held.items(), (ParityCode.bottom(povm.n), povm.perp[None])]
 
 
 def _full(code: ParityCode, stack: np.ndarray, ys=slice(None)) -> np.ndarray:
@@ -264,12 +253,14 @@ def _relabelled(m: np.ndarray, shifts) -> np.ndarray:
 
 
 def _covariance_dev(code: ParityCode, stack: np.ndarray) -> float:
-    """max |X_a F[(code, y)] X_a - F[(code, y + H.a)]| over the elements of
-    a code's stack and the generators a = e_1..e_n; NaN if any entry is NaN.
-    A generator that relabels the stack onto its partners value for value
-    subtracts nothing, so an inf it moves onto an equal inf reads 0."""
+    """max |X_a F[(code, y)] X_a - F[(code, y + H.a)]| over the rows of a
+    held stack: on every element and the generators a = e_1..e_n, or, for
+    outcome 0 alone, on outcome 0 and the generators a of ker H, which must
+    relabel it onto itself; NaN if any entry is NaN.  A generator that
+    relabels the stack onto its partners value for value subtracts nothing,
+    so an inf it moves onto an equal inf reads 0."""
     dev = 0.0
-    for a in (1 << j for j in range(code.n)):
+    for a in code.G.rows if len(stack) == 1 else (1 << j for j in range(code.n)):
         moved, partners = _relabelled(stack, a), stack[np.arange(len(stack)) ^ code.parity(a)]
         if not np.array_equal(moved, partners):
             dev = _max(dev, float(np.max(np.abs(moved - partners))))
@@ -289,7 +280,7 @@ def _min(a: float, b: float) -> float:
 def rho_eval(povm: PovmSet, cost: CostFunction) -> float:
     """Average score over a uniform hidden string (the expectation form)."""
     total = 0.0
-    for (code, _), overlaps in zip(_code_stacks(povm, held=True), povm.overlaps):
+    for (code, _), overlaps in zip(_code_stacks(povm), povm.overlaps):
         ck = float(cost.values[code.k])
         if ck:
             for row in overlaps.real.tolist():
@@ -314,6 +305,7 @@ def _shift_average(povm: PovmSet) -> PovmSet:
     n = povm.n
     stacks = {}
     for code, stack in _code_stacks(povm):
+        stack = _full(code, stack)
         outcomes = np.arange(len(stack))
         acc = sum((_relabelled(stack[outcomes ^ code.parity(a)], a) for a in all_vectors(n)),
                   np.zeros_like(stack)) / (1 << n)
@@ -348,39 +340,37 @@ def verify_povm(povm: PovmSet, *,
     """Numerically audit every defining property of the measurement set
     against its own profile.
 
-    A code is read off outcome 0 exactly when the exact-orbit test passes,
-    and has covariance deviation 0; any other code is read element by
-    element and checked on the shift generators e_1..e_n; completeness adds
-    every element.  max_symmetry_dev is n times their largest deviation,
-    which bounds the deviation under every one of the 2^n shifts.
-    Hermiticity and covariance are held to TOL_HERMITIAN and TOL_SYMMETRY.
+    A one-row stack is read off outcome 0, its relabellings being similar
+    matrices, and checked for covariance on the generators of ker H; any
+    other stack is read element by element and checked on the shift
+    generators e_1..e_n; completeness adds every element.  Any shift is a
+    sum of at most n of e_1..e_n, and any shift in ker H of at most n - k of
+    its generators, so max_symmetry_dev, n times the largest deviation,
+    bounds the deviation under every one of the 2^n shifts.  Hermiticity
+    and covariance are held to TOL_HERMITIAN and TOL_SYMMETRY.
     """
     n = povm.n
     size = 1 << n
     total = np.zeros((size, size), dtype=complex)
     herm = unambig = sym_dev = 0.0
     min_eig = math.inf
-    for (code, stack), overlaps, exact in zip(_code_stacks(povm), povm.overlaps,
-                                              povm.exact_orbits):
-        # exact relabellings: outcome 0's entries permuted, a similar matrix
-        orbit = stack[:1] if exact else stack
-        adj = orbit.conj().transpose(0, 2, 1)
-        dev_h = float(np.max(np.abs(orbit - adj)))
+    for (code, stack), overlaps in zip(_code_stacks(povm), povm.overlaps):
+        adj = stack.conj().transpose(0, 2, 1)
+        dev_h = float(np.max(np.abs(stack - adj)))
         herm = _max(herm, dev_h)
         # dev_h is NaN or inf for a non-finite entry, where eigvalsh fails
-        min_eig = _min(min_eig, float(np.min(np.linalg.eigvalsh((orbit + adj) / 2)))
+        min_eig = _min(min_eig, float(np.min(np.linalg.eigvalsh((stack + adj) / 2)))
                        if math.isfinite(dev_h) else math.nan)
         # element by element, in the set's order, as a running sum adds them
-        for mat in stack:
+        for mat in _full(code, stack):
             total += mat
 
-        wrong = code.parities != np.arange(len(stack))[:, None]
+        wrong = code.parities != np.arange(len(overlaps))[:, None]
         if wrong.any():
             off = overlaps[wrong]
             unambig = _max(unambig, float(np.max(np.hypot(off.real, off.imag))))
 
-        if not exact:
-            sym_dev = _max(sym_dev, n * _covariance_dev(code, stack))
+        sym_dev = _max(sym_dev, n * _covariance_dev(code, stack))
     complete = float(np.linalg.norm(total - np.eye(size)))
 
     gamma_ok = (
@@ -413,13 +403,12 @@ def fourier_diag_check(povm: PovmSet) -> FourierDiagReport:
     w_mat = walsh_hadamard(povm.n)
     weights = np.array(povm.profile.weights_float)
     offdiag = factor = spread = 0.0
-    for (code, stack), exact in zip(_code_stacks(povm), povm.exact_orbits):
-        agg_hat = w_mat @ stack.sum(axis=0) @ w_mat
+    for code, stack in _code_stacks(povm):
+        agg_hat = w_mat @ _full(code, stack).sum(axis=0) @ w_mat
         off = agg_hat - np.diag(np.diag(agg_hat))
         offdiag = _max(offdiag, float(np.max(np.abs(off))))
         # W X_a M X_a W = Z_a W M W Z_a, Z_a diagonal: the same Fourier diagonal
-        orbit = stack[:1] if exact else stack
-        hat_diag = np.real(np.diagonal(w_mat @ orbit @ w_mat, axis1=1, axis2=2))
+        hat_diag = np.real(np.diagonal(w_mat @ stack @ w_mat, axis1=1, axis2=2))
         factor = _max(factor, float(np.max(np.abs(
             np.real(np.diag(agg_hat)) - (1 << code.k) * hat_diag
         ))))

@@ -127,7 +127,7 @@ def literal_lp_model(profile: AmplitudeProfile, cost, matrices) -> RowModel:
     constraints = []
     for i in profile.support:
         coeffs = {index[("lam", mi, i)]: 1 for mi in range(len(matrices))}
-        constraints.append(Constraint(coeffs, "=", 1, tag=("index", i)))
+        constraints.append(Constraint(coeffs, "=", 1))
     for mi, m in enumerate(matrices):
         gen = kernel_generator(m)
         cosets: dict[int, list[int]] = {}
@@ -212,10 +212,27 @@ def without_float_stage(monkeypatch):
                         lambda *_: (simplex.ITERATION_LIMIT, None, None, None))
 
 
-def stacks(povm_set) -> dict:
-    """code -> its read-only (2^k, 2^n, 2^n) stack, in the set's order, as
-    `povm._code_stacks` builds it."""
-    return dict(list(povm._code_stacks(povm_set))[:-1])
+def held(povm_set) -> dict:
+    """code -> the read-only stack the set holds for it, in the set's order,
+    then ParityCode.bottom(n) -> the leftover as one row.  A code is held as
+    outcome 0 alone, one row, or as its 2^k outcomes, row y outcome y; the
+    audits read a one-row stack off outcome 0 and any other row by row.
+    Tests read a set's storage through this helper and `stacks` alone."""
+    return dict(povm._code_stacks(povm_set))
+
+
+def stacks(povm_set, leftover=False) -> dict:
+    """code -> its read-only (2^k, 2^n, 2^n) stack of every outcome, in the
+    set's order, built from the held stack as every reader builds it; with
+    `leftover`, then ParityCode.bottom(n) -> the leftover as one row."""
+    items = list(held(povm_set).items())
+    return {code: povm._full(code, stack) for code, stack in items[:None if leftover else -1]}
+
+
+def holding(povm_set, code, stack) -> povm.PovmSet:
+    """`povm_set` with `code` held as `stack`."""
+    return povm.PovmSet(povm_set.n, {**povm_set.held, code: stack}, povm_set.perp,
+                        povm_set.profile)
 
 
 def report_outcomes(entry) -> list:
@@ -223,13 +240,13 @@ def report_outcomes(entry) -> list:
     held[y] when the entry holds 2^k matrices, else held[0] with rows and
     columns i read at i ^ a, for a = shifts[y].  A held matrix is an ndarray
     (`PovmSet.to_json_dict`) or its rows of {"re", "im"} dicts (the JSON)."""
-    held = [m if isinstance(m, np.ndarray) else
+    mats = [m if isinstance(m, np.ndarray) else
             np.array([[complex(e["re"], e["im"]) for e in row] for row in m])
             for m in entry["held"]]
-    if len(held) == 1 << entry["k"]:
-        return held
-    idx = np.arange(len(held[0]))
-    return [held[0][np.ix_(idx ^ a, idx ^ a)] for a in map(vec_from_str, entry["shifts"])]
+    if len(mats) == 1 << entry["k"]:
+        return mats
+    idx = np.arange(len(mats[0]))
+    return [mats[0][np.ix_(idx ^ a, idx ^ a)] for a in map(vec_from_str, entry["shifts"])]
 
 
 def relabelled(zero, code) -> dict:
@@ -242,10 +259,10 @@ def relabelled(zero, code) -> dict:
 
 
 def orbit_breaks() -> tuple:
-    """A seeded n=3 optimum with complex phases, and, by name, copies of it
-    that each fail the exact-orbit test on one count alone, with the code
-    that fails: each copy rebuilds one code as its edited outcome 0
-    relabelled.  "minus-zero": one relabelled copy of an entry whose
+    """A seeded n=3 optimum with complex phases, and, by name, dense copies
+    of it (`PovmSet.from_elements`) that each leave one code's orbit on one
+    count alone, with that code: each copy rebuilds the code as its edited
+    outcome 0 relabelled.  "minus-zero": one relabelled copy of an entry whose
     imaginary part outcome 0 holds as 0.0 holds -0.0; "nan": outcome 0 of a
     rank-3 code (ker H = 0) holds a NaN; "kernel-shift": outcome 0 of a
     rank-1 code gains 1e-3 at [0, 0], which the generators of ker H move."""
@@ -255,8 +272,8 @@ def orbit_breaks() -> tuple:
     scale = math.sqrt(math.fsum(abs(a) ** 2 for a in amps))
     prof = AmplitudeProfile.from_amplitudes(3, [a / scale for a in amps])
     base = povm.build_from_primal(solve_primal(prof, CostFunction.average(3), "float")[0], prof)
-    full = next(code for code in base.held if code.k == 3)
-    part = next(code for code in base.held if code.k == 1)
+    full = next(code for code in stacks(base) if code.k == 3)
+    part = next(code for code in stacks(base) if code.k == 1)
 
     def rebuilt(code, edit, after=lambda elements: None):
         zero = base.elements[(code, 0)].copy()

@@ -38,6 +38,7 @@ from paritylp.f2lin import (
     vec_str,
 )
 from paritylp.lp import (
+    FLOAT_FEAS_TOL,
     Constraint,
     DualSolution,
     PrimalSolution,
@@ -136,7 +137,7 @@ def two_loop_primal(profile, cost):
             idx = var_index.get((code, code.G.mul_vec(i)))
             if idx is not None:
                 coeffs[idx] = inv
-        constraints.append(Constraint(coeffs, "=", 1, tag=("index", i)))
+        constraints.append(Constraint(coeffs, "=", 1))
     return RowModel("primal", "max", labels, objective, constraints)
 
 
@@ -151,7 +152,7 @@ def dual_rows(profile, cost):
         rhs = cost.values[code.k] * (1 << code.k)
         for s in range(len(cos)):
             coeffs = {i: 1 for i in cos[s].tolist()}
-            constraints.append(Constraint(coeffs, ">=", rhs, tag=("coset", code, s)))
+            constraints.append(Constraint(coeffs, ">=", rhs))
     return RowModel("dual", "min", labels, list(profile.weights), constraints)
 
 
@@ -177,8 +178,8 @@ class TestBuildPrimal:
         assert got.labels == want.labels
         assert priced(got, cost).objective == want.objective
         assert got.to_text(cost) == want.to_text()
-        assert [(list(c.coeffs.items()), c.rel, c.rhs, c.tag) for c in got.constraints] == \
-            [(list(c.coeffs.items()), c.rel, c.rhs, c.tag) for c in want.constraints]
+        assert [(list(c.coeffs.items()), c.rel, c.rhs) for c in got.constraints] == \
+            [(list(c.coeffs.items()), c.rel, c.rhs) for c in want.constraints]
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_code_table(self, n):
@@ -791,6 +792,27 @@ class TestSlackness:
             report = complementary_slackness(primal, dual, p, cost)
             assert report.certified
             assert report.primal_objective == report.dual_objective
+
+    def test_objective_gap_alone_refuses_a_float_pair(self):
+        # b scaled by 1 + eps, eps = 0.9e-9 / max mu cost(k) 2^k, stays dual
+        # feasible and moves each coset product mu (sum_C b - cost(k) 2^k) by
+        # at most 0.9e-9, within FLOAT_FEAS_TOL, but moves the objective by
+        # eps rho, several times it: the gap clause alone refuses the pair
+        from test_cli import phased_profile
+
+        cost = CostFunction.average(5)
+        for seed in range(5):
+            p = AmplitudeProfile.from_json_dict(phased_profile(5, random.Random(f"gap/{seed}")))
+            primal, dual, _ = solve_pair(p, cost, "float")
+            assert complementary_slackness(primal, dual, p, cost).certified
+            eps = 0.9e-9 / max(cost.values[code.k] * (1 << code.k) * v
+                               for (code, _), v in primal.mu.items())
+            scaled = DualSolution(5, tuple(v * (1 + eps) for v in dual.b))
+            report = complementary_slackness(primal, scaled, p, cost)
+            assert report.primal_feasible and report.dual_feasible and not report.violations
+            assert max(report.max_index_product, report.max_coset_product) <= FLOAT_FEAS_TOL
+            assert abs(report.primal_objective - report.dual_objective) > 3 * FLOAT_FEAS_TOL
+            assert not report.certified
 
     def test_suboptimal_pair_reports_nonzero_product(self):
         p = profile(2, ["1/20", "3/20", "3/10", "1/2"])

@@ -15,6 +15,8 @@ import pytest
 from conftest import (
     ball_profile,
     code_from_matrix,
+    held,
+    holding,
     lam_of,
     orbit_breaks,
     rand_rational_profile,
@@ -39,7 +41,6 @@ from paritylp.povm import (
     POVM_MAX_N,
     PovmSet,
     PovmVerification,
-    _code_stacks,
     _coset_states,
     _covariance_dev,
     _max,
@@ -136,26 +137,26 @@ def orbit_reading(povm, every_element=False):
     """(code, y) -> (M, a) for every element and, keyed (bottom, 0), the
     leftover: the audits read the entries, spectrum and Fourier diagonal of
     outcome (code, y) off M, and its Born overlap with psi_x as that of M with
-    psi_(x+a).  Where every generator relabelling reproduces the code's
-    elements bit for bit, M is outcome 0 and a the least shift with H.a = y,
-    as F[(H, y)] = X_a F[(H, 0)] X_a and X_a psi_x = psi_(x+a); otherwise, and
-    for every code with `every_element`, M is the element itself and a = 0."""
-    n = povm.n
-    keyed = {**povm.elements, (ParityCode.bottom(n), 0): povm.perp}
-    exact = {}
-    for (code, y), mat in keyed.items():
-        for j in range(n):
-            partner = keyed[(code, y ^ code.parity(1 << j))]
-            if shifted(mat, 1 << j).tobytes() != partner.tobytes():
-                exact[code] = False
-        exact.setdefault(code, not every_element)
-    reading = {}
-    for (code, y), mat in keyed.items():
-        if exact[code]:
-            reading[(code, y)] = (keyed[(code, 0)], least_shift(code, y))
-        else:
-            reading[(code, y)] = (mat, 0)
-    return reading
+    psi_(x+a).  By default, the reading of a built set, M is outcome 0 and a
+    the least shift with H.a = y, as F[(H, y)] = X_a F[(H, 0)] X_a and
+    X_a psi_x = psi_(x+a); with `every_element`, the reading of a dense set,
+    M is the element itself and a = 0."""
+    keyed = {**povm.elements, (ParityCode.bottom(povm.n), 0): povm.perp}
+    if every_element:
+        return {key: (mat, 0) for key, mat in keyed.items()}
+    return {(code, y): (keyed[(code, 0)], least_shift(code, y)) for code, y in keyed}
+
+
+def top(values):
+    """max(values), but NaN if any value is, as the audits' maxima read."""
+    values = list(values)
+    return math.nan if any(map(math.isnan, values)) else max(values)
+
+
+def least(values):
+    """min(values), but NaN if any value is."""
+    values = list(values)
+    return math.nan if any(map(math.isnan, values)) else min(values)
 
 
 def rho_eval_loops(povm, cost, every_element=False):
@@ -209,11 +210,13 @@ def verify_povm_loops(povm, *, every_element=False, tol_hermitian=1e-12, tol_psd
     reading = orbit_reading(povm, every_element)
     read = [m for m, _ in reading.values()]
 
-    herm = max(
+    herm = top(
         float(np.max(np.abs(m - m.conj().T))) for m in read
     )
-    min_eig = min(
-        float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2))) for m in read
+    # eigvalsh fails on a non-finite entry: its spectrum reads NaN
+    min_eig = least(
+        float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2))) if np.isfinite(m).all()
+        else math.nan for m in read
     )
     total = sum(all_ops[:-1], np.zeros((size, size), dtype=complex)) + povm.perp
     complete = float(np.linalg.norm(total - np.eye(size)))
@@ -225,7 +228,7 @@ def verify_povm_loops(povm, *, every_element=False, tol_hermitian=1e-12, tol_psd
         for x in all_vectors(n):
             if code.parity(x) != y:
                 s = states[x ^ a]
-                unambig = max(unambig, abs(complex(np.conj(s) @ (mat @ s))))
+                unambig = top([unambig, abs(complex(np.conj(s) @ (mat @ s)))])
 
     # covariance on the generators e_1..e_n, reported as n times the largest
     # deviation: a bound on the deviation under every shift
@@ -234,10 +237,10 @@ def verify_povm_loops(povm, *, every_element=False, tol_hermitian=1e-12, tol_psd
     for (code, y), mat in povm.elements.items():
         for a in generators:
             partner = povm.elements[(code, y ^ code.parity(a))]
-            sym_dev = max(sym_dev, float(np.max(np.abs(shifted(mat, a) - partner))))
+            sym_dev = top([sym_dev, float(np.max(np.abs(shifted(mat, a) - partner)))])
     for a in generators:
         moved = shifted(povm.perp, a)
-        sym_dev = max(sym_dev, float(np.max(np.abs(moved - povm.perp))))
+        sym_dev = top([sym_dev, float(np.max(np.abs(moved - povm.perp)))])
     sym_dev = n * sym_dev
 
     gamma_ok = (
@@ -268,17 +271,17 @@ def fourier_diag_check_loops(povm, every_element=False):
         agg = sum(mats[1:], mats[0].copy())
         agg_hat = w_mat @ agg @ w_mat
         off = agg_hat - np.diag(np.diag(agg_hat))
-        offdiag = max(offdiag, float(np.max(np.abs(off))))
+        offdiag = top([offdiag, float(np.max(np.abs(off)))])
         scale = 1 << code.k
         for _, read in pairs:
             mat_hat_diag = np.real(np.diag(w_mat @ read @ w_mat))
-            factor = max(factor, float(np.max(np.abs(
+            factor = top([factor, float(np.max(np.abs(
                 np.real(np.diag(agg_hat)) - scale * mat_hat_diag
-            ))))
+            )))])
             cos = code.cosets
             for s in range(len(cos)):
                 vals = [weights[i] * mat_hat_diag[i] for i in cos[s].tolist()]
-                spread = max(spread, max(vals) - min(vals))
+                spread = top([spread, top(vals) - least(vals)])
     return (offdiag, factor, float(spread))
 
 
@@ -514,14 +517,14 @@ class TestBuildFromPrimal:
         sol, _ = solve_primal(p, CostFunction.average(3), mode="float")
         povm = build_from_primal(sol, p)
         built, elements = stacks(povm), povm.elements
-        assert list(built) == list(povm.held)
-        for code, zero in povm.held.items():
-            # the set holds outcome 0 alone, and builds each stack on read
-            # as outcome 0 relabelled to every outcome
-            assert zero.shape == (8, 8) and not zero.flags.writeable
-            stack = built[code]
+        assert list(built) == list(held(povm))[:-1]
+        for code, stack in built.items():
+            # the set holds outcome 0 alone, one row, and builds each stack on
+            # read as outcome 0 relabelled to every outcome
+            zero = held(povm)[code]
+            assert zero.shape == (1, 8, 8) and not zero.flags.writeable
             assert len(stack) == 1 << code.k and not stack.flags.writeable
-            assert stack.tobytes() == _relabelled(zero, code.least_shifts).tobytes()
+            assert stack.tobytes() == _relabelled(zero[0], code.least_shifts).tobytes()
             for y in range(len(stack)):
                 assert not elements[(code, y)].flags.writeable
                 assert elements[(code, y)].tobytes() == stack[y].tobytes()
@@ -771,8 +774,10 @@ class TestOperatorCap:
         assert abs(rho_eval(povm, cost) - objective) <= 1e-9
         assert max(fourier_diag_check(povm).to_json_dict().values()) <= 1e-9
         assert all_shifts_deviation(povm) <= ver.max_symmetry_dev * (1 + 1e-12)
-        assert float_bits([_covariance_dev(code, stack) for code, stack in _code_stacks(povm)]) == \
-            float_bits([covariance_dev_loops(code, stack) for code, stack in _code_stacks(povm)])
+        every = stacks(povm, leftover=True).items()
+        assert float_bits([_covariance_dev(code, stack) for code, stack in every]) == \
+            float_bits([covariance_dev_loops(code, stack) for code, stack in every])
+        assert_symmetry_dev(povm)
         assert_audits_match_loops(povm)
 
     def test_above_cap_refused(self):
@@ -818,10 +823,10 @@ def float_bits(values):
     return [(type(v), v.hex() if isinstance(v, float) else v) for v in values]
 
 
-def assert_symmetry_dev(povm, devs):
-    """`verify_povm`'s max_symmetry_dev is n times the largest of `devs`, the
-    `_covariance_dev` of every stack, bit for bit, NaN kept."""
-    want = povm.n * reduce(_max, devs, 0.0)
+def assert_symmetry_dev(povm):
+    """`verify_povm`'s max_symmetry_dev is n times the largest
+    `_covariance_dev` of every held stack, bit for bit, NaN kept."""
+    want = povm.n * reduce(_max, [_covariance_dev(c, s) for c, s in held(povm).items()], 0.0)
     assert float_bits([verify_povm(povm).max_symmetry_dev]) == float_bits([want])
 
 
@@ -836,17 +841,19 @@ def assert_relabellings(povm):
             assert stack[:, p[:, None], p].tobytes() == stack[partners].tobytes()
 
 
-def assert_audits_match_loops(povm):
+def assert_audits_match_loops(povm, every_element=False):
     """`verify_povm`, `fourier_diag_check` and `rho_eval` give the
-    element-loop oracles' figures bit for bit."""
+    element-loop oracles' figures bit for bit: their outcome-0 reading for a
+    built set, their every-element reading for a dense one."""
     n = povm.n
     assert float_bits(verify_povm(povm).to_json_dict().values()) == \
-        float_bits(verify_povm_loops(povm).to_json_dict().values())
+        float_bits(verify_povm_loops(povm, every_element=every_element).to_json_dict().values())
     assert float_bits(fourier_diag_check(povm).to_json_dict().values()) == \
-        float_bits(fourier_diag_check_loops(povm))
+        float_bits(fourier_diag_check_loops(povm, every_element))
     for cost in (CostFunction.average(n), CostFunction.threshold(n, 1),
                  CostFunction(n, [Fraction(1, 2)] + [1] * n)):
-        assert float_bits([rho_eval(povm, cost)]) == float_bits([rho_eval_loops(povm, cost)])
+        assert float_bits([rho_eval(povm, cost)]) == \
+            float_bits([rho_eval_loops(povm, cost, every_element)])
 
 
 def assert_same_sets(got, want):
@@ -896,6 +903,22 @@ class TestFromElements:
         with pytest.raises(ValueError, match="outside range"):
             PovmSet.from_elements(2, elements, base.perp, base.profile)
 
+    def test_code_of_another_n_refused(self):
+        # an n=2 code in an n=1 set, which the audits would index past its end
+        base = seeded_sets(1)["optimum"]
+        code = codes_of_rank(2, 1)[0]
+        elements = {**base.elements, (code, 0): np.zeros((2, 2), dtype=complex)}
+        with pytest.raises(ValueError, match="on 2 bits in a set on 1"):
+            PovmSet.from_elements(1, elements, base.perp, base.profile)
+
+    def test_rank_0_code_refused(self):
+        # a valid n=1 set of two identity halves, one given as the rank-0
+        # outcome: the leftover perp is that outcome, so the set is refused
+        # rather than held with two no-information elements
+        half = np.eye(2, dtype=complex) / 2
+        with pytest.raises(ValueError, match="rank-0"):
+            PovmSet.from_elements(1, {(ParityCode.bottom(1), 0): half}, half, uniform_amps(1))
+
 
 class TestAuditsMatchLoops:
     """The per-code batched audits reproduce the element-by-element loops
@@ -903,10 +926,13 @@ class TestAuditsMatchLoops:
 
     @pytest.mark.parametrize("n,label", SEEDED)
     def test_verify_povm(self, n, label):
+        # the built optimum is read off outcome 0, every dense set element
+        # by element
         povm = seeded_sets(n)[label]
         got = verify_povm(povm)
+        every = label != "optimum"
         assert float_bits(got.to_json_dict().values()) == \
-            float_bits(verify_povm_loops(povm).to_json_dict().values())
+            float_bits(verify_povm_loops(povm, every_element=every).to_json_dict().values())
         assert got.ok == (label == "optimum")
 
     @pytest.mark.parametrize("n,label", SEEDED)
@@ -916,14 +942,14 @@ class TestAuditsMatchLoops:
                  CostFunction(n, [Fraction(1, 2)] + [1] * n)]
         for cost in costs:
             assert float_bits([rho_eval(povm, cost)]) == \
-                float_bits([rho_eval_loops(povm, cost)])
+                float_bits([rho_eval_loops(povm, cost, every_element=label != "optimum")])
 
     @pytest.mark.parametrize("n,label", SEEDED)
     def test_fourier_diag_check(self, n, label):
         povm = seeded_sets(n)[label]
         got = fourier_diag_check(povm)
         assert float_bits(got.to_json_dict().values()) == \
-            float_bits(fourier_diag_check_loops(povm))
+            float_bits(fourier_diag_check_loops(povm, every_element=label != "optimum"))
 
     @pytest.mark.parametrize("n,label", SEEDED)
     def test_symmetrize(self, n, label):
@@ -942,9 +968,9 @@ class TestAuditsMatchLoops:
         # reference walks the elements one at a time through `shifted`
         povm = seeded_sets(n)[label]
         devs = [(_covariance_dev(code, stack), covariance_dev_loops(code, stack))
-                for code, stack in _code_stacks(povm)]
+                for code, stack in stacks(povm, leftover=True).items()]
         assert float_bits([got for got, _ in devs]) == float_bits([want for _, want in devs])
-        assert_symmetry_dev(povm, [got for got, _ in devs])
+        assert_symmetry_dev(povm)
         assert (max(got for got, _ in devs) > 1e-6) == (label != "optimum")
         if n >= 3:
             # a rank >= 1 code with H.e_j = 0: a generator whose flip leaves
@@ -954,24 +980,26 @@ class TestAuditsMatchLoops:
 
     @pytest.mark.parametrize("n,label", SEEDED)
     def test_orbit_reading_matches_every_element(self, n, label):
-        # reading an exactly covariant code off outcome 0 moves the figures
+        # a dense copy of a set holds every element and is read element by
+        # element, as the every-element loops read it; reading the built,
+        # exactly covariant optimum off outcome 0 instead moves the figures
         # by rounding alone, and no verdict
         povm = seeded_sets(n)[label]
-        # at n = 1 the one informative code is the one each label breaks
-        assert any(a for _, a in orbit_reading(povm).values()) == (n > 1 or label == "optimum")
-        orbit, every = (verify_povm_loops(povm, every_element=flag).to_json_dict()
-                        for flag in (False, True))
+        dense = PovmSet.from_elements(n, povm.elements, povm.perp, povm.profile)
+        assert all(len(stack) == 1 << code.k for code, stack in held(dense).items())
+        assert all(len(stack) == 1 for stack in held(povm).values()) == (label == "optimum")
+        assert_audits_match_loops(dense, every_element=True)
+        orbit, every = verify_povm(povm).to_json_dict(), verify_povm(dense).to_json_dict()
         for key, value in orbit.items():
             if isinstance(value, bool):
                 assert value == every[key], key
             else:
                 assert abs(value - every[key]) <= 1e-15, key
-        for got, want in zip(fourier_diag_check_loops(povm),
-                             fourier_diag_check_loops(povm, every_element=True)):
+        for got, want in zip(fourier_diag_check(povm).to_json_dict().values(),
+                             fourier_diag_check(dense).to_json_dict().values()):
             assert abs(got - want) <= 1e-15
         for cost in (CostFunction.average(n), CostFunction.threshold(n, 1)):
-            assert math.isclose(rho_eval_loops(povm, cost),
-                                rho_eval_loops(povm, cost, every_element=True),
+            assert math.isclose(rho_eval(povm, cost), rho_eval(dense, cost),
                                 rel_tol=1e-14, abs_tol=0)
 
     @pytest.mark.parametrize("n,label", SEEDED)
@@ -983,13 +1011,16 @@ class TestAuditsMatchLoops:
 
     @pytest.mark.parametrize("name", ["minus-zero", "kernel-shift"])
     def test_orbit_breaks(self, name):
-        # "minus-zero" relabels outcome 0 value for value, but not byte for
-        # byte: it is read element by element, as the loops read it
+        # a dense set, so every code, the broken one too, is held as its 2^k
+        # outcomes and read element by element, as the loops read it;
+        # "minus-zero" relabels outcome 0 value for value, but not byte for byte
         povm, broken = orbit_breaks()[1][name]
-        assert not povm.exact_orbits[list(stacks(povm)).index(broken)]
-        assert_audits_match_loops(povm)
+        assert len(held(povm)[broken]) == 1 << broken.k
+        assert_audits_match_loops(povm, every_element=True)
 
     def test_nan_break_reads_nan(self):
+        # a dense set, so its figures are also the loops' every-element
+        # reading, NaN kept
         povm, _ = orbit_breaks()[1]["nan"]
         ver = verify_povm(povm).to_json_dict()
         figures = [v for v in ver.values() if isinstance(v, float)]
@@ -997,6 +1028,7 @@ class TestAuditsMatchLoops:
                     rho_eval(povm, CostFunction.average(3))]
         assert len(figures) == 9 and all(map(math.isnan, figures))
         assert not (ver["gamma_ok"] or ver["symmetric_ok"] or ver["ok"])
+        assert_audits_match_loops(povm, every_element=True)
 
 
 def with_outcome_1(base, code, mat):
@@ -1006,8 +1038,9 @@ def with_outcome_1(base, code, mat):
 
 
 class TestOrbitReading:
-    """A code is read off outcome 0 exactly when the exact-orbit test passes:
-    anything else takes the element-by-element path."""
+    """A code is read off outcome 0 exactly when it is held as outcome 0
+    alone, one row: a code held as its 2^k outcomes takes the
+    element-by-element path, however close to an orbit it is."""
 
     def test_negative_eigenvalue_off_outcome_0_is_found(self):
         # outcome 1 is the relabelled outcome 0 less 1e-6 |v><v| for a unit v
@@ -1026,8 +1059,9 @@ class TestOrbitReading:
 
     def test_one_ulp_off_takes_the_element_path(self):
         # one Hermitian pair of entries of outcome 1 a ulp off the relabelled
-        # outcome 0: the code's overlaps are those of its elements, which
-        # differ in bits from those read off outcome 0
+        # outcome 0: the code, held as its 2^k outcomes, is read element by
+        # element, and its overlaps, which differ in bits from those read off
+        # outcome 0, are those of its elements
         base = seeded_sets(3)["optimum"]
         code = next(code for code in stacks(base) if code.k == 3)
         mat = shifted(base.elements[(code, 0)], least_shift(code, 1))
@@ -1037,7 +1071,8 @@ class TestOrbitReading:
         povm = with_outcome_1(base, code, mat)
         at = list(stacks(povm)).index(code)
         stack = stacks(povm)[code]
-        assert not povm.exact_orbits[at] and 0 < _covariance_dev(code, stack) < 1e-15
+        assert held(povm)[code].tobytes() == stack.tobytes() and len(stack) == 8
+        assert 0 < _covariance_dev(code, stack) < 1e-15
         assert verify_povm(povm).max_symmetry_dev > 0
 
         states = _states(povm.profile)
@@ -1047,10 +1082,7 @@ class TestOrbitReading:
                                for y in range(len(stack))])
         assert read_off_0.tobytes() != direct.tobytes()
         assert povm.overlaps[at].tobytes() == direct.tobytes()
-        assert float_bits(verify_povm(povm).to_json_dict().values()) == \
-            float_bits(verify_povm_loops(povm).to_json_dict().values())
-        assert float_bits(fourier_diag_check(povm).to_json_dict().values()) == \
-            float_bits(fourier_diag_check_loops(povm))
+        assert_audits_match_loops(povm, every_element=True)
 
 
 class TestNonFinite:
@@ -1128,7 +1160,7 @@ class TestNonFinite:
         overlaps[at][y, x] = value
         povm.__dict__["overlaps"] = overlaps
         walk = 0.0
-        for (code, stack), rows in zip(_code_stacks(povm), overlaps):
+        for (code, stack), rows in zip(stacks(povm, leftover=True).items(), overlaps):
             wrong = code.parities != np.arange(len(stack))[:, None]
             walk = reduce(_max, map(abs, rows[wrong].tolist()), walk)
         with warnings.catch_warnings():
@@ -1142,11 +1174,11 @@ ORBIT_CASES = [(n, family, tau) for n in (3, 4, 5) for family in ("rational", "p
 
 
 class TestExactOrbits:
-    """One exact-orbit test per code: a code is read off outcome 0 exactly
-    when the exact-orbit test passes.  Every code `build_from_primal` makes
-    passes it, has deviation 0 and is reported as its outcome 0 and shifts;
-    only a code that fails it takes `_covariance_dev` in `verify_povm`, whose
-    max_symmetry_dev is n times the largest deviation of every stack."""
+    """How a code is held decides how it is read, with no test of its bytes.
+    Every code `build_from_primal` makes is held as outcome 0 alone, one row,
+    has deviation 0 on the generators of ker H and is reported as its
+    outcome 0 and shifts; `verify_povm` runs `_covariance_dev` on every held
+    stack, and its max_symmetry_dev is n times the largest deviation."""
 
     @pytest.mark.parametrize("n,family,tau", ORBIT_CASES)
     def test_every_built_code_passes(self, n, family, tau):
@@ -1162,13 +1194,13 @@ class TestExactOrbits:
                 ball = perturb_full_support(ball_profile(n, 2, rng), Fraction(1, 50))
                 p, mode = ball.with_real_amplitudes(), "exact"
             povm = build_from_primal(solve_primal(p, cost, mode)[0], p)
-            built = stacks(povm)
+            built, rows = stacks(povm), held(povm)
             codes += len(built)
-            assert all(povm.exact_orbits[:len(built)])
+            assert all(len(rows[code]) == 1 for code in built)
             assert_relabellings(povm)
-            devs = [_covariance_dev(code, stack) for code, stack in _code_stacks(povm)]
+            devs = [_covariance_dev(code, stack) for code, stack in rows.items()]
             assert float_bits(devs[:len(built)]) == float_bits([0.0] * len(built))
-            assert_symmetry_dev(povm, devs)
+            assert_symmetry_dev(povm)
             report = povm.to_json_dict()["codes"]
             assert [entry["H"] for entry in report] == \
                 [code.label() for code in sorted(built, key=lambda code: code.sort_key)]
@@ -1176,37 +1208,47 @@ class TestExactOrbits:
                 code = next(code for code in built if code.label() == entry["H"])
                 # the report holds outcome 0 itself, not a copy, and its shifts
                 (zero,) = entry["held"]
-                assert zero.base is povm.held[code] and zero.shape == povm.held[code].shape
+                assert zero.base is rows[code].base and zero.shape == rows[code].shape[1:]
                 assert entry["shifts"] == [vec_str(least_shift(code, y), n)
                                            for y in range(1 << code.k)]
                 assert np.stack(report_outcomes(entry)).tobytes() == built[code].tobytes()
         assert codes > 0
 
     def test_deviation_only_off_the_orbit(self, monkeypatch):
-        # verify_povm runs `_covariance_dev` on each stack that fails the
-        # exact-orbit test, once, and on no other
+        # verify_povm runs `_covariance_dev` once on each held stack, as held:
+        # one row for each built code, 2^k rows for each code of a dense set;
+        # of the codes, only the broken one of a break deviates, and
+        # "minus-zero" by a sign of zero alone, which is no deviation in value
         base, breaks = orbit_breaks()
         seen = []
         real = _covariance_dev
         monkeypatch.setattr("paritylp.povm._covariance_dev",
-                            lambda code, stack: seen.append(code) or real(code, stack))
-        for povm in [base, *(povm for povm, _ in breaks.values())]:
+                            lambda code, stack: seen.append((code, len(stack))) or real(code, stack))
+        for name, (povm, broken) in [("base", (base, None)), *breaks.items()]:
             seen.clear()
             verify_povm(povm)
-            assert seen == [code for (code, _), exact in zip(_code_stacks(povm), povm.exact_orbits)
-                            if not exact]
-            assert len(seen) == 1 + (povm is not base)
+            rows = held(povm)
+            assert seen == [(code, len(stack)) for code, stack in rows.items()]
+            assert [len(stack) for stack in rows.values()][:-1] == \
+                [1 if povm is base else 1 << code.k for code in list(rows)[:-1]]
+            assert [code for code, stack in list(rows.items())[:-1] if real(code, stack) != 0.0] == \
+                ([] if broken is None or name == "minus-zero" else [broken])
 
     def test_breaks_take_the_deviation(self):
+        # each break is a dense set, every code held as its 2^k outcomes and
+        # checked on e_1..e_n; the broken code alone deviates in value
         base, breaks = orbit_breaks()
-        assert all(base.exact_orbits[:len(stacks(base))])
+        assert all(len(stack) == 1 for stack in held(base).values())
         for name, (povm, broken) in breaks.items():
+            rows = held(povm)
             codes = list(stacks(povm))
-            assert povm.exact_orbits[:len(codes)] == [code != broken for code in codes], name
-            devs = [_covariance_dev(code, stack) for code, stack in _code_stacks(povm)]
-            assert_symmetry_dev(povm, devs)
+            assert [len(rows[code]) for code in codes] == [1 << code.k for code in codes], name
+            devs = [_covariance_dev(code, stack) for code, stack in rows.items()]
+            assert_symmetry_dev(povm)
             assert float_bits(devs) == float_bits(
-                [covariance_dev_loops(code, stack) for code, stack in _code_stacks(povm)]), name
+                [covariance_dev_loops(code, stack) for code, stack in rows.items()]), name
+            assert [dev == 0.0 for dev in devs[:len(codes)]] == \
+                [code != broken or name == "minus-zero" for code in codes], name
             dev = devs[codes.index(broken)]
             assert {"minus-zero": dev == 0.0, "nan": math.isnan(dev),
                     "kernel-shift": dev > 1e-4}[name]
@@ -1218,37 +1260,49 @@ class TestExactOrbits:
 
     @pytest.mark.parametrize("name", ["nan", "kernel-shift"])
     def test_held_outcome_0_off_the_orbit(self, name):
-        # the broken code held by its edited outcome 0 alone fails the kernel
-        # or NaN clause as its dense copy does; every reader then builds its
-        # stack, so each figure and matrix is the dense copy's, bit for bit
+        # the broken code held by its edited outcome 0 alone, one row, has the
+        # dense copy's elements, and is read off outcome 0 as every one-row
+        # stack is, with covariance on the generators of ker H
         base, breaks = orbit_breaks()
         dense, code = breaks[name]
-        held = PovmSet(base.n, {**base.held, code: stacks(dense)[code][0]}, base.perp,
-                       base.profile)
-        assert held.held[code].shape == (8, 8)
-        assert held.exact_orbits == dense.exact_orbits
-        assert not held.exact_orbits[list(held.held).index(code)]
-        assert [s.tobytes() for s in stacks(held).values()] == \
+        one = holding(base, code, stacks(dense)[code][:1])
+        assert held(one)[code].shape == (1, 8, 8)
+        assert [s.tobytes() for s in stacks(one).values()] == \
             [s.tobytes() for s in stacks(dense).values()]
-        for audit in (lambda s: verify_povm(s).to_json_dict().values(),
-                      lambda s: fourier_diag_check(s).to_json_dict().values(),
-                      lambda s: [rho_eval(s, CostFunction.average(3))],
-                      lambda s: [_covariance_dev(c, stack) for c, stack in _code_stacks(s)]):
-            assert float_bits(audit(held)) == float_bits(audit(dense))
+        # the loops' outcome-0 reading, bit for bit, NaN kept, but for the
+        # covariance, which the audit takes on the generators of ker H
+        ver, want = verify_povm(one).to_json_dict(), verify_povm_loops(one).to_json_dict()
+        sym, symmetric_ok = ver.pop("max_symmetry_dev"), ver.pop("symmetric_ok")
+        del want["max_symmetry_dev"], want["symmetric_ok"]
+        assert float_bits(ver.values()) == float_bits(want.values())
+        assert float_bits(fourier_diag_check(one).to_json_dict().values()) == \
+            float_bits(fourier_diag_check_loops(one))
+        assert float_bits([rho_eval(one, CostFunction.average(3))]) == \
+            float_bits([rho_eval_loops(one, CostFunction.average(3))])
+        if name == "nan":
+            # ker H of the rank-3 code is 0, and its outcomes carry the NaN
+            # onto one another exactly: the deviation is the leftover's alone
+            assert math.isnan(ver["max_hermitian_dev"]) and not ver["gamma_ok"]
+            assert sym == verify_povm(base).max_symmetry_dev and symmetric_ok
+        else:
+            # n times the deviation on ker H still bounds every shift's
+            assert 1e-4 < all_shifts_deviation(one) <= sym * (1 + 1e-12)
+            assert not symmetric_ok
 
         def outcomes(s):
             return [[m.tobytes() for m in report_outcomes(entry)]
                     for entry in s.to_json_dict()["codes"]]
 
         # written as held, as outcome 0 and its shifts, and rebuilt bit for bit
-        (entry,) = [e for e in held.to_json_dict()["codes"] if e["H"] == code.label()]
+        (entry,) = [e for e in one.to_json_dict()["codes"] if e["H"] == code.label()]
         assert len(entry["held"]) == 1
-        assert outcomes(held) == outcomes(dense)
+        assert outcomes(one) == outcomes(dense)
 
 
 class TestStorage:
-    """A built set holds one (2^n, 2^n) outcome 0 per code and its leftover,
-    and the povm job's peak stays near one code's stack."""
+    """A built set holds each code as one row, a view of its (2^n, 2^n)
+    outcome 0, and its leftover, and the povm job's peak stays near one
+    code's stack."""
 
     @pytest.fixture(scope="class")
     def phased5(self):
@@ -1258,10 +1312,11 @@ class TestStorage:
     def test_holds_outcome_0_alone(self, phased5):
         p, sol = phased5
         povm = build_from_primal(sol, p)
-        assert all(povm.exact_orbits[:-1]) and len(povm.held) > 1
-        assert all(mat.shape == (32, 32) for mat in povm.held.values())
-        held = sum(mat.nbytes for mat in povm.held.values()) + povm.perp.nbytes
-        assert held == (len(povm.held) + 1) * 16 * 4 ** 5
+        rows = list(held(povm).values())
+        assert len(rows) > 2 and all(s.shape == (1, 32, 32) for s in rows)
+        # each code's row is a read-only view of its outcome 0, not a copy
+        assert not any(s.flags.owndata or s.flags.writeable for s in rows[:-1])
+        assert sum(s.base.nbytes for s in rows) == len(rows) * 16 * 4 ** 5
 
     def test_report_peak(self, phased5):
         p, sol = phased5

@@ -62,6 +62,10 @@ def _cost_from_args(n: int, args) -> CostFunction:
         raise ToolkitError("--tau is read only with --cost threshold")
     if args.cost_values is not None and args.cost != "custom":
         raise ToolkitError("--cost-values is read only with --cost custom")
+    if args.cost == "threshold" and args.tau is None:
+        raise ToolkitError("--cost threshold needs --tau")
+    if args.cost == "custom" and args.cost_values is None:
+        raise ToolkitError("--cost custom needs --cost-values")
     values = None if args.cost_values is None else args.cost_values.split(",")
     return CostFunction.from_json_dict(n, {"kind": args.cost, "tau": args.tau, "values": values})
 

@@ -1,11 +1,11 @@
 """Explicit measurement operators from primal solutions, with verification.
 
-Every element attached to a (code, y) outcome is a mixture of rank-one
-projectors onto the coset states A_s, weighted by mu[(code, s)] / 2^k.  The
-Fourier diagonal of such an element is lambda_i / 2^k, which makes the set
-complete once the leftover goes to the no-information element, keeps every
-wrong-outcome overlap exactly zero, and commutes with shifts up to the
-outcome relabeling y -> y + H.a.  All of that is re-checked numerically by
+Every element attached to a (code, y) outcome, the rank-0 leftover too, is
+a mixture of rank-one projectors onto the coset states A_s, weighted by
+mu[(code, s)] / 2^k.  Its Fourier diagonal is lambda_i / 2^k, which makes
+the set complete exactly when mu is feasible, keeps every wrong-outcome
+overlap exactly zero, and commutes with shifts up to the outcome
+relabeling y -> y + H.a.  All of that is re-checked numerically by
 ``verify_povm`` instead of being trusted.  A set holds each code as a stack:
 a built code as outcome 0 alone, one row, and a hand-built or symmetrized
 code as all 2^k outcomes.  How a code is held decides how it is read: the
@@ -93,14 +93,20 @@ class PovmSet:
     perp: np.ndarray
     profile: AmplitudeProfile
 
+    def __post_init__(self):  # a read-only copy of perp, as the overlaps are cached
+        perp = np.array(self.perp, dtype=complex)
+        if perp.shape != (1 << self.n,) * 2:
+            raise ValueError(f"a leftover of shape {perp.shape} in a set on {self.n} bits")
+        perp.flags.writeable = False
+        object.__setattr__(self, "perp", perp)
+
     @classmethod
     def from_elements(cls, n: int, elements, perp: np.ndarray,
                       profile: AmplitudeProfile) -> PovmSet:
-        """The set of an element mapping keyed by (code, y): one stack per
-        code, the codes in the order they first appear, and a zero element
-        for each outcome of a listed code that the mapping lacks.  A code of
-        another n, a rank-0 code (`perp` is its outcome) and an outcome
-        outside range(2^k) are refused."""
+        """The set of an element mapping keyed by (code, y): one stack per code,
+        in the order the codes first appear, zero for each outcome of a listed
+        code that the mapping lacks.  A code of another n or of rank 0 (`perp`
+        is its outcome) and an outcome outside range(2^k) are refused."""
         size = 1 << n
         stacks: dict = {}
         for (code, y), mat in elements.items():
@@ -150,25 +156,22 @@ class PovmSet:
 def build_from_primal(sol: PrimalSolution, profile: AmplitudeProfile) -> PovmSet:
     """Assemble the measurement attached to a feasible primal point.
 
-    F[(code, y)] = sum_s mu[(code, s)] / 2^k |A_s><A_s| for every rank >= 1
-    code carrying mass.  Only outcome 0 is summed and held: the A_s of
-    outcome y are those of outcome 0 shifted by any a with H.a = y, up to
-    sign, so outcome y is outcome 0 `_relabelled` by the least such a.  The
-    leftover completes the set; the Fourier structure keeps it positive."""
+    F[(code, y)] = sum_s mu[(code, s)] / 2^k |A_s><A_s| for every code, the
+    rank-0 one's outcome 0 being `perp` (zero if it carries no mass).  Only
+    outcome 0 is summed: the A_s of outcome y are those of outcome 0 shifted
+    by any a with H.a = y, up to sign, so outcome y is outcome 0 `_relabelled`
+    by the least such a.  The set is complete only if mu is feasible."""
     _check_n(profile.n)
     size = 1 << profile.n
-    # (s, mu / 2^k) for each coset of each rank >= 1 code that carries mass
-    # in binary64
+    # (s, mu / 2^k) for each coset of each code that carries mass in binary64
     carried: dict = {}
     for (code, s), v in sol.mu.items():
         c = float(v) / (1 << code.k)
-        if code.k and c:
+        if c:
             carried.setdefault(code, []).append((s, c))
     position = code_positions(profile.n)
     held: dict = {}
-    total = np.zeros((size, size), dtype=complex)
-    # codes in the table's order, then syndromes and outcomes ascending: the
-    # order the terms and elements are summed in, here and in verify_povm
+    # codes in the table's order, which verify_povm sums in, syndromes ascending
     for code in sorted(carried, key=position.__getitem__):
         syndromes, coeffs = zip(*sorted(carried[code]))
         outcome0 = np.zeros((size, size), dtype=complex)
@@ -176,11 +179,9 @@ def build_from_primal(sol: PrimalSolution, profile: AmplitudeProfile) -> PovmSet
             term = vec[:, None] * np.conj(vec)[None, :]
             term *= c
             outcome0 += term
-        for shift in code.least_shifts.tolist():
-            total += _relabelled(outcome0, shift)
         outcome0.flags.writeable = False
         held[code] = outcome0[None]
-    perp = np.eye(size, dtype=complex) - total
+    perp = held.pop(ParityCode.bottom(profile.n), np.zeros((1, size, size)))[0]
     return PovmSet(profile.n, held, perp, profile)
 
 
@@ -207,8 +208,7 @@ class _Elements(Mapping):
 
 
 def _code_stacks(povm: PovmSet) -> list:
-    """(code, held stack) per code in the set's order, then
-    (ParityCode.bottom(n), perp as one row)."""
+    """(code, held stack) per code in the set's order, then the rank-0 code's: perp as one row."""
     return [*povm.held.items(), (ParityCode.bottom(povm.n), povm.perp[None])]
 
 

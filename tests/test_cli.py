@@ -185,6 +185,18 @@ class TestOptionSurface:
         assert main(argv.format(p=profile_file).split()) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("command", ["solve", "povm --assume-real-amplitudes",
+                                         "simulate --x 01 --seed 1"])
+    @pytest.mark.parametrize("cost, message", [
+        ("threshold", "--cost threshold needs --tau"),
+        ("custom", "--cost custom needs --cost-values"),
+    ])
+    def test_cost_option_missing_is_named(self, capsys, profile_file, command, cost, message):
+        # the options are named, not the keys of the cost's JSON form
+        argv = f"{command} --profile {profile_file} --cost {cost}".split()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_zero_tolerance_accepted(self):
         args = build_parser().parse_args(["povm", "--profile", "p.json", "--tol-feas", "0",
                                           "--tol-complete", "1e-3", "--tol-unambig", "2"])

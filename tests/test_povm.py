@@ -39,6 +39,7 @@ from paritylp.f2lin import (
 from paritylp.lp import PrimalSolution, solve_primal
 from paritylp.povm import (
     POVM_MAX_N,
+    TOL_COMPLETE,
     PovmSet,
     PovmVerification,
     _coset_states,
@@ -109,23 +110,24 @@ def coset_basis_loops(profile, code, y, syndromes=None):
 
 
 def build_from_primal_loops(sol, profile):
-    """One coset basis per outcome, summed syndrome by syndrome."""
+    """One coset basis per outcome, summed syndrome by syndrome, for every
+    code; the leftover is the rank-0 code's one outcome, or zero if that
+    code carries no mass."""
     size = 1 << profile.n
     elements = {}
     for code in enumerate_all_codes(profile.n):
         coeffs = [float(sol.mu.get((code, s), 0)) / (1 << code.k)
                   for s in range(1 << (profile.n - code.k))]
         live = [s for s, c in enumerate(coeffs) if c]
-        if code.k == 0 or not live:
+        if not live:
             continue
         for y in range(1 << code.k):
             mat = np.zeros((size, size), dtype=complex)
             for s, vec in zip(live, coset_basis_loops(profile, code, y, live)):
                 mat += coeffs[s] * np.outer(vec, np.conj(vec))
             elements[(code, y)] = mat
-    total = sum(elements.values(), np.zeros((size, size), dtype=complex))
-    return PovmSet.from_elements(profile.n, elements, np.eye(size, dtype=complex) - total,
-                                 profile)
+    perp = elements.pop((ParityCode.bottom(profile.n), 0), np.zeros((size, size), dtype=complex))
+    return PovmSet.from_elements(profile.n, elements, perp, profile)
 
 
 def least_shift(code, y):
@@ -615,22 +617,24 @@ class TestBuildFromPrimal:
         # LP optima (exact on rational weights), every candidate family, a
         # mixture with the bottom code, that mixture's mu in reverse order
         # and every syndrome of every rank-1 code from the last: the same
-        # elements in the same order, bit for bit; each set holds 2^k
-        # elements per code that carries mass, and they are exact
-        # relabellings of one another
+        # elements and leftover in the same order, bit for bit; each set
+        # holds 2^k elements per code that carries mass, and they are exact
+        # relabellings of one another.  The tau = n optima give the rank-0
+        # code mass, so the leftover is built from mu as every code is
         from paritylp.bounds import primal_candidate
 
         rng = random.Random(70 + n)
         p = random_phase_profile(n, rng)
         if phases == "real":
             p = rand_rational_profile(n, rng).with_real_amplitudes()
-        sols = []
-        for cost in (CostFunction.average(n), CostFunction.threshold(n, 1),
-                     CostFunction.threshold(n, min(2, n))):
+        sols, bottom = [], ParityCode.bottom(n)
+        for tau in (None, *sorted({1, min(2, n), n})):
+            cost = CostFunction.average(n) if tau is None else CostFunction.threshold(n, tau)
             for mode in ("float", "exact"):
                 sols.append(solve_primal(p, cost, mode=mode)[0])
+                assert tau != n or any(v for (code, _), v in sols[-1].mu.items() if code == bottom)
         sols += [primal_candidate(family, p) for family in ("hamming", "cohamming", "spike")]
-        sol, bottom = sols[0], ParityCode.bottom(n)
+        sol = sols[0]
         mixed = {key: v / 2 for key, v in sol.mu.items()}
         for s in all_vectors(n):
             mixed[(bottom, s)] = mixed.get((bottom, s), 0) + p.weights[s] / 2
@@ -644,6 +648,37 @@ class TestBuildFromPrimal:
             carrying = {code for (code, _), v in sol.mu.items() if code.k and v}
             assert len(povm.elements) == sum(1 << code.k for code in carrying)
             assert_relabellings(povm)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_leftover_built_from_mu(self, n):
+        # at tau = n the rank-0 code carries mass, and the leftover is its
+        # outcome 0: a relabelling of itself under every shift, so the set's
+        # covariance deviation is exactly 0, and complete because mu is
+        # feasible, not by construction
+        p = random_phase_profile(n, random.Random(90 + n))
+        cost = CostFunction.threshold(n, n)
+        sol, rep = solve_primal(p, cost, mode="float")
+        povm = build_from_primal(sol, p)
+        assert np.max(np.abs(povm.perp)) > 0.1
+        ver = verify_povm(povm)
+        assert ver.ok and ver.max_symmetry_dev == 0.0, ver.to_json_dict()
+        assert ver.completeness_frobenius <= 1e-12
+        assert rho_eval(povm, cost) == pytest.approx(float(rep.objective), abs=1e-8)
+
+    @pytest.mark.parametrize("scale", [Fraction(1, 2), Fraction(3, 2)])
+    @pytest.mark.parametrize("tau", [None, 3])
+    def test_scaled_mu_fails_completeness(self, scale, tau):
+        # mu scaled off the LP's row equality scales every element with it,
+        # the leftover too, so the set sums to scale times the identity
+        p = AmplitudeProfile.from_json_dict(phased_profile(3, random.Random(3)))
+        cost = CostFunction.average(3) if tau is None else CostFunction.threshold(3, tau)
+        sol, _ = solve_primal(p, cost)
+        assert verify_povm(build_from_primal(sol, p)).ok
+        scaled = PrimalSolution(3, {key: v * scale for key, v in sol.mu.items()},
+                                sol.objective * scale)
+        ver = verify_povm(build_from_primal(scaled, p))
+        assert ver.completeness_frobenius > TOL_COMPLETE and not ver.gamma_ok
+        assert ver.completeness_frobenius == pytest.approx(abs(1 - scale) * math.sqrt(8))
 
     def test_threshold_cost_solution(self):
         rng = random.Random(9)
@@ -866,6 +901,37 @@ def assert_same_sets(got, want):
 
 SEEDED = [(n, label) for n in (1, 2, 3, 4)
           for label in ("optimum", "zeroed", "missing", "non-hermitian")] + [(5, "optimum")]
+
+
+class TestPerp:
+    """Every set holds its leftover as a read-only complex (2^n, 2^n) copy,
+    so no write can leave its cached overlaps stale."""
+
+    def test_read_only_on_every_set(self):
+        base = seeded_sets(3)["optimum"]
+        sets = [base, symmetrize(base),
+                PovmSet.from_elements(3, base.elements, base.perp, base.profile),
+                PovmSet(3, {}, np.eye(8), base.profile)]
+        for povm in sets:
+            assert (povm.perp.dtype, povm.perp.shape) == (np.complex128, (8, 8))
+            with pytest.raises(ValueError):
+                povm.perp[0, 0] += 5.0
+
+    def test_given_leftover_is_copied(self):
+        base = seeded_sets(2)["optimum"]
+        perp = np.array(base.perp)
+        povm = PovmSet.from_elements(2, base.elements, perp, base.profile)
+        before = float_bits(verify_povm(povm).to_json_dict().values())
+        perp[0, 0] += 5.0
+        assert povm.perp.tobytes() == base.perp.tobytes()
+        assert float_bits(verify_povm(povm).to_json_dict().values()) == before
+
+    @pytest.mark.parametrize("shape", [(8, 8), (4,), (2, 4, 4)])
+    def test_mis_shaped_leftover_refused(self, shape):
+        base = seeded_sets(2)["optimum"]
+        with pytest.raises(ValueError, match="a leftover of shape"):
+            PovmSet.from_elements(2, base.elements, np.zeros(shape, dtype=complex),
+                                  base.profile)
 
 
 class TestFromElements:

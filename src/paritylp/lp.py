@@ -103,18 +103,23 @@ def model_text(name: str, sense: str, labels: list, objective: list, constraints
 
 @dataclass
 class SolveReport:
-    status: str
+    status: ClassVar[str] = "optimal"
     objective: object
     values: dict
-    # The arithmetic that ran: "exact" only for exact mode on a rational model.
-    mode: str
-    pivots: int
     wall_time: float
     strategy: str
     # b on the support: the multipliers of M x = w, in the model's own sense.
     duals: list
     # What the pivot loops did; no CLI report carries it.
     stats: simplex.SolveStats
+
+    @property
+    def mode(self) -> str:  # the arithmetic that ran: exact mode on a rational model
+        return FLOAT if self.strategy == simplex.FLOAT else EXACT
+
+    @property
+    def pivots(self) -> int:
+        return self.stats.pivots
 
     def to_json_dict(self) -> dict:
         """How the solve ran; the `solve` report gives its values elsewhere."""
@@ -131,10 +136,8 @@ def _label_str(label) -> str:
     if isinstance(label[0], ParityCode):
         code, s = label
         return f"mu[{code.label()},s={s}]"
-    if label[0] == "b":
-        _, i, n = label
-        return f"b[{vec_str(i, n)}]"
-    return str(label)
+    _, i, n = label
+    return f"b[{vec_str(i, n)}]"
 
 
 def _rank_value(cost: CostFunction, k: int):
@@ -218,8 +221,7 @@ def solve(model: LpModel, cost: CostFunction, mode: str = EXACT) -> SolveReport:
         raise SolveError(f"primal solve ended with status {result.status}")
     # Only the columns with x != 0, in column order: at most one per row.
     values = {model.labels[j]: v for j, v in result.x.items() if v}
-    return SolveReport("optimal", -result.objective, values, EXACT if exact else FLOAT,
-                       result.stats.pivots, elapsed, result.strategy,
+    return SolveReport(-result.objective, values, elapsed, result.strategy,
                        [-y for y in result.y], result.stats)
 
 

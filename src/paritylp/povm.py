@@ -6,13 +6,14 @@ mu[(code, s)] / 2^k.  Its Fourier diagonal is lambda_i / 2^k, which makes
 the set complete exactly when mu is feasible, keeps every wrong-outcome
 overlap exactly zero, and commutes with shifts up to the outcome
 relabeling y -> y + H.a.  All of that is re-checked numerically by
-``verify_povm`` instead of being trusted.  A set holds each code as a stack:
-a built code as outcome 0 alone, one row, and a hand-built or symmetrized
-code as all 2^k outcomes.  How a code is held decides how it is read: the
-audits and the Born overlaps read a one-row stack off outcome 0, and any
-other stack element by element; a reader that needs every element builds
-one code's stack at a time.  The report writes each code as it is held,
-with the shifts that relabel outcome 0.
+``verify_povm`` instead of being trusted.  A set maps each code, the
+leftover's rank-0 code too, to a stack: a built code as outcome 0 alone,
+one row, and a hand-built or symmetrized code as all 2^k outcomes.  How a
+code is held decides how it is read: the audits and the Born overlaps
+read a one-row stack off outcome 0, and any other stack element by
+element; a reader that needs every element builds one code's stack at a
+time.  The report writes each code as it is held, with the shifts that
+relabel outcome 0.
 """
 
 from __future__ import annotations
@@ -82,38 +83,42 @@ def _coset_states(profile: AmplitudeProfile, code: ParityCode, syndromes) -> np.
 
 @dataclass(frozen=True, eq=False)
 class PovmSet:
-    """Operators for every informative (code, y) outcome plus the leftover
-    `perp`, of the family `profile`.  `held` maps each code, in the set's
-    order, to a read-only stack: one row, outcome 0, whose outcome y is its
-    relabelling by a_y, the least a with H.a = y (`build_from_primal`), or
-    2^k rows, row y outcome y (`from_elements`, `symmetrize`)."""
+    """Operators for every (code, y) outcome of the family `profile`, the
+    leftover being the rank-0 code's.  `held` maps each code, in the set's
+    order, to a read-only complex stack: one row, outcome 0, whose outcome y
+    is its relabelling by a_y, the least a with H.a = y (`build_from_primal`),
+    or 2^k rows, row y outcome y (`from_elements`, `symmetrize`).  A code of
+    another n or a stack of another shape is refused, and a writeable or
+    non-complex stack is held as a read-only complex copy."""
 
     n: int
     held: dict
-    perp: np.ndarray
     profile: AmplitudeProfile
 
-    def __post_init__(self):  # a read-only copy of perp, as the overlaps are cached
-        perp = np.array(self.perp, dtype=complex)
-        if perp.shape != (1 << self.n,) * 2:
-            raise ValueError(f"a leftover of shape {perp.shape} in a set on {self.n} bits")
-        perp.flags.writeable = False
-        object.__setattr__(self, "perp", perp)
+    def __post_init__(self):
+        size = 1 << self.n
+        held = {}
+        for code, stack in self.held.items():
+            if code.n != self.n:
+                raise ValueError(f"a code on {code.n} bits in a set on {self.n}")
+            stack = np.asarray(stack)
+            if stack.shape not in ((1, size, size), (1 << code.k, size, size)):
+                raise ValueError(f"{stack.shape} stack for a rank-{code.k} code on {self.n} bits")
+            if stack.flags.writeable or stack.dtype != complex:
+                stack = np.array(stack, dtype=complex)
+                stack.flags.writeable = False
+            held[code] = stack
+        object.__setattr__(self, "held", held)
 
     @classmethod
-    def from_elements(cls, n: int, elements, perp: np.ndarray,
-                      profile: AmplitudeProfile) -> PovmSet:
-        """The set of an element mapping keyed by (code, y): one stack per code,
-        in the order the codes first appear, zero for each outcome of a listed
-        code that the mapping lacks.  A code of another n or of rank 0 (`perp`
-        is its outcome) and an outcome outside range(2^k) are refused."""
+    def from_elements(cls, n: int, elements, profile: AmplitudeProfile) -> PovmSet:
+        """The set of an element mapping keyed by (code, y), the leftover by
+        (ParityCode.bottom(n), 0): one stack per code, in the order the codes
+        first appear, zero for each outcome of a listed code that the mapping
+        lacks.  An outcome outside range(2^k) is refused."""
         size = 1 << n
         stacks: dict = {}
         for (code, y), mat in elements.items():
-            if code.n != n:
-                raise ValueError(f"a code on {code.n} bits in a set on {n}")
-            if not code.k:
-                raise ValueError("the rank-0 outcome is the leftover perp")
             if not 0 <= y < 1 << code.k:
                 raise ValueError(f"outcome {y} of a rank-{code.k} code is outside "
                                  f"range({1 << code.k})")
@@ -122,7 +127,7 @@ class PovmSet:
             stacks[code][y] = mat
         for stack in stacks.values():
             stack.flags.writeable = False
-        return cls(n, stacks, perp, profile)
+        return cls(n, stacks, profile)
 
     @property
     def elements(self) -> Mapping:
@@ -131,13 +136,13 @@ class PovmSet:
 
     @cached_property
     def overlaps(self) -> list[np.ndarray]:
-        """<psi_x|M_j|psi_x> at [j, x] per code, then for the leftover.  A
-        one-row stack is read off outcome 0: M_y is X_a M_0 X_a for a = a_y,
-        and X_a psi_x = psi_(x+a), so row y is row 0 at x + a."""
+        """<psi_x|M_j|psi_x> at [j, x] per held code.  A one-row stack is
+        read off outcome 0: M_y is X_a M_0 X_a for a = a_y, and
+        X_a psi_x = psi_(x+a), so row y is row 0 at x + a."""
         states = _states(self.profile)
         x = np.arange(len(states))
         return [_overlaps(stack, states)[0][x ^ code.least_shifts[:, None]] if len(stack) == 1
-                else _overlaps(stack, states) for code, stack in _code_stacks(self)]
+                else _overlaps(stack, states) for code, stack in self.held.items()]
 
     def to_json_dict(self) -> dict:
         """The set for `cli.dump_json`, each code as it is held, in code
@@ -149,15 +154,14 @@ class PovmSet:
         return {"n": self.n,
                 "codes": [{"H": code.label(), "k": code.k,
                            "shifts": [vec_str(a, code.n) for a in code.least_shifts.tolist()],
-                           "held": list(stack)} for code, stack in codes],
-                "perp": self.perp}
+                           "held": list(stack)} for code, stack in codes]}
 
 
 def build_from_primal(sol: PrimalSolution, profile: AmplitudeProfile) -> PovmSet:
     """Assemble the measurement attached to a feasible primal point.
 
-    F[(code, y)] = sum_s mu[(code, s)] / 2^k |A_s><A_s| for every code, the
-    rank-0 one's outcome 0 being `perp` (zero if it carries no mass).  Only
+    F[(code, y)] = sum_s mu[(code, s)] / 2^k |A_s><A_s| for every code that
+    carries mass, the rank-0 one's outcome 0 being the leftover.  Only
     outcome 0 is summed: the A_s of outcome y are those of outcome 0 shifted
     by any a with H.a = y, up to sign, so outcome y is outcome 0 `_relabelled`
     by the least such a.  The set is complete only if mu is feasible."""
@@ -181,8 +185,7 @@ def build_from_primal(sol: PrimalSolution, profile: AmplitudeProfile) -> PovmSet
             outcome0 += term
         outcome0.flags.writeable = False
         held[code] = outcome0[None]
-    perp = held.pop(ParityCode.bottom(profile.n), np.zeros((1, size, size)))[0]
-    return PovmSet(profile.n, held, perp, profile)
+    return PovmSet(profile.n, held, profile)
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,11 +208,6 @@ class _Elements(Mapping):
 
     def items(self) -> list:  # a list, reversible as a dict's items are
         return [(key, self[key]) for key in self]
-
-
-def _code_stacks(povm: PovmSet) -> list:
-    """(code, held stack) per code in the set's order, then the rank-0 code's: perp as one row."""
-    return [*povm.held.items(), (ParityCode.bottom(povm.n), povm.perp[None])]
 
 
 def _full(code: ParityCode, stack: np.ndarray, ys=slice(None)) -> np.ndarray:
@@ -280,7 +278,7 @@ def _min(a: float, b: float) -> float:
 def rho_eval(povm: PovmSet, cost: CostFunction) -> float:
     """Average score over a uniform hidden string (the expectation form)."""
     total = 0.0
-    for (code, _), overlaps in zip(_code_stacks(povm), povm.overlaps):
+    for code, overlaps in zip(povm.held, povm.overlaps):
         ck = float(cost.values[code.k])
         if ck:
             for row in overlaps.real.tolist():
@@ -304,15 +302,14 @@ def _shift_average(povm: PovmSet) -> PovmSet:
     """The shift average of `symmetrize`, on any input, valid or not."""
     n = povm.n
     stacks = {}
-    for code, stack in _code_stacks(povm):
+    for code, stack in povm.held.items():
         stack = _full(code, stack)
         outcomes = np.arange(len(stack))
         acc = sum((_relabelled(stack[outcomes ^ code.parity(a)], a) for a in all_vectors(n)),
                   np.zeros_like(stack)) / (1 << n)
         acc.flags.writeable = False
         stacks[code] = acc
-    perp = stacks.pop(ParityCode.bottom(n))
-    return PovmSet(n, stacks, perp[0], povm.profile)
+    return PovmSet(n, stacks, povm.profile)
 
 
 @dataclass
@@ -354,7 +351,7 @@ def verify_povm(povm: PovmSet, *,
     total = np.zeros((size, size), dtype=complex)
     herm = unambig = sym_dev = 0.0
     min_eig = math.inf
-    for (code, stack), overlaps in zip(_code_stacks(povm), povm.overlaps):
+    for (code, stack), overlaps in zip(povm.held.items(), povm.overlaps):
         adj = stack.conj().transpose(0, 2, 1)
         dev_h = float(np.max(np.abs(stack - adj)))
         herm = _max(herm, dev_h)
@@ -403,7 +400,7 @@ def fourier_diag_check(povm: PovmSet) -> FourierDiagReport:
     w_mat = walsh_hadamard(povm.n)
     weights = np.array(povm.profile.weights_float)
     offdiag = factor = spread = 0.0
-    for code, stack in _code_stacks(povm):
+    for code, stack in povm.held.items():
         agg_hat = w_mat @ _full(code, stack).sum(axis=0) @ w_mat
         off = agg_hat - np.diag(np.diag(agg_hat))
         offdiag = _max(offdiag, float(np.max(np.abs(off))))

@@ -214,25 +214,35 @@ def without_float_stage(monkeypatch):
 
 def held(povm_set) -> dict:
     """code -> the read-only stack the set holds for it, in the set's order,
-    then ParityCode.bottom(n) -> the leftover as one row.  A code is held as
-    outcome 0 alone, one row, or as its 2^k outcomes, row y outcome y; the
-    audits read a one-row stack off outcome 0 and any other row by row.
-    Tests read a set's storage through this helper and `stacks` alone."""
-    return dict(povm._code_stacks(povm_set))
+    the rank-0 code's, the leftover, among them when the set holds one.  A
+    code is held as outcome 0 alone, one row, or as its 2^k outcomes, row y
+    outcome y; the audits read a one-row stack off outcome 0 and any other
+    row by row.  Tests read a set's storage through this helper, `stacks`
+    and `leftover` alone."""
+    return dict(povm_set.held)
 
 
-def stacks(povm_set, leftover=False) -> dict:
+def stacks(povm_set) -> dict:
     """code -> its read-only (2^k, 2^n, 2^n) stack of every outcome, in the
-    set's order, built from the held stack as every reader builds it; with
-    `leftover`, then ParityCode.bottom(n) -> the leftover as one row."""
-    items = list(held(povm_set).items())
-    return {code: povm._full(code, stack) for code, stack in items[:None if leftover else -1]}
+    set's order, built from the held stack as every reader builds it."""
+    return {code: povm._full(code, stack) for code, stack in povm_set.held.items()}
+
+
+def leftover_key(n) -> tuple:
+    """The (code, y) key of the leftover: outcome 0 of the rank-0 code."""
+    return ParityCode.bottom(n), 0
+
+
+def leftover(povm_set) -> np.ndarray:
+    """The set's leftover, the rank-0 code's one element, or zero when the
+    set holds no rank-0 code."""
+    size = 1 << povm_set.n
+    return povm_set.elements.get(leftover_key(povm_set.n), np.zeros((size, size), dtype=complex))
 
 
 def holding(povm_set, code, stack) -> povm.PovmSet:
     """`povm_set` with `code` held as `stack`."""
-    return povm.PovmSet(povm_set.n, {**povm_set.held, code: stack}, povm_set.perp,
-                        povm_set.profile)
+    return povm.PovmSet(povm_set.n, {**povm_set.held, code: stack}, povm_set.profile)
 
 
 def report_outcomes(entry) -> list:
@@ -280,7 +290,7 @@ def orbit_breaks() -> tuple:
         edit(zero)
         elements = {**base.elements, **relabelled(zero, code)}
         after(elements)
-        return povm.PovmSet.from_elements(3, elements, base.perp, prof), code
+        return povm.PovmSet.from_elements(3, elements, prof), code
 
     def real_part_only(m):
         m[0, 1] = m[0, 1].real

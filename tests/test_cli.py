@@ -14,6 +14,7 @@ import sys
 import time
 import warnings
 import weakref
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -717,7 +718,7 @@ class TestWriter:
         report = povm.build_from_primal(sol, prof).to_json_dict()
         report["extra"] = [MATRIX, {"t": -MATRIX.T}, SIGNED, PAYLOADS]
         arrays = [m for entry in report["codes"] for m in entry["held"]] + \
-            [report["perp"], MATRIX, -MATRIX.T, SIGNED, PAYLOADS]
+            [MATRIX, -MATRIX.T, SIGNED, PAYLOADS]
         distinct = np.unique(np.concatenate(
             [np.ascontiguousarray(a).view(np.int64).ravel() for a in arrays]))
 
@@ -863,7 +864,7 @@ class TestWriter:
                 assert same_bits(parsed(mat), ref)
             # every element rebuilt from the written report is the set's own
             assert np.stack(report_outcomes(got)).tobytes() == built[got["H"]].tobytes()
-        assert same_bits(parsed(report["perp"]), expected["perp"])
+        assert list(report) == list(expected) == ["n", "codes"]
 
 
 class TestSimulate:
@@ -893,21 +894,12 @@ class TestSimulate:
             profile_file, x = str(path), "01101"
         else:
             x = "01"
-        real = simulate.sample
-
-        def leaky(sol, profile, xv, shots, seed):
-            dist = simulate.exact_distribution(sol, profile, xv)
-            leak = next(c for c in enumerate_all_codes(profile.n)
-                        if not dist.get((c, c.parity(xv)), 0))
-            return real(sol, profile, xv, shots, seed) + [
-                simulate.OutcomeRecord(leak, leak.parity(xv), 1, 1 / shots)]
-
         argv = ["simulate", "--profile", profile_file, "--x", x, "--shots", "1000",
                 "--seed", "5"]
         code, report = run_json(capsys, argv)
         assert code == 0 and report["audits"]["histogram_in_support"]
         assert (report["statevector"] is None) == zero_weight
-        monkeypatch.setattr(simulate, "sample", leaky)
+        _leaky_sampler(monkeypatch)
         code, report = run_json(capsys, argv)
         assert code == 1
         assert report["audits"]["histogram_in_support"] is False
@@ -1254,18 +1246,20 @@ CORPUS = {
 }
 
 
+@pytest.fixture(scope="module")
+def paths(tmp_path_factory):
+    """The corpus profiles written to files, by name, and a model dump path."""
+    root = tmp_path_factory.mktemp("corpus")
+    paths = {"dump": str(root / "model.txt")}
+    for name, data in _corpus_profiles().items():
+        paths[name] = str(root / f"{name}.json")
+        (root / f"{name}.json").write_text(json.dumps(data))
+    return paths
+
+
 class TestReportCorpus:
     """Every subcommand's report is what json.dumps(indent=2) writes for it,
     and every exact solve is certified."""
-
-    @pytest.fixture(scope="class")
-    def paths(self, tmp_path_factory):
-        root = tmp_path_factory.mktemp("corpus")
-        paths = {"dump": str(root / "model.txt")}
-        for name, data in _corpus_profiles().items():
-            paths[name] = str(root / f"{name}.json")
-            (root / f"{name}.json").write_text(json.dumps(data))
-        return paths
 
     @pytest.mark.parametrize("command", list(CORPUS.values()), ids=list(CORPUS))
     def test_report(self, capsys, monkeypatch, paths, command):
@@ -1319,3 +1313,130 @@ class TestReportCorpus:
             profile = json.load(fh)
         exact = name != "candidate-f3-hamming"
         assert check_report.check(report, profile) == ([] if exact else ["not an exact report"])
+
+
+# -- every audit key bites ---------------------------------------------------
+
+def _solve_reports(change):
+    """A break: `lp.solve`, which every command's solve runs through, returns
+    `change(report)` for its report."""
+    def apply(monkeypatch):
+        real = lp.solve
+        monkeypatch.setattr(lp, "solve", lambda *args, **kwargs: change(real(*args, **kwargs)))
+    return apply
+
+
+def _moved_optimum(move):
+    return _solve_reports(lambda report: replace(report, objective=move(report.objective)))
+
+
+def _scaled_mu(scale):
+    """mu[(code, s)] times scale(code), the optimum left as it is."""
+    return _solve_reports(lambda report: replace(report, values={
+        label: v * scale(label[0]) for label, v in report.values.items()}))
+
+
+def _dented_dual(monkeypatch):
+    """The family's dual with b_0 = -1, below the cover of the coset {0}, and
+    every other b_i raised by 10, which keeps its objective above the optimum."""
+    real = bounds.paired_dual
+
+    def dented(family, n):
+        b = [v + 10 for v in real(family, n).b]
+        b[0] = -1
+        return lp.DualSolution(n, tuple(b))
+
+    monkeypatch.setattr(bounds, "paired_dual", dented)
+
+
+def _leaky_sampler(monkeypatch):
+    """One shot more, on an outcome of exact probability 0."""
+    real = simulate.sample
+
+    def leaky(sol, profile, xv, shots, seed):
+        dist = simulate.exact_distribution(sol, profile, xv)
+        leak = next(c for c in enumerate_all_codes(profile.n)
+                    if not dist.get((c, c.parity(xv)), 0))
+        return real(sol, profile, xv, shots, seed) + [
+            simulate.OutcomeRecord(leak, leak.parity(xv), 1, 1 / shots)]
+
+    monkeypatch.setattr(simulate, "sample", leaky)
+
+
+def _skewed_law(monkeypatch):
+    """Every probability of the exact law times 11/10: the same support."""
+    real = simulate.exact_distribution
+    monkeypatch.setattr(simulate, "exact_distribution", lambda *args: {
+        key: p * Fraction(11, 10) for key, p in real(*args).items()})
+
+
+def _short_table(monkeypatch):
+    """The code enumeration one code short."""
+    real = cli.enumerate_codes
+    monkeypatch.setattr(cli, "enumerate_codes", lambda n, k: real(n, k)[:-1])
+
+
+# the phased n=3 optimum under the tau = n threshold cost, whose rank-0 code
+# carries mass: its leftover is held and written like every code
+POVM_TAU_N = "povm --profile {ph3} --mode float --cost threshold --tau 3"
+SIMULATE_R3 = "simulate --profile {r3} --x 101 --seed 2 --shots 1000"
+# (subcommand, audit key) -> (command on which every audit holds, the break
+# that makes that key alone false); enumerate's keys name a rank k
+AUDIT_ROWS = {
+    ("solve", "strong_duality_gap"): ("solve --profile {r3}", _moved_optimum(lambda v: v + 10)),
+    ("solve", "primal_feasible"): ("solve --profile {r3} --mode float", _scaled_mu(lambda c: 0.5)),
+    ("verify", "dual_feasible"): ("verify --profile {r3} --family hamming", _dented_dual),
+    ("verify", "weak_duality"):
+        ("verify --profile {r3} --family hamming", _moved_optimum(lambda v: v + 10)),
+    ("primal-candidate", "certified_when_nonnegative"):
+        ("primal-candidate --profile {r2} --family spike", _dented_dual),
+    ("povm", "povm_valid"): (POVM_TAU_N, _scaled_mu(lambda code: 0.5 if code.k == 0 else 1)),
+    ("povm", "rho_matches_lp"): (POVM_TAU_N, _moved_optimum(lambda v: v + 10)),
+    ("simulate", "histogram_in_support"): (SIMULATE_R3, _leaky_sampler),
+    ("simulate", "statevector_consistent"): (SIMULATE_R3, _skewed_law),
+    ("slpn", "hamming_bound_holds"): ("slpn --n 3 --t 0.1", _moved_optimum(lambda v: v + 10)),
+    ("threshold", "certificate_matches_lp"):
+        ("threshold --profile {r3} --tau 2", _moved_optimum(lambda v: v * 0)),
+    ("enumerate", "count_k{k}_matches_gaussian_binomial"): ("enumerate --n 3 --k 1", _short_table),
+}
+
+
+def audit_row_keys(argv: list, report: dict) -> dict:
+    """(subcommand, audit key) -> verdict for each audit of a report, with
+    enumerate's rank written {k}."""
+    return {(argv[0], re.sub(r"_k[0-9]+_", "_k{k}_", key)): ok
+            for key, ok in report["audits"].items()}
+
+
+class TestEveryAuditBites:
+    """Each audit of each subcommand holds on a seeded input and fails alone,
+    with exit code 1, when a monkeypatch breaks the one computation it
+    checks; a report audit key with no row fails the table."""
+
+    @pytest.mark.parametrize("row", list(AUDIT_ROWS), ids=["/".join(row) for row in AUDIT_ROWS])
+    def test_break_bites(self, capsys, monkeypatch, paths, row):
+        command, brk = AUDIT_ROWS[row]
+        argv = command.format(**paths).split()
+        code, report = run_json(capsys, argv)
+        audits = audit_row_keys(argv, report)
+        assert code == 0 and row in audits and all(audits.values())
+        if row[0] == "povm":
+            (entry,) = [e for e in report["povm"]["codes"] if e["k"] == 0]
+            assert entry["shifts"] == ["000"]
+            assert any(e["re"] or e["im"] for line in entry["held"][0] for e in line)
+        brk(monkeypatch)
+        code, report = run_json(capsys, argv)
+        audits = audit_row_keys(argv, report)
+        assert code == 1 and [key for key, ok in audits.items() if not ok] == [row]
+
+    def test_every_audit_key_has_a_row(self, capsys, paths):
+        # every report of the corpus and the table, each key of its audits
+        seen = set()
+        for command in [*CORPUS.values(), *(command for command, _ in AUDIT_ROWS.values())]:
+            if "--format table" not in command:
+                argv = command.format(**paths).split()
+                code, report = run_json(capsys, argv)
+                assert code == 0
+                seen |= audit_row_keys(argv, report).keys()
+        assert seen == set(AUDIT_ROWS)
+        assert {command for command, _ in AUDIT_ROWS} == set(OPTIONS)

@@ -877,11 +877,11 @@ def row_report(model, result, exact, flips, sense):
     read."""
     if result.status != "optimal":
         return result
-    mode, pivots = "exact" if exact else "float", result.stats.pivots
+    assert (result.strategy == "float") != exact
     values = {model.labels[j]: v for j, v in result.x.items() if j < model.n_vars}
     duals = [sense * f * y for f, y in zip(flips, result.y)]
-    return SolveReport("optimal", sense * result.objective, values, mode,
-                       pivots, 0.0, result.strategy, duals, result.stats)
+    return SolveReport(sense * result.objective, values, 0.0, result.strategy, duals,
+                       result.stats)
 
 
 def dense_solve(model, mode="exact", float_stage=True, seeds=None):

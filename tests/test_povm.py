@@ -18,6 +18,8 @@ from conftest import (
     held,
     holding,
     lam_of,
+    leftover,
+    leftover_key,
     orbit_breaks,
     rand_rational_profile,
     relabelled,
@@ -111,8 +113,7 @@ def coset_basis_loops(profile, code, y, syndromes=None):
 
 def build_from_primal_loops(sol, profile):
     """One coset basis per outcome, summed syndrome by syndrome, for every
-    code; the leftover is the rank-0 code's one outcome, or zero if that
-    code carries no mass."""
+    code that carries mass; the leftover is the rank-0 code's one outcome."""
     size = 1 << profile.n
     elements = {}
     for code in enumerate_all_codes(profile.n):
@@ -126,8 +127,7 @@ def build_from_primal_loops(sol, profile):
             for s, vec in zip(live, coset_basis_loops(profile, code, y, live)):
                 mat += coeffs[s] * np.outer(vec, np.conj(vec))
             elements[(code, y)] = mat
-    perp = elements.pop((ParityCode.bottom(profile.n), 0), np.zeros((size, size), dtype=complex))
-    return PovmSet.from_elements(profile.n, elements, perp, profile)
+    return PovmSet.from_elements(profile.n, elements, profile)
 
 
 def least_shift(code, y):
@@ -136,17 +136,17 @@ def least_shift(code, y):
 
 
 def orbit_reading(povm, every_element=False):
-    """(code, y) -> (M, a) for every element and, keyed (bottom, 0), the
-    leftover: the audits read the entries, spectrum and Fourier diagonal of
+    """(code, y) -> (M, a) for every element, the leftover among them: the
+    audits read the entries, spectrum and Fourier diagonal of
     outcome (code, y) off M, and its Born overlap with psi_x as that of M with
     psi_(x+a).  By default, the reading of a built set, M is outcome 0 and a
     the least shift with H.a = y, as F[(H, y)] = X_a F[(H, 0)] X_a and
     X_a psi_x = psi_(x+a); with `every_element`, the reading of a dense set,
     M is the element itself and a = 0."""
-    keyed = {**povm.elements, (ParityCode.bottom(povm.n), 0): povm.perp}
     if every_element:
-        return {key: (mat, 0) for key, mat in keyed.items()}
-    return {(code, y): (keyed[(code, 0)], least_shift(code, y)) for code, y in keyed}
+        return {key: (mat, 0) for key, mat in povm.elements.items()}
+    return {(code, y): (povm.elements[(code, 0)], least_shift(code, y))
+            for code, y in povm.elements}
 
 
 def top(values):
@@ -174,11 +174,6 @@ def rho_eval_loops(povm, cost, every_element=False):
             float(np.real(np.conj(states[x ^ a]) @ (mat @ states[x ^ a])))
             for x in all_vectors(povm.n)
         )
-    c0 = float(cost.values[0])
-    if c0:
-        total += c0 * sum(
-            float(np.real(np.conj(s) @ (povm.perp @ s))) for s in states
-        )
     return total / (1 << povm.n)
 
 
@@ -197,18 +192,13 @@ def symmetrize_loops(povm):
                 partner = povm.elements[(code, y ^ code.parity(a))]
                 acc += shifted(partner, a)
             elements[(code, y)] = acc / size
-    perp = sum(
-        (shifted(povm.perp, a) for a in all_vectors(n)),
-        np.zeros((size, size), dtype=complex),
-    ) / size
-    return PovmSet.from_elements(n, elements, perp, povm.profile)
+    return PovmSet.from_elements(n, elements, povm.profile)
 
 
 def verify_povm_loops(povm, *, every_element=False, tol_hermitian=1e-12, tol_psd=1e-9,
                       tol_complete=1e-8, tol_unambig=1e-10, tol_symmetry=1e-9):
     n = povm.n
     size = 1 << n
-    all_ops = list(povm.elements.values()) + [povm.perp]
     reading = orbit_reading(povm, every_element)
     read = [m for m, _ in reading.values()]
 
@@ -220,7 +210,7 @@ def verify_povm_loops(povm, *, every_element=False, tol_hermitian=1e-12, tol_psd
         float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2))) if np.isfinite(m).all()
         else math.nan for m in read
     )
-    total = sum(all_ops[:-1], np.zeros((size, size), dtype=complex)) + povm.perp
+    total = sum(povm.elements.values(), np.zeros((size, size), dtype=complex))
     complete = float(np.linalg.norm(total - np.eye(size)))
 
     states = [state_psi(povm.profile, x) for x in all_vectors(n)]
@@ -240,9 +230,6 @@ def verify_povm_loops(povm, *, every_element=False, tol_hermitian=1e-12, tol_psd
         for a in generators:
             partner = povm.elements[(code, y ^ code.parity(a))]
             sym_dev = top([sym_dev, float(np.max(np.abs(shifted(mat, a) - partner)))])
-    for a in generators:
-        moved = shifted(povm.perp, a)
-        sym_dev = top([sym_dev, float(np.max(np.abs(moved - povm.perp)))])
     sym_dev = n * sym_dev
 
     gamma_ok = (
@@ -265,7 +252,7 @@ def fourier_diag_check_loops(povm, every_element=False):
     spread = 0.0
 
     groups = {}
-    for (code, y), mat in {**povm.elements, (ParityCode.bottom(n), 0): povm.perp}.items():
+    for (code, y), mat in povm.elements.items():
         groups.setdefault(code, []).append((mat, reading[(code, y)][0]))
 
     for code, pairs in groups.items():
@@ -305,12 +292,12 @@ def covariance_dev_loops(code, stack):
 
 def all_shifts_deviation(povm):
     """max |X_a F[(code, y)] X_a - F[(code, y + H.a)]| over every element,
-    the leftover and every shift a, with X_a as a matrix.  X_a is real, so
+    the leftover among them, and every shift a, with X_a as a matrix.  X_a is real, so
     it acts on the real and imaginary parts in turn, which halves the cost
     of the products."""
     n = povm.n
-    keyed = list(povm.elements) + [(ParityCode.bottom(n), 0)]
-    mats = np.stack([*povm.elements.values(), povm.perp])
+    keyed = list(povm.elements)
+    mats = np.stack(list(povm.elements.values()))
     lookup = dict(zip(keyed, mats))
     re, im = mats.real.copy(), mats.imag.copy()
     dev = 0.0
@@ -512,14 +499,14 @@ class TestBuildFromPrimal:
         code = codes_of_rank(1, 1)[0]
         assert povm.elements[(code, 0)] == pytest.approx(np.diag([1.0, 0.0]))
         assert povm.elements[(code, 1)] == pytest.approx(np.diag([0.0, 1.0]))
-        assert povm.perp == pytest.approx(np.zeros((2, 2)))
+        assert leftover(povm) == pytest.approx(np.zeros((2, 2)))
 
     def test_elements_are_read_only_views_of_the_stacks(self):
         p = random_phase_profile(3, random.Random(17))
         sol, _ = solve_primal(p, CostFunction.average(3), mode="float")
         povm = build_from_primal(sol, p)
         built, elements = stacks(povm), povm.elements
-        assert list(built) == list(held(povm))[:-1]
+        assert list(built) == list(held(povm))
         for code, stack in built.items():
             # the set holds outcome 0 alone, one row, and builds each stack on
             # read as outcome 0 relabelled to every outcome
@@ -544,8 +531,8 @@ class TestBuildFromPrimal:
         values = {(bottom, s): 0.25 for s in all_vectors(2)}
         sol = PrimalSolution(p.n, values, 0.0)
         povm = build_from_primal(sol, p)
-        assert not povm.elements
-        assert povm.perp == pytest.approx(np.eye(4))
+        assert list(povm.elements) == [leftover_key(2)]
+        assert leftover(povm) == pytest.approx(np.eye(4))
 
     def test_all_invariants_on_optimal_solutions(self):
         rng = random.Random(7)
@@ -645,7 +632,7 @@ class TestBuildFromPrimal:
         for sol in sols:
             povm = build_from_primal(sol, p)
             assert_same_sets(povm, build_from_primal_loops(sol, p))
-            carrying = {code for (code, _), v in sol.mu.items() if code.k and v}
+            carrying = {code for (code, _), v in sol.mu.items() if v}
             assert len(povm.elements) == sum(1 << code.k for code in carrying)
             assert_relabellings(povm)
 
@@ -659,7 +646,7 @@ class TestBuildFromPrimal:
         cost = CostFunction.threshold(n, n)
         sol, rep = solve_primal(p, cost, mode="float")
         povm = build_from_primal(sol, p)
-        assert np.max(np.abs(povm.perp)) > 0.1
+        assert np.max(np.abs(leftover(povm))) > 0.1
         ver = verify_povm(povm)
         assert ver.ok and ver.max_symmetry_dev == 0.0, ver.to_json_dict()
         assert ver.completeness_frobenius <= 1e-12
@@ -698,7 +685,7 @@ class TestRhoEval:
         p = uniform_amps(2)
         from paritylp.povm import PovmSet
 
-        povm = PovmSet(2, {}, np.eye(4, dtype=complex), p)
+        povm = PovmSet.from_elements(2, {leftover_key(2): np.eye(4)}, p)
         assert rho_eval(povm, CostFunction.average(2)) == 0
         assert rho_eval(povm, CostFunction.threshold(2, 1)) == 0
 
@@ -718,7 +705,7 @@ class TestSymmetrize:
         sym = symmetrize(povm)
         for key, mat in povm.elements.items():
             assert sym.elements[key] == pytest.approx(mat, abs=1e-12)
-        assert sym.perp == pytest.approx(povm.perp, abs=1e-12)
+        assert leftover(sym) == pytest.approx(leftover(povm), abs=1e-12)
 
     def test_asymmetric_input_symmetrized_and_score_preserved(self):
         rng = random.Random(11)
@@ -729,8 +716,8 @@ class TestSymmetrize:
         # zero out one informative branch, dumping its mass into the leftover
         key = next(k for k in povm.elements if k[0].k == 1)
         dropped = povm.elements[key]
-        povm = PovmSet.from_elements(2, {**povm.elements, key: np.zeros_like(dropped)},
-                                     povm.perp + dropped, p)
+        povm = PovmSet.from_elements(2, {**povm.elements, key: np.zeros_like(dropped),
+                                         leftover_key(2): leftover(povm) + dropped}, p)
         before = verify_povm(povm)
         assert before.gamma_ok and before.symmetric_ok is False
         rho_before = rho_eval(povm, cost)
@@ -748,7 +735,8 @@ class TestSymmetrize:
         # drop one informative element, moving its mass to the leftover
         key = next(k for k in povm.elements if k[0].k == 1)
         kept = {k: mat for k, mat in povm.elements.items() if k != key}
-        povm = PovmSet.from_elements(2, kept, povm.perp + povm.elements[key], p)
+        povm = PovmSet.from_elements(
+            2, {**kept, leftover_key(2): leftover(povm) + povm.elements[key]}, p)
         assert not povm.elements[key].any()
         before = verify_povm(povm)
         assert before.gamma_ok and before.symmetric_ok is False
@@ -763,7 +751,8 @@ class TestSymmetrize:
         p = uniform_amps(1)
         sol, _ = solve_primal(p, CostFunction.average(1))
         povm = build_from_primal(sol, p)
-        povm = PovmSet(1, stacks(povm), povm.perp - 10 * np.eye(2), p)
+        povm = PovmSet.from_elements(
+            1, {**povm.elements, leftover_key(1): leftover(povm) - 10 * np.eye(2)}, p)
         with pytest.raises(ValueError):
             symmetrize(povm)
 
@@ -802,14 +791,14 @@ class TestOperatorCap:
         cost = CostFunction.average(n)
         objective = float(cost.values[n]) * (1 << n) * min(w)
         povm = build_from_primal(PrimalSolution(n, values, objective), p)
-        assert len(povm.elements) == 1 << n
+        assert len(povm.elements) == (1 << n) + 1
 
         ver = verify_povm(povm)
         assert ver.ok, ver.to_json_dict()
         assert abs(rho_eval(povm, cost) - objective) <= 1e-9
         assert max(fourier_diag_check(povm).to_json_dict().values()) <= 1e-9
         assert all_shifts_deviation(povm) <= ver.max_symmetry_dev * (1 + 1e-12)
-        every = stacks(povm, leftover=True).items()
+        every = stacks(povm).items()
         assert float_bits([_covariance_dev(code, stack) for code, stack in every]) == \
             float_bits([covariance_dev_loops(code, stack) for code, stack in every])
         assert_symmetry_dev(povm)
@@ -841,15 +830,15 @@ def seeded_sets(n):
     p = random_phase_profile(n, rng)
     sol, _ = solve_primal(p, CostFunction.average(n), mode="float")
     base = build_from_primal(sol, p)
-    key = next(iter(base.elements))
+    key = next(k for k in base.elements if k[0].k)
     mat = base.elements[key]
     kept = {k: m for k, m in base.elements.items() if k != key}
-    zeroed = PovmSet.from_elements(n, {**base.elements, key: np.zeros_like(mat)},
-                                   base.perp + mat, p)
-    missing = PovmSet.from_elements(n, kept, base.perp + mat, p)
+    moved = {leftover_key(n): leftover(base) + mat}
+    zeroed = PovmSet.from_elements(n, {**base.elements, key: np.zeros_like(mat), **moved}, p)
+    missing = PovmSet.from_elements(n, {**kept, **moved}, p)
     noise = np.random.default_rng(n).normal(size=(2, 1 << n, 1 << n))
     skewed = PovmSet.from_elements(
-        n, {**base.elements, key: mat + 1e-3 * (noise[0] + 1j * noise[1])}, base.perp, p)
+        n, {**base.elements, key: mat + 1e-3 * (noise[0] + 1j * noise[1])}, p)
     return {"optimum": base, "zeroed": zeroed, "missing": missing,
             "non-hermitian": skewed}
 
@@ -893,8 +882,7 @@ def assert_audits_match_loops(povm, every_element=False):
 
 def assert_same_sets(got, want):
     assert list(got.elements) == list(want.elements)
-    for mat, ref in zip([*got.elements.values(), got.perp],
-                        [*want.elements.values(), want.perp]):
+    for mat, ref in zip(got.elements.values(), want.elements.values()):
         assert (mat.dtype, mat.shape) == (ref.dtype, ref.shape)
         assert mat.tobytes() == ref.tobytes()
 
@@ -904,34 +892,69 @@ SEEDED = [(n, label) for n in (1, 2, 3, 4)
 
 
 class TestPerp:
-    """Every set holds its leftover as a read-only complex (2^n, 2^n) copy,
-    so no write can leave its cached overlaps stale."""
+    """Every set holds each stack, the leftover's too, as a read-only complex
+    stack, so no write can leave its cached overlaps stale."""
 
     def test_read_only_on_every_set(self):
         base = seeded_sets(3)["optimum"]
         sets = [base, symmetrize(base),
-                PovmSet.from_elements(3, base.elements, base.perp, base.profile),
-                PovmSet(3, {}, np.eye(8), base.profile)]
+                PovmSet.from_elements(3, {**base.elements, leftover_key(3): leftover(base)},
+                                      base.profile),
+                PovmSet(3, {leftover_key(3)[0]: np.eye(8)[None]}, base.profile)]
+        assert all(leftover_key(3)[0] in held(povm) for povm in sets[2:])
         for povm in sets:
-            assert (povm.perp.dtype, povm.perp.shape) == (np.complex128, (8, 8))
-            with pytest.raises(ValueError):
-                povm.perp[0, 0] += 5.0
+            for stack in held(povm).values():
+                assert stack.dtype == np.complex128 and stack.shape[1:] == (8, 8)
+                with pytest.raises(ValueError):
+                    stack[0, 0, 0] += 5.0
 
     def test_given_leftover_is_copied(self):
         base = seeded_sets(2)["optimum"]
-        perp = np.array(base.perp)
-        povm = PovmSet.from_elements(2, base.elements, perp, base.profile)
+        perp = np.array(leftover(base))
+        povm = PovmSet.from_elements(2, {**base.elements, leftover_key(2): perp}, base.profile)
         before = float_bits(verify_povm(povm).to_json_dict().values())
         perp[0, 0] += 5.0
-        assert povm.perp.tobytes() == base.perp.tobytes()
+        assert leftover(povm).tobytes() == leftover(base).tobytes()
         assert float_bits(verify_povm(povm).to_json_dict().values()) == before
 
     @pytest.mark.parametrize("shape", [(8, 8), (4,), (2, 4, 4)])
     def test_mis_shaped_leftover_refused(self, shape):
         base = seeded_sets(2)["optimum"]
-        with pytest.raises(ValueError, match="a leftover of shape"):
-            PovmSet.from_elements(2, base.elements, np.zeros(shape, dtype=complex),
-                                  base.profile)
+        with pytest.raises(ValueError, match="stack for a rank-0 code on 2 bits"):
+            PovmSet(2, {**held(base), leftover_key(2)[0]: np.zeros(shape, dtype=complex)},
+                    base.profile)
+
+
+class TestConstructor:
+    """`PovmSet(n, held, profile)` checks every stack it is given, however
+    the set is built."""
+
+    def test_writeable_stack_is_copied(self):
+        # a stack changed after the overlaps are cached changes neither the
+        # set nor its score: a fresh set of its own stacks reads the same
+        p = AmplitudeProfile.from_json_dict(phased_profile(2, random.Random(2)))
+        code, cost = codes_of_rank(2, 1)[0], CostFunction(2, [0, 1, 0])
+        given = np.zeros((2, 4, 4), dtype=complex)
+        povm = PovmSet(2, {code: given}, p)
+        assert rho_eval(povm, cost) == 0.0
+        given[0] += np.eye(4)
+        assert held(povm)[code] is not given and not held(povm)[code].any()
+        assert rho_eval(povm, cost) == rho_eval(PovmSet(2, held(povm), p), cost) == 0.0
+        assert rho_eval(PovmSet(2, {code: given}, p), cost) > 0.5
+
+    def test_code_of_another_n_refused(self):
+        # an n=3 code in an n=2 set, whose overlaps would fail inside matmul
+        code = codes_of_rank(3, 1)[0]
+        with pytest.raises(ValueError, match="a code on 3 bits in a set on 2"):
+            PovmSet(2, {code: np.zeros((1, 4, 4), dtype=complex)}, uniform_amps(2))
+
+    @pytest.mark.parametrize("rows", [0, 2, 3, 5])
+    def test_row_count_of_neither_form_refused(self, rows):
+        # a rank-2 code is held as one row or four: three rows would index
+        # past the stack in verify_povm
+        code = codes_of_rank(2, 2)[0]
+        with pytest.raises(ValueError, match=rf"\({rows}, 4, 4\) stack for a rank-2 code"):
+            PovmSet(2, {code: np.zeros((rows, 4, 4), dtype=complex)}, uniform_amps(2))
 
 
 class TestFromElements:
@@ -940,7 +963,8 @@ class TestFromElements:
         # bit for bit: stacks, audits, score, Fourier check and symmetrize
         sets = seeded_sets(n)
         missing, zeroed = sets["missing"], sets["zeroed"]
-        assert len(missing.elements) == len(sets["optimum"].elements)
+        # every outcome of the optimum, and the leftover that took the mass
+        assert len(missing.elements) == len({**sets["optimum"].elements, leftover_key(n): None})
         assert list(stacks(missing)) == list(stacks(zeroed))
         assert not any(stack.flags.writeable for stack in stacks(missing).values())
         assert_same_sets(missing, zeroed)
@@ -956,7 +980,7 @@ class TestFromElements:
     def test_outcomes_in_ascending_order(self):
         base = seeded_sets(2)["optimum"]
         shuffled = PovmSet.from_elements(2, dict(reversed(base.elements.items())),
-                                         base.perp, base.profile)
+                                         base.profile)
         assert list(stacks(shuffled)) == list(reversed(stacks(base)))
         for code, stack in stacks(base).items():
             assert stacks(shuffled)[code].tobytes() == stack.tobytes()
@@ -967,7 +991,7 @@ class TestFromElements:
         code = next(code for code in stacks(base) if code.k == 2)
         elements = {**base.elements, (code, y): np.zeros((4, 4), dtype=complex)}
         with pytest.raises(ValueError, match="outside range"):
-            PovmSet.from_elements(2, elements, base.perp, base.profile)
+            PovmSet.from_elements(2, elements, base.profile)
 
     def test_code_of_another_n_refused(self):
         # an n=2 code in an n=1 set, which the audits would index past its end
@@ -975,15 +999,19 @@ class TestFromElements:
         code = codes_of_rank(2, 1)[0]
         elements = {**base.elements, (code, 0): np.zeros((2, 2), dtype=complex)}
         with pytest.raises(ValueError, match="on 2 bits in a set on 1"):
-            PovmSet.from_elements(1, elements, base.perp, base.profile)
+            PovmSet.from_elements(1, elements, base.profile)
 
-    def test_rank_0_code_refused(self):
-        # a valid n=1 set of two identity halves, one given as the rank-0
-        # outcome: the leftover perp is that outcome, so the set is refused
-        # rather than held with two no-information elements
-        half = np.eye(2, dtype=complex) / 2
-        with pytest.raises(ValueError, match="rank-0"):
-            PovmSet.from_elements(1, {(ParityCode.bottom(1), 0): half}, half, uniform_amps(1))
+    def test_leftover_is_outcome_0_of_the_rank_0_code(self):
+        # the no-information measurement of n=1 given as the rank-0 code's
+        # outcome 0: held as that code's one row, and valid; the rank-0 code
+        # has no outcome 1
+        bottom, y = leftover_key(1)
+        povm = PovmSet.from_elements(1, {(bottom, y): np.eye(2)}, uniform_amps(1))
+        assert list(held(povm)) == [bottom] and held(povm)[bottom].shape == (1, 2, 2)
+        assert leftover(povm).tobytes() == np.eye(2, dtype=complex).tobytes()
+        assert verify_povm(povm).ok
+        with pytest.raises(ValueError, match="outcome 1 of a rank-0 code is outside range"):
+            PovmSet.from_elements(1, {(bottom, 1): np.eye(2)}, uniform_amps(1))
 
 
 class TestAuditsMatchLoops:
@@ -1034,7 +1062,7 @@ class TestAuditsMatchLoops:
         # reference walks the elements one at a time through `shifted`
         povm = seeded_sets(n)[label]
         devs = [(_covariance_dev(code, stack), covariance_dev_loops(code, stack))
-                for code, stack in stacks(povm, leftover=True).items()]
+                for code, stack in stacks(povm).items()]
         assert float_bits([got for got, _ in devs]) == float_bits([want for _, want in devs])
         assert_symmetry_dev(povm)
         assert (max(got for got, _ in devs) > 1e-6) == (label != "optimum")
@@ -1051,7 +1079,7 @@ class TestAuditsMatchLoops:
         # exactly covariant optimum off outcome 0 instead moves the figures
         # by rounding alone, and no verdict
         povm = seeded_sets(n)[label]
-        dense = PovmSet.from_elements(n, povm.elements, povm.perp, povm.profile)
+        dense = PovmSet.from_elements(n, povm.elements, povm.profile)
         assert all(len(stack) == 1 << code.k for code, stack in held(dense).items())
         assert all(len(stack) == 1 for stack in held(povm).values()) == (label == "optimum")
         assert_audits_match_loops(dense, every_element=True)
@@ -1099,8 +1127,7 @@ class TestAuditsMatchLoops:
 
 def with_outcome_1(base, code, mat):
     """The set `base` with outcome 1 of `code` replaced by `mat`."""
-    return PovmSet.from_elements(base.n, {**base.elements, (code, 1): mat},
-                                 base.perp, base.profile)
+    return PovmSet.from_elements(base.n, {**base.elements, (code, 1): mat}, base.profile)
 
 
 class TestOrbitReading:
@@ -1199,7 +1226,7 @@ class TestNonFinite:
             elements[(code, 1)][0, 1] = complex(math.inf, zero[0, 1].imag)
         elif case == "break":
             elements[(code, 1)][2, 3] += 1e-3
-        stack = stacks(PovmSet.from_elements(3, {**base.elements, **elements}, base.perp,
+        stack = stacks(PovmSet.from_elements(3, {**base.elements, **elements},
                                              base.profile))[code]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -1217,7 +1244,7 @@ class TestNonFinite:
         # audit's vector maximum and the Python walk over abs read the same,
         # with no warning
         base = seeded_sets(3)["optimum"]
-        povm = PovmSet(base.n, stacks(base), base.perp, base.profile)
+        povm = PovmSet(base.n, stacks(base), base.profile)
         at = next(i for i, code in enumerate(stacks(povm)) if code.k == 2)
         code = list(stacks(povm))[at]
         overlaps = [rows.copy() for rows in base.overlaps]
@@ -1226,7 +1253,7 @@ class TestNonFinite:
         overlaps[at][y, x] = value
         povm.__dict__["overlaps"] = overlaps
         walk = 0.0
-        for (code, stack), rows in zip(stacks(povm, leftover=True).items(), overlaps):
+        for (code, stack), rows in zip(stacks(povm).items(), overlaps):
             wrong = code.parities != np.arange(len(stack))[:, None]
             walk = reduce(_max, map(abs, rows[wrong].tolist()), walk)
         with warnings.catch_warnings():
@@ -1265,7 +1292,7 @@ class TestExactOrbits:
             assert all(len(rows[code]) == 1 for code in built)
             assert_relabellings(povm)
             devs = [_covariance_dev(code, stack) for code, stack in rows.items()]
-            assert float_bits(devs[:len(built)]) == float_bits([0.0] * len(built))
+            assert float_bits(devs) == float_bits([0.0] * len(built))
             assert_symmetry_dev(povm)
             report = povm.to_json_dict()["codes"]
             assert [entry["H"] for entry in report] == \
@@ -1295,9 +1322,9 @@ class TestExactOrbits:
             verify_povm(povm)
             rows = held(povm)
             assert seen == [(code, len(stack)) for code, stack in rows.items()]
-            assert [len(stack) for stack in rows.values()][:-1] == \
-                [1 if povm is base else 1 << code.k for code in list(rows)[:-1]]
-            assert [code for code, stack in list(rows.items())[:-1] if real(code, stack) != 0.0] == \
+            assert [len(stack) for stack in rows.values()] == \
+                [1 if povm is base else 1 << code.k for code in rows]
+            assert [code for code, stack in rows.items() if real(code, stack) != 0.0] == \
                 ([] if broken is None or name == "minus-zero" else [broken])
 
     def test_breaks_take_the_deviation(self):
@@ -1313,7 +1340,7 @@ class TestExactOrbits:
             assert_symmetry_dev(povm)
             assert float_bits(devs) == float_bits(
                 [covariance_dev_loops(code, stack) for code, stack in rows.items()]), name
-            assert [dev == 0.0 for dev in devs[:len(codes)]] == \
+            assert [dev == 0.0 for dev in devs] == \
                 [code != broken or name == "minus-zero" for code in codes], name
             dev = devs[codes.index(broken)]
             assert {"minus-zero": dev == 0.0, "nan": math.isnan(dev),
@@ -1347,7 +1374,7 @@ class TestExactOrbits:
             float_bits([rho_eval_loops(one, CostFunction.average(3))])
         if name == "nan":
             # ker H of the rank-3 code is 0, and its outcomes carry the NaN
-            # onto one another exactly: the deviation is the leftover's alone
+            # onto one another exactly: the deviation is the built set's
             assert math.isnan(ver["max_hermitian_dev"]) and not ver["gamma_ok"]
             assert sym == verify_povm(base).max_symmetry_dev and symmetric_ok
         else:
@@ -1367,7 +1394,7 @@ class TestExactOrbits:
 
 class TestStorage:
     """A built set holds each code as one row, a view of its (2^n, 2^n)
-    outcome 0, and its leftover, and the povm job's peak stays near one
+    outcome 0, and the povm job's peak stays near one
     code's stack."""
 
     @pytest.fixture(scope="class")
@@ -1381,7 +1408,7 @@ class TestStorage:
         rows = list(held(povm).values())
         assert len(rows) > 2 and all(s.shape == (1, 32, 32) for s in rows)
         # each code's row is a read-only view of its outcome 0, not a copy
-        assert not any(s.flags.owndata or s.flags.writeable for s in rows[:-1])
+        assert not any(s.flags.owndata or s.flags.writeable for s in rows)
         assert sum(s.base.nbytes for s in rows) == len(rows) * 16 * 4 ** 5
 
     def test_report_peak(self, phased5):

@@ -513,7 +513,7 @@ def born_gap(povm_set, sol, p, x):
     """max |<psi_x|F[(H, y)]|psi_x> - P(H, y | x)| over every outcome of the
     set and every key of `exact_distribution`, a missing one read as 0: the
     Born overlaps are `PovmSet.overlaps[j][y, x]`, one row per outcome of
-    code j in the set's order, then the leftover as the rank-0 code's."""
+    code j in the set's order, the leftover's among them."""
     codes = list(held(povm_set))
     born = {(code, y): complex(row[x])
             for code, rows in zip(codes, povm_set.overlaps) for y, row in enumerate(rows)}
@@ -550,6 +550,6 @@ class TestBornLaw:
         built = build_from_primal(sol, p)
         key = next(iter(built.elements))
         scaled = PovmSet.from_elements(
-            3, {**built.elements, key: 1.01 * built.elements[key]}, built.perp, p)
+            3, {**built.elements, key: 1.01 * built.elements[key]}, p)
         assert max(born_gap(built, sol, p, x) for x in all_vectors(3)) <= 1e-12
         assert max(born_gap(scaled, sol, p, x) for x in all_vectors(3)) > 1e-12

@@ -88,8 +88,8 @@ class PovmSet:
     order, to a read-only complex stack: one row, outcome 0, whose outcome y
     is its relabelling by a_y, the least a with H.a = y (`build_from_primal`),
     or 2^k rows, row y outcome y (`from_elements`, `symmetrize`).  A code of
-    another n or a stack of another shape is refused, and a writeable or
-    non-complex stack is held as a read-only complex copy."""
+    another n or a stack of another shape is refused, and a stack that is not
+    complex or that a write can reach is held as a read-only complex copy."""
 
     n: int
     held: dict
@@ -104,7 +104,9 @@ class PovmSet:
             stack = np.asarray(stack)
             if stack.shape not in ((1, size, size), (1 << code.k, size, size)):
                 raise ValueError(f"{stack.shape} stack for a rank-{code.k} code on {self.n} bits")
-            if stack.flags.writeable or stack.dtype != complex:
+            base = stack if stack.base is None else stack.base  # what owns the data
+            safe = isinstance(base, np.ndarray) and base.base is None and not base.flags.writeable
+            if not safe or stack.flags.writeable or stack.dtype != complex:
                 stack = np.array(stack, dtype=complex)
                 stack.flags.writeable = False
             held[code] = stack
@@ -180,9 +182,7 @@ def build_from_primal(sol: PrimalSolution, profile: AmplitudeProfile) -> PovmSet
         syndromes, coeffs = zip(*sorted(carried[code]))
         outcome0 = np.zeros((size, size), dtype=complex)
         for vec, c in zip(_coset_states(profile, code, syndromes), coeffs):
-            term = vec[:, None] * np.conj(vec)[None, :]
-            term *= c
-            outcome0 += term
+            outcome0 += vec[:, None] * np.conj(vec)[None, :] * c
         outcome0.flags.writeable = False
         held[code] = outcome0[None]
     return PovmSet(profile.n, held, profile)

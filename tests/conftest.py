@@ -212,16 +212,6 @@ def without_float_stage(monkeypatch):
                         lambda *_: (simplex.ITERATION_LIMIT, None, None, None))
 
 
-def held(povm_set) -> dict:
-    """code -> the read-only stack the set holds for it, in the set's order,
-    the rank-0 code's, the leftover, among them when the set holds one.  A
-    code is held as outcome 0 alone, one row, or as its 2^k outcomes, row y
-    outcome y; the audits read a one-row stack off outcome 0 and any other
-    row by row.  Tests read a set's storage through this helper, `stacks`
-    and `leftover` alone."""
-    return dict(povm_set.held)
-
-
 def stacks(povm_set) -> dict:
     """code -> its read-only (2^k, 2^n, 2^n) stack of every outcome, in the
     set's order, built from the held stack as every reader builds it."""

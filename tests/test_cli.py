@@ -1,6 +1,7 @@
 """End-to-end command exercises through the argparse entry point."""
 
 import argparse
+import contextlib
 import gc
 import hashlib
 import io
@@ -26,7 +27,6 @@ from hypothesis import strategies as st
 import check_report
 from conftest import (
     ball_profile,
-    held,
     orbit_breaks,
     rand_rational_profile,
     report_outcomes,
@@ -754,7 +754,7 @@ class TestWriter:
             sol, _ = lp.solve_primal(prof, CostFunction.average(3), "float")
             povm_set = povm.build_from_primal(sol, prof)
             # the outcome 0 that the first code's one row views
-            target = next(iter(held(povm_set).values())).base
+            target = next(iter(povm_set.held.values())).base
             assert target.ndim == 2
             obj = povm_set.to_json_dict()
             del povm_set
@@ -792,7 +792,7 @@ class TestWriter:
         assert [e["H"] for e in dense] == [e["H"] for e in built] == [c.label() for c in order]
         for c, d, b in zip(order, dense, built):
             assert [m.tobytes() for m in d["held"]] == [m.tobytes() for m in stacks(povm_set)[c]]
-            assert [m.tobytes() for m in b["held"]] == [m.tobytes() for m in held(base)[c]]
+            assert [m.tobytes() for m in b["held"]] == [m.tobytes() for m in base.held[c]]
             assert d["shifts"] == b["shifts"] == [vec_str(a, 3) for a in c.least_shifts.tolist()]
             assert np.stack(report_outcomes(d)).tobytes() == stacks(povm_set)[c].tobytes()
             assert np.stack(report_outcomes(b)).tobytes() == stacks(base)[c].tobytes()
@@ -1257,28 +1257,51 @@ def paths(tmp_path_factory):
     return paths
 
 
+def _recorded_run(argv: list) -> tuple:
+    """One run of `main(argv)`: its exit code, what it wrote to stdout, the
+    reports it passed to `dump_json` and the (mode, strategy) of each solve."""
+    reports, solves = [], []
+    real_dump, real_solve = cli.dump_json, lp.solve
+
+    def dump(obj, fh):
+        reports.append(obj)
+        real_dump(obj, fh)
+
+    def solve(*args, **kwargs):
+        result = real_solve(*args, **kwargs)
+        solves.append((result.mode, result.strategy))
+        return result
+
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+        mp.setattr(cli, "dump_json", dump)
+        mp.setattr(lp, "solve", solve)
+        code = main(argv)
+    return code, out.getvalue(), reports, solves
+
+
+@pytest.fixture(scope="module")
+def corpus(paths):
+    """name -> `_recorded_run` of CORPUS[name], run once, on first request,
+    for every test of the module that reads it."""
+    runs = {}
+
+    def run(name):
+        if name not in runs:
+            runs[name] = _recorded_run(CORPUS[name].format(**paths).split())
+        return runs[name]
+    return run
+
+
 class TestReportCorpus:
     """Every subcommand's report is what json.dumps(indent=2) writes for it,
     and every exact solve is certified."""
 
-    @pytest.mark.parametrize("command", list(CORPUS.values()), ids=list(CORPUS))
-    def test_report(self, capsys, monkeypatch, paths, command):
-        reports, solves = [], []
-        real_dump, real_solve = cli.dump_json, lp.solve
-
-        def dump(obj, fh):
-            reports.append(obj)
-            real_dump(obj, fh)
-
-        def solve(*args, **kwargs):
-            result = real_solve(*args, **kwargs)
-            solves.append((result.mode, result.strategy))
-            return result
-
-        monkeypatch.setattr(cli, "dump_json", dump)
-        monkeypatch.setattr(lp, "solve", solve)
-        assert main(command.format(**paths).split()) == 0
-        text = capsys.readouterr().out
+    @pytest.mark.parametrize("name", list(CORPUS))
+    def test_report(self, corpus, name):
+        command = CORPUS[name]
+        code, text, reports, solves = corpus(name)
+        assert code == 0
         if "--format table" in command:
             assert not reports and text.split()[0] in ("quantity", "H", "k")
         else:
@@ -1291,11 +1314,12 @@ class TestReportCorpus:
 
     @pytest.mark.parametrize("name", [name for name, command in CORPUS.items()
                                       if name.startswith("solve") and "table" not in command])
-    def test_solve_checks_itself(self, capsys, paths, name):
+    def test_solve_checks_itself(self, corpus, name):
         """The stdlib checker proves every exact solve report optimal from
         the report and its profile alone, and refuses to read a float one."""
-        assert main(CORPUS[name].format(**paths).split()) == 0
-        report = json.loads(capsys.readouterr().out)
+        code, text, _, _ = corpus(name)
+        assert code == 0
+        report = json.loads(text)
         with open(report["config"]["profile"]) as fh:
             profile = json.load(fh)
         exact = report["primal"]["mode"] == "exact"
@@ -1304,11 +1328,12 @@ class TestReportCorpus:
 
     @pytest.mark.parametrize("name", [name for name, command in CORPUS.items()
                                       if name.startswith("candidate") and "table" not in command])
-    def test_candidate_checks_itself(self, capsys, paths, name):
+    def test_candidate_checks_itself(self, corpus, name):
         """The stdlib checker accepts every exact candidate report, of either
         verdict, and refuses to read a binary64 one."""
-        assert main(CORPUS[name].format(**paths).split()) == 0
-        report = json.loads(capsys.readouterr().out)
+        code, text, _, _ = corpus(name)
+        assert code == 0
+        report = json.loads(text)
         with open(report["config"]["profile"]) as fh:
             profile = json.load(fh)
         exact = name != "candidate-f3-hamming"
@@ -1420,6 +1445,7 @@ class TestEveryAuditBites:
         code, report = run_json(capsys, argv)
         audits = audit_row_keys(argv, report)
         assert code == 0 and row in audits and all(audits.values())
+        assert set(audits) <= set(AUDIT_ROWS)
         if row[0] == "povm":
             (entry,) = [e for e in report["povm"]["codes"] if e["k"] == 0]
             assert entry["shifts"] == ["000"]
@@ -1429,14 +1455,14 @@ class TestEveryAuditBites:
         audits = audit_row_keys(argv, report)
         assert code == 1 and [key for key, ok in audits.items() if not ok] == [row]
 
-    def test_every_audit_key_has_a_row(self, capsys, paths):
-        # every report of the corpus and the table, each key of its audits
+    def test_every_audit_key_has_a_row(self, corpus):
+        # each audit key of every report of the corpus, from its one run; a
+        # row's own command is held to the table in `test_break_bites`
         seen = set()
-        for command in [*CORPUS.values(), *(command for command, _ in AUDIT_ROWS.values())]:
+        for name, command in CORPUS.items():
             if "--format table" not in command:
-                argv = command.format(**paths).split()
-                code, report = run_json(capsys, argv)
+                code, text, _, _ = corpus(name)
                 assert code == 0
-                seen |= audit_row_keys(argv, report).keys()
+                seen |= audit_row_keys(command.split(), json.loads(text)).keys()
         assert seen == set(AUDIT_ROWS)
         assert {command for command, _ in AUDIT_ROWS} == set(OPTIONS)

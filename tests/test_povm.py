@@ -15,7 +15,6 @@ import pytest
 from conftest import (
     ball_profile,
     code_from_matrix,
-    held,
     holding,
     lam_of,
     leftover,
@@ -506,11 +505,11 @@ class TestBuildFromPrimal:
         sol, _ = solve_primal(p, CostFunction.average(3), mode="float")
         povm = build_from_primal(sol, p)
         built, elements = stacks(povm), povm.elements
-        assert list(built) == list(held(povm))
+        assert list(built) == list(povm.held)
         for code, stack in built.items():
             # the set holds outcome 0 alone, one row, and builds each stack on
             # read as outcome 0 relabelled to every outcome
-            zero = held(povm)[code]
+            zero = povm.held[code]
             assert zero.shape == (1, 8, 8) and not zero.flags.writeable
             assert len(stack) == 1 << code.k and not stack.flags.writeable
             assert stack.tobytes() == _relabelled(zero[0], code.least_shifts).tobytes()
@@ -850,7 +849,7 @@ def float_bits(values):
 def assert_symmetry_dev(povm):
     """`verify_povm`'s max_symmetry_dev is n times the largest
     `_covariance_dev` of every held stack, bit for bit, NaN kept."""
-    want = povm.n * reduce(_max, [_covariance_dev(c, s) for c, s in held(povm).items()], 0.0)
+    want = povm.n * reduce(_max, [_covariance_dev(c, s) for c, s in povm.held.items()], 0.0)
     assert float_bits([verify_povm(povm).max_symmetry_dev]) == float_bits([want])
 
 
@@ -901,9 +900,9 @@ class TestPerp:
                 PovmSet.from_elements(3, {**base.elements, leftover_key(3): leftover(base)},
                                       base.profile),
                 PovmSet(3, {leftover_key(3)[0]: np.eye(8)[None]}, base.profile)]
-        assert all(leftover_key(3)[0] in held(povm) for povm in sets[2:])
+        assert all(leftover_key(3)[0] in povm.held for povm in sets[2:])
         for povm in sets:
-            for stack in held(povm).values():
+            for stack in povm.held.values():
                 assert stack.dtype == np.complex128 and stack.shape[1:] == (8, 8)
                 with pytest.raises(ValueError):
                     stack[0, 0, 0] += 5.0
@@ -921,7 +920,7 @@ class TestPerp:
     def test_mis_shaped_leftover_refused(self, shape):
         base = seeded_sets(2)["optimum"]
         with pytest.raises(ValueError, match="stack for a rank-0 code on 2 bits"):
-            PovmSet(2, {**held(base), leftover_key(2)[0]: np.zeros(shape, dtype=complex)},
+            PovmSet(2, {**base.held, leftover_key(2)[0]: np.zeros(shape, dtype=complex)},
                     base.profile)
 
 
@@ -929,18 +928,29 @@ class TestConstructor:
     """`PovmSet(n, held, profile)` checks every stack it is given, however
     the set is built."""
 
-    def test_writeable_stack_is_copied(self):
-        # a stack changed after the overlaps are cached changes neither the
-        # set nor its score: a fresh set of its own stacks reads the same
+    @pytest.mark.parametrize("form", ["writeable", "read-only view"])
+    def test_stack_a_write_can_reach_is_copied(self, form):
+        # a write to the given array after the overlaps are cached changes
+        # neither the set nor its score: a fresh set of its own stacks reads
+        # the same.  A read-only view still shows writes to what it views.
         p = AmplitudeProfile.from_json_dict(phased_profile(2, random.Random(2)))
         code, cost = codes_of_rank(2, 1)[0], CostFunction(2, [0, 1, 0])
         given = np.zeros((2, 4, 4), dtype=complex)
-        povm = PovmSet(2, {code: given}, p)
+        stack = given if form == "writeable" else given.view()
+        stack.flags.writeable = form == "writeable"
+        povm = PovmSet(2, {code: stack}, p)
         assert rho_eval(povm, cost) == 0.0
         given[0] += np.eye(4)
-        assert held(povm)[code] is not given and not held(povm)[code].any()
-        assert rho_eval(povm, cost) == rho_eval(PovmSet(2, held(povm), p), cost) == 0.0
+        assert povm.held[code] is not stack and not povm.held[code].any()
+        assert rho_eval(povm, cost) == rho_eval(PovmSet(2, povm.held, p), cost) == 0.0
         assert rho_eval(PovmSet(2, {code: given}, p), cost) > 0.5
+
+    def test_read_only_stack_on_its_own_data_is_kept(self):
+        # a built set's stacks, and views of read-only arrays that own their
+        # data, are held as given, without a copy
+        built = seeded_sets(2)["optimum"]
+        again = PovmSet(2, built.held, built.profile)
+        assert all(again.held[code] is stack for code, stack in built.held.items())
 
     def test_code_of_another_n_refused(self):
         # an n=3 code in an n=2 set, whose overlaps would fail inside matmul
@@ -1007,7 +1017,7 @@ class TestFromElements:
         # has no outcome 1
         bottom, y = leftover_key(1)
         povm = PovmSet.from_elements(1, {(bottom, y): np.eye(2)}, uniform_amps(1))
-        assert list(held(povm)) == [bottom] and held(povm)[bottom].shape == (1, 2, 2)
+        assert list(povm.held) == [bottom] and povm.held[bottom].shape == (1, 2, 2)
         assert leftover(povm).tobytes() == np.eye(2, dtype=complex).tobytes()
         assert verify_povm(povm).ok
         with pytest.raises(ValueError, match="outcome 1 of a rank-0 code is outside range"):
@@ -1080,8 +1090,8 @@ class TestAuditsMatchLoops:
         # by rounding alone, and no verdict
         povm = seeded_sets(n)[label]
         dense = PovmSet.from_elements(n, povm.elements, povm.profile)
-        assert all(len(stack) == 1 << code.k for code, stack in held(dense).items())
-        assert all(len(stack) == 1 for stack in held(povm).values()) == (label == "optimum")
+        assert all(len(stack) == 1 << code.k for code, stack in dense.held.items())
+        assert all(len(stack) == 1 for stack in povm.held.values()) == (label == "optimum")
         assert_audits_match_loops(dense, every_element=True)
         orbit, every = verify_povm(povm).to_json_dict(), verify_povm(dense).to_json_dict()
         for key, value in orbit.items():
@@ -1109,7 +1119,7 @@ class TestAuditsMatchLoops:
         # outcomes and read element by element, as the loops read it;
         # "minus-zero" relabels outcome 0 value for value, but not byte for byte
         povm, broken = orbit_breaks()[1][name]
-        assert len(held(povm)[broken]) == 1 << broken.k
+        assert len(povm.held[broken]) == 1 << broken.k
         assert_audits_match_loops(povm, every_element=True)
 
     def test_nan_break_reads_nan(self):
@@ -1164,7 +1174,7 @@ class TestOrbitReading:
         povm = with_outcome_1(base, code, mat)
         at = list(stacks(povm)).index(code)
         stack = stacks(povm)[code]
-        assert held(povm)[code].tobytes() == stack.tobytes() and len(stack) == 8
+        assert povm.held[code].tobytes() == stack.tobytes() and len(stack) == 8
         assert 0 < _covariance_dev(code, stack) < 1e-15
         assert verify_povm(povm).max_symmetry_dev > 0
 
@@ -1287,7 +1297,7 @@ class TestExactOrbits:
                 ball = perturb_full_support(ball_profile(n, 2, rng), Fraction(1, 50))
                 p, mode = ball.with_real_amplitudes(), "exact"
             povm = build_from_primal(solve_primal(p, cost, mode)[0], p)
-            built, rows = stacks(povm), held(povm)
+            built, rows = stacks(povm), povm.held
             codes += len(built)
             assert all(len(rows[code]) == 1 for code in built)
             assert_relabellings(povm)
@@ -1320,7 +1330,7 @@ class TestExactOrbits:
         for name, (povm, broken) in [("base", (base, None)), *breaks.items()]:
             seen.clear()
             verify_povm(povm)
-            rows = held(povm)
+            rows = povm.held
             assert seen == [(code, len(stack)) for code, stack in rows.items()]
             assert [len(stack) for stack in rows.values()] == \
                 [1 if povm is base else 1 << code.k for code in rows]
@@ -1331,9 +1341,9 @@ class TestExactOrbits:
         # each break is a dense set, every code held as its 2^k outcomes and
         # checked on e_1..e_n; the broken code alone deviates in value
         base, breaks = orbit_breaks()
-        assert all(len(stack) == 1 for stack in held(base).values())
+        assert all(len(stack) == 1 for stack in base.held.values())
         for name, (povm, broken) in breaks.items():
-            rows = held(povm)
+            rows = povm.held
             codes = list(stacks(povm))
             assert [len(rows[code]) for code in codes] == [1 << code.k for code in codes], name
             devs = [_covariance_dev(code, stack) for code, stack in rows.items()]
@@ -1359,7 +1369,7 @@ class TestExactOrbits:
         base, breaks = orbit_breaks()
         dense, code = breaks[name]
         one = holding(base, code, stacks(dense)[code][:1])
-        assert held(one)[code].shape == (1, 8, 8)
+        assert one.held[code].shape == (1, 8, 8)
         assert [s.tobytes() for s in stacks(one).values()] == \
             [s.tobytes() for s in stacks(dense).values()]
         # the loops' outcome-0 reading, bit for bit, NaN kept, but for the
@@ -1405,7 +1415,7 @@ class TestStorage:
     def test_holds_outcome_0_alone(self, phased5):
         p, sol = phased5
         povm = build_from_primal(sol, p)
-        rows = list(held(povm).values())
+        rows = list(povm.held.values())
         assert len(rows) > 2 and all(s.shape == (1, 32, 32) for s in rows)
         # each code's row is a read-only view of its outcome 0, not a copy
         assert not any(s.flags.owndata or s.flags.writeable for s in rows)

@@ -8,7 +8,7 @@ import pytest
 
 import numpy as np
 
-from conftest import ball_profile, held, lam_of, rand_rational_profile
+from conftest import ball_profile, lam_of, rand_rational_profile
 from test_cli import phased_profile
 from paritylp.bounds import primal_candidate
 from paritylp.errors import BudgetError
@@ -514,7 +514,7 @@ def born_gap(povm_set, sol, p, x):
     set and every key of `exact_distribution`, a missing one read as 0: the
     Born overlaps are `PovmSet.overlaps[j][y, x]`, one row per outcome of
     code j in the set's order, the leftover's among them."""
-    codes = list(held(povm_set))
+    codes = list(povm_set.held)
     born = {(code, y): complex(row[x])
             for code, rows in zip(codes, povm_set.overlaps) for y, row in enumerate(rows)}
     exact = exact_distribution(sol, p, x)
@@ -540,7 +540,7 @@ class TestBornLaw:
             CostFunction.threshold(p.n, min(2, p.n))
         sol, _ = solve_primal(p, c, "float")
         povm_set = build_from_primal(sol, p)
-        assert len(held(povm_set)) > 1
+        assert len(povm_set.held) > 1
         for x in all_vectors(p.n):
             assert born_gap(povm_set, sol, p, x) <= 1e-12
 

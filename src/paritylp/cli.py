@@ -205,12 +205,12 @@ def cmd_solve(args) -> tuple[dict, str]:
             fh.write(lp.build_dual(profile, cost) + "\n")
     primal, dual, p_report = lp.solve_pair(profile, cost, args.mode)
     gap = abs(p_report.objective - dual.objective)
-    tol = 0 if p_report.mode == lp.EXACT else args.tol_feas
-    # A binary64 gap may also be 1e-12 |rho|, as in rho_matches_lp; --tol-feas 0 allows none.
+    tol = lp.tolerance(p_report.objective, dual.objective)
+    # A binary64 gap may also be 1e-12 |rho|, as in rho_matches_lp; an exact one is 0.
     audits = {"strong_duality_gap": gap <= (tol and max(tol, 1e-12 * abs(p_report.objective)))}
     if p_report.mode == lp.FLOAT:
         # A certified solve is feasible; a binary64 one is audited row by row.
-        audits["primal_feasible"] = lp.check_primal_feasible(primal, profile, tol=tol).feasible
+        audits["primal_feasible"] = lp.check_primal_feasible(primal, profile).feasible
     report = {
         "rho": p_report.objective,
         "sigma": dual.objective,
@@ -262,7 +262,7 @@ def cmd_verify(args) -> tuple[dict, str]:
     audit = dual.audit or lp.check_dual_feasible(dual, cost)
     _, lp_report = lp.solve_primal(profile, cost, args.mode)
     gap = dual.objective - lp_report.objective
-    tol = 0 if lp_report.mode == lp.EXACT else args.tol_feas
+    tol = lp.tolerance(dual.objective, lp_report.objective)
     audits = {"dual_feasible": audit.feasible, "weak_duality": gap >= -tol}
     report = {
         "family": args.family,
@@ -310,10 +310,7 @@ def cmd_povm(args) -> tuple[dict, str]:
     cost = _cost_from_args(profile.n, args)
     primal, p_report = lp.solve_primal(profile, cost, args.mode)
     povm_set = povm.build_from_primal(primal, profile)
-    verification = povm.verify_povm(
-        povm_set, tol_psd=args.tol_feas, tol_complete=args.tol_complete,
-        tol_unambig=args.tol_unambig,
-    )
+    verification = povm.verify_povm(povm_set)
     fourier = povm.fourier_diag_check(povm_set)
     rho = povm.rho_eval(povm_set, cost)
     audits = {
@@ -392,7 +389,7 @@ def cmd_slpn(args) -> tuple[dict, str]:
             "rho_threshold": float(t_report.objective),
             "ball_bound": float(ball_sol.evaluate(profile)),
         }
-    audits = {"hamming_bound_holds": rho_av <= hamming_bound + args.tol_feas}
+    audits = {"hamming_bound_holds": rho_av <= hamming_bound + lp.FLOAT_FEAS_TOL}
     report = {
         "lp_mode": p_report.mode,
         "t_perp": params.t_perp,
@@ -420,7 +417,7 @@ def cmd_threshold(args) -> tuple[dict, str]:
     cost = CostFunction.threshold(profile.n, args.tau)
     _, report_lp = lp.solve_primal(profile, cost, args.mode)
     lp_value = report_lp.objective
-    tol = 0 if report_lp.mode == lp.EXACT else args.tol_feas
+    tol = lp.tolerance(lp_value)
     audits = {"certificate_matches_lp": cert.rho_is_zero == (abs(lp_value) <= tol)}
     report = {
         "certificate": cert.to_json_dict(),
@@ -477,30 +474,25 @@ def _number_option(grammar: str, read, what: str, ok=lambda value: True):
 # sign and digits (a count, --n or --seed, only when >= 0, and --shots only
 # from 1 to below the sampler's int64 limit), a float option a
 # decimal of the number grammar, or inf or nan, which each command that
-# reads one refuses itself.  A tolerance must
-# be finite and >= 0: a NaN or an infinity would pass every audit it bounds.
+# reads one refuses itself.
 _FLOAT = rf"{_DECIMAL}|[+-]?(?:inf|nan)"
 _int_option = _number_option(r"[+-]?[0-9]+", int, "an integer")
 _count_option = _number_option(r"[+-]?[0-9]+", int, "an integer >= 0", lambda value: value >= 0)
 _shots_option = _number_option(r"[+-]?[0-9]+", int, "1 <= shots < 2**63",
                                lambda value: 1 <= value < simulate.SHOTS_LIMIT)
 _float_option = _number_option(_FLOAT, float, "a decimal number, inf or nan")
-_tolerance = _number_option(_FLOAT, float, "a finite tolerance >= 0",
-                            lambda value: 0 <= value < math.inf)
 
 
 def _add_common(p: argparse.ArgumentParser, *, profile: bool = True,
-                mode: bool = False, tol_feas: bool = False) -> None:
-    """--format and --out, and whichever of --profile, --mode and --tol-feas
-    the command reads, in the order its report's config lists them."""
+                mode: bool = False) -> None:
+    """--format and --out, and whichever of --profile and --mode the command
+    reads, in the order its report's config lists them."""
     if profile:
         p.add_argument("--profile", required=True, help="profile JSON path")
     if mode:
         p.add_argument("--mode", choices=["exact", "float"], default="exact")
     p.add_argument("--format", choices=["json", "table"], default="json")
     p.add_argument("--out", help="write the report here instead of stdout")
-    if tol_feas:
-        p.add_argument("--tol-feas", type=_tolerance, default=lp.FLOAT_FEAS_TOL, dest="tol_feas")
 
 
 def _add_cost(p: argparse.ArgumentParser) -> None:
@@ -521,14 +513,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="solve the primal and dual programs")
-    _add_common(p, mode=True, tol_feas=True)
+    _add_common(p, mode=True)
     _add_cost(p)
     p.add_argument("--dump-model", dest="dump_model",
                    help="write the plain-text model dump here")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="emit and audit a dual certificate family")
-    _add_common(p, mode=True, tol_feas=True)
+    _add_common(p, mode=True)
     p.add_argument("--family", required=True,
                    choices=["hamming", "cohamming", "spike",
                             "threshold-ball", "threshold-set"])
@@ -545,11 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_primal_candidate)
 
     p = sub.add_parser("povm", help="synthesize and verify the measurement operators")
-    _add_common(p, mode=True, tol_feas=True)
-    p.add_argument("--tol-complete", type=_tolerance, default=povm.TOL_COMPLETE,
-                   dest="tol_complete")
-    p.add_argument("--tol-unambig", type=_tolerance, default=povm.TOL_UNAMBIG,
-                   dest="tol_unambig")
+    _add_common(p, mode=True)
     _add_cost(p)
     p.add_argument("--assume-real-amplitudes", action="store_true",
                    dest="assume_real_amplitudes")
@@ -564,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("slpn", help="Bernoulli-noise summary against the k/2 barrier")
-    _add_common(p, profile=False, tol_feas=True)
+    _add_common(p, profile=False)
     p.add_argument("--n", type=_count_option, required=True)
     p.add_argument("--t", type=_float_option, required=True)
     p.add_argument("--d", type=_int_option)
@@ -572,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_slpn)
 
     p = sub.add_parser("threshold", help="zero-quality certificate for a threshold")
-    _add_common(p, mode=True, tol_feas=True)
+    _add_common(p, mode=True)
     p.add_argument("--tau", type=_int_option, required=True)
     p.set_defaults(func=cmd_threshold)
 

@@ -25,7 +25,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import compress
 from numbers import Rational
 from typing import ClassVar
 
@@ -326,11 +326,10 @@ class FeasibilityReport:
         }
 
 
-def _default_tol(tol, *operands):
-    """`tol` if given; else 0 when every operand is rational, FLOAT_FEAS_TOL if not."""
-    if tol is not None:
-        return tol
-    return 0 if all(isinstance(v, Rational) for v in chain(*operands)) else FLOAT_FEAS_TOL
+def tolerance(*values):
+    """The tolerance of an audit of `values`, the one rule for every audit of
+    the LP: 0 when every value is rational, FLOAT_FEAS_TOL if not."""
+    return 0 if all(isinstance(v, Rational) for v in values) else FLOAT_FEAS_TOL
 
 
 def check_primal_feasible(sol: PrimalSolution, profile: AmplitudeProfile,
@@ -352,7 +351,7 @@ def _primal_audit(sol: PrimalSolution, profile: AmplitudeProfile,
     """The report of `check_primal_feasible` and each index's exact
     sum_H lambda_i - 1 (0 off the support)."""
     check_budget(sol.n)
-    tol = _exact(_default_tol(tol, profile.weights, sol.mu.values()))
+    tol = _exact(tolerance(*profile.weights, *sol.mu.values()) if tol is None else tol)
     w = [_exact(v) for v in profile.weights]
     sums, found = [0] * len(w), []
     for (code, s), v in sol.mu.items():
@@ -388,7 +387,7 @@ def check_dual_feasible(sol: DualSolution, cost: CostFunction,
     raises BudgetError before any coset table is built.
     """
     check_budget(sol.n)
-    tol = _default_tol(tol, sol.b, cost.values)
+    tol = tolerance(*sol.b, *cost.values) if tol is None else tol
     violations = []
     max_v = 0
 
@@ -491,7 +490,7 @@ def complementary_slackness(primal: PrimalSolution, dual: DualSolution,
     FLOAT_FEAS_TOL if not.
     """
     check_budget(primal.n)
-    tol = _default_tol(None, profile.weights, primal.mu.values(), dual.b)
+    tol = tolerance(*profile.weights, *primal.mu.values(), *dual.b)
     p_report, residuals = _primal_audit(primal, profile, tol)
     d_report = check_dual_feasible(dual, cost, tol)
     tol, b = _exact(tol), [_exact(v) for v in dual.b]

@@ -330,10 +330,7 @@ class PovmVerification:
         return {**asdict(self), "ok": self.ok}
 
 
-def verify_povm(povm: PovmSet, *,
-                tol_psd: float = TOL_PSD,
-                tol_complete: float = TOL_COMPLETE,
-                tol_unambig: float = TOL_UNAMBIG) -> PovmVerification:
+def verify_povm(povm: PovmSet) -> PovmVerification:
     """Numerically audit every defining property of the measurement set
     against its own profile.
 
@@ -343,8 +340,9 @@ def verify_povm(povm: PovmSet, *,
     generators e_1..e_n; completeness adds every element.  Any shift is a
     sum of at most n of e_1..e_n, and any shift in ker H of at most n - k of
     its generators, so max_symmetry_dev, n times the largest deviation,
-    bounds the deviation under every one of the 2^n shifts.  Hermiticity
-    and covariance are held to TOL_HERMITIAN and TOL_SYMMETRY.
+    bounds the deviation under every one of the 2^n shifts.  Hermiticity,
+    positivity, completeness, unambiguity and covariance are held to
+    TOL_HERMITIAN, TOL_PSD, TOL_COMPLETE, TOL_UNAMBIG and TOL_SYMMETRY.
     """
     n = povm.n
     size = 1 << n
@@ -372,9 +370,9 @@ def verify_povm(povm: PovmSet, *,
 
     gamma_ok = (
         herm <= TOL_HERMITIAN
-        and min_eig >= -tol_psd
-        and complete <= tol_complete
-        and unambig <= tol_unambig
+        and min_eig >= -TOL_PSD
+        and complete <= TOL_COMPLETE
+        and unambig <= TOL_UNAMBIG
     )
     return PovmVerification(herm, min_eig, complete, unambig, sym_dev,
                             gamma_ok, sym_dev <= TOL_SYMMETRY)

@@ -107,17 +107,15 @@ class TestParserReuse:
 # Each subcommand's option dests, in the order its report's config lists them:
 # only the options its command reads.
 OPTIONS = {
-    "solve": ("profile", "mode", "format", "out", "tol_feas",
-              "cost", "tau", "cost_values", "dump_model"),
-    "verify": ("profile", "mode", "format", "out", "tol_feas",
-               "family", "d", "gamma", "tau", "set"),
+    "solve": ("profile", "mode", "format", "out", "cost", "tau", "cost_values", "dump_model"),
+    "verify": ("profile", "mode", "format", "out", "family", "d", "gamma", "tau", "set"),
     "primal-candidate": ("profile", "format", "out", "family"),
-    "povm": ("profile", "mode", "format", "out", "tol_feas", "tol_complete", "tol_unambig",
+    "povm": ("profile", "mode", "format", "out",
              "cost", "tau", "cost_values", "assume_real_amplitudes"),
     "simulate": ("profile", "mode", "format", "out",
                  "cost", "tau", "cost_values", "x", "shots", "seed"),
-    "slpn": ("format", "out", "tol_feas", "n", "t", "d", "gamma"),
-    "threshold": ("profile", "mode", "format", "out", "tol_feas", "tau"),
+    "slpn": ("format", "out", "n", "t", "d", "gamma"),
+    "threshold": ("profile", "mode", "format", "out", "tau"),
     "enumerate": ("format", "out", "n", "k"),
 }
 
@@ -129,13 +127,10 @@ class TestOptionSurface:
         declared = {name: tuple(a.dest for a in sub._actions if a.dest != "help")
                     for name, sub in action.choices.items()}
         assert declared == OPTIONS
-        assert sum(map(len, declared.values())) == 61
+        assert sum(map(len, declared.values())) == 54
 
-    def test_tolerance_defaults_are_the_library_constants(self):
-        args = build_parser().parse_args(["povm", "--profile", "p.json"])
-        assert (args.tol_feas, args.tol_complete, args.tol_unambig) == (
-            lp.FLOAT_FEAS_TOL, povm.TOL_COMPLETE, povm.TOL_UNAMBIG)
-
+    # No option sets an audit's tolerance: the audits fix their own, so
+    # each former --tol-* option is an unknown argument where it was read.
     @pytest.mark.parametrize("argv", [
         ["enumerate", "--n", "2", "--mode", "float"],
         ["primal-candidate", "--profile", "p.json", "--family", "hamming", "--tol-feas", "1"],
@@ -143,26 +138,22 @@ class TestOptionSurface:
         ["solve", "--profile", "p.json", "--tol-complete", "1"],
         ["slpn", "--n", "2", "--t", "0.1", "--tol-unambig", "1"],
         ["slpn", "--n", "2", "--t", "0.1", "--mode", "float"],
+        ["solve", "--profile", "p.json", "--tol-feas", "1e-9"],
+        ["verify", "--profile", "p.json", "--family", "hamming", "--tol-feas", "1e-9"],
+        ["povm", "--profile", "p.json", "--tol-feas", "1e-9"],
+        ["povm", "--profile", "p.json", "--tol-complete", "1e-8"],
+        ["povm", "--profile", "p.json", "--tol-unambig", "1e9"],
+        ["slpn", "--n", "2", "--t", "0.1", "--tol-feas", "1e-9"],
+        ["threshold", "--profile", "p.json", "--tau", "1", "--tol-feas", "1e-9"],
     ], ids=["enumerate-mode", "candidate-tol-feas", "simulate-tol-feas",
-            "solve-tol-complete", "slpn-tol-unambig", "slpn-mode"])
+            "solve-tol-complete", "slpn-tol-unambig", "slpn-mode", "solve-tol-feas",
+            "verify-tol-feas", "povm-tol-feas", "povm-tol-complete", "povm-tol-unambig",
+            "slpn-tol-feas", "threshold-tol-feas"])
     def test_unread_option_is_a_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("command, option", [
-        ("solve", "--tol-feas"), ("povm", "--tol-feas"), ("povm", "--tol-complete"),
-        ("povm", "--tol-unambig"),
-    ])
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "-1e-300", "abc"])
-    def test_bad_tolerance_is_a_usage_error(self, capsys, command, option, value):
-        # a NaN or infinite tolerance would pass every audit it bounds
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--profile", "p.json", f"{option}={value}"])
-        assert exc.value.code == 2
-        assert f"argument {option}: need a finite tolerance >= 0, not {value!r}" in \
-            capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, message", [
         ("solve --profile {p} --tau 2", "--tau is read only with --cost threshold"),
@@ -198,11 +189,6 @@ class TestOptionSurface:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    def test_zero_tolerance_accepted(self):
-        args = build_parser().parse_args(["povm", "--profile", "p.json", "--tol-feas", "0",
-                                          "--tol-complete", "1e-3", "--tol-unambig", "2"])
-        assert (args.tol_feas, args.tol_complete, args.tol_unambig) == (0.0, 1e-3, 2.0)
-
 
 class TestSolve:
     def test_exact_solve(self, capsys, profile_file):
@@ -216,20 +202,16 @@ class TestSolve:
         assert report["gap"] == 0
         assert report["audits"]["strong_duality_gap"]
 
-    @pytest.mark.parametrize("tol, expected", [("1e-9", 0), ("0", 1)])
-    def test_float_profile_under_exact_mode(self, tmp_path, capsys, tol, expected):
-        # binary64 weights run a float solve, so the duality audit compares
-        # against --tol-feas (0 is below this solve's gap of one ulp, and
-        # fails it) instead of gap == 0
+    def test_float_profile_under_exact_mode(self, tmp_path, capsys):
+        # binary64 weights run a float solve, so the duality audit allows
+        # lp.FLOAT_FEAS_TOL (this solve's gap is one ulp) instead of gap == 0
         path = tmp_path / "bern.json"
         path.write_text(json.dumps(bernoulli_profile(3, 0.1).to_json_dict()))
-        code, report = run_json(capsys, [
-            "solve", "--profile", str(path), "--mode", "exact", "--tol-feas", tol,
-        ])
-        assert code == expected
+        code, report = run_json(capsys, ["solve", "--profile", str(path), "--mode", "exact"])
+        assert code == 0
         assert (report["primal"]["mode"], report["primal"]["strategy"]) == ("float", "float")
-        assert isinstance(report["rho"], float)
-        assert report["audits"]["strong_duality_gap"] is (expected == 0)
+        assert isinstance(report["rho"], float) and 0 < report["gap"] <= lp.FLOAT_FEAS_TOL
+        assert report["audits"]["strong_duality_gap"]
 
     def test_solve_short_of_optimal_is_an_error(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "w.json"
@@ -279,7 +261,7 @@ class TestSolve:
     @pytest.mark.parametrize("scale", ["e6", "e8"])
     def test_float_gap_is_relative_at_large_costs(self, tmp_path, capsys, scale):
         # rho near 10^7 and 10^9: binary64 rho and sigma differ by 1.4e-9
-        # and 6e-8, past the absolute --tol-feas but within one part in
+        # and 6e-8, past the absolute lp.FLOAT_FEAS_TOL but within one part in
         # 10^12 of rho; the exact solve still closes the gap to 0
         p = rand_rational_profile(5, random.Random("cost-gap/2"))
         path = tmp_path / "p.json"
@@ -430,7 +412,7 @@ class TestSolve:
     @pytest.mark.parametrize("n, t", [(5, 0.483), (4, 0.497)])
     def test_float_solve_audits_primal_rows(self, tmp_path, capsys, n, t):
         # the float optimum leaves a tiny-weight row uncovered while the
-        # duality gap stays within --tol-feas (weights only: amplitudes
+        # duality gap stays within lp.FLOAT_FEAS_TOL (weights only: amplitudes
         # would give |a|^2, a slightly different profile); at each n, t is
         # the first of t = k / 1000, k = 400..499, whose solve does so
         path = tmp_path / "bern.json"
@@ -1466,3 +1448,33 @@ class TestEveryAuditBites:
                 seen |= audit_row_keys(command.split(), json.loads(text)).keys()
         assert seen == set(AUDIT_ROWS)
         assert {command for command, _ in AUDIT_ROWS} == set(OPTIONS)
+
+
+# (subcommand, audit key) -> a command on which that audit compares the LP
+# optimum with an exact value it equals: the optimum against the dual
+# objective, the spike family's bound and the zero certificate's verdict
+EXACT_ZERO_ROWS = {
+    ("solve", "strong_duality_gap"): "solve --profile {r3}",
+    ("verify", "weak_duality"): "verify --profile {r2} --family spike",
+    ("threshold", "certificate_matches_lp"): "threshold --profile {b3} --tau 2",
+}
+
+
+class TestExactMeansZero:
+    """An audit of an exact optimum allows a gap of exactly 0: the optimum
+    moved by 10^-15 fails it alone, with exit code 1.  A binary64 optimum
+    moved by 10^-10 stays within lp.FLOAT_FEAS_TOL and passes."""
+
+    @pytest.mark.parametrize("mode, move, expected", [
+        ("exact", Fraction(1, 10 ** 15), 1), ("float", 1e-10, 0)], ids=["exact", "float"])
+    @pytest.mark.parametrize("row", list(EXACT_ZERO_ROWS),
+                             ids=["/".join(row) for row in EXACT_ZERO_ROWS])
+    def test_moved_optimum(self, capsys, monkeypatch, paths, row, mode, move, expected):
+        argv = [*EXACT_ZERO_ROWS[row].format(**paths).split(), "--mode", mode]
+        code, report = run_json(capsys, argv)
+        assert code == 0 and row in audit_row_keys(argv, report)
+        _moved_optimum(lambda v: v + move)(monkeypatch)
+        code, report = run_json(capsys, argv)
+        audits = audit_row_keys(argv, report)
+        assert code == expected
+        assert [key for key, ok in audits.items() if not ok] == [row] * expected

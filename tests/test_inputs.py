@@ -56,9 +56,6 @@ NUMERIC_OPTIONS = {
     "--seed": ["simulate", "--profile", "p.json", "--x", "0"],
     "--t": ["slpn", "--n", "2"],
     "--gamma": ["slpn", "--n", "2", "--t", "0.1"],
-    "--tol-feas": ["povm", "--profile", "p.json"],
-    "--tol-complete": ["povm", "--profile", "p.json"],
-    "--tol-unambig": ["povm", "--profile", "p.json"],
 }
 INT_OPTIONS = ("--tau", "--d", "--k", "--n", "--shots", "--seed")
 # Each integer option with a range: its test, and the wording of its refusal.
@@ -145,9 +142,6 @@ class TestGrammar:
                              ids=[repr(text)[:12] for text, _, _ in OPTION_GRAMMAR])
     def test_numeric_option(self, option, text, int_ok, float_ok):
         ok = int_ok if option in INT_OPTIONS else float_ok
-        if option.startswith("--tol"):
-            # a tolerance is also finite and >= 0
-            ok = ok and 0 <= float(text) < math.inf
         if option in RANGED_OPTIONS:
             ok = ok and RANGED_OPTIONS[option][0](int(text))
         argv = [*NUMERIC_OPTIONS[option], f"{option}={text}"]
@@ -164,7 +158,6 @@ class TestGrammar:
             assert isinstance(value, SystemExit) and value.code == 2
             [line] = [ln for ln in err.getvalue().splitlines() if "error:" in ln]
             assert line.endswith(f"error: argument {option}: need " + (
-                "a finite tolerance >= 0" if option.startswith("--tol") else
                 RANGED_OPTIONS[option][1] if option in RANGED_OPTIONS else
                 "an integer" if option in INT_OPTIONS else
                 "a decimal number, inf or nan") + f", not {text!r}")
@@ -274,11 +267,11 @@ READERS = [
     ["simulate", "--x", "{x}", "--seed", "1", "--shots", "10"],
 ]
 COMMANDS = [
-    "solve --profile {p} --cost threshold --tau 1 --tol-feas 1e-9",
+    "solve --profile {p} --cost threshold --tau 1",
     "solve --profile {p} --cost custom --cost-values 0,1/2,3",
     "verify --profile {p} --family threshold-ball --d 1 --gamma 2.5 --tau 2",
     "verify --profile {p} --family threshold-set --tau 1 --set 01,10",
-    "povm --profile {p} --assume-real-amplitudes --tol-complete 1e-8 --tol-unambig 1e-10",
+    "povm --profile {p} --assume-real-amplitudes --cost threshold --tau 1",
     "simulate --profile {p} --x 01 --seed 3 --shots 100 --cost custom --cost-values 0,1,1",
     "slpn --n 2 --t 0.1 --d 1 --gamma 3",
     "threshold --profile {p} --tau 2",
